@@ -1,7 +1,8 @@
 // Multi-queue adaptation (paper Section 4.5.2): switches separate mice and
-// elephants into different data queues (cumulative-size classifier) and a
-// multi-queue PET agent tunes each queue's ECN thresholds independently.
-// Compare against the single-queue deployment on mice latency.
+// elephants into different data queues (cumulative-size classifier) and PET
+// deploys one agent per (switch, queue), each tuning its queue's ECN
+// thresholds independently. Compare against the single-queue deployment on
+// mice latency.
 //
 //   ./multiqueue_separation [load]
 
@@ -9,7 +10,8 @@
 #include <cstdlib>
 #include <memory>
 
-#include "core/multiqueue.hpp"
+#include "core/controller.hpp"
+#include "core/pet_agent.hpp"
 #include "exp/experiment_builder.hpp"
 #include "exp/table.hpp"
 #include "net/classifier.hpp"
@@ -40,13 +42,13 @@ int main(int argc, char** argv) {
     exp::Experiment& experiment = *experiment_ptr;
     const exp::ScenarioConfig& cfg = experiment.config();
 
-    core::MultiQueuePetConfig mq;
-    mq.num_queues = multiqueue ? 2 : 1;
-    mq.agent = core::PetAgentConfig::paper_defaults();
-    mq.agent.rollout_length = 32;
-    mq.agent.ppo.minibatch_size = 32;
-    mq.agent.explore_start = 0.1;
-    mq.agent.state.qlen_norm_bytes =
+    core::PetControllerConfig pc;
+    pc.num_queues = multiqueue ? 2 : 1;
+    pc.agent = core::PetAgentConfig::paper_defaults();
+    pc.agent.rollout_length = 32;
+    pc.agent.ppo.minibatch_size = 32;
+    pc.agent.explore_start = 0.1;
+    pc.agent.state.qlen_norm_bytes =
         static_cast<double>(cfg.topo.switch_config().pfc_xoff_bytes);
     if (multiqueue) {
       // Mice ride queue 0, elephants queue 1 (per-switch classifier state).
@@ -55,9 +57,9 @@ int main(int argc, char** argv) {
             std::make_shared<net::SizeClassClassifier>()));
       }
     }
-    core::MultiQueuePetController controller(
-        experiment.scheduler(), experiment.network().switches(), mq,
-        sim::derive_seed(cfg.seed, "mq-demo"));
+    core::PetController controller(experiment.scheduler(),
+                                   experiment.network().switches(), pc,
+                                   sim::derive_seed(cfg.seed, "mq-demo"));
     controller.start();
 
     const exp::Metrics m = experiment.run();
@@ -73,7 +75,8 @@ int main(int argc, char** argv) {
   }
   table.print();
   std::printf(
-      "\nSeparating mice from elephants shields short flows from elephant "
-      "queue build-up; each queue's thresholds adapt independently.\n");
+      "\nEach (switch, queue) agent tunes its queue's thresholds from that "
+      "queue's experience alone; compare the mice rows against single-queue "
+      "PET.\n");
   return 0;
 }

@@ -43,11 +43,7 @@ void AccAgent::tick() {
     pending_.reset();
   }
 
-  if (cfg_.training) {
-    for (std::int32_t i = 0; i < cfg_.train_every; ++i) {
-      learner_->train_step();
-    }
-  }
+  if (cfg_.training) learner_->train_step();
 
   ++steps_;
   const std::vector<std::int32_t> actions =
@@ -66,7 +62,7 @@ void AccAgent::tick() {
 AccController::AccController(sim::Scheduler& sched,
                              std::span<net::SwitchDevice* const> switches,
                              const AccControllerConfig& cfg, std::uint64_t seed)
-    : sched_(sched),
+    : EcnTuner(sched, cfg.agent.tuning_interval, "rl.acc-tick"),
       cfg_(cfg),
       replay_(std::make_shared<rl::ReplayBuffer>(cfg.replay_capacity)) {
   agents_.reserve(switches.size());
@@ -76,30 +72,12 @@ AccController::AccController(sim::Scheduler& sched,
   }
 }
 
-void AccController::start() {
-  if (running_) return;
-  running_ = true;
-  next_tick_ = sched_.schedule_in(cfg_.start_delay + cfg_.agent.tuning_interval,
-                                  [this] { tick_all(); }, "rl.acc-tick");
-}
-
-void AccController::stop() {
-  running_ = false;
-  if (next_tick_.valid()) {
-    sched_.cancel(next_tick_);
-    next_tick_ = sim::EventId{};
-  }
-}
-
 void AccController::set_training(bool training) {
   for (auto& a : agents_) a->set_training(training);
 }
 
-void AccController::tick_all() {
-  if (!running_) return;
+void AccController::tick() {
   for (auto& a : agents_) a->tick();
-  next_tick_ = sched_.schedule_in(cfg_.agent.tuning_interval,
-                                  [this] { tick_all(); }, "rl.acc-tick");
 }
 
 double AccController::mean_reward() const {
@@ -128,58 +106,13 @@ bool AccController::install_weights(std::span<const double> weights) {
   return ok;
 }
 
-void AccAgent::save_state(sim::ByteSink& out) const {
-  learner_->save_state(out);
-  sim::save_rng(out, rng_);
-  out.u8(pending_.has_value() ? 1 : 0);
-  if (pending_.has_value()) {
-    out.f64_vec(pending_->state);
-    out.i32_vec(pending_->actions);
-  }
-  out.i64(current_config_.kmin_bytes);
-  out.i64(current_config_.kmax_bytes);
-  out.f64(current_config_.pmax);
-  out.i64(steps_);
-  reward_stats_.save_state(out);
-  state_builder_.save_state(out);
-  ncm_.save_state(out);
+std::vector<double> AccController::weights() const {
+  if (agents_.empty()) return {};
+  return agents_.front()->learner().weights();
 }
 
-bool AccAgent::load_state(sim::ByteSource& in) {
-  if (!learner_->load_state(in)) return false;
-  if (!sim::load_rng(in, rng_)) return false;
-  const bool has_pending = in.u8() != 0;
-  pending_.reset();
-  if (has_pending) {
-    Pending p;
-    p.state = in.f64_vec();
-    p.actions = in.i32_vec();
-    pending_ = std::move(p);
-  }
-  current_config_.kmin_bytes = in.i64();
-  current_config_.kmax_bytes = in.i64();
-  current_config_.pmax = in.f64();
-  steps_ = in.i64();
-  if (!reward_stats_.load_state(in)) return false;
-  if (!state_builder_.load_state(in)) return false;
-  if (!ncm_.load_state(in)) return false;
-  return in.ok();
-}
-
-void AccController::save_state(sim::ByteSink& out) const {
-  out.u64(agents_.size());
-  replay_->save_state(out);
-  for (const auto& a : agents_) a->save_state(out);
-}
-
-bool AccController::load_state(sim::ByteSource& in) {
-  const std::uint64_t count = in.u64();
-  if (!in.ok() || count != agents_.size()) return false;
-  if (!replay_->load_state(in)) return false;
-  for (auto& a : agents_) {
-    if (!a->load_state(in)) return false;
-  }
-  return true;
+void AccController::set_lr_scale(double scale) {
+  for (auto& a : agents_) a->learner().set_lr(cfg_.agent.ddqn.lr * scale);
 }
 
 }  // namespace pet::acc

@@ -14,12 +14,12 @@
 #include "core/ncm.hpp"
 #include "core/reward.hpp"
 #include "core/state.hpp"
+#include "core/tuner.hpp"
 #include "net/network.hpp"
 #include "net/red_ecn.hpp"
 #include "net/switch.hpp"
 #include "rl/ddqn.hpp"
 #include "rl/replay.hpp"
-#include "sim/checkpoint.hpp"
 #include "sim/rng.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/stats.hpp"
@@ -34,7 +34,6 @@ struct AccAgentConfig {
   core::NcmConfig ncm{};
   rl::DdqnConfig ddqn{};  // input_size/head_sizes derived automatically
   sim::Time tuning_interval = sim::microseconds(100);
-  std::int32_t train_every = 1;  // gradient steps per tick
   bool training = true;
 };
 
@@ -56,14 +55,6 @@ class AccAgent {
   [[nodiscard]] const net::RedEcnConfig& current_config() const {
     return current_config_;
   }
-
-  // --- checkpointing (pet.ckpt/1 section payloads) --------------------------
-  /// Learner + monitoring state. The shared global replay is checkpointed
-  /// once by the controller, not per agent.
-  void save_state(sim::ByteSink& out) const;
-  /// Restores a save_state payload; false on a corrupted payload or
-  /// architecture mismatch.
-  [[nodiscard]] bool load_state(sim::ByteSource& in);
 
  private:
   sim::Scheduler& sched_;
@@ -87,20 +78,17 @@ class AccAgent {
 struct AccControllerConfig {
   AccAgentConfig agent{};
   std::size_t replay_capacity = 20'000;  // the shared global replay
-  sim::Time start_delay = sim::Time::zero();
 };
 
 /// Deploys ACC on every switch with the shared (global) replay the paper
 /// criticizes; exposes the replay's memory/bandwidth cost so the overhead
 /// experiment can quantify it.
-class AccController {
+class AccController final : public core::EcnTuner {
  public:
   AccController(sim::Scheduler& sched,
                 std::span<net::SwitchDevice* const> switches,
                 const AccControllerConfig& cfg, std::uint64_t seed);
 
-  void start();
-  void stop();
   void set_training(bool training);
 
   [[nodiscard]] std::size_t num_agents() const { return agents_.size(); }
@@ -115,24 +103,20 @@ class AccController {
 
   /// Install one weight vector into every agent (offline pre-training).
   /// Returns false on a parameter-count mismatch (models left untouched).
-  [[nodiscard]] bool install_weights(std::span<const double> weights);
+  [[nodiscard]] bool install_weights(std::span<const double> weights) override;
+  [[nodiscard]] std::vector<double> weights() const override;
+  /// Every agent learns at DdqnConfig::lr times `scale`.
+  void set_lr_scale(double scale) override;
+  /// Back to DdqnConfig::lr; epsilon keeps annealing on its own schedule.
+  void enter_deployment() override { set_lr_scale(1.0); }
 
-  // --- checkpointing --------------------------------------------------------
-  /// Shared replay once, then every agent's learner/monitor state.
-  void save_state(sim::ByteSink& out) const;
-  /// Restores a save_state payload; false on agent-count, replay-capacity,
-  /// or architecture mismatch.
-  [[nodiscard]] bool load_state(sim::ByteSource& in);
+ protected:
+  void tick() override;
 
  private:
-  void tick_all();
-
-  sim::Scheduler& sched_;
   AccControllerConfig cfg_;
   std::shared_ptr<rl::ReplayBuffer> replay_;
   std::vector<std::unique_ptr<AccAgent>> agents_;
-  sim::EventId next_tick_;
-  bool running_ = false;
 };
 
 }  // namespace pet::acc

@@ -11,11 +11,10 @@ namespace pet::baselines {
 AmtTuner::AmtTuner(sim::Scheduler& sched,
                    std::span<net::SwitchDevice* const> switches,
                    const AmtConfig& cfg)
-    : sched_(sched),
+    : EcnTuner(sched, cfg.period, "rl.tuner-tick"),
       cfg_(cfg),
       switches_(switches.begin(), switches.end()),
-      util_(switches.size(), 0.0),
-      last_tick_(sched.now()) {
+      util_(switches.size(), 0.0) {
   last_tx_.reserve(switches_.size());
   for (auto* sw : switches_) {
     std::vector<std::int64_t> base;
@@ -26,26 +25,9 @@ AmtTuner::AmtTuner(sim::Scheduler& sched,
   }
 }
 
-void AmtTuner::start() {
-  if (running_) return;
-  running_ = true;
-  last_tick_ = sched_.now();
-  ev_ = sched_.schedule_in(cfg_.period, [this] { tick(); }, "rl.tuner-tick");
-}
-
-void AmtTuner::stop() {
-  running_ = false;
-  if (ev_.valid()) {
-    sched_.cancel(ev_);
-    ev_ = sim::EventId{};
-  }
-}
-
 void AmtTuner::tick() {
-  if (!running_) return;
-  const sim::Time now = sched_.now();
-  const double window_sec = std::max(1e-12, (now - last_tick_).sec());
-  last_tick_ = now;
+  // Ticks fire exactly one period apart, so the period is the window.
+  const double window_sec = std::max(1e-12, cfg_.period.sec());
 
   for (std::size_t i = 0; i < switches_.size(); ++i) {
     net::SwitchDevice* sw = switches_[i];
@@ -74,7 +56,6 @@ void AmtTuner::tick() {
         {.kmin_bytes = kmin, .kmax_bytes = kmax, .pmax = cfg_.pmax});
     ++adjustments_;
   }
-  ev_ = sched_.schedule_in(cfg_.period, [this] { tick(); }, "rl.tuner-tick");
 }
 
 // ---------------------------------------------------------------------------
@@ -84,27 +65,12 @@ void AmtTuner::tick() {
 QaecnTuner::QaecnTuner(sim::Scheduler& sched,
                        std::span<net::SwitchDevice* const> switches,
                        const QaecnConfig& cfg)
-    : sched_(sched),
+    : EcnTuner(sched, cfg.period, "rl.tuner-tick"),
       cfg_(cfg),
       switches_(switches.begin(), switches.end()),
       kmax_(switches.size(), (cfg.kmax_floor_bytes + cfg.kmax_ceiling_bytes) / 2) {}
 
-void QaecnTuner::start() {
-  if (running_) return;
-  running_ = true;
-  ev_ = sched_.schedule_in(cfg_.period, [this] { tick(); }, "rl.tuner-tick");
-}
-
-void QaecnTuner::stop() {
-  running_ = false;
-  if (ev_.valid()) {
-    sched_.cancel(ev_);
-    ev_ = sim::EventId{};
-  }
-}
-
 void QaecnTuner::tick() {
-  if (!running_) return;
   for (std::size_t i = 0; i < switches_.size(); ++i) {
     net::SwitchDevice* sw = switches_[i];
     std::int64_t max_qlen = 0;
@@ -123,7 +89,6 @@ void QaecnTuner::tick() {
         {.kmin_bytes = kmin, .kmax_bytes = kmax_[i], .pmax = cfg_.pmax});
     ++adjustments_;
   }
-  ev_ = sched_.schedule_in(cfg_.period, [this] { tick(); }, "rl.tuner-tick");
 }
 
 }  // namespace pet::baselines

@@ -13,13 +13,14 @@
 //
 // Both run per switch on a fixed period with hand-set rules — exactly the
 // "manually pre-defined adjustment policies" limitation the paper
-// describes.
+// describes. The period is the EcnTuner tick interval.
 
 #include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
 
+#include "core/tuner.hpp"
 #include "net/network.hpp"
 #include "net/switch.hpp"
 #include "sim/scheduler.hpp"
@@ -38,29 +39,23 @@ struct AmtConfig {
   double util_gain = 0.3;
 };
 
-class AmtTuner {
+class AmtTuner final : public core::EcnTuner {
  public:
   AmtTuner(sim::Scheduler& sched, std::span<net::SwitchDevice* const> switches,
            const AmtConfig& cfg);
-
-  void start();
-  void stop();
 
   /// Current smoothed utilization of a switch's bottleneck port.
   [[nodiscard]] double utilization(std::size_t i) const { return util_[i]; }
   [[nodiscard]] std::int64_t adjustments() const { return adjustments_; }
 
- private:
-  void tick();
+ protected:
+  void tick() override;
 
-  sim::Scheduler& sched_;
+ private:
   AmtConfig cfg_;
   std::vector<net::SwitchDevice*> switches_;
   std::vector<double> util_;
   std::vector<std::vector<std::int64_t>> last_tx_;
-  sim::Time last_tick_;
-  sim::EventId ev_;
-  bool running_ = false;
   std::int64_t adjustments_ = 0;
 };
 
@@ -75,29 +70,24 @@ struct QaecnConfig {
   double gain = 0.5;
 };
 
-class QaecnTuner {
+class QaecnTuner final : public core::EcnTuner {
  public:
   QaecnTuner(sim::Scheduler& sched,
              std::span<net::SwitchDevice* const> switches,
              const QaecnConfig& cfg);
-
-  void start();
-  void stop();
 
   [[nodiscard]] std::int64_t current_kmax(std::size_t i) const {
     return kmax_[i];
   }
   [[nodiscard]] std::int64_t adjustments() const { return adjustments_; }
 
- private:
-  void tick();
+ protected:
+  void tick() override;
 
-  sim::Scheduler& sched_;
+ private:
   QaecnConfig cfg_;
   std::vector<net::SwitchDevice*> switches_;
   std::vector<std::int64_t> kmax_;
-  sim::EventId ev_;
-  bool running_ = false;
   std::int64_t adjustments_ = 0;
 };
 

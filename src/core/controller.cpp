@@ -1,6 +1,8 @@
 #include "core/controller.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "core/state.hpp"
 #include "rl/ppo.hpp"
@@ -11,7 +13,10 @@ namespace pet::core {
 PetController::PetController(sim::Scheduler& sched,
                              std::span<net::SwitchDevice* const> switches,
                              const PetControllerConfig& cfg, std::uint64_t seed)
-    : sched_(sched), cfg_(cfg) {
+    : EcnTuner(sched, cfg.agent.tuning_interval, "rl.pet-tick"), cfg_(cfg) {
+  if (cfg.num_queues < 1) {
+    throw std::invalid_argument("PetController: num_queues must be >= 1");
+  }
   std::shared_ptr<rl::PpoAgent> shared;
   if (cfg.shared_policy && !switches.empty()) {
     // Build the shared policy with the same shapes an independent agent
@@ -23,132 +28,117 @@ PetController::PetController(sim::Scheduler& sched,
     ppo.seed = sim::derive_seed(seed, "pet-shared-policy");
     shared = std::make_shared<rl::PpoAgent>(ppo);
   }
-  agents_.reserve(switches.size());
+  agents_.reserve(switches.size() *
+                  static_cast<std::size_t>(cfg.num_queues));
+  PetAgentConfig queue_cfg = cfg.agent;
   for (net::SwitchDevice* sw : switches) {
-    agents_.push_back(
-        std::make_unique<PetAgent>(sched, *sw, cfg.agent, seed, shared));
+    if (cfg.num_queues == 1) {
+      agents_.push_back(
+          std::make_unique<PetAgent>(sched, *sw, cfg.agent, seed, shared));
+      continue;
+    }
+    if (cfg.num_queues > sw->config().num_data_queues) {
+      throw std::invalid_argument(
+          "PetController: num_queues " + std::to_string(cfg.num_queues) +
+          " exceeds the " + std::to_string(sw->config().num_data_queues) +
+          " data queues of " + sw->name());
+    }
+    for (std::int32_t q = 0; q < cfg.num_queues; ++q) {
+      queue_cfg.ncm.queue_index = q;
+      agents_.push_back(
+          std::make_unique<PetAgent>(sched, *sw, queue_cfg, seed, shared));
+    }
   }
-}
-
-void PetController::start() {
-  if (running_) return;
-  running_ = true;
-  next_tick_ = sched_.schedule_in(cfg_.start_delay + cfg_.agent.tuning_interval,
-                                  [this] { tick_all(); }, "rl.pet-tick");
-}
-
-void PetController::stop() {
-  running_ = false;
-  if (next_tick_.valid()) {
-    sched_.cancel(next_tick_);
-    next_tick_ = sim::EventId{};
-  }
+  preps_.resize(agents_.size());
 }
 
 void PetController::set_training(bool training) {
   for (auto& a : agents_) a->set_training(training);
 }
 
-void PetController::tick_all() {
-  if (!running_) return;
-  // The policy server needs the two-phase tick even for a single agent;
-  // plain batched inference only pays off past one.
-  const bool serving =
-      cfg_.shared_policy && cfg_.infer != rl::InferMode::kDirect;
-  if (cfg_.shared_policy &&
-      (serving || (cfg_.batched_inference && agents_.size() > 1))) {
-    tick_all_batched();
-  } else {
-    for (auto& a : agents_) a->tick();
-  }
-  next_tick_ = sched_.schedule_in(cfg_.agent.tuning_interval,
-                                  [this] { tick_all(); }, "rl.pet-tick");
-}
-
-void PetController::tick_all_batched() {
+void PetController::tick() {
   // Phase 1: close monitoring slots, reward previous actions, run any due
-  // PPO updates — in agent order, exactly as the sequential path does.
-  std::vector<std::optional<PetAgent::TickPrep>> preps(agents_.size());
+  // PPO updates — in agent order.
   for (std::size_t i = 0; i < agents_.size(); ++i) {
-    preps[i] = agents_[i]->tick_observe();
+    preps_[i] = agents_[i]->tick_observe();
   }
 
-  // Phase 2: agents whose action is a plain policy sample share one batched
+  // Phase 2: plain policy samples from a shared policy share one batched
   // forward pass; deployed agents are served batched greedy decisions by
   // the policy server (when enabled); everyone else completes alone.
-  const bool serving = cfg_.infer != rl::InferMode::kDirect;
-  std::vector<std::size_t> batched;
-  std::vector<std::size_t> served;
-  batched.reserve(agents_.size());
-  if (serving) served.reserve(agents_.size());
+  const bool serving =
+      cfg_.shared_policy && cfg_.infer != rl::InferMode::kDirect;
+  batched_.clear();
+  served_.clear();
   for (std::size_t i = 0; i < agents_.size(); ++i) {
-    if (!preps[i].has_value()) continue;
-    if (preps[i]->batched_act) {
-      batched.push_back(i);
-    } else if (serving && preps[i]->serve_act) {
-      served.push_back(i);
+    const std::optional<PetAgent::TickPrep>& prep = preps_[i];
+    if (!prep.has_value()) continue;
+    if (cfg_.shared_policy && prep->batched_act) {
+      batched_.push_back(i);
+    } else if (serving && prep->serve_act) {
+      served_.push_back(i);
     } else {
-      agents_[i]->tick_complete(*preps[i]);
+      agents_[i]->tick_complete(*prep);
     }
   }
-  if (!served.empty()) serve_group(preps, served);
-  if (batched.empty()) return;
+  if (!served_.empty()) serve_group();
+  if (!batched_.empty()) act_batched();
+}
 
-  const std::size_t bsz = batched.size();
-  const std::size_t dim = preps[batched[0]]->state.size();
+void PetController::act_batched() {
+  const std::size_t bsz = batched_.size();
+  const std::size_t dim = preps_[batched_[0]]->state.size();
   std::vector<double> states(bsz * dim);
   std::vector<sim::Rng*> rngs(bsz);
   std::vector<double> exploration(bsz);
   for (std::size_t j = 0; j < bsz; ++j) {
-    PetAgent& a = *agents_[batched[j]];
+    PetAgent& a = *agents_[batched_[j]];
     exploration[j] = a.tick_begin_act();
-    const auto& s = preps[batched[j]]->state;
+    const auto& s = preps_[batched_[j]]->state;
     std::copy(s.begin(), s.end(), states.begin() + static_cast<std::ptrdiff_t>(j * dim));
     rngs[j] = &a.action_rng();
   }
   std::vector<rl::PpoAgent::ActResult> acts =
-      agents_[batched[0]]->policy().act_batch(
+      agents_[batched_[0]]->policy().act_batch(
           states, static_cast<std::int32_t>(bsz), rngs, exploration);
   for (std::size_t j = 0; j < bsz; ++j) {
-    agents_[batched[j]]->tick_finish_act(*preps[batched[j]],
-                                         std::move(acts[j]));
+    agents_[batched_[j]]->tick_finish_act(*preps_[batched_[j]],
+                                          std::move(acts[j]));
   }
 }
 
-void PetController::serve_group(
-    std::span<const std::optional<PetAgent::TickPrep>> preps,
-    std::span<const std::size_t> served) {
-  rl::PpoAgent& policy = agents_[served[0]]->policy();
+void PetController::serve_group() {
+  rl::PpoAgent& policy = agents_[served_[0]]->policy();
   const bool ok = server_.ready()
                       ? server_.refresh(policy)
                       : server_.install(policy,
                                         rl::infer_mode_precision(cfg_.infer));
   if (!ok) {
-    // A poisoned policy cannot be quantized; complete sequentially and let
-    // the per-agent guardrails quarantine it.
-    for (const std::size_t i : served) agents_[i]->tick_complete(*preps[i]);
+    // A poisoned policy cannot be quantized; complete alone and let the
+    // per-agent guardrails quarantine it.
+    for (const std::size_t i : served_) agents_[i]->tick_complete(*preps_[i]);
     return;
   }
 
-  const auto bsz = static_cast<std::int32_t>(served.size());
-  const std::size_t dim = preps[served[0]]->state.size();
+  const auto bsz = static_cast<std::int32_t>(served_.size());
+  const std::size_t dim = preps_[served_[0]]->state.size();
   const std::size_t heads = server_.num_heads();
-  serve_states_.resize(served.size() * dim);
-  serve_explore_.resize(served.size());
-  serve_actions_.resize(served.size() * heads);
-  for (std::size_t j = 0; j < served.size(); ++j) {
-    PetAgent& a = *agents_[served[j]];
+  serve_states_.resize(served_.size() * dim);
+  serve_explore_.resize(served_.size());
+  serve_actions_.resize(served_.size() * heads);
+  for (std::size_t j = 0; j < served_.size(); ++j) {
+    PetAgent& a = *agents_[served_[j]];
     serve_explore_[j] = a.tick_begin_act();
-    const auto& s = preps[served[j]]->state;
+    const auto& s = preps_[served_[j]]->state;
     std::copy(s.begin(), s.end(),
               serve_states_.begin() + static_cast<std::ptrdiff_t>(j * dim));
   }
   server_.reserve(bsz);
   server_.serve_greedy(serve_states_, bsz, serve_actions_);
   // Residual deployment exploration draws from each agent's private stream,
-  // so served and sequential runs consume identical RNG sequences.
-  for (std::size_t j = 0; j < served.size(); ++j) {
-    agents_[served[j]]->apply_serve_exploration(
+  // so served and direct runs consume identical RNG sequences.
+  for (std::size_t j = 0; j < served_.size(); ++j) {
+    agents_[served_[j]]->apply_serve_exploration(
         std::span<std::int32_t>(&serve_actions_[j * heads], heads),
         serve_explore_[j]);
   }
@@ -157,13 +147,13 @@ void PetController::serve_group(
   // serving precision).
   const std::vector<rl::PpoAgent::Evaluation> evs =
       policy.evaluate_batch(serve_states_, serve_actions_, bsz);
-  for (std::size_t j = 0; j < served.size(); ++j) {
+  for (std::size_t j = 0; j < served_.size(); ++j) {
     rl::PpoAgent::ActResult act;
     act.actions.assign(&serve_actions_[j * heads],
                        &serve_actions_[j * heads] + heads);
     act.log_prob = evs[j].log_prob;
     act.value = evs[j].value;
-    agents_[served[j]]->tick_finish_act(*preps[served[j]], std::move(act));
+    agents_[served_[j]]->tick_finish_act(*preps_[served_[j]], std::move(act));
   }
 }
 
@@ -171,6 +161,27 @@ bool PetController::install_weights(std::span<const double> weights) {
   bool ok = true;
   for (auto& a : agents_) ok = a->policy().set_weights(weights) && ok;
   return ok;
+}
+
+std::vector<double> PetController::weights() const {
+  if (agents_.empty()) return {};
+  return agents_.front()->policy().weights();
+}
+
+void PetController::set_lr_scale(double scale) {
+  for (auto& a : agents_) {
+    rl::PpoAgent& policy = a->policy();
+    const rl::PpoConfig& ppo = policy.config();
+    policy.set_learning_rates(ppo.actor_lr * scale, ppo.critic_lr * scale);
+  }
+}
+
+void PetController::enter_deployment() {
+  set_lr_scale(1.0);
+  for (auto& a : agents_) {
+    a->freeze_exploration(0.02);
+    a->set_deployment_mode(true);
+  }
 }
 
 double PetController::mean_reward() const {
@@ -207,33 +218,6 @@ std::int64_t PetController::total_steps() const {
   std::int64_t total = 0;
   for (const auto& a : agents_) total += a->steps();
   return total;
-}
-
-void PetController::save_state(sim::ByteSink& out) const {
-  out.u8(cfg_.shared_policy ? 1 : 0);
-  out.u64(agents_.size());
-  if (cfg_.shared_policy && !agents_.empty()) {
-    agents_.front()->policy().save_state(out);
-  }
-  for (const auto& a : agents_) {
-    a->save_state(out, /*with_policy=*/!cfg_.shared_policy);
-  }
-}
-
-bool PetController::load_state(sim::ByteSource& in) {
-  const bool shared = in.u8() != 0;
-  const std::uint64_t count = in.u64();
-  if (!in.ok() || shared != cfg_.shared_policy || count != agents_.size()) {
-    return false;
-  }
-  if (cfg_.shared_policy && !agents_.empty() &&
-      !agents_.front()->policy().load_state(in)) {
-    return false;
-  }
-  for (auto& a : agents_) {
-    if (!a->load_state(in, /*with_policy=*/!cfg_.shared_policy)) return false;
-  }
-  return true;
 }
 
 }  // namespace pet::core

@@ -1,21 +1,23 @@
 #pragma once
 // PetController: deploys one PetAgent per switch and drives the tuning
 // loop. Decentralized training with decentralized execution: agents never
-// exchange state, experience, or gradients (Section 4.1.2).
+// exchange state, experience, or gradients (Section 4.1.2). With
+// num_queues > 1 it deploys one agent per (switch, queue) instead, the
+// multi-queue adaptation of Section 4.5.2.
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
 #include "core/guardrails.hpp"
 #include "core/pet_agent.hpp"
+#include "core/tuner.hpp"
 #include "net/network.hpp"
 #include "net/switch.hpp"
 #include "rl/inference.hpp"
-#include "sim/checkpoint.hpp"
 #include "sim/scheduler.hpp"
-#include "sim/time.hpp"
 
 namespace pet::core {
 
@@ -23,36 +25,36 @@ struct PetControllerConfig {
   PetAgentConfig agent{};
   /// Offline pre-training mode: all agents act/train through one shared
   /// policy (parameter sharing), mirroring the paper's single pre-trained
-  /// initial model that is later installed on every switch.
+  /// initial model that is later installed on every switch. Training
+  /// samples then come from one batched forward pass per tick; per-agent
+  /// RNG streams and exploration rates are threaded through the batch, so
+  /// each agent draws the actions it would draw alone.
   bool shared_policy = false;
-  /// With a shared policy, evaluate all agents' observations in one batched
-  /// forward pass per tick instead of one network evaluation per agent.
-  /// Per-agent RNG streams and exploration rates are threaded through the
-  /// batch, so each agent draws the same actions it would sequentially.
-  bool batched_inference = true;
-  /// Deployment-mode decision serving. kDirect keeps the legacy per-agent
-  /// fp64 path; any other mode routes greedy decisions for all deployed
-  /// agents through one batched rl::PolicyServer at the chosen precision
+  /// Deployment-mode decision serving. kDirect keeps the per-agent fp64
+  /// path; any other mode routes greedy decisions for all deployed agents
+  /// through one batched rl::PolicyServer at the chosen precision
   /// (requires shared_policy — the server snapshots one policy). kFp64
   /// serving is bitwise identical to kDirect; kFp32/kInt8 trade bounded
   /// action divergence for throughput (see DESIGN.md "Fast Inference Path").
   rl::InferMode infer = rl::InferMode::kDirect;
-  /// First tick fires one tuning interval after start().
-  sim::Time start_delay = sim::Time::zero();
+  /// Data queues tuned per switch. At 1, one agent tunes every queue of its
+  /// switch. Above 1, each (switch, queue) gets its own agent that monitors
+  /// and actuates only that queue; it must not exceed the switches' data
+  /// queues.
+  std::int32_t num_queues = 1;
 };
 
-class PetController {
+class PetController final : public EcnTuner {
  public:
+  /// Throws std::invalid_argument when num_queues is below 1 or exceeds a
+  /// switch's data queues.
   PetController(sim::Scheduler& sched,
                 std::span<net::SwitchDevice* const> switches,
                 const PetControllerConfig& cfg, std::uint64_t seed);
 
-  /// Begin (or resume) periodic tuning ticks.
-  void start();
-  void stop();
-
   void set_training(bool training);
 
+  /// Agents in switch order; queue order within a switch.
   [[nodiscard]] std::size_t num_agents() const { return agents_.size(); }
   [[nodiscard]] PetAgent& agent(std::size_t i) { return *agents_[i]; }
 
@@ -60,7 +62,13 @@ class PetController {
   /// initial model deployment, Section 4.4.1). Returns false when the
   /// vector does not match the policy's parameter count (stale cache);
   /// agents keep their current models in that case.
-  [[nodiscard]] bool install_weights(std::span<const double> weights);
+  [[nodiscard]] bool install_weights(std::span<const double> weights) override;
+  [[nodiscard]] std::vector<double> weights() const override;
+  void set_lr_scale(double scale) override;
+  /// Paper learning rates, then deployment mode (greedy decisions while
+  /// online training continues) at a low, stable exploration rate
+  /// (Section 4.4's exploration/exploitation handoff).
+  void enter_deployment() override;
 
   /// Mean per-step reward across agents (training progress signal).
   [[nodiscard]] double mean_reward() const;
@@ -72,37 +80,33 @@ class PetController {
   [[nodiscard]] std::size_t num_in_state(AgentHealth state) const;
   [[nodiscard]] std::int64_t total_rollbacks() const;
 
-  // --- checkpointing --------------------------------------------------------
-  /// Fleet state: under parameter sharing the shared policy is saved once,
-  /// then every agent without its private policy; otherwise each agent
-  /// carries its own policy in its payload.
-  void save_state(sim::ByteSink& out) const;
-  /// Restores a save_state payload; false on agent-count or architecture
-  /// mismatch.
-  [[nodiscard]] bool load_state(sim::ByteSource& in);
-
   /// The batched decision server (non-kDirect infer modes). Exposed for
   /// tests/telemetry; installed lazily on the first served tick.
   [[nodiscard]] const rl::PolicyServer& policy_server() const {
     return server_;
   }
 
- private:
-  void tick_all();
-  /// Shared-policy fast path: observe every agent, then act for all of them
-  /// with one batched policy forward.
-  void tick_all_batched();
-  /// Serve one tick of greedy deployment decisions for `served` (indices
-  /// into agents_/preps) through the policy server; falls back to the
-  /// sequential path when the policy cannot be (re)quantized.
-  void serve_group(std::span<const std::optional<PetAgent::TickPrep>> preps,
-                   std::span<const std::size_t> served);
+ protected:
+  /// Observe every agent first (slot close, reward, any due PPO update, in
+  /// agent order), then act: shared-policy training samples share one
+  /// batched forward, served deployment decisions go through the policy
+  /// server, and every other agent completes alone.
+  void tick() override;
 
-  sim::Scheduler& sched_;
+ private:
+  void act_batched();
+  /// Serve one tick of greedy deployment decisions for served_ through the
+  /// policy server; agents complete alone when the policy cannot be
+  /// (re)quantized.
+  void serve_group();
+
   PetControllerConfig cfg_;
   std::vector<std::unique_ptr<PetAgent>> agents_;
-  sim::EventId next_tick_;
-  bool running_ = false;
+
+  // Per-tick scratch (indices into agents_), reused every tick.
+  std::vector<std::optional<PetAgent::TickPrep>> preps_;
+  std::vector<std::size_t> batched_;
+  std::vector<std::size_t> served_;
 
   // Policy-server state + scratch (reused every tick; allocation-free once
   // warm at a stable served-group size).

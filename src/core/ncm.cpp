@@ -1,7 +1,6 @@
 #include "core/ncm.hpp"
 
 #include <algorithm>
-#include <utility>
 
 #include "sim/sorted_keys.hpp"
 
@@ -177,86 +176,6 @@ void Ncm::threshold_cleanup() {
       }
     }
   }
-}
-
-void Ncm::save_state(sim::ByteSink& out) const {
-  out.i64(last_sample_.ps());
-  out.i64(slot_index_);
-  out.u64(dst_srcs_.size());
-  for (const net::HostId dst : sim::sorted_keys(dst_srcs_)) {
-    out.i32(dst);
-    const auto& srcs = dst_srcs_.at(dst);
-    out.u64(srcs.size());
-    for (const net::HostId src : sim::sorted_keys(srcs)) out.i32(src);
-  }
-  out.u64(slot_flows_.size());
-  for (const net::FlowId flow : sim::sorted_keys(slot_flows_)) out.u64(flow);
-  out.i64(slot_packets_);
-  out.u64(flows_.size());
-  for (const net::FlowId flow : sim::sorted_keys(flows_)) {
-    const FlowInfo& info = flows_.at(flow);
-    out.u64(flow);
-    out.i64(info.bytes);
-    out.i64(info.last_seen_slot);
-  }
-  out.u64(last_tx_bytes_.size());
-  for (std::int64_t v : last_tx_bytes_) out.i64(v);
-  out.u64(last_tx_marked_.size());
-  for (std::int64_t v : last_tx_marked_) out.i64(v);
-}
-
-bool Ncm::load_state(sim::ByteSource& in) {
-  const std::int64_t last_sample_ps = in.i64();
-  const std::int64_t slot_index = in.i64();
-  std::unordered_map<net::HostId, std::unordered_set<net::HostId>> dst_srcs;
-  const std::uint64_t dst_count = in.u64();
-  if (!in.ok()) return false;
-  for (std::uint64_t i = 0; i < dst_count; ++i) {
-    const net::HostId dst = in.i32();
-    const std::uint64_t src_count = in.u64();
-    if (!in.ok()) return false;
-    auto& srcs = dst_srcs[dst];
-    for (std::uint64_t s = 0; s < src_count; ++s) srcs.insert(in.i32());
-  }
-  std::unordered_set<net::FlowId> slot_flows;
-  const std::uint64_t slot_flow_count = in.u64();
-  if (!in.ok()) return false;
-  for (std::uint64_t i = 0; i < slot_flow_count; ++i) {
-    slot_flows.insert(in.u64());
-  }
-  const std::int64_t slot_packets = in.i64();
-  std::unordered_map<net::FlowId, FlowInfo> flows;
-  const std::uint64_t flow_count = in.u64();
-  if (!in.ok()) return false;
-  for (std::uint64_t i = 0; i < flow_count; ++i) {
-    const net::FlowId flow = in.u64();
-    FlowInfo info;
-    info.bytes = in.i64();
-    info.last_seen_slot = in.i64();
-    flows.emplace(flow, info);
-  }
-  std::vector<std::int64_t> last_tx_bytes;
-  const std::uint64_t tx_count = in.u64();
-  if (!in.ok() || tx_count != last_tx_bytes_.size()) return false;
-  for (std::uint64_t i = 0; i < tx_count; ++i) {
-    last_tx_bytes.push_back(in.i64());
-  }
-  std::vector<std::int64_t> last_tx_marked;
-  const std::uint64_t marked_count = in.u64();
-  if (!in.ok() || marked_count != last_tx_marked_.size()) return false;
-  for (std::uint64_t i = 0; i < marked_count; ++i) {
-    last_tx_marked.push_back(in.i64());
-  }
-  if (!in.ok()) return false;
-  last_sample_ = sim::Time(last_sample_ps);
-  slot_index_ = slot_index;
-  dst_srcs_ = std::move(dst_srcs);
-  slot_flows_ = std::move(slot_flows);
-  slot_packets_ = slot_packets;
-  flows_ = std::move(flows);
-  last_tx_bytes_ = std::move(last_tx_bytes);
-  last_tx_marked_ = std::move(last_tx_marked);
-  return true;
 }
 
 }  // namespace pet::core

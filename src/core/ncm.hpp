@@ -11,7 +11,6 @@
 
 #include "net/packet.hpp"
 #include "net/switch.hpp"
-#include "sim/checkpoint.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/time.hpp"
 
@@ -28,7 +27,7 @@ struct NcmConfig {
   std::int64_t elephant_threshold_bytes = 1'000'000;
   /// Scope monitoring to one data queue per port (-1: whole port). Used by
   /// the multi-queue adaptation (paper Section 4.5.2), where each queue has
-  /// its own NCM view and ECN configuration.
+  /// its own agent, NCM view and ECN configuration.
   std::int32_t queue_index = -1;
 };
 
@@ -64,14 +63,6 @@ class Ncm {
   /// Resident tracking-state size (for the overhead experiments).
   [[nodiscard]] std::size_t tracked_flows() const { return flows_.size(); }
   [[nodiscard]] std::size_t tracked_dsts() const { return dst_srcs_.size(); }
-
-  /// Checkpoint the monitoring state: slot clock, per-slot accumulators,
-  /// flow table, and port counter baselines. Unordered containers are
-  /// emitted in sorted-key order so the payload is layout-independent.
-  void save_state(sim::ByteSink& out) const;
-  /// Restores a save_state payload; false (monitor untouched) on a
-  /// corrupted payload or port-count mismatch.
-  [[nodiscard]] bool load_state(sim::ByteSource& in);
 
  private:
   void on_forward(const net::Packet& pkt, std::int32_t out_port,

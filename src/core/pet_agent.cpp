@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <string_view>
 #include <utility>
 
 #include "sim/log.hpp"
@@ -15,6 +16,17 @@ bool all_finite(std::span<const double> values) {
     if (!std::isfinite(v)) return false;
   }
   return true;
+}
+
+/// Per-agent seed: the named stream offset by the switch id, with the queue
+/// mixed in for queue-scoped agents so (switch, queue) agents never share a
+/// stream.
+std::uint64_t agent_seed(std::uint64_t seed, std::string_view stream,
+                         const net::SwitchDevice& sw, std::int32_t queue) {
+  const std::uint64_t s =
+      sim::derive_seed(seed, stream) + static_cast<std::uint64_t>(sw.id());
+  return queue < 0 ? s
+                   : sim::derive_seed(s, static_cast<std::uint64_t>(queue));
 }
 }  // namespace
 
@@ -38,8 +50,10 @@ PetAgent::PetAgent(sim::Scheduler& sched, net::SwitchDevice& sw,
       cfg_(cfg),
       ncm_(sched, sw, cfg.ncm),
       state_builder_(cfg.state, cfg.action_space),
-      rng_(sim::derive_seed(seed, "pet-agent") +
-           static_cast<std::uint64_t>(sw.id())) {
+      rng_(agent_seed(seed, "pet-agent", sw, cfg.ncm.queue_index)),
+      targets_(cfg.ncm.queue_index < 0
+                   ? net::PortSelector::all()
+                   : net::PortSelector::queue(cfg.ncm.queue_index)) {
   if (shared_policy != nullptr) {
     policy_ = std::move(shared_policy);
     assert(policy_->config().input_size == state_builder_.state_size());
@@ -47,13 +61,12 @@ PetAgent::PetAgent(sim::Scheduler& sched, net::SwitchDevice& sw,
     rl::PpoConfig ppo = cfg_.ppo;
     ppo.input_size = state_builder_.state_size();
     ppo.head_sizes = cfg_.action_space.head_sizes();
-    ppo.seed = sim::derive_seed(seed, "pet-policy") +
-               static_cast<std::uint64_t>(sw.id());
+    ppo.seed = agent_seed(seed, "pet-policy", sw, cfg_.ncm.queue_index);
     policy_ = std::make_shared<rl::PpoAgent>(ppo);
   }
   // The switch starts from whatever static config it carries; remember it
   // as "current" so the first state's ECN^(c) component is truthful.
-  current_config_ = sw_.port(0).ecn_config(0);
+  current_config_ = sw_.port(0).ecn_config(std::max(0, cfg_.ncm.queue_index));
   // A rollback target must exist from the first tick; the initial weights
   // are the first last-known-good snapshot.
   if (cfg_.guardrails.enabled) last_good_ = policy_->weights();
@@ -95,7 +108,7 @@ void PetAgent::quarantine(const std::string& reason) {
   // The switch must keep forwarding sanely without its tuner: fall back to
   // the static DCQCN-style thresholds until the agent is back in service.
   current_config_ = cfg_.guardrails.fallback_ecn.clamped();
-  sw_.install_ecn(current_config_);
+  sw_.install_ecn(current_config_, targets_);
 }
 
 void PetAgent::check_telemetry(const NcmSnapshot& snap) {
@@ -154,19 +167,12 @@ double PetAgent::exploration_for_step(std::int64_t t) const {
   return std::max(cfg_.explore_min, e);
 }
 
-void local_exploration_step_inplace(std::span<std::int32_t> actions,
-                                    const std::vector<std::int32_t>& head_sizes,
-                                    sim::Rng& rng) {
+void local_exploration_step(std::span<std::int32_t> actions,
+                            const std::vector<std::int32_t>& head_sizes,
+                            sim::Rng& rng) {
   const std::size_t h = rng.uniform_int(head_sizes.size());
   const std::int32_t step = rng.bernoulli(0.5) ? 1 : -1;
   actions[h] = std::clamp(actions[h] + step, 0, head_sizes[h] - 1);
-}
-
-std::vector<std::int32_t> local_exploration_step(
-    std::vector<std::int32_t> actions,
-    const std::vector<std::int32_t>& head_sizes, sim::Rng& rng) {
-  local_exploration_step_inplace(actions, head_sizes, rng);
-  return actions;
 }
 
 void PetAgent::finalize_pending(const NcmSnapshot& snap,
@@ -237,10 +243,10 @@ std::optional<PetAgent::TickPrep> PetAgent::tick_observe() {
 
 void PetAgent::apply_serve_exploration(std::span<std::int32_t> actions,
                                        double explore) {
-  // Mirrors the deployment branch of tick_complete(): one bernoulli gate,
-  // then (rarely) one conservative single-head perturbation.
+  // Deployed switches probe conservatively: one head, one level up or
+  // down — never a jump to an arbitrary threshold mid-production.
   if (explore <= 0.0 || !rng_.bernoulli(explore)) return;
-  local_exploration_step_inplace(actions, cfg_.action_space.head_sizes(), rng_);
+  local_exploration_step(actions, cfg_.action_space.head_sizes(), rng_);
 }
 
 double PetAgent::tick_begin_act() {
@@ -271,7 +277,7 @@ void PetAgent::tick_finish_act(const TickPrep& prep,
                             .log_prob = act.log_prob,
                             .value = act.value,
                             .reward = 0.0};
-  sw_.install_ecn(current_config_);
+  sw_.install_ecn(current_config_, targets_);
 
   if (health_ == AgentHealth::kProbation &&
       ++probation_clean_ >= cfg_.guardrails.probation_ticks) {
@@ -289,13 +295,7 @@ void PetAgent::tick_complete(const TickPrep& prep) {
       // Exploit the mode; keep the transition PPO-consistent by evaluating
       // the chosen action under the current policy.
       act.actions = policy_->act_greedy(prep.state);
-      if (policy_->exploration_rate() > 0.0 &&
-          rng_.bernoulli(policy_->exploration_rate())) {
-        // Deployed switches probe conservatively: one head, one level up or
-        // down — never a jump to an arbitrary threshold mid-production.
-        act.actions = local_exploration_step(
-            std::move(act.actions), cfg_.action_space.head_sizes(), rng_);
-      }
+      apply_serve_exploration(act.actions, policy_->exploration_rate());
       const rl::PpoAgent::Evaluation ev =
           policy_->evaluate(prep.state, act.actions);
       act.log_prob = ev.log_prob;
@@ -312,7 +312,7 @@ void PetAgent::tick_complete(const TickPrep& prep) {
     }
     const std::vector<std::int32_t> actions = policy_->act_greedy(prep.state);
     current_config_ = cfg_.action_space.to_config(actions);
-    sw_.install_ecn(current_config_);
+    sw_.install_ecn(current_config_, targets_);
 
     if (health_ == AgentHealth::kProbation &&
         ++probation_clean_ >= cfg_.guardrails.probation_ticks) {
@@ -333,120 +333,6 @@ void PetAgent::reset_episode() {
   rollout_.clear();
   pending_.reset();
   state_builder_.reset();
-}
-
-namespace {
-
-void save_transition(sim::ByteSink& out, const rl::Transition& t) {
-  out.f64_vec(t.state);
-  out.i32_vec(t.actions);
-  out.f64(t.log_prob);
-  out.f64(t.value);
-  out.f64(t.reward);
-}
-
-[[nodiscard]] rl::Transition load_transition(sim::ByteSource& in) {
-  rl::Transition t;
-  t.state = in.f64_vec();
-  t.actions = in.i32_vec();
-  t.log_prob = in.f64();
-  t.value = in.f64();
-  t.reward = in.f64();
-  return t;
-}
-
-}  // namespace
-
-void PetAgent::save_state(sim::ByteSink& out, bool with_policy) const {
-  if (with_policy) policy_->save_state(out);
-  sim::save_rng(out, rng_);
-  out.i64(steps_);
-  out.i64(updates_);
-  out.f64(frozen_exploration_);
-  out.u8(deployment_mode_ ? 1 : 0);
-  out.u8(local_updates_ ? 1 : 0);
-  reward_stats_.save_state(out);
-  out.f64(last_update_.policy_loss);
-  out.f64(last_update_.value_loss);
-  out.f64(last_update_.entropy);
-  out.f64(last_update_.approx_kl);
-  out.i32(last_update_.minibatches);
-  out.u8(static_cast<std::uint8_t>(health_));
-  out.u64(transitions_.size());
-  for (const HealthTransition& t : transitions_) {
-    out.i64(t.at.ps());
-    out.i32(t.switch_id);
-    out.u8(static_cast<std::uint8_t>(t.from));
-    out.u8(static_cast<std::uint8_t>(t.to));
-    out.str(t.reason);
-  }
-  out.f64_vec(last_good_);
-  out.i64(rollbacks_);
-  out.i64(checkpoints_);
-  out.i32(quarantine_remaining_);
-  out.i32(probation_clean_);
-  out.i32(stale_slots_);
-  out.i32(fresh_slots_);
-  out.i64(current_config_.kmin_bytes);
-  out.i64(current_config_.kmax_bytes);
-  out.f64(current_config_.pmax);
-  out.u8(pending_.has_value() ? 1 : 0);
-  if (pending_.has_value()) save_transition(out, *pending_);
-  out.u64(rollout_.size());
-  for (const rl::Transition& t : rollout_.items()) save_transition(out, t);
-  state_builder_.save_state(out);
-  ncm_.save_state(out);
-}
-
-bool PetAgent::load_state(sim::ByteSource& in, bool with_policy) {
-  if (with_policy && !policy_->load_state(in)) return false;
-  if (!sim::load_rng(in, rng_)) return false;
-  steps_ = in.i64();
-  updates_ = in.i64();
-  frozen_exploration_ = in.f64();
-  deployment_mode_ = in.u8() != 0;
-  local_updates_ = in.u8() != 0;
-  if (!reward_stats_.load_state(in)) return false;
-  last_update_.policy_loss = in.f64();
-  last_update_.value_loss = in.f64();
-  last_update_.entropy = in.f64();
-  last_update_.approx_kl = in.f64();
-  last_update_.minibatches = in.i32();
-  health_ = static_cast<AgentHealth>(in.u8());
-  const std::uint64_t transition_count = in.u64();
-  if (!in.ok()) return false;
-  transitions_.clear();
-  for (std::uint64_t i = 0; i < transition_count; ++i) {
-    HealthTransition t;
-    t.at = sim::Time(in.i64());
-    t.switch_id = in.i32();
-    t.from = static_cast<AgentHealth>(in.u8());
-    t.to = static_cast<AgentHealth>(in.u8());
-    t.reason = in.str();
-    transitions_.push_back(std::move(t));
-  }
-  last_good_ = in.f64_vec();
-  rollbacks_ = in.i64();
-  checkpoints_ = in.i64();
-  quarantine_remaining_ = in.i32();
-  probation_clean_ = in.i32();
-  stale_slots_ = in.i32();
-  fresh_slots_ = in.i32();
-  current_config_.kmin_bytes = in.i64();
-  current_config_.kmax_bytes = in.i64();
-  current_config_.pmax = in.f64();
-  const bool has_pending = in.u8() != 0;
-  pending_.reset();
-  if (has_pending) pending_ = load_transition(in);
-  const std::uint64_t rollout_count = in.u64();
-  if (!in.ok()) return false;
-  rollout_.clear();
-  for (std::uint64_t i = 0; i < rollout_count; ++i) {
-    rollout_.push(load_transition(in));
-  }
-  if (!state_builder_.load_state(in)) return false;
-  if (!ncm_.load_state(in)) return false;
-  return in.ok();
 }
 
 }  // namespace pet::core

@@ -2,13 +2,17 @@
 // PetAgent: one IPPO learner per switch (the DTDE paradigm). Every tuning
 // interval (delta-t, Section 4.2.2) it closes the monitoring slot, rewards
 // the previous action, builds the stacked six-factor state, samples the
-// next ECN configuration and applies it to the switch's queues.
+// next ECN configuration and applies it to the switch's queues. An agent
+// whose NcmConfig::queue_index is set monitors and tunes that one queue of
+// every port instead (multi-queue adaptation, Section 4.5.2).
 
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "core/action.hpp"
 #include "core/guardrails.hpp"
@@ -19,7 +23,6 @@
 #include "net/switch.hpp"
 #include "rl/ppo.hpp"
 #include "rl/rollout.hpp"
-#include "sim/checkpoint.hpp"
 #include "sim/rng.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/stats.hpp"
@@ -53,18 +56,12 @@ struct PetAgentConfig {
   [[nodiscard]] static PetAgentConfig paper_defaults();
 };
 
-/// Deployment-mode exploration: perturb one randomly chosen head by one
-/// level up or down, clamped to the head's range — a conservative local
-/// probe instead of an arbitrary jump.
-[[nodiscard]] std::vector<std::int32_t> local_exploration_step(
-    std::vector<std::int32_t> actions,
-    const std::vector<std::int32_t>& head_sizes, sim::Rng& rng);
-
-/// In-place variant (batched policy-server path, no per-agent allocation);
-/// draws the identical RNG sequence.
-void local_exploration_step_inplace(std::span<std::int32_t> actions,
-                                    const std::vector<std::int32_t>& head_sizes,
-                                    sim::Rng& rng);
+/// Deployment-mode exploration, in place: perturb one randomly chosen head
+/// by one level up or down, clamped to the head's range — a conservative
+/// local probe instead of an arbitrary jump.
+void local_exploration_step(std::span<std::int32_t> actions,
+                            const std::vector<std::int32_t>& head_sizes,
+                            sim::Rng& rng);
 
 class PetAgent {
  public:
@@ -105,13 +102,13 @@ class PetAgent {
   /// batched act. Equivalent to the in-tick act with the same sample.
   void tick_finish_act(const TickPrep& prep, rl::PpoAgent::ActResult act);
 
-  /// Policy-server path: apply the deployment-mode residual exploration to a
-  /// served greedy decision, in place. Draws the exact RNG sequence the
-  /// sequential deployment branch of tick_complete() draws, so a fp64-served
-  /// run is bitwise identical to the direct path.
+  /// Deployment-mode residual exploration on a greedy decision, in place:
+  /// one bernoulli gate, then (rarely) one local_exploration_step. Both the
+  /// policy server and tick_complete() go through it, so a fp64-served run
+  /// draws the same RNG sequence as the direct path.
   void apply_serve_exploration(std::span<std::int32_t> actions, double explore);
 
-  /// Phase 2 (sequential path): everything after tick_observe().
+  /// Phase 2 (unbatched): everything after tick_observe().
   void tick_complete(const TickPrep& prep);
 
   // --- replica-parallel rollout collection ----------------------------------
@@ -155,6 +152,10 @@ class PetAgent {
   [[nodiscard]] const rl::PpoAgent& policy() const { return *policy_; }
   [[nodiscard]] Ncm& ncm() { return ncm_; }
   [[nodiscard]] net::SwitchDevice& switch_device() { return sw_; }
+  /// The data queue this agent tunes; -1 when it tunes every queue.
+  [[nodiscard]] std::int32_t queue_index() const {
+    return cfg_.ncm.queue_index;
+  }
 
   [[nodiscard]] std::int64_t steps() const { return steps_; }
   [[nodiscard]] const sim::RunningStats& reward_stats() const {
@@ -203,15 +204,6 @@ class PetAgent {
   /// path a guardrail trip takes — fallback config, rollback, halt).
   void force_quarantine(const std::string& reason) { quarantine(reason); }
 
-  // --- checkpointing (pet.ckpt/1 section payloads) --------------------------
-  /// Full learning + guardrail + monitoring state. With `with_policy` false
-  /// the policy network is skipped — used under parameter sharing, where
-  /// the controller saves the shared policy exactly once.
-  void save_state(sim::ByteSink& out, bool with_policy) const;
-  /// Restores a save_state payload (same `with_policy` the save used);
-  /// false on a corrupted payload or architecture mismatch.
-  [[nodiscard]] bool load_state(sim::ByteSource& in, bool with_policy);
-
  private:
   void finalize_pending(const NcmSnapshot& snap,
                         const std::vector<double>& next_state);
@@ -232,6 +224,9 @@ class PetAgent {
   StateBuilder state_builder_;
   std::shared_ptr<rl::PpoAgent> policy_;
   sim::Rng rng_;
+  /// Where actions and the guardrail fallback land: one queue of every port
+  /// for a queue-scoped agent, otherwise every queue.
+  net::PortSelector targets_;
 
   rl::RolloutBuffer rollout_;
   std::optional<rl::Transition> pending_;

@@ -8,13 +8,11 @@
 
 #include <cstdint>
 #include <deque>
-#include <utility>
 #include <vector>
 
 #include "core/action.hpp"
 #include "core/ncm.hpp"
 #include "net/red_ecn.hpp"
-#include "sim/checkpoint.hpp"
 
 namespace pet::core {
 
@@ -49,29 +47,6 @@ class StateBuilder {
 
   void reset() { history_.clear(); }
   [[nodiscard]] std::size_t slots_observed() const { return history_.size(); }
-
-  /// Checkpoint the slot history (the only mutable state).
-  void save_state(sim::ByteSink& out) const {
-    out.u64(history_.size());
-    for (const std::vector<double>& slot : history_) out.f64_vec(slot);
-  }
-  [[nodiscard]] bool load_state(sim::ByteSource& in) {
-    const std::uint64_t count = in.u64();
-    if (!in.ok() || count > static_cast<std::uint64_t>(cfg_.k_history)) {
-      return false;
-    }
-    std::deque<std::vector<double>> history;
-    for (std::uint64_t i = 0; i < count; ++i) {
-      std::vector<double> slot = in.f64_vec();
-      if (!in.ok() ||
-          slot.size() != static_cast<std::size_t>(slot_features())) {
-        return false;
-      }
-      history.push_back(std::move(slot));
-    }
-    history_ = std::move(history);
-    return true;
-  }
 
  private:
   StateConfig cfg_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "acc/dynamic_tuners.hpp"
 #include "core/guardrails.hpp"
 #include "core/pet_agent.hpp"
 #include "sim/rng.hpp"
@@ -65,26 +66,9 @@ Experiment::Experiment(const ScenarioConfig& cfg)
   if (cfg_.profiling) sched_.set_profiler(&profiler_);
 
   install_scheme();
-  set_lr_boost(cfg_.pretrain_lr_boost);
   bg_->start();
   if (incast_ != nullptr) incast_->start();
   queue_probe_.start();
-}
-
-void Experiment::set_lr_boost(double factor) {
-  if (pet_ != nullptr) {
-    for (std::size_t i = 0; i < pet_->num_agents(); ++i) {
-      auto& policy = pet_->agent(i).policy();
-      const auto& ppo = policy.config();
-      policy.set_learning_rates(ppo.actor_lr * factor, ppo.critic_lr * factor);
-    }
-  }
-  if (acc_ != nullptr) {
-    for (std::size_t i = 0; i < acc_->num_agents(); ++i) {
-      auto& learner = acc_->agent(i).learner();
-      learner.set_lr(1e-3 * factor);
-    }
-  }
 }
 
 workload::EmpiricalCdf Experiment::sized_cdf(
@@ -97,14 +81,14 @@ workload::EmpiricalCdf Experiment::sized_cdf(
 }
 
 void Experiment::install_scheme() {
-  // Every scheme starts from the SECN1 static config; the learning schemes
+  // Every scheme starts from the SECN1 static config; the dynamic schemes
   // then re-tune it each interval.
   net_.install_ecn(cfg_.scheme == Scheme::kSecn2 ? secn2_config()
                                                  : secn1_config());
   switch (cfg_.scheme) {
     case Scheme::kSecn1:
     case Scheme::kSecn2:
-      break;
+      return;
     case Scheme::kPet:
     case Scheme::kPetAblation: {
       core::PetControllerConfig pc;
@@ -129,31 +113,29 @@ void Experiment::install_scheme() {
         pc.agent.state.include_incast = false;
         pc.agent.state.include_flow_ratio = false;
       }
-      pet_ = std::make_unique<core::PetController>(
+      auto pet = std::make_unique<core::PetController>(
           sched_, net_.switches(), pc, sim::derive_seed(cfg_.seed, "pet"));
-      pet_->set_health_listener([this](const core::HealthTransition& tr) {
+      pet->set_health_listener([this](const core::HealthTransition& tr) {
         event_log_.record("agent-health",
                           "switch " + std::to_string(tr.switch_id) + " " +
                               core::health_name(tr.from) + "->" +
                               core::health_name(tr.to) + ": " + tr.reason);
       });
-      pet_->start();
+      tuner_ = std::move(pet);
       break;
     }
     case Scheme::kAmt: {
       baselines::AmtConfig amt_cfg;
       amt_cfg.period = cfg_.tuning_interval;
-      amt_ = std::make_unique<baselines::AmtTuner>(sched_, net_.switches(),
-                                                   amt_cfg);
-      amt_->start();
+      tuner_ = std::make_unique<baselines::AmtTuner>(sched_, net_.switches(),
+                                                     amt_cfg);
       break;
     }
     case Scheme::kQaecn: {
       baselines::QaecnConfig q_cfg;
       q_cfg.period = cfg_.tuning_interval;
-      qaecn_ = std::make_unique<baselines::QaecnTuner>(sched_, net_.switches(),
+      tuner_ = std::make_unique<baselines::QaecnTuner>(sched_, net_.switches(),
                                                        q_cfg);
-      qaecn_->start();
       break;
     }
     case Scheme::kAcc: {
@@ -169,29 +151,23 @@ void Experiment::install_scheme() {
       ac.agent.ddqn.epsilon_end = 0.05;
       ac.agent.ddqn.epsilon_decay_steps = static_cast<std::int32_t>(
           std::max<std::int64_t>(1, cfg_.pretrain / cfg_.tuning_interval));
-      acc_ = std::make_unique<acc::AccController>(
+      tuner_ = std::make_unique<acc::AccController>(
           sched_, net_.switches(), ac, sim::derive_seed(cfg_.seed, "acc"));
-      acc_->start();
       break;
     }
   }
+  tuner_->start();
+  // Offline pre-training runs at boosted learning rates until
+  // mark_measurement_start().
+  tuner_->set_lr_scale(cfg_.pretrain_lr_boost);
 }
 
 bool Experiment::install_learned_weights(std::span<const double> weights) {
-  bool ok = true;
-  if (pet_ != nullptr) ok = pet_->install_weights(weights) && ok;
-  if (acc_ != nullptr) ok = acc_->install_weights(weights) && ok;
-  return ok;
+  return tuner_ == nullptr || tuner_->install_weights(weights);
 }
 
 std::vector<double> Experiment::learned_weights() const {
-  if (pet_ != nullptr && pet_->num_agents() > 0) {
-    return pet_->agent(0).policy().weights();
-  }
-  if (acc_ != nullptr && acc_->num_agents() > 0) {
-    return acc_->agent(0).learner().weights();
-  }
-  return {};
+  return tuner_ == nullptr ? std::vector<double>{} : tuner_->weights();
 }
 
 net::FaultPlan& Experiment::fault_plan() {
@@ -211,15 +187,8 @@ void Experiment::mark_measurement_start() {
   queue_probe_.reset();
   recorder_.reset_latency();
   // Offline pre-training ends here; online incremental training continues
-  // at the paper's learning rates with a low, stable exploration rate
-  // (Section 4.4's exploration/exploitation handoff).
-  set_lr_boost(1.0);
-  if (pet_ != nullptr) {
-    for (std::size_t i = 0; i < pet_->num_agents(); ++i) {
-      pet_->agent(i).freeze_exploration(0.02);
-      pet_->agent(i).set_deployment_mode(true);
-    }
-  }
+  // in deployment mode.
+  if (tuner_ != nullptr) tuner_->enter_deployment();
 }
 
 void Experiment::switch_workload(workload::WorkloadKind kind) {
@@ -228,35 +197,28 @@ void Experiment::switch_workload(workload::WorkloadKind kind) {
 }
 
 Metrics Experiment::run() {
-  {
-    PET_PROFILE_SCOPE(&profiler_, "pretrain");
-    sched_.run_until(cfg_.pretrain);
-  }
-  mark_measurement_start();
-  {
-    PET_PROFILE_SCOPE(&profiler_, "measure");
-    sched_.run_until(cfg_.pretrain + cfg_.measure);
-  }
-  return collect(measure_start_, sched_.now());
+  return run_chunked(sim::Time::zero(), [] { return true; });
 }
 
 Metrics Experiment::run_chunked(sim::Time chunk,
                                 const std::function<bool()>& keep_going,
                                 bool* completed) {
-  // Mirrors run() exactly: run_until(t) in steps is the same event sequence
-  // as one run_until(t), so the only behavioural difference is the
-  // cancellation polls between chunks.
+  // run_until(t) in steps is the same event sequence as one run_until(t),
+  // so the only behavioural difference is the cancellation polls between
+  // chunks.
   if (chunk <= sim::Time::zero()) chunk = cfg_.pretrain + cfg_.measure;
   bool cancelled = false;
   const auto advance_to = [&](sim::Time target) {
-    while (sched_.now() < target) {
+    // At least one run_until(target): events due exactly at `target` run
+    // even when the clock already stands there.
+    do {
       if (!keep_going()) {
         cancelled = true;
         return;
       }
       const sim::Time next = sched_.now() + chunk;
       sched_.run_until(next < target ? next : target);
-    }
+    } while (sched_.now() < target);
   };
   {
     PET_PROFILE_SCOPE(&profiler_, "pretrain");

@@ -11,9 +11,9 @@
 #include <optional>
 
 #include "acc/acc_agent.hpp"
-#include "acc/dynamic_tuners.hpp"
 #include "core/controller.hpp"
 #include "core/reward.hpp"
+#include "core/tuner.hpp"
 #include "exp/metrics.hpp"
 #include "exp/queue_probe.hpp"
 #include "exp/scheme.hpp"
@@ -107,10 +107,10 @@ class Experiment {
   [[nodiscard]] Metrics run();
 
   /// run() with a cooperative cancellation point every `chunk` of simulated
-  /// time: `keep_going` is polled between chunks (e.g. against a signal
-  /// flag) and a false return stops the run early. The event sequence is
-  /// identical to run() — chunked run_until calls execute the same events
-  /// in the same order — so an uninterrupted run_chunked() produces
+  /// time (a non-positive chunk means the whole timeline): `keep_going` is
+  /// polled between chunks (e.g. against a signal flag) and a false return
+  /// stops the run early. Chunked run_until calls execute the same events
+  /// in the same order, so an uninterrupted run_chunked() produces
   /// byte-identical artifacts to run(). `completed` (optional) reports
   /// whether the full timeline was simulated; metrics cover the measurement
   /// window that actually ran.
@@ -134,10 +134,15 @@ class Experiment {
   [[nodiscard]] transport::FctRecorder& recorder() { return recorder_; }
   [[nodiscard]] workload::PoissonTrafficGenerator& background() { return *bg_; }
   [[nodiscard]] workload::IncastGenerator* incast() { return incast_.get(); }
-  [[nodiscard]] core::PetController* pet() { return pet_.get(); }
-  [[nodiscard]] acc::AccController* acc() { return acc_.get(); }
-  [[nodiscard]] baselines::AmtTuner* amt() { return amt_.get(); }
-  [[nodiscard]] baselines::QaecnTuner* qaecn() { return qaecn_.get(); }
+  /// The scheme's dynamic ECN tuner; null for the static schemes.
+  [[nodiscard]] core::EcnTuner* tuner() { return tuner_.get(); }
+  /// The tuner as PET's or ACC's controller; null under any other scheme.
+  [[nodiscard]] core::PetController* pet() {
+    return dynamic_cast<core::PetController*>(tuner_.get());
+  }
+  [[nodiscard]] acc::AccController* acc() {
+    return dynamic_cast<acc::AccController*>(tuner_.get());
+  }
   [[nodiscard]] QueueProbe& queue_probe() { return queue_probe_; }
   [[nodiscard]] const ScenarioConfig& config() const { return cfg_; }
 
@@ -173,7 +178,6 @@ class Experiment {
   [[nodiscard]] workload::EmpiricalCdf sized_cdf(
       workload::WorkloadKind kind) const;
   void install_scheme();
-  void set_lr_boost(double factor);
 
   ScenarioConfig cfg_;
   sim::Profiler profiler_;
@@ -184,10 +188,7 @@ class Experiment {
   std::unique_ptr<transport::RdmaTransport> transport_;
   std::unique_ptr<workload::PoissonTrafficGenerator> bg_;
   std::unique_ptr<workload::IncastGenerator> incast_;
-  std::unique_ptr<core::PetController> pet_;
-  std::unique_ptr<acc::AccController> acc_;
-  std::unique_ptr<baselines::AmtTuner> amt_;
-  std::unique_ptr<baselines::QaecnTuner> qaecn_;
+  std::unique_ptr<core::EcnTuner> tuner_;
   QueueProbe queue_probe_;
   EventLog event_log_;
   std::unique_ptr<net::FaultPlan> fault_plan_;

@@ -18,12 +18,6 @@ ExperimentBuilder& ExperimentBuilder::topology(const net::TopologySpec& topo) {
   return *this;
 }
 
-ExperimentBuilder& ExperimentBuilder::topology(
-    const net::LeafSpineConfig& topo) {
-  cfg_.topo = net::TopologySpec(topo);
-  return *this;
-}
-
 ExperimentBuilder& ExperimentBuilder::dcqcn(const transport::DcqcnConfig& cfg) {
   cfg_.dcqcn = cfg;
   return *this;

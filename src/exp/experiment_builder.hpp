@@ -46,9 +46,6 @@ class ExperimentBuilder {
   /// Any fabric family: leaf-spine, k-ary fat-tree, or inter-DC
   /// (net/topology_spec.hpp).
   ExperimentBuilder& topology(const net::TopologySpec& topo);
-  /// Deprecated shim: LeafSpineConfig wraps into a TopologySpec. Kept so
-  /// pre-Fabric callers keep compiling (mirrors the ScenarioConfig shim).
-  ExperimentBuilder& topology(const net::LeafSpineConfig& topo);
   ExperimentBuilder& dcqcn(const transport::DcqcnConfig& cfg);
   /// Re-derive DCQCN's increase machinery from the (already set) host link
   /// rate; applied at build() time so it sees the final topology.

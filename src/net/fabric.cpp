@@ -119,8 +119,8 @@ Fabric build_fabric(Network& net, const TopologySpec& spec) {
 
   // One datacenter's worth of hosts + switches + intra-DC links. Hosts go
   // in first so HostIds stay dense; the leaf-spine branch reproduces the
-  // historical build_leaf_spine() creation order exactly (bitwise-identical
-  // networks for pre-redesign scenarios).
+  // pre-Fabric builder's creation order exactly (bitwise-identical networks
+  // for pre-redesign scenarios).
   const auto build_dc = [&](const DcSpec& dc, std::int32_t dc_index,
                             const std::string& prefix) {
     const std::int32_t tor_base =

@@ -1,23 +1,13 @@
 #pragma once
-// Leaf-spine topology config + the deprecated pre-Fabric builder shim.
-//
 // LeafSpineConfig describes the paper's two-tier fabric (12 leaves x
 // 24 hosts @25G up, 6 spines @100G; benches default to a proportionally
 // scaled-down instance preserving the 4:1 spine/leaf speedup and the
 // oversubscription ratio). It is one alternative of net::TopologySpec
-// (topology_spec.hpp) — new code should pass a TopologySpec to
-// ExperimentBuilder::topology() or net::build_fabric() and query the
-// resulting net::Fabric.
-//
-// LeafSpine / build_leaf_spine() remain as a deprecated shim for existing
-// callers and the bitwise-compatibility regression tests: the shim
-// delegates to build_fabric(), which reproduces the historical device and
-// link creation order exactly.
+// (topology_spec.hpp): pass it to ExperimentBuilder::topology() or
+// net::build_fabric() and query the resulting net::Fabric.
 
 #include <cstdint>
-#include <vector>
 
-#include "net/network.hpp"
 #include "net/switch.hpp"
 #include "sim/time.hpp"
 
@@ -44,30 +34,5 @@ struct LeafSpineConfig {
     return cfg;
   }
 };
-
-/// Deprecated: query the net::Fabric returned by build_fabric() instead
-/// (tor_of(), tier("leaf"), base_rtt()/diameter_rtt()).
-struct LeafSpine {
-  LeafSpineConfig cfg;
-  std::vector<DeviceId> host_devices;   // indexed by HostId
-  std::vector<DeviceId> leaf_devices;   // leaf switches
-  std::vector<DeviceId> spine_devices;  // spine switches
-
-  [[nodiscard]] std::int32_t num_hosts() const {
-    return static_cast<std::int32_t>(host_devices.size());
-  }
-  /// Leaf switch a host hangs off. Throws std::out_of_range for a HostId
-  /// outside 0..num_hosts()-1.
-  [[nodiscard]] DeviceId leaf_of(HostId h) const;
-  /// Base (unloaded) round-trip time between two hosts under different
-  /// leaves, including propagation and one-MTU serialization per hop.
-  [[nodiscard]] sim::Time base_rtt(std::int32_t mtu_bytes) const;
-};
-
-/// Deprecated shim over build_fabric() (fabric.hpp); kept for existing
-/// callers and the bitwise-compatibility regression test. Hosts are
-/// created first so HostIds are 0..H-1, then leaves, then spines.
-[[nodiscard]] LeafSpine build_leaf_spine(Network& net,
-                                         const LeafSpineConfig& cfg);
 
 }  // namespace pet::net

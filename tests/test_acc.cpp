@@ -106,6 +106,17 @@ TEST_F(AccFixture, InstallWeightsSynchronizesAgents) {
   EXPECT_EQ(ctl.agent(1).learner().weights(), w);
 }
 
+TEST_F(AccFixture, LrScaleMultipliesTheConfiguredRate) {
+  build(1);
+  AccControllerConfig cfg = controller_config();
+  cfg.agent.ddqn.lr = 5e-4;
+  AccController ctl(sched, switches, cfg, 8);
+  ctl.set_lr_scale(2.0);
+  EXPECT_DOUBLE_EQ(ctl.agent(0).learner().lr(), 1e-3);
+  ctl.enter_deployment();
+  EXPECT_DOUBLE_EQ(ctl.agent(0).learner().lr(), 5e-4);
+}
+
 TEST_F(AccFixture, StopHaltsTicks) {
   build(1);
   AccController ctl(sched, switches, controller_config(), 7);

@@ -64,11 +64,12 @@ TEST_F(DeploymentFixture, ExplorationStepsStayLocal) {
   const std::vector<std::int32_t> heads{10, 10, 20};
   sim::Rng rng(5);
   for (int trial = 0; trial < 500; ++trial) {
-    std::vector<std::int32_t> base{
+    const std::vector<std::int32_t> base{
         static_cast<std::int32_t>(rng.uniform_int(10)),
         static_cast<std::int32_t>(rng.uniform_int(10)),
         static_cast<std::int32_t>(rng.uniform_int(20))};
-    const auto stepped = local_exploration_step(base, heads, rng);
+    std::vector<std::int32_t> stepped = base;
+    local_exploration_step(stepped, heads, rng);
     int changed = 0;
     for (std::size_t h = 0; h < heads.size(); ++h) {
       EXPECT_GE(stepped[h], 0);
@@ -85,10 +86,12 @@ TEST_F(DeploymentFixture, ExplorationStepClampsAtBoundaries) {
   const std::vector<std::int32_t> heads{2};
   sim::Rng rng(11);
   for (int trial = 0; trial < 100; ++trial) {
-    const auto low = local_exploration_step({0}, heads, rng);
+    std::vector<std::int32_t> low{0};
+    local_exploration_step(low, heads, rng);
     EXPECT_GE(low[0], 0);
     EXPECT_LE(low[0], 1);
-    const auto high = local_exploration_step({1}, heads, rng);
+    std::vector<std::int32_t> high{1};
+    local_exploration_step(high, heads, rng);
     EXPECT_GE(high[0], 0);
     EXPECT_LE(high[0], 1);
   }

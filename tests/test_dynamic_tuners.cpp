@@ -140,11 +140,13 @@ TEST(DynamicSchemes, ExperimentIntegration) {
     EXPECT_GT(m.flows_measured, 20) << exp::scheme_name(scheme);
     EXPECT_EQ(m.switch_drops, 0) << exp::scheme_name(scheme);
     if (scheme == exp::Scheme::kAmt) {
-      ASSERT_NE(experiment.amt(), nullptr);
-      EXPECT_GT(experiment.amt()->adjustments(), 0);
+      const auto* amt = dynamic_cast<const AmtTuner*>(experiment.tuner());
+      ASSERT_NE(amt, nullptr);
+      EXPECT_GT(amt->adjustments(), 0);
     } else {
-      ASSERT_NE(experiment.qaecn(), nullptr);
-      EXPECT_GT(experiment.qaecn()->adjustments(), 0);
+      const auto* qaecn = dynamic_cast<const QaecnTuner*>(experiment.tuner());
+      ASSERT_NE(qaecn, nullptr);
+      EXPECT_GT(qaecn->adjustments(), 0);
     }
   }
 }

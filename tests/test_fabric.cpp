@@ -1,7 +1,7 @@
 // net::Fabric / net::TopologySpec unit tests: fat-tree and inter-DC
 // structure, analytic RTT closed forms, ToR lookup bounds, spec
-// validation, and the regression gate proving the deprecated
-// build_leaf_spine() shim still produces the pre-redesign network.
+// validation, and the regression gate proving build_fabric's leaf-spine
+// branch still produces the pre-redesign network.
 
 #include "net/fabric.hpp"
 
@@ -243,21 +243,18 @@ TEST(FabricLeafSpine, DiameterRttMatchesHistoricalFormula) {
   }
 }
 
-TEST(FabricLeafSpine, LeafOfBoundsChecked) {
-  sim::Scheduler sched;
-  Network net(sched, 13);
-  const LeafSpine topo = build_leaf_spine(net, LeafSpineConfig{});
-  // Regression: leaf_of used to index the leaf vector out of bounds.
-  EXPECT_THROW((void)topo.leaf_of(-1), std::out_of_range);
-  EXPECT_THROW((void)topo.leaf_of(topo.num_hosts()), std::out_of_range);
-  EXPECT_NO_THROW((void)topo.leaf_of(topo.num_hosts() - 1));
-}
+/// Device lists of the pre-redesign leaf-spine builder.
+struct LegacyLeafSpine {
+  std::vector<DeviceId> host_devices;
+  std::vector<DeviceId> leaf_devices;
+  std::vector<DeviceId> spine_devices;
+};
 
-/// The pre-redesign builder, reproduced verbatim: the shim (and therefore
-/// build_fabric's leaf-spine branch) must create the identical network.
-LeafSpine legacy_build_leaf_spine(Network& net, const LeafSpineConfig& cfg) {
-  LeafSpine out;
-  out.cfg = cfg;
+/// The pre-redesign builder, reproduced verbatim: build_fabric's leaf-spine
+/// branch must create the identical network.
+LegacyLeafSpine legacy_build_leaf_spine(Network& net,
+                                        const LeafSpineConfig& cfg) {
+  LegacyLeafSpine out;
   PortConfig nic;
   nic.rate = cfg.host_link_rate;
   nic.propagation_delay = cfg.host_link_delay;
@@ -296,13 +293,13 @@ TEST(FabricLeafSpine, ShimReproducesPreRedesignNetwork) {
   sim::Scheduler sched_old, sched_new;
   Network net_old(sched_old, 17);
   Network net_new(sched_new, 17);
-  const LeafSpine legacy = legacy_build_leaf_spine(net_old, cfg);
-  const LeafSpine shimmed = build_leaf_spine(net_new, cfg);
+  const LegacyLeafSpine legacy = legacy_build_leaf_spine(net_old, cfg);
+  const Fabric fab = build_fabric(net_new, cfg);
 
   // Identical device identities and vectors.
-  EXPECT_EQ(legacy.host_devices, shimmed.host_devices);
-  EXPECT_EQ(legacy.leaf_devices, shimmed.leaf_devices);
-  EXPECT_EQ(legacy.spine_devices, shimmed.spine_devices);
+  EXPECT_EQ(legacy.host_devices, fab.host_devices());
+  EXPECT_EQ(legacy.leaf_devices, fab.tier("leaf"));
+  EXPECT_EQ(legacy.spine_devices, fab.tier("spine"));
   ASSERT_EQ(net_old.num_devices(), net_new.num_devices());
 
   // Identical wiring: the adjacency matrix matches link for link.

@@ -1,7 +1,16 @@
-#include "core/multiqueue.hpp"
+// Multi-queue adaptation (paper Section 4.5.2): a PetController with
+// num_queues > 1 deploys one PetAgent per (switch, queue), each monitoring
+// and actuating only its own data queue.
+
+#include "core/controller.hpp"
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
+#include "core/ncm.hpp"
+#include "core/pet_agent.hpp"
 #include "net/classifier.hpp"
 #include "net/network.hpp"
 
@@ -24,11 +33,13 @@ struct MultiQueueFixture : ::testing::Test {
   sim::Scheduler sched;
   net::Network net{sched, 71};
   net::SwitchDevice* sw = nullptr;
+  std::vector<net::SwitchDevice*> switches;
 
   void build(std::int32_t queues = 2, int hosts = 4) {
     net::SwitchConfig cfg;
     cfg.num_data_queues = queues;
     sw = &net.add_switch(cfg);
+    switches = {sw};
     net::PortConfig nic;
     nic.rate = sim::gbps(10);
     nic.propagation_delay = sim::nanoseconds(100);
@@ -39,8 +50,8 @@ struct MultiQueueFixture : ::testing::Test {
     net.recompute_routes();
   }
 
-  MultiQueuePetConfig agent_config(std::int32_t queues = 2) {
-    MultiQueuePetConfig cfg;
+  PetControllerConfig controller_config(std::int32_t queues = 2) {
+    PetControllerConfig cfg;
     cfg.num_queues = queues;
     cfg.agent = PetAgentConfig::paper_defaults();
     cfg.agent.tuning_interval = sim::microseconds(100);
@@ -50,14 +61,23 @@ struct MultiQueueFixture : ::testing::Test {
     cfg.agent.ppo.hidden = {16, 16};
     return cfg;
   }
+
+  /// Advance by `n` tuning ticks (the controller must be started).
+  void run_ticks(int n) {
+    sched.run_until(sched.now() + sim::microseconds(100) * n);
+  }
 };
 
 TEST_F(MultiQueueFixture, TickAppliesPerQueueConfigs) {
   build();
-  MultiQueuePetAgent agent(sched, *sw, agent_config(), 1);
-  agent.tick();
+  PetController ctl(sched, switches, controller_config(), 1);
+  ASSERT_EQ(ctl.num_agents(), 2u);
+  ctl.start();
+  run_ticks(1);
   for (std::int32_t q = 0; q < 2; ++q) {
-    const net::RedEcnConfig cfg = agent.queue_config(q);
+    PetAgent& agent = ctl.agent(static_cast<std::size_t>(q));
+    EXPECT_EQ(agent.queue_index(), q);
+    const net::RedEcnConfig cfg = agent.current_config();
     EXPECT_TRUE(cfg.valid());
     for (std::int32_t p = 0; p < sw->num_ports(); ++p) {
       EXPECT_EQ(sw->port(p).ecn_config(q), cfg);
@@ -67,14 +87,14 @@ TEST_F(MultiQueueFixture, TickAppliesPerQueueConfigs) {
 
 TEST_F(MultiQueueFixture, QueuesCanDiverge) {
   build();
-  MultiQueuePetAgent agent(sched, *sw, agent_config(), 2);
+  PetController ctl(sched, switches, controller_config(), 2);
+  ctl.start();
   // With stochastic sampling per queue, configs should differ at least
   // once over a few ticks.
   bool diverged = false;
   for (int i = 0; i < 20 && !diverged; ++i) {
-    agent.tick();
-    diverged = !(agent.queue_config(0) == agent.queue_config(1));
-    sched.run_until(sched.now() + sim::microseconds(100));
+    run_ticks(1);
+    diverged = !(ctl.agent(0).current_config() == ctl.agent(1).current_config());
   }
   EXPECT_TRUE(diverged);
 }
@@ -103,28 +123,30 @@ TEST_F(MultiQueueFixture, QueueScopedNcmSeesOnlyItsQueue) {
 
 TEST_F(MultiQueueFixture, RewardsAccumulateAndUpdatesRun) {
   build();
-  MultiQueuePetConfig cfg = agent_config();
+  PetControllerConfig cfg = controller_config();
   cfg.agent.rollout_length = 4;
-  MultiQueuePetAgent agent(sched, *sw, cfg, 3);
-  for (int i = 0; i < 8; ++i) {
-    agent.tick();
-    sched.run_until(sched.now() + sim::microseconds(100));
+  PetController ctl(sched, switches, cfg, 3);
+  ctl.start();
+  run_ticks(8);
+  // 2 queues x 7 completed transitions, each queue learning on its own.
+  std::size_t rewards = 0;
+  for (std::size_t i = 0; i < ctl.num_agents(); ++i) {
+    rewards += ctl.agent(i).reward_stats().count();
+    EXPECT_GE(ctl.agent(i).updates(), 1);
   }
-  // 2 queues x 7 completed transitions.
-  EXPECT_EQ(agent.reward_stats().count(), 14u);
-  EXPECT_GE(agent.updates(), 1);
+  EXPECT_EQ(rewards, 14u);
 }
 
 TEST_F(MultiQueueFixture, EvalModeFreezesLearning) {
   build();
-  MultiQueuePetAgent agent(sched, *sw, agent_config(), 4);
-  agent.set_training(false);
-  for (int i = 0; i < 10; ++i) {
-    agent.tick();
-    sched.run_until(sched.now() + sim::microseconds(100));
+  PetController ctl(sched, switches, controller_config(), 4);
+  ctl.set_training(false);
+  ctl.start();
+  run_ticks(10);
+  for (std::size_t i = 0; i < ctl.num_agents(); ++i) {
+    EXPECT_EQ(ctl.agent(i).updates(), 0);
+    EXPECT_EQ(ctl.agent(i).reward_stats().count(), 0u);
   }
-  EXPECT_EQ(agent.updates(), 0);
-  EXPECT_EQ(agent.reward_stats().count(), 0u);
 }
 
 TEST_F(MultiQueueFixture, ControllerDrivesAllSwitches) {
@@ -137,13 +159,15 @@ TEST_F(MultiQueueFixture, ControllerDrivesAllSwitches) {
   net.connect(h.id(), sw2.id(), sim::gbps(10), sim::nanoseconds(100));
   net.recompute_routes();
 
-  std::vector<net::SwitchDevice*> switches{sw, &sw2};
-  MultiQueuePetController ctl(sched, switches, agent_config(), 5);
+  switches.push_back(&sw2);
+  PetController ctl(sched, switches, controller_config(), 5);
   ctl.start();
   sched.run_until(sim::milliseconds(1));
-  EXPECT_EQ(ctl.num_agents(), 2u);
-  EXPECT_EQ(ctl.agent(0).steps(), 10);
-  EXPECT_EQ(ctl.agent(1).steps(), 10);
+  ASSERT_EQ(ctl.num_agents(), 4u);  // 2 switches x 2 queues
+  for (std::size_t i = 0; i < ctl.num_agents(); ++i) {
+    EXPECT_EQ(ctl.agent(i).steps(), 10);
+  }
+  EXPECT_EQ(&ctl.agent(2).switch_device(), &sw2);
   ctl.stop();
   sched.run_until(sim::milliseconds(2));
   EXPECT_EQ(ctl.agent(0).steps(), 10);
@@ -151,10 +175,44 @@ TEST_F(MultiQueueFixture, ControllerDrivesAllSwitches) {
 
 TEST_F(MultiQueueFixture, SingleQueueDegenerateWorks) {
   build(/*queues=*/1);
-  MultiQueuePetAgent agent(sched, *sw, agent_config(/*queues=*/1), 6);
-  agent.tick();
-  EXPECT_EQ(agent.num_queues(), 1);
-  EXPECT_TRUE(agent.queue_config(0).valid());
+  PetController ctl(sched, switches, controller_config(/*queues=*/1), 6);
+  ctl.start();
+  run_ticks(1);
+  ASSERT_EQ(ctl.num_agents(), 1u);
+  EXPECT_EQ(ctl.agent(0).queue_index(), -1);
+  EXPECT_TRUE(ctl.agent(0).current_config().valid());
+}
+
+TEST_F(MultiQueueFixture, QuarantineFallsBackOnItsQueueOnly) {
+  build();
+  const PetControllerConfig cfg = controller_config();
+  PetController ctl(sched, switches, cfg, 7);
+  ctl.start();
+  run_ticks(3);
+  std::vector<net::RedEcnConfig> queue0;
+  for (std::int32_t p = 0; p < sw->num_ports(); ++p) {
+    queue0.push_back(sw->port(p).ecn_config(0));
+  }
+
+  ctl.agent(1).force_quarantine("operator override");
+  EXPECT_EQ(ctl.agent(1).health(), AgentHealth::kQuarantined);
+  EXPECT_NE(ctl.agent(0).health(), AgentHealth::kQuarantined);
+  const net::RedEcnConfig fallback = cfg.agent.guardrails.fallback_ecn;
+  for (std::int32_t p = 0; p < sw->num_ports(); ++p) {
+    EXPECT_EQ(sw->port(p).ecn_config(1), fallback);
+    EXPECT_EQ(sw->port(p).ecn_config(0), queue0[static_cast<std::size_t>(p)]);
+  }
+  // The quarantined agent holds the fallback while its sibling keeps tuning.
+  run_ticks(3);
+  for (std::int32_t p = 0; p < sw->num_ports(); ++p) {
+    EXPECT_EQ(sw->port(p).ecn_config(1), fallback);
+  }
+}
+
+TEST_F(MultiQueueFixture, TooManyQueuesRejected) {
+  build(/*queues=*/1);
+  EXPECT_THROW(PetController(sched, switches, controller_config(2), 8),
+               std::invalid_argument);
 }
 
 }  // namespace

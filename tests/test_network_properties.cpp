@@ -5,8 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <tuple>
+#include <vector>
 
-#include "net/topology.hpp"
+#include "net/fabric.hpp"
 
 namespace pet::net {
 namespace {
@@ -22,18 +23,18 @@ TEST_P(TopologySweepTest, RoutingCompleteAndEcmpWide) {
   cfg.num_spines = spines;
   cfg.num_leaves = leaves;
   cfg.hosts_per_leaf = hosts_per_leaf;
-  const LeafSpine topo = build_leaf_spine(net, cfg);
+  const Fabric topo = build_fabric(net, cfg);
 
   EXPECT_EQ(net.num_hosts(), leaves * hosts_per_leaf);
 
-  for (const DeviceId leaf_id : topo.leaf_devices) {
+  for (const DeviceId leaf_id : topo.tier("leaf")) {
     auto* leaf = dynamic_cast<SwitchDevice*>(&net.device(leaf_id));
     ASSERT_NE(leaf, nullptr);
     EXPECT_EQ(leaf->num_ports(), hosts_per_leaf + spines);
     for (HostId h = 0; h < net.num_hosts(); ++h) {
       const auto& routes = leaf->routes(h);
       ASSERT_FALSE(routes.empty()) << "leaf must reach every host";
-      if (topo.leaf_of(h) == leaf_id) {
+      if (topo.tor_of(h) == leaf_id) {
         EXPECT_EQ(routes.size(), 1u) << "direct host port";
       } else {
         EXPECT_EQ(routes.size(), static_cast<std::size_t>(spines))
@@ -41,7 +42,7 @@ TEST_P(TopologySweepTest, RoutingCompleteAndEcmpWide) {
       }
     }
   }
-  for (const DeviceId spine_id : topo.spine_devices) {
+  for (const DeviceId spine_id : topo.tier("spine")) {
     auto* spine = dynamic_cast<SwitchDevice*>(&net.device(spine_id));
     ASSERT_NE(spine, nullptr);
     EXPECT_EQ(spine->num_ports(), leaves);
@@ -70,12 +71,12 @@ TEST(TopologyFailureProperty, ConnectivitySurvivesAllSingleLinkFailures) {
   cfg.num_spines = 2;
   cfg.num_leaves = 3;
   cfg.hosts_per_leaf = 2;
-  const LeafSpine topo = build_leaf_spine(net, cfg);
+  const Fabric topo = build_fabric(net, cfg);
 
-  for (const DeviceId leaf : topo.leaf_devices) {
-    for (const DeviceId spine : topo.spine_devices) {
+  for (const DeviceId leaf : topo.tier("leaf")) {
+    for (const DeviceId spine : topo.tier("spine")) {
       ASSERT_TRUE(net.set_link_state(leaf, spine, false));
-      for (const DeviceId lid : topo.leaf_devices) {
+      for (const DeviceId lid : topo.tier("leaf")) {
         auto* sw = dynamic_cast<SwitchDevice*>(&net.device(lid));
         for (HostId h = 0; h < net.num_hosts(); ++h) {
           EXPECT_FALSE(sw->routes(h).empty())
@@ -95,19 +96,20 @@ TEST(TopologyFailureProperty, IsolatedLeafLosesOnlyItsHosts) {
   cfg.num_spines = 2;
   cfg.num_leaves = 2;
   cfg.hosts_per_leaf = 2;
-  const LeafSpine topo = build_leaf_spine(net, cfg);
+  const Fabric topo = build_fabric(net, cfg);
+  const std::vector<DeviceId>& leaf_ids = topo.tier("leaf");
   // Cut both uplinks of leaf 0.
-  for (const DeviceId spine : topo.spine_devices) {
-    ASSERT_TRUE(net.set_link_state(topo.leaf_devices[0], spine, false));
+  for (const DeviceId spine : topo.tier("spine")) {
+    ASSERT_TRUE(net.set_link_state(leaf_ids[0], spine, false));
   }
-  auto* leaf1 = dynamic_cast<SwitchDevice*>(&net.device(topo.leaf_devices[1]));
+  auto* leaf1 = dynamic_cast<SwitchDevice*>(&net.device(leaf_ids[1]));
   // Leaf 1 can still reach its own hosts (2, 3) but not leaf 0's (0, 1).
   EXPECT_TRUE(leaf1->routes(0).empty());
   EXPECT_TRUE(leaf1->routes(1).empty());
   EXPECT_FALSE(leaf1->routes(2).empty());
   EXPECT_FALSE(leaf1->routes(3).empty());
   // Leaf 0 still switches locally between its own hosts.
-  auto* leaf0 = dynamic_cast<SwitchDevice*>(&net.device(topo.leaf_devices[0]));
+  auto* leaf0 = dynamic_cast<SwitchDevice*>(&net.device(leaf_ids[0]));
   EXPECT_FALSE(leaf0->routes(0).empty());
   EXPECT_FALSE(leaf0->routes(1).empty());
 }
@@ -124,8 +126,8 @@ TEST(TopologyFailureProperty, RestoreAfterRandomFailuresMatchesPristine) {
   sim::Scheduler sched_a, sched_b;
   Network pristine(sched_a, 41);
   Network faulted(sched_b, 41);
-  const LeafSpine topo_a = build_leaf_spine(pristine, cfg);
-  const LeafSpine topo_b = build_leaf_spine(faulted, cfg);
+  const Fabric topo_a = build_fabric(pristine, cfg);
+  const Fabric topo_b = build_fabric(faulted, cfg);
 
   sim::Rng rng(17);
   const auto failed = faulted.fail_random_switch_links(0.34, rng);
@@ -134,10 +136,10 @@ TEST(TopologyFailureProperty, RestoreAfterRandomFailuresMatchesPristine) {
     ASSERT_TRUE(faulted.set_link_state(a, b, true));
   }
 
-  const auto switch_ids = [&](const LeafSpine& topo) {
-    std::vector<DeviceId> ids = topo.leaf_devices;
-    ids.insert(ids.end(), topo.spine_devices.begin(),
-               topo.spine_devices.end());
+  const auto switch_ids = [&](const Fabric& topo) {
+    std::vector<DeviceId> ids = topo.tier("leaf");
+    const std::vector<DeviceId>& spines = topo.tier("spine");
+    ids.insert(ids.end(), spines.begin(), spines.end());
     return ids;
   };
   const std::vector<DeviceId> ids_a = switch_ids(topo_a);
@@ -162,9 +164,9 @@ TEST(TopologyFailureProperty, RestoreAfterRandomFailuresMatchesPristine) {
 TEST(TopologyProperty, BaseRttGrowsWithMtu) {
   sim::Scheduler sched;
   Network net(sched, 37);
-  const LeafSpine topo = build_leaf_spine(net, LeafSpineConfig{});
-  EXPECT_LT(topo.base_rtt(64), topo.base_rtt(1500));
-  EXPECT_GT(topo.base_rtt(64), sim::Time::zero());
+  const Fabric topo = build_fabric(net, LeafSpineConfig{});
+  EXPECT_LT(topo.diameter_rtt(64), topo.diameter_rtt(1500));
+  EXPECT_GT(topo.diameter_rtt(64), sim::Time::zero());
 }
 
 }  // namespace

@@ -215,28 +215,6 @@ TEST(LintFixtures, NodiscardChainDeclarationAndCallSite) {
   EXPECT_TRUE(saw_ckpt_call);
 }
 
-TEST(LintFixtures, DeprecatedTopologyFlagsBenchNotShimOrTests) {
-  const auto r = run_fixture("deprecated_topo");
-  EXPECT_FALSE(r.io_error) << r.error;
-  // Only the bench caller is flagged; the src/net shim home and the
-  // compatibility tests keep using build_leaf_spine freely.
-  ASSERT_EQ(count_rule(r, "deprecated-topology"), 1u);
-  const auto f = std::find_if(r.findings.begin(), r.findings.end(),
-                              [](const lint::Finding& x) {
-                                return x.rule == "deprecated-topology";
-                              });
-  EXPECT_NE(f->path.find("bench/"), std::string::npos);
-  EXPECT_EQ(r.findings.size(), 1u);
-}
-
-TEST(LintPolicy, DeprecatedTopologyActivation) {
-  EXPECT_TRUE(lint::policy_for("src/exp/experiment.cpp").deprecated_topology);
-  EXPECT_TRUE(lint::policy_for("bench/common.hpp").deprecated_topology);
-  EXPECT_TRUE(lint::policy_for("examples/quickstart.cpp").deprecated_topology);
-  EXPECT_FALSE(lint::policy_for("tests/test_fabric.cpp").deprecated_topology);
-  EXPECT_FALSE(lint::policy_for("tools/pet_lint/rules.cpp").deprecated_topology);
-}
-
 TEST(LintPolicy, HotPathAllocActivation) {
   EXPECT_TRUE(lint::policy_for("src/sim/scheduler.hpp").hot_path_alloc);
   EXPECT_TRUE(lint::policy_for("src/net/queue.hpp").hot_path_alloc);
@@ -468,7 +446,7 @@ TEST(LintRules, AllRuleIdsStable) {
   const auto& ids = lint::all_rule_ids();
   const std::vector<std::string> expected = {
       "banned-api", "nondet-iteration", "unaudited-ecn", "nodiscard-chain",
-      "header-hygiene", "deprecated-topology", "hot-path-alloc",
+      "header-hygiene", "hot-path-alloc",
       "quantize-narrowing", "layer-order", "include-hygiene-v2",
       "lock-discipline"};
   for (const auto& id : expected) {

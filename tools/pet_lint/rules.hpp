@@ -19,9 +19,6 @@
 //                     and every call site must consume the result
 //   header-hygiene    #pragma once first in headers; a TU's own header
 //                     must be its first include
-//   deprecated-topology  direct build_leaf_spine() calls outside the
-//                     src/net shim and tests — new code builds fabrics via
-//                     net::build_fabric(net, TopologySpec)
 //   hot-path-alloc    std::function / std::deque in the DES hot-path
 //                     subsystems (src/sim, src/net) — per-event heap
 //                     allocation is banned there; use sim::SmallCallback
@@ -78,7 +75,6 @@ struct Policy {
   bool unaudited_ecn = false;
   bool nodiscard_chain = false;
   bool header_hygiene = false;
-  bool deprecated_topology = false;
   bool hot_path_alloc = false;
   bool quantize_narrowing = false;  // src/rl only; rule exempts inference.cpp
   // Cross-TU rules (pass 2; see project_rules.hpp). The bits mark which
