@@ -106,27 +106,34 @@ void BM_DdqnAct(benchmark::State& state) {
 }
 BENCHMARK(BM_DdqnAct);
 
+/// ACC's actual train step: the DdqnConfig default batch, sampled from a
+/// replay of varied states and actions.
 void BM_DdqnTrainStep(benchmark::State& state) {
   auto replay = std::make_shared<rl::ReplayBuffer>(1000);
   rl::DdqnConfig cfg;
   cfg.input_size = 18;
   cfg.head_sizes = {10, 10, 20};
-  cfg.batch_size = 16;
   cfg.seed = 7;
   rl::DdqnAgent agent(cfg, replay, 0);
   sim::Rng rng(8);
-  for (int i = 0; i < 64; ++i) {
+  for (int i = 0; i < 256; ++i) {
     rl::DqnTransition t;
-    t.state.assign(18, rng.uniform());
-    t.next_state.assign(18, rng.uniform());
-    t.actions = {1, 2, 3};
+    for (std::int32_t k = 0; k < cfg.input_size; ++k) {
+      t.state.push_back(rng.uniform(-1.0, 1.0));
+      t.next_state.push_back(rng.uniform(-1.0, 1.0));
+    }
+    for (const std::int32_t n : cfg.head_sizes) {
+      t.actions.push_back(static_cast<std::int32_t>(
+          rng.uniform_int(static_cast<std::uint64_t>(n))));
+    }
     t.reward = rng.uniform();
     agent.observe(std::move(t));
   }
   for (auto _ : state) {
     agent.train_step();
+    benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(state.iterations() * 16);
+  state.SetItemsProcessed(state.iterations() * cfg.batch_size);
 }
 BENCHMARK(BM_DdqnTrainStep);
 

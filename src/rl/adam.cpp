@@ -3,12 +3,16 @@
 #include <cmath>
 #include <utility>
 
+#include "rl/kernels.hpp"
+
 namespace pet::rl {
 
 void Adam::step() {
   ++t_;
   double scale = 1.0;
   if (cfg_.max_grad_norm > 0.0) {
+    // One sequential sum on every backend: a reordered (vector) sum would
+    // round differently and move the clip factor.
     double sq = 0.0;
     for (const double* g : refs_.grads) sq += (*g) * (*g);
     const double norm = std::sqrt(sq);
@@ -16,14 +20,15 @@ void Adam::step() {
   }
   const double bc1 = 1.0 - std::pow(cfg_.beta1, static_cast<double>(t_));
   const double bc2 = 1.0 - std::pow(cfg_.beta2, static_cast<double>(t_));
-  for (std::size_t i = 0; i < refs_.size(); ++i) {
-    const double g = *refs_.grads[i] * scale;
-    m_[i] = cfg_.beta1 * m_[i] + (1.0 - cfg_.beta1) * g;
-    v_[i] = cfg_.beta2 * v_[i] + (1.0 - cfg_.beta2) * g * g;
-    const double mhat = m_[i] / bc1;
-    const double vhat = v_[i] / bc2;
-    *refs_.params[i] -= cfg_.lr * mhat / (std::sqrt(vhat) + cfg_.eps);
-  }
+  kern::adam_update_f64(refs_.params.data(), refs_.grads.data(), m_.data(),
+                        v_.data(), refs_.size(),
+                        kern::AdamStep{.lr = cfg_.lr,
+                                       .beta1 = cfg_.beta1,
+                                       .beta2 = cfg_.beta2,
+                                       .eps = cfg_.eps,
+                                       .bc1 = bc1,
+                                       .bc2 = bc2,
+                                       .scale = scale});
 }
 
 void Adam::save_state(sim::ByteSink& out) const {

@@ -45,13 +45,9 @@ double DdqnAgent::epsilon() const {
 
 void DdqnAgent::q_values(const std::vector<Mlp>& nets,
                          std::span<const double> state,
-                         std::vector<std::vector<double>>& q,
-                         std::vector<Mlp::Cache>* caches) const {
+                         std::vector<std::vector<double>>& q) const {
   q.resize(nets.size());
-  if (caches != nullptr) caches->resize(nets.size());
-  for (std::size_t h = 0; h < nets.size(); ++h) {
-    q[h] = nets[h].forward(state, caches != nullptr ? &(*caches)[h] : nullptr);
-  }
+  for (std::size_t h = 0; h < nets.size(); ++h) q[h] = nets[h].forward(state);
 }
 
 std::vector<std::int32_t> DdqnAgent::act(std::span<const double> state,
@@ -86,32 +82,51 @@ void DdqnAgent::train_step() {
   if (replay_->size() < static_cast<std::size_t>(cfg_.batch_size)) return;
   const auto idx = replay_->sample_indices(
       static_cast<std::size_t>(cfg_.batch_size), sample_rng_);
+  const auto batch = static_cast<std::int32_t>(idx.size());
   const double inv_b = 1.0 / static_cast<double>(idx.size());
 
-  for (auto& net : online_) net.zero_grad();
+  // Gather the minibatch once into row-major (batch x input) matrices.
+  const auto input = static_cast<std::size_t>(cfg_.input_size);
+  std::vector<double> states(idx.size() * input);
+  std::vector<double> next_states(idx.size() * input);
+  for (std::size_t k = 0; k < idx.size(); ++k) {
+    const DqnTransition& tr = replay_->at(idx[k]);
+    assert(tr.state.size() == input && tr.next_state.size() == input);
+    const auto row = static_cast<std::ptrdiff_t>(k * input);
+    std::copy(tr.state.begin(), tr.state.end(), states.begin() + row);
+    std::copy(tr.next_state.begin(), tr.next_state.end(),
+              next_states.begin() + row);
+  }
 
-  for (const std::size_t i : idx) {
-    const DqnTransition& tr = replay_->at(i);
+  // Four batched calls per head. Weights only change in opt_->step(), so
+  // evaluating every sample before any backward is the same arithmetic as
+  // the per-sample loop, and backward_batch accumulates samples in order:
+  // the step is bitwise the sequential per-sample update.
+  Mlp::BatchCache cache;
+  std::vector<double> dq;
+  for (std::size_t h = 0; h < online_.size(); ++h) {
+    Mlp& net = online_[h];
+    net.zero_grad();
     // Double-DQN target: online net picks the argmax, target net scores it.
-    std::vector<std::vector<double>> q_next_online;
-    std::vector<std::vector<double>> q_next_target;
-    q_values(online_, tr.next_state, q_next_online);
-    q_values(target_, tr.next_state, q_next_target);
+    const std::vector<double> q_next_online =
+        net.forward_batch(next_states, batch);
+    const std::vector<double> q_next_target =
+        target_[h].forward_batch(next_states, batch);
+    const std::vector<double> q_cur = net.forward_batch(states, batch, &cache);
 
-    std::vector<Mlp::Cache> caches;
-    std::vector<std::vector<double>> q_cur;
-    q_values(online_, tr.state, q_cur, &caches);
-
-    for (std::size_t h = 0; h < online_.size(); ++h) {
-      const std::int32_t best_next = argmax(q_next_online[h]);
+    const auto nh = static_cast<std::size_t>(net.output_size());
+    dq.assign(idx.size() * nh, 0.0);
+    for (std::size_t k = 0; k < idx.size(); ++k) {
+      const DqnTransition& tr = replay_->at(idx[k]);
+      const std::int32_t best_next = argmax(
+          std::span<const double>(&q_next_online[k * nh], nh));
       const double target =
-          tr.reward + cfg_.gamma * q_next_target[h][best_next];
-      const double pred = q_cur[h][tr.actions[h]];
-      const double err = pred - target;
-      std::vector<double> dq(q_cur[h].size(), 0.0);
-      dq[tr.actions[h]] = 2.0 * err * inv_b;
-      online_[h].backward(tr.state, caches[h], dq);
+          tr.reward + cfg_.gamma * q_next_target[k * nh + best_next];
+      const auto a = static_cast<std::size_t>(tr.actions[h]);
+      const double err = q_cur[k * nh + a] - target;
+      dq[k * nh + a] = 2.0 * err * inv_b;
     }
+    net.backward_batch(states, cache, dq, batch);
   }
   opt_->step();
   ++train_steps_;

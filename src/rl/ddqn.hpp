@@ -77,8 +77,7 @@ class DdqnAgent {
  private:
   void sync_target();
   void q_values(const std::vector<Mlp>& nets, std::span<const double> state,
-                std::vector<std::vector<double>>& q,
-                std::vector<Mlp::Cache>* caches = nullptr) const;
+                std::vector<std::vector<double>>& q) const;
 
   DdqnConfig cfg_;
   sim::Rng init_rng_;

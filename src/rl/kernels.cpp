@@ -185,6 +185,38 @@ void quantize_rows_s8_scalar(const float* PET_KERN_RESTRICT x,
   }
 }
 
+void linear_backward_f64_scalar(const double* PET_KERN_RESTRICT w,
+                                const double* PET_KERN_RESTRICT x,
+                                const double* PET_KERN_RESTRICT dy,
+                                double* PET_KERN_RESTRICT gw,
+                                double* PET_KERN_RESTRICT gb,
+                                double* PET_KERN_RESTRICT dx,
+                                std::int32_t batch, std::int32_t in,
+                                std::int32_t out) {
+  // The reference order: one sample at a time, exactly the loop a sequence
+  // of single-sample Linear::backward() calls runs.
+  for (std::int32_t s = 0; s < batch; ++s) {
+    const double* xs = &x[static_cast<std::size_t>(s) * in];
+    const double* dys = &dy[static_cast<std::size_t>(s) * out];
+    double* dxs =
+        dx == nullptr ? nullptr : &dx[static_cast<std::size_t>(s) * in];
+    if (dxs != nullptr) {
+      for (std::int32_t i = 0; i < in; ++i) dxs[i] = 0.0;
+    }
+    for (std::int32_t o = 0; o < out; ++o) {
+      const double g = dys[o];
+      if (g == 0.0) continue;
+      double* grow = &gw[static_cast<std::size_t>(o) * in];
+      const double* row = &w[static_cast<std::size_t>(o) * in];
+      gb[o] += g;
+      for (std::int32_t i = 0; i < in; ++i) {
+        grow[i] += g * xs[i];
+        if (dxs != nullptr) dxs[i] += g * row[i];
+      }
+    }
+  }
+}
+
 }  // namespace
 
 bool avx2_supported() { return detail::cpu_has_avx2(); }
@@ -283,6 +315,33 @@ void tanh_inplace_f32(float* v, std::int64_t n) {
     q = std::fma(x2, q, kTanhBeta2);
     q = std::fma(x2, q, kTanhBeta0);
     v[i] = p / q;
+  }
+}
+
+void linear_backward_f64(const double* PET_KERN_RESTRICT w,
+                         const double* PET_KERN_RESTRICT x,
+                         const double* PET_KERN_RESTRICT dy,
+                         double* PET_KERN_RESTRICT gw,
+                         double* PET_KERN_RESTRICT gb,
+                         double* PET_KERN_RESTRICT dx, std::int32_t batch,
+                         std::int32_t in, std::int32_t out) {
+  assert(batch >= 0 && in > 0 && out > 0);
+  if (use_avx2()) {
+    detail::linear_backward_f64_avx2(w, x, dy, gw, gb, dx, batch, in, out);
+    return;
+  }
+  linear_backward_f64_scalar(w, x, dy, gw, gb, dx, batch, in, out);
+}
+
+void adam_update_f64(double* const* params, const double* const* grads,
+                     double* PET_KERN_RESTRICT m, double* PET_KERN_RESTRICT v,
+                     std::size_t n, const AdamStep& step) {
+  if (use_avx2()) {
+    detail::adam_update_f64_avx2(params, grads, m, v, n, step);
+    return;
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    detail::adam_lane(*params[i], *grads[i], m[i], v[i], step);
   }
 }
 

@@ -15,9 +15,14 @@
 //    single-precision product to nearest-even and clamps in the float
 //    domain, the same operation chain on every backend.
 //
+// The fp64 training kernels follow the same rule: every element sees the
+// operation sequence of the naive scalar loop, with separate multiply and
+// add roundings.
+//
 // Results are therefore a function of the *precision*, never of the machine
 // the binary happens to run on.
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -92,5 +97,44 @@ void tanh_inplace_f64(double* v, std::int64_t n);
 /// inputs; NaN is outside the domain). Scalar and AVX2 apply the identical
 /// operation sequence, so the result is bitwise backend-independent.
 void tanh_inplace_f32(float* v, std::int64_t n);
+
+// --- training kernels (fp64) -------------------------------------------------
+
+/// Batched backward of y = W x + b over row-major operands: `w` is
+/// (out x in), `x` is (batch x in), `dy` is (batch x out). Accumulates
+/// gw[o,i] += dy[s,o] * x[s,i] and gb[o] += dy[s,o], and when `dx` is not
+/// null overwrites it (batch x in) with dx[s,i] = sum_o dy[s,o] * w[o,i].
+/// Zero upstream gradients are skipped. Per parameter, samples accumulate in
+/// ascending order; per input gradient, outputs accumulate in ascending
+/// order, so the result is bitwise the sequential per-sample loop.
+void linear_backward_f64(const double* PET_KERN_RESTRICT w,
+                         const double* PET_KERN_RESTRICT x,
+                         const double* PET_KERN_RESTRICT dy,
+                         double* PET_KERN_RESTRICT gw,
+                         double* PET_KERN_RESTRICT gb,
+                         double* PET_KERN_RESTRICT dx, std::int32_t batch,
+                         std::int32_t in, std::int32_t out);
+
+/// Per-step constants of one Adam update (see adam_update_f64).
+struct AdamStep {
+  double lr;
+  double beta1;
+  double beta2;
+  double eps;
+  double bc1;    // 1 - beta1^t
+  double bc2;    // 1 - beta2^t
+  double scale;  // gradient clip factor
+};
+
+/// Adam's per-parameter update over `n` distinct parameters reached through
+/// pointer arrays, with contiguous moments `m` and `v`. Element i runs
+///   g = *grads[i] * scale
+///   m = beta1 * m + (1 - beta1) * g
+///   v = beta2 * v + (1 - beta2) * g * g
+///   *params[i] -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+/// in exactly this order on every backend.
+void adam_update_f64(double* const* params, const double* const* grads,
+                     double* PET_KERN_RESTRICT m, double* PET_KERN_RESTRICT v,
+                     std::size_t n, const AdamStep& step);
 
 }  // namespace pet::rl::kern

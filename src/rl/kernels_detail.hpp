@@ -3,7 +3,11 @@
 // kernels_avx2.cpp (the target("avx2")-attributed implementations). Not an
 // installed/public header.
 
+#include <cmath>
+#include <cstddef>
 #include <cstdint>
+
+#include "rl/kernels.hpp"
 
 namespace pet::rl::kern::detail {
 
@@ -21,7 +25,27 @@ void gemm_s8i32_avx2(const std::int8_t* w, const std::int8_t* x,
 void quantize_rows_s8_avx2(const float* x, std::int8_t* q, float* sx,
                            std::int32_t batch, std::int32_t in);
 void tanh_inplace_f32_avx2(float* v, std::int64_t n);
+void linear_backward_f64_avx2(const double* w, const double* x,
+                              const double* dy, double* gw, double* gb,
+                              double* dx, std::int32_t batch, std::int32_t in,
+                              std::int32_t out);
+void adam_update_f64_avx2(double* const* params, const double* const* grads,
+                          double* m, double* v, std::size_t n,
+                          const AdamStep& step);
 [[nodiscard]] bool cpu_has_avx2();
+
+/// One Adam parameter update in the operation order adam_update_f64
+/// documents. The scalar backend and the AVX2 remainder loop call this
+/// helper, so tails match the vector body's lanes bitwise.
+inline void adam_lane(double& param, double grad, double& m, double& v,
+                      const AdamStep& step) {
+  const double g = grad * step.scale;
+  m = step.beta1 * m + (1.0 - step.beta1) * g;
+  v = step.beta2 * v + (1.0 - step.beta2) * g * g;
+  const double mhat = m / step.bc1;
+  const double vhat = v / step.bc2;
+  param -= step.lr * mhat / (std::sqrt(vhat) + step.eps);
+}
 
 // Round-to-nearest-even via the 1.5 * 2^23 magic constant: adding then
 // subtracting forces the mantissa to integer precision under the default

@@ -76,29 +76,13 @@ void Linear::backward_batch(std::span<const double> x,
   if (!dx.empty()) {
     assert(static_cast<std::int32_t>(dx.size()) == batch * in_);
   }
-  // Samples accumulate in ascending order per parameter — the same order a
+  // Runtime-dispatched backward (scalar reference or AVX2); both backends
+  // accumulate samples in ascending order per parameter — the same order a
   // loop of single-sample backward() calls produces — so merged training is
   // bitwise independent of whether the batch path was used.
-  for (std::int32_t s = 0; s < batch; ++s) {
-    const double* xs = &x[static_cast<std::size_t>(s) * in_];
-    const double* dys = &dy[static_cast<std::size_t>(s) * out_];
-    double* dxs =
-        dx.empty() ? nullptr : &dx[static_cast<std::size_t>(s) * in_];
-    if (dxs != nullptr) {
-      for (std::int32_t i = 0; i < in_; ++i) dxs[i] = 0.0;
-    }
-    for (std::int32_t o = 0; o < out_; ++o) {
-      const double g = dys[o];
-      if (g == 0.0) continue;
-      double* grow = &gw_[static_cast<std::size_t>(o) * in_];
-      const double* row = &w_[static_cast<std::size_t>(o) * in_];
-      gb_[o] += g;
-      for (std::int32_t i = 0; i < in_; ++i) {
-        grow[i] += g * xs[i];
-        if (dxs != nullptr) dxs[i] += g * row[i];
-      }
-    }
-  }
+  kern::linear_backward_f64(w_.data(), x.data(), dy.data(), gw_.data(),
+                            gb_.data(), dx.empty() ? nullptr : dx.data(),
+                            batch, in_, out_);
 }
 
 void Linear::zero_grad() {
@@ -200,35 +184,27 @@ std::vector<double> Mlp::forward_batch(std::span<const double> x,
                                        BatchCache* cache) const {
   assert(static_cast<std::int32_t>(x.size()) == batch * input_size());
   if (cache != nullptr) {
+    // resize, not assign: a reused cache keeps its planes' capacity.
     cache->batch = batch;
-    cache->pre.assign(layers_.size(), {});
-    cache->post.assign(layers_.size(), {});
+    cache->pre.resize(layers_.size());
+    cache->post.resize(layers_.size());
   }
-  std::vector<double> cur(x.begin(), x.end());
+  std::vector<double> cur;
+  std::span<const double> input = x;
   for (std::size_t l = 0; l < layers_.size(); ++l) {
-    std::vector<double> pre(static_cast<std::size_t>(batch) *
-                            static_cast<std::size_t>(layers_[l].out_size()));
-    layers_[l].forward_batch(cur, pre, batch);
-    const bool is_last = (l + 1 == layers_.size());
-    if (cache != nullptr) {
-      // Training path: capture pre-activations for backward_batch, then the
-      // post-activation plane (backprop reads both).
-      std::vector<double> post = pre;
-      if (!is_last) {
-        for (auto& v : post) v = activate(act_, v);
-      }
-      cache->pre[l] = pre;
-      cache->post[l] = post;
-      cur = std::move(post);
-    } else {
-      // Inference path: no consumer for the per-layer planes — activate in
-      // place and skip the capture copies entirely. Numerics are unchanged
-      // (the same activate() is applied to the same linear outputs).
-      if (!is_last) {
-        for (auto& v : pre) v = activate(act_, v);
-      }
-      cur = std::move(pre);
+    std::vector<double> y(static_cast<std::size_t>(batch) *
+                          static_cast<std::size_t>(layers_[l].out_size()));
+    layers_[l].forward_batch(input, y, batch);
+    // Training captures the pre-activation plane for backward_batch, then
+    // the post-activation plane (backprop reads both); inference keeps
+    // neither. Either way activate() runs in place on the same outputs.
+    if (cache != nullptr) cache->pre[l] = y;
+    if (l + 1 < layers_.size()) {
+      for (auto& v : y) v = activate(act_, v);
     }
+    if (cache != nullptr) cache->post[l] = y;
+    cur = std::move(y);
+    input = cur;
   }
   return cur;
 }
@@ -240,10 +216,11 @@ std::vector<double> Mlp::backward_batch(std::span<const double> x,
   assert(cache.pre.size() == layers_.size());
   assert(cache.batch == batch);
   assert(static_cast<std::int32_t>(dy.size()) == batch * output_size());
-  std::vector<double> grad(dy.begin(), dy.end());
+  std::vector<double> grad;
+  std::span<const double> upstream = dy;
   for (std::size_t li = layers_.size(); li-- > 0;) {
-    const bool is_last = (li + 1 == layers_.size());
-    if (!is_last) {
+    if (li + 1 < layers_.size()) {
+      // Through the activation; `grad` is the dx this loop produced.
       for (std::size_t i = 0; i < grad.size(); ++i) {
         grad[i] *= activate_grad(act_, cache.pre[li][i], cache.post[li][i]);
       }
@@ -251,8 +228,9 @@ std::vector<double> Mlp::backward_batch(std::span<const double> x,
     const std::span<const double> input =
         li == 0 ? x : std::span<const double>(cache.post[li - 1]);
     std::vector<double> dx(input.size());
-    layers_[li].backward_batch(input, grad, dx, batch);
+    layers_[li].backward_batch(input, upstream, dx, batch);
     grad = std::move(dx);
+    upstream = grad;
   }
   return grad;
 }

@@ -45,13 +45,10 @@ PpoAgent::PpoAgent(const PpoConfig& cfg)
 }
 
 void PpoAgent::head_logits(std::span<const double> state,
-                           std::vector<std::vector<double>>& logits,
-                           std::vector<Mlp::Cache>* caches) const {
+                           std::vector<std::vector<double>>& logits) const {
   logits.resize(actor_heads_.size());
-  if (caches != nullptr) caches->resize(actor_heads_.size());
   for (std::size_t h = 0; h < actor_heads_.size(); ++h) {
-    logits[h] = actor_heads_[h].forward(
-        state, caches != nullptr ? &(*caches)[h] : nullptr);
+    logits[h] = actor_heads_[h].forward(state);
   }
 }
 

@@ -168,8 +168,7 @@ class PpoAgent {
 
  private:
   void head_logits(std::span<const double> state,
-                   std::vector<std::vector<double>>& logits,
-                   std::vector<Mlp::Cache>* caches = nullptr) const;
+                   std::vector<std::vector<double>>& logits) const;
   /// Per-head logits for a (batch x input_size) state matrix; logits[h] is
   /// row-major (batch x head_sizes[h]).
   void head_logits_batch(std::span<const double> states, std::int32_t batch,

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+
+#include "rl/categorical.hpp"
+#include "rl/kernels.hpp"
 
 namespace pet::rl {
 namespace {
@@ -128,6 +132,141 @@ TEST(DdqnAgent, FullExplorationIsUniform) {
   const std::vector<double> state{0.0, 0.0};
   for (int i = 0; i < 9000; ++i) ++counts[agent.act(state, rng)[0]];
   for (const int c : counts) EXPECT_NEAR(c / 9000.0, 1.0 / 3.0, 0.03);
+}
+
+/// The per-sample DDQN update, rebuilt from the public Mlp/Adam/ReplayBuffer
+/// API: per sample and head, three single-sample forwards (online and
+/// target on the next state, online on the state) and one backward; then
+/// one Adam step, and a target sync every target_sync_interval steps.
+/// DdqnAgent::train_step batches this and must match it bit for bit.
+class PerSampleDdqn {
+ public:
+  PerSampleDdqn(const DdqnConfig& cfg, std::span<const double> init,
+                std::int32_t agent_id)
+      : cfg_(cfg),
+        sample_rng_(sim::derive_seed(cfg.seed, "ddqn-sample") +
+                    static_cast<std::uint64_t>(agent_id)) {
+    sim::Rng unused(0);  // parameters are overwritten from `init` below
+    for (const std::int32_t n : cfg.head_sizes) {
+      std::vector<std::int32_t> sizes{cfg.input_size};
+      sizes.insert(sizes.end(), cfg.hidden.begin(), cfg.hidden.end());
+      sizes.push_back(n);
+      online_.emplace_back(sizes, Activation::kRelu, unused);
+      target_.emplace_back(sizes, Activation::kRelu, unused);
+    }
+    for (auto& net : online_) net.collect(online_refs_);
+    for (auto& net : target_) net.collect(target_refs_);
+    restore_params(online_refs_, init);
+    restore_params(target_refs_, init);
+    opt_ = std::make_unique<Adam>(
+        online_refs_,
+        AdamConfig{.lr = cfg.lr, .max_grad_norm = cfg.max_grad_norm});
+  }
+
+  void train_step(const ReplayBuffer& replay) {
+    if (replay.size() < static_cast<std::size_t>(cfg_.batch_size)) return;
+    const auto idx = replay.sample_indices(
+        static_cast<std::size_t>(cfg_.batch_size), sample_rng_);
+    const double inv_b = 1.0 / static_cast<double>(idx.size());
+    for (auto& net : online_) net.zero_grad();
+    for (const std::size_t i : idx) {
+      const DqnTransition& tr = replay.at(i);
+      for (std::size_t h = 0; h < online_.size(); ++h) {
+        const std::vector<double> q_next_online =
+            online_[h].forward(tr.next_state);
+        const std::vector<double> q_next_target =
+            target_[h].forward(tr.next_state);
+        Mlp::Cache cache;
+        const std::vector<double> q_cur = online_[h].forward(tr.state, &cache);
+        const double target =
+            tr.reward + cfg_.gamma * q_next_target[static_cast<std::size_t>(
+                                         argmax(q_next_online))];
+        const auto a = static_cast<std::size_t>(tr.actions[h]);
+        std::vector<double> dq(q_cur.size(), 0.0);
+        dq[a] = 2.0 * (q_cur[a] - target) * inv_b;
+        online_[h].backward(tr.state, cache, dq);
+      }
+    }
+    opt_->step();
+    if (++steps_ % cfg_.target_sync_interval == 0) {
+      restore_params(target_refs_, snapshot_params(online_refs_));
+      ++syncs_;
+    }
+  }
+
+  [[nodiscard]] std::vector<double> weights() const {
+    return snapshot_params(online_refs_);
+  }
+  [[nodiscard]] std::int64_t steps() const { return steps_; }
+  [[nodiscard]] std::int64_t syncs() const { return syncs_; }
+
+ private:
+  DdqnConfig cfg_;
+  std::vector<Mlp> online_;
+  std::vector<Mlp> target_;
+  ParamRefs online_refs_;
+  ParamRefs target_refs_;
+  std::unique_ptr<Adam> opt_;
+  sim::Rng sample_rng_;
+  std::int64_t steps_ = 0;
+  std::int64_t syncs_ = 0;
+};
+
+/// Pin the kernel backend for a scope.
+struct BackendGuard {
+  explicit BackendGuard(kern::Backend b) { kern::set_backend(b); }
+  ~BackendGuard() { kern::reset_backend(); }
+  BackendGuard(const BackendGuard&) = delete;
+  BackendGuard& operator=(const BackendGuard&) = delete;
+};
+
+/// ACC's network shape: 18 inputs, 64 -> 64 hidden, heads {10, 10, 20},
+/// batch 32. A short sync interval puts three target syncs in the run.
+void expect_batched_step_matches_per_sample(kern::Backend backend) {
+  BackendGuard guard(backend);
+  DdqnConfig cfg;
+  cfg.input_size = 18;
+  cfg.head_sizes = {10, 10, 20};
+  cfg.target_sync_interval = 100;
+  cfg.seed = 21;
+  constexpr std::int32_t kAgentId = 3;
+  constexpr std::int64_t kSteps = 320;
+  auto replay = std::make_shared<ReplayBuffer>(4096);
+  DdqnAgent agent(cfg, replay, kAgentId);
+  PerSampleDdqn reference(cfg, agent.weights(), kAgentId);
+
+  sim::Rng data(99);
+  while (agent.train_steps() < kSteps) {
+    DqnTransition t;
+    for (std::int32_t i = 0; i < cfg.input_size; ++i) {
+      t.state.push_back(data.uniform(-1.0, 1.0));
+      t.next_state.push_back(data.uniform(-1.0, 1.0));
+    }
+    for (const std::int32_t n : cfg.head_sizes) {
+      t.actions.push_back(static_cast<std::int32_t>(
+          data.uniform_int(static_cast<std::uint64_t>(n))));
+    }
+    t.reward = data.uniform(-1.0, 1.0);
+    agent.observe(std::move(t));
+    agent.train_step();
+    reference.train_step(*replay);
+  }
+  ASSERT_EQ(reference.steps(), kSteps);
+  ASSERT_GE(reference.syncs(), 2);
+  const std::vector<double> got = agent.weights();
+  const std::vector<double> want = reference.weights();
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(double)),
+            0);
+}
+
+TEST(DdqnOracle, BatchedStepMatchesPerSampleUpdateScalar) {
+  expect_batched_step_matches_per_sample(kern::Backend::kScalar);
+}
+
+TEST(DdqnOracle, BatchedStepMatchesPerSampleUpdateAvx2) {
+  if (!kern::avx2_supported()) GTEST_SKIP() << "CPU lacks AVX2";
+  expect_batched_step_matches_per_sample(kern::Backend::kAvx2);
 }
 
 }  // namespace

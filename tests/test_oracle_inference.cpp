@@ -25,6 +25,7 @@
 #include <tuple>
 #include <vector>
 
+#include "rl/adam.hpp"
 #include "rl/categorical.hpp"
 #include "rl/inference.hpp"
 #include "rl/kernels.hpp"
@@ -280,6 +281,100 @@ PROPERTY_CASES(InferenceOracle, BackendsBitwiseIdentical, 1200, net_cases()) {
     PROP_ASSERT(std::memcmp(scalar_y.data(), avx2_y.data(),
                             scalar_y.size() * sizeof(double)) == 0);
   }
+}
+
+/// Layer widths for the training-kernel property: the listed ones hit the
+/// 4-lane body alone (4, 64), the tail alone (1, 3) and both (6, 18), and
+/// 65 and 100 outputs span more than one 64-entry nonzero list; the uniform
+/// draw covers everything else up to 40.
+[[nodiscard]] Gen<std::int64_t> lane_widths() {
+  return one_of<std::int64_t>(
+      {element_of<std::int64_t>({1, 3, 4, 6, 18, 64, 65, 100}),
+       integers(1, 40)});
+}
+
+/// (net, upstream-gradient pool, clip the gradient norm?). Half of the
+/// upstream gradients are exactly zero, which exercises the g == 0 skip;
+/// batches above 64 span more than one nonzero list; parameters stay in a
+/// trained range plus signed zeros and subnormals.
+using TrainCase = std::tuple<NetCase, std::vector<double>, bool>;
+
+[[nodiscard]] Gen<TrainCase> train_cases() {
+  const Gen<double> weight = frequency<double>(
+      {{10, reals(-2.0, 2.0)},
+       {2, element_of<double>({0.0, -0.0, 5e-324, -1.0e-300, 1.0e-40})}});
+  const Gen<double> obs = frequency<double>(
+      {{8, reals(-1.0, 1.0)}, {1, element_of<double>({0.0, -0.0, 1.0e-300})}});
+  const Gen<double> dy =
+      frequency<double>({{1, constant(0.0)}, {1, reals(-1.0, 1.0)}});
+  return tuple_of(
+      tuple_of(lane_widths(), vector_of(lane_widths(), 0, 2), lane_widths(),
+               booleans(), vector_of(weight, 97, 97),
+               one_of<std::int64_t>({integers(1, 9),
+                                     element_of<std::int64_t>({64, 65, 130})}),
+               vector_of(obs, 23, 23)),
+      vector_of(dy, 41, 41), booleans());
+}
+
+/// Everything one training run produces, as raw bytes for memcmp.
+struct TrainTrace {
+  std::vector<double> grads;  // after each backward
+  std::vector<double> dx;     // after each backward
+  std::vector<double> params;
+  std::vector<std::uint8_t> adam;  // Adam::save_state: lr, t, m, v
+};
+
+/// Two rounds of forward_batch, backward_batch and Adam::step on a fresh
+/// copy of the case's net, under `backend`.
+[[nodiscard]] TrainTrace train_under(const TrainCase& c,
+                                     rl::kern::Backend backend) {
+  const auto& [net_case, dy_pool, clip] = c;
+  BackendGuard guard(backend);
+  rl::Mlp net = build_net(net_case);
+  const std::vector<double> states = build_states(net_case);
+  const auto batch = static_cast<std::int32_t>(std::get<5>(net_case));
+  std::vector<double> dy(static_cast<std::size_t>(batch) *
+                         static_cast<std::size_t>(net.output_size()));
+  for (std::size_t i = 0; i < dy.size(); ++i) {
+    dy[i] = dy_pool[i % dy_pool.size()];
+  }
+  rl::ParamRefs refs;
+  net.collect(refs);
+  rl::Adam opt(refs, rl::AdamConfig{.max_grad_norm = clip ? 0.5 : 0.0});
+  TrainTrace trace;
+  for (int round = 0; round < 2; ++round) {
+    net.zero_grad();
+    rl::Mlp::BatchCache cache;
+    (void)net.forward_batch(states, batch, &cache);
+    const std::vector<double> dx = net.backward_batch(states, cache, dy, batch);
+    trace.dx.insert(trace.dx.end(), dx.begin(), dx.end());
+    for (const double* g : refs.grads) trace.grads.push_back(*g);
+    opt.step();
+  }
+  trace.params = rl::snapshot_params(refs);
+  sim::ByteSink sink;
+  opt.save_state(sink);
+  trace.adam = sink.bytes();
+  return trace;
+}
+
+template <typename T>
+[[nodiscard]] bool same_bytes(const std::vector<T>& a,
+                              const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
+
+/// The training kernels (Linear::backward_batch, Adam::step) are bitwise
+/// interchangeable between backends: gradients, input gradients,
+/// parameters and both Adam moments.
+PROPERTY_CASES(TrainingOracle, BackendsBitwiseIdentical, 1200, train_cases()) {
+  const TrainTrace scalar = train_under(arg, rl::kern::Backend::kScalar);
+  const TrainTrace avx2 = train_under(arg, rl::kern::Backend::kAvx2);
+  PROP_ASSERT(same_bytes(scalar.grads, avx2.grads));
+  PROP_ASSERT(same_bytes(scalar.dx, avx2.dx));
+  PROP_ASSERT(same_bytes(scalar.params, avx2.params));
+  PROP_ASSERT(same_bytes(scalar.adam, avx2.adam));
 }
 
 /// On realistic (normalized) observations: whenever the fp64 top-logit gap

@@ -48,6 +48,11 @@ regen pet_tiny \
   --spines=1 --leaves=2 --hosts-per-leaf=2 \
   --pretrain-ms=2 --measure-ms=2 --seed=11 --no-pretrain-cache
 
+regen acc_tiny \
+  --scheme=acc --workload=datamining --load=0.5 \
+  --spines=1 --leaves=2 --hosts-per-leaf=2 \
+  --pretrain-ms=2 --measure-ms=2 --seed=11 --no-pretrain-cache
+
 regen fat_tree_tiny \
   --scheme=secn1 --workload=websearch --load=0.5 \
   --topo=fat-tree --k=4 --hosts-per-edge=1 \
