@@ -11,6 +11,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
@@ -127,6 +128,142 @@ void BM_SchedulerCancel(benchmark::State& state) {
       static_cast<double>(cancelled), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_SchedulerCancel);
+
+/// The pending-event mix of a running leaf-spine DCQCN fabric (WebSearch,
+/// load 0.6): arrivals on a 1 us propagation lane, transmit completions on
+/// the heap 51-838 ns out, heap timers cancelled and re-armed as transmits
+/// complete, and DCQCN alpha/increase timers on 55 us and 300 us lanes,
+/// with a CNP re-arming one sender's pair every 64th transmit. Every event
+/// re-schedules its own family, so the mix holds steady.
+class HopMix {
+ public:
+  static constexpr int kProp = 76;
+  static constexpr int kTx = 42;
+  static constexpr int kRearmed = 11;
+  static constexpr int kSenders = 105;  // x2 timers = 210 lane events
+
+  explicit HopMix(sim::Scheduler& sched)
+      : sched_(sched),
+        prop_(sched.lane(sim::microseconds(1))),
+        alpha_(sched.lane(sim::microseconds(55))),
+        increase_(sched.lane(sim::microseconds(300))) {
+    sim::Rng rng(16);
+    const auto gap_ns = [&rng](std::int64_t lo, std::int64_t hi) {
+      return sim::nanoseconds(
+          lo + static_cast<std::int64_t>(
+                   rng.uniform_int(static_cast<std::uint64_t>(hi - lo + 1))));
+    };
+    for (auto& gap : tx_gaps_) gap = gap_ns(51, 838);
+    for (auto& gap : rearm_gaps_) gap = gap_ns(100, 899);
+    // Seed each lane family spread over its period, as a running fabric
+    // holds it; a seed moves onto its lane when it first fires.
+    const auto spread = [&](int n, sim::Time period, auto arm) {
+      for (int i = 0; i < n; ++i) {
+        sched_.schedule_at(sim::Time(period.ps() * i / n),
+                           [arm, i] { arm(i); });
+      }
+    };
+    spread(kProp, sim::microseconds(1), [this](int) { arm_prop(); });
+    spread(kSenders, sim::microseconds(55), [this](int i) { arm_alpha(i); });
+    spread(kSenders, sim::microseconds(300),
+           [this](int i) { arm_increase(i); });
+    for (int i = 0; i < kTx; ++i) arm_tx();
+    for (int i = 0; i < kRearmed; ++i) arm_rearmed(i);
+  }
+
+  [[nodiscard]] std::uint64_t sink() const { return sink_; }
+
+ private:
+  void arm_prop() {
+    sched_.schedule_on(prop_, [this, p = payload_] {
+      sink_ += p.words[0];
+      arm_prop();
+    });
+  }
+
+  void arm_tx() {
+    sched_.schedule_in(tx_gaps_[next_tx_++ % tx_gaps_.size()],
+                       [this, p = payload_] {
+                         sink_ += p.words[1];
+                         if (++tx_done_ % 4 == 0) rearm_next();
+                         if (tx_done_ % 64 == 0) cnp_next();
+                         arm_tx();
+                       });
+  }
+
+  void arm_rearmed(int i) {
+    sched_.cancel(rearmed_[static_cast<std::size_t>(i)]);
+    rearmed_[static_cast<std::size_t>(i)] = sched_.schedule_in(
+        rearm_gaps_[next_rearm_++ % rearm_gaps_.size()],
+        [this, i] { arm_rearmed(i); });
+  }
+
+  void rearm_next() { arm_rearmed(static_cast<int>(tx_done_ / 4 % kRearmed)); }
+
+  void arm_alpha(int i) {
+    sched_.cancel(alpha_ids_[static_cast<std::size_t>(i)]);
+    alpha_ids_[static_cast<std::size_t>(i)] =
+        sched_.schedule_on(alpha_, [this, i] { arm_alpha(i); });
+  }
+
+  void arm_increase(int i) {
+    sched_.cancel(increase_ids_[static_cast<std::size_t>(i)]);
+    increase_ids_[static_cast<std::size_t>(i)] =
+        sched_.schedule_on(increase_, [this, i] { arm_increase(i); });
+  }
+
+  void cnp_next() {
+    const int i = static_cast<int>(tx_done_ / 64 % kSenders);
+    arm_alpha(i);
+    arm_increase(i);
+  }
+
+  sim::Scheduler& sched_;
+  sim::LaneId prop_;
+  sim::LaneId alpha_;
+  sim::LaneId increase_;
+  TxPayload payload_;
+  std::array<sim::Time, 64> tx_gaps_{};
+  std::array<sim::Time, 64> rearm_gaps_{};
+  std::array<sim::EventId, kRearmed> rearmed_{};
+  std::array<sim::EventId, kSenders> alpha_ids_{};
+  std::array<sim::EventId, kSenders> increase_ids_{};
+  std::size_t next_tx_ = 0;
+  std::size_t next_rearm_ = 0;
+  std::uint64_t tx_done_ = 0;
+  std::uint64_t sink_ = 0;
+};
+
+void BM_SchedulerHopMix(benchmark::State& state) {
+  // About 1000 events run per 6 us slice of this mix.
+  constexpr std::int64_t kSliceNs = 6'000;
+  sim::Scheduler sched;
+  HopMix mix(sched);
+  sched.run_until(sim::microseconds(600));  // seeds on their lanes; warm
+  std::vector<double> slice_ns;
+  slice_ns.reserve(4096);
+  std::uint64_t events = 0;
+  for (auto _ : state) {
+    const sim::Time until = sched.now() + sim::nanoseconds(kSliceNs);
+    const auto t0 = std::chrono::steady_clock::now();
+    const std::size_t ran = sched.run_until(until);
+    const auto t1 = std::chrono::steady_clock::now();
+    events += ran;
+    slice_ns.push_back(
+        std::chrono::duration<double, std::nano>(t1 - t0).count() /
+        static_cast<double>(ran > 0 ? ran : 1));
+  }
+  benchmark::DoNotOptimize(mix.sink());
+  state.SetItemsProcessed(static_cast<std::int64_t>(events));
+  state.counters["events_per_sec"] = benchmark::Counter(
+      static_cast<double>(events), benchmark::Counter::kIsRate);
+  if (!slice_ns.empty()) {
+    std::sort(slice_ns.begin(), slice_ns.end());
+    state.counters["p99_event_ns"] =
+        slice_ns[std::min(slice_ns.size() - 1, slice_ns.size() * 99 / 100)];
+  }
+}
+BENCHMARK(BM_SchedulerHopMix);
 
 void BM_RedMarking(benchmark::State& state) {
   net::RedEcnMarker marker(1);

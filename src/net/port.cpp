@@ -15,6 +15,7 @@ EgressPort::EgressPort(sim::Scheduler& sched, PortOwner& owner,
       owner_(owner),
       index_(index),
       cfg_(cfg),
+      prop_lane_(sched.lane(cfg.propagation_delay)),
       fault_rng_(sim::derive_seed(cfg.seed, "port-fault")) {
   assert(cfg.num_data_queues >= 1);
   data_queues_.resize(static_cast<std::size_t>(cfg.num_data_queues));
@@ -177,8 +178,8 @@ void EgressPort::finish_transmit(QueueEntry entry) {
     deliver = false;
   }
   if (deliver) {
-    sched_.schedule_in(
-        cfg_.propagation_delay,
+    sched_.schedule_on(
+        prop_lane_,
         [peer = peer_, pkt = entry.pkt, pp = peer_port_] {
           peer->receive(pkt, pp);
         },

@@ -160,6 +160,7 @@ class EgressPort {
   PortOwner& owner_;
   std::int32_t index_;
   PortConfig cfg_;
+  sim::LaneId prop_lane_;  // every arrival lands one propagation delay out
   Device* peer_ = nullptr;
   std::int32_t peer_port_ = -1;
 

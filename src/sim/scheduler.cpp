@@ -21,6 +21,25 @@ void Scheduler::release_slot(std::uint32_t slot) {
   free_head_ = slot;
 }
 
+void Scheduler::Lane::grow() {
+  // Unwrap into a ring twice the size, so the head lands at index 0.
+  std::vector<HeapItem> bigger(ring.empty() ? 16 : 2 * ring.size());
+  for (std::size_t i = 0; i < count; ++i) {
+    bigger[i] = ring[(head + i) & (ring.size() - 1)];
+  }
+  ring = std::move(bigger);
+  head = 0;
+}
+
+LaneId Scheduler::lane(Time delay) {
+  assert(delay >= Time::zero() && "a lane cannot run into the past");
+  for (std::size_t i = 0; i < lanes_.size(); ++i) {
+    if (lanes_[i].delay == delay) return LaneId(static_cast<std::uint32_t>(i));
+  }
+  lanes_.emplace_back().delay = delay;
+  return LaneId(static_cast<std::uint32_t>(lanes_.size() - 1));
+}
+
 void Scheduler::sift_down(std::size_t i, HeapItem item) {
   const std::size_t n = heap_.size();
   for (;;) {
@@ -45,26 +64,43 @@ void Scheduler::heap_pop_root() {
   sift_down(0, last);
 }
 
+bool Scheduler::sweep_if_cancelled(std::uint32_t slot) {
+  Record& rec = record(slot);
+  if (!rec.cancelled) return false;
+  rec.cancelled = false;
+  release_slot(slot);
+  return true;
+}
+
 void Scheduler::compact_tombstones() {
   // Drop every tombstoned entry, free its slot, and re-heapify in place.
   // Pop order is a pure function of the (at, seq) total order, so the
   // rebuilt heap replays the exact same event sequence.
   std::size_t kept = 0;
   for (std::size_t i = 0; i < heap_.size(); ++i) {
-    const std::uint32_t slot = heap_[i].slot;
-    if (record(slot).cancelled) {
-      record(slot).cancelled = false;
-      release_slot(slot);
-    } else {
-      heap_[kept++] = heap_[i];
-    }
+    if (!sweep_if_cancelled(heap_[i].slot)) heap_[kept++] = heap_[i];
   }
   heap_.resize(kept);
-  tombstones_ = 0;
-  if (kept <= 1) return;
-  for (std::size_t start = (kept - 2) / kArity + 1; start-- > 0;) {
-    sift_down(start, heap_[start]);
+  if (kept > 1) {
+    for (std::size_t start = (kept - 2) / kArity + 1; start-- > 0;) {
+      sift_down(start, heap_[start]);
+    }
   }
+  // Lanes filter in place, front to back, so survivors stay in FIFO order.
+  lane_entries_ = 0;
+  for (Lane& lane : lanes_) {
+    const std::size_t mask = lane.ring.size() - 1;
+    std::size_t lane_kept = 0;
+    for (std::size_t i = 0; i < lane.count; ++i) {
+      const HeapItem item = lane.ring[(lane.head + i) & mask];
+      if (!sweep_if_cancelled(item.slot)) {
+        lane.ring[(lane.head + lane_kept++) & mask] = item;
+      }
+    }
+    lane.count = lane_kept;
+    lane_entries_ += lane_kept;
+  }
+  tombstones_ = 0;
 }
 
 bool Scheduler::cancel(EventId id) {
@@ -84,7 +120,7 @@ bool Scheduler::cancel(EventId id) {
   rec.cb.reset();
   --live_;
   ++tombstones_;
-  if (tombstones_ > kCompactMinTombstones && tombstones_ * 2 > heap_.size()) {
+  if (tombstones_ > kCompactMinTombstones && tombstones_ * 2 > heap_size()) {
     compact_tombstones();
   }
   return true;
@@ -99,16 +135,30 @@ void Scheduler::set_profiler(Profiler* profiler) {
 
 std::size_t Scheduler::run_until(Time until) {
   std::size_t ran = 0;
-  while (!heap_.empty() && heap_[0].at <= until) {
-    const HeapItem item = heap_[0];
-    heap_pop_root();
-    Record& rec = record(item.slot);
-    if (rec.cancelled) {
-      rec.cancelled = false;
-      release_slot(item.slot);
+  for (;;) {
+    // The next event is the least (at, seq) key among the heap root and the
+    // lane heads; each lane is sorted already, so only its head competes.
+    const HeapItem* next = heap_.empty() ? nullptr : &heap_[0];
+    Lane* from = nullptr;
+    for (Lane& lane : lanes_) {
+      if (lane.count != 0 && (next == nullptr || lane.front().before(*next))) {
+        next = &lane.front();
+        from = &lane;
+      }
+    }
+    if (next == nullptr || next->at > until) break;
+    const HeapItem item = *next;
+    if (from == nullptr) {
+      heap_pop_root();
+    } else {
+      from->pop_front();
+      --lane_entries_;
+    }
+    if (sweep_if_cancelled(item.slot)) {
       --tombstones_;
       continue;
     }
+    Record& rec = record(item.slot);
     const char* kind = rec.kind;
     // Invalidate outstanding EventIds before invoking: the callback runs in
     // place out of its pool slot (chunks never move), so a self-cancel from

@@ -5,20 +5,26 @@
 // experiments); ties in event time are broken by insertion order so two runs
 // with the same seed replay the exact same event sequence.
 //
-// Hot-path layout (see DESIGN.md "Hot path & bench gate"):
+// Hot-path layout (see DESIGN.md "DES hot path & bench gate"):
 //   * events live in a chunked slot pool with per-slot generation counters;
 //     an EventId is (generation, slot), so cancel() is one array index and a
 //     tombstone-bit flip — no hashing, no per-event bookkeeping sets. Chunks
 //     never move, so callbacks run in place straight out of their slot;
-//   * the ready queue is a flat 4-ary min-heap over (time, sequence) keys.
-//     The key order is total, so pop order — and therefore every golden
-//     artifact — is bitwise independent of heap arity and layout;
+//   * pending events are keyed by (time, sequence) and queued in one of two
+//     places. Most go to a flat 4-ary min-heap. Events a caller always
+//     schedules a fixed delay ahead (link propagation, DCQCN timers) go to
+//     that delay's FIFO lane instead: now() never decreases and sequence
+//     numbers only grow, so appending keeps a lane sorted by (time, seq)
+//     for free. A pop takes the least key among the heap root and the few
+//     lane heads. The key order is total, so pop order — and therefore
+//     every golden artifact — is bitwise independent of heap arity, layout
+//     and which events ride lanes;
 //   * callbacks are sim::SmallCallback: capture storage is inline in the
 //     pool record, so a warmed-up schedule/run steady state performs zero
 //     heap allocations (pinned by tests/test_alloc_steady.cpp);
-//   * tombstoned entries are compacted away once they outnumber the live
-//     half of the heap, so schedule-then-cancel patterns (retransmit and
-//     watchdog timers) run in bounded memory.
+//   * tombstoned entries (heap or lane) are compacted away once they
+//     outnumber the live half of all queued entries, so schedule-then-cancel
+//     patterns (retransmit and watchdog timers) run in bounded memory.
 
 #include <cassert>
 #include <cstdint>
@@ -48,6 +54,18 @@ class EventId {
   std::uint64_t token_ = 0;
 };
 
+/// Handle to a constant-delay FIFO lane; only Scheduler::lane makes one.
+/// Equal delays share one lane, so equal handles mean equal delays.
+class LaneId {
+ public:
+  friend constexpr bool operator==(LaneId, LaneId) = default;
+
+ private:
+  friend class Scheduler;
+  constexpr explicit LaneId(std::uint32_t index) : index_(index) {}
+  std::uint32_t index_;
+};
+
 class Scheduler {
  public:
   using Callback = SmallCallback;
@@ -68,19 +86,9 @@ class Scheduler {
                              void, std::decay_t<Fn>&>>>
   EventId schedule_at(Time at, Fn&& fn, const char* kind = nullptr) {
     assert(at >= now_ && "cannot schedule into the past");
-    const std::uint32_t slot = acquire_slot();
-    Record& rec = record(slot);
-    if constexpr (std::is_same_v<std::decay_t<Fn>, Callback>) {
-      assert(fn && "null event callback");
-      rec.cb = std::forward<Fn>(fn);
-    } else {
-      rec.cb.emplace(std::forward<Fn>(fn));
-    }
-    rec.kind = kind;
+    const std::uint32_t slot = store(std::forward<Fn>(fn), kind);
     heap_push(HeapItem{at, next_seq_++, slot});
-    ++live_;
-    return EventId((static_cast<std::uint64_t>(rec.gen) << 32) |
-                   (static_cast<std::uint64_t>(slot) + 1));
+    return hand_out(slot);
   }
 
   /// Schedule `fn` to run `delay` from now.
@@ -88,6 +96,25 @@ class Scheduler {
                              void, std::decay_t<Fn>&>>>
   EventId schedule_in(Time delay, Fn&& fn, const char* kind = nullptr) {
     return schedule_at(now_ + delay, std::forward<Fn>(fn), kind);
+  }
+
+  /// The FIFO lane for events scheduled exactly `delay` (>= 0) ahead; equal
+  /// delays share one lane. Meant for callers whose delay is a constant of
+  /// their configuration (link propagation, protocol timer periods): take
+  /// the handle once, at construction.
+  LaneId lane(Time delay);
+
+  /// Schedule `fn` to run the lane's delay from now. Same ordering, tags and
+  /// cancellation as schedule_in with that delay, without the heap push.
+  template <typename Fn, typename = std::enable_if_t<std::is_invocable_r_v<
+                             void, std::decay_t<Fn>&>>>
+  EventId schedule_on(LaneId lane, Fn&& fn, const char* kind = nullptr) {
+    assert(lane.index_ < lanes_.size() && "unknown lane");
+    Lane& ln = lanes_[lane.index_];
+    const std::uint32_t slot = store(std::forward<Fn>(fn), kind);
+    ln.push(HeapItem{now_ + ln.delay, next_seq_++, slot});
+    ++lane_entries_;
+    return hand_out(slot);
   }
 
   /// Cancel a pending event. Cancelling an already-run or already-cancelled
@@ -111,8 +138,10 @@ class Scheduler {
   [[nodiscard]] std::uint64_t executed() const { return executed_; }
 
   // --- capacity observability (leak regression tests, bench reports) -------
-  /// Heap entries, including not-yet-compacted tombstones.
-  [[nodiscard]] std::size_t heap_size() const { return heap_.size(); }
+  /// Queued entries, heap and lanes, including not-yet-compacted tombstones.
+  [[nodiscard]] std::size_t heap_size() const {
+    return heap_.size() + lane_entries_;
+  }
   /// Pool slots ever created (high-water mark of concurrent events).
   [[nodiscard]] std::size_t pool_size() const { return pool_count_; }
   /// Cancelled entries still awaiting compaction or expiry.
@@ -128,8 +157,8 @@ class Scheduler {
 
  private:
   /// Pool record: callback + tag live here (stable address — chunks never
-  /// move — reused via the free list); the heap carries only the 24-byte
-  /// ordering key.
+  /// move — reused via the free list); the heap and the lanes carry only
+  /// the 24-byte ordering key.
   struct Record {
     Callback cb;
     const char* kind = nullptr;
@@ -148,6 +177,27 @@ class Scheduler {
     }
   };
 
+  /// Constant-delay FIFO: a power-of-two ring of keys, sorted by (at, seq)
+  /// because every push is now() + delay with a fresh sequence number.
+  struct Lane {
+    Time delay;
+    std::vector<HeapItem> ring;
+    std::size_t head = 0;
+    std::size_t count = 0;
+
+    [[nodiscard]] const HeapItem& front() const { return ring[head]; }
+    void pop_front() {
+      head = (head + 1) & (ring.size() - 1);
+      --count;
+    }
+    void push(const HeapItem& item) {
+      if (count == ring.size()) grow();
+      ring[(head + count) & (ring.size() - 1)] = item;
+      ++count;
+    }
+    void grow();
+  };
+
   static constexpr std::uint32_t kNilSlot = 0xffffffffu;
   /// 4-ary heap indexing: children of i are 4i+1..4i+4.
   static constexpr std::size_t kArity = 4;
@@ -163,6 +213,28 @@ class Scheduler {
 
   [[nodiscard]] Record& record(std::uint32_t slot) {
     return pool_[slot >> kChunkShift][slot & kChunkMask];
+  }
+
+  /// Park `fn` and its tag in a fresh pool slot; the caller queues the key.
+  template <typename Fn>
+  [[nodiscard]] std::uint32_t store(Fn&& fn, const char* kind) {
+    const std::uint32_t slot = acquire_slot();
+    Record& rec = record(slot);
+    if constexpr (std::is_same_v<std::decay_t<Fn>, Callback>) {
+      assert(fn && "null event callback");
+      rec.cb = std::forward<Fn>(fn);
+    } else {
+      rec.cb.emplace(std::forward<Fn>(fn));
+    }
+    rec.kind = kind;
+    return slot;
+  }
+
+  /// Count a just-queued event as live and hand out its handle.
+  [[nodiscard]] EventId hand_out(std::uint32_t slot) {
+    ++live_;
+    return EventId((static_cast<std::uint64_t>(record(slot).gen) << 32) |
+                   (static_cast<std::uint64_t>(slot) + 1));
   }
 
   [[nodiscard]] std::uint32_t acquire_slot() {
@@ -194,9 +266,13 @@ class Scheduler {
   void release_slot(std::uint32_t slot);
   void heap_pop_root();
   void sift_down(std::size_t i, HeapItem item);
+  /// Free a popped or swept tombstone's slot; false if `slot` is live.
+  bool sweep_if_cancelled(std::uint32_t slot);
   void compact_tombstones();
 
   std::vector<HeapItem> heap_;  // flat 4-ary min-heap by (at, seq)
+  std::vector<Lane> lanes_;     // one per distinct constant delay
+  std::size_t lane_entries_ = 0;
   std::vector<std::unique_ptr<Record[]>> pool_;
   std::uint32_t pool_count_ = 0;
   std::uint32_t free_head_ = kNilSlot;

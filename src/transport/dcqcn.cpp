@@ -27,7 +27,9 @@ DcqcnSender::DcqcnSender(sim::Scheduler& sched, net::HostDevice& host,
       line_rate_bps_(static_cast<double>(host.nic_rate().bps())),
       min_rate_bps_(line_rate_bps_ * cfg.min_rate_fraction),
       rate_bps_(line_rate_bps_),
-      target_bps_(line_rate_bps_) {
+      target_bps_(line_rate_bps_),
+      alpha_lane_(sched.lane(cfg.alpha_timer)),
+      increase_lane_(sched.lane(cfg.increase_timer)) {
   assert(spec.size_bytes > 0);
   arm_alpha_timer();
   arm_increase_timer();
@@ -137,8 +139,8 @@ void DcqcnSender::clamp_rates() {
 
 void DcqcnSender::arm_alpha_timer() {
   if (alpha_ev_.valid()) sched_.cancel(alpha_ev_);
-  alpha_ev_ = sched_.schedule_in(
-      cfg_.alpha_timer,
+  alpha_ev_ = sched_.schedule_on(
+      alpha_lane_,
       [this] {
         alpha_ *= (1.0 - cfg_.gain);
         arm_alpha_timer();
@@ -148,8 +150,8 @@ void DcqcnSender::arm_alpha_timer() {
 
 void DcqcnSender::arm_increase_timer() {
   if (increase_ev_.valid()) sched_.cancel(increase_ev_);
-  increase_ev_ = sched_.schedule_in(
-      cfg_.increase_timer,
+  increase_ev_ = sched_.schedule_on(
+      increase_lane_,
       [this] {
         ++timer_stage_;
         do_increase();

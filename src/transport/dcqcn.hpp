@@ -90,6 +90,9 @@ class DcqcnSender final : public net::FlowSource {
   std::int64_t bytes_counted_ = 0;
   std::int64_t cnps_received_ = 0;
 
+  // Both timers always re-arm one fixed period out, so they ride lanes.
+  sim::LaneId alpha_lane_;
+  sim::LaneId increase_lane_;
   sim::EventId alpha_ev_;
   sim::EventId increase_ev_;
   sim::EventId deregister_ev_;

@@ -3,8 +3,9 @@
 // This binary replaces the global operator new/delete with counting
 // versions, warms each hot structure past its growth phase, then asserts
 // that the steady state — scheduler schedule/run cycles with transmit-sized
-// captures, FIFO ring push/pop, cancel churn, and a leaf-spine DCQCN
-// long-flow window — performs literally zero heap allocations.
+// captures, constant-delay lane cycles, FIFO ring push/pop, cancel churn,
+// and a leaf-spine DCQCN long-flow window — performs literally zero heap
+// allocations.
 //
 // Kept out of the `fast` label on purpose: the sanitizer presets interpose
 // their own allocator and must not race a user-defined operator new.
@@ -115,6 +116,36 @@ TEST(AllocSteady, SchedulerCancelChurnAllocatesNothing) {
   const std::uint64_t deletes = w.deletes();
   EXPECT_EQ(news, 0u) << "cancel churn allocated";
   EXPECT_EQ(deletes, 0u);
+}
+
+TEST(AllocSteady, SchedulerLaneCyclesAllocateNothing) {
+  // Each 50 ns round schedules 300 events onto a 100 ns lane, cancels one
+  // in four and runs the round before last: about 600 entries stay queued
+  // and the ring's head walks around it. Once the ring reaches that
+  // high-water mark, schedule/run/cancel must not allocate.
+  sim::Scheduler sched;
+  const sim::LaneId lane = sched.lane(sim::nanoseconds(100));
+  std::uint64_t sink = 0;
+  TxPayload payload;
+  const auto cycle = [&](int rounds) {
+    for (int r = 0; r < rounds; ++r) {
+      for (int i = 0; i < 300; ++i) {
+        const sim::EventId id = sched.schedule_on(
+            lane, [&sink, payload] { sink += payload.words[0]; });
+        if (i % 4 == 0) sched.cancel(id);
+      }
+      sched.run_until(sched.now() + sim::nanoseconds(50));
+    }
+  };
+  cycle(8);  // warm: pool chunks + ring capacity
+  AllocWindow w;
+  const std::uint64_t before = sched.executed();
+  cycle(256);
+  const std::uint64_t news = w.news();
+  const std::uint64_t deletes = w.deletes();
+  EXPECT_EQ(news, 0u) << "lane steady state allocated";
+  EXPECT_EQ(deletes, 0u);
+  EXPECT_EQ(sched.executed() - before, 256u * 225u);
 }
 
 TEST(AllocSteady, FifoQueueSteadyStateAllocatesNothing) {

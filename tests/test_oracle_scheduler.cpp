@@ -1,7 +1,9 @@
-// Differential oracle: sim::Scheduler (binary-heap event queue with
-// cancellation sets) vs the testkit's sorted-vector model, driven by
-// generated schedule/cancel/run interleavings. Execution order, cancel
-// results, now() and pending() must agree at every step.
+// Differential oracle: sim::Scheduler (4-ary heap plus constant-delay FIFO
+// lanes, tombstone cancellation) vs the testkit's sorted-vector model,
+// driven by generated schedule/lane-schedule/cancel/run interleavings.
+// Execution order, cancel results, now() and pending() must agree at every
+// step. The model knows nothing of lanes: it sees each lane event at its
+// absolute time, so any merge that breaks the (time, seq) order shows.
 
 #include <gtest/gtest.h>
 
@@ -15,20 +17,40 @@
 namespace pet::testkit {
 namespace {
 
-// One op: (selector, operand, delay_ps). selector % 6 decides the action —
+// One op: (selector, operand, delay_ps). selector % 7 decides the action —
 // weighted toward scheduling so runs have events to execute.
 using Op = std::tuple<std::int64_t, std::int64_t, std::int64_t>;
 
+// Lane delays: 0 plus values the offset generator below draws half the
+// time, so schedule_at offsets, run-forward steps and lane delays land on
+// shared picoseconds and lane/lane and lane/heap ties are common.
+const std::vector<std::int64_t> kLaneDelaysPs = {0, 1'000, 3'000, 20'000};
+
+[[nodiscard]] Gen<std::int64_t> offsets_ps(std::int64_t hi) {
+  return frequency<std::int64_t>(
+      {{1, element_of(kLaneDelaysPs)}, {1, integers(0, hi)}});
+}
+
 [[nodiscard]] Gen<std::vector<Op>> op_sequences() {
   return vector_of(
-      tuple_of(integers(0, 5), integers(0, 1 << 20), integers(0, 200'000)), 1,
+      tuple_of(integers(0, 6), integers(0, 1 << 20), offsets_ps(200'000)), 1,
       80);
+}
+
+/// One lane per kLaneDelaysPs entry, in that order.
+[[nodiscard]] std::vector<sim::LaneId> make_lanes(sim::Scheduler& sched) {
+  std::vector<sim::LaneId> lanes;
+  for (const std::int64_t d : kLaneDelaysPs) {
+    lanes.push_back(sched.lane(sim::Time(d)));
+  }
+  return lanes;
 }
 
 PROPERTY_CASES(SchedulerOracle, HeapAgreesWithSortedVectorModel, 2500,
                op_sequences()) {
   sim::Scheduler real;
   SchedulerModel model;
+  const std::vector<sim::LaneId> lanes = make_lanes(real);
 
   std::vector<sim::EventId> real_ids;   // k-th scheduled event
   std::vector<std::uint64_t> model_ids;
@@ -36,14 +58,22 @@ PROPERTY_CASES(SchedulerOracle, HeapAgreesWithSortedVectorModel, 2500,
   std::vector<std::size_t> model_order;
 
   for (const auto& [sel, operand, delay_ps] : arg) {
-    const std::int64_t kind = sel % 6;
-    if (kind <= 2) {  // schedule (x3 weight)
+    const std::int64_t kind = sel % 7;
+    if (kind <= 1) {  // schedule on the heap (x2 weight)
       const sim::Time at = real.now() + sim::Time(delay_ps);
       const std::size_t k = real_ids.size();
       real_ids.push_back(real.schedule_at(
           at, [k, &real_order] { real_order.push_back(k); }));
       model_ids.push_back(model.schedule_at(at));
-    } else if (kind == 3) {  // cancel a previously scheduled event
+    } else if (kind <= 3) {  // schedule on a lane (x2 weight)
+      const std::size_t lane =
+          static_cast<std::size_t>(operand) % kLaneDelaysPs.size();
+      const std::size_t k = real_ids.size();
+      model_ids.push_back(
+          model.schedule_at(real.now() + sim::Time(kLaneDelaysPs[lane])));
+      real_ids.push_back(real.schedule_on(
+          lanes[lane], [k, &real_order] { real_order.push_back(k); }));
+    } else if (kind == 4) {  // cancel a previously scheduled event
       if (real_ids.empty()) continue;
       const std::size_t k =
           static_cast<std::size_t>(operand) % real_ids.size();
@@ -64,6 +94,7 @@ PROPERTY_CASES(SchedulerOracle, HeapAgreesWithSortedVectorModel, 2500,
     }
     PROP_ASSERT_EQ(real.pending(), model.pending());
     PROP_ASSERT_EQ(real.executed(), real_order.size());
+    PROP_ASSERT(real.heap_size() <= 2 * real.pending() + 256);
   }
 
   // Drain both completely: everything left must run in the same order, and
@@ -80,15 +111,16 @@ PROPERTY_CASES(SchedulerOracle, HeapAgreesWithSortedVectorModel, 2500,
 
 // Cancel-heavy churn: cancels outnumber schedules, repeatedly re-cancelling
 // earlier targets (stale ids after execution or slot reuse must stay inert)
-// and driving tombstone compaction while the run interleaves. schedule_in is
-// exercised alongside schedule_at; the model sees the equivalent absolute
-// time.
+// and driving tombstone compaction, over heap and lane entries alike, while
+// the run interleaves. schedule_in and schedule_on are exercised alongside
+// schedule_at; the model sees the equivalent absolute time.
 PROPERTY_CASES(SchedulerOracle, CancelHeavyChurnAgreesWithModel, 2000,
-               vector_of(tuple_of(integers(0, 7), integers(0, 1 << 20),
-                                  integers(0, 50'000)),
+               vector_of(tuple_of(integers(0, 8), integers(0, 1 << 20),
+                                  offsets_ps(50'000)),
                          1, 120)) {
   sim::Scheduler real;
   SchedulerModel model;
+  const std::vector<sim::LaneId> lanes = make_lanes(real);
 
   std::vector<sim::EventId> real_ids;
   std::vector<std::uint64_t> model_ids;
@@ -96,7 +128,7 @@ PROPERTY_CASES(SchedulerOracle, CancelHeavyChurnAgreesWithModel, 2000,
   std::vector<std::size_t> model_order;
 
   for (const auto& [sel, operand, delay_ps] : arg) {
-    const std::int64_t kind = sel % 8;
+    const std::int64_t kind = sel % 9;
     if (kind <= 1) {  // schedule_at
       const sim::Time at = real.now() + sim::Time(delay_ps);
       const std::size_t k = real_ids.size();
@@ -108,7 +140,15 @@ PROPERTY_CASES(SchedulerOracle, CancelHeavyChurnAgreesWithModel, 2000,
       real_ids.push_back(real.schedule_in(
           sim::Time(delay_ps), [k, &real_order] { real_order.push_back(k); }));
       model_ids.push_back(model.schedule_at(real.now() + sim::Time(delay_ps)));
-    } else if (kind <= 6) {  // cancel (x4 weight: most targets end up stale)
+    } else if (kind == 3) {  // schedule_on — now() + the lane's delay
+      const std::size_t lane =
+          static_cast<std::size_t>(operand) % kLaneDelaysPs.size();
+      const std::size_t k = real_ids.size();
+      model_ids.push_back(
+          model.schedule_at(real.now() + sim::Time(kLaneDelaysPs[lane])));
+      real_ids.push_back(real.schedule_on(
+          lanes[lane], [k, &real_order] { real_order.push_back(k); }));
+    } else if (kind <= 7) {  // cancel (x4 weight: most targets end up stale)
       if (real_ids.empty()) continue;
       const std::size_t k =
           static_cast<std::size_t>(operand) % real_ids.size();
@@ -126,7 +166,8 @@ PROPERTY_CASES(SchedulerOracle, CancelHeavyChurnAgreesWithModel, 2000,
     }
     PROP_ASSERT_EQ(real.pending(), model.pending());
     // Tombstones may lag cancels between compactions, but never exceed the
-    // live half of the heap plus the compaction threshold.
+    // live half of all queued entries (lanes included) plus the compaction
+    // threshold.
     PROP_ASSERT(real.heap_size() <= 2 * real.pending() + 256);
   }
 
@@ -139,13 +180,25 @@ PROPERTY_CASES(SchedulerOracle, CancelHeavyChurnAgreesWithModel, 2000,
   PROP_ASSERT_EQ(real.tombstones(), std::size_t{0});
 }
 
+// Heap events and events on two lanes, all due at one picosecond, run in
+// insertion order. The first half is scheduled at time 0 (lane delay at),
+// the second half at at/2 (lane delay at - at/2); bit k of `mask` puts
+// event k on its phase's lane instead of the heap.
 PROPERTY_CASES(SchedulerOracle, TiesExecuteInInsertionOrder, 2000,
-               tuple_of(integers(0, 1'000'000), integers(2, 12))) {
-  const auto& [at_ps, n] = arg;
+               tuple_of(integers(0, 1'000'000), integers(2, 12),
+                        integers(0, 4095))) {
+  const auto& [at_ps, n, mask] = arg;
   sim::Scheduler real;
+  const sim::Time at(at_ps);
   std::vector<std::int64_t> order;
   for (std::int64_t k = 0; k < n; ++k) {
-    real.schedule_at(sim::Time(at_ps), [k, &order] { order.push_back(k); });
+    if (k == n / 2) real.run_until(sim::Time(at_ps / 2));
+    const auto run = [k, &order] { order.push_back(k); };
+    if ((mask >> k) & 1) {
+      real.schedule_on(real.lane(at - real.now()), run);
+    } else {
+      real.schedule_at(at, run);
+    }
   }
   real.run_all();
   PROP_ASSERT_EQ(order.size(), static_cast<std::size_t>(n));

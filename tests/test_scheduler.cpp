@@ -243,5 +243,145 @@ TEST(Scheduler, BurstScheduleFromInsideCallbackGrowsPoolSafely) {
   EXPECT_GE(sched.pool_size(), 2000u);
 }
 
+TEST(SchedulerLane, EqualDelaysShareOneLane) {
+  Scheduler sched;
+  const LaneId a = sched.lane(microseconds(1));
+  EXPECT_EQ(sched.lane(microseconds(1)), a);
+  EXPECT_EQ(sched.lane(nanoseconds(1'000)), a);
+  EXPECT_NE(sched.lane(microseconds(2)), a);
+  EXPECT_NE(sched.lane(Time::zero()), a);
+}
+
+TEST(SchedulerLane, CancelBeforeItRuns) {
+  Scheduler sched;
+  const LaneId lane = sched.lane(microseconds(1));
+  int ran = 0;
+  const EventId id = sched.schedule_on(lane, [&] { ++ran; });
+  sched.schedule_on(lane, [&] { ran += 10; });
+  EXPECT_TRUE(sched.cancel(id));
+  EXPECT_FALSE(sched.cancel(id));
+  sched.run_all();
+  EXPECT_EQ(ran, 10);
+  EXPECT_EQ(sched.tombstones(), 0u);
+}
+
+TEST(SchedulerLane, SelfCancelInsideItsCallbackIsNoop) {
+  Scheduler sched;
+  const LaneId lane = sched.lane(microseconds(1));
+  EventId self;
+  int ran = 0;
+  self = sched.schedule_on(lane, [&] {
+    ++ran;
+    EXPECT_FALSE(sched.cancel(self));  // already running — not pending
+  });
+  sched.run_all();
+  EXPECT_EQ(ran, 1);
+  EXPECT_EQ(sched.pending(), 0u);
+  EXPECT_EQ(sched.tombstones(), 0u);
+}
+
+TEST(SchedulerLane, CancelFromAnotherCallbackWhileCompactionRuns) {
+  Scheduler sched;
+  const LaneId slow = sched.lane(microseconds(20));
+  const LaneId fast = sched.lane(microseconds(10));
+  std::vector<EventId> ids;
+  std::vector<int> order;
+  // 400 lane events over two lanes plus 100 heap events; one early heap
+  // event cancels three in four lane events mid-run, enough tombstones to
+  // compact while run_until is iterating. Survivors keep their order.
+  for (int i = 0; i < 400; ++i) {
+    ids.push_back(sched.schedule_on(i % 8 < 4 ? slow : fast,
+                                    [&order, i] { order.push_back(i); }));
+  }
+  for (int i = 0; i < 100; ++i) {
+    sched.schedule_at(microseconds(15),
+                      [&order, i] { order.push_back(1000 + i); });
+  }
+  sched.schedule_at(microseconds(1), [&] {
+    for (int i = 0; i < 400; ++i) {
+      if (i % 4 != 0) {
+        EXPECT_TRUE(sched.cancel(ids[static_cast<std::size_t>(i)]));
+      }
+    }
+    EXPECT_LT(sched.heap_size(), 500u);  // compaction fired inside the callback
+  });
+  sched.run_all();
+  std::vector<int> expected;
+  for (int i = 4; i < 400; i += 8) expected.push_back(i);  // fast: 10 us
+  for (int i = 0; i < 100; ++i) expected.push_back(1000 + i);  // heap: 15 us
+  for (int i = 0; i < 400; i += 8) expected.push_back(i);  // slow: 20 us
+  EXPECT_EQ(order, expected);
+  EXPECT_EQ(sched.tombstones(), 0u);
+  EXPECT_EQ(sched.heap_size(), 0u);
+}
+
+TEST(SchedulerLane, CountersIncludeLaneEntries) {
+  Scheduler sched;
+  const LaneId lane = sched.lane(microseconds(1));
+  const EventId a = sched.schedule_on(lane, [] {});
+  sched.schedule_on(lane, [] {});
+  sched.schedule_at(microseconds(2), [] {});
+  EXPECT_EQ(sched.pending(), 3u);
+  EXPECT_EQ(sched.heap_size(), 3u);
+  EXPECT_EQ(sched.tombstones(), 0u);
+  ASSERT_TRUE(sched.cancel(a));
+  EXPECT_EQ(sched.pending(), 2u);
+  EXPECT_EQ(sched.heap_size(), 3u);  // the tombstone waits for pop
+  EXPECT_EQ(sched.tombstones(), 1u);
+  EXPECT_EQ(sched.run_until(microseconds(1)), 1u);
+  EXPECT_EQ(sched.pending(), 1u);
+  EXPECT_EQ(sched.heap_size(), 1u);
+  EXPECT_EQ(sched.tombstones(), 0u);
+}
+
+TEST(SchedulerLane, RunUntilRunsLaneHeadDueExactlyAtUntil) {
+  Scheduler sched;
+  const LaneId lane = sched.lane(microseconds(10));
+  int ran = 0;
+  sched.schedule_on(lane, [&] { ++ran; });
+  EXPECT_EQ(sched.run_until(microseconds(10) - Time(1)), 0u);
+  EXPECT_EQ(sched.run_until(microseconds(10)), 1u);
+  EXPECT_EQ(ran, 1);
+  EXPECT_EQ(sched.now(), microseconds(10));
+}
+
+TEST(SchedulerLane, ZeroDelayEventFromCallbackRunsAfterEventsAlreadyDue) {
+  Scheduler sched;
+  const LaneId now_lane = sched.lane(Time::zero());
+  std::vector<int> order;
+  sched.schedule_at(microseconds(5), [&] {
+    order.push_back(0);
+    sched.schedule_on(now_lane, [&] { order.push_back(3); });
+  });
+  sched.schedule_at(microseconds(5), [&] { order.push_back(1); });
+  sched.schedule_at(microseconds(5), [&] { order.push_back(2); });
+  sched.schedule_at(microseconds(6), [&] { order.push_back(4); });
+  sched.run_all();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+TEST(SchedulerLane, RingGrowsWhileWrappedAndKeepsFifoOrder) {
+  Scheduler sched;
+  const LaneId lane = sched.lane(nanoseconds(10));
+  std::vector<int> order;
+  int next = 0;
+  // A few events per nanosecond, each due 10 ns later: the ring's head
+  // walks forward while it doubles from 16 past 64 entries.
+  for (int t = 0; t < 200; ++t) {
+    sched.run_until(nanoseconds(t));
+    for (int i = 0; i < t % 9; ++i) {
+      sched.schedule_on(lane, [&order, k = next++, t, &sched] {
+        EXPECT_EQ(sched.now(), nanoseconds(t + 10));
+        order.push_back(k);
+      });
+    }
+  }
+  sched.run_all();
+  ASSERT_EQ(order.size(), static_cast<std::size_t>(next));
+  for (int k = 0; k < next; ++k) {
+    EXPECT_EQ(order[static_cast<std::size_t>(k)], k);
+  }
+}
+
 }  // namespace
 }  // namespace pet::sim

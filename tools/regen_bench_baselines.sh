@@ -8,7 +8,11 @@
 # the same hardware class passes; the gate exists to catch order-of-magnitude
 # cliffs, not scheduling jitter.
 #
-# Usage: tools/regen_bench_baselines.sh [build-dir]   (default: build)
+# Usage: tools/regen_bench_baselines.sh [build-dir [suite...]]
+#   build-dir defaults to build; with no suites, all three are regenerated.
+#   Name only the suites a change touched, e.g.
+#     tools/regen_bench_baselines.sh build micro_sim
+#   so the others keep their committed numbers.
 #
 # The bench list and --benchmark_min_time below MUST stay in sync with the
 # pet_add_bench_gate() calls in bench/CMakeLists.txt, which run the same
@@ -20,9 +24,19 @@ repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 build_dir="${1:-$repo_root/build}"
 out_dir="$repo_root/bench/baselines"
 min_time=0.05
+all_suites=(micro_sim micro_net micro_rl)
+
+suites=("${@:2}")
+if [[ ${#suites[@]} -eq 0 ]]; then suites=("${all_suites[@]}"); fi
+for name in "${suites[@]}"; do
+  if [[ " ${all_suites[*]} " != *" $name "* ]]; then
+    echo "regen_bench_baselines: unknown suite '$name' (known: ${all_suites[*]})" >&2
+    exit 2
+  fi
+done
 
 mkdir -p "$out_dir"
-for name in micro_sim micro_net micro_rl; do
+for name in "${suites[@]}"; do
   bin="$build_dir/bench/$name"
   if [[ ! -x "$bin" ]]; then
     echo "regen_bench_baselines: build the benches first:" >&2
