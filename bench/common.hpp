@@ -153,32 +153,17 @@ inline void write_artifact(const BenchOptions& opt, const exp::RunArtifact& art)
 
 /// Run one scenario end-to-end: offline pre-train (cached on disk for the
 /// learning schemes), install the initial model, warm up online, measure.
-/// With an artifact, the run is profiled and recorded under `label.`.
+/// The run is profiled and recorded in `art` under `label.`.
 inline exp::Metrics run_scenario(const BenchOptions& opt, exp::Scheme scheme,
                                  workload::WorkloadKind kind, double load,
-                                 exp::RunArtifact* art = nullptr,
-                                 const std::string& label = "") {
-  exp::ExperimentBuilder builder = make_scenario(opt, scheme, kind, load);
-  if (art != nullptr) builder.profiling(true);
-  std::vector<double> weights;
-  if (exp::is_learning_scheme(scheme)) {
-    weights = exp::pretrained_weights_cached(builder.config(),
-                                             make_pretrain(opt));
-    builder.expects_pretrained(!weights.empty())
-        .pretrain_lr_boost(1.0)  // online phase uses the paper's rates
-        .pretrain(sim::milliseconds(opt.quick ? 5 : 10));  // online warmup
-  }
-  auto experiment = builder.build();
-  if (!weights.empty() && !experiment->install_learned_weights(weights)) {
-    std::fprintf(stderr,
-                 "warning: pretrained weights rejected (stale cache?); "
-                 "running untrained\n");
-  }
+                                 exp::RunArtifact& art,
+                                 const std::string& label) {
+  auto experiment = exp::build_pretrained(
+      make_scenario(opt, scheme, kind, load).profiling(true),
+      make_pretrain(opt), sim::milliseconds(opt.quick ? 5 : 10));
   const exp::Metrics m = experiment->run();
-  if (art != nullptr) {
-    art->add_metrics(label, m);
-    record_run(opt, *art, *experiment);
-  }
+  art.add_metrics(label, m);
+  record_run(opt, art, *experiment);
   return m;
 }
 

@@ -31,21 +31,12 @@ int main(int argc, char** argv) {
   std::vector<Series> series;
 
   for (const exp::Scheme scheme : {exp::Scheme::kPet, exp::Scheme::kAcc}) {
-    exp::ExperimentBuilder builder = bench::make_scenario(
-        opt, scheme, workload::WorkloadKind::kWebSearch, 0.5);
-    std::vector<double> weights = exp::pretrained_weights_cached(
-        builder.config(), bench::make_pretrain(opt));
-    builder.profiling(true);
-    auto experiment_ptr = builder.expects_pretrained(!weights.empty())
-                              .pretrain_lr_boost(1.0)
-                              .pretrain(warmup)
-                              .build();
+    auto experiment_ptr = exp::build_pretrained(
+        bench::make_scenario(opt, scheme, workload::WorkloadKind::kWebSearch,
+                             0.5)
+            .profiling(true),
+        bench::make_pretrain(opt), warmup);
     exp::Experiment& experiment = *experiment_ptr;
-    if (!weights.empty() && !experiment.install_learned_weights(weights)) {
-      std::fprintf(stderr,
-                   "warning: pretrained weights rejected (stale cache?); "
-                   "running untrained\n");
-    }
 
     // Phase switches: WS (initial) -> DM -> WS -> DM. Each switch lands in
     // the event log so the exported trace shows the timeline.

@@ -56,19 +56,12 @@ int main(int argc, char** argv) {
   for (const exp::Scheme scheme : schemes) {
     exp::ExperimentBuilder builder = bench::make_scenario(
         opt, scheme, workload::WorkloadKind::kWebSearch, 0.5);
-    std::vector<double> weights;
-    if (exp::is_learning_scheme(scheme)) {
-      weights = exp::pretrained_weights_cached(builder.config(),
-                                               bench::make_pretrain(opt));
-      builder.expects_pretrained(!weights.empty()).pretrain_lr_boost(1.0);
-    }
-    auto experiment_ptr = builder.pretrain(warmup).profiling(true).build();
+    // Every scheme shares the warmup; build_pretrained applies it to the
+    // learning schemes once their weights are fetched.
+    if (!exp::is_learning_scheme(scheme)) builder.pretrain(warmup);
+    auto experiment_ptr = exp::build_pretrained(
+        builder.profiling(true), bench::make_pretrain(opt), warmup);
     exp::Experiment& experiment = *experiment_ptr;
-    if (!weights.empty() && !experiment.install_learned_weights(weights)) {
-      std::fprintf(stderr,
-                   "warning: pretrained weights rejected (stale cache?); "
-                   "running untrained\n");
-    }
 
     // The flap schedule. Victim links are drawn from the live topology when
     // each flap fires, using the experiment's seeded fault RNG. The paper

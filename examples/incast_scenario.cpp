@@ -38,23 +38,11 @@ int main(int argc, char** argv) {
         .flow_size_cap(2e6)
         .phases(sim::milliseconds(30), sim::milliseconds(30))
         .tuned_dcqcn();
-    std::vector<double> weights;
-    if (exp::is_learning_scheme(scheme)) {
-      // Hybrid training: deploy the offline-pretrained model, adapt online.
-      weights = exp::pretrained_weights_cached(builder.config(),
-                                               exp::PretrainOptions{});
-      builder.expects_pretrained(!weights.empty())
-          .pretrain_lr_boost(1.0)
-          .pretrain(sim::milliseconds(10));
-    }
-    auto experiment_ptr = builder.build();
+    // Hybrid training: deploy the offline-pretrained model, adapt online.
+    auto experiment_ptr = exp::build_pretrained(
+        builder, exp::PretrainOptions{}, sim::milliseconds(10));
     exp::Experiment& experiment = *experiment_ptr;
     const exp::ScenarioConfig& cfg = experiment.config();
-    if (!weights.empty() && !experiment.install_learned_weights(weights)) {
-      std::fprintf(stderr,
-                   "warning: pretrained weights rejected (stale cache?); "
-                   "running untrained\n");
-    }
     const exp::Metrics m = experiment.run();
 
     // Incast responses are exactly request_kb*1024 bytes.

@@ -31,18 +31,9 @@ int main(int argc, char** argv) {
 
   // Hybrid training (paper Section 4.4): offline pre-training produces the
   // initial model, each switch then keeps learning online.
-  const std::vector<double> weights =
-      exp::pretrained_weights_cached(builder.config(), exp::PretrainOptions{});
-  auto experiment_ptr = builder.expects_pretrained(!weights.empty())
-                            .pretrain_lr_boost(1.0)
-                            .build();
+  auto experiment_ptr = exp::build_pretrained(builder, exp::PretrainOptions{});
   exp::Experiment& experiment = *experiment_ptr;
   const exp::ScenarioConfig& cfg = experiment.config();
-  if (!weights.empty() && !experiment.install_learned_weights(weights)) {
-    std::fprintf(stderr,
-                 "warning: pretrained weights rejected (stale cache?); "
-                 "running untrained\n");
-  }
   experiment.add_event(cfg.pretrain, [&experiment] {
     experiment.mark_measurement_start();  // switch agents to deployment mode
   });

@@ -334,26 +334,17 @@ int main(int argc, char** argv) {
 
   if (opt.train_episodes > 0) return run_training(opt, builder.config());
 
-  std::vector<double> weights;
-  if (opt.use_pretrain_cache && exp::is_learning_scheme(opt.scheme)) {
-    weights = exp::pretrained_weights_cached(builder.config(),
-                                             exp::PretrainOptions{});
-    builder.expects_pretrained(!weights.empty()).pretrain_lr_boost(1.0);
-  }
-
   std::printf("pet_sim: %s on %s, %s fabric, %d hosts, load %.0f%%, seed %llu\n",
               exp::scheme_name(opt.scheme),
               workload::workload_name(opt.workload),
               std::string(topo.kind_name()).c_str(), topo.num_hosts(),
               opt.load * 100, static_cast<unsigned long long>(opt.seed));
 
-  auto experiment_ptr = builder.build();
+  auto experiment_ptr =
+      opt.use_pretrain_cache
+          ? exp::build_pretrained(builder, exp::PretrainOptions{})
+          : builder.build();
   exp::Experiment& experiment = *experiment_ptr;
-  if (!weights.empty() && !experiment.install_learned_weights(weights)) {
-    std::fprintf(stderr,
-                 "warning: pretrained weights rejected (stale cache?); "
-                 "running untrained\n");
-  }
 
   std::unique_ptr<exp::TelemetryRecorder> telemetry;
   if (!opt.telemetry_path.empty()) {

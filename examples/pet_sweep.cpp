@@ -9,8 +9,8 @@
 // sweep re-run with --resume skips finished points and continues partial
 // ones bitwise-identically. A per-point watchdog retries hung points with
 // capped backoff and quarantines repeat offenders while the rest of the
-// grid completes. Exit code: 0 all points done, 1 any quarantined, 130
-// stopped by signal.
+// grid completes. Exit code: 0 all points done, 1 any quarantined, 2 bad
+// option or invalid grid point (nothing run), 130 stopped by signal.
 //
 // Fault-injection flags for the crash-safety tests:
 //   --crash-after-writes=N  _Exit(137) after N durable writes
@@ -21,6 +21,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -321,7 +322,13 @@ int main(int argc, char** argv) {
               opt.out_dir.c_str(), cfg.threads,
               cfg.resume ? ", resume" : "");
 
-  const exp::SweepRunner::Result result = runner.run();
+  exp::SweepRunner::Result result;
+  try {
+    result = runner.run();
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "pet_sweep: %s\n", e.what());
+    return 2;
+  }
   bool stopped = false;
   for (const exp::SweepRunner::PointStatus& st : result.points) {
     std::printf("  %-32s %-12s attempts=%d%s\n", st.id.c_str(),

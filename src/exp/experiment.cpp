@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "acc/dynamic_tuners.hpp"
 #include "core/guardrails.hpp"
@@ -21,6 +23,10 @@ void ScenarioConfig::tune_dcqcn_for_rate() {
 }
 
 namespace {
+[[noreturn]] void fail(const std::string& field, const std::string& why) {
+  throw std::invalid_argument("ScenarioConfig: " + field + " " + why);
+}
+
 std::vector<net::HostId> all_hosts(const net::Fabric& topo) {
   std::vector<net::HostId> hosts(static_cast<std::size_t>(topo.num_hosts()));
   for (std::size_t i = 0; i < hosts.size(); ++i) {
@@ -29,6 +35,36 @@ std::vector<net::HostId> all_hosts(const net::Fabric& topo) {
   return hosts;
 }
 }  // namespace
+
+void ScenarioConfig::validate() const {
+  try {
+    topo.validate();
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument(std::string("ScenarioConfig: ") + e.what());
+  }
+  if (!(load > 0.0) || load > 1.0) {
+    fail("load", "must be in (0, 1], got " + std::to_string(load));
+  }
+  if (flow_size_cap_bytes < 0.0) {
+    fail("flow_size_cap", "must be >= 0 (0 disables truncation)");
+  }
+  if (incast_enabled) {
+    if (incast_fan_in < 1) fail("incast fan_in", "must be >= 1");
+    if (incast_request_bytes < 1) fail("incast request_bytes", "must be >= 1");
+    if (incast_period <= sim::Time::zero()) {
+      fail("incast period", "must be positive");
+    }
+  }
+  if (pretrain < sim::Time::zero()) fail("pretrain", "must be >= 0");
+  if (measure <= sim::Time::zero()) fail("measure", "must be positive");
+  if (tuning_interval <= sim::Time::zero()) {
+    fail("tuning_interval", "must be positive");
+  }
+  if (pretrain_lr_boost <= 0.0) fail("pretrain_lr_boost", "must be positive");
+  if (pet_explore_start < 0.0 || pet_explore_start > 1.0) {
+    fail("explore_start", "must be in [0, 1]");
+  }
+}
 
 Experiment::Experiment(const ScenarioConfig& cfg)
     : cfg_(cfg),

@@ -97,6 +97,11 @@ struct ScenarioConfig {
 
   /// Scale the DCQCN increase steps for the configured host rate.
   void tune_dcqcn_for_rate();
+
+  /// Throws std::invalid_argument naming the offending field. Every front
+  /// door (ExperimentBuilder::build, SweepRunner::run) calls this before
+  /// constructing an Experiment.
+  void validate() const;
 };
 
 class Experiment {

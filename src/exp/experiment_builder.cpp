@@ -130,44 +130,12 @@ ExperimentBuilder& ExperimentBuilder::threads(std::int32_t n) {
   return *this;
 }
 
-namespace {
-[[noreturn]] void fail(const std::string& field, const std::string& why) {
-  throw std::invalid_argument("ExperimentBuilder: " + field + " " + why);
-}
-}  // namespace
-
 void ExperimentBuilder::validate() const {
-  try {
-    cfg_.topo.validate();
-  } catch (const std::invalid_argument& e) {
-    throw std::invalid_argument(std::string("ExperimentBuilder: ") + e.what());
-  }
-  if (!(cfg_.load > 0.0) || cfg_.load > 1.0) {
-    fail("load", "must be in (0, 1], got " + std::to_string(cfg_.load));
-  }
-  if (cfg_.flow_size_cap_bytes < 0.0) {
-    fail("flow_size_cap", "must be >= 0 (0 disables truncation)");
-  }
-  if (cfg_.incast_enabled) {
-    if (cfg_.incast_fan_in < 1) fail("incast fan_in", "must be >= 1");
-    if (cfg_.incast_request_bytes < 1) {
-      fail("incast request_bytes", "must be >= 1");
-    }
-    if (cfg_.incast_period <= sim::Time::zero()) {
-      fail("incast period", "must be positive");
-    }
-  }
-  if (cfg_.pretrain < sim::Time::zero()) fail("pretrain", "must be >= 0");
-  if (cfg_.measure <= sim::Time::zero()) fail("measure", "must be positive");
-  if (cfg_.tuning_interval <= sim::Time::zero()) {
-    fail("tuning_interval", "must be positive");
-  }
-  if (cfg_.pretrain_lr_boost <= 0.0) {
-    fail("pretrain_lr_boost", "must be positive");
-  }
-  if (cfg_.pet_explore_start < 0.0 || cfg_.pet_explore_start > 1.0) {
-    fail("explore_start", "must be in [0, 1]");
-  }
+  cfg_.validate();
+  const auto fail = [](const char* field, const char* why) {
+    throw std::invalid_argument(std::string("ExperimentBuilder: ") + field +
+                                " " + why);
+  };
   if (replicas_ < 1) fail("replicas", "must be >= 1");
   if (threads_ < 0) fail("threads", "must be >= 0 (0 = hardware)");
   if (replicas_ > 1 && cfg_.scheme != Scheme::kPet &&

@@ -13,10 +13,9 @@
 // field-naming message) so malformed scenarios fail loudly at the API
 // boundary instead of deep inside the simulator. replicas(N) switches the
 // product from a single Experiment to a ReplicaRunner that trains N
-// independent replicas in parallel (see replica_runner.hpp).
-//
-// Constructing `Experiment` directly from a hand-filled ScenarioConfig
-// remains supported as a deprecated shim for existing code.
+// independent replicas in parallel (see replica_runner.hpp). Code that
+// already holds a whole ScenarioConfig (SweepRunner, ReplicaRunner,
+// offline_pretrain) constructs Experiment from it directly.
 
 #include <cstdint>
 #include <memory>
@@ -94,7 +93,6 @@ class ExperimentBuilder {
   /// will consume it — deferred adjustments like tuned_dcqcn() applied.
   /// Useful as a pretrain-cache key.
   [[nodiscard]] ScenarioConfig config() const { return finalized(); }
-  [[nodiscard]] std::int32_t num_replicas() const { return replicas_; }
 
   /// Validate and construct. Throws std::invalid_argument on a bad config.
   [[nodiscard]] std::unique_ptr<Experiment> build() const;
@@ -103,7 +101,7 @@ class ExperimentBuilder {
   [[nodiscard]] ReplicaRunner build_runner() const;
 
  private:
-  /// Throws std::invalid_argument naming the offending field.
+  /// ScenarioConfig::validate() plus the replica and thread counts.
   void validate() const;
   [[nodiscard]] ScenarioConfig finalized() const;
 

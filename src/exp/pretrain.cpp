@@ -183,4 +183,21 @@ std::vector<double> pretrained_weights_cached(const ScenarioConfig& base,
   return weights;
 }
 
+std::unique_ptr<Experiment> build_pretrained(
+    ExperimentBuilder builder, const PretrainOptions& opt,
+    std::optional<sim::Time> online_warmup) {
+  if (!is_learning_scheme(builder.config().scheme)) return builder.build();
+  const std::vector<double> weights =
+      pretrained_weights_cached(builder.config(), opt);
+  builder.expects_pretrained(!weights.empty()).pretrain_lr_boost(1.0);
+  if (online_warmup) builder.pretrain(*online_warmup);
+  std::unique_ptr<Experiment> experiment = builder.build();
+  if (!weights.empty() && !experiment->install_learned_weights(weights)) {
+    std::fprintf(stderr,
+                 "warning: pretrained weights rejected (stale cache?); "
+                 "running untrained\n");
+  }
+  return experiment;
+}
+
 }  // namespace pet::exp

@@ -2,15 +2,17 @@
 // Offline pre-training (paper Section 4.4.1): train an initial model in a
 // sandbox simulation driven by traffic matching the production
 // distributions, then deploy its weights onto every switch for online
-// incremental training. A small file cache lets bench binaries reuse
-// pre-trained models across invocations.
+// incremental training (build_pretrained). A small file cache lets bench
+// binaries reuse pre-trained models across invocations.
 
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "exp/experiment.hpp"
+#include "exp/experiment_builder.hpp"
 #include "sim/time.hpp"
 
 namespace pet::exp {
@@ -64,5 +66,18 @@ class WeightCache {
     const ScenarioConfig& base, const PretrainOptions& opt,
     const std::string& cache_dir = "pretrain_cache",
     std::uint64_t expected_count = 0);
+
+/// Hybrid-training deployment (paper Section 4.4): build `builder`'s
+/// experiment with the offline-pretrained model installed on every agent.
+/// A learning scheme fetches its weights for the scenario as configured
+/// (pretrained_weights_cached), then switches to the paper's online
+/// learning rates and, if `online_warmup` is set, shortens its pretrain
+/// phase to that warmup; the sandbox reads the scenario's own phases, so
+/// the override must come after the fetch. Weights the model rejects
+/// (stale cache) leave it untrained, with a warning on stderr. Static
+/// schemes build as configured.
+[[nodiscard]] std::unique_ptr<Experiment> build_pretrained(
+    ExperimentBuilder builder, const PretrainOptions& opt,
+    std::optional<sim::Time> online_warmup = std::nullopt);
 
 }  // namespace pet::exp

@@ -31,7 +31,7 @@ class RunArtifact {
   /// Bump on any backwards-incompatible change to the JSON layout.
   static constexpr std::string_view kSchemaVersion = "pet.run-artifact/1";
 
-  /// `name` is the bench/run identity (e.g. "fig4_fct_websearch"); it
+  /// `name` is the bench/run identity (e.g. "paper_grids"); it
   /// names the default output file BENCH_<name>.json.
   explicit RunArtifact(std::string name);
 

@@ -145,7 +145,9 @@ class SweepRunner {
 
   SweepRunner(SweepGrid grid, SweepRunnerConfig cfg);
 
-  /// Run (or resume) the whole grid and write the merged artifact.
+  /// Run (or resume) the whole grid and write the merged artifact. Throws
+  /// std::invalid_argument, naming the point, if any expanded point fails
+  /// ScenarioConfig::validate(); nothing has run or been written then.
   [[nodiscard]] Result run();
 
   /// Cooperative external cancellation (e.g. from a signal handler): the

@@ -159,45 +159,4 @@ bool DdqnAgent::set_weights(std::span<const double> values) {
   return true;
 }
 
-void DdqnAgent::save_state(sim::ByteSink& out) const {
-  out.i32(cfg_.input_size);
-  out.i32_vec(cfg_.head_sizes);
-  out.i32_vec(cfg_.hidden);
-  out.u64(online_refs_.size());
-  out.f64_vec(snapshot_params(online_refs_));
-  out.f64_vec(snapshot_params(target_refs_));
-  opt_->save_state(out);
-  out.i64(observe_steps_);
-  out.i64(train_steps_);
-  sim::save_rng(out, sample_rng_);
-}
-
-bool DdqnAgent::load_state(sim::ByteSource& in) {
-  const std::int32_t input_size = in.i32();
-  const std::vector<std::int32_t> head_sizes = in.i32_vec();
-  const std::vector<std::int32_t> hidden = in.i32_vec();
-  const std::uint64_t num = in.u64();
-  if (!in.ok() || input_size != cfg_.input_size ||
-      head_sizes != cfg_.head_sizes || hidden != cfg_.hidden ||
-      num != online_refs_.size()) {
-    return false;
-  }
-  const std::vector<double> online = in.f64_vec();
-  const std::vector<double> target = in.f64_vec();
-  if (!in.ok() || online.size() != online_refs_.size() ||
-      target.size() != target_refs_.size()) {
-    return false;
-  }
-  if (!opt_->load_state(in)) return false;
-  const std::int64_t observe_steps = in.i64();
-  const std::int64_t train_steps = in.i64();
-  if (!in.ok()) return false;
-  if (!load_rng(in, sample_rng_)) return false;
-  restore_params(online_refs_, online);
-  restore_params(target_refs_, target);
-  observe_steps_ = observe_steps;
-  train_steps_ = train_steps;
-  return true;
-}
-
 }  // namespace pet::rl

@@ -11,7 +11,6 @@
 #include "rl/adam.hpp"
 #include "rl/mlp.hpp"
 #include "rl/replay.hpp"
-#include "sim/checkpoint.hpp"
 #include "sim/rng.hpp"
 
 namespace pet::rl {
@@ -64,15 +63,6 @@ class DdqnAgent {
 
   void set_lr(double lr);
   [[nodiscard]] double lr() const;
-
-  // --- checkpointing (pet.ckpt/1 section payloads) --------------------------
-  /// Online + target parameters, optimizer trajectory, epsilon-schedule
-  /// counters, and the replay-sampling RNG position. The replay buffer is
-  /// shared between agents and checkpointed separately by its owner.
-  void save_state(sim::ByteSink& out) const;
-  /// Restores a save_state payload; false (agent untouched) on an
-  /// architecture mismatch or corrupted payload.
-  [[nodiscard]] bool load_state(sim::ByteSource& in);
 
  private:
   void sync_target();

@@ -1,7 +1,6 @@
 #include "rl/inference.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <cmath>
 #include <cstdint>
@@ -21,8 +20,6 @@ namespace pet::rl {
 
 namespace {
 
-constexpr std::uint8_t kFormatVersion = 1;
-
 [[nodiscard]] bool all_finite(std::span<const double> values) {
   for (const double v : values) {
     if (!std::isfinite(v)) return false;
@@ -35,40 +32,6 @@ constexpr std::uint8_t kFormatVersion = 1;
 [[nodiscard]] std::int8_t quantize_one(double v, double inv) {
   const auto q = static_cast<std::int32_t>(std::lrint(v * inv));
   return static_cast<std::int8_t>(std::clamp(q, -127, 127));
-}
-
-/// fp32 payload codec: IEEE-754 bit patterns through the u32 field, so the
-/// round-trip is exact (including signed zeros and subnormals).
-void put_f32_vec(sim::ByteSink& out, const std::vector<float>& v) {
-  out.u64(v.size());
-  for (const float f : v) out.u32(std::bit_cast<std::uint32_t>(f));
-}
-
-[[nodiscard]] std::vector<float> get_f32_vec(sim::ByteSource& in) {
-  const std::uint64_t n = in.u64();
-  std::vector<float> v;
-  if (!in.ok()) return v;
-  v.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n && in.ok(); ++i) {
-    v.push_back(std::bit_cast<float>(in.u32()));
-  }
-  return v;
-}
-
-void put_s8_vec(sim::ByteSink& out, const std::vector<std::int8_t>& v) {
-  out.u64(v.size());
-  for (const std::int8_t q : v) out.u8(static_cast<std::uint8_t>(q));
-}
-
-[[nodiscard]] std::vector<std::int8_t> get_s8_vec(sim::ByteSource& in) {
-  const std::uint64_t n = in.u64();
-  std::vector<std::int8_t> v;
-  if (!in.ok()) return v;
-  v.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n && in.ok(); ++i) {
-    v.push_back(static_cast<std::int8_t>(in.u8()));
-  }
-  return v;
 }
 
 void relu_inplace_f64(double* v, std::int64_t n) {
@@ -397,93 +360,6 @@ std::vector<double> InferenceModel::dequantized_biases(std::size_t l) const {
 double InferenceModel::weight_row_scale(std::size_t l, std::int32_t row) const {
   assert(precision_ == InferPrecision::kInt8);
   return static_cast<double>(layers_[l].scale[static_cast<std::size_t>(row)]);
-}
-
-void InferenceModel::save_state(sim::ByteSink& out) const {
-  out.u8(kFormatVersion);
-  out.u8(static_cast<std::uint8_t>(precision_));
-  out.u8(act_ == Activation::kTanh ? 0 : 1);
-  out.i32_vec(sizes_);
-  for (const Layer& layer : layers_) {
-    out.i32(layer.in);
-    out.i32(layer.out);
-    switch (precision_) {
-      case InferPrecision::kFp64:
-        out.f64_vec(layer.wd);
-        out.f64_vec(layer.bd);
-        break;
-      case InferPrecision::kFp32:
-        put_f32_vec(out, layer.wf);
-        put_f32_vec(out, layer.bf);
-        break;
-      case InferPrecision::kInt8:
-        put_s8_vec(out, layer.wq);
-        put_f32_vec(out, layer.scale);
-        put_f32_vec(out, layer.bf);
-        break;
-    }
-  }
-}
-
-bool InferenceModel::load_state(sim::ByteSource& in) {
-  // Decode into locals first: *this stays untouched unless the whole
-  // payload validates (format version, shape consistency, byte bounds).
-  const std::uint8_t version = in.u8();
-  const std::uint8_t precision_byte = in.u8();
-  const std::uint8_t act_byte = in.u8();
-  std::vector<std::int32_t> sizes = in.i32_vec();
-  if (!in.ok() || version != kFormatVersion || precision_byte > 2 ||
-      act_byte > 1 || sizes.size() < 2) {
-    return false;
-  }
-  const auto precision = static_cast<InferPrecision>(precision_byte);
-  std::vector<Layer> layers(sizes.size() - 1);
-  for (std::size_t l = 0; l < layers.size(); ++l) {
-    Layer& layer = layers[l];
-    layer.in = in.i32();
-    layer.out = in.i32();
-    if (!in.ok() || layer.in != sizes[l] || layer.out != sizes[l + 1] ||
-        layer.in <= 0 || layer.out <= 0) {
-      return false;
-    }
-    const std::size_t w_count = static_cast<std::size_t>(layer.in) *
-                                static_cast<std::size_t>(layer.out);
-    const auto b_count = static_cast<std::size_t>(layer.out);
-    switch (precision) {
-      case InferPrecision::kFp64:
-        layer.wd = in.f64_vec();
-        layer.bd = in.f64_vec();
-        if (layer.wd.size() != w_count || layer.bd.size() != b_count) {
-          return false;
-        }
-        break;
-      case InferPrecision::kFp32:
-        layer.wf = get_f32_vec(in);
-        layer.bf = get_f32_vec(in);
-        if (layer.wf.size() != w_count || layer.bf.size() != b_count) {
-          return false;
-        }
-        break;
-      case InferPrecision::kInt8:
-        layer.wq = get_s8_vec(in);
-        layer.scale = get_f32_vec(in);
-        layer.bf = get_f32_vec(in);
-        if (layer.wq.size() != w_count || layer.scale.size() != b_count ||
-            layer.bf.size() != b_count) {
-          return false;
-        }
-        break;
-    }
-    if (!in.ok()) return false;
-  }
-  precision_ = precision;
-  act_ = act_byte == 0 ? Activation::kTanh : Activation::kRelu;
-  sizes_ = std::move(sizes);
-  layers_ = std::move(layers);
-  max_width_ = 0;
-  for (const std::int32_t s : sizes_) max_width_ = std::max(max_width_, s);
-  ready_ = true;
-  return true;
 }
 
 // ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@
 
 #include "rl/mlp.hpp"
 #include "rl/ppo.hpp"
-#include "sim/checkpoint.hpp"
 #include "sim/thread_annotations.hpp"
 
 namespace pet::rl {
@@ -86,14 +85,6 @@ class InferenceModel {
   [[nodiscard]] std::vector<double> dequantized_biases(std::size_t l) const;
   /// Per-output-row weight scale (kInt8; 0.0 for an all-zero row).
   [[nodiscard]] double weight_row_scale(std::size_t l, std::int32_t row) const;
-
-  // --- checkpointing (pet.ckpt/1 section payloads) ---------------------------
-  /// Exact bit-level round-trip: a restored snapshot reproduces bitwise
-  /// identical inference at the same precision.
-  void save_state(sim::ByteSink& out) const;
-  /// Restores a save_state payload; false (model untouched) on an unknown
-  /// format version or corrupted/inconsistent payload.
-  [[nodiscard]] bool load_state(sim::ByteSource& in);
 
  private:
   struct Layer {

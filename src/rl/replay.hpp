@@ -9,9 +9,7 @@
 #include <utility>
 #include <vector>
 
-#include "sim/checkpoint.hpp"
 #include "sim/rng.hpp"
-#include "sim/sorted_keys.hpp"
 
 namespace pet::rl {
 
@@ -77,63 +75,6 @@ class ReplayBuffer {
       if (writer != reader_id) total += bytes;
     }
     return total;
-  }
-
-  /// Checkpoint the stored experience, ring position, and byte accounting.
-  /// Writer accounting is emitted in sorted writer-id order so the payload
-  /// is independent of hash-map layout.
-  void save_state(sim::ByteSink& out) const {
-    out.u64(capacity_);
-    out.u64(next_slot_);
-    out.u64(bytes_pushed_);
-    out.u64(items_.size());
-    for (const DqnTransition& t : items_) {
-      out.f64_vec(t.state);
-      out.i32_vec(t.actions);
-      out.f64(t.reward);
-      out.f64_vec(t.next_state);
-    }
-    const auto writers = sim::sorted_keys(bytes_by_writer_);
-    out.u64(writers.size());
-    for (std::int32_t writer : writers) {
-      out.i32(writer);
-      out.u64(bytes_by_writer_.at(writer));
-    }
-  }
-
-  /// Restores a save_state payload; false (buffer untouched) when the
-  /// payload is corrupted or capacities disagree.
-  [[nodiscard]] bool load_state(sim::ByteSource& in) {
-    const std::uint64_t capacity = in.u64();
-    const std::uint64_t next_slot = in.u64();
-    const std::uint64_t bytes_pushed = in.u64();
-    const std::uint64_t count = in.u64();
-    if (!in.ok() || capacity != capacity_ || count > capacity ||
-        next_slot >= capacity) {
-      return false;
-    }
-    std::vector<DqnTransition> items;
-    items.reserve(static_cast<std::size_t>(count));
-    for (std::uint64_t i = 0; i < count; ++i) {
-      DqnTransition t;
-      t.state = in.f64_vec();
-      t.actions = in.i32_vec();
-      t.reward = in.f64();
-      t.next_state = in.f64_vec();
-      items.push_back(std::move(t));
-    }
-    const std::uint64_t writer_count = in.u64();
-    std::unordered_map<std::int32_t, std::size_t> by_writer;
-    for (std::uint64_t i = 0; i < writer_count; ++i) {
-      const std::int32_t writer = in.i32();
-      by_writer[writer] = static_cast<std::size_t>(in.u64());
-    }
-    if (!in.ok()) return false;
-    items_ = std::move(items);
-    next_slot_ = static_cast<std::size_t>(next_slot);
-    bytes_pushed_ = static_cast<std::size_t>(bytes_pushed);
-    bytes_by_writer_ = std::move(by_writer);
-    return true;
   }
 
  private:

@@ -6,8 +6,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "sim/checkpoint.hpp"
-
 namespace pet::sim {
 
 /// Numerically stable streaming mean/variance (Welford).
@@ -32,22 +30,6 @@ class RunningStats {
   [[nodiscard]] double stddev() const { return std::sqrt(variance()); }
   [[nodiscard]] double min() const { return n_ > 0 ? min_ : 0.0; }
   [[nodiscard]] double max() const { return n_ > 0 ? max_ : 0.0; }
-
-  void save_state(ByteSink& out) const {
-    out.u64(static_cast<std::uint64_t>(n_));
-    out.f64(mean_);
-    out.f64(m2_);
-    out.f64(min_);
-    out.f64(max_);
-  }
-  [[nodiscard]] bool load_state(ByteSource& in) {
-    n_ = static_cast<std::size_t>(in.u64());
-    mean_ = in.f64();
-    m2_ = in.f64();
-    min_ = in.f64();
-    max_ = in.f64();
-    return in.ok();
-  }
 
  private:
   std::size_t n_ = 0;

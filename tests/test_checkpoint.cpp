@@ -11,14 +11,11 @@
 #include <vector>
 
 #include "rl/adam.hpp"
-#include "rl/ddqn.hpp"
 #include "rl/mlp.hpp"
 #include "rl/ppo.hpp"
-#include "rl/replay.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/fs_atomic.hpp"
 #include "sim/rng.hpp"
-#include "sim/stats.hpp"
 
 namespace pet {
 namespace {
@@ -191,21 +188,6 @@ TEST(ComponentCheckpoint, RngResumesIdenticalStream) {
   }
 }
 
-TEST(ComponentCheckpoint, RunningStatsRoundTrip) {
-  sim::RunningStats stats;
-  for (const double x : {1.0, -3.5, 2.25, 10.0}) stats.add(x);
-  sim::ByteSink sink;
-  stats.save_state(sink);
-  sim::ByteSource src(sink.bytes().data(), sink.bytes().size());
-  sim::RunningStats back;
-  ASSERT_TRUE(back.load_state(src));
-  EXPECT_EQ(back.count(), stats.count());
-  EXPECT_EQ(back.mean(), stats.mean());
-  EXPECT_EQ(back.stddev(), stats.stddev());
-  EXPECT_EQ(back.min(), stats.min());
-  EXPECT_EQ(back.max(), stats.max());
-}
-
 TEST(ComponentCheckpoint, MlpRejectsShapeMismatch) {
   sim::Rng rng(5);
   rl::Mlp mlp({4, 8, 3}, rl::Activation::kTanh, rng);
@@ -285,77 +267,6 @@ TEST(ComponentCheckpoint, PpoAgentRejectsArchitectureMismatch) {
   sim::ByteSource src(sink.bytes().data(), sink.bytes().size());
   EXPECT_FALSE(other.load_state(src));
   EXPECT_EQ(other.weights(), before);
-}
-
-TEST(ComponentCheckpoint, DdqnAgentRoundTripPreservesTargetNet) {
-  rl::DdqnConfig cfg;
-  cfg.input_size = 5;
-  cfg.head_sizes = {4, 4};
-  cfg.hidden = {12};
-  cfg.batch_size = 4;
-  cfg.seed = 31;
-  auto replay = std::make_shared<rl::ReplayBuffer>(64);
-  rl::DdqnAgent agent(cfg, replay, 0);
-
-  sim::Rng r(9);
-  for (int i = 0; i < 16; ++i) {
-    rl::DqnTransition t;
-    for (int k = 0; k < cfg.input_size; ++k) t.state.push_back(r.uniform());
-    t.actions = agent.act(t.state, r);
-    t.reward = r.uniform(-1.0, 1.0);
-    for (int k = 0; k < cfg.input_size; ++k)
-      t.next_state.push_back(r.uniform());
-    agent.observe(std::move(t));
-  }
-  for (int i = 0; i < 6; ++i) agent.train_step();  // online != target now
-
-  sim::ByteSink sink;
-  agent.save_state(sink);
-  auto replay2 = std::make_shared<rl::ReplayBuffer>(64);
-  rl::DdqnAgent restored(cfg, replay2, 0);
-  sim::ByteSource src(sink.bytes().data(), sink.bytes().size());
-  ASSERT_TRUE(restored.load_state(src));
-  EXPECT_TRUE(src.at_end());
-  EXPECT_EQ(restored.weights(), agent.weights());
-  EXPECT_EQ(restored.train_steps(), agent.train_steps());
-  EXPECT_EQ(restored.epsilon(), agent.epsilon());
-
-  // Same replay content + same sampler position -> identical next step.
-  *replay2 = *replay;
-  agent.train_step();
-  restored.train_step();
-  EXPECT_EQ(restored.weights(), agent.weights());
-}
-
-TEST(ComponentCheckpoint, ReplayBufferRoundTrip) {
-  rl::ReplayBuffer replay(8);
-  for (int i = 0; i < 11; ++i) {  // wraps: next_slot mid-buffer
-    rl::DqnTransition t;
-    t.state = {static_cast<double>(i), 0.5};
-    t.actions = {i % 3};
-    t.reward = i * 0.25;
-    t.next_state = {static_cast<double>(i + 1), 0.5};
-    replay.push(std::move(t), i % 2);
-  }
-
-  sim::ByteSink sink;
-  replay.save_state(sink);
-  rl::ReplayBuffer back(8);
-  sim::ByteSource src(sink.bytes().data(), sink.bytes().size());
-  ASSERT_TRUE(back.load_state(src));
-  ASSERT_EQ(back.size(), replay.size());
-  for (std::size_t i = 0; i < replay.size(); ++i) {
-    EXPECT_EQ(back.at(i).state, replay.at(i).state);
-    EXPECT_EQ(back.at(i).actions, replay.at(i).actions);
-    EXPECT_EQ(back.at(i).reward, replay.at(i).reward);
-    EXPECT_EQ(back.at(i).next_state, replay.at(i).next_state);
-  }
-  EXPECT_EQ(back.bytes_pushed(), replay.bytes_pushed());
-
-  // Capacity is construction-time: a differently sized buffer refuses.
-  rl::ReplayBuffer wrong(16);
-  sim::ByteSource src2(sink.bytes().data(), sink.bytes().size());
-  EXPECT_FALSE(wrong.load_state(src2));
 }
 
 TEST(ComponentCheckpoint, AdamRoundTripContinuesIdentically) {

@@ -413,35 +413,6 @@ PROPERTY_CASES(InferenceOracle, ArgmaxAgreesWhenGapExceedsBound, 2000,
   }
 }
 
-/// pet.ckpt/1 payload round-trip is exact: the restored snapshot serves
-/// bitwise-identical decisions at the same precision.
-PROPERTY_CASES(InferenceOracle, CheckpointRoundTripBitwise, 800, net_cases()) {
-  const rl::Mlp net = build_net(arg);
-  const std::vector<double> states = build_states(arg);
-  const auto batch = static_cast<std::int32_t>(std::get<5>(arg));
-  const auto out = static_cast<std::size_t>(net.output_size());
-  for (const rl::InferPrecision precision :
-       {rl::InferPrecision::kFp64, rl::InferPrecision::kFp32,
-        rl::InferPrecision::kInt8}) {
-    rl::InferenceModel model;
-    PROP_ASSERT(model.quantize(net, precision));
-    sim::ByteSink sink;
-    model.save_state(sink);
-    sim::ByteSource source(sink.bytes());
-    rl::InferenceModel restored;
-    PROP_ASSERT(restored.load_state(source));
-    PROP_ASSERT_EQ(static_cast<int>(restored.precision()),
-                   static_cast<int>(precision));
-    PROP_ASSERT(restored.sizes() == model.sizes());
-    std::vector<double> got(static_cast<std::size_t>(batch) * out);
-    std::vector<double> again(got.size());
-    model.forward_batch(states, batch, got);
-    restored.forward_batch(states, batch, again);
-    PROP_ASSERT(std::memcmp(got.data(), again.data(),
-                            got.size() * sizeof(double)) == 0);
-  }
-}
-
 /// A poisoned network must never become a serving snapshot: quantize()
 /// refuses and leaves any previous snapshot untouched.
 PROPERTY_CASES(InferenceOracle, QuantizeRejectsNonFinite, 400,

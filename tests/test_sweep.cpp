@@ -141,6 +141,28 @@ TEST(SweepRunner, CompletesEvalGridAndWritesMergedArtifact) {
   EXPECT_EQ(sweep->find("points")->size(), 2u);
 }
 
+TEST(SweepRunner, InvalidPointFailsBeforeAnyRunOrWrite) {
+  ScratchDir dir("pet_test_sweep_invalid");
+  SweepGrid grid;
+  grid.name = "invalid";
+  grid.base = tiny_base();
+  grid.base.scheme = Scheme::kSecn1;
+  grid.loads = {0.5, 0.0};
+
+  SweepRunnerConfig cfg;
+  cfg.out_dir = dir.path();
+  cfg.threads = 1;
+  int hook_calls = 0;
+  cfg.attempt_hook = [&hook_calls](const SweepPoint&, std::int32_t) {
+    ++hook_calls;
+  };
+  SweepRunner runner(grid, cfg);
+  EXPECT_THROW((void)runner.run(), std::invalid_argument);
+  EXPECT_EQ(hook_calls, 0);  // not even the valid 0.5 point ran
+  EXPECT_TRUE(!std::filesystem::exists(dir.path()) ||
+              std::filesystem::is_empty(dir.path()));
+}
+
 TEST(SweepRunner, ResumeSkipsPointsWithValidArtifacts) {
   ScratchDir dir("pet_test_sweep_skip");
   SweepGrid grid;
