@@ -2,9 +2,9 @@
 // batched policy-inference hot path.
 //
 // Panel 1 — batched inference: one PPO policy evaluated for B agents per
-// step, sequential act()/value() vs one act_batch()/value_batch() call.
-// The batched path must produce bitwise-identical decisions; the win is
-// locality (one weight sweep serves B observations).
+// step, B single-row act_batch() calls vs one B-row act_batch() call. Both
+// must produce bitwise-identical decisions; the win is locality (one weight
+// sweep serves B observations).
 //
 // Panel 2 — replica throughput: the same fig6-style training scenario run
 // as N independent replicas on 1 worker thread vs N worker threads.
@@ -54,7 +54,7 @@ void bench_batched_inference(const bench::BenchOptions& opt,
   sim::Rng data_rng(7);
   for (double& v : states) v = data_rng.uniform() * 2.0 - 1.0;
 
-  // Sequential path: one forward per agent, per-agent RNG streams.
+  // Sequential path: one single-row call per agent, per-agent RNG streams.
   std::vector<sim::Rng> seq_rngs;
   std::vector<sim::Rng> bat_rngs;
   for (std::int32_t i = 0; i < batch; ++i) {
@@ -62,15 +62,17 @@ void bench_batched_inference(const bench::BenchOptions& opt,
     bat_rngs.emplace_back(1000 + static_cast<std::uint64_t>(i));
   }
 
-  policy.set_exploration_rate(0.0);
+  const double no_explore = 0.0;
   std::uint64_t seq_sink = 0;
   const double t0 = now_sec();
   for (int s = 0; s < steps; ++s) {
     for (std::int32_t i = 0; i < batch; ++i) {
       const std::span<const double> row(
           states.data() + static_cast<std::size_t>(i) * in, in);
-      const rl::PpoAgent::ActResult act = policy.act(row, seq_rngs[static_cast<std::size_t>(i)]);
-      seq_sink += static_cast<std::uint64_t>(act.actions[0]);
+      sim::Rng* rng = &seq_rngs[static_cast<std::size_t>(i)];
+      const std::vector<rl::PpoAgent::ActResult> act =
+          policy.act_batch(row, 1, {&rng, 1}, {&no_explore, 1});
+      seq_sink += static_cast<std::uint64_t>(act[0].actions[0]);
     }
   }
   const double seq_sec = now_sec() - t0;
@@ -94,9 +96,10 @@ void bench_batched_inference(const bench::BenchOptions& opt,
   const double bat_us =
       bat_sec * 1e6 / static_cast<double>(steps) / static_cast<double>(batch);
   std::printf("\n--- batched policy inference (%d agents/step) ---\n", batch);
-  std::printf("  sequential act():      %8.3f us/agent-step\n", seq_us);
-  std::printf("  act_batch():           %8.3f us/agent-step  (%.2fx)\n",
-              bat_us, seq_us / bat_us);
+  std::printf("  %2d one-row act_batch(): %8.3f us/agent-step\n", batch,
+              seq_us);
+  std::printf("  one %2d-row act_batch(): %8.3f us/agent-step  (%.2fx)\n",
+              batch, bat_us, seq_us / bat_us);
   std::printf("  decisions bitwise-identical: %s\n",
               seq_sink == bat_sink ? "yes" : "NO (BUG)");
   art.add_metric("inference.sequential_us_per_agent_step", seq_us);

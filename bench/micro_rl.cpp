@@ -41,7 +41,7 @@ void BM_MlpForward(benchmark::State& state) {
   rl::Mlp mlp({24, 64, 64, 10}, rl::Activation::kTanh, rng);
   const std::vector<double> x(24, 0.3);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(mlp.forward(x));
+    benchmark::DoNotOptimize(mlp.forward_batch(x, 1));
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -53,9 +53,9 @@ void BM_MlpForwardBackward(benchmark::State& state) {
   const std::vector<double> x(24, 0.3);
   const std::vector<double> dy(10, 0.1);
   for (auto _ : state) {
-    rl::Mlp::Cache cache;
-    benchmark::DoNotOptimize(mlp.forward(x, &cache));
-    benchmark::DoNotOptimize(mlp.backward(x, cache, dy));
+    rl::Mlp::BatchCache cache;
+    benchmark::DoNotOptimize(mlp.forward_batch(x, 1, &cache));
+    benchmark::DoNotOptimize(mlp.backward_batch(x, cache, dy, 1));
     mlp.zero_grad();
   }
   state.SetItemsProcessed(state.iterations());
@@ -65,9 +65,11 @@ BENCHMARK(BM_MlpForwardBackward);
 void BM_PpoAct(benchmark::State& state) {
   rl::PpoAgent agent(pet_shape());
   sim::Rng rng(3);
+  sim::Rng* rngs[] = {&rng};
+  const double explore[] = {0.0};
   const std::vector<double> s(24, 0.4);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(agent.act(s, rng));
+    benchmark::DoNotOptimize(agent.act_batch(s, 1, rngs, explore));
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -76,10 +78,12 @@ BENCHMARK(BM_PpoAct);
 void BM_PpoUpdate(benchmark::State& state) {
   rl::PpoAgent agent(pet_shape());
   sim::Rng rng(4);
+  sim::Rng* rngs[] = {&rng};
+  const double explore[] = {0.0};
   rl::RolloutBuffer buf;
   const std::vector<double> s(24, 0.4);
   for (int i = 0; i < 32; ++i) {
-    auto res = agent.act(s, rng);
+    auto res = agent.act_batch(s, 1, rngs, explore).front();
     buf.push(rl::Transition{s, res.actions, res.log_prob, res.value,
                             rng.uniform()});
   }

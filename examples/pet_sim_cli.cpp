@@ -17,6 +17,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "exp/experiment_builder.hpp"
@@ -34,6 +36,13 @@ using namespace pet;
 volatile std::sig_atomic_t g_stop = 0;
 
 void handle_stop_signal(int /*signum*/) { g_stop = 1; }
+
+/// A flag value the scenario rejects is a usage error: report it the way
+/// pet_sweep does and exit 2.
+int bad_scenario(const std::invalid_argument& e) {
+  std::fprintf(stderr, "pet_sim_cli: %s\n", e.what());
+  return 2;
+}
 
 struct CliOptions {
   exp::Scheme scheme = exp::Scheme::kPet;
@@ -243,7 +252,14 @@ int run_training(const CliOptions& opt, const exp::ScenarioConfig& cfg) {
   rr.replicas = opt.replicas;
   rr.threads = opt.train_threads;
   rr.episodes = opt.train_episodes;
-  exp::ReplicaRunner runner(cfg, rr);
+  std::unique_ptr<exp::ReplicaRunner> runner_ptr;
+  try {
+    cfg.validate();
+    runner_ptr = std::make_unique<exp::ReplicaRunner>(cfg, rr);
+  } catch (const std::invalid_argument& e) {
+    return bad_scenario(e);
+  }
+  exp::ReplicaRunner& runner = *runner_ptr;
 
   if (opt.resume && !opt.checkpoint_path.empty()) {
     std::string error;
@@ -334,16 +350,22 @@ int main(int argc, char** argv) {
 
   if (opt.train_episodes > 0) return run_training(opt, builder.config());
 
-  std::printf("pet_sim: %s on %s, %s fabric, %d hosts, load %.0f%%, seed %llu\n",
-              exp::scheme_name(opt.scheme),
-              workload::workload_name(opt.workload),
-              std::string(topo.kind_name()).c_str(), topo.num_hosts(),
-              opt.load * 100, static_cast<unsigned long long>(opt.seed));
-
-  auto experiment_ptr =
-      opt.use_pretrain_cache
-          ? exp::build_pretrained(builder, exp::PretrainOptions{})
-          : builder.build();
+  std::unique_ptr<exp::Experiment> experiment_ptr;
+  try {
+    // Reject bad flag values before any pretraining runs.
+    builder.config().validate();
+    std::printf(
+        "pet_sim: %s on %s, %s fabric, %d hosts, load %.0f%%, seed %llu\n",
+        exp::scheme_name(opt.scheme), workload::workload_name(opt.workload),
+        std::string(topo.kind_name()).c_str(), topo.num_hosts(),
+        opt.load * 100, static_cast<unsigned long long>(opt.seed));
+    experiment_ptr =
+        opt.use_pretrain_cache
+            ? exp::build_pretrained(builder, exp::PretrainOptions{})
+            : builder.build();
+  } catch (const std::invalid_argument& e) {
+    return bad_scenario(e);
+  }
   exp::Experiment& experiment = *experiment_ptr;
 
   std::unique_ptr<exp::TelemetryRecorder> telemetry;

@@ -29,7 +29,7 @@ AccAgent::AccAgent(sim::Scheduler& sched, net::SwitchDevice& sw,
 void AccAgent::tick() {
   const core::NcmSnapshot snap = ncm_.sample();
   state_builder_.push_slot(snap, current_config_);
-  const std::vector<double> state = state_builder_.state();
+  std::vector<double> state = state_builder_.state();
 
   // Reward the previous action and store the transition in the (global)
   // replay; DDQN is off-policy so it can learn from everyone's experience.
@@ -43,16 +43,13 @@ void AccAgent::tick() {
     pending_.reset();
   }
 
-  if (cfg_.training) learner_->train_step();
+  learner_->train_step();
 
   ++steps_;
-  const std::vector<std::int32_t> actions =
-      cfg_.training ? learner_->act(state, rng_) : learner_->act_greedy(state);
+  std::vector<std::int32_t> actions = learner_->act(state, rng_);
   current_config_ = cfg_.action_space.to_config(actions);
   sw_.install_ecn(current_config_);
-  if (cfg_.training) {
-    pending_ = Pending{.state = state, .actions = actions};
-  }
+  pending_ = Pending{.state = std::move(state), .actions = std::move(actions)};
 }
 
 // ---------------------------------------------------------------------------
@@ -70,10 +67,6 @@ AccController::AccController(sim::Scheduler& sched,
     agents_.push_back(
         std::make_unique<AccAgent>(sched, *sw, cfg.agent, seed, replay_));
   }
-}
-
-void AccController::set_training(bool training) {
-  for (auto& a : agents_) a->set_training(training);
 }
 
 void AccController::tick() {

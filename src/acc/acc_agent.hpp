@@ -34,7 +34,6 @@ struct AccAgentConfig {
   core::NcmConfig ncm{};
   rl::DdqnConfig ddqn{};  // input_size/head_sizes derived automatically
   sim::Time tuning_interval = sim::microseconds(100);
-  bool training = true;
 };
 
 class AccAgent {
@@ -45,7 +44,6 @@ class AccAgent {
 
   void tick();
 
-  void set_training(bool training) { cfg_.training = training; }
   [[nodiscard]] rl::DdqnAgent& learner() { return *learner_; }
   [[nodiscard]] core::Ncm& ncm() { return ncm_; }
   [[nodiscard]] std::int64_t steps() const { return steps_; }
@@ -88,8 +86,6 @@ class AccController final : public core::EcnTuner {
   AccController(sim::Scheduler& sched,
                 std::span<net::SwitchDevice* const> switches,
                 const AccControllerConfig& cfg, std::uint64_t seed);
-
-  void set_training(bool training);
 
   [[nodiscard]] std::size_t num_agents() const { return agents_.size(); }
   [[nodiscard]] AccAgent& agent(std::size_t i) { return *agents_[i]; }

@@ -7,7 +7,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -25,14 +24,14 @@ struct PetControllerConfig {
   PetAgentConfig agent{};
   /// Offline pre-training mode: all agents act/train through one shared
   /// policy (parameter sharing), mirroring the paper's single pre-trained
-  /// initial model that is later installed on every switch. Training
-  /// samples then come from one batched forward pass per tick; per-agent
-  /// RNG streams and exploration rates are threaded through the batch, so
-  /// each agent draws the actions it would draw alone.
+  /// initial model that is later installed on every switch. The agents then
+  /// decide as one group, in one batched pass per tick; per-agent RNG
+  /// streams and exploration rates are threaded through the batch, so each
+  /// agent draws the actions it would draw alone.
   bool shared_policy = false;
-  /// Deployment-mode decision serving. kDirect keeps the per-agent fp64
-  /// path; any other mode routes greedy decisions for all deployed agents
-  /// through one batched rl::PolicyServer at the chosen precision
+  /// Deployment-mode decision serving. kDirect takes greedy decisions from
+  /// the fp64 training network; any other mode serves them for all deployed
+  /// agents through one batched rl::PolicyServer at the chosen precision
   /// (requires shared_policy — the server snapshots one policy). kFp64
   /// serving is bitwise identical to kDirect; kFp32/kInt8 trade bounded
   /// action divergence for throughput (see DESIGN.md "Fast Inference Path").
@@ -51,8 +50,6 @@ class PetController final : public EcnTuner {
   PetController(sim::Scheduler& sched,
                 std::span<net::SwitchDevice* const> switches,
                 const PetControllerConfig& cfg, std::uint64_t seed);
-
-  void set_training(bool training);
 
   /// Agents in switch order; queue order within a switch.
   [[nodiscard]] std::size_t num_agents() const { return agents_.size(); }
@@ -83,37 +80,25 @@ class PetController final : public EcnTuner {
   /// The batched decision server (non-kDirect infer modes). Exposed for
   /// tests/telemetry; installed lazily on the first served tick.
   [[nodiscard]] const rl::PolicyServer& policy_server() const {
-    return server_;
+    return scratch_.server;
   }
 
  protected:
   /// Observe every agent first (slot close, reward, any due PPO update, in
-  /// agent order), then act: shared-policy training samples share one
-  /// batched forward, served deployment decisions go through the policy
-  /// server, and every other agent completes alone.
+  /// agent order), then decide once per policy: a shared policy's agents
+  /// form one group, each independent agent a group of one, groups in agent
+  /// order (PetAgent::decide).
   void tick() override;
 
  private:
-  void act_batched();
-  /// Serve one tick of greedy deployment decisions for served_ through the
-  /// policy server; agents complete alone when the policy cannot be
-  /// (re)quantized.
-  void serve_group();
-
   PetControllerConfig cfg_;
   std::vector<std::unique_ptr<PetAgent>> agents_;
 
-  // Per-tick scratch (indices into agents_), reused every tick.
-  std::vector<std::optional<PetAgent::TickPrep>> preps_;
-  std::vector<std::size_t> batched_;
-  std::vector<std::size_t> served_;
-
-  // Policy-server state + scratch (reused every tick; allocation-free once
-  // warm at a stable served-group size).
-  rl::PolicyServer server_;
-  std::vector<double> serve_states_;
-  std::vector<double> serve_explore_;
-  std::vector<std::int32_t> serve_actions_;
+  // Per-tick scratch, reused every tick (allocation-free once warm at a
+  // stable group size): the agents that decide this tick, in agent order,
+  // and the decision step's buffers and policy server.
+  std::vector<PetAgent*> deciding_;
+  PetAgent::DecisionScratch scratch_;
 };
 
 }  // namespace pet::core

@@ -175,8 +175,7 @@ void local_exploration_step(std::span<std::int32_t> actions,
   actions[h] = std::clamp(actions[h] + step, 0, head_sizes[h] - 1);
 }
 
-void PetAgent::finalize_pending(const NcmSnapshot& snap,
-                                const std::vector<double>& /*next_state*/) {
+void PetAgent::finalize_pending(const NcmSnapshot& snap) {
   if (!pending_.has_value()) return;
   pending_->reward = compute_reward(cfg_.reward, snap);
   reward_stats_.add(pending_->reward);
@@ -185,12 +184,13 @@ void PetAgent::finalize_pending(const NcmSnapshot& snap,
 }
 
 void PetAgent::tick() {
-  const std::optional<TickPrep> prep = tick_observe();
-  if (!prep.has_value()) return;
-  tick_complete(*prep);
+  if (!tick_observe()) return;
+  DecisionScratch scratch;
+  PetAgent* self = this;
+  decide({&self, 1}, rl::InferMode::kDirect, scratch);
 }
 
-std::optional<PetAgent::TickPrep> PetAgent::tick_observe() {
+bool PetAgent::tick_observe() {
   // 1. Close the monitoring slot; its statistics are the outcome of the
   //    previous action.
   const NcmSnapshot snap = ncm_.sample();
@@ -204,41 +204,108 @@ std::optional<PetAgent::TickPrep> PetAgent::tick_observe() {
       transition(AgentHealth::kProbation, "quarantine elapsed");
       probation_clean_ = 0;
     }
-    return std::nullopt;
+    return false;
   }
 
   state_builder_.push_slot(snap, current_config_);
-  TickPrep prep;
-  prep.state = state_builder_.state();
-  if (guarded && !all_finite(prep.state)) {
+  state_ = state_builder_.state();
+  if (guarded && !all_finite(state_)) {
     // Corrupted telemetry must never reach the policy network.
     quarantine("non-finite state vector");
-    return std::nullopt;
+    return false;
   }
 
-  finalize_pending(snap, prep.state);
+  finalize_pending(snap);
 
   // 2. Learn once enough on-policy experience accumulated. With local
   //    updates deferred, the buffer keeps growing until a replica runner
   //    harvests it for a merged cross-replica update.
-  if (cfg_.training && local_updates_ &&
+  if (local_updates_ &&
       rollout_.size() >= static_cast<std::size_t>(cfg_.rollout_length)) {
-    const double bootstrap = policy_->value(prep.state);
+    const double bootstrap = policy_->value_batch(state_, 1)[0];
     last_update_ = policy_->update(rollout_, bootstrap);
     rollout_.clear();
     ++updates_;
     if (guarded) {
       if (auto fault = update_fault(last_update_)) {
         quarantine(*fault);
-        return std::nullopt;
+        return false;
       }
       maybe_checkpoint();
     }
   }
+  return true;
+}
 
-  prep.batched_act = cfg_.training && !deployment_mode_;
-  prep.serve_act = cfg_.training && deployment_mode_;
-  return prep;
+void PetAgent::decide(std::span<PetAgent* const> group, rl::InferMode infer,
+                      DecisionScratch& scratch) {
+  // 3. Select and apply the next ECN configuration, for the whole group at
+  //    once: begin-act on every member in order, then one batched pass.
+  assert(!group.empty());
+  rl::PpoAgent& policy = *group.front()->policy_;
+  const bool deployed = group.front()->deployment_mode_;
+  const std::size_t n = group.size();
+  const auto batch = static_cast<std::int32_t>(n);
+  const std::size_t dim = group.front()->state_.size();
+  scratch.states.resize(n * dim);
+  scratch.explore.resize(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    PetAgent& a = *group[j];
+    assert(a.policy_.get() == &policy && a.deployment_mode_ == deployed);
+    scratch.explore[j] = a.tick_begin_act();
+    std::copy(a.state_.begin(), a.state_.end(),
+              scratch.states.begin() + static_cast<std::ptrdiff_t>(j * dim));
+  }
+
+  if (!deployed) {
+    // Training samples: each row draws from its own agent's stream at its
+    // own exploration rate.
+    scratch.rngs.resize(n);
+    for (std::size_t j = 0; j < n; ++j) scratch.rngs[j] = &group[j]->rng_;
+    std::vector<rl::PpoAgent::ActResult> acts =
+        policy.act_batch(scratch.states, batch, scratch.rngs, scratch.explore);
+    for (std::size_t j = 0; j < n; ++j) {
+      group[j]->tick_finish_act(std::move(acts[j]));
+    }
+    return;
+  }
+
+  // Deployed: exploit the mode. A policy that cannot be (re)quantized is
+  // decided at fp64 and left to the guardrails.
+  const std::size_t heads = policy.num_heads();
+  scratch.actions.resize(n * heads);
+  rl::PolicyServer& server = scratch.server;
+  const bool served =
+      infer != rl::InferMode::kDirect &&
+      (server.ready()
+           ? server.refresh(policy)
+           : server.install(policy, rl::infer_mode_precision(infer)));
+  if (served) {
+    server.reserve(batch);
+    server.serve_greedy(scratch.states, batch, scratch.actions);
+  } else {
+    policy.act_greedy_batch(scratch.states, batch, scratch.actions);
+  }
+  // The residual probe draws from each member's own stream, so served and
+  // kDirect decisions consume identical RNG sequences.
+  for (std::size_t j = 0; j < n; ++j) {
+    group[j]->apply_serve_exploration(
+        std::span<std::int32_t>(&scratch.actions[j * heads], heads),
+        scratch.explore[j]);
+  }
+  // One batched evaluate under the training policy keeps the stored
+  // transitions PPO-consistent (log-prob/value stay fp64 regardless of the
+  // serving precision).
+  const std::vector<rl::PpoAgent::Evaluation> evs =
+      policy.evaluate_batch(scratch.states, scratch.actions, batch);
+  for (std::size_t j = 0; j < n; ++j) {
+    rl::PpoAgent::ActResult act;
+    act.actions.assign(&scratch.actions[j * heads],
+                       &scratch.actions[j * heads] + heads);
+    act.log_prob = evs[j].log_prob;
+    act.value = evs[j].value;
+    group[j]->tick_finish_act(std::move(act));
+  }
 }
 
 void PetAgent::apply_serve_exploration(std::span<std::int32_t> actions,
@@ -263,8 +330,7 @@ double PetAgent::tick_begin_act() {
   return explore;
 }
 
-void PetAgent::tick_finish_act(const TickPrep& prep,
-                               rl::PpoAgent::ActResult act) {
+void PetAgent::tick_finish_act(rl::PpoAgent::ActResult act) {
   if (cfg_.guardrails.enabled &&
       (!std::isfinite(act.log_prob) || !std::isfinite(act.value))) {
     // NaN/Inf in the policy outputs: never actuate from a broken network.
@@ -272,7 +338,7 @@ void PetAgent::tick_finish_act(const TickPrep& prep,
     return;
   }
   current_config_ = cfg_.action_space.to_config(act.actions);
-  pending_ = rl::Transition{.state = prep.state,
+  pending_ = rl::Transition{.state = std::move(state_),
                             .actions = std::move(act.actions),
                             .log_prob = act.log_prob,
                             .value = act.value,
@@ -285,54 +351,12 @@ void PetAgent::tick_finish_act(const TickPrep& prep,
   }
 }
 
-void PetAgent::tick_complete(const TickPrep& prep) {
-  const bool guarded = cfg_.guardrails.enabled;
-  // 3. Select and apply the next ECN configuration.
-  if (cfg_.training) {
-    (void)tick_begin_act();
-    rl::PpoAgent::ActResult act;
-    if (deployment_mode_) {
-      // Exploit the mode; keep the transition PPO-consistent by evaluating
-      // the chosen action under the current policy.
-      act.actions = policy_->act_greedy(prep.state);
-      apply_serve_exploration(act.actions, policy_->exploration_rate());
-      const rl::PpoAgent::Evaluation ev =
-          policy_->evaluate(prep.state, act.actions);
-      act.log_prob = ev.log_prob;
-      act.value = ev.value;
-    } else {
-      act = policy_->act(prep.state, rng_);
-    }
-    tick_finish_act(prep, std::move(act));
-  } else {
-    ++steps_;
-    if (guarded && !std::isfinite(policy_->value(prep.state))) {
-      quarantine("non-finite policy output");
-      return;
-    }
-    const std::vector<std::int32_t> actions = policy_->act_greedy(prep.state);
-    current_config_ = cfg_.action_space.to_config(actions);
-    sw_.install_ecn(current_config_, targets_);
-
-    if (health_ == AgentHealth::kProbation &&
-        ++probation_clean_ >= cfg_.guardrails.probation_ticks) {
-      transition(AgentHealth::kHealthy, "probation served");
-    }
-  }
-}
-
 PetAgent::Harvest PetAgent::harvest_rollout() {
   Harvest h;
   h.rollout = std::move(rollout_);
   rollout_.clear();
   h.bootstrap = pending_.has_value() ? pending_->value : 0.0;
   return h;
-}
-
-void PetAgent::reset_episode() {
-  rollout_.clear();
-  pending_.reset();
-  state_builder_.reset();
 }
 
 }  // namespace pet::core

@@ -21,6 +21,7 @@
 #include "core/state.hpp"
 #include "net/red_ecn.hpp"
 #include "net/switch.hpp"
+#include "rl/inference.hpp"
 #include "rl/ppo.hpp"
 #include "rl/rollout.hpp"
 #include "sim/rng.hpp"
@@ -47,7 +48,6 @@ struct PetAgentConfig {
   double entropy_min = 0.01;
   double decay_rate = 0.99;
   std::int32_t decay_T = 50;
-  bool training = true;
   /// Health state machine + rollback/fallback policy (see guardrails.hpp).
   GuardrailConfig guardrails{};
 
@@ -72,51 +72,45 @@ class PetAgent {
            const PetAgentConfig& cfg, std::uint64_t seed,
            std::shared_ptr<rl::PpoAgent> shared_policy = nullptr);
 
-  /// One tuning step; the controller calls this every tuning_interval.
+  /// One tuning step for an agent deciding alone: tick_observe(), then
+  /// decide() on a group of one. Controllers observe every agent before
+  /// deciding any.
   void tick();
 
-  // --- split tick: batched policy inference across agents -------------------
-  /// Result of the observation phase of one tuning step: the stacked state
-  /// the policy will act on, plus whether this agent's action can be
-  /// evaluated in a shared batched forward pass (training, non-deployment).
-  struct TickPrep {
-    std::vector<double> state;
-    bool batched_act = false;
-    /// Greedy deployment decision servable by a batched policy server
-    /// (training, deployment mode): argmax per head plus the residual local
-    /// exploration probe.
-    bool serve_act = false;
+  /// Observation phase of a tuning step: close the monitoring slot, run
+  /// guardrails, build the state, reward the previous action and (if due)
+  /// run the PPO update. Returns false when the tick already completed
+  /// (quarantine paths); otherwise the agent must take part in decide().
+  [[nodiscard]] bool tick_observe();
+
+  /// Buffers one decision step keeps between ticks, plus the policy server
+  /// that serves deployed decisions when the serving mode is not kDirect.
+  struct DecisionScratch {
+    rl::PolicyServer server;
+    std::vector<double> states;
+    std::vector<double> explore;
+    std::vector<sim::Rng*> rngs;
+    std::vector<std::int32_t> actions;
   };
 
-  /// Phase 1 of tick(): close the monitoring slot, run guardrails, build
-  /// the state, reward the previous action and (if due) run the PPO update.
-  /// Returns nullopt when the tick already completed (quarantine paths).
-  [[nodiscard]] std::optional<TickPrep> tick_observe();
-
-  /// Phase 2a (batched path): advance the step counter and set the
-  /// policy's exploration/entropy schedule; returns the exploration rate to
-  /// use for this agent's sample in the batched act.
-  [[nodiscard]] double tick_begin_act();
-
-  /// Phase 2b (batched path): install a policy decision computed by a
-  /// batched act. Equivalent to the in-tick act with the same sample.
-  void tick_finish_act(const TickPrep& prep, rl::PpoAgent::ActResult act);
-
-  /// Deployment-mode residual exploration on a greedy decision, in place:
-  /// one bernoulli gate, then (rarely) one local_exploration_step. Both the
-  /// policy server and tick_complete() go through it, so a fp64-served run
-  /// draws the same RNG sequence as the direct path.
-  void apply_serve_exploration(std::span<std::int32_t> actions, double explore);
-
-  /// Phase 2 (unbatched): everything after tick_observe().
-  void tick_complete(const TickPrep& prep);
+  /// The one PET decision step, for a group of agents that act through one
+  /// policy (every agent of a shared policy, or one independent agent), in
+  /// agent order and each fresh from tick_observe(). Each member advances
+  /// its exploration schedule, then one batched pass decides the group:
+  /// act_batch while training; once deployed, greedy actions (served at
+  /// `infer`'s precision, or act_greedy_batch at kDirect or when the policy
+  /// cannot be quantized), each member's residual probe, then
+  /// evaluate_batch. Each member then installs its decision, so a guardrail
+  /// rollback by one member never changes the weights the others decided
+  /// with. Members share one deployment mode.
+  static void decide(std::span<PetAgent* const> group, rl::InferMode infer,
+                     DecisionScratch& scratch);
 
   // --- replica-parallel rollout collection ----------------------------------
   /// When disabled, the agent keeps collecting transitions but never runs
   /// its own PPO update — a replica runner harvests the rollout and merges
   /// it with sibling replicas into one central update instead.
   void set_local_updates(bool enabled) { local_updates_ = enabled; }
-  [[nodiscard]] bool local_updates() const { return local_updates_; }
 
   /// A harvested on-policy trajectory plus the critic bootstrap for the
   /// state following its last transition (the still-pending transition's
@@ -131,9 +125,6 @@ class PetAgent {
   /// remains consistent.
   [[nodiscard]] Harvest harvest_rollout();
 
-  void set_training(bool training) { cfg_.training = training; }
-  [[nodiscard]] bool training() const { return cfg_.training; }
-
   /// Pin the exploration rate (overriding the Eq. (13) schedule). The
   /// deployed online phase keeps a low, stable exploration rate
   /// (Section 4.4); pass a negative value to restore the schedule.
@@ -146,9 +137,6 @@ class PetAgent {
   [[nodiscard]] bool deployment_mode() const { return deployment_mode_; }
 
   [[nodiscard]] rl::PpoAgent& policy() { return *policy_; }
-  /// The agent's private action-sampling stream (batched acts draw from it
-  /// in the agent's place so sequential and batched ticks match bitwise).
-  [[nodiscard]] sim::Rng& action_rng() { return rng_; }
   [[nodiscard]] const rl::PpoAgent& policy() const { return *policy_; }
   [[nodiscard]] Ncm& ncm() { return ncm_; }
   [[nodiscard]] net::SwitchDevice& switch_device() { return sw_; }
@@ -168,10 +156,6 @@ class PetAgent {
   [[nodiscard]] const net::RedEcnConfig& current_config() const {
     return current_config_;
   }
-
-  /// Reset per-episode learning state without touching the weights (used
-  /// between offline pre-training episodes).
-  void reset_episode();
 
   // --- guardrails / health state machine -----------------------------------
   using HealthListener = std::function<void(const HealthTransition&)>;
@@ -205,8 +189,17 @@ class PetAgent {
   void force_quarantine(const std::string& reason) { quarantine(reason); }
 
  private:
-  void finalize_pending(const NcmSnapshot& snap,
-                        const std::vector<double>& next_state);
+  /// Advance the step counter and the policy's exploration/entropy
+  /// schedule; returns this step's exploration rate.
+  [[nodiscard]] double tick_begin_act();
+  /// Deployment-mode residual exploration on a greedy decision, in place:
+  /// one bernoulli gate, then (rarely) one local_exploration_step.
+  void apply_serve_exploration(std::span<std::int32_t> actions, double explore);
+  /// Install a decision for the observed state: quarantine on non-finite
+  /// policy output, otherwise actuate and keep the pending transition.
+  void tick_finish_act(rl::PpoAgent::ActResult act);
+
+  void finalize_pending(const NcmSnapshot& snap);
   [[nodiscard]] double exploration_for_step(std::int64_t t) const;
 
   void transition(AgentHealth to, std::string reason);
@@ -228,6 +221,8 @@ class PetAgent {
   /// for a queue-scoped agent, otherwise every queue.
   net::PortSelector targets_;
 
+  /// The state the last tick_observe() built, consumed by decide().
+  std::vector<double> state_;
   rl::RolloutBuffer rollout_;
   std::optional<rl::Transition> pending_;
   net::RedEcnConfig current_config_;

@@ -39,8 +39,10 @@ std::vector<double> offline_pretrain(ScenarioConfig base,
     sandbox.run_until(at);
     if (auto* pet = sandbox.pet()) {
       auto& agent = pet->agent(0);
-      const auto g = agent.policy().act_greedy(std::vector<double>(
-          static_cast<std::size_t>(agent.policy().config().input_size), 0.5));
+      const std::vector<double> probe(
+          static_cast<std::size_t>(agent.policy().config().input_size), 0.5);
+      std::vector<std::int32_t> g(agent.policy().num_heads());
+      agent.policy().act_greedy_batch(probe, 1, g);
       // pet-lint: allow(banned-api): pretrain progress is CLI UX on stdout
       std::printf(
           "  [pretrain] t=%.0fms reward(mean)=%.3f updates=%lld greedy "

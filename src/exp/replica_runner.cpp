@@ -271,7 +271,10 @@ bool ReplicaRunner::load_state(const sim::Checkpoint& ckpt) {
   const std::int32_t next_episode = meta.i32();
   const std::uint64_t digest = meta.u64();
   const std::uint64_t count = meta.u64();
-  if (!meta.ok() || next_episode < 0) return false;
+  // Each history entry is one i32 and five 8-byte fields.
+  if (!meta.ok() || next_episode < 0 || !meta.fits(count, 4 + 5 * 8)) {
+    return false;
+  }
   std::vector<EpisodeStats> history;
   history.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t i = 0; i < count; ++i) {

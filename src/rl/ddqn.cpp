@@ -47,7 +47,9 @@ void DdqnAgent::q_values(const std::vector<Mlp>& nets,
                          std::span<const double> state,
                          std::vector<std::vector<double>>& q) const {
   q.resize(nets.size());
-  for (std::size_t h = 0; h < nets.size(); ++h) q[h] = nets[h].forward(state);
+  for (std::size_t h = 0; h < nets.size(); ++h) {
+    q[h] = nets[h].forward_batch(state, 1);
+  }
 }
 
 std::vector<std::int32_t> DdqnAgent::act(std::span<const double> state,

@@ -388,7 +388,7 @@ bool PolicyServer::refresh(const PpoAgent& agent) {
   for (std::size_t h = 0; h < heads_.size(); ++h) {
     if (!heads_[h].quantize(agent.actor_head(h), precision_)) {
       // Keep serving the last good snapshot; the caller decides whether to
-      // fall back to the direct path (guardrails own the poisoned policy).
+      // fall back to kDirect decisions (guardrails own the poisoned policy).
       return false;
     }
   }

@@ -5,7 +5,7 @@
 // Precision contract (see DESIGN.md "Fast Inference Path"):
 //  - kFp64: bitwise identical to the training network's forward — the same
 //    kernels, the same std::tanh. A fp64-served run is indistinguishable
-//    from the direct per-agent path.
+//    from kDirect decisions (PpoAgent::act_greedy_batch).
 //  - kFp32: weights/inputs narrowed once, one fma chain per output, and a
 //    rational tanh approximation (|err| <= 2e-6). Error-bounded against the
 //    fp64 reference (tests/test_oracle_inference.cpp), not bitwise.

@@ -194,7 +194,7 @@ void linear_backward_f64_scalar(const double* PET_KERN_RESTRICT w,
                                 std::int32_t batch, std::int32_t in,
                                 std::int32_t out) {
   // The reference order: one sample at a time, exactly the loop a sequence
-  // of single-sample Linear::backward() calls runs.
+  // of one-row backward_batch() calls runs.
   for (std::int32_t s = 0; s < batch; ++s) {
     const double* xs = &x[static_cast<std::size_t>(s) * in];
     const double* dys = &dy[static_cast<std::size_t>(s) * out];

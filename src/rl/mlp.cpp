@@ -24,46 +24,13 @@ Linear::Linear(std::int32_t in, std::int32_t out, sim::Rng& rng)
   for (auto& v : w_) v = rng.uniform(-bound, bound);
 }
 
-void Linear::forward(std::span<const double> x, std::span<double> y) const {
-  assert(static_cast<std::int32_t>(x.size()) == in_);
-  assert(static_cast<std::int32_t>(y.size()) == out_);
-  for (std::int32_t o = 0; o < out_; ++o) {
-    const double* row = &w_[static_cast<std::size_t>(o) * in_];
-    double acc = b_[o];
-    for (std::int32_t i = 0; i < in_; ++i) acc += row[i] * x[i];
-    y[o] = acc;
-  }
-}
-
-void Linear::backward(std::span<const double> x, std::span<const double> dy,
-                      std::span<double> dx) {
-  assert(static_cast<std::int32_t>(x.size()) == in_);
-  assert(static_cast<std::int32_t>(dy.size()) == out_);
-  if (!dx.empty()) {
-    assert(static_cast<std::int32_t>(dx.size()) == in_);
-    for (auto& v : dx) v = 0.0;
-  }
-  for (std::int32_t o = 0; o < out_; ++o) {
-    const double g = dy[o];
-    if (g == 0.0) continue;
-    double* grow = &gw_[static_cast<std::size_t>(o) * in_];
-    const double* row = &w_[static_cast<std::size_t>(o) * in_];
-    gb_[o] += g;
-    for (std::int32_t i = 0; i < in_; ++i) {
-      grow[i] += g * x[i];
-      if (!dx.empty()) dx[i] += g * row[i];
-    }
-  }
-}
-
 void Linear::forward_batch(std::span<const double> x, std::span<double> y,
                            std::int32_t batch) const {
   assert(static_cast<std::int32_t>(x.size()) == batch * in_);
   assert(static_cast<std::int32_t>(y.size()) == batch * out_);
   // Runtime-dispatched GEMM (scalar reference or AVX2); both backends keep
   // each (sample, output) accumulation in ascending-input order with
-  // separate multiply/add roundings, so the result is bitwise identical to
-  // `batch` sequential forward() calls.
+  // separate multiply/add roundings, so no row depends on the others.
   kern::gemm_bias_f64(w_.data(), b_.data(), x.data(), y.data(), batch, in_,
                       out_);
 }
@@ -78,8 +45,8 @@ void Linear::backward_batch(std::span<const double> x,
   }
   // Runtime-dispatched backward (scalar reference or AVX2); both backends
   // accumulate samples in ascending order per parameter — the same order a
-  // loop of single-sample backward() calls produces — so merged training is
-  // bitwise independent of whether the batch path was used.
+  // loop of one-row calls produces — so how a minibatch is split into calls
+  // never changes the gradients.
   kern::linear_backward_f64(w_.data(), x.data(), dy.data(), gw_.data(),
                             gb_.data(), dx.empty() ? nullptr : dx.data(),
                             batch, in_, out_);
@@ -124,59 +91,6 @@ Mlp::Mlp(std::vector<std::int32_t> sizes, Activation act, sim::Rng& rng)
   for (std::size_t l = 0; l + 1 < sizes_.size(); ++l) {
     layers_.emplace_back(sizes_[l], sizes_[l + 1], rng);
   }
-}
-
-std::vector<double> Mlp::forward(std::span<const double> x,
-                                 Cache* cache) const {
-  assert(static_cast<std::int32_t>(x.size()) == input_size());
-  if (cache != nullptr) {
-    cache->pre.assign(layers_.size(), {});
-    cache->post.assign(layers_.size(), {});
-  }
-  std::vector<double> cur(x.begin(), x.end());
-  for (std::size_t l = 0; l < layers_.size(); ++l) {
-    std::vector<double> pre(static_cast<std::size_t>(layers_[l].out_size()));
-    layers_[l].forward(cur, pre);
-    const bool is_last = (l + 1 == layers_.size());
-    if (cache != nullptr) {
-      std::vector<double> post = pre;
-      if (!is_last) {
-        for (auto& v : post) v = activate(act_, v);
-      }
-      cache->pre[l] = pre;
-      cache->post[l] = post;
-      cur = std::move(post);
-    } else {
-      // Inference path: activate in place, skip the capture copy.
-      if (!is_last) {
-        for (auto& v : pre) v = activate(act_, v);
-      }
-      cur = std::move(pre);
-    }
-  }
-  return cur;
-}
-
-std::vector<double> Mlp::backward(std::span<const double> x,
-                                  const Cache& cache,
-                                  std::span<const double> dy) {
-  assert(cache.pre.size() == layers_.size());
-  std::vector<double> grad(dy.begin(), dy.end());
-  for (std::size_t li = layers_.size(); li-- > 0;) {
-    const bool is_last = (li + 1 == layers_.size());
-    if (!is_last) {
-      // Through the activation.
-      for (std::size_t i = 0; i < grad.size(); ++i) {
-        grad[i] *= activate_grad(act_, cache.pre[li][i], cache.post[li][i]);
-      }
-    }
-    const std::span<const double> input =
-        li == 0 ? x : std::span<const double>(cache.post[li - 1]);
-    std::vector<double> dx(input.size());
-    layers_[li].backward(input, grad, dx);
-    grad = std::move(dx);
-  }
-  return grad;
 }
 
 std::vector<double> Mlp::forward_batch(std::span<const double> x,

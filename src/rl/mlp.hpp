@@ -36,24 +36,18 @@ class Linear {
   [[nodiscard]] std::span<const double> weights() const { return w_; }
   [[nodiscard]] std::span<const double> biases() const { return b_; }
 
-  void forward(std::span<const double> x, std::span<double> y) const;
-
-  /// Accumulate dL/dW, dL/db from upstream gradient `dy`; if `dx` is
-  /// non-empty, also produce dL/dx (size in_size()).
-  void backward(std::span<const double> x, std::span<const double> dy,
-                std::span<double> dx);
-
-  /// Batched forward over row-major matrices: `x` is (batch x in), `y` is
-  /// (batch x out). Uses a register-blocked GEMM inner loop but keeps each
-  /// (sample, output) accumulation in ascending-input order, so the result
-  /// is bitwise identical to `batch` sequential forward() calls.
+  /// Forward over row-major matrices: `x` is (batch x in), `y` is
+  /// (batch x out). A register-blocked GEMM that keeps each (sample, output)
+  /// accumulation in ascending-input order, so every row is bitwise the
+  /// result of a one-row call on that row.
   void forward_batch(std::span<const double> x, std::span<double> y,
                      std::int32_t batch) const;
 
-  /// Batched backward: `x` (batch x in), `dy` (batch x out); if `dx` is
-  /// non-empty (batch x in), also produces per-sample input gradients.
-  /// Gradient accumulation visits samples in ascending order per parameter,
-  /// bitwise-matching `batch` sequential backward() calls.
+  /// Accumulate dL/dW, dL/db from upstream gradients `dy` (batch x out) for
+  /// inputs `x` (batch x in); if `dx` is non-empty (batch x in), also
+  /// produce per-sample input gradients. Every parameter gradient adds its
+  /// samples in ascending order, so a batch accumulates bitwise what one-row
+  /// calls over the same rows in order would.
   void backward_batch(std::span<const double> x, std::span<const double> dy,
                       std::span<double> dx, std::int32_t batch);
 
@@ -96,21 +90,7 @@ class Mlp {
   [[nodiscard]] std::size_t num_layers() const { return layers_.size(); }
   [[nodiscard]] const Linear& layer(std::size_t l) const { return layers_[l]; }
 
-  /// Per-layer activations captured in forward, consumed by backward.
-  struct Cache {
-    std::vector<std::vector<double>> pre;   // linear outputs
-    std::vector<std::vector<double>> post;  // after activation
-  };
-
-  [[nodiscard]] std::vector<double> forward(std::span<const double> x,
-                                            Cache* cache = nullptr) const;
-
-  /// Backprop dL/dy (size output_size()); returns dL/dx. `x` and `cache`
-  /// must come from the corresponding forward call.
-  std::vector<double> backward(std::span<const double> x, const Cache& cache,
-                               std::span<const double> dy);
-
-  /// Per-layer batched activations captured by forward_batch, consumed by
+  /// Per-layer activations captured by forward_batch, consumed by
   /// backward_batch. Layer l holds row-major (batch x sizes_[l+1]) planes.
   struct BatchCache {
     std::int32_t batch = 0;
@@ -118,18 +98,18 @@ class Mlp {
     std::vector<std::vector<double>> post;
   };
 
-  /// Batched forward: `x` is row-major (batch x input_size()); returns
-  /// row-major (batch x output_size()). Bitwise identical to `batch`
-  /// forward() calls — the batched path is a pure reordering of the same
-  /// per-sample dot products.
+  /// Forward pass: `x` is row-major (batch x input_size()); returns
+  /// row-major (batch x output_size()). There is no per-sample twin: one
+  /// observation is a batch of one, and a batch of N is bitwise N one-row
+  /// calls (rows never mix).
   [[nodiscard]] std::vector<double> forward_batch(
       std::span<const double> x, std::int32_t batch,
       BatchCache* cache = nullptr) const;
 
-  /// Batched backprop of `dy` (batch x output_size()); accumulates
-  /// parameter gradients for the whole batch and returns dL/dx
-  /// (batch x input_size()). Bitwise identical to sequential backward()
-  /// calls over the same samples in order.
+  /// Backprop of `dy` (batch x output_size()); accumulates parameter
+  /// gradients for the whole batch and returns dL/dx (batch x input_size()).
+  /// `x` and `cache` must come from the matching forward_batch. Bitwise
+  /// identical to one-row calls over the same samples in order.
   std::vector<double> backward_batch(std::span<const double> x,
                                      const BatchCache& cache,
                                      std::span<const double> dy,

@@ -44,14 +44,6 @@ PpoAgent::PpoAgent(const PpoConfig& cfg)
       AdamConfig{.lr = cfg.critic_lr, .max_grad_norm = cfg.max_grad_norm});
 }
 
-void PpoAgent::head_logits(std::span<const double> state,
-                           std::vector<std::vector<double>>& logits) const {
-  logits.resize(actor_heads_.size());
-  for (std::size_t h = 0; h < actor_heads_.size(); ++h) {
-    logits[h] = actor_heads_[h].forward(state);
-  }
-}
-
 void PpoAgent::head_logits_batch(std::span<const double> states,
                                  std::int32_t batch,
                                  std::vector<std::vector<double>>& logits,
@@ -62,27 +54,6 @@ void PpoAgent::head_logits_batch(std::span<const double> states,
     logits[h] = actor_heads_[h].forward_batch(
         states, batch, caches != nullptr ? &(*caches)[h] : nullptr);
   }
-}
-
-PpoAgent::ActResult PpoAgent::act(std::span<const double> state,
-                                  sim::Rng& rng) {
-  std::vector<std::vector<double>> logits;
-  head_logits(state, logits);
-  ActResult out;
-  out.actions.resize(logits.size());
-  for (std::size_t h = 0; h < logits.size(); ++h) {
-    const std::vector<double> probs = softmax(logits[h]);
-    std::int32_t a;
-    if (exploration_rate_ > 0.0 && rng.bernoulli(exploration_rate_)) {
-      a = static_cast<std::int32_t>(rng.uniform_int(probs.size()));
-    } else {
-      a = sample(probs, rng);
-    }
-    out.actions[h] = a;
-    out.log_prob += log_prob(logits[h], a);
-  }
-  out.value = value(state);
-  return out;
 }
 
 std::vector<PpoAgent::ActResult> PpoAgent::act_batch(
@@ -99,8 +70,8 @@ std::vector<PpoAgent::ActResult> PpoAgent::act_batch(
   for (std::int32_t s = 0; s < batch; ++s) {
     ActResult& r = out[static_cast<std::size_t>(s)];
     r.actions.resize(logits.size());
-    // Per sample, heads are visited in the same order as act(), drawing
-    // from that sample's own RNG — bitwise identical decisions.
+    // Per sample, heads are visited in order, drawing only from that
+    // sample's own RNG — a row decides as it would alone.
     for (std::size_t h = 0; h < logits.size(); ++h) {
       const auto nh = static_cast<std::size_t>(actor_heads_[h].output_size());
       const std::span<const double> row(
@@ -121,19 +92,21 @@ std::vector<PpoAgent::ActResult> PpoAgent::act_batch(
   return out;
 }
 
-std::vector<std::int32_t> PpoAgent::act_greedy(
-    std::span<const double> state) const {
+void PpoAgent::act_greedy_batch(std::span<const double> states,
+                                std::int32_t batch,
+                                std::span<std::int32_t> actions) const {
+  const std::size_t num_heads = actor_heads_.size();
+  assert(actions.size() == static_cast<std::size_t>(batch) * num_heads);
   std::vector<std::vector<double>> logits;
-  head_logits(state, logits);
-  std::vector<std::int32_t> actions(logits.size());
-  for (std::size_t h = 0; h < logits.size(); ++h) {
-    actions[h] = argmax(logits[h]);
+  head_logits_batch(states, batch, logits);
+  for (std::size_t h = 0; h < num_heads; ++h) {
+    const auto nh = static_cast<std::size_t>(actor_heads_[h].output_size());
+    for (std::int32_t s = 0; s < batch; ++s) {
+      const auto row = static_cast<std::size_t>(s);
+      actions[row * num_heads + h] =
+          argmax(std::span<const double>(&logits[h][row * nh], nh));
+    }
   }
-  return actions;
-}
-
-double PpoAgent::value(std::span<const double> state) const {
-  return critic_.forward(state)[0];
 }
 
 std::vector<double> PpoAgent::value_batch(std::span<const double> states,
@@ -164,18 +137,6 @@ std::vector<PpoAgent::Evaluation> PpoAgent::evaluate_batch(
     }
     ev.value = values[static_cast<std::size_t>(s)];
   }
-  return out;
-}
-
-PpoAgent::Evaluation PpoAgent::evaluate(
-    std::span<const double> state, std::span<const std::int32_t> actions) const {
-  std::vector<std::vector<double>> logits;
-  head_logits(state, logits);
-  Evaluation out;
-  for (std::size_t h = 0; h < logits.size(); ++h) {
-    out.log_prob += log_prob(logits[h], actions[h]);
-  }
-  out.value = value(state);
   return out;
 }
 

@@ -43,44 +43,38 @@ class PpoAgent {
     double value = 0.0;
   };
 
-  /// Sample an action. With probability `exploration_rate` a head picks a
-  /// uniformly random action instead of sampling the policy (the paper's
-  /// decaying exploration, Eq. (13)); log_prob is always evaluated under
-  /// the current policy so the PPO ratio stays well-defined.
-  [[nodiscard]] ActResult act(std::span<const double> state, sim::Rng& rng);
-
-  /// Batched act over row-major (batch x input_size) states — one policy
-  /// evaluated for many agents/observations in a single pass. Each sample
-  /// draws from its own RNG stream with its own exploration rate, so the
-  /// per-sample random sequences (and therefore results) are bitwise
-  /// identical to sequential act() calls in the same order.
+  /// Sample actions for row-major (batch x input_size) states — one policy
+  /// evaluated for many agents/observations in a single pass. With
+  /// probability `exploration[s]` a head of row s picks a uniformly random
+  /// action instead of sampling the policy (the paper's decaying
+  /// exploration, Eq. (13)); log_prob is always evaluated under the current
+  /// policy so the PPO ratio stays well-defined. Row s draws only from
+  /// `rngs[s]`, heads in order, so a batch of N returns and draws bitwise
+  /// what N one-row calls in row order would.
   [[nodiscard]] std::vector<ActResult> act_batch(
       std::span<const double> states, std::int32_t batch,
       std::span<sim::Rng* const> rngs, std::span<const double> exploration);
 
-  /// Deterministic (argmax per head) action for evaluation.
-  [[nodiscard]] std::vector<std::int32_t> act_greedy(
-      std::span<const double> state) const;
+  /// Deterministic (argmax per head) actions for row-major
+  /// (batch x input_size) states; `actions` is row-major
+  /// (batch x num_heads()). The fp64 reference PolicyServer::serve_greedy
+  /// serves.
+  void act_greedy_batch(std::span<const double> states, std::int32_t batch,
+                        std::span<std::int32_t> actions) const;
 
-  /// Critic value estimate (bootstrap for unfinished episodes).
-  [[nodiscard]] double value(std::span<const double> state) const;
-
-  /// Batched critic values for row-major (batch x input_size) states.
+  /// Critic value estimates for row-major (batch x input_size) states (a
+  /// bootstrap for unfinished episodes is a batch of one).
   [[nodiscard]] std::vector<double> value_batch(std::span<const double> states,
                                                 std::int32_t batch) const;
 
   /// Joint log-prob (under the current policy) and value for externally
   /// chosen actions — lets a deployment-mode agent act greedily while still
-  /// feeding consistent transitions to PPO.
+  /// feeding consistent transitions to PPO. `states` is
+  /// (batch x input_size), `actions` is (batch x num_heads), both row-major.
   struct Evaluation {
     double log_prob = 0.0;
     double value = 0.0;
   };
-  [[nodiscard]] Evaluation evaluate(std::span<const double> state,
-                                    std::span<const std::int32_t> actions) const;
-
-  /// Batched evaluate: `states` is (batch x input_size), `actions` is
-  /// (batch x num_heads), both row-major.
   [[nodiscard]] std::vector<Evaluation> evaluate_batch(
       std::span<const double> states, std::span<const std::int32_t> actions,
       std::int32_t batch) const;
@@ -115,6 +109,8 @@ class PpoAgent {
   UpdateStats update_merged(std::span<const RolloutSlice> slices);
 
   // --- online-training knobs (hybrid training, Section 4.4) -----------------
+  /// The exploration rate the policy's agents last acted with. act_batch
+  /// takes its rates per row; this copy is reported and checkpointed.
   void set_exploration_rate(double rate) { exploration_rate_ = rate; }
   [[nodiscard]] double exploration_rate() const { return exploration_rate_; }
   void set_clip_eps(double eps) { cfg_.clip_eps = eps; }
@@ -167,8 +163,6 @@ class PpoAgent {
   [[nodiscard]] bool load_state(sim::ByteSource& in);
 
  private:
-  void head_logits(std::span<const double> state,
-                   std::vector<std::vector<double>>& logits) const;
   /// Per-head logits for a (batch x input_size) state matrix; logits[h] is
   /// row-major (batch x head_sizes[h]).
   void head_logits_batch(std::span<const double> states, std::int32_t batch,

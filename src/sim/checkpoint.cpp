@@ -108,10 +108,7 @@ std::vector<double> ByteSource::f64_vec() {
   const std::uint64_t len = u64();
   // Validate the declared length against the remaining bytes before
   // reserving, so a corrupted length cannot trigger a giant allocation.
-  if (fail_ || size_ - pos_ < len * 8) {
-    fail_ = true;
-    return {};
-  }
+  if (!fits(len, 8)) return {};
   std::vector<double> v;
   v.reserve(static_cast<std::size_t>(len));
   for (std::uint64_t i = 0; i < len; ++i) v.push_back(f64());
@@ -120,10 +117,7 @@ std::vector<double> ByteSource::f64_vec() {
 
 std::vector<std::int32_t> ByteSource::i32_vec() {
   const std::uint64_t len = u64();
-  if (fail_ || size_ - pos_ < len * 4) {
-    fail_ = true;
-    return {};
-  }
+  if (!fits(len, 4)) return {};
   std::vector<std::int32_t> v;
   v.reserve(static_cast<std::size_t>(len));
   for (std::uint64_t i = 0; i < len; ++i) v.push_back(i32());
@@ -183,10 +177,10 @@ std::optional<Checkpoint> Checkpoint::deserialize(const std::uint8_t* data,
     const std::uint64_t len = in.u64();
     const std::uint32_t expected_crc = in.u32();
     if (!in.ok()) return fail("truncated section header");
+    if (!in.fits(len, 1)) return fail("truncated section payload");
     std::vector<std::uint8_t> payload;
     payload.reserve(static_cast<std::size_t>(len));
     for (std::uint64_t b = 0; b < len; ++b) payload.push_back(in.u8());
-    if (!in.ok()) return fail("truncated section payload");
     if (crc32(payload.data(), payload.size()) != expected_crc) {
       if (error != nullptr) *error = "CRC mismatch in section " + name;
       return std::nullopt;

@@ -91,6 +91,18 @@ class ByteSource {
   [[nodiscard]] std::vector<double> f64_vec();
   [[nodiscard]] std::vector<std::int32_t> i32_vec();
 
+  /// True when `count` more elements of `width` bytes each are left to
+  /// read; otherwise sets the fail flag. Check a decoded length with this
+  /// before reserving for it: the division cannot wrap the way
+  /// `count * width` does for a corrupted count.
+  [[nodiscard]] bool fits(std::uint64_t count, std::size_t width) {
+    if (fail_ || count > (size_ - pos_) / width) {
+      fail_ = true;
+      return false;
+    }
+    return true;
+  }
+
   /// True while every read so far was in bounds.
   [[nodiscard]] bool ok() const { return !fail_; }
   /// True when the payload was consumed exactly (no trailing bytes).

@@ -87,17 +87,6 @@ TEST_F(AccFixture, TrainingProgresses) {
   EXPECT_GT(ctl.agent(0).reward_stats().count(), 10u);
 }
 
-TEST_F(AccFixture, EvalModeStopsTrainingAndReplayGrowth) {
-  build(1);
-  AccController ctl(sched, switches, controller_config(), 5);
-  ctl.set_training(false);
-  ctl.start();
-  sched.run_until(sim::milliseconds(2));
-  EXPECT_EQ(ctl.agent(0).learner().train_steps(), 0);
-  EXPECT_EQ(ctl.global_replay().size(), 0u);
-  EXPECT_GT(ctl.agent(0).steps(), 0);  // still acting
-}
-
 TEST_F(AccFixture, InstallWeightsSynchronizesAgents) {
   build(2);
   AccController ctl(sched, switches, controller_config(), 6);

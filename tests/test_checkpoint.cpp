@@ -64,11 +64,20 @@ TEST(ByteCodec, TruncatedReadSticksFailed) {
 }
 
 TEST(ByteCodec, OversizedVectorLengthRejectedWithoutAllocating) {
+  // Declared counts far beyond the payload, including ones whose byte size
+  // wraps 64 bits (2^61 doubles, 2^62 int32s).
+  for (const std::uint64_t len : {1ull << 60, 1ull << 61}) {
+    sim::ByteSink sink;
+    sink.u64(len);
+    sim::ByteSource src(sink.bytes().data(), sink.bytes().size());
+    const std::vector<double> v = src.f64_vec();
+    EXPECT_TRUE(v.empty()) << len;
+    EXPECT_FALSE(src.ok()) << len;
+  }
   sim::ByteSink sink;
-  sink.u64(1ull << 60);  // declared f64 count far beyond the payload
+  sink.u64(1ull << 62);
   sim::ByteSource src(sink.bytes().data(), sink.bytes().size());
-  const std::vector<double> v = src.f64_vec();
-  EXPECT_TRUE(v.empty());
+  EXPECT_TRUE(src.i32_vec().empty());
   EXPECT_FALSE(src.ok());
 }
 
@@ -123,6 +132,22 @@ TEST(Checkpoint, RejectsBadMagicCorruptionAndTruncation) {
                                 std::size_t{4}, std::size_t{0}}) {
     EXPECT_FALSE(sim::Checkpoint::deserialize(bytes.data(), cut, &error))
         << "accepted a checkpoint truncated to " << cut << " bytes";
+  }
+
+  // A section header declaring more payload than the file holds, small
+  // enough to allocate (2^46) or not (2^63), fails without allocating. The
+  // length sits after the magic (8), the section count (4) and the name
+  // "payload" (4 + 7).
+  for (const std::uint64_t len : {1ull << 46, 1ull << 63}) {
+    std::vector<std::uint8_t> oversized = bytes;
+    for (std::size_t i = 0; i < 8; ++i) {
+      oversized[23 + i] = static_cast<std::uint8_t>(len >> (8 * i));
+    }
+    error.clear();
+    EXPECT_FALSE(sim::Checkpoint::deserialize(oversized.data(),
+                                              oversized.size(), &error))
+        << len;
+    EXPECT_FALSE(error.empty()) << len;
   }
 
   // Trailing garbage is rejected too: a checkpoint is exactly its payload.
@@ -220,7 +245,10 @@ TEST(ComponentCheckpoint, PpoAgentResumesIdenticalUpdates) {
     for (int i = 0; i < 24; ++i) {
       rl::Transition t;
       for (int k = 0; k < cfg.input_size; ++k) t.state.push_back(r.uniform());
-      const auto res = agent.act(t.state, r);
+      sim::Rng* row_rng = &r;
+      const double explore = agent.exploration_rate();
+      const auto res =
+          agent.act_batch(t.state, 1, {&row_rng, 1}, {&explore, 1}).front();
       t.actions = res.actions;
       t.log_prob = res.log_prob;
       t.value = res.value;

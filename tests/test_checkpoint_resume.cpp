@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -123,6 +125,34 @@ TEST(CheckpointResume, LoadRejectsScenarioMismatch) {
 
   std::remove(path.c_str());
   EXPECT_FALSE(other.load_checkpoint(path, &error));  // missing file
+}
+
+TEST(CheckpointResume, LoadRejectsOversizedEpisodeHistory) {
+  // A CRC-valid meta section whose episode-history count is far beyond its
+  // bytes fails the load instead of throwing from a giant reserve.
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "pet_resume_oversized.ckpt")
+          .string();
+  ReplicaRunner runner = tiny_scenario(7).replicas(2).threads(1).build_runner();
+  sim::Checkpoint ckpt;
+  runner.save_state(ckpt);
+  std::vector<std::uint8_t> meta = *ckpt.section("replica-runner/meta");
+  // seed u64, scheme u8, replicas i32, agents u64, next episode i32 and
+  // digest u64 precede the history count.
+  constexpr std::size_t kCountAt = 8 + 1 + 4 + 8 + 4 + 8;
+  sim::ByteSink count;
+  count.u64(1ull << 60);
+  ASSERT_GE(meta.size(), kCountAt + 8);
+  std::copy(count.bytes().begin(), count.bytes().end(),
+            meta.begin() + static_cast<std::ptrdiff_t>(kCountAt));
+  ckpt.set_section("replica-runner/meta", std::move(meta));
+  ASSERT_TRUE(ckpt.write_file(path));
+
+  std::string error;
+  EXPECT_FALSE(runner.load_checkpoint(path, &error));
+  EXPECT_FALSE(error.empty());
+  EXPECT_EQ(runner.next_episode(), 0);
+  std::remove(path.c_str());
 }
 
 TEST(CheckpointResume, RunChunkedMatchesRunBitwise) {

@@ -135,9 +135,10 @@ TEST(DdqnAgent, FullExplorationIsUniform) {
 }
 
 /// The per-sample DDQN update, rebuilt from the public Mlp/Adam/ReplayBuffer
-/// API: per sample and head, three single-sample forwards (online and
-/// target on the next state, online on the state) and one backward; then
-/// one Adam step, and a target sync every target_sync_interval steps.
+/// API: per sample and head, three one-row forward_batch calls (online and
+/// target on the next state, online on the state) and one one-row
+/// backward_batch; then one Adam step, and a target sync every
+/// target_sync_interval steps.
 /// DdqnAgent::train_step batches this and must match it bit for bit.
 class PerSampleDdqn {
  public:
@@ -173,18 +174,19 @@ class PerSampleDdqn {
       const DqnTransition& tr = replay.at(i);
       for (std::size_t h = 0; h < online_.size(); ++h) {
         const std::vector<double> q_next_online =
-            online_[h].forward(tr.next_state);
+            online_[h].forward_batch(tr.next_state, 1);
         const std::vector<double> q_next_target =
-            target_[h].forward(tr.next_state);
-        Mlp::Cache cache;
-        const std::vector<double> q_cur = online_[h].forward(tr.state, &cache);
+            target_[h].forward_batch(tr.next_state, 1);
+        Mlp::BatchCache cache;
+        const std::vector<double> q_cur =
+            online_[h].forward_batch(tr.state, 1, &cache);
         const double target =
             tr.reward + cfg_.gamma * q_next_target[static_cast<std::size_t>(
                                          argmax(q_next_online))];
         const auto a = static_cast<std::size_t>(tr.actions[h]);
         std::vector<double> dq(q_cur.size(), 0.0);
         dq[a] = 2.0 * (q_cur[a] - target) * inv_b;
-        online_[h].backward(tr.state, cache, dq);
+        online_[h].backward_batch(tr.state, cache, dq, 1);
       }
     }
     opt_->step();

@@ -5,6 +5,8 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <span>
+#include <vector>
 
 #include "core/pet_agent.hpp"
 #include "net/network.hpp"
@@ -127,17 +129,37 @@ TEST_F(DeploymentFixture, EvaluateMatchesPolicySemantics) {
   build();
   PetAgent agent(sched, *sw, agent_config(), 5);
   auto& policy = agent.policy();
-  const std::vector<double> state(
-      static_cast<std::size_t>(policy.config().input_size), 0.3);
-  const auto greedy = policy.act_greedy(state);
-  const auto ev = policy.evaluate(state, greedy);
-  EXPECT_DOUBLE_EQ(ev.value, policy.value(state));
-  EXPECT_LE(ev.log_prob, 0.0);
-  // The argmax action is at least as probable as any single-head tweak.
-  for (std::size_t h = 0; h < greedy.size(); ++h) {
-    auto other = greedy;
-    other[h] = (other[h] + 1) % policy.config().head_sizes[h];
-    EXPECT_GE(ev.log_prob, policy.evaluate(state, other).log_prob);
+  const auto in = static_cast<std::size_t>(policy.config().input_size);
+  const std::size_t heads = policy.num_heads();
+  const std::vector<double> state(in, 0.3);
+  std::vector<std::int32_t> greedy(heads);
+  policy.act_greedy_batch(state, 1, greedy);
+
+  // One batch: the greedy action, then each single-head tweak of it.
+  const auto batch = static_cast<std::int32_t>(1 + heads);
+  std::vector<double> states;
+  std::vector<std::int32_t> actions;
+  for (std::int32_t r = 0; r < batch; ++r) {
+    states.insert(states.end(), state.begin(), state.end());
+    std::vector<std::int32_t> a = greedy;
+    if (r > 0) {
+      const auto h = static_cast<std::size_t>(r - 1);
+      a[h] = (a[h] + 1) % policy.config().head_sizes[h];
+    }
+    actions.insert(actions.end(), a.begin(), a.end());
+  }
+  const auto evs = policy.evaluate_batch(states, actions, batch);
+  EXPECT_DOUBLE_EQ(evs[0].value, policy.value_batch(state, 1)[0]);
+  EXPECT_LE(evs[0].log_prob, 0.0);
+  for (std::int32_t r = 0; r < batch; ++r) {
+    const auto row = static_cast<std::size_t>(r);
+    // The argmax action is at least as probable as any single-head tweak.
+    EXPECT_GE(evs[0].log_prob, evs[row].log_prob);
+    // Each row is the single-row evaluation of that action.
+    const auto one = policy.evaluate_batch(
+        state, std::span<const std::int32_t>(&actions[row * heads], heads), 1);
+    EXPECT_EQ(evs[row].log_prob, one[0].log_prob);
+    EXPECT_EQ(evs[row].value, one[0].value);
   }
 }
 

@@ -1,7 +1,7 @@
 // E2E serving parity: a PET scenario run through the batched policy server
-// must match the direct per-agent path exactly at fp64, match fp64 serving
-// at fp32 on the golden scenario, and stay within a bounded action
-// divergence at int8 — with zero guardrail trips at every precision.
+// must match the grouped kDirect greedy decisions exactly at fp64, match
+// fp64 serving at fp32 on the golden scenario, and stay within a bounded
+// action divergence at int8 — with zero guardrail trips at every precision.
 //
 // The scenario mirrors the committed pet_tiny golden (datamining, load 0.5,
 // 1 spine / 2 leaves / 2 hosts-per-leaf, 2ms pretrain + 2ms measure,
@@ -113,15 +113,16 @@ double ecn_divergence_rate(const std::vector<TelemetrySample>& a,
 }
 
 // ---------------------------------------------------------------------------
-// fp64 serving is bitwise identical to the direct shared-policy path: same
-// kernels, same std::tanh, greedy argmax over the same fp64 logits.
+// fp64 serving is bitwise identical to the shared policy's kDirect greedy
+// (act_greedy_batch over the same group): same kernels, same std::tanh,
+// greedy argmax over the same fp64 logits.
 TEST(InferServing, Fp64ServingBitwiseMatchesDirect) {
   const ServeRun direct =
       run_serving(rl::InferMode::kDirect, /*force_shared=*/true);
   const ServeRun served = run_serving(rl::InferMode::kFp64);
 
   // Engagement proof: the served run actually went through the policy
-  // server (a silent fallback to the direct path would also "match").
+  // server (a silent fallback to kDirect decisions would also "match").
   EXPECT_FALSE(direct.server_ready);
   ASSERT_TRUE(served.server_ready);
   EXPECT_GE(served.server_version, 1u);
@@ -217,10 +218,16 @@ TEST(PolicyServer, ServeGreedyMatchesActGreedy) {
   server.reserve(kBatch);
   server.serve_greedy(states, kBatch, actions);
 
+  // The batch serves what act_greedy_batch decides for it, and what five
+  // single-row calls decide for its rows.
+  std::vector<std::int32_t> direct(actions.size());
+  agent.act_greedy_batch(states, kBatch, direct);
+  EXPECT_EQ(actions, direct);
   for (std::int32_t b = 0; b < kBatch; ++b) {
-    const std::vector<std::int32_t> expect = agent.act_greedy(
-        std::span<const double>(states).subspan(
-            static_cast<std::size_t>(b) * 6, 6));
+    std::vector<std::int32_t> expect(server.num_heads());
+    agent.act_greedy_batch(std::span<const double>(states).subspan(
+                               static_cast<std::size_t>(b) * 6, 6),
+                           1, expect);
     for (std::size_t h = 0; h < server.num_heads(); ++h) {
       EXPECT_EQ(actions[static_cast<std::size_t>(b) * server.num_heads() + h],
                 expect[h])

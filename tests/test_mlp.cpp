@@ -18,7 +18,7 @@ TEST(Linear, ForwardComputesAffineMap) {
   restore_params(refs, params);
   const std::vector<double> x{1.0, -1.0};
   std::vector<double> y(3);
-  lin.forward(x, y);
+  lin.forward_batch(x, y, 1);
   EXPECT_DOUBLE_EQ(y[0], 1 - 2 + 10);
   EXPECT_DOUBLE_EQ(y[1], 3 - 4 + 20);
   EXPECT_DOUBLE_EQ(y[2], 5 - 6 + 30);
@@ -39,7 +39,7 @@ TEST(Mlp, OutputDimensions) {
   EXPECT_EQ(mlp.input_size(), 6);
   EXPECT_EQ(mlp.output_size(), 4);
   const std::vector<double> x(6, 0.5);
-  EXPECT_EQ(mlp.forward(x).size(), 4u);
+  EXPECT_EQ(mlp.forward_batch(x, 1).size(), 4u);
   EXPECT_EQ(mlp.num_params(), 6u * 8 + 8 + 8 * 4 + 4);
 }
 
@@ -47,7 +47,7 @@ TEST(Mlp, DeterministicForward) {
   sim::Rng rng(4);
   Mlp mlp({3, 5, 2}, Activation::kTanh, rng);
   const std::vector<double> x{0.1, -0.2, 0.3};
-  EXPECT_EQ(mlp.forward(x), mlp.forward(x));
+  EXPECT_EQ(mlp.forward_batch(x, 1), mlp.forward_batch(x, 1));
 }
 
 TEST(Mlp, SnapshotRestoreRoundTrip) {
@@ -58,9 +58,9 @@ TEST(Mlp, SnapshotRestoreRoundTrip) {
   a.collect(ra);
   b.collect(rb);
   const std::vector<double> x{0.3, 0.7, -0.5};
-  EXPECT_NE(a.forward(x), b.forward(x));  // different init draws
+  EXPECT_NE(a.forward_batch(x, 1), b.forward_batch(x, 1));  // different init
   restore_params(rb, snapshot_params(ra));
-  EXPECT_EQ(a.forward(x), b.forward(x));
+  EXPECT_EQ(a.forward_batch(x, 1), b.forward_batch(x, 1));
 }
 
 /// Central-difference gradient check over architectures and activations:
@@ -80,18 +80,18 @@ TEST_P(GradCheckTest, BackwardMatchesFiniteDifferences) {
   for (auto& v : x) v = rng.uniform(-1.0, 1.0);
   // Loss = sum of squared outputs (nontrivial dL/dy).
   const auto loss = [&] {
-    const auto y = mlp.forward(x);
+    const auto y = mlp.forward_batch(x, 1);
     double l = 0;
     for (const double v : y) l += v * v;
     return l;
   };
 
-  Mlp::Cache cache;
-  const auto y = mlp.forward(x, &cache);
+  Mlp::BatchCache cache;
+  const auto y = mlp.forward_batch(x, 1, &cache);
   std::vector<double> dy(y.size());
   for (std::size_t i = 0; i < y.size(); ++i) dy[i] = 2.0 * y[i];
   mlp.zero_grad();
-  const auto dx = mlp.backward(x, cache, dy);
+  const auto dx = mlp.backward_batch(x, cache, dy, 1);
 
   // Parameter gradients (check a stride to keep runtime sane).
   const double eps = 1e-6;
@@ -139,12 +139,12 @@ TEST(Mlp, GradientsAccumulateAcrossBackwardCalls) {
   const std::vector<double> x{0.2, -0.4};
   const std::vector<double> dy{1.0};
 
-  Mlp::Cache cache;
-  (void)mlp.forward(x, &cache);
+  Mlp::BatchCache cache;
+  (void)mlp.forward_batch(x, 1, &cache);
   mlp.zero_grad();
-  mlp.backward(x, cache, dy);
+  mlp.backward_batch(x, cache, dy, 1);
   const auto once = snapshot_params(ParamRefs{refs.grads, refs.grads});
-  mlp.backward(x, cache, dy);
+  mlp.backward_batch(x, cache, dy, 1);
   for (std::size_t i = 0; i < refs.size(); ++i) {
     EXPECT_NEAR(*refs.grads[i], 2.0 * once[i], 1e-12);
   }
@@ -156,9 +156,9 @@ TEST(Mlp, ZeroGradClears) {
   ParamRefs refs;
   mlp.collect(refs);
   const std::vector<double> x{1.0, 1.0};
-  Mlp::Cache cache;
-  (void)mlp.forward(x, &cache);
-  mlp.backward(x, cache, std::vector<double>{1.0});
+  Mlp::BatchCache cache;
+  (void)mlp.forward_batch(x, 1, &cache);
+  mlp.backward_batch(x, cache, std::vector<double>{1.0}, 1);
   mlp.zero_grad();
   for (const double* g : refs.grads) EXPECT_EQ(*g, 0.0);
 }

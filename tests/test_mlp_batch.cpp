@@ -1,12 +1,18 @@
-// The batched MLP kernels promise bitwise identity with the sequential
-// per-sample path: forward_batch is a pure reordering of the same dot
-// products, backward_batch accumulates per-parameter gradients in the same
-// ascending-sample order. These tests pin that contract with EXPECT_EQ on
-// doubles — any reassociation of the floating-point sums is a failure.
+// The MLP has one pass per direction, forward_batch and backward_batch; a
+// single observation is a batch of one. These tests pin two contracts with
+// EXPECT_EQ on doubles — any reassociation of the floating-point sums is a
+// failure:
+//  - a batch of N is bitwise N single-row calls (rows never mix, and the
+//    gradients of a batch accumulate samples in ascending order);
+//  - each pass is bitwise the per-sample pass it replaced, rebuilt here from
+//    the public weight views: one `acc = b; acc += w * x` chain per output
+//    with inputs ascending, and a backward that adds each sample's
+//    contribution in order, skipping zero upstream gradients.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
 #include <vector>
 
 #include "rl/mlp.hpp"
@@ -22,28 +28,117 @@ std::vector<double> random_matrix(std::size_t rows, std::size_t cols,
   return m;
 }
 
+std::span<const double> row_of(const std::vector<double>& m, std::int32_t r,
+                               std::int32_t cols) {
+  return std::span<const double>(m).subspan(
+      static_cast<std::size_t>(r) * static_cast<std::size_t>(cols),
+      static_cast<std::size_t>(cols));
+}
+
+/// Per-layer activations of one sample through the reference pass.
+struct RefTrace {
+  std::vector<std::vector<double>> pre;
+  std::vector<std::vector<double>> post;
+};
+
+/// The per-sample forward the batched kernels replaced.
+std::vector<double> reference_forward(const Mlp& mlp,
+                                      std::span<const double> x,
+                                      RefTrace* trace = nullptr) {
+  std::vector<double> cur(x.begin(), x.end());
+  for (std::size_t l = 0; l < mlp.num_layers(); ++l) {
+    const Linear& layer = mlp.layer(l);
+    const auto in = static_cast<std::size_t>(layer.in_size());
+    std::vector<double> y(static_cast<std::size_t>(layer.out_size()));
+    for (std::size_t o = 0; o < y.size(); ++o) {
+      double acc = layer.biases()[o];
+      for (std::size_t i = 0; i < in; ++i) {
+        acc += layer.weights()[o * in + i] * cur[i];
+      }
+      y[o] = acc;
+    }
+    if (trace != nullptr) trace->pre.push_back(y);
+    if (l + 1 < mlp.num_layers()) {
+      for (double& v : y) {
+        v = mlp.activation() == Activation::kTanh ? std::tanh(v)
+                                                  : (v > 0.0 ? v : 0.0);
+      }
+    }
+    if (trace != nullptr) trace->post.push_back(y);
+    cur = std::move(y);
+  }
+  return cur;
+}
+
+/// The per-sample backward the batched kernels replaced: accumulates into
+/// `grads` (per layer: weights then biases, the ParamRefs order) and
+/// returns dL/dx.
+std::vector<double> reference_backward(
+    const Mlp& mlp, std::span<const double> x, const RefTrace& trace,
+    std::span<const double> dy, std::vector<std::vector<double>>& grads) {
+  std::vector<double> grad(dy.begin(), dy.end());
+  for (std::size_t li = mlp.num_layers(); li-- > 0;) {
+    const Linear& layer = mlp.layer(li);
+    if (li + 1 < mlp.num_layers()) {
+      for (std::size_t i = 0; i < grad.size(); ++i) {
+        const double post = trace.post[li][i];
+        grad[i] *= mlp.activation() == Activation::kTanh
+                       ? 1.0 - post * post
+                       : (trace.pre[li][i] > 0.0 ? 1.0 : 0.0);
+      }
+    }
+    const std::span<const double> input =
+        li == 0 ? x : std::span<const double>(trace.post[li - 1]);
+    const auto in = static_cast<std::size_t>(layer.in_size());
+    const std::size_t out = grad.size();
+    std::vector<double>& g = grads[li];
+    std::vector<double> dx(in, 0.0);
+    for (std::size_t o = 0; o < out; ++o) {
+      if (grad[o] == 0.0) continue;
+      g[in * out + o] += grad[o];
+      for (std::size_t i = 0; i < in; ++i) {
+        g[o * in + i] += grad[o] * input[i];
+        dx[i] += grad[o] * layer.weights()[o * in + i];
+      }
+    }
+    grad = std::move(dx);
+  }
+  return grad;
+}
+
+std::vector<std::vector<double>> zero_grads(const Mlp& mlp) {
+  std::vector<std::vector<double>> grads;
+  for (std::size_t l = 0; l < mlp.num_layers(); ++l) {
+    grads.emplace_back(mlp.layer(l).weights().size() +
+                       mlp.layer(l).biases().size());
+  }
+  return grads;
+}
+
 TEST(MlpBatch, ForwardBatchBitwiseMatchesLoopedForward) {
   sim::Rng rng(11);
   const std::int32_t in = 7;
   const std::int32_t out = 5;
-  Mlp mlp({in, 16, 16, out}, Activation::kTanh, rng);
-
-  for (const std::int32_t batch : {1, 2, 3, 4, 5, 9}) {
-    const std::vector<double> x =
-        random_matrix(static_cast<std::size_t>(batch),
-                      static_cast<std::size_t>(in), rng);
-    const std::vector<double> y = mlp.forward_batch(x, batch);
-    ASSERT_EQ(y.size(), static_cast<std::size_t>(batch * out));
-    for (std::int32_t b = 0; b < batch; ++b) {
-      const std::span<const double> row(
-          x.data() + static_cast<std::size_t>(b * in),
-          static_cast<std::size_t>(in));
-      const std::vector<double> single = mlp.forward(row);
-      for (std::int32_t j = 0; j < out; ++j) {
-        // EXPECT_EQ, not NEAR: the contract is bitwise identity.
-        EXPECT_EQ(y[static_cast<std::size_t>(b * out + j)],
-                  single[static_cast<std::size_t>(j)])
-            << "batch=" << batch << " sample=" << b << " out=" << j;
+  for (const Activation act : {Activation::kTanh, Activation::kRelu}) {
+    Mlp mlp({in, 16, 16, out}, act, rng);
+    for (const std::int32_t batch : {1, 2, 3, 4, 5, 9}) {
+      const std::vector<double> x =
+          random_matrix(static_cast<std::size_t>(batch),
+                        static_cast<std::size_t>(in), rng);
+      const std::vector<double> y = mlp.forward_batch(x, batch);
+      ASSERT_EQ(y.size(), static_cast<std::size_t>(batch * out));
+      for (std::int32_t b = 0; b < batch; ++b) {
+        const std::span<const double> row = row_of(x, b, in);
+        const std::vector<double> single = mlp.forward_batch(row, 1);
+        const std::vector<double> ref = reference_forward(mlp, row);
+        for (std::int32_t j = 0; j < out; ++j) {
+          const double got = y[static_cast<std::size_t>(b * out + j)];
+          // EXPECT_EQ, not NEAR: the contract is bitwise identity.
+          EXPECT_EQ(got, single[static_cast<std::size_t>(j)])
+              << "batch=" << batch << " sample=" << b << " out=" << j;
+          EXPECT_EQ(got, ref[static_cast<std::size_t>(j)])
+              << "batch=" << batch << " sample=" << b << " out=" << j;
+        }
       }
     }
   }
@@ -60,18 +155,19 @@ TEST(MlpBatch, ForwardBatchCacheMatchesSingleSampleCache) {
   ASSERT_EQ(bcache.batch, batch);
 
   for (std::int32_t b = 0; b < batch; ++b) {
-    Mlp::Cache cache;
-    const std::span<const double> row(x.data() + static_cast<std::size_t>(b) * 4,
-                                      4);
-    (void)mlp.forward(row, &cache);
+    Mlp::BatchCache cache;
+    (void)mlp.forward_batch(row_of(x, b, 4), 1, &cache);
+    RefTrace trace;
+    (void)reference_forward(mlp, row_of(x, b, 4), &trace);
     ASSERT_EQ(bcache.pre.size(), cache.pre.size());
     for (std::size_t l = 0; l < cache.pre.size(); ++l) {
       const std::size_t width = cache.pre[l].size();
       for (std::size_t j = 0; j < width; ++j) {
-        EXPECT_EQ(bcache.pre[l][static_cast<std::size_t>(b) * width + j],
-                  cache.pre[l][j]);
-        EXPECT_EQ(bcache.post[l][static_cast<std::size_t>(b) * width + j],
-                  cache.post[l][j]);
+        const std::size_t at = static_cast<std::size_t>(b) * width + j;
+        EXPECT_EQ(bcache.pre[l][at], cache.pre[l][j]);
+        EXPECT_EQ(bcache.post[l][at], cache.post[l][j]);
+        EXPECT_EQ(bcache.pre[l][at], trace.pre[l][j]);
+        EXPECT_EQ(bcache.post[l][at], trace.post[l][j]);
       }
     }
   }
@@ -82,8 +178,8 @@ TEST(MlpBatch, BackwardBatchBitwiseMatchesLoopedBackward) {
   const std::int32_t out = 4;
   const std::int32_t batch = 5;
 
-  // Two identically initialized networks: one trained by the looped path,
-  // one by the batched path.
+  // Two identically initialized networks: one trained a row at a time, one
+  // by the whole batch.
   sim::Rng rng_a(21);
   sim::Rng rng_b(21);
   Mlp looped({in, 12, out}, Activation::kTanh, rng_a);
@@ -102,17 +198,20 @@ TEST(MlpBatch, BackwardBatchBitwiseMatchesLoopedBackward) {
 
   looped.zero_grad();
   std::vector<double> dx_looped;
+  std::vector<double> dx_ref;
+  std::vector<std::vector<double>> ref_grads = zero_grads(looped);
   for (std::int32_t b = 0; b < batch; ++b) {
-    Mlp::Cache cache;
-    const std::span<const double> row(
-        x.data() + static_cast<std::size_t>(b * in),
-        static_cast<std::size_t>(in));
-    (void)looped.forward(row, &cache);
-    const std::span<const double> grad(
-        dy.data() + static_cast<std::size_t>(b * out),
-        static_cast<std::size_t>(out));
-    const std::vector<double> dx = looped.backward(row, cache, grad);
+    Mlp::BatchCache cache;
+    (void)looped.forward_batch(row_of(x, b, in), 1, &cache);
+    const std::vector<double> dx =
+        looped.backward_batch(row_of(x, b, in), cache, row_of(dy, b, out), 1);
     dx_looped.insert(dx_looped.end(), dx.begin(), dx.end());
+
+    RefTrace trace;
+    (void)reference_forward(looped, row_of(x, b, in), &trace);
+    const std::vector<double> rdx = reference_backward(
+        looped, row_of(x, b, in), trace, row_of(dy, b, out), ref_grads);
+    dx_ref.insert(dx_ref.end(), rdx.begin(), rdx.end());
   }
 
   batched.zero_grad();
@@ -122,22 +221,30 @@ TEST(MlpBatch, BackwardBatchBitwiseMatchesLoopedBackward) {
       batched.backward_batch(x, bcache, dy, batch);
 
   ASSERT_EQ(dx_batched.size(), dx_looped.size());
+  ASSERT_EQ(dx_batched.size(), dx_ref.size());
   for (std::size_t i = 0; i < dx_looped.size(); ++i) {
     EXPECT_EQ(dx_batched[i], dx_looped[i]) << "dx element " << i;
+    EXPECT_EQ(dx_batched[i], dx_ref[i]) << "dx element " << i;
   }
 
   ParamRefs ra;
   ParamRefs rb;
   looped.collect(ra);
   batched.collect(rb);
+  std::vector<double> ref_flat;
+  for (const std::vector<double>& g : ref_grads) {
+    ref_flat.insert(ref_flat.end(), g.begin(), g.end());
+  }
   ASSERT_EQ(ra.size(), rb.size());
+  ASSERT_EQ(ref_flat.size(), rb.size());
   for (std::size_t i = 0; i < ra.size(); ++i) {
     EXPECT_EQ(*ra.grads[i], *rb.grads[i]) << "grad element " << i;
+    EXPECT_EQ(ref_flat[i], *rb.grads[i]) << "grad element " << i;
   }
 }
 
 TEST(MlpBatch, NoCacheForwardMatchesCachedAndLeavesTrainingUntouched) {
-  // Without a cache, forward/forward_batch take the inference fast path:
+  // Without a cache, forward_batch takes the inference fast path:
   // activations applied in place, no per-layer capture. That path must be
   // bitwise identical to the cached forward, and interleaving it with
   // training must not perturb the gradients of a subsequent backward pass.
@@ -172,7 +279,7 @@ TEST(MlpBatch, NoCacheForwardMatchesCachedAndLeavesTrainingUntouched) {
   (void)mixed.forward_batch(probe, 3);
   Mlp::BatchCache mixed_cache;
   (void)mixed.forward_batch(x, batch, &mixed_cache);
-  (void)mixed.forward(std::span<const double>(probe.data(), 5));
+  (void)mixed.forward_batch(row_of(probe, 0, 5), 1);
   (void)mixed.backward_batch(x, mixed_cache, dy, batch);
 
   ParamRefs ra;
@@ -201,10 +308,7 @@ TEST(MlpBatch, LinearBatchKernelsMatchSingleSample) {
   a.forward_batch(x, y_batch, batch);
   for (std::int32_t b = 0; b < batch; ++b) {
     std::vector<double> y(static_cast<std::size_t>(out));
-    a.forward(std::span<const double>(
-                  x.data() + static_cast<std::size_t>(b * in),
-                  static_cast<std::size_t>(in)),
-              y);
+    a.forward_batch(row_of(x, b, in), y, 1);
     for (std::int32_t j = 0; j < out; ++j) {
       EXPECT_EQ(y_batch[static_cast<std::size_t>(b * out + j)],
                 y[static_cast<std::size_t>(j)]);

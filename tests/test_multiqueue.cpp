@@ -137,18 +137,6 @@ TEST_F(MultiQueueFixture, RewardsAccumulateAndUpdatesRun) {
   EXPECT_EQ(rewards, 14u);
 }
 
-TEST_F(MultiQueueFixture, EvalModeFreezesLearning) {
-  build();
-  PetController ctl(sched, switches, controller_config(), 4);
-  ctl.set_training(false);
-  ctl.start();
-  run_ticks(10);
-  for (std::size_t i = 0; i < ctl.num_agents(); ++i) {
-    EXPECT_EQ(ctl.agent(i).updates(), 0);
-    EXPECT_EQ(ctl.agent(i).reward_stats().count(), 0u);
-  }
-}
-
 TEST_F(MultiQueueFixture, ControllerDrivesAllSwitches) {
   build();
   net::SwitchConfig cfg2;

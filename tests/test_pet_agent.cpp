@@ -87,20 +87,6 @@ TEST_F(PetFixture, UpdateRunsAfterRolloutFills) {
   EXPECT_GE(agent.updates(), 1);
 }
 
-TEST_F(PetFixture, EvalModeSkipsLearningButStillActs) {
-  build();
-  PetAgent agent(sched, *sw, agent_config(), 5);
-  agent.set_training(false);
-  for (int i = 0; i < 10; ++i) {
-    agent.tick();
-    sched.run_until(sched.now() + sim::microseconds(100));
-  }
-  EXPECT_EQ(agent.updates(), 0);
-  EXPECT_EQ(agent.reward_stats().count(), 0u);
-  EXPECT_EQ(agent.steps(), 10);
-  EXPECT_TRUE(agent.current_config().valid());
-}
-
 TEST_F(PetFixture, ExplorationDecaysPerEq13) {
   build();
   PetAgentConfig cfg = agent_config();
@@ -199,18 +185,6 @@ TEST_F(PetFixture, InstallWeightsPropagatesToAllAgents) {
   const auto w = ctl.agent(0).policy().weights();
   ASSERT_TRUE(ctl.install_weights(w));
   EXPECT_EQ(ctl.agent(1).policy().weights(), w);
-}
-
-TEST_F(PetFixture, ResetEpisodeKeepsWeights) {
-  build();
-  PetAgent agent(sched, *sw, agent_config(), 81);
-  for (int i = 0; i < 3; ++i) {
-    agent.tick();
-    sched.run_until(sched.now() + sim::microseconds(100));
-  }
-  const auto w = agent.policy().weights();
-  agent.reset_episode();
-  EXPECT_EQ(agent.policy().weights(), w);
 }
 
 }  // namespace

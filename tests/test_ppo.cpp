@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
+#include <string>
+#include <vector>
 
 namespace pet::rl {
 namespace {
@@ -16,11 +19,34 @@ PpoConfig small_config() {
   return cfg;
 }
 
+// Single-row calls of the batched API: one observation is a batch of one.
+PpoAgent::ActResult act_one(PpoAgent& agent, std::span<const double> state,
+                            sim::Rng& rng, double explore) {
+  sim::Rng* r = &rng;
+  return agent.act_batch(state, 1, {&r, 1}, {&explore, 1}).front();
+}
+
+PpoAgent::ActResult act_one(PpoAgent& agent, std::span<const double> state,
+                            sim::Rng& rng) {
+  return act_one(agent, state, rng, agent.exploration_rate());
+}
+
+std::vector<std::int32_t> greedy_one(const PpoAgent& agent,
+                                     std::span<const double> state) {
+  std::vector<std::int32_t> actions(agent.num_heads());
+  agent.act_greedy_batch(state, 1, actions);
+  return actions;
+}
+
+double value_one(const PpoAgent& agent, std::span<const double> state) {
+  return agent.value_batch(state, 1).front();
+}
+
 TEST(PpoAgent, ActShapesAndLogProb) {
   PpoAgent agent(small_config());
   sim::Rng rng(1);
   const std::vector<double> state{0.1, 0.2, 0.3};
-  const auto res = agent.act(state, rng);
+  const auto res = act_one(agent, state, rng);
   ASSERT_EQ(res.actions.size(), 2u);
   EXPECT_GE(res.actions[0], 0);
   EXPECT_LT(res.actions[0], 4);
@@ -33,7 +59,7 @@ TEST(PpoAgent, ActShapesAndLogProb) {
 TEST(PpoAgent, GreedyIsDeterministic) {
   PpoAgent agent(small_config());
   const std::vector<double> state{0.5, -0.5, 0.0};
-  EXPECT_EQ(agent.act_greedy(state), agent.act_greedy(state));
+  EXPECT_EQ(greedy_one(agent, state), greedy_one(agent, state));
 }
 
 TEST(PpoAgent, WeightsRoundTrip) {
@@ -42,10 +68,10 @@ TEST(PpoAgent, WeightsRoundTrip) {
   cfg2.seed = 99;
   PpoAgent b(cfg2);
   const std::vector<double> state{0.3, 0.1, -0.2};
-  EXPECT_NE(a.value(state), b.value(state));
+  EXPECT_NE(value_one(a, state), value_one(b, state));
   ASSERT_TRUE(b.set_weights(a.weights()));
-  EXPECT_EQ(a.value(state), b.value(state));
-  EXPECT_EQ(a.act_greedy(state), b.act_greedy(state));
+  EXPECT_EQ(value_one(a, state), value_one(b, state));
+  EXPECT_EQ(greedy_one(a, state), greedy_one(b, state));
 }
 
 TEST(PpoAgent, ExplorationRateForcesUniformActions) {
@@ -54,7 +80,9 @@ TEST(PpoAgent, ExplorationRateForcesUniformActions) {
   sim::Rng rng(3);
   std::vector<int> counts(4, 0);
   const std::vector<double> state{0.0, 0.0, 0.0};
-  for (int i = 0; i < 8000; ++i) ++counts[agent.act(state, rng).actions[0]];
+  for (int i = 0; i < 8000; ++i) {
+    ++counts[act_one(agent, state, rng).actions[0]];
+  }
   for (const int c : counts) {
     EXPECT_NEAR(c / 8000.0, 0.25, 0.03);
   }
@@ -89,7 +117,7 @@ TEST(PpoAgent, LearnsContextualBandit) {
     for (int i = 0; i < 64; ++i) {
       const double ctx = rng.bernoulli(0.5) ? 1.0 : 0.0;
       const std::vector<double> state{ctx, 1.0 - ctx};
-      auto res = agent.act(state, rng);
+      auto res = act_one(agent, state, rng);
       const double reward =
           (res.actions[0] == static_cast<std::int32_t>(ctx)) ? 1.0 : 0.0;
       buf.push(Transition{.state = state,
@@ -102,8 +130,8 @@ TEST(PpoAgent, LearnsContextualBandit) {
   }
 
   // Greedy policy should now match context on both contexts.
-  EXPECT_EQ(agent.act_greedy(std::vector<double>{1.0, 0.0})[0], 1);
-  EXPECT_EQ(agent.act_greedy(std::vector<double>{0.0, 1.0})[0], 0);
+  EXPECT_EQ(greedy_one(agent, std::vector<double>{1.0, 0.0})[0], 1);
+  EXPECT_EQ(greedy_one(agent, std::vector<double>{0.0, 1.0})[0], 0);
 }
 
 TEST(PpoAgent, ValueConvergesToExpectedReward) {
@@ -122,7 +150,7 @@ TEST(PpoAgent, ValueConvergesToExpectedReward) {
   for (int round = 0; round < 50; ++round) {
     RolloutBuffer buf;
     for (int i = 0; i < 32; ++i) {
-      auto res = agent.act(state, rng);
+      auto res = act_one(agent, state, rng);
       buf.push(Transition{.state = state,
                           .actions = res.actions,
                           .log_prob = res.log_prob,
@@ -131,7 +159,7 @@ TEST(PpoAgent, ValueConvergesToExpectedReward) {
     }
     agent.update(buf, 0.0);
   }
-  EXPECT_NEAR(agent.value(state), 0.7, 0.1);
+  EXPECT_NEAR(value_one(agent, state), 0.7, 0.1);
 }
 
 TEST(PpoAgent, UpdateStatsPopulated) {
@@ -140,7 +168,7 @@ TEST(PpoAgent, UpdateStatsPopulated) {
   RolloutBuffer buf;
   const std::vector<double> state{0.1, 0.1, 0.1};
   for (int i = 0; i < 16; ++i) {
-    auto res = agent.act(state, rng);
+    auto res = act_one(agent, state, rng);
     buf.push(Transition{.state = state,
                         .actions = res.actions,
                         .log_prob = res.log_prob,
@@ -158,6 +186,67 @@ TEST(PpoAgent, ClipEpsSetterWorks) {
   PpoAgent agent(small_config());
   agent.set_clip_eps(0.05);
   EXPECT_EQ(agent.clip_eps(), 0.05);
+}
+
+/// Batch rows are independent: for batch sizes 1-9, per-row exploration
+/// rates of 0, 0.3 and 1 and a private RNG per row, every batched call
+/// returns bitwise what N single-row calls in row order return, and leaves
+/// each row's RNG where those calls leave it.
+TEST(PpoAgent, BatchRowsMatchSingleRowCallsBitwise) {
+  PpoAgent agent(small_config());
+  const std::size_t in = 3;
+  const std::size_t heads = agent.num_heads();
+  const double rates[] = {0.0, 0.3, 1.0};
+  sim::Rng data(17);
+  for (std::int32_t batch = 1; batch <= 9; ++batch) {
+    const auto n = static_cast<std::size_t>(batch);
+    std::vector<double> states(n * in);
+    for (double& v : states) v = data.uniform(-1.0, 1.0);
+    std::vector<double> explore(n);
+    std::vector<sim::Rng> batch_rngs;
+    std::vector<sim::Rng> row_rngs;
+    for (std::size_t r = 0; r < n; ++r) {
+      explore[r] = rates[(r + n) % 3];
+      batch_rngs.emplace_back(100 * n + r);
+      row_rngs.emplace_back(100 * n + r);
+    }
+    std::vector<sim::Rng*> rng_ptrs;
+    for (sim::Rng& r : batch_rngs) rng_ptrs.push_back(&r);
+
+    const std::vector<PpoAgent::ActResult> acts =
+        agent.act_batch(states, batch, rng_ptrs, explore);
+    std::vector<std::int32_t> sampled;
+    for (const PpoAgent::ActResult& a : acts) {
+      sampled.insert(sampled.end(), a.actions.begin(), a.actions.end());
+    }
+    std::vector<std::int32_t> greedy(n * heads);
+    agent.act_greedy_batch(states, batch, greedy);
+    const std::vector<double> values = agent.value_batch(states, batch);
+    const std::vector<PpoAgent::Evaluation> evals =
+        agent.evaluate_batch(states, sampled, batch);
+
+    for (std::size_t r = 0; r < n; ++r) {
+      SCOPED_TRACE("batch " + std::to_string(batch) + " row " +
+                   std::to_string(r));
+      const std::span<const double> row(&states[r * in], in);
+      const PpoAgent::ActResult one =
+          act_one(agent, row, row_rngs[r], explore[r]);
+      EXPECT_EQ(acts[r].actions, one.actions);
+      EXPECT_EQ(acts[r].log_prob, one.log_prob);
+      EXPECT_EQ(acts[r].value, one.value);
+      EXPECT_EQ(batch_rngs[r].state(), row_rngs[r].state());
+
+      const std::vector<std::int32_t> g = greedy_one(agent, row);
+      EXPECT_EQ(std::vector<std::int32_t>(&greedy[r * heads],
+                                          &greedy[r * heads] + heads),
+                g);
+      EXPECT_EQ(values[r], value_one(agent, row));
+      const std::vector<PpoAgent::Evaluation> ev = agent.evaluate_batch(
+          row, std::span<const std::int32_t>(&sampled[r * heads], heads), 1);
+      EXPECT_EQ(evals[r].log_prob, ev.front().log_prob);
+      EXPECT_EQ(evals[r].value, ev.front().value);
+    }
+  }
 }
 
 TEST(PpoAgent, NumParamsMatchesArchitecture) {
