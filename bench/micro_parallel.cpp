@@ -112,24 +112,23 @@ void bench_batched_inference(const bench::BenchOptions& opt,
 void bench_replica_throughput(const bench::BenchOptions& opt,
                               exp::RunArtifact& art) {
   const std::int32_t replicas = 4;
-  const auto scenario = [&] {
-    // A fig6-style training scenario: PET on Web Search, scaled fabric.
-    net::LeafSpineConfig topo;
-    topo.num_spines = opt.quick ? 1 : 2;
-    topo.num_leaves = 2;
-    topo.hosts_per_leaf = opt.quick ? 2 : 4;
-    return exp::ExperimentBuilder{}
-        .scheme(exp::Scheme::kPet)
-        .workload(workload::WorkloadKind::kWebSearch)
-        .load(0.5)
-        .topology(net::TopologySpec(topo))
-        .flow_size_cap(4e6)
-        .phases(opt.quick ? sim::milliseconds(2) : sim::milliseconds(10),
-                sim::milliseconds(1))
-        .seed(opt.seed)
-        .tuned_dcqcn()
-        .replicas(replicas);
-  };
+  // A fig6-style training scenario: PET on Web Search, scaled fabric.
+  net::LeafSpineConfig topo;
+  topo.num_spines = opt.quick ? 1 : 2;
+  topo.num_leaves = 2;
+  topo.hosts_per_leaf = opt.quick ? 2 : 4;
+  const exp::ScenarioConfig scenario =
+      exp::ExperimentBuilder{}
+          .scheme(exp::Scheme::kPet)
+          .workload(workload::WorkloadKind::kWebSearch)
+          .load(0.5)
+          .topology(net::TopologySpec(topo))
+          .flow_size_cap(4e6)
+          .phases(opt.quick ? sim::milliseconds(2) : sim::milliseconds(10),
+                  sim::milliseconds(1))
+          .seed(opt.seed)
+          .tuned_dcqcn()
+          .config();
 
   std::printf("\n--- parallel replica training (%d replicas, %u cores) ---\n",
               replicas, std::thread::hardware_concurrency());
@@ -137,7 +136,8 @@ void bench_replica_throughput(const bench::BenchOptions& opt,
   std::uint64_t digest1 = 0;
   std::uint64_t digest4 = 0;
   for (const std::int32_t threads : {1, 4}) {
-    exp::ReplicaRunner runner = scenario().threads(threads).build_runner();
+    exp::ReplicaRunner runner(scenario,
+                              {.replicas = replicas, .threads = threads});
     const exp::ReplicaRunner::RunStats stats = runner.run();
     if (threads == 1) {
       one_thread_rps = stats.replicas_per_sec;

@@ -8,10 +8,9 @@
 //                 --telemetry=trace.csv --artifact=run.json
 //                 --trace=trace.json [--no-incast] [--no-pretrain-cache]
 //
-// Crash safety: SIGINT/SIGTERM interrupt the run cooperatively — the final
-// checkpoint (training mode) and the run artifact are still flushed before
-// exit (code 130). Training mode (--train-episodes with a PET scheme) runs
-// ReplicaRunner episodes with --checkpoint/--checkpoint-every/--resume.
+// Crash safety: SIGINT/SIGTERM interrupt the run cooperatively — the run
+// artifact is still flushed before exit (code 130). Replica training runs
+// through pet_sweep --train-episodes.
 
 #include <csignal>
 #include <cstdio>
@@ -23,7 +22,6 @@
 
 #include "exp/experiment_builder.hpp"
 #include "exp/pretrain.hpp"
-#include "exp/replica_runner.hpp"
 #include "exp/run_artifact.hpp"
 #include "exp/table.hpp"
 #include "exp/telemetry.hpp"
@@ -36,13 +34,6 @@ using namespace pet;
 volatile std::sig_atomic_t g_stop = 0;
 
 void handle_stop_signal(int /*signum*/) { g_stop = 1; }
-
-/// A flag value the scenario rejects is a usage error: report it the way
-/// pet_sweep does and exit 2.
-int bad_scenario(const std::invalid_argument& e) {
-  std::fprintf(stderr, "pet_sim_cli: %s\n", e.what());
-  return 2;
-}
 
 struct CliOptions {
   exp::Scheme scheme = exp::Scheme::kPet;
@@ -68,13 +59,6 @@ struct CliOptions {
   std::string telemetry_path;
   std::string artifact_path;
   std::string trace_path;
-  // Training mode (PET schemes only).
-  std::int32_t train_episodes = 0;
-  std::int32_t replicas = 2;
-  std::int32_t train_threads = 0;
-  std::string checkpoint_path;
-  std::int32_t checkpoint_every = 1;
-  bool resume = false;
 };
 
 [[noreturn]] void usage(const char* argv0, int code) {
@@ -96,13 +80,7 @@ struct CliOptions {
       "  --artifact=PATH    write a machine-readable run artifact (JSON)\n"
       "  --trace=PATH       write a chrome://tracing timeline (JSON)\n"
       "  --no-incast        disable the incast generator\n"
-      "  --no-pretrain-cache  train learning schemes inline (slow)\n"
-      "  --train-episodes=N run N ReplicaRunner episodes (PET schemes)\n"
-      "  --replicas=N       replicas per training episode (default 2)\n"
-      "  --train-threads=N  replica worker threads (0 = auto)\n"
-      "  --checkpoint=PATH  durable training checkpoint file\n"
-      "  --checkpoint-every=N  checkpoint cadence in episodes (default 1)\n"
-      "  --resume           continue from --checkpoint if it exists\n",
+      "  --no-pretrain-cache  train learning schemes inline (slow)\n",
       argv0);
   std::exit(code);
 }
@@ -137,16 +115,10 @@ CliOptions parse(int argc, char** argv) {
     };
     if (arg.rfind("--scheme=", 0) == 0) {
       opt.scheme = parse_scheme(value("--scheme="), argv[0]);
-    } else if (arg.rfind("--workload=", 0) == 0) {
-      const std::string w = value("--workload=");
-      if (w == "websearch") {
-        opt.workload = workload::WorkloadKind::kWebSearch;
-      } else if (w == "datamining") {
-        opt.workload = workload::WorkloadKind::kDataMining;
-      } else {
-        std::fprintf(stderr, "unknown workload: %s\n", w.c_str());
-        usage(argv[0], 2);
-      }
+    } else if (arg == "--workload=websearch") {
+      opt.workload = workload::WorkloadKind::kWebSearch;
+    } else if (arg == "--workload=datamining") {
+      opt.workload = workload::WorkloadKind::kDataMining;
     } else if (arg.rfind("--load=", 0) == 0) {
       opt.load = std::atof(value("--load="));
     } else if (arg.rfind("--topo=", 0) == 0) {
@@ -183,18 +155,6 @@ CliOptions parse(int argc, char** argv) {
       opt.incast = false;
     } else if (arg == "--no-pretrain-cache") {
       opt.use_pretrain_cache = false;
-    } else if (arg.rfind("--train-episodes=", 0) == 0) {
-      opt.train_episodes = std::atoi(value("--train-episodes="));
-    } else if (arg.rfind("--replicas=", 0) == 0) {
-      opt.replicas = std::atoi(value("--replicas="));
-    } else if (arg.rfind("--train-threads=", 0) == 0) {
-      opt.train_threads = std::atoi(value("--train-threads="));
-    } else if (arg.rfind("--checkpoint=", 0) == 0) {
-      opt.checkpoint_path = value("--checkpoint=");
-    } else if (arg.rfind("--checkpoint-every=", 0) == 0) {
-      opt.checkpoint_every = std::atoi(value("--checkpoint-every="));
-    } else if (arg == "--resume") {
-      opt.resume = true;
     } else if (arg == "--help" || arg == "-h") {
       usage(argv[0], 0);
     } else {
@@ -239,93 +199,6 @@ net::TopologySpec make_topology(const CliOptions& opt, const char* argv0) {
   usage(argv0, 2);
 }
 
-/// Training mode: ReplicaRunner episodes with durable checkpoints. SIGINT/
-/// SIGTERM stop between episodes; the final checkpoint and the artifact
-/// are flushed either way.
-int run_training(const CliOptions& opt, const exp::ScenarioConfig& cfg) {
-  if (cfg.scheme != exp::Scheme::kPet &&
-      cfg.scheme != exp::Scheme::kPetAblation) {
-    std::fprintf(stderr, "--train-episodes requires a PET scheme\n");
-    return 2;
-  }
-  exp::ReplicaRunnerConfig rr;
-  rr.replicas = opt.replicas;
-  rr.threads = opt.train_threads;
-  rr.episodes = opt.train_episodes;
-  std::unique_ptr<exp::ReplicaRunner> runner_ptr;
-  try {
-    cfg.validate();
-    runner_ptr = std::make_unique<exp::ReplicaRunner>(cfg, rr);
-  } catch (const std::invalid_argument& e) {
-    return bad_scenario(e);
-  }
-  exp::ReplicaRunner& runner = *runner_ptr;
-
-  if (opt.resume && !opt.checkpoint_path.empty()) {
-    std::string error;
-    if (runner.load_checkpoint(opt.checkpoint_path, &error)) {
-      std::printf("resumed from %s at episode %d\n",
-                  opt.checkpoint_path.c_str(), runner.next_episode());
-    } else {
-      std::fprintf(stderr, "starting fresh (no usable checkpoint: %s)\n",
-                   error.c_str());
-    }
-  }
-
-  const auto save = [&runner, &opt] {
-    if (opt.checkpoint_path.empty()) return;
-    if (runner.save_checkpoint(opt.checkpoint_path)) {
-      std::printf("checkpoint: %s (episode %d)\n",
-                  opt.checkpoint_path.c_str(), runner.next_episode());
-    } else {
-      std::fprintf(stderr, "failed to write checkpoint %s\n",
-                   opt.checkpoint_path.c_str());
-    }
-  };
-
-  bool interrupted = false;
-  while (runner.next_episode() < opt.train_episodes) {
-    if (g_stop != 0) {
-      interrupted = true;
-      break;
-    }
-    const exp::ReplicaRunner::EpisodeStats st = runner.run_episode();
-    std::printf("episode %d: reward %.3f over %zu transitions\n", st.episode,
-                st.mean_reward, st.transitions);
-    const std::int32_t done = runner.next_episode();
-    if (opt.checkpoint_every > 0 && (done % opt.checkpoint_every == 0 ||
-                                     done == opt.train_episodes)) {
-      save();
-    }
-  }
-  if (interrupted) {
-    std::fprintf(stderr, "interrupted at episode %d; flushing state\n",
-                 runner.next_episode());
-    save();
-  }
-
-  if (!opt.artifact_path.empty()) {
-    exp::RunArtifact art("pet_sim_cli_train");
-    art.set_mode("cli-train");
-    art.set_seed(opt.seed);
-    art.set_scenario(cfg);
-    art.set_manifest_extra("interrupted", exp::JsonValue(interrupted));
-    art.add_metric("episodes",
-                   static_cast<double>(runner.history().size()));
-    art.add_metric("final_mean_reward",
-                   runner.history().empty()
-                       ? 0.0
-                       : runner.history().back().mean_reward);
-    char digest[32];
-    std::snprintf(digest, sizeof digest, "0x%016llx",
-                  static_cast<unsigned long long>(runner.last_digest()));
-    art.add_metric("rollout_digest", std::string(digest));
-    if (!art.write(opt.artifact_path)) return 1;
-    std::printf("artifact: %s\n", opt.artifact_path.c_str());
-  }
-  return interrupted ? 130 : 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -348,8 +221,6 @@ int main(int argc, char** argv) {
       .profiling(!opt.artifact_path.empty() || !opt.trace_path.empty())
       .tuned_dcqcn();
 
-  if (opt.train_episodes > 0) return run_training(opt, builder.config());
-
   std::unique_ptr<exp::Experiment> experiment_ptr;
   try {
     // Reject bad flag values before any pretraining runs.
@@ -364,7 +235,9 @@ int main(int argc, char** argv) {
             ? exp::build_pretrained(builder, exp::PretrainOptions{})
             : builder.build();
   } catch (const std::invalid_argument& e) {
-    return bad_scenario(e);
+    // A flag value the scenario rejects is a usage error, as in pet_sweep.
+    std::fprintf(stderr, "pet_sim_cli: %s\n", e.what());
+    return 2;
   }
   exp::Experiment& experiment = *experiment_ptr;
 

@@ -1,16 +1,18 @@
-// pet_sweep: fault-tolerant grid sweeps over scheme × load × seed.
+// pet_sweep: fault-tolerant grid sweeps over scheme × load × seed, and the
+// command-line trainer (a one-point PET sweep with --train-episodes=N).
 //
 //   ./pet_sweep --scheme=pet,secn1 --load=0.4,0.8 --seed=1,2
 //               --out=sweep_out --threads=2 --train-episodes=3
 //               --checkpoint-every=1 [--resume]
 //
 // Every point writes a durable artifact (the completion marker) and
-// training points checkpoint every N episodes, so a crashed or killed
-// sweep re-run with --resume skips finished points and continues partial
-// ones bitwise-identically. A per-point watchdog retries hung points with
-// capped backoff and quarantines repeat offenders while the rest of the
-// grid completes. Exit code: 0 all points done, 1 any quarantined, 2 bad
-// option or invalid grid point (nothing run), 130 stopped by signal.
+// training points checkpoint every N episodes (and on SIGINT/SIGTERM) to
+// <out>/point_<id>.ckpt, so a crashed or killed sweep re-run with --resume
+// skips finished points and continues partial ones bitwise-identically. A
+// per-point watchdog retries hung points with capped backoff and
+// quarantines repeat offenders while the rest of the grid completes. Exit
+// code: 0 all points done, 1 any quarantined, 2 bad option or a grid it
+// cannot run (nothing run), 130 stopped by signal.
 //
 // Fault-injection flags for the crash-safety tests:
 //   --crash-after-writes=N  _Exit(137) after N durable writes
@@ -42,6 +44,7 @@ struct CliOptions {
   std::vector<exp::Scheme> schemes;
   std::vector<double> loads;
   std::vector<std::uint64_t> seeds;
+  workload::WorkloadKind workload = workload::WorkloadKind::kWebSearch;
   std::string out_dir = "sweep_out";
   std::string name = "sweep";
   std::int32_t threads = 0;
@@ -81,9 +84,10 @@ struct CliOptions {
       "pet-ablation\n"
       "  --load=LIST        comma list of load fractions\n"
       "  --seed=LIST        comma list of seeds\n"
+      "  --workload=websearch|datamining  base workload of every point\n"
       "  --out=DIR          output directory (default sweep_out)\n"
       "  --name=NAME        sweep name (default sweep)\n"
-      "  --threads=N        concurrent points (0 = auto)\n"
+      "  --threads=N        worker threads, split over the points (0 = auto)\n"
       "  --resume           skip/continue points finished by a prior run\n"
       "  --topo=LIST        comma list of leaf-spine|fat-tree|inter-dc\n"
       "  --spines=N --leaves=N --hosts-per-leaf=N   (leaf-spine / inter-dc)\n"
@@ -154,6 +158,10 @@ CliOptions parse(int argc, char** argv) {
       for (const std::string& s : split_list(value("--seed="))) {
         opt.seeds.push_back(std::strtoull(s.c_str(), nullptr, 10));
       }
+    } else if (arg == "--workload=websearch") {
+      opt.workload = workload::WorkloadKind::kWebSearch;
+    } else if (arg == "--workload=datamining") {
+      opt.workload = workload::WorkloadKind::kDataMining;
     } else if (arg.rfind("--out=", 0) == 0) {
       opt.out_dir = value("--out=");
     } else if (arg.rfind("--name=", 0) == 0) {
@@ -278,6 +286,7 @@ int main(int argc, char** argv) {
     }
     grid.base.topo = grid.topologies.front().spec;
   }
+  grid.base.workload = opt.workload;
   grid.base.pretrain = sim::milliseconds(opt.pretrain_ms);
   grid.base.measure = sim::milliseconds(opt.measure_ms);
   grid.base.incast_enabled = opt.incast;

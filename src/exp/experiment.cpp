@@ -61,9 +61,6 @@ void ScenarioConfig::validate() const {
     fail("tuning_interval", "must be positive");
   }
   if (pretrain_lr_boost <= 0.0) fail("pretrain_lr_boost", "must be positive");
-  if (pet_explore_start < 0.0 || pet_explore_start > 1.0) {
-    fail("explore_start", "must be in [0, 1]");
-  }
 }
 
 Experiment::Experiment(const ScenarioConfig& cfg)
@@ -135,8 +132,7 @@ void Experiment::install_scheme() {
       // PPO iterations fit into the pre-training window.
       pc.agent.rollout_length = 32;
       pc.agent.ppo.minibatch_size = 32;
-      pc.agent.explore_start =
-          cfg_.expects_pretrained ? 0.02 : cfg_.pet_explore_start;
+      pc.agent.explore_start = cfg_.expects_pretrained ? 0.02 : 0.1;
       pc.agent.state.qlen_norm_bytes =
           static_cast<double>(cfg_.topo.switch_config().pfc_xoff_bytes);
       // The policy server snapshots one shared policy, so any serving mode

@@ -81,9 +81,6 @@ struct ScenarioConfig {
   /// learning rates) instead of from-scratch schedules.
   bool expects_pretrained = false;
 
-  /// PET initial exploration rate (offline sandboxes explore harder).
-  double pet_explore_start = 0.1;
-
   /// Deployment-decision serving mode (rl::PolicyServer). Non-kDirect modes
   /// imply pet_shared_policy — the server snapshots one shared policy.
   /// kFp64 is bitwise identical to kDirect; kFp32/kInt8 trade bounded
@@ -99,8 +96,8 @@ struct ScenarioConfig {
   void tune_dcqcn_for_rate();
 
   /// Throws std::invalid_argument naming the offending field. Every front
-  /// door (ExperimentBuilder::build, SweepRunner::run) calls this before
-  /// constructing an Experiment.
+  /// door (ExperimentBuilder::build, the ReplicaRunner constructor,
+  /// SweepRunner::run) calls this before constructing an Experiment.
   void validate() const;
 };
 

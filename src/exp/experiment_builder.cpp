@@ -1,25 +1,9 @@
 #include "exp/experiment_builder.hpp"
 
-#include <stdexcept>
-#include <string>
-
-#include "exp/replica_runner.hpp"
-
 namespace pet::exp {
-
-ExperimentBuilder ExperimentBuilder::from_config(const ScenarioConfig& cfg) {
-  ExperimentBuilder b;
-  b.cfg_ = cfg;
-  return b;
-}
 
 ExperimentBuilder& ExperimentBuilder::topology(const net::TopologySpec& topo) {
   cfg_.topo = topo;
-  return *this;
-}
-
-ExperimentBuilder& ExperimentBuilder::dcqcn(const transport::DcqcnConfig& cfg) {
-  cfg_.dcqcn = cfg;
   return *this;
 }
 
@@ -105,11 +89,6 @@ ExperimentBuilder& ExperimentBuilder::expects_pretrained(bool expects) {
   return *this;
 }
 
-ExperimentBuilder& ExperimentBuilder::explore_start(double rate) {
-  cfg_.pet_explore_start = rate;
-  return *this;
-}
-
 ExperimentBuilder& ExperimentBuilder::infer(rl::InferMode mode) {
   cfg_.pet_infer = mode;
   return *this;
@@ -120,30 +99,6 @@ ExperimentBuilder& ExperimentBuilder::profiling(bool enabled) {
   return *this;
 }
 
-ExperimentBuilder& ExperimentBuilder::replicas(std::int32_t n) {
-  replicas_ = n;
-  return *this;
-}
-
-ExperimentBuilder& ExperimentBuilder::threads(std::int32_t n) {
-  threads_ = n;
-  return *this;
-}
-
-void ExperimentBuilder::validate() const {
-  cfg_.validate();
-  const auto fail = [](const char* field, const char* why) {
-    throw std::invalid_argument(std::string("ExperimentBuilder: ") + field +
-                                " " + why);
-  };
-  if (replicas_ < 1) fail("replicas", "must be >= 1");
-  if (threads_ < 0) fail("threads", "must be >= 0 (0 = hardware)");
-  if (replicas_ > 1 && cfg_.scheme != Scheme::kPet &&
-      cfg_.scheme != Scheme::kPetAblation) {
-    fail("replicas", "> 1 requires a PET scheme (merged IPPO update)");
-  }
-}
-
 ScenarioConfig ExperimentBuilder::finalized() const {
   ScenarioConfig cfg = cfg_;
   if (tuned_dcqcn_) cfg.tune_dcqcn_for_rate();
@@ -151,16 +106,9 @@ ScenarioConfig ExperimentBuilder::finalized() const {
 }
 
 std::unique_ptr<Experiment> ExperimentBuilder::build() const {
-  validate();
-  return std::make_unique<Experiment>(finalized());
-}
-
-ReplicaRunner ExperimentBuilder::build_runner() const {
-  validate();
-  ReplicaRunnerConfig rc;
-  rc.replicas = replicas_;
-  rc.threads = threads_;
-  return ReplicaRunner(finalized(), rc);
+  const ScenarioConfig cfg = finalized();
+  cfg.validate();
+  return std::make_unique<Experiment>(cfg);
 }
 
 }  // namespace pet::exp

@@ -8,14 +8,13 @@
 //                 .seed(7)
 //                 .build();
 //
-// Every knob of ScenarioConfig has a chainable setter; build() validates
-// the assembled configuration once (throwing std::invalid_argument with a
-// field-naming message) so malformed scenarios fail loudly at the API
-// boundary instead of deep inside the simulator. replicas(N) switches the
-// product from a single Experiment to a ReplicaRunner that trains N
-// independent replicas in parallel (see replica_runner.hpp). Code that
-// already holds a whole ScenarioConfig (SweepRunner, ReplicaRunner,
-// offline_pretrain) constructs Experiment from it directly.
+// Chainable setters over ScenarioConfig; build() validates the assembled
+// configuration once (throwing std::invalid_argument with a field-naming
+// message) so malformed scenarios fail loudly at the API boundary instead
+// of deep inside the simulator. Code that already holds a whole
+// ScenarioConfig (SweepRunner, offline_pretrain) constructs Experiment from
+// it directly, and ReplicaRunner(ScenarioConfig, ReplicaRunnerConfig) is
+// the parallel-replica trainer.
 
 #include <cstdint>
 #include <memory>
@@ -26,26 +25,18 @@
 #include "net/topology_spec.hpp"
 #include "rl/inference.hpp"
 #include "sim/time.hpp"
-#include "transport/dcqcn.hpp"
 #include "workload/distributions.hpp"
 
 namespace pet::exp {
-
-class ReplicaRunner;
-struct ReplicaRunnerConfig;
 
 class ExperimentBuilder {
  public:
   ExperimentBuilder() = default;
 
-  /// Seed the builder from an existing ScenarioConfig (migration aid).
-  [[nodiscard]] static ExperimentBuilder from_config(const ScenarioConfig& cfg);
-
   // --- fabric ---------------------------------------------------------------
   /// Any fabric family: leaf-spine, k-ary fat-tree, or inter-DC
   /// (net/topology_spec.hpp).
   ExperimentBuilder& topology(const net::TopologySpec& topo);
-  ExperimentBuilder& dcqcn(const transport::DcqcnConfig& cfg);
   /// Re-derive DCQCN's increase machinery from the (already set) host link
   /// rate; applied at build() time so it sees the final topology.
   ExperimentBuilder& tuned_dcqcn(bool enabled = true);
@@ -71,7 +62,6 @@ class ExperimentBuilder {
   ExperimentBuilder& pretrain_lr_boost(double factor);
   ExperimentBuilder& shared_policy(bool shared);
   ExperimentBuilder& expects_pretrained(bool expects);
-  ExperimentBuilder& explore_start(double rate);
   /// Deployment-decision serving precision (rl::PolicyServer). Non-kDirect
   /// modes imply shared_policy(true).
   ExperimentBuilder& infer(rl::InferMode mode);
@@ -81,14 +71,6 @@ class ExperimentBuilder {
   /// sections; the event order is unaffected).
   ExperimentBuilder& profiling(bool enabled = true);
 
-  // --- parallel replicas ----------------------------------------------------
-  /// Train N fully independent replicas per episode and merge their
-  /// rollouts into one IPPO update (build_runner()).
-  ExperimentBuilder& replicas(std::int32_t n);
-  /// Worker threads for the replica pool (0 = hardware concurrency). The
-  /// merged result is identical for any thread count.
-  ExperimentBuilder& threads(std::int32_t n);
-
   /// The assembled (not yet validated) configuration exactly as build()
   /// will consume it — deferred adjustments like tuned_dcqcn() applied.
   /// Useful as a pretrain-cache key.
@@ -96,18 +78,11 @@ class ExperimentBuilder {
 
   /// Validate and construct. Throws std::invalid_argument on a bad config.
   [[nodiscard]] std::unique_ptr<Experiment> build() const;
-  /// Validate and construct the parallel-replica trainer (replicas() >= 1;
-  /// requires a PET scheme).
-  [[nodiscard]] ReplicaRunner build_runner() const;
 
  private:
-  /// ScenarioConfig::validate() plus the replica and thread counts.
-  void validate() const;
   [[nodiscard]] ScenarioConfig finalized() const;
 
   ScenarioConfig cfg_{};
-  std::int32_t replicas_ = 1;
-  std::int32_t threads_ = 0;
   bool tuned_dcqcn_ = false;
 };
 

@@ -18,7 +18,6 @@ std::vector<double> offline_pretrain(ScenarioConfig base,
   if (!is_learning_scheme(base.scheme)) return {};
   base.pet_shared_policy = true;
   base.pretrain_lr_boost = opt.lr_boost;
-  base.pet_explore_start = 0.1;
   base.seed = sim::derive_seed(base.seed, "offline-pretrain");
   Experiment sandbox(base);
 

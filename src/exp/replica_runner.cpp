@@ -13,6 +13,7 @@
 
 #include "core/controller.hpp"
 #include "core/pet_agent.hpp"
+#include "exp/run_artifact.hpp"
 #include "exp/scheme.hpp"
 #include "rl/ppo.hpp"
 #include "rl/rollout.hpp"
@@ -48,6 +49,12 @@ void fold_harvest(std::uint64_t& h, const core::PetAgent::Harvest& harvest) {
   }
 }
 
+/// The checkpoint's "replica-runner/scenario" payload.
+std::vector<std::uint8_t> scenario_bytes(const ScenarioConfig& cfg) {
+  const std::string text = scenario_json(cfg).dump();
+  return {text.begin(), text.end()};
+}
+
 }  // namespace
 
 struct ReplicaRunner::ReplicaResult {
@@ -57,6 +64,7 @@ struct ReplicaRunner::ReplicaResult {
 ReplicaRunner::ReplicaRunner(const ScenarioConfig& scenario,
                              ReplicaRunnerConfig cfg)
     : scenario_(scenario), cfg_(cfg) {
+  scenario_.validate();
   if (cfg_.replicas < 1) {
     throw std::invalid_argument("ReplicaRunner: replicas must be >= 1");
   }
@@ -79,14 +87,10 @@ std::size_t ReplicaRunner::num_agents() const {
   return central_->pet()->num_agents();
 }
 
-std::vector<double> ReplicaRunner::agent_weights(std::size_t i) const {
-  return central_->pet()->agent(i).policy().weights();
-}
-
 std::vector<double> ReplicaRunner::all_weights() const {
   std::vector<double> all;
   for (std::size_t i = 0; i < num_agents(); ++i) {
-    const std::vector<double> w = agent_weights(i);
+    const std::vector<double> w = central_->pet()->agent(i).policy().weights();
     all.insert(all.end(), w.begin(), w.end());
   }
   return all;
@@ -116,10 +120,7 @@ ReplicaRunner::ReplicaResult ReplicaRunner::run_replica(
     static_cast<void>(ok);
     agent.set_local_updates(false);  // experience is merged centrally
   }
-  const sim::Time len = cfg_.episode_length > sim::Time::zero()
-                            ? cfg_.episode_length
-                            : scenario_.pretrain;
-  ex.run_until(len);
+  ex.run_until(scenario_.pretrain);
   ReplicaResult res;
   res.harvests.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -166,16 +167,13 @@ ReplicaRunner::EpisodeStats ReplicaRunner::run_episode() {
     }
     sim::set_log_replica_id(-1);
   };
-  {
-    PET_PROFILE_SCOPE(profiler_, "episode.simulate");
-    if (threads <= 1) {
-      worker();
-    } else {
-      std::vector<std::thread> pool;
-      pool.reserve(threads);
-      for (unsigned t = 0; t < threads; ++t) pool.emplace_back(worker);
-      for (std::thread& t : pool) t.join();
-    }
+  if (threads <= 1) {
+    worker();
+  } else {
+    std::vector<std::thread> pool;
+    pool.reserve(threads);
+    for (unsigned t = 0; t < threads; ++t) pool.emplace_back(worker);
+    for (std::thread& t : pool) t.join();
   }
   for (const std::exception_ptr& err : errors) {
     if (err) std::rethrow_exception(err);
@@ -183,7 +181,6 @@ ReplicaRunner::EpisodeStats ReplicaRunner::run_episode() {
 
   // Merge: per agent, the replicas' trajectories become GAE-isolated slices
   // of one central PPO update, consumed in replica order.
-  PET_PROFILE_SCOPE(profiler_, "episode.merge");
   EpisodeStats st;
   st.episode = e;
   // Chain across episodes so a multi-episode digest covers the whole run.
@@ -227,8 +224,6 @@ ReplicaRunner::EpisodeStats ReplicaRunner::run_episode() {
 
 void ReplicaRunner::save_state(sim::Checkpoint& ckpt) const {
   sim::ByteSink meta;
-  meta.u64(scenario_.seed);
-  meta.u8(static_cast<std::uint8_t>(scenario_.scheme));
   meta.i32(cfg_.replicas);
   meta.u64(num_agents());
   meta.i32(next_episode_);
@@ -243,6 +238,7 @@ void ReplicaRunner::save_state(sim::Checkpoint& ckpt) const {
     meta.f64(st.entropy);
   }
   ckpt.set_section("replica-runner/meta", meta.take());
+  ckpt.set_section("replica-runner/scenario", scenario_bytes(scenario_));
   for (std::size_t i = 0; i < num_agents(); ++i) {
     sim::ByteSink agent;
     central_->pet()->agent(i).policy().save_state(agent);
@@ -252,20 +248,21 @@ void ReplicaRunner::save_state(sim::Checkpoint& ckpt) const {
 }
 
 bool ReplicaRunner::load_state(const sim::Checkpoint& ckpt) {
+  // The scenario and the replica count tie a checkpoint to the exact run
+  // that produced it: resuming under a different config would continue a
+  // *different* run and silently break the bitwise-resume guarantee.
+  const std::vector<std::uint8_t>* scenario =
+      ckpt.section("replica-runner/scenario");
   const std::vector<std::uint8_t>* meta_bytes =
       ckpt.section("replica-runner/meta");
-  if (meta_bytes == nullptr) return false;
+  if (scenario == nullptr || *scenario != scenario_bytes(scenario_) ||
+      meta_bytes == nullptr) {
+    return false;
+  }
   sim::ByteSource meta(*meta_bytes);
-  const std::uint64_t seed = meta.u64();
-  const std::uint8_t scheme = meta.u8();
   const std::int32_t replicas = meta.i32();
   const std::uint64_t agents = meta.u64();
-  // The fingerprint ties a checkpoint to the exact scenario that produced
-  // it: resuming under a different seed/scheme/replica-count would continue
-  // a *different* run and silently break the bitwise-resume guarantee.
-  if (!meta.ok() || seed != scenario_.seed ||
-      scheme != static_cast<std::uint8_t>(scenario_.scheme) ||
-      replicas != cfg_.replicas || agents != num_agents()) {
+  if (!meta.ok() || replicas != cfg_.replicas || agents != num_agents()) {
     return false;
   }
   const std::int32_t next_episode = meta.i32();

@@ -28,9 +28,7 @@
 
 #include "exp/experiment.hpp"
 #include "sim/checkpoint.hpp"
-#include "sim/profiler.hpp"
 #include "sim/thread_annotations.hpp"
-#include "sim/time.hpp"
 
 namespace pet::exp {
 
@@ -39,11 +37,9 @@ struct ReplicaRunnerConfig {
   std::int32_t replicas = 4;
   /// Worker threads (0 = hardware concurrency, capped at `replicas`).
   std::int32_t threads = 0;
-  /// Training episodes (central update rounds).
+  /// Training episodes (central update rounds). Each replica simulates the
+  /// scenario's pretrain window per episode.
   std::int32_t episodes = 1;
-  /// Simulated time each replica runs per episode; zero means "use the
-  /// scenario's pretrain window".
-  sim::Time episode_length = sim::Time::zero();
 };
 
 class ReplicaRunner {
@@ -70,8 +66,9 @@ class ReplicaRunner {
     std::uint64_t rollout_digest = 0;
   };
 
-  /// Requires a PET scheme (kPet / kPetAblation); throws
-  /// std::invalid_argument otherwise or when cfg.replicas < 1.
+  /// Requires a valid scenario (ScenarioConfig::validate()) with a PET
+  /// scheme (kPet / kPetAblation); throws std::invalid_argument otherwise or
+  /// when cfg.replicas < 1.
   ReplicaRunner(const ScenarioConfig& scenario, ReplicaRunnerConfig cfg);
   ~ReplicaRunner();
 
@@ -84,11 +81,9 @@ class ReplicaRunner {
   EpisodeStats run_episode();
 
   [[nodiscard]] std::size_t num_agents() const;
-  /// Central (post-merge) weights of agent `i`'s policy.
-  [[nodiscard]] std::vector<double> agent_weights(std::size_t i) const;
-  /// Flat digest-friendly concatenation of every agent's central weights.
+  /// Flat digest-friendly concatenation of every agent's central
+  /// (post-merge) weights.
   [[nodiscard]] std::vector<double> all_weights() const;
-  [[nodiscard]] const ScenarioConfig& scenario() const { return scenario_; }
   [[nodiscard]] const ReplicaRunnerConfig& config() const { return cfg_; }
   [[nodiscard]] std::uint64_t last_digest() const { return digest_; }
   /// Next episode index (== episodes completed so far).
@@ -106,11 +101,12 @@ class ReplicaRunner {
   // trajectory — same merged updates, same chained rollout digest — as the
   // uninterrupted run. Mid-episode state (live schedulers) is never saved.
 
-  /// Write the runner's sections ("replica-runner/meta" + one per agent
-  /// policy) into `ckpt`.
+  /// Write the runner's sections ("replica-runner/meta", the scenario as
+  /// "replica-runner/scenario" JSON, one per agent policy) into `ckpt`.
   void save_state(sim::Checkpoint& ckpt) const;
   /// Restore from checkpoint sections; false (runner untouched or safely
-  /// unusable) on scenario-fingerprint mismatch or corrupted sections.
+  /// unusable) when the checkpoint's scenario or fingerprint differs from
+  /// this runner's, or on corrupted sections.
   [[nodiscard]] bool load_state(const sim::Checkpoint& ckpt);
 
   /// Durable (atomic tmp + fsync + rename) checkpoint file.
@@ -119,11 +115,6 @@ class ReplicaRunner {
   /// receives the reason when non-null).
   [[nodiscard]] bool load_checkpoint(const std::string& path,
                                      std::string* error = nullptr);
-
-  /// Observe episode phases ("episode.simulate" / "episode.merge") with an
-  /// external profiler. The profiler is touched only from the coordinating
-  /// thread, never from replica workers; pass nullptr to detach.
-  void set_profiler(sim::Profiler* profiler) { profiler_ = profiler; }
 
  private:
   struct ReplicaResult;
@@ -143,7 +134,6 @@ class ReplicaRunner {
   std::int32_t next_episode_ PET_THREAD_CONFINED(coordinator) = 0;
   std::uint64_t digest_ PET_THREAD_CONFINED(coordinator) = 0;
   std::vector<EpisodeStats> history_ PET_THREAD_CONFINED(coordinator);
-  sim::Profiler* profiler_ PET_THREAD_CONFINED(coordinator) = nullptr;
 };
 
 }  // namespace pet::exp

@@ -6,6 +6,7 @@
 
 #include "exp/scheme.hpp"
 #include "net/topology.hpp"
+#include "rl/inference.hpp"
 #include "sim/fs_atomic.hpp"
 #include "workload/distributions.hpp"
 
@@ -25,17 +26,7 @@ void RunArtifact::set_threads(std::int32_t threads) { threads_ = threads; }
 
 void RunArtifact::set_scenario(const ScenarioConfig& cfg) {
   has_scenario_ = true;
-  scenario_ = JsonValue::object();
-  scenario_.set("scheme", scheme_name(cfg.scheme));
-  scenario_.set("workload", workload::workload_name(cfg.workload));
-  scenario_.set("load", cfg.load);
-  scenario_.set("seed", cfg.seed);
-  scenario_.set("topology", topology_spec_json(cfg.topo));
-  scenario_.set("pretrain_ms", cfg.pretrain.ms());
-  scenario_.set("measure_ms", cfg.measure.ms());
-  scenario_.set("tuning_interval_us", cfg.tuning_interval.us());
-  scenario_.set("incast_enabled", JsonValue(cfg.incast_enabled));
-  scenario_.set("flow_size_cap_bytes", cfg.flow_size_cap_bytes);
+  scenario_ = scenario_json(cfg);
 }
 
 void RunArtifact::add_metric(std::string key, double value) {
@@ -136,6 +127,22 @@ JsonValue dc_spec_json(const net::DcSpec& dc) {
 }
 
 }  // namespace
+
+JsonValue scenario_json(const ScenarioConfig& cfg) {
+  JsonValue out = JsonValue::object();
+  out.set("scheme", scheme_name(cfg.scheme));
+  out.set("workload", workload::workload_name(cfg.workload));
+  out.set("load", cfg.load);
+  out.set("seed", cfg.seed);
+  out.set("topology", topology_spec_json(cfg.topo));
+  out.set("pretrain_ms", cfg.pretrain.ms());
+  out.set("measure_ms", cfg.measure.ms());
+  out.set("tuning_interval_us", cfg.tuning_interval.us());
+  out.set("incast_enabled", JsonValue(cfg.incast_enabled));
+  out.set("flow_size_cap_bytes", cfg.flow_size_cap_bytes);
+  out.set("infer", rl::infer_mode_name(cfg.pet_infer));
+  return out;
+}
 
 JsonValue topology_spec_json(const net::TopologySpec& spec) {
   JsonValue topo = JsonValue::object();

@@ -105,6 +105,12 @@ class RunArtifact {
   JsonValue profiler_ = JsonValue::object();
 };
 
+/// The scenario block of the manifest (scheme, workload, load, seed,
+/// topology, phases, incast, flow-size cap, inference mode). Sweeps and
+/// ReplicaRunner checkpoints compare it to tell whether recorded work
+/// belongs to a scenario.
+[[nodiscard]] JsonValue scenario_json(const ScenarioConfig& cfg);
+
 /// The full topology spec as JSON — the manifest "topology" block (always
 /// carries "kind" and the derived "hosts"/"switches" counts plus every
 /// kind-specific field).

@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -35,6 +36,16 @@ std::optional<std::string> read_text_file(const std::string& path) {
   std::fclose(f);
   if (!ok) return std::nullopt;
   return text;
+}
+
+/// The manifest scenario block recorded in an artifact's text, dumped;
+/// empty when the artifact has none.
+std::string recorded_scenario(const std::string& text) {
+  const std::optional<JsonValue> doc = JsonValue::parse(text);
+  const JsonValue* manifest = doc ? doc->find("manifest") : nullptr;
+  const JsonValue* scenario =
+      manifest != nullptr ? manifest->find("scenario") : nullptr;
+  return scenario != nullptr ? scenario->dump() : std::string();
 }
 
 std::string format_point_id(Scheme scheme, double load, std::uint64_t seed) {
@@ -133,7 +144,7 @@ bool SweepRunner::write_point_artifact(const SweepPoint& point,
   RunArtifact art("point_" + point.id);
   art.set_mode("sweep");
   art.set_seed(point.cfg.seed);
-  art.set_threads(1);
+  art.set_threads(point.training ? replica_threads_ : 1);
   art.set_scenario(point.cfg);
   for (const auto& [key, value] : metrics.members()) {
     art.add_metric(key, value);
@@ -147,13 +158,9 @@ SweepRunner::AttemptOutcome SweepRunner::run_training_attempt(
     const SweepPoint& point, const std::atomic<bool>& cancel,
     bool allow_resume) {
   AttemptOutcome out;
-  ReplicaRunnerConfig rr;
-  rr.replicas = cfg_.replicas;
-  // Concurrency lives at the point level; replicas within a point run
-  // sequentially so a sweep never oversubscribes the machine.
-  rr.threads = 1;
-  rr.episodes = cfg_.train_episodes;
-  ReplicaRunner runner(point.cfg, rr);
+  ReplicaRunner runner(point.cfg, {.replicas = cfg_.replicas,
+                                   .threads = replica_threads_,
+                                   .episodes = cfg_.train_episodes});
 
   const std::string ckpt = point_checkpoint_path(point);
   // Resumed sweeps and retried attempts continue from the latest
@@ -170,23 +177,36 @@ SweepRunner::AttemptOutcome SweepRunner::run_training_attempt(
     }
   }
 
+  std::int32_t saved_episode = runner.next_episode();
+  const auto checkpoint = [&] {
+    if (runner.save_checkpoint(ckpt)) {
+      note_durable_write();
+      saved_episode = runner.next_episode();
+    } else {
+      std::fprintf(stderr, "sweep: failed to checkpoint %s\n", ckpt.c_str());
+    }
+  };
   while (runner.next_episode() < cfg_.train_episodes) {
     if (cancel.load(std::memory_order_relaxed) ||
         stop_.load(std::memory_order_relaxed)) {
+      // A stop request (SIGINT) keeps the episodes run since the last
+      // checkpoint; a watchdog-cancelled attempt writes nothing more.
+      if (!cancel.load(std::memory_order_relaxed) &&
+          cfg_.checkpoint_every > 0 && runner.next_episode() > saved_episode) {
+        checkpoint();
+      }
       out.error = "cancelled";
       return out;
     }
-    static_cast<void>(runner.run_episode());
+    const ReplicaRunner::EpisodeStats st = runner.run_episode();
+    std::fprintf(stderr, "sweep: %s episode %d: reward %.3f over %zu "
+                 "transitions\n", point.id.c_str(), st.episode,
+                 st.mean_reward, st.transitions);
     const std::int32_t episodes_done = runner.next_episode();
     if (cfg_.checkpoint_every > 0 &&
         (episodes_done % cfg_.checkpoint_every == 0 ||
          episodes_done == cfg_.train_episodes)) {
-      if (runner.save_checkpoint(ckpt)) {
-        note_durable_write();
-      } else {
-        std::fprintf(stderr, "sweep: failed to checkpoint %s\n",
-                     ckpt.c_str());
-      }
+      checkpoint();
     }
   }
 
@@ -254,14 +274,22 @@ SweepRunner::PointStatus SweepRunner::run_point(const SweepPoint& point) {
 
   if (cfg_.resume) {
     if (const auto text = read_text_file(point_artifact_path(point))) {
+      // A valid artifact recorded for this point's scenario is the
+      // completion marker.
       std::string error;
-      if (RunArtifact::validate_text(*text, &error)) {
+      if (!RunArtifact::validate_text(*text, &error)) {
+        std::fprintf(stderr, "sweep: re-running %s (invalid artifact: %s)\n",
+                     point.id.c_str(), error.c_str());
+      } else if (recorded_scenario(*text) != scenario_json(point.cfg).dump()) {
+        std::fprintf(stderr,
+                     "sweep: re-running %s (artifact records another "
+                     "scenario)\n",
+                     point.id.c_str());
+      } else {
         status.status = "ok";
         status.completed = true;
-        return status;  // a valid artifact is the completion marker
+        return status;
       }
-      std::fprintf(stderr, "sweep: re-running %s (invalid artifact: %s)\n",
-                   point.id.c_str(), error.c_str());
     }
   }
 
@@ -423,13 +451,25 @@ void SweepRunner::write_merged_artifact(Result& result) const {
 
 SweepRunner::Result SweepRunner::run() {
   points_ = grid_.expand(cfg_.train_episodes);
-  // Reject a bad point before any thread starts or file is written: one
-  // invalid load must not abort the process halfway through a grid.
+  // Reject settings the sweep cannot run before any thread starts or file
+  // is written: one invalid load must not abort the process halfway
+  // through a grid, and two points with one id would race on one artifact.
+  if (cfg_.max_retries < 0) {
+    throw std::invalid_argument("sweep: max_retries must be >= 0");
+  }
+  if (cfg_.train_episodes > 0 && cfg_.replicas < 1) {
+    throw std::invalid_argument("sweep: replicas must be >= 1 to train");
+  }
+  std::set<std::string> ids;
   for (const SweepPoint& p : points_) {
     try {
       p.cfg.validate();
     } catch (const std::invalid_argument& e) {
       throw std::invalid_argument("sweep point " + p.id + ": " + e.what());
+    }
+    if (!ids.insert(p.id).second) {
+      throw std::invalid_argument("sweep point " + p.id +
+                                  ": appears twice in the grid");
     }
   }
   std::error_code ec;
@@ -439,8 +479,11 @@ SweepRunner::Result SweepRunner::run() {
   if (threads <= 0) {
     threads = static_cast<std::int32_t>(std::thread::hardware_concurrency());
   }
-  threads = std::max(
-      1, std::min(threads, static_cast<std::int32_t>(points_.size())));
+  const auto num_points = static_cast<std::int32_t>(points_.size());
+  // A lone training point runs its replicas on the whole pool; a full grid
+  // keeps one thread per point so the sweep never oversubscribes.
+  replica_threads_ = std::max(1, threads / num_points);
+  threads = std::max(1, std::min(threads, num_points));
 
   std::vector<PointStatus> statuses(points_.size());
   std::atomic<std::size_t> ticket{0};

@@ -8,13 +8,14 @@
 //
 //   * every point writes a durable per-point run-artifact
 //     (<out_dir>/point_<id>.json, atomic tmp+fsync+rename) — a valid
-//     artifact IS the completion marker, so a re-run with resume=true
-//     skips finished points;
+//     artifact recorded for the point's scenario IS the completion marker,
+//     so a re-run with resume=true skips finished points;
 //   * training points (PET schemes with train_episodes > 0) checkpoint the
-//     ReplicaRunner every checkpoint_every episodes to
-//     <out_dir>/point_<id>.ckpt; a resumed or retried attempt reloads the
-//     latest checkpoint and continues bitwise-identically (episodes are
-//     pure functions of weights-at-boundary and the seed tree);
+//     ReplicaRunner every checkpoint_every episodes, and on a stop request,
+//     to <out_dir>/point_<id>.ckpt; a resumed or retried attempt reloads
+//     the latest checkpoint of the same scenario and continues
+//     bitwise-identically (episodes are pure functions of
+//     weights-at-boundary and the seed tree);
 //   * each attempt runs under a watchdog deadline: a point that exceeds it
 //     is cooperatively cancelled, given a grace period, then abandoned and
 //     retried with capped exponential backoff and deterministic seeded
@@ -84,9 +85,12 @@ struct SweepRunnerConfig {
   /// artifact (created if missing).
   std::string out_dir = ".";
   /// Concurrent points (0 = hardware concurrency, capped at grid size).
+  /// Each training point runs its replicas on max(1, threads / points)
+  /// threads, so a one-point sweep trains on the whole pool.
   std::int32_t threads = 0;
-  /// Skip points whose artifact already validates; resume partial training
-  /// points from their latest checkpoint.
+  /// Skip points whose artifact validates and records the point's
+  /// scenario; resume partial training points from their latest checkpoint
+  /// of the same scenario.
   bool resume = false;
 
   /// ReplicaRunner episodes for training points (0 = every point is a
@@ -123,7 +127,7 @@ class SweepRunner {
  public:
   struct PointStatus {
     std::string id;
-    /// "ok" | "resumed" | "retried" | "quarantined".
+    /// "ok" | "resumed" | "retried" | "quarantined" | "stopped".
     std::string status = "ok";
     /// Attempts executed by THIS run (0 = artifact reused from a previous
     /// run).
@@ -146,17 +150,16 @@ class SweepRunner {
   SweepRunner(SweepGrid grid, SweepRunnerConfig cfg);
 
   /// Run (or resume) the whole grid and write the merged artifact. Throws
-  /// std::invalid_argument, naming the point, if any expanded point fails
-  /// ScenarioConfig::validate(); nothing has run or been written then.
+  /// std::invalid_argument if an expanded point fails
+  /// ScenarioConfig::validate() or shares another point's id (both name
+  /// the point), if max_retries < 0, or if a training sweep has
+  /// replicas < 1; nothing has run or been written then.
   [[nodiscard]] Result run();
 
   /// Cooperative external cancellation (e.g. from a signal handler): the
   /// sweep stops scheduling new points and cancels running attempts; every
   /// durable artifact written so far remains valid for resume.
   void request_stop() { stop_.store(true, std::memory_order_relaxed); }
-
-  [[nodiscard]] const SweepGrid& grid() const { return grid_; }
-  [[nodiscard]] const SweepRunnerConfig& config() const { return cfg_; }
 
   /// File naming scheme shared with tests and the CLI.
   [[nodiscard]] std::string point_artifact_path(const SweepPoint& p) const;
@@ -194,6 +197,8 @@ class SweepRunner {
   SweepGrid grid_ PET_READ_SHARED;
   SweepRunnerConfig cfg_ PET_READ_SHARED;
   std::vector<SweepPoint> points_ PET_READ_SHARED;  // filled before the pool
+  /// ReplicaRunner threads per training point: max(1, pool / points).
+  std::int32_t replica_threads_ PET_READ_SHARED = 1;
   std::atomic<bool> stop_{false};
   std::atomic<std::int32_t> durable_writes_{0};
   /// Watchdog-abandoned attempt threads; joined at the end of run() once

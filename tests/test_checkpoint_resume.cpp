@@ -40,6 +40,11 @@ ExperimentBuilder tiny_scenario(std::uint64_t seed) {
       .seed(seed);
 }
 
+/// Two replicas on one thread: the runner every test here checkpoints.
+ReplicaRunner tiny_runner(const ScenarioConfig& cfg) {
+  return ReplicaRunner(cfg, {.replicas = 2, .threads = 1});
+}
+
 [[nodiscard]] std::vector<std::uint8_t> final_state_bytes(
     const ReplicaRunner& runner) {
   sim::Checkpoint ckpt;
@@ -59,9 +64,9 @@ PROPERTY_CASES(CheckpointResume, SplitEpisodeResumeIsBitwiseExact, 5,
           .string();
 
   // Reference: the uninterrupted run.
-  ReplicaRunner straight =
-      tiny_scenario(static_cast<std::uint64_t>(seed)).replicas(2).threads(1)
-          .build_runner();
+  const ScenarioConfig cfg =
+      tiny_scenario(static_cast<std::uint64_t>(seed)).config();
+  ReplicaRunner straight = tiny_runner(cfg);
   for (std::int32_t e = 0; e < kEpisodes; ++e) {
     static_cast<void>(straight.run_episode());
   }
@@ -69,18 +74,14 @@ PROPERTY_CASES(CheckpointResume, SplitEpisodeResumeIsBitwiseExact, 5,
   // Interrupted twin: stop after `split` episodes, checkpoint, "crash",
   // restore into a brand-new runner and finish the remaining episodes.
   {
-    ReplicaRunner first =
-        tiny_scenario(static_cast<std::uint64_t>(seed)).replicas(2).threads(1)
-            .build_runner();
+    ReplicaRunner first = tiny_runner(cfg);
     for (std::int32_t e = 0; e < split; ++e) {
       static_cast<void>(first.run_episode());
     }
     PROP_ASSERT(first.save_checkpoint(path));
   }  // the pre-crash runner is gone; only the checkpoint file survives
 
-  ReplicaRunner resumed =
-      tiny_scenario(static_cast<std::uint64_t>(seed)).replicas(2).threads(1)
-          .build_runner();
+  ReplicaRunner resumed = tiny_runner(cfg);
   std::string error;
   PROP_ASSERT(resumed.load_checkpoint(path, &error));
   PROP_ASSERT_EQ(resumed.next_episode(), static_cast<std::int64_t>(split));
@@ -109,13 +110,13 @@ TEST(CheckpointResume, LoadRejectsScenarioMismatch) {
   const std::string path =
       (std::filesystem::temp_directory_path() / "pet_resume_mismatch.ckpt")
           .string();
-  ReplicaRunner source = tiny_scenario(7).replicas(2).threads(1).build_runner();
+  ReplicaRunner source = tiny_runner(tiny_scenario(7).config());
   static_cast<void>(source.run_episode());
   ASSERT_TRUE(source.save_checkpoint(path));
 
   // Different seed => different scenario fingerprint: refuse to resume,
   // leave the target untouched.
-  ReplicaRunner other = tiny_scenario(8).replicas(2).threads(1).build_runner();
+  ReplicaRunner other = tiny_runner(tiny_scenario(8).config());
   const std::vector<double> before = other.all_weights();
   std::string error;
   EXPECT_FALSE(other.load_checkpoint(path, &error));
@@ -127,19 +128,55 @@ TEST(CheckpointResume, LoadRejectsScenarioMismatch) {
   EXPECT_FALSE(other.load_checkpoint(path, &error));  // missing file
 }
 
+TEST(CheckpointResume, LoadRejectsAnotherPretrainWindow) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "pet_resume_window.ckpt")
+          .string();
+  ReplicaRunner source = tiny_runner(tiny_scenario(7).config());
+  static_cast<void>(source.run_episode());
+  ASSERT_TRUE(source.save_checkpoint(path));
+
+  // Same seed, scheme and replica count; only the episode length (the
+  // pretrain window) differs, so the checkpoint belongs to another run.
+  ReplicaRunner longer =
+      tiny_runner(tiny_scenario(7).pretrain(sim::milliseconds(3)).config());
+  const std::vector<double> before = longer.all_weights();
+  std::string error;
+  EXPECT_FALSE(longer.load_checkpoint(path, &error));
+  EXPECT_FALSE(error.empty());
+  EXPECT_EQ(longer.next_episode(), 0);
+  EXPECT_EQ(longer.all_weights(), before);
+  std::remove(path.c_str());
+
+  // A checkpoint without the scenario section cannot prove its scenario.
+  sim::Checkpoint full;
+  source.save_state(full);
+  sim::Checkpoint bare;
+  bare.set_section("replica-runner/meta", *full.section("replica-runner/meta"));
+  for (std::size_t i = 0; i < source.num_agents(); ++i) {
+    const std::string name = "replica-runner/agent." + std::to_string(i);
+    bare.set_section(name, *full.section(name));
+  }
+  ReplicaRunner same = tiny_runner(tiny_scenario(7).config());
+  EXPECT_FALSE(same.load_state(bare));
+  EXPECT_EQ(same.next_episode(), 0);
+  EXPECT_TRUE(same.load_state(full));
+  EXPECT_EQ(same.next_episode(), 1);
+}
+
 TEST(CheckpointResume, LoadRejectsOversizedEpisodeHistory) {
   // A CRC-valid meta section whose episode-history count is far beyond its
   // bytes fails the load instead of throwing from a giant reserve.
   const std::string path =
       (std::filesystem::temp_directory_path() / "pet_resume_oversized.ckpt")
           .string();
-  ReplicaRunner runner = tiny_scenario(7).replicas(2).threads(1).build_runner();
+  ReplicaRunner runner = tiny_runner(tiny_scenario(7).config());
   sim::Checkpoint ckpt;
   runner.save_state(ckpt);
   std::vector<std::uint8_t> meta = *ckpt.section("replica-runner/meta");
-  // seed u64, scheme u8, replicas i32, agents u64, next episode i32 and
-  // digest u64 precede the history count.
-  constexpr std::size_t kCountAt = 8 + 1 + 4 + 8 + 4 + 8;
+  // replicas i32, agents u64, next episode i32 and digest u64 precede the
+  // history count.
+  constexpr std::size_t kCountAt = 4 + 8 + 4 + 8;
   sim::ByteSink count;
   count.u64(1ull << 60);
   ASSERT_GE(meta.size(), kCountAt + 8);

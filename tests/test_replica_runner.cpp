@@ -2,8 +2,8 @@
 // central weights are a pure function of (seed, replicas) — the worker
 // thread count is invisible, bitwise. These tests run the same tiny
 // scenario on 1 and 4 threads and demand identical digests and weights,
-// plus coverage of the ExperimentBuilder validation gate the runner sits
-// behind.
+// plus coverage of the validation the runner's constructor and
+// ExperimentBuilder::build() run.
 
 #include <gtest/gtest.h>
 
@@ -30,9 +30,14 @@ ExperimentBuilder tiny_scenario() {
       .seed(42);
 }
 
+ReplicaRunner tiny_runner(std::int32_t replicas, std::int32_t threads) {
+  return ReplicaRunner(tiny_scenario().config(),
+                       {.replicas = replicas, .threads = threads});
+}
+
 TEST(ReplicaRunner, ThreadCountDoesNotChangeMergedResult) {
-  ReplicaRunner one = tiny_scenario().replicas(3).threads(1).build_runner();
-  ReplicaRunner four = tiny_scenario().replicas(3).threads(4).build_runner();
+  ReplicaRunner one = tiny_runner(3, 1);
+  ReplicaRunner four = tiny_runner(3, 4);
 
   ReplicaRunner::EpisodeStats s1{};
   ReplicaRunner::EpisodeStats s4{};
@@ -66,9 +71,9 @@ TEST(ReplicaRunner, UnevenReplicaToThreadRatioStaysDeterministic) {
   // differently again, and 5-on-1 is the serial reference. All three must
   // produce the same digest and the same merged weights — work-stealing or
   // completion-order effects must never leak into the merge.
-  ReplicaRunner serial = tiny_scenario().replicas(5).threads(1).build_runner();
-  ReplicaRunner three = tiny_scenario().replicas(5).threads(3).build_runner();
-  ReplicaRunner four = tiny_scenario().replicas(5).threads(4).build_runner();
+  ReplicaRunner serial = tiny_runner(5, 1);
+  ReplicaRunner three = tiny_runner(5, 3);
+  ReplicaRunner four = tiny_runner(5, 4);
 
   ReplicaRunner::EpisodeStats ss{}, s3{}, s4{};
   for (int e = 0; e < 2; ++e) {
@@ -98,15 +103,15 @@ TEST(ReplicaRunner, UnevenReplicaToThreadRatioStaysDeterministic) {
 }
 
 TEST(ReplicaRunner, ReplicaCountChangesExperience) {
-  ReplicaRunner two = tiny_scenario().replicas(2).threads(1).build_runner();
-  ReplicaRunner three = tiny_scenario().replicas(3).threads(1).build_runner();
+  ReplicaRunner two = tiny_runner(2, 1);
+  ReplicaRunner three = tiny_runner(3, 1);
   (void)two.run_episode();
   (void)three.run_episode();
   EXPECT_NE(two.last_digest(), three.last_digest());
 }
 
 TEST(ReplicaRunner, TrainingAccumulatesAcrossEpisodes) {
-  ReplicaRunner runner = tiny_scenario().replicas(2).threads(2).build_runner();
+  ReplicaRunner runner = tiny_runner(2, 2);
   const std::vector<double> before = runner.all_weights();
   ReplicaRunnerConfig cfg = runner.config();
   EXPECT_EQ(cfg.replicas, 2);
@@ -126,7 +131,7 @@ TEST(ReplicaRunner, TrainingAccumulatesAcrossEpisodes) {
 }
 
 TEST(ReplicaRunner, RunReportsThroughput) {
-  ReplicaRunner runner = tiny_scenario().replicas(2).threads(1).build_runner();
+  ReplicaRunner runner = tiny_runner(2, 1);
   ReplicaRunnerConfig cfg = runner.config();
   EXPECT_EQ(cfg.episodes, 1);
   const ReplicaRunner::RunStats stats = runner.run();
@@ -140,6 +145,18 @@ TEST(ReplicaRunner, RequiresPetScheme) {
                                        .config(),
                                    ReplicaRunnerConfig{}),
                std::invalid_argument);
+  EXPECT_THROW((void)ReplicaRunner(tiny_scenario().scheme(Scheme::kAmt)
+                                       .config(),
+                                   {.replicas = 4}),
+               std::invalid_argument);
+}
+
+TEST(ReplicaRunner, ValidatesAtConstruction) {
+  EXPECT_THROW((void)tiny_runner(0, 1), std::invalid_argument);
+  // The constructor runs ScenarioConfig::validate(): no runner skips it.
+  EXPECT_THROW(
+      (void)ReplicaRunner(tiny_scenario().load(1.5).config(), {}),
+      std::invalid_argument);
 }
 
 TEST(ExperimentBuilder, ValidatesAtBuildTime) {
@@ -149,11 +166,6 @@ TEST(ExperimentBuilder, ValidatesAtBuildTime) {
                std::invalid_argument);
   EXPECT_THROW((void)tiny_scenario().tuning_interval(sim::Time::zero()).build(),
                std::invalid_argument);
-  EXPECT_THROW((void)tiny_scenario().replicas(0).build_runner(),
-               std::invalid_argument);
-  EXPECT_THROW(
-      (void)tiny_scenario().scheme(Scheme::kAmt).replicas(4).build_runner(),
-      std::invalid_argument);
   net::LeafSpineConfig topo;
   topo.num_leaves = 0;
   EXPECT_THROW((void)tiny_scenario().topology(topo).build(),
@@ -167,17 +179,6 @@ TEST(ExperimentBuilder, BuildsARunnableExperiment) {
   EXPECT_EQ(ex->config().scheme, Scheme::kPet);
   ASSERT_NE(ex->pet(), nullptr);
   EXPECT_EQ(ex->pet()->num_agents(), 3u);  // 2 leaves + 1 spine
-}
-
-TEST(ExperimentBuilder, FromConfigRoundTrips) {
-  ScenarioConfig cfg;
-  cfg.load = 0.7;
-  cfg.seed = 9;
-  cfg.scheme = Scheme::kSecn2;
-  const ExperimentBuilder b = ExperimentBuilder::from_config(cfg);
-  EXPECT_EQ(b.config().load, 0.7);
-  EXPECT_EQ(b.config().seed, 9u);
-  EXPECT_EQ(b.config().scheme, Scheme::kSecn2);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <optional>
 #include <stdexcept>
@@ -15,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "exp/replica_runner.hpp"
 #include "exp/run_artifact.hpp"
 #include "exp/sweep.hpp"
 
@@ -57,6 +59,20 @@ std::optional<JsonValue> read_json(const std::string& path) {
   while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, n);
   std::fclose(f);
   return JsonValue::parse(text);
+}
+
+/// run() must throw std::invalid_argument before any attempt starts or any
+/// file is written.
+void expect_rejected_before_run(const SweepGrid& grid, SweepRunnerConfig cfg) {
+  int hook_calls = 0;
+  cfg.attempt_hook = [&hook_calls](const SweepPoint&, std::int32_t) {
+    ++hook_calls;
+  };
+  SweepRunner runner(grid, cfg);
+  EXPECT_THROW((void)runner.run(), std::invalid_argument);
+  EXPECT_EQ(hook_calls, 0);
+  EXPECT_TRUE(!std::filesystem::exists(cfg.out_dir) ||
+              std::filesystem::is_empty(cfg.out_dir));
 }
 
 TEST(SweepGrid, ExpandsCartesianProductWithStableIds) {
@@ -152,15 +168,52 @@ TEST(SweepRunner, InvalidPointFailsBeforeAnyRunOrWrite) {
   SweepRunnerConfig cfg;
   cfg.out_dir = dir.path();
   cfg.threads = 1;
-  int hook_calls = 0;
-  cfg.attempt_hook = [&hook_calls](const SweepPoint&, std::int32_t) {
-    ++hook_calls;
-  };
-  SweepRunner runner(grid, cfg);
-  EXPECT_THROW((void)runner.run(), std::invalid_argument);
-  EXPECT_EQ(hook_calls, 0);  // not even the valid 0.5 point ran
-  EXPECT_TRUE(!std::filesystem::exists(dir.path()) ||
-              std::filesystem::is_empty(dir.path()));
+  expect_rejected_before_run(grid, cfg);  // not even the valid 0.5 point
+}
+
+TEST(SweepRunner, ZeroReplicasFailBeforeAnyRunOrWrite) {
+  ScratchDir dir("pet_test_sweep_zero_replicas");
+  SweepGrid grid;
+  grid.base = tiny_base();
+  grid.base.scheme = Scheme::kPet;
+
+  SweepRunnerConfig cfg;
+  cfg.out_dir = dir.path();
+  cfg.threads = 1;
+  cfg.train_episodes = 1;
+  cfg.replicas = 0;
+  cfg.max_retries = 0;
+  expect_rejected_before_run(grid, cfg);
+}
+
+TEST(SweepRunner, NegativeMaxRetriesFailBeforeAnyRunOrWrite) {
+  ScratchDir dir("pet_test_sweep_negative_retries");
+  SweepGrid grid;
+  grid.base = tiny_base();
+  grid.base.scheme = Scheme::kSecn1;
+
+  SweepRunnerConfig cfg;
+  cfg.out_dir = dir.path();
+  cfg.threads = 1;
+  cfg.max_retries = -1;
+  expect_rejected_before_run(grid, cfg);
+}
+
+TEST(SweepRunner, DuplicatePointIdsFailBeforeAnyRunOrWrite) {
+  ScratchDir dir("pet_test_sweep_duplicate_ids");
+  SweepGrid grid;
+  grid.base = tiny_base();
+  grid.base.scheme = Scheme::kSecn1;
+  grid.loads = {0.5, 0.50};  // both points are SECN1_load0.5_seed21
+
+  SweepRunnerConfig cfg;
+  cfg.out_dir = dir.path();
+  cfg.threads = 1;
+  expect_rejected_before_run(grid, cfg);
+
+  grid.loads = {0.5};
+  grid.seeds = {1, 1};
+  expect_rejected_before_run(grid, cfg);
 }
 
 TEST(SweepRunner, ResumeSkipsPointsWithValidArtifacts) {
@@ -193,6 +246,50 @@ TEST(SweepRunner, ResumeSkipsPointsWithValidArtifacts) {
     EXPECT_EQ(st.attempts, 0);  // artifact reused
     EXPECT_TRUE(st.completed);
   }
+}
+
+TEST(SweepRunner, ResumeRerunsPointWhoseScenarioChanged) {
+  ScratchDir dir("pet_test_sweep_changed");
+  ScratchDir fresh_dir("pet_test_sweep_changed_fresh");
+  SweepGrid grid;
+  grid.name = "changed";
+  grid.base = tiny_base();
+  grid.base.scheme = Scheme::kSecn1;
+
+  SweepRunnerConfig cfg;
+  cfg.out_dir = dir.path();
+  cfg.threads = 1;
+  {
+    SweepRunner first(grid, cfg);
+    ASSERT_TRUE(first.run().all_completed());
+  }
+
+  // The finished 1 ms point is not a finished 3 ms point.
+  grid.base.measure = sim::milliseconds(3);
+  cfg.resume = true;
+  int hook_calls = 0;
+  cfg.attempt_hook = [&hook_calls](const SweepPoint&, std::int32_t) {
+    ++hook_calls;
+  };
+  SweepRunner resumed(grid, cfg);
+  const SweepRunner::Result result = resumed.run();
+  ASSERT_TRUE(result.all_completed());
+  EXPECT_EQ(hook_calls, 1);
+  EXPECT_EQ(result.points[0].attempts, 1);
+
+  SweepRunnerConfig fresh_cfg;
+  fresh_cfg.out_dir = fresh_dir.path();
+  fresh_cfg.threads = 1;
+  SweepRunner fresh(grid, fresh_cfg);
+  ASSERT_TRUE(fresh.run().all_completed());
+  const SweepPoint point = grid.expand(0)[0];
+  const auto got = read_json(resumed.point_artifact_path(point));
+  const auto want = read_json(fresh.point_artifact_path(point));
+  ASSERT_TRUE(got.has_value());
+  ASSERT_TRUE(want.has_value());
+  EXPECT_EQ(got->find("metrics")->dump(), want->find("metrics")->dump());
+  EXPECT_EQ(got->find("manifest")->find("scenario")->dump(),
+            scenario_json(point.cfg).dump());
 }
 
 TEST(SweepRunner, TrainingPointResumesFromCheckpointBitwise) {
@@ -253,6 +350,47 @@ TEST(SweepRunner, TrainingPointResumesFromCheckpointBitwise) {
   EXPECT_EQ(res_doc->find("metrics")->find("rollout_digest")->as_string(),
             ref_digest);
   EXPECT_EQ(res_doc->find("metrics")->find("episodes")->as_number(), 2.0);
+}
+
+TEST(SweepRunner, TrainingPointMatchesDirectReplicaRunner) {
+  SweepGrid grid;
+  grid.name = "direct";
+  grid.base = tiny_base();
+  grid.base.scheme = Scheme::kPet;
+  grid.base.pretrain = sim::milliseconds(2);  // episode length
+  const std::int32_t replicas = 4;
+  const std::int32_t episodes = 2;
+
+  ReplicaRunner direct(grid.expand(episodes)[0].cfg,
+                       {.replicas = replicas, .threads = 1,
+                        .episodes = episodes});
+  static_cast<void>(direct.run());
+  char digest[32];
+  std::snprintf(digest, sizeof digest, "0x%016llx",
+                static_cast<unsigned long long>(direct.last_digest()));
+
+  // A one-point sweep gives the point's replicas the whole pool, so these
+  // two sweeps train on 1 and 4 replica threads.
+  for (const std::int32_t threads : {1, 4}) {
+    ScratchDir dir("pet_test_sweep_direct");
+    SweepRunnerConfig cfg;
+    cfg.out_dir = dir.path();
+    cfg.threads = threads;
+    cfg.train_episodes = episodes;
+    cfg.replicas = replicas;
+    SweepRunner runner(grid, cfg);
+    ASSERT_TRUE(runner.run().all_completed());
+    const auto doc =
+        read_json(runner.point_artifact_path(grid.expand(episodes)[0]));
+    ASSERT_TRUE(doc.has_value());
+    EXPECT_EQ(doc->find("manifest")->find("threads")->as_number(), threads);
+    const JsonValue* metrics = doc->find("metrics");
+    EXPECT_EQ(metrics->find("rollout_digest")->as_string(), digest)
+        << threads << " threads";
+    EXPECT_EQ(metrics->find("final_mean_reward")->as_number(),
+              direct.history().back().mean_reward)
+        << threads << " threads";
+  }
 }
 
 TEST(SweepRunner, WatchdogAbandonsHangThenRetrySucceeds) {

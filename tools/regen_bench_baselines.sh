@@ -14,16 +14,15 @@
 #     tools/regen_bench_baselines.sh build micro_sim
 #   so the others keep their committed numbers.
 #
-# The bench list and --benchmark_min_time below MUST stay in sync with the
-# pet_add_bench_gate() calls in bench/CMakeLists.txt, which run the same
-# suites in CI.
+# Each suite runs as its bench_gate_run_<suite> test from
+# bench/CMakeLists.txt, so the baseline comes from exactly the run CTest
+# gates, and its bench/gate/BENCH_<suite>.json is copied into place.
 
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 build_dir="${1:-$repo_root/build}"
 out_dir="$repo_root/bench/baselines"
-min_time=0.05
 all_suites=(micro_sim micro_net micro_rl)
 
 suites=("${@:2}")
@@ -33,19 +32,17 @@ for name in "${suites[@]}"; do
     echo "regen_bench_baselines: unknown suite '$name' (known: ${all_suites[*]})" >&2
     exit 2
   fi
-done
-
-mkdir -p "$out_dir"
-for name in "${suites[@]}"; do
-  bin="$build_dir/bench/$name"
-  if [[ ! -x "$bin" ]]; then
+  if [[ ! -x "$build_dir/bench/$name" ]]; then
     echo "regen_bench_baselines: build the benches first:" >&2
     echo "  cmake -B '$build_dir' -S '$repo_root' && cmake --build '$build_dir' -j" >&2
     exit 1
   fi
-  echo "regen_bench_baselines: running $name..."
-  "$bin" --benchmark_min_time=$min_time \
-         --artifact="$out_dir/BENCH_$name.json" > /dev/null
+done
+
+mkdir -p "$out_dir"
+for name in "${suites[@]}"; do
+  ctest --test-dir "$build_dir" -R "^bench_gate_run_$name\$" --output-on-failure
+  cp "$build_dir/bench/gate/BENCH_$name.json" "$out_dir/BENCH_$name.json"
   echo "regen_bench_baselines: wrote bench/baselines/BENCH_$name.json"
 done
 
