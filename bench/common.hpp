@@ -11,12 +11,13 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "exp/cli_flags.hpp"
 #include "exp/experiment.hpp"
-#include "exp/experiment_builder.hpp"
 #include "exp/pretrain.hpp"
 #include "exp/run_artifact.hpp"
 #include "exp/table.hpp"
@@ -43,7 +44,13 @@ inline BenchOptions parse_options(int argc, char** argv) {
     } else if (arg == "--scale=paper") {
       opt.paper_scale = true;
     } else if (arg.rfind("--seed=", 0) == 0) {
-      opt.seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
+      try {
+        opt.seed = exp::parse_flag_number<std::uint64_t>("--seed",
+                                                         arg.substr(7));
+      } catch (const std::invalid_argument& e) {
+        std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
+        std::exit(2);
+      }
     } else if (arg.rfind("--artifact=", 0) == 0) {
       opt.artifact_path = arg.substr(11);
     } else if (arg.rfind("--trace=", 0) == 0) {
@@ -62,38 +69,39 @@ inline BenchOptions parse_options(int argc, char** argv) {
   return opt;
 }
 
-/// Baseline scenario for a scheme/workload/load under the given options;
-/// returns the builder so callers can chain further overrides before
-/// build().
-inline exp::ExperimentBuilder make_scenario(const BenchOptions& opt,
-                                            exp::Scheme scheme,
-                                            workload::WorkloadKind kind,
-                                            double load) {
-  net::LeafSpineConfig topo;
-  exp::ExperimentBuilder builder;
-  builder.scheme(scheme).workload(kind).load(load).seed(opt.seed).tuned_dcqcn();
+/// Baseline scenario for a scheme/workload/load under the given options,
+/// profiled (per-event-kind sections in the artifact).
+inline exp::ScenarioConfig make_scenario(const BenchOptions& opt,
+                                         exp::Scheme scheme,
+                                         workload::WorkloadKind kind,
+                                         double load) {
+  exp::ScenarioConfig cfg;
+  cfg.scheme = scheme;
+  cfg.workload = kind;
+  cfg.load = load;
+  cfg.seed = opt.seed;
+  cfg.profiling = true;
+  net::LeafSpineConfig& topo = cfg.topo.leaf_spine();
   if (opt.paper_scale) {
     topo = net::LeafSpineConfig::paper_scale();
-    builder.flow_size_cap(0.0)  // full distributions
-        .phases(sim::milliseconds(100), sim::milliseconds(100))
-        .incast(32, 32 * 1024, sim::milliseconds(1));
+    cfg.flow_size_cap_bytes = 0.0;  // full distributions
+    cfg.pretrain = cfg.measure = sim::milliseconds(100);
+    cfg.incast_fan_in = 32;
   } else if (opt.quick) {
     topo.num_spines = 2;
     topo.num_leaves = 2;
     topo.hosts_per_leaf = 8;
-    builder.flow_size_cap(4e6)
-        .phases(sim::milliseconds(15), sim::milliseconds(15))
-        .incast(8, 32 * 1024, sim::milliseconds(1));
+    cfg.flow_size_cap_bytes = 4e6;
+    cfg.pretrain = cfg.measure = sim::milliseconds(15);
   } else {
     topo.num_spines = 2;
     topo.num_leaves = 4;
     topo.hosts_per_leaf = 8;
-    builder.flow_size_cap(8e6)
-        .phases(sim::milliseconds(40), sim::milliseconds(40))
-        .incast(8, 32 * 1024, sim::milliseconds(1));
+    cfg.flow_size_cap_bytes = 8e6;
+    cfg.pretrain = cfg.measure = sim::milliseconds(40);
   }
-  builder.topology(net::TopologySpec(topo));
-  return builder;
+  cfg.tune_dcqcn_for_rate();
+  return cfg;
 }
 
 /// Pre-training budget per mode.
@@ -158,9 +166,10 @@ inline exp::Metrics run_scenario(const BenchOptions& opt, exp::Scheme scheme,
                                  workload::WorkloadKind kind, double load,
                                  exp::RunArtifact& art,
                                  const std::string& label) {
-  auto experiment = exp::build_pretrained(
-      make_scenario(opt, scheme, kind, load).profiling(true),
-      make_pretrain(opt), sim::milliseconds(opt.quick ? 5 : 10));
+  auto experiment =
+      exp::build_pretrained(make_scenario(opt, scheme, kind, load),
+                            make_pretrain(opt),
+                            sim::milliseconds(opt.quick ? 5 : 10));
   const exp::Metrics m = experiment->run();
   art.add_metrics(label, m);
   record_run(opt, art, *experiment);

@@ -33,8 +33,7 @@ int main(int argc, char** argv) {
   for (const exp::Scheme scheme : {exp::Scheme::kPet, exp::Scheme::kAcc}) {
     auto experiment_ptr = exp::build_pretrained(
         bench::make_scenario(opt, scheme, workload::WorkloadKind::kWebSearch,
-                             0.5)
-            .profiling(true),
+                             0.5),
         bench::make_pretrain(opt), warmup);
     exp::Experiment& experiment = *experiment_ptr;
 

@@ -54,13 +54,13 @@ int main(int argc, char** argv) {
                                          exp::Scheme::kSecn1};
 
   for (const exp::Scheme scheme : schemes) {
-    exp::ExperimentBuilder builder = bench::make_scenario(
+    exp::ScenarioConfig cfg = bench::make_scenario(
         opt, scheme, workload::WorkloadKind::kWebSearch, 0.5);
     // Every scheme shares the warmup; build_pretrained applies it to the
     // learning schemes once their weights are fetched.
-    if (!exp::is_learning_scheme(scheme)) builder.pretrain(warmup);
-    auto experiment_ptr = exp::build_pretrained(
-        builder.profiling(true), bench::make_pretrain(opt), warmup);
+    if (!exp::is_learning_scheme(scheme)) cfg.pretrain = warmup;
+    auto experiment_ptr =
+        exp::build_pretrained(cfg, bench::make_pretrain(opt), warmup);
     exp::Experiment& experiment = *experiment_ptr;
 
     // The flap schedule. Victim links are drawn from the live topology when

@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "common.hpp"
-#include "exp/experiment_builder.hpp"
 #include "exp/replica_runner.hpp"
 #include "rl/ppo.hpp"
 
@@ -113,22 +112,17 @@ void bench_replica_throughput(const bench::BenchOptions& opt,
                               exp::RunArtifact& art) {
   const std::int32_t replicas = 4;
   // A fig6-style training scenario: PET on Web Search, scaled fabric.
-  net::LeafSpineConfig topo;
-  topo.num_spines = opt.quick ? 1 : 2;
-  topo.num_leaves = 2;
-  topo.hosts_per_leaf = opt.quick ? 2 : 4;
-  const exp::ScenarioConfig scenario =
-      exp::ExperimentBuilder{}
-          .scheme(exp::Scheme::kPet)
-          .workload(workload::WorkloadKind::kWebSearch)
-          .load(0.5)
-          .topology(net::TopologySpec(topo))
-          .flow_size_cap(4e6)
-          .phases(opt.quick ? sim::milliseconds(2) : sim::milliseconds(10),
-                  sim::milliseconds(1))
-          .seed(opt.seed)
-          .tuned_dcqcn()
-          .config();
+  exp::ScenarioConfig scenario;
+  scenario.scheme = exp::Scheme::kPet;
+  scenario.load = 0.5;
+  scenario.topo.leaf_spine().num_spines = opt.quick ? 1 : 2;
+  scenario.topo.leaf_spine().num_leaves = 2;
+  scenario.topo.leaf_spine().hosts_per_leaf = opt.quick ? 2 : 4;
+  scenario.flow_size_cap_bytes = 4e6;
+  scenario.pretrain = sim::milliseconds(opt.quick ? 2 : 10);
+  scenario.measure = sim::milliseconds(1);
+  scenario.seed = opt.seed;
+  scenario.tune_dcqcn_for_rate();
 
   std::printf("\n--- parallel replica training (%d replicas, %u cores) ---\n",
               replicas, std::thread::hardware_concurrency());

@@ -3,6 +3,8 @@
 // independent on-policy learning avoids. Not a paper figure; it
 // substantiates the paper's motivating overhead argument with numbers.
 
+#include <memory>
+
 #include "acc/acc_agent.hpp"
 #include "common.hpp"
 #include "core/controller.hpp"
@@ -19,10 +21,8 @@ int main(int argc, char** argv) {
   const double load = 0.6;
 
   // ACC: run and read the shared replay's accounting.
-  auto acc_exp = bench::make_scenario(opt, exp::Scheme::kAcc,
-                                      workload::WorkloadKind::kWebSearch, load)
-                     .profiling(true)
-                     .build();
+  auto acc_exp = std::make_unique<exp::Experiment>(bench::make_scenario(
+      opt, exp::Scheme::kAcc, workload::WorkloadKind::kWebSearch, load));
   const exp::ScenarioConfig acc_cfg = acc_exp->config();
   acc_exp->run_until(acc_cfg.pretrain + acc_cfg.measure);
   auto* acc = acc_exp->acc();
@@ -32,10 +32,8 @@ int main(int argc, char** argv) {
   const std::size_t agents = acc->num_agents();
 
   // PET: the on-policy rollout is the only experience a switch stores.
-  auto pet_exp = bench::make_scenario(opt, exp::Scheme::kPet,
-                                      workload::WorkloadKind::kWebSearch, load)
-                     .profiling(true)
-                     .build();
+  auto pet_exp = std::make_unique<exp::Experiment>(bench::make_scenario(
+      opt, exp::Scheme::kPet, workload::WorkloadKind::kWebSearch, load));
   const exp::ScenarioConfig pet_cfg = pet_exp->config();
   pet_exp->run_until(pet_cfg.pretrain + pet_cfg.measure);
   auto* pet_ctl = pet_exp->pet();

@@ -14,7 +14,7 @@
 
 #include "core/ncm.hpp"
 #include "core/reward.hpp"
-#include "exp/experiment_builder.hpp"
+#include "exp/experiment.hpp"
 #include "exp/table.hpp"
 
 int main(int argc, char** argv) {
@@ -39,22 +39,15 @@ int main(int argc, char** argv) {
                     "mice p99", "eleph avg", "queue avg", "latency avg",
                     "ncm util", "ncm reward"});
 
+  exp::ScenarioConfig cfg;
+  cfg.scheme = exp::Scheme::kSecn1;  // static; thresholds overridden below
+  cfg.load = load;
+  cfg.flow_size_cap_bytes = 8e6;
+  cfg.pretrain = sim::milliseconds(5);
+  cfg.measure = sim::milliseconds(measure_ms);
+  cfg.tune_dcqcn_for_rate();
   for (const Point& p : grid) {
-    net::LeafSpineConfig topo;
-    topo.num_spines = 2;
-    topo.num_leaves = 4;
-    topo.hosts_per_leaf = 8;
-    auto experiment_ptr =
-        exp::ExperimentBuilder{}
-            .scheme(exp::Scheme::kSecn1)  // static; thresholds overridden below
-            .workload(workload::WorkloadKind::kWebSearch)
-            .load(load)
-            .topology(net::TopologySpec(topo))
-            .flow_size_cap(8e6)
-            .phases(sim::milliseconds(5), sim::milliseconds(measure_ms))
-            .tuned_dcqcn()
-            .build();
-    exp::Experiment& experiment = *experiment_ptr;
+    exp::Experiment experiment(cfg);
     const net::RedEcnConfig ecn{.kmin_bytes = p.kmin_kb * 1024,
                                 .kmax_bytes = p.kmax_kb * 1024,
                                 .pmax = p.pmax};

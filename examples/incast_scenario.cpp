@@ -8,7 +8,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "exp/experiment_builder.hpp"
 #include "exp/pretrain.hpp"
 #include "exp/table.hpp"
 
@@ -25,22 +24,19 @@ int main(int argc, char** argv) {
 
   for (const exp::Scheme scheme :
        {exp::Scheme::kSecn2, exp::Scheme::kSecn1, exp::Scheme::kPet}) {
-    net::LeafSpineConfig topo;
-    topo.num_spines = 2;
-    topo.num_leaves = 4;
-    topo.hosts_per_leaf = 8;
-    exp::ExperimentBuilder builder;
-    builder.scheme(scheme)
-        .workload(workload::WorkloadKind::kWebSearch)
-        .load(0.2)  // light background; incast dominates
-        .topology(net::TopologySpec(topo))
-        .incast(fan_in, request_kb * 1024, sim::microseconds(800))
-        .flow_size_cap(2e6)
-        .phases(sim::milliseconds(30), sim::milliseconds(30))
-        .tuned_dcqcn();
+    exp::ScenarioConfig base;
+    base.scheme = scheme;
+    base.load = 0.2;  // light background; incast dominates
+    base.incast_fan_in = fan_in;
+    base.incast_request_bytes = request_kb * 1024;
+    base.incast_period = sim::microseconds(800);
+    base.flow_size_cap_bytes = 2e6;
+    base.pretrain = sim::milliseconds(30);
+    base.measure = sim::milliseconds(30);
+    base.tune_dcqcn_for_rate();
     // Hybrid training: deploy the offline-pretrained model, adapt online.
-    auto experiment_ptr = exp::build_pretrained(
-        builder, exp::PretrainOptions{}, sim::milliseconds(10));
+    auto experiment_ptr = exp::build_pretrained(base, exp::PretrainOptions{},
+                                                sim::milliseconds(10));
     exp::Experiment& experiment = *experiment_ptr;
     const exp::ScenarioConfig& cfg = experiment.config();
     const exp::Metrics m = experiment.run();

@@ -12,7 +12,7 @@
 
 #include "core/controller.hpp"
 #include "core/pet_agent.hpp"
-#include "exp/experiment_builder.hpp"
+#include "exp/experiment.hpp"
 #include "exp/table.hpp"
 #include "net/classifier.hpp"
 
@@ -24,23 +24,15 @@ int main(int argc, char** argv) {
                     "elephant avg FCT", "queue avg"});
 
   for (const bool multiqueue : {false, true}) {
-    net::LeafSpineConfig topo;
-    topo.num_spines = 2;
-    topo.num_leaves = 4;
-    topo.hosts_per_leaf = 8;
-    topo.switch_cfg.num_data_queues = multiqueue ? 2 : 1;
-    auto experiment_ptr =
-        exp::ExperimentBuilder{}
-            .scheme(exp::Scheme::kSecn1)  // static placeholder; agents below
-            .workload(workload::WorkloadKind::kWebSearch)
-            .load(load)
-            .topology(net::TopologySpec(topo))
-            .flow_size_cap(8e6)
-            .phases(sim::milliseconds(40), sim::milliseconds(40))
-            .tuned_dcqcn()
-            .build();
-    exp::Experiment& experiment = *experiment_ptr;
-    const exp::ScenarioConfig& cfg = experiment.config();
+    exp::ScenarioConfig cfg;
+    cfg.scheme = exp::Scheme::kSecn1;  // static placeholder; agents below
+    cfg.load = load;
+    cfg.topo.leaf_spine().switch_cfg.num_data_queues = multiqueue ? 2 : 1;
+    cfg.flow_size_cap_bytes = 8e6;
+    cfg.pretrain = sim::milliseconds(40);
+    cfg.measure = sim::milliseconds(40);
+    cfg.tune_dcqcn_for_rate();
+    exp::Experiment experiment(cfg);
 
     core::PetControllerConfig pc;
     pc.num_queues = multiqueue ? 2 : 1;

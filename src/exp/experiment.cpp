@@ -27,6 +27,11 @@ namespace {
   throw std::invalid_argument("ScenarioConfig: " + field + " " + why);
 }
 
+const ScenarioConfig& validated(const ScenarioConfig& cfg) {
+  cfg.validate();
+  return cfg;
+}
+
 std::vector<net::HostId> all_hosts(const net::Fabric& topo) {
   std::vector<net::HostId> hosts(static_cast<std::size_t>(topo.num_hosts()));
   for (std::size_t i = 0; i < hosts.size(); ++i) {
@@ -57,14 +62,11 @@ void ScenarioConfig::validate() const {
   }
   if (pretrain < sim::Time::zero()) fail("pretrain", "must be >= 0");
   if (measure <= sim::Time::zero()) fail("measure", "must be positive");
-  if (tuning_interval <= sim::Time::zero()) {
-    fail("tuning_interval", "must be positive");
-  }
   if (pretrain_lr_boost <= 0.0) fail("pretrain_lr_boost", "must be positive");
 }
 
 Experiment::Experiment(const ScenarioConfig& cfg)
-    : cfg_(cfg),
+    : cfg_(validated(cfg)),
       net_(sched_, cfg.seed),
       topo_(net::build_fabric(net_, cfg.topo)),
       recorder_(cfg.seed),
@@ -126,7 +128,6 @@ void Experiment::install_scheme() {
     case Scheme::kPetAblation: {
       core::PetControllerConfig pc;
       pc.agent = core::PetAgentConfig::paper_defaults();
-      pc.agent.tuning_interval = cfg_.tuning_interval;
       pc.agent.reward = cfg_.reward_config();
       // Short scenario budgets: update from smaller rollouts so several
       // PPO iterations fit into the pre-training window.
@@ -156,23 +157,16 @@ void Experiment::install_scheme() {
       tuner_ = std::move(pet);
       break;
     }
-    case Scheme::kAmt: {
-      baselines::AmtConfig amt_cfg;
-      amt_cfg.period = cfg_.tuning_interval;
+    case Scheme::kAmt:
       tuner_ = std::make_unique<baselines::AmtTuner>(sched_, net_.switches(),
-                                                     amt_cfg);
+                                                     baselines::AmtConfig{});
       break;
-    }
-    case Scheme::kQaecn: {
-      baselines::QaecnConfig q_cfg;
-      q_cfg.period = cfg_.tuning_interval;
-      tuner_ = std::make_unique<baselines::QaecnTuner>(sched_, net_.switches(),
-                                                       q_cfg);
+    case Scheme::kQaecn:
+      tuner_ = std::make_unique<baselines::QaecnTuner>(
+          sched_, net_.switches(), baselines::QaecnConfig{});
       break;
-    }
     case Scheme::kAcc: {
       acc::AccControllerConfig ac;
-      ac.agent.tuning_interval = cfg_.tuning_interval;
       ac.agent.reward = cfg_.reward_config();
       ac.agent.state.qlen_norm_bytes =
           static_cast<double>(cfg_.topo.switch_config().pfc_xoff_bytes);
@@ -182,7 +176,7 @@ void Experiment::install_scheme() {
       ac.agent.ddqn.epsilon_start = cfg_.expects_pretrained ? 0.1 : 1.0;
       ac.agent.ddqn.epsilon_end = 0.05;
       ac.agent.ddqn.epsilon_decay_steps = static_cast<std::int32_t>(
-          std::max<std::int64_t>(1, cfg_.pretrain / cfg_.tuning_interval));
+          std::max<std::int64_t>(1, cfg_.pretrain / ac.agent.tuning_interval));
       tuner_ = std::make_unique<acc::AccController>(
           sched_, net_.switches(), ac, sim::derive_seed(cfg_.seed, "acc"));
       break;

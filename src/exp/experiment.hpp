@@ -64,7 +64,6 @@ struct ScenarioConfig {
                : core::RewardConfig::data_mining();
   }
 
-  sim::Time tuning_interval = sim::microseconds(100);
   std::uint64_t seed = 1;
 
   /// Learning-rate multiplier during the offline pre-training phase; the
@@ -95,14 +94,17 @@ struct ScenarioConfig {
   /// Scale the DCQCN increase steps for the configured host rate.
   void tune_dcqcn_for_rate();
 
-  /// Throws std::invalid_argument naming the offending field. Every front
-  /// door (ExperimentBuilder::build, the ReplicaRunner constructor,
-  /// SweepRunner::run) calls this before constructing an Experiment.
+  /// Throws std::invalid_argument naming the offending field. The
+  /// Experiment constructor calls it before building anything, so no
+  /// scenario runs unchecked; SweepRunner::run also checks every point up
+  /// front, before any thread starts or file is written.
   void validate() const;
 };
 
 class Experiment {
  public:
+  /// Validates `cfg` first (ScenarioConfig::validate()), then assembles the
+  /// scenario; throws std::invalid_argument on a bad config.
   explicit Experiment(const ScenarioConfig& cfg);
 
   /// Standard lifecycle: pretrain, mark measurement, run, collect.

@@ -1,20 +1,9 @@
 #pragma once
-// ExperimentBuilder: the fluent front door for assembling scenarios.
-//
-//   auto ex = exp::ExperimentBuilder{}
-//                 .topology(net::LeafSpineConfig::paper_scale())
-//                 .workload(workload::WorkloadKind::kWebSearch)
-//                 .scheme(exp::Scheme::kPet)
-//                 .seed(7)
-//                 .build();
-//
-// Chainable setters over ScenarioConfig; build() validates the assembled
-// configuration once (throwing std::invalid_argument with a field-naming
-// message) so malformed scenarios fail loudly at the API boundary instead
-// of deep inside the simulator. Code that already holds a whole
-// ScenarioConfig (SweepRunner, offline_pretrain) constructs Experiment from
-// it directly, and ReplicaRunner(ScenarioConfig, ReplicaRunnerConfig) is
-// the parallel-replica trainer.
+// ExperimentBuilder: a chainable wrapper over ScenarioConfig, kept only for
+// the frozen scenario benchmark (scenario_bench/scenario_bench.cpp), whose
+// calls are exactly its members. Everything else describes a scenario as a
+// ScenarioConfig and constructs Experiment from it; the Experiment
+// constructor validates. Retire this file with the next benchmark change.
 
 #include <cstdint>
 #include <memory>
@@ -23,7 +12,6 @@
 #include "exp/scheme.hpp"
 #include "net/topology.hpp"
 #include "net/topology_spec.hpp"
-#include "rl/inference.hpp"
 #include "sim/time.hpp"
 #include "workload/distributions.hpp"
 
@@ -31,57 +19,75 @@ namespace pet::exp {
 
 class ExperimentBuilder {
  public:
-  ExperimentBuilder() = default;
-
-  // --- fabric ---------------------------------------------------------------
-  /// Any fabric family: leaf-spine, k-ary fat-tree, or inter-DC
-  /// (net/topology_spec.hpp).
-  ExperimentBuilder& topology(const net::TopologySpec& topo);
-  /// Re-derive DCQCN's increase machinery from the (already set) host link
-  /// rate; applied at build() time so it sees the final topology.
-  ExperimentBuilder& tuned_dcqcn(bool enabled = true);
-
-  // --- workload -------------------------------------------------------------
-  ExperimentBuilder& workload(workload::WorkloadKind kind);
-  ExperimentBuilder& load(double target_load);
-  /// 0 disables flow-size truncation.
-  ExperimentBuilder& flow_size_cap(double bytes);
-  ExperimentBuilder& incast(bool enabled);
+  ExperimentBuilder& topology(const net::TopologySpec& topo) {
+    cfg_.topo = topo;
+    return *this;
+  }
+  /// Re-derive DCQCN's increase machinery from the host link rate at
+  /// config() / build() time, so it sees the final topology.
+  ExperimentBuilder& tuned_dcqcn() {
+    tuned_dcqcn_ = true;
+    return *this;
+  }
+  ExperimentBuilder& workload(workload::WorkloadKind kind) {
+    cfg_.workload = kind;
+    return *this;
+  }
+  ExperimentBuilder& load(double target_load) {
+    cfg_.load = target_load;
+    return *this;
+  }
+  ExperimentBuilder& flow_size_cap(double bytes) {
+    cfg_.flow_size_cap_bytes = bytes;
+    return *this;
+  }
   ExperimentBuilder& incast(std::int32_t fan_in, std::int64_t request_bytes,
-                            sim::Time period);
+                            sim::Time period) {
+    cfg_.incast_enabled = true;
+    cfg_.incast_fan_in = fan_in;
+    cfg_.incast_request_bytes = request_bytes;
+    cfg_.incast_period = period;
+    return *this;
+  }
+  ExperimentBuilder& scheme(Scheme s) {
+    cfg_.scheme = s;
+    return *this;
+  }
+  ExperimentBuilder& phases(sim::Time pretrain, sim::Time measure) {
+    cfg_.pretrain = pretrain;
+    cfg_.measure = measure;
+    return *this;
+  }
+  ExperimentBuilder& seed(std::uint64_t s) {
+    cfg_.seed = s;
+    return *this;
+  }
+  ExperimentBuilder& pretrain_lr_boost(double factor) {
+    cfg_.pretrain_lr_boost = factor;
+    return *this;
+  }
+  ExperimentBuilder& expects_pretrained(bool expects) {
+    cfg_.expects_pretrained = expects;
+    return *this;
+  }
+  ExperimentBuilder& profiling(bool enabled) {
+    cfg_.profiling = enabled;
+    return *this;
+  }
 
-  // --- scheme & schedule ----------------------------------------------------
-  ExperimentBuilder& scheme(Scheme s);
-  ExperimentBuilder& phases(sim::Time pretrain, sim::Time measure);
-  ExperimentBuilder& pretrain(sim::Time t);
-  ExperimentBuilder& measure(sim::Time t);
-  ExperimentBuilder& tuning_interval(sim::Time t);
+  /// The assembled configuration exactly as build() consumes it.
+  [[nodiscard]] ScenarioConfig config() const {
+    ScenarioConfig cfg = cfg_;
+    if (tuned_dcqcn_) cfg.tune_dcqcn_for_rate();
+    return cfg;
+  }
 
-  // --- learning knobs -------------------------------------------------------
-  ExperimentBuilder& seed(std::uint64_t s);
-  ExperimentBuilder& pretrain_lr_boost(double factor);
-  ExperimentBuilder& shared_policy(bool shared);
-  ExperimentBuilder& expects_pretrained(bool expects);
-  /// Deployment-decision serving precision (rl::PolicyServer). Non-kDirect
-  /// modes imply shared_policy(true).
-  ExperimentBuilder& infer(rl::InferMode mode);
-
-  // --- observability --------------------------------------------------------
-  /// Attach the experiment's Profiler to its Scheduler (per-event-kind
-  /// sections; the event order is unaffected).
-  ExperimentBuilder& profiling(bool enabled = true);
-
-  /// The assembled (not yet validated) configuration exactly as build()
-  /// will consume it — deferred adjustments like tuned_dcqcn() applied.
-  /// Useful as a pretrain-cache key.
-  [[nodiscard]] ScenarioConfig config() const { return finalized(); }
-
-  /// Validate and construct. Throws std::invalid_argument on a bad config.
-  [[nodiscard]] std::unique_ptr<Experiment> build() const;
+  /// Throws std::invalid_argument on a bad config (Experiment validates).
+  [[nodiscard]] std::unique_ptr<Experiment> build() const {
+    return std::make_unique<Experiment>(config());
+  }
 
  private:
-  [[nodiscard]] ScenarioConfig finalized() const;
-
   ScenarioConfig cfg_{};
   bool tuned_dcqcn_ = false;
 };

@@ -30,36 +30,7 @@ std::vector<double> offline_pretrain(ScenarioConfig base,
     ++idx;
     t += opt.cycle;
   }
-  if (!opt.verbose) {
-    sandbox.run_until(opt.duration);
-    return sandbox.learned_weights();
-  }
-  for (sim::Time at = opt.cycle; at <= opt.duration; at += opt.cycle) {
-    sandbox.run_until(at);
-    if (auto* pet = sandbox.pet()) {
-      auto& agent = pet->agent(0);
-      const std::vector<double> probe(
-          static_cast<std::size_t>(agent.policy().config().input_size), 0.5);
-      std::vector<std::int32_t> g(agent.policy().num_heads());
-      agent.policy().act_greedy_batch(probe, 1, g);
-      // pet-lint: allow(banned-api): pretrain progress is CLI UX on stdout
-      std::printf(
-          "  [pretrain] t=%.0fms reward(mean)=%.3f updates=%lld greedy "
-          "n_min=%d n_max=%d p=%d expl=%.3f\n",
-          at.ms(), pet->mean_reward(), static_cast<long long>(agent.updates()),
-          g[0], g[1], g[2], agent.policy().exploration_rate());
-      // pet-lint: allow(banned-api): pretrain progress is CLI UX on stdout
-      std::printf("             entropy=%.3f kl=%.4f vloss=%.4f\n",
-                  agent.last_update().entropy, agent.last_update().approx_kl,
-                  agent.last_update().value_loss);
-    } else if (auto* acc = sandbox.acc()) {
-      // pet-lint: allow(banned-api): pretrain progress is CLI UX on stdout
-      std::printf("  [pretrain] t=%.0fms reward(mean)=%.3f eps=%.3f\n",
-                  at.ms(), acc->mean_reward(),
-                  acc->agent(0).learner().epsilon());
-    }
-    std::fflush(stdout);
-  }
+  sandbox.run_until(opt.duration);
   return sandbox.learned_weights();
 }
 
@@ -185,14 +156,14 @@ std::vector<double> pretrained_weights_cached(const ScenarioConfig& base,
 }
 
 std::unique_ptr<Experiment> build_pretrained(
-    ExperimentBuilder builder, const PretrainOptions& opt,
+    ScenarioConfig cfg, const PretrainOptions& opt,
     std::optional<sim::Time> online_warmup) {
-  if (!is_learning_scheme(builder.config().scheme)) return builder.build();
-  const std::vector<double> weights =
-      pretrained_weights_cached(builder.config(), opt);
-  builder.expects_pretrained(!weights.empty()).pretrain_lr_boost(1.0);
-  if (online_warmup) builder.pretrain(*online_warmup);
-  std::unique_ptr<Experiment> experiment = builder.build();
+  if (!is_learning_scheme(cfg.scheme)) return std::make_unique<Experiment>(cfg);
+  const std::vector<double> weights = pretrained_weights_cached(cfg, opt);
+  cfg.expects_pretrained = !weights.empty();
+  cfg.pretrain_lr_boost = 1.0;
+  if (online_warmup) cfg.pretrain = *online_warmup;
+  auto experiment = std::make_unique<Experiment>(cfg);
   if (!weights.empty() && !experiment->install_learned_weights(weights)) {
     std::fprintf(stderr,
                  "warning: pretrained weights rejected (stale cache?); "

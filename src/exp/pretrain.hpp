@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "exp/experiment.hpp"
-#include "exp/experiment_builder.hpp"
 #include "sim/time.hpp"
 
 namespace pet::exp {
@@ -26,8 +25,6 @@ struct PretrainOptions {
   sim::Time cycle = sim::milliseconds(20);
   /// Offline training runs hotter than the deployed learning rates.
   double lr_boost = 3.0;
-  /// Print training progress (reward trend, greedy action) per cycle.
-  bool verbose = false;
 };
 
 /// Run the offline sandbox for `base`'s scheme/workload/topology and return
@@ -67,8 +64,8 @@ class WeightCache {
     const std::string& cache_dir = "pretrain_cache",
     std::uint64_t expected_count = 0);
 
-/// Hybrid-training deployment (paper Section 4.4): build `builder`'s
-/// experiment with the offline-pretrained model installed on every agent.
+/// Hybrid-training deployment (paper Section 4.4): build `cfg`'s experiment
+/// with the offline-pretrained model installed on every agent.
 /// A learning scheme fetches its weights for the scenario as configured
 /// (pretrained_weights_cached), then switches to the paper's online
 /// learning rates and, if `online_warmup` is set, shortens its pretrain
@@ -77,7 +74,7 @@ class WeightCache {
 /// (stale cache) leave it untrained, with a warning on stderr. Static
 /// schemes build as configured.
 [[nodiscard]] std::unique_ptr<Experiment> build_pretrained(
-    ExperimentBuilder builder, const PretrainOptions& opt,
+    ScenarioConfig cfg, const PretrainOptions& opt,
     std::optional<sim::Time> online_warmup = std::nullopt);
 
 }  // namespace pet::exp

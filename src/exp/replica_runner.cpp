@@ -64,7 +64,6 @@ struct ReplicaRunner::ReplicaResult {
 ReplicaRunner::ReplicaRunner(const ScenarioConfig& scenario,
                              ReplicaRunnerConfig cfg)
     : scenario_(scenario), cfg_(cfg) {
-  scenario_.validate();
   if (cfg_.replicas < 1) {
     throw std::invalid_argument("ReplicaRunner: replicas must be >= 1");
   }
@@ -75,7 +74,8 @@ ReplicaRunner::ReplicaRunner(const ScenarioConfig& scenario,
   }
   // The central model holder is a full Experiment whose scheduler never
   // advances: it exists to own one policy per switch with the exact shapes
-  // and seeds a sequential run would use.
+  // and seeds a sequential run would use. Its constructor validates the
+  // scenario.
   ScenarioConfig central = scenario_;
   central.pet_shared_policy = false;
   central_ = std::make_unique<Experiment>(central);

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <map>
 
+#include "core/pet_agent.hpp"
 #include "exp/scheme.hpp"
 #include "net/topology.hpp"
 #include "rl/inference.hpp"
@@ -137,7 +138,10 @@ JsonValue scenario_json(const ScenarioConfig& cfg) {
   out.set("topology", topology_spec_json(cfg.topo));
   out.set("pretrain_ms", cfg.pretrain.ms());
   out.set("measure_ms", cfg.measure.ms());
-  out.set("tuning_interval_us", cfg.tuning_interval.us());
+  // Every dynamic scheme ticks at its config's default interval. The key
+  // stays, so sweep artifacts and checkpoints that recorded it still match
+  // on --resume.
+  out.set("tuning_interval_us", core::PetAgentConfig{}.tuning_interval.us());
   out.set("incast_enabled", JsonValue(cfg.incast_enabled));
   out.set("flow_size_cap_bytes", cfg.flow_size_cap_bytes);
   out.set("infer", rl::infer_mode_name(cfg.pet_infer));

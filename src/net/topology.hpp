@@ -3,7 +3,7 @@
 // 24 hosts @25G up, 6 spines @100G; benches default to a proportionally
 // scaled-down instance preserving the 4:1 spine/leaf speedup and the
 // oversubscription ratio). It is one alternative of net::TopologySpec
-// (topology_spec.hpp): pass it to ExperimentBuilder::topology() or
+// (topology_spec.hpp): set it as exp::ScenarioConfig::topo or pass it to
 // net::build_fabric() and query the resulting net::Fabric.
 
 #include <cstdint>

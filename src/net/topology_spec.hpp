@@ -13,7 +13,7 @@
 //
 // A TopologySpec is pure data: build_fabric() (fabric.hpp) turns it into
 // devices + links inside a Network and returns the Fabric query interface.
-// Downstream code (ExperimentBuilder, traffic generators, DCQCN tuning,
+// Downstream code (ScenarioConfig, traffic generators, DCQCN tuning,
 // artifact manifests) reads only the kind-agnostic accessors here.
 
 #include <cstdint>

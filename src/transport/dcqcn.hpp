@@ -32,6 +32,8 @@ struct DcqcnConfig {
   double rate_ai_bps = 40e6;               // additive increase step
   double rate_hai_bps = 400e6;             // hyper increase step
   double min_rate_fraction = 1e-3;         // floor as a fraction of line rate
+
+  bool operator==(const DcqcnConfig&) const = default;
 };
 
 /// Sender-side (RP) state machine; one per active flow. Implements

@@ -44,6 +44,17 @@ expect_usage_error() {
 
 expect_usage_error load_above_one pet_sim_cli "${SIM[@]}" --load=1.5
 expect_usage_error odd_fat_tree_k pet_sim_cli "${SIM[@]}" --topo=fat-tree --k=3
+# Every field validate() checks is left to it, so the message names the field.
+expect_usage_error zero_load pet_sim_cli "${SIM[@]}" --load=0
+expect_usage_error zero_measure pet_sim_cli "${SIM[@]}" --measure-ms=0
+expect_usage_error zero_spines pet_sim_cli "${SIM[@]}" --spines=0
+# A numeric value is read whole: no prefix of it is taken as the number.
+expect_usage_error non_numeric_seed pet_sim_cli "${SIM[@]}" --seed=abc
+expect_usage_error trailing_text_measure pet_sim_cli "${SIM[@]}" \
+    --measure-ms=2x
+expect_usage_error non_numeric_seed_list pet_sweep "$PET_SWEEP" \
+    --scheme=pet --load=0.5 --seed=1,abc --threads=1 "${SHAPE[@]}" \
+    --out="$WORK/non_numeric_seed_list"
 expect_usage_error zero_replicas pet_sweep "${SWEEP[@]}" \
     --out="$WORK/zero_replicas" --train-episodes=1 --replicas=0
 expect_usage_error negative_retries pet_sweep "${SWEEP[@]}" \

@@ -12,11 +12,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <tuple>
 #include <vector>
 
-#include "exp/experiment_builder.hpp"
 #include "exp/replica_runner.hpp"
 #include "sim/checkpoint.hpp"
 #include "testkit/property.hpp"
@@ -26,18 +26,18 @@ namespace {
 
 constexpr std::int32_t kEpisodes = 3;
 
-ExperimentBuilder tiny_scenario(std::uint64_t seed) {
-  net::LeafSpineConfig topo;
-  topo.num_spines = 1;
-  topo.num_leaves = 2;
-  topo.hosts_per_leaf = 2;
-  return ExperimentBuilder{}
-      .topology(topo)
-      .workload(workload::WorkloadKind::kWebSearch)
-      .load(0.5)
-      .scheme(Scheme::kPet)
-      .phases(sim::milliseconds(2), sim::milliseconds(1))
-      .seed(seed);
+ScenarioConfig tiny_scenario(std::uint64_t seed) {
+  ScenarioConfig cfg;
+  cfg.topo.leaf_spine().num_spines = 1;
+  cfg.topo.leaf_spine().num_leaves = 2;
+  cfg.topo.leaf_spine().hosts_per_leaf = 2;
+  cfg.workload = workload::WorkloadKind::kWebSearch;
+  cfg.load = 0.5;
+  cfg.scheme = Scheme::kPet;
+  cfg.pretrain = sim::milliseconds(2);
+  cfg.measure = sim::milliseconds(1);
+  cfg.seed = seed;
+  return cfg;
 }
 
 /// Two replicas on one thread: the runner every test here checkpoints.
@@ -64,8 +64,7 @@ PROPERTY_CASES(CheckpointResume, SplitEpisodeResumeIsBitwiseExact, 5,
           .string();
 
   // Reference: the uninterrupted run.
-  const ScenarioConfig cfg =
-      tiny_scenario(static_cast<std::uint64_t>(seed)).config();
+  const ScenarioConfig cfg = tiny_scenario(static_cast<std::uint64_t>(seed));
   ReplicaRunner straight = tiny_runner(cfg);
   for (std::int32_t e = 0; e < kEpisodes; ++e) {
     static_cast<void>(straight.run_episode());
@@ -110,13 +109,13 @@ TEST(CheckpointResume, LoadRejectsScenarioMismatch) {
   const std::string path =
       (std::filesystem::temp_directory_path() / "pet_resume_mismatch.ckpt")
           .string();
-  ReplicaRunner source = tiny_runner(tiny_scenario(7).config());
+  ReplicaRunner source = tiny_runner(tiny_scenario(7));
   static_cast<void>(source.run_episode());
   ASSERT_TRUE(source.save_checkpoint(path));
 
   // Different seed => different scenario fingerprint: refuse to resume,
   // leave the target untouched.
-  ReplicaRunner other = tiny_runner(tiny_scenario(8).config());
+  ReplicaRunner other = tiny_runner(tiny_scenario(8));
   const std::vector<double> before = other.all_weights();
   std::string error;
   EXPECT_FALSE(other.load_checkpoint(path, &error));
@@ -132,14 +131,15 @@ TEST(CheckpointResume, LoadRejectsAnotherPretrainWindow) {
   const std::string path =
       (std::filesystem::temp_directory_path() / "pet_resume_window.ckpt")
           .string();
-  ReplicaRunner source = tiny_runner(tiny_scenario(7).config());
+  ReplicaRunner source = tiny_runner(tiny_scenario(7));
   static_cast<void>(source.run_episode());
   ASSERT_TRUE(source.save_checkpoint(path));
 
   // Same seed, scheme and replica count; only the episode length (the
   // pretrain window) differs, so the checkpoint belongs to another run.
-  ReplicaRunner longer =
-      tiny_runner(tiny_scenario(7).pretrain(sim::milliseconds(3)).config());
+  ScenarioConfig window = tiny_scenario(7);
+  window.pretrain = sim::milliseconds(3);
+  ReplicaRunner longer = tiny_runner(window);
   const std::vector<double> before = longer.all_weights();
   std::string error;
   EXPECT_FALSE(longer.load_checkpoint(path, &error));
@@ -157,7 +157,7 @@ TEST(CheckpointResume, LoadRejectsAnotherPretrainWindow) {
     const std::string name = "replica-runner/agent." + std::to_string(i);
     bare.set_section(name, *full.section(name));
   }
-  ReplicaRunner same = tiny_runner(tiny_scenario(7).config());
+  ReplicaRunner same = tiny_runner(tiny_scenario(7));
   EXPECT_FALSE(same.load_state(bare));
   EXPECT_EQ(same.next_episode(), 0);
   EXPECT_TRUE(same.load_state(full));
@@ -170,7 +170,7 @@ TEST(CheckpointResume, LoadRejectsOversizedEpisodeHistory) {
   const std::string path =
       (std::filesystem::temp_directory_path() / "pet_resume_oversized.ckpt")
           .string();
-  ReplicaRunner runner = tiny_runner(tiny_scenario(7).config());
+  ReplicaRunner runner = tiny_runner(tiny_scenario(7));
   sim::Checkpoint ckpt;
   runner.save_state(ckpt);
   std::vector<std::uint8_t> meta = *ckpt.section("replica-runner/meta");
@@ -193,8 +193,8 @@ TEST(CheckpointResume, LoadRejectsOversizedEpisodeHistory) {
 }
 
 TEST(CheckpointResume, RunChunkedMatchesRunBitwise) {
-  auto a = tiny_scenario(11).build();
-  auto b = tiny_scenario(11).build();
+  auto a = std::make_unique<Experiment>(tiny_scenario(11));
+  auto b = std::make_unique<Experiment>(tiny_scenario(11));
   const Metrics ma = a->run();
   bool completed = false;
   const Metrics mb =
@@ -212,7 +212,7 @@ TEST(CheckpointResume, RunChunkedMatchesRunBitwise) {
 }
 
 TEST(CheckpointResume, RunChunkedStopsEarlyWhenAsked) {
-  auto ex = tiny_scenario(12).build();
+  auto ex = std::make_unique<Experiment>(tiny_scenario(12));
   bool completed = true;
   int polls = 0;
   static_cast<void>(ex->run_chunked(

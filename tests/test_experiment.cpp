@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include "exp/experiment_builder.hpp"
 #include "exp/json.hpp"
 #include "exp/metrics.hpp"
 #include "exp/run_artifact.hpp"
 
+#include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace pet::exp {
 namespace {
@@ -110,6 +113,28 @@ TEST(Scheme, NamesAndConfigs) {
   EXPECT_TRUE(is_learning_scheme(Scheme::kPet));
   EXPECT_TRUE(is_learning_scheme(Scheme::kAcc));
   EXPECT_FALSE(is_learning_scheme(Scheme::kSecn1));
+}
+
+TEST(Experiment, ValidatesAtConstruction) {
+  // The constructor runs ScenarioConfig::validate() before it builds the
+  // fabric, so no scenario runs unchecked.
+  ScenarioConfig idle = tiny_scenario(Scheme::kPet);
+  idle.load = 0.0;
+  EXPECT_THROW((void)Experiment(idle), std::invalid_argument);
+  ScenarioConfig overloaded = tiny_scenario(Scheme::kPet);
+  overloaded.load = 1.5;
+  EXPECT_THROW((void)Experiment(overloaded), std::invalid_argument);
+  ScenarioConfig unmeasured = tiny_scenario(Scheme::kPet);
+  unmeasured.measure = sim::Time::zero();
+  EXPECT_THROW((void)Experiment(unmeasured), std::invalid_argument);
+  ScenarioConfig leafless = tiny_scenario(Scheme::kPet);
+  leafless.topo.leaf_spine().num_leaves = 0;
+  EXPECT_THROW((void)Experiment(leafless), std::invalid_argument);
+  ScenarioConfig odd_k = tiny_scenario(Scheme::kPet);
+  net::FatTreeSpec ft;
+  ft.k = 3;
+  odd_k.topo = ft;
+  EXPECT_THROW((void)Experiment(odd_k), std::invalid_argument);
 }
 
 TEST(Experiment, StaticSchemeKeepsConfiguredThresholds) {
@@ -261,6 +286,89 @@ TEST(Experiment, TuneDcqcnScalesWithRate) {
   b.tune_dcqcn_for_rate();
   EXPECT_GT(b.dcqcn.rate_ai_bps, a.dcqcn.rate_ai_bps);
   EXPECT_GT(b.dcqcn.byte_counter, a.dcqcn.byte_counter);
+}
+
+// ExperimentBuilder remains only for the frozen scenario benchmark. The
+// struct and the function below are copied verbatim from
+// scenario_bench/scenario_bench.cpp; the builder must assemble exactly the
+// ScenarioConfig written out by hand.
+struct Workload {
+  std::string_view name;
+  exp::Scheme scheme;
+  workload::WorkloadKind traffic;
+  sim::Time pretrain;
+  sim::Time measure;
+  /// Weight file stem under --weights-dir; empty for static schemes.
+  std::string_view weights;
+};
+
+exp::ExperimentBuilder scenario(const Workload& w, std::uint64_t seed,
+                                bool traced) {
+  net::LeafSpineConfig fabric;
+  fabric.num_spines = 2;
+  fabric.num_leaves = 4;
+  fabric.hosts_per_leaf = 8;
+  // A leaf has 10 ingress ports with a 256 KiB PFC XOFF each, more than the
+  // default 2 MiB shared buffer, so it can overflow before PFC pauses
+  // anyone. 4 MiB makes the fabric lossless by construction. The buffer
+  // size only decides drops, so runs that never fill 2 MiB are unchanged.
+  fabric.switch_cfg.buffer_bytes = 4 * 1024 * 1024;
+  exp::ExperimentBuilder b;
+  b.scheme(w.scheme)
+      .workload(w.traffic)
+      .load(0.6)
+      .topology(net::TopologySpec(fabric))
+      .flow_size_cap(8e6)
+      .phases(w.pretrain, w.measure)
+      .incast(8, 32 * 1024, sim::milliseconds(1))
+      .seed(seed)
+      .profiling(traced)
+      .tuned_dcqcn();
+  if (!w.weights.empty()) b.expects_pretrained(true).pretrain_lr_boost(1.0);
+  return b;
+}
+
+TEST(ExperimentBuilder, ScenarioBenchChainMatchesScenarioConfig) {
+  for (const Workload& w :
+       {Workload{"static", Scheme::kSecn1, workload::WorkloadKind::kWebSearch,
+                 sim::milliseconds(10), sim::milliseconds(70), ""},
+        Workload{"pretrained", Scheme::kAcc,
+                 workload::WorkloadKind::kDataMining, sim::milliseconds(10),
+                 sim::milliseconds(35), "weights"}}) {
+    SCOPED_TRACE(std::string(w.name));
+    const ExperimentBuilder builder = scenario(w, 7, true);
+
+    ScenarioConfig hand;
+    hand.scheme = w.scheme;
+    hand.workload = w.traffic;
+    hand.load = 0.6;
+    hand.topo.leaf_spine().switch_cfg.buffer_bytes = 4 * 1024 * 1024;
+    hand.flow_size_cap_bytes = 8e6;
+    hand.pretrain = w.pretrain;
+    hand.measure = w.measure;
+    hand.seed = 7;
+    hand.profiling = true;
+    hand.tune_dcqcn_for_rate();
+    if (!w.weights.empty()) {
+      hand.expects_pretrained = true;
+      hand.pretrain_lr_boost = 1.0;
+    }
+
+    const ScenarioConfig built = builder.config();
+    EXPECT_EQ(scenario_json(built).dump(), scenario_json(hand).dump());
+    EXPECT_EQ(built.expects_pretrained, hand.expects_pretrained);
+    EXPECT_EQ(built.pretrain_lr_boost, hand.pretrain_lr_boost);
+    EXPECT_EQ(built.profiling, hand.profiling);
+    // The chain's remaining fields, which scenario_json does not record.
+    EXPECT_EQ(built.topo.switch_config().buffer_bytes,
+              hand.topo.switch_config().buffer_bytes);
+    EXPECT_EQ(built.incast_fan_in, hand.incast_fan_in);
+    EXPECT_EQ(built.incast_request_bytes, hand.incast_request_bytes);
+    EXPECT_EQ(built.incast_period, hand.incast_period);
+    EXPECT_EQ(built.dcqcn, hand.dcqcn);
+    EXPECT_NE(built.dcqcn, ScenarioConfig{}.dcqcn);  // tuning applied
+    EXPECT_EQ(builder.build()->config().seed, 7u);
+  }
 }
 
 }  // namespace

@@ -12,11 +12,12 @@
 
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/controller.hpp"
-#include "exp/experiment_builder.hpp"
+#include "exp/experiment.hpp"
 #include "exp/telemetry.hpp"
 #include "rl/inference.hpp"
 #include "rl/ppo.hpp"
@@ -24,18 +25,18 @@
 namespace pet::exp {
 namespace {
 
-ExperimentBuilder golden_scenario() {
-  net::LeafSpineConfig topo;
-  topo.num_spines = 1;
-  topo.num_leaves = 2;
-  topo.hosts_per_leaf = 2;
-  return ExperimentBuilder{}
-      .topology(topo)
-      .workload(workload::WorkloadKind::kDataMining)
-      .load(0.5)
-      .scheme(Scheme::kPet)
-      .phases(sim::milliseconds(2), sim::milliseconds(2))
-      .seed(11);
+ScenarioConfig golden_scenario() {
+  ScenarioConfig cfg;
+  cfg.topo.leaf_spine().num_spines = 1;
+  cfg.topo.leaf_spine().num_leaves = 2;
+  cfg.topo.leaf_spine().hosts_per_leaf = 2;
+  cfg.workload = workload::WorkloadKind::kDataMining;
+  cfg.load = 0.5;
+  cfg.scheme = Scheme::kPet;
+  cfg.pretrain = sim::milliseconds(2);
+  cfg.measure = sim::milliseconds(2);
+  cfg.seed = 11;
+  return cfg;
 }
 
 struct ServeRun {
@@ -54,10 +55,10 @@ struct ServeRun {
 /// Run the golden scenario with the given serving mode and record per-switch
 /// telemetry (ECN thresholds included) every 100us.
 ServeRun run_serving(rl::InferMode mode, bool force_shared = false) {
-  ExperimentBuilder builder = golden_scenario();
-  if (force_shared) builder.shared_policy(true);
-  builder.infer(mode);
-  const std::unique_ptr<Experiment> ex = builder.build();
+  ScenarioConfig cfg = golden_scenario();
+  if (force_shared) cfg.pet_shared_policy = true;
+  cfg.pet_infer = mode;
+  const auto ex = std::make_unique<Experiment>(cfg);
   TelemetryRecorder telemetry(ex->scheduler(), ex->network().switches());
   telemetry.start();
 

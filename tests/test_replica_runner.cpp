@@ -2,36 +2,34 @@
 // central weights are a pure function of (seed, replicas) — the worker
 // thread count is invisible, bitwise. These tests run the same tiny
 // scenario on 1 and 4 threads and demand identical digests and weights,
-// plus coverage of the validation the runner's constructor and
-// ExperimentBuilder::build() run.
+// plus coverage of the validation the runner's constructor runs.
 
 #include <gtest/gtest.h>
 
 #include <stdexcept>
 #include <vector>
 
-#include "exp/experiment_builder.hpp"
 #include "exp/replica_runner.hpp"
 
 namespace pet::exp {
 namespace {
 
-ExperimentBuilder tiny_scenario() {
-  net::LeafSpineConfig topo;
-  topo.num_spines = 1;
-  topo.num_leaves = 2;
-  topo.hosts_per_leaf = 2;
-  return ExperimentBuilder{}
-      .topology(topo)
-      .workload(workload::WorkloadKind::kWebSearch)
-      .load(0.5)
-      .scheme(Scheme::kPet)
-      .phases(sim::milliseconds(3), sim::milliseconds(1))
-      .seed(42);
+ScenarioConfig tiny_scenario(Scheme scheme = Scheme::kPet) {
+  ScenarioConfig cfg;
+  cfg.topo.leaf_spine().num_spines = 1;
+  cfg.topo.leaf_spine().num_leaves = 2;
+  cfg.topo.leaf_spine().hosts_per_leaf = 2;
+  cfg.workload = workload::WorkloadKind::kWebSearch;
+  cfg.load = 0.5;
+  cfg.scheme = scheme;
+  cfg.pretrain = sim::milliseconds(3);
+  cfg.measure = sim::milliseconds(1);
+  cfg.seed = 42;
+  return cfg;
 }
 
 ReplicaRunner tiny_runner(std::int32_t replicas, std::int32_t threads) {
-  return ReplicaRunner(tiny_scenario().config(),
+  return ReplicaRunner(tiny_scenario(),
                        {.replicas = replicas, .threads = threads});
 }
 
@@ -141,44 +139,21 @@ TEST(ReplicaRunner, RunReportsThroughput) {
 }
 
 TEST(ReplicaRunner, RequiresPetScheme) {
-  EXPECT_THROW((void)ReplicaRunner(tiny_scenario().scheme(Scheme::kSecn1)
-                                       .config(),
+  EXPECT_THROW((void)ReplicaRunner(tiny_scenario(Scheme::kSecn1),
                                    ReplicaRunnerConfig{}),
                std::invalid_argument);
-  EXPECT_THROW((void)ReplicaRunner(tiny_scenario().scheme(Scheme::kAmt)
-                                       .config(),
-                                   {.replicas = 4}),
-               std::invalid_argument);
+  EXPECT_THROW(
+      (void)ReplicaRunner(tiny_scenario(Scheme::kAmt), {.replicas = 4}),
+      std::invalid_argument);
 }
 
 TEST(ReplicaRunner, ValidatesAtConstruction) {
   EXPECT_THROW((void)tiny_runner(0, 1), std::invalid_argument);
-  // The constructor runs ScenarioConfig::validate(): no runner skips it.
-  EXPECT_THROW(
-      (void)ReplicaRunner(tiny_scenario().load(1.5).config(), {}),
-      std::invalid_argument);
-}
-
-TEST(ExperimentBuilder, ValidatesAtBuildTime) {
-  EXPECT_THROW((void)tiny_scenario().load(0.0).build(), std::invalid_argument);
-  EXPECT_THROW((void)tiny_scenario().load(1.5).build(), std::invalid_argument);
-  EXPECT_THROW((void)tiny_scenario().measure(sim::Time::zero()).build(),
-               std::invalid_argument);
-  EXPECT_THROW((void)tiny_scenario().tuning_interval(sim::Time::zero()).build(),
-               std::invalid_argument);
-  net::LeafSpineConfig topo;
-  topo.num_leaves = 0;
-  EXPECT_THROW((void)tiny_scenario().topology(topo).build(),
-               std::invalid_argument);
-}
-
-TEST(ExperimentBuilder, BuildsARunnableExperiment) {
-  auto ex = tiny_scenario().build();
-  ASSERT_NE(ex, nullptr);
-  EXPECT_EQ(ex->config().seed, 42u);
-  EXPECT_EQ(ex->config().scheme, Scheme::kPet);
-  ASSERT_NE(ex->pet(), nullptr);
-  EXPECT_EQ(ex->pet()->num_agents(), 3u);  // 2 leaves + 1 spine
+  // The constructor builds an Experiment, which runs
+  // ScenarioConfig::validate(): no runner skips it.
+  ScenarioConfig overloaded = tiny_scenario();
+  overloaded.load = 1.5;
+  EXPECT_THROW((void)ReplicaRunner(overloaded, {}), std::invalid_argument);
 }
 
 }  // namespace
