@@ -47,6 +47,24 @@ void BM_MlpForward(benchmark::State& state) {
 }
 BENCHMARK(BM_MlpForward);
 
+/// ACC's minibatch forward: one Q-head {18, 64, 64, 10} (ReLU) over the
+/// DdqnConfig default batch of 32, the shape that runs the blocked GEMM's
+/// four-sample body. Items are samples.
+void BM_MlpForwardBatch32(benchmark::State& state) {
+  constexpr std::int32_t kBatch = 32;
+  sim::Rng rng(9);
+  rl::Mlp mlp({18, 64, 64, 10}, rl::Activation::kRelu, rng);
+  std::vector<double> x(static_cast<std::size_t>(kBatch) * 18);
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    x[i] = std::sin(0.37 * static_cast<double>(i + 1));
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(mlp.forward_batch(x, kBatch));
+  }
+  state.SetItemsProcessed(state.iterations() * kBatch);
+}
+BENCHMARK(BM_MlpForwardBatch32);
+
 void BM_MlpForwardBackward(benchmark::State& state) {
   sim::Rng rng(2);
   rl::Mlp mlp({24, 64, 64, 10}, rl::Activation::kTanh, rng);
@@ -54,8 +72,10 @@ void BM_MlpForwardBackward(benchmark::State& state) {
   const std::vector<double> dy(10, 0.1);
   for (auto _ : state) {
     rl::Mlp::BatchCache cache;
+    std::vector<double> dx(x.size());
     benchmark::DoNotOptimize(mlp.forward_batch(x, 1, &cache));
-    benchmark::DoNotOptimize(mlp.backward_batch(x, cache, dy, 1));
+    mlp.backward_batch(x, cache, dy, 1, dx);
+    benchmark::DoNotOptimize(dx.data());
     mlp.zero_grad();
   }
   state.SetItemsProcessed(state.iterations());

@@ -285,12 +285,22 @@ bool ReplicaRunner::load_state(const sim::Checkpoint& ckpt) {
     history.push_back(st);
   }
   if (!meta.at_end()) return false;
+  // Parse every agent before committing any: a bad section for agent k must
+  // not leave agents 0..k-1 restored under a runner that reports failure.
+  std::vector<rl::PpoAgent::PendingState> pending;
+  pending.reserve(num_agents());
   for (std::size_t i = 0; i < num_agents(); ++i) {
     const std::vector<std::uint8_t>* agent_bytes =
         ckpt.section("replica-runner/agent." + std::to_string(i));
     if (agent_bytes == nullptr) return false;
     sim::ByteSource agent(*agent_bytes);
-    if (!central_->pet()->agent(i).policy().load_state(agent)) return false;
+    std::optional<rl::PpoAgent::PendingState> state =
+        central_->pet()->agent(i).policy().parse_state(agent);
+    if (!state.has_value()) return false;
+    pending.push_back(std::move(*state));
+  }
+  for (std::size_t i = 0; i < num_agents(); ++i) {
+    central_->pet()->agent(i).policy().commit_state(std::move(pending[i]));
   }
   next_episode_ = next_episode;
   digest_ = digest;

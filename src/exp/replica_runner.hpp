@@ -104,9 +104,9 @@ class ReplicaRunner {
   /// Write the runner's sections ("replica-runner/meta", the scenario as
   /// "replica-runner/scenario" JSON, one per agent policy) into `ckpt`.
   void save_state(sim::Checkpoint& ckpt) const;
-  /// Restore from checkpoint sections; false (runner untouched or safely
-  /// unusable) when the checkpoint's scenario or fingerprint differs from
-  /// this runner's, or on corrupted sections.
+  /// Restore from checkpoint sections; false (runner untouched) when the
+  /// checkpoint's scenario or fingerprint differs from this runner's, or on
+  /// corrupted sections. Every section is parsed before anything commits.
   [[nodiscard]] bool load_state(const sim::Checkpoint& ckpt);
 
   /// Durable (atomic tmp + fsync + rename) checkpoint file.

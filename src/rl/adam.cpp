@@ -11,24 +11,32 @@ void Adam::step() {
   ++t_;
   double scale = 1.0;
   if (cfg_.max_grad_norm > 0.0) {
-    // One sequential sum on every backend: a reordered (vector) sum would
-    // round differently and move the clip factor.
+    // One sequential sum in flat order on every backend: a reordered
+    // (vector) sum would round differently and move the clip factor.
     double sq = 0.0;
-    for (const double* g : refs_.grads) sq += (*g) * (*g);
+    for (const Linear* layer : refs_.layers) {
+      for (const double g : layer->weight_grads()) sq += g * g;
+      for (const double g : layer->bias_grads()) sq += g * g;
+    }
     const double norm = std::sqrt(sq);
     if (norm > cfg_.max_grad_norm) scale = cfg_.max_grad_norm / norm;
   }
   const double bc1 = 1.0 - std::pow(cfg_.beta1, static_cast<double>(t_));
   const double bc2 = 1.0 - std::pow(cfg_.beta2, static_cast<double>(t_));
-  kern::adam_update_f64(refs_.params.data(), refs_.grads.data(), m_.data(),
-                        v_.data(), refs_.size(),
-                        kern::AdamStep{.lr = cfg_.lr,
-                                       .beta1 = cfg_.beta1,
-                                       .beta2 = cfg_.beta2,
-                                       .eps = cfg_.eps,
-                                       .bc1 = bc1,
-                                       .bc2 = bc2,
-                                       .scale = scale});
+  const kern::AdamStep step{.lr = cfg_.lr,
+                            .beta1 = cfg_.beta1,
+                            .beta2 = cfg_.beta2,
+                            .eps = cfg_.eps,
+                            .bc1 = bc1,
+                            .bc2 = bc2,
+                            .scale = scale};
+  std::size_t off = 0;
+  for (Linear* layer : refs_.layers) {
+    const std::size_t n = layer->num_params();
+    layer->adam_step(step, std::span<double>(m_).subspan(off, n),
+                     std::span<double>(v_).subspan(off, n));
+    off += n;
+  }
 }
 
 void Adam::save_state(sim::ByteSink& out) const {

@@ -1,5 +1,7 @@
 #pragma once
-// Adam optimizer over the flat parameter view collected from modules.
+// Adam optimizer over the flat parameter view collected from modules: the
+// moments are one contiguous vector in ParamRefs order, and each step runs
+// the update kernel over every layer's weight and bias blocks in turn.
 
 #include <cstdint>
 #include <vector>

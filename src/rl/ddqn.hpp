@@ -64,6 +64,15 @@ class DdqnAgent {
   void set_lr(double lr);
   [[nodiscard]] double lr() const;
 
+  /// The online and target Q-networks of head `h` (read-only; tests check
+  /// that every weight write leaves their forward passes current).
+  [[nodiscard]] const Mlp& online_head(std::size_t h) const {
+    return online_[h];
+  }
+  [[nodiscard]] const Mlp& target_head(std::size_t h) const {
+    return target_[h];
+  }
+
  private:
   void sync_target();
   void q_values(const std::vector<Mlp>& nets, std::span<const double> state,

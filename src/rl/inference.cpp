@@ -116,12 +116,14 @@ bool InferenceModel::quantize(const Mlp& net, InferPrecision precision) {
       case InferPrecision::kFp64:
         dst.wd.assign(w.begin(), w.end());
         dst.bd.assign(b.begin(), b.end());
+        kern::pack_weights_f64(dst.wd.data(), dst.in, dst.out, dst.pd);
         break;
       case InferPrecision::kFp32:
         dst.wf.resize(w.size());
         for (std::size_t i = 0; i < w.size(); ++i) {
           dst.wf[i] = static_cast<float>(w[i]);
         }
+        kern::pack_weights_f32(dst.wf.data(), dst.in, dst.out, dst.pf);
         dst.bf.resize(b.size());
         for (std::size_t i = 0; i < b.size(); ++i) {
           dst.bf[i] = static_cast<float>(b[i]);
@@ -218,8 +220,8 @@ void InferenceModel::forward_f64(std::span<const double> x, std::int32_t batch,
       buf_d_[l % 2].resize(static_cast<std::size_t>(n));
       dst = buf_d_[l % 2].data();
     }
-    kern::gemm_bias_f64(layer.wd.data(), layer.bd.data(), src, dst, batch,
-                        layer.in, layer.out);
+    kern::gemm_bias_f64(layer.wd.data(), layer.pd.data(), layer.bd.data(), src,
+                        dst, batch, layer.in, layer.out);
     if (!is_last) {
       if (act_ == Activation::kTanh) {
         kern::tanh_inplace_f64(dst, n);
@@ -248,8 +250,8 @@ void InferenceModel::forward_f32(std::span<const double> x, std::int32_t batch,
     std::vector<float>& out_buf = buf_f_[(l + 1) % 2];
     out_buf.resize(static_cast<std::size_t>(n));
     float* dst = out_buf.data();
-    kern::gemm_bias_f32(layer.wf.data(), layer.bf.data(), src, dst, batch,
-                        layer.in, layer.out);
+    kern::gemm_bias_f32(layer.wf.data(), layer.pf.data(), layer.bf.data(), src,
+                        dst, batch, layer.in, layer.out);
     if (is_last) {
       for (std::int64_t i = 0; i < n; ++i) {
         y[static_cast<std::size_t>(i)] = static_cast<double>(dst[i]);

@@ -43,9 +43,11 @@ enum class InferMode : std::uint8_t {
 [[nodiscard]] InferPrecision infer_mode_precision(InferMode mode);
 
 /// An immutable, inference-only snapshot of an Mlp at a chosen precision.
-/// forward_batch() writes into caller storage and is allocation-free once
-/// warm at a fixed batch size; re-quantizing the same architecture reuses
-/// all storage (no steady-state allocation when weights change).
+/// quantize() packs the fp64/fp32 weights for the GEMM once, so
+/// forward_batch() never repacks; it writes into caller storage and is
+/// allocation-free once warm at a fixed batch size. Re-quantizing the same
+/// architecture reuses all storage (no steady-state allocation when weights
+/// change).
 class InferenceModel {
  public:
   InferenceModel() = default;
@@ -91,7 +93,9 @@ class InferenceModel {
     std::int32_t in = 0;
     std::int32_t out = 0;
     std::vector<double> wd, bd;    // kFp64
+    std::vector<double> pd;        // kFp64, wd in the GEMM's tile layout
     std::vector<float> wf;         // kFp32
+    std::vector<float> pf;         // kFp32, wf in the GEMM's tile layout
     std::vector<float> bf;         // kFp32 + kInt8
     std::vector<std::int8_t> wq;   // kInt8, row-major
     std::vector<float> scale;      // kInt8, per output row

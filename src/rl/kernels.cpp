@@ -27,11 +27,6 @@ std::atomic<Mode> g_mode{Mode::kAuto};
   return supported;
 }
 
-// Thread-local weight-pack scratch for the AVX2 GEMMs. resize() to the same
-// shape never reallocates, so steady-state calls are allocation-free.
-thread_local std::vector<double> t_pack_f64;
-thread_local std::vector<float> t_pack_f32;
-
 /// Interleave full row-tiles of `w` (out x in, row-major): tile t covers
 /// rows [t*rows, t*rows+rows) and stores element (r, i) at
 /// pack[t*rows*in + i*rows + r], so one vector load yields column i of the
@@ -236,29 +231,39 @@ void set_backend(Backend backend) {
 
 void reset_backend() { g_mode.store(Mode::kAuto, std::memory_order_relaxed); }
 
+void pack_weights_f64(const double* w, std::int32_t in, std::int32_t out,
+                      std::vector<double>& pack) {
+  pack_row_tiles(w, in, out, 4, pack);
+}
+
+void pack_weights_f32(const float* w, std::int32_t in, std::int32_t out,
+                      std::vector<float>& pack) {
+  pack_row_tiles(w, in, out, 8, pack);
+}
+
 void gemm_bias_f64(const double* PET_KERN_RESTRICT w,
+                   const double* PET_KERN_RESTRICT pack,
                    const double* PET_KERN_RESTRICT b,
                    const double* PET_KERN_RESTRICT x,
                    double* PET_KERN_RESTRICT y, std::int32_t batch,
                    std::int32_t in, std::int32_t out) {
   assert(batch >= 0 && in > 0 && out > 0);
-  if (use_avx2() && out >= 4) {
-    pack_row_tiles(w, in, out, 4, t_pack_f64);
-    detail::gemm_bias_f64_avx2(w, b, x, y, batch, in, out, t_pack_f64.data());
+  if (use_avx2()) {
+    detail::gemm_bias_f64_avx2(w, pack, b, x, y, batch, in, out);
     return;
   }
   gemm_bias_f64_scalar(w, b, x, y, batch, in, out);
 }
 
 void gemm_bias_f32(const float* PET_KERN_RESTRICT w,
+                   const float* PET_KERN_RESTRICT pack,
                    const float* PET_KERN_RESTRICT b,
                    const float* PET_KERN_RESTRICT x,
                    float* PET_KERN_RESTRICT y, std::int32_t batch,
                    std::int32_t in, std::int32_t out) {
   assert(batch >= 0 && in > 0 && out > 0);
   if (use_avx2() && out >= 8) {
-    pack_row_tiles(w, in, out, 8, t_pack_f32);
-    detail::gemm_bias_f32_avx2(w, b, x, y, batch, in, out, t_pack_f32.data());
+    detail::gemm_bias_f32_avx2(w, pack, b, x, y, batch, in, out);
     return;
   }
   gemm_bias_f32_scalar(w, b, x, y, batch, in, out);
@@ -333,7 +338,8 @@ void linear_backward_f64(const double* PET_KERN_RESTRICT w,
   linear_backward_f64_scalar(w, x, dy, gw, gb, dx, batch, in, out);
 }
 
-void adam_update_f64(double* const* params, const double* const* grads,
+void adam_update_f64(double* PET_KERN_RESTRICT params,
+                     const double* PET_KERN_RESTRICT grads,
                      double* PET_KERN_RESTRICT m, double* PET_KERN_RESTRICT v,
                      std::size_t n, const AdamStep& step) {
   if (use_avx2()) {
@@ -341,7 +347,7 @@ void adam_update_f64(double* const* params, const double* const* grads,
     return;
   }
   for (std::size_t i = 0; i < n; ++i) {
-    detail::adam_lane(*params[i], *grads[i], m[i], v[i], step);
+    detail::adam_lane(params[i], grads[i], m[i], v[i], step);
   }
 }
 

@@ -21,6 +21,13 @@
 //
 // Results are therefore a function of the *precision*, never of the machine
 // the binary happens to run on.
+//
+// The dense GEMMs read their weights twice over: row-major (the scalar
+// backend and the rows left over after the last full tile) and as a pack of
+// interleaved row tiles (the AVX2 body). Packs are built by the owner of the
+// weights whenever the weights change (rl::Linear after every write,
+// rl::InferenceModel at quantize time), never by the kernels, so a forward
+// pass is read-only and allocation-free.
 
 #include <cstddef>
 #include <cstdint>
@@ -50,18 +57,36 @@ void set_backend(Backend backend);
 /// Restore runtime detection.
 void reset_backend();
 
+/// Rebuild `pack` from row-major `w` (out x in) in the layout the AVX2
+/// gemm_bias_f64 reads: full 4-row tiles, tile t holding element (r, i) at
+/// pack[t*4*in + i*4 + r], so one vector load yields column i of the tile.
+/// The out % 4 remainder rows stay in `w`. Re-packing the same shape reuses
+/// the storage (no allocation).
+void pack_weights_f64(const double* w, std::int32_t in, std::int32_t out,
+                      std::vector<double>& pack);
+
+/// fp32 counterpart for gemm_bias_f32: 8-row tiles, out % 8 rows in `w`.
+void pack_weights_f32(const float* w, std::int32_t in, std::int32_t out,
+                      std::vector<float>& pack);
+
 /// y[s,o] = b[o] + sum_i w[o,i] * x[s,i] over row-major operands:
-/// `w` is (out x in), `x` is (batch x in), `y` is (batch x out).
-/// The AVX2 path repacks weights into thread-local scratch; steady-state
-/// calls at a fixed shape are allocation-free on every backend.
+/// `w` is (out x in), `x` is (batch x in), `y` is (batch x out), and `pack`
+/// is pack_weights_f64 of the current `w` (the caller keeps it in step).
+/// The AVX2 path runs four samples at a time over two tiles, eight
+/// independent accumulator chains, and the remainder rows four samples at a
+/// time too; each chain is still the scalar ascending mul-then-add sequence.
+/// Calls never allocate.
 void gemm_bias_f64(const double* PET_KERN_RESTRICT w,
+                   const double* PET_KERN_RESTRICT pack,
                    const double* PET_KERN_RESTRICT b,
                    const double* PET_KERN_RESTRICT x,
                    double* PET_KERN_RESTRICT y, std::int32_t batch,
                    std::int32_t in, std::int32_t out);
 
-/// fp32 variant; one FMA chain per output (see header comment).
+/// fp32 variant; one FMA chain per output (see header comment). `pack` is
+/// pack_weights_f32 of the current `w`.
 void gemm_bias_f32(const float* PET_KERN_RESTRICT w,
+                   const float* PET_KERN_RESTRICT pack,
                    const float* PET_KERN_RESTRICT b,
                    const float* PET_KERN_RESTRICT x,
                    float* PET_KERN_RESTRICT y, std::int32_t batch,
@@ -126,14 +151,16 @@ struct AdamStep {
   double scale;  // gradient clip factor
 };
 
-/// Adam's per-parameter update over `n` distinct parameters reached through
-/// pointer arrays, with contiguous moments `m` and `v`. Element i runs
-///   g = *grads[i] * scale
+/// Adam's per-parameter update over one contiguous block of `n`
+/// parameters, their gradients and both moments. Element i runs
+///   g = grads[i] * scale
 ///   m = beta1 * m + (1 - beta1) * g
 ///   v = beta2 * v + (1 - beta2) * g * g
-///   *params[i] -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
-/// in exactly this order on every backend.
-void adam_update_f64(double* const* params, const double* const* grads,
+///   params[i] -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+/// in exactly this order on every backend. Elements are independent, so
+/// splitting a parameter vector into blocks never changes a bit.
+void adam_update_f64(double* PET_KERN_RESTRICT params,
+                     const double* PET_KERN_RESTRICT grads,
                      double* PET_KERN_RESTRICT m, double* PET_KERN_RESTRICT v,
                      std::size_t n, const AdamStep& step);
 

@@ -37,59 +37,99 @@ bool cpu_has_avx2() {
   return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma") != 0;
 }
 
-__attribute__((target("avx2"))) void gemm_bias_f64_avx2(
-    const double* w, const double* b, const double* x, double* y,
-    std::int32_t batch, std::int32_t in, std::int32_t out,
-    const double* pack) {
-  // `pack` interleaves full 4-row tiles: element (row r, input i) of tile
-  // base row o sits at pack[o*in + i*4 + r]. One load per input column per
-  // tile; lane r is exactly the scalar ascending mul-then-add chain for
-  // output o+r (this function is compiled without FMA contraction).
+namespace {
+
+/// S consecutive samples (rows of `x` and `y`) through every output row of
+/// one layer. `pack` interleaves full 4-row tiles: element (row r, input i)
+/// of the tile at base row o sits at pack[o*in + i*4 + r]. Two tiles per
+/// pass, then a lone tile, then the out % 4 remainder rows from `w`. Every
+/// (sample, output) pair is its own accumulator chain that starts at the
+/// bias and adds w[o,i] * x[s,i] for ascending i with separate multiply and
+/// add roundings (this TU compiles the function without FMA), so the result
+/// is bitwise the scalar reference. S only sets how many independent chains
+/// are in flight to hide the add latency: 2 * S in the tile body.
+template <int S>
+__attribute__((target("avx2"))) inline void gemm_f64_samples(
+    const double* w, const double* pack, const double* b, const double* x,
+    double* y, std::int32_t in, std::int32_t out) {
   const std::int32_t full = out - out % 4;
   const std::size_t tile = 4 * static_cast<std::size_t>(in);
-  for (std::int32_t s = 0; s < batch; ++s) {
-    const double* xs = &x[static_cast<std::size_t>(s) * in];
-    double* ys = &y[static_cast<std::size_t>(s) * out];
-    std::int32_t o = 0;
-    // Two tiles per pass: independent accumulator chains hide add latency
-    // without touching any chain's summation order.
-    for (; o + 8 <= full; o += 8) {
-      const double* p0 = pack + static_cast<std::size_t>(o) * in;
-      const double* p1 = p0 + tile;
-      __m256d acc0 = _mm256_loadu_pd(b + o);
-      __m256d acc1 = _mm256_loadu_pd(b + o + 4);
-      for (std::int32_t i = 0; i < in; ++i) {
-        const __m256d xv = _mm256_broadcast_sd(xs + i);
-        acc0 = _mm256_add_pd(
-            acc0, _mm256_mul_pd(_mm256_loadu_pd(p0 + 4 * i), xv));
-        acc1 = _mm256_add_pd(
-            acc1, _mm256_mul_pd(_mm256_loadu_pd(p1 + 4 * i), xv));
+  const auto xrow = [&](int s) {
+    return x + static_cast<std::size_t>(s) * in;
+  };
+  const auto yrow = [&](int s) {
+    return y + static_cast<std::size_t>(s) * out;
+  };
+  std::int32_t o = 0;
+  for (; o + 8 <= full; o += 8) {
+    const double* p0 = pack + static_cast<std::size_t>(o) * in;
+    const double* p1 = p0 + tile;
+    __m256d acc0[S];
+    __m256d acc1[S];
+    for (int s = 0; s < S; ++s) {
+      acc0[s] = _mm256_loadu_pd(b + o);
+      acc1[s] = _mm256_loadu_pd(b + o + 4);
+    }
+    for (std::int32_t i = 0; i < in; ++i) {
+      const __m256d w0 = _mm256_loadu_pd(p0 + 4 * i);
+      const __m256d w1 = _mm256_loadu_pd(p1 + 4 * i);
+      for (int s = 0; s < S; ++s) {
+        const __m256d xv = _mm256_broadcast_sd(xrow(s) + i);
+        acc0[s] = _mm256_add_pd(acc0[s], _mm256_mul_pd(w0, xv));
+        acc1[s] = _mm256_add_pd(acc1[s], _mm256_mul_pd(w1, xv));
       }
-      _mm256_storeu_pd(ys + o, acc0);
-      _mm256_storeu_pd(ys + o + 4, acc1);
     }
-    for (; o + 4 <= full; o += 4) {
-      const double* p0 = pack + static_cast<std::size_t>(o) * in;
-      __m256d acc0 = _mm256_loadu_pd(b + o);
-      for (std::int32_t i = 0; i < in; ++i) {
-        const __m256d xv = _mm256_broadcast_sd(xs + i);
-        acc0 = _mm256_add_pd(
-            acc0, _mm256_mul_pd(_mm256_loadu_pd(p0 + 4 * i), xv));
+    for (int s = 0; s < S; ++s) {
+      _mm256_storeu_pd(yrow(s) + o, acc0[s]);
+      _mm256_storeu_pd(yrow(s) + o + 4, acc1[s]);
+    }
+  }
+  if (o < full) {
+    const double* p0 = pack + static_cast<std::size_t>(o) * in;
+    __m256d acc[S];
+    for (int s = 0; s < S; ++s) acc[s] = _mm256_loadu_pd(b + o);
+    for (std::int32_t i = 0; i < in; ++i) {
+      const __m256d w0 = _mm256_loadu_pd(p0 + 4 * i);
+      for (int s = 0; s < S; ++s) {
+        acc[s] = _mm256_add_pd(
+            acc[s], _mm256_mul_pd(w0, _mm256_broadcast_sd(xrow(s) + i)));
       }
-      _mm256_storeu_pd(ys + o, acc0);
     }
-    for (; o < out; ++o) {
-      const double* row = &w[static_cast<std::size_t>(o) * in];
-      double acc = b[o];
-      for (std::int32_t i = 0; i < in; ++i) acc += row[i] * xs[i];
-      ys[o] = acc;
+    for (int s = 0; s < S; ++s) _mm256_storeu_pd(yrow(s) + o, acc[s]);
+    o += 4;
+  }
+  for (; o < out; ++o) {
+    const double* row = &w[static_cast<std::size_t>(o) * in];
+    double acc[S];
+    for (int s = 0; s < S; ++s) acc[s] = b[o];
+    for (std::int32_t i = 0; i < in; ++i) {
+      for (int s = 0; s < S; ++s) acc[s] += row[i] * xrow(s)[i];
     }
+    for (int s = 0; s < S; ++s) yrow(s)[o] = acc[s];
+  }
+}
+
+}  // namespace
+
+__attribute__((target("avx2"))) void gemm_bias_f64_avx2(
+    const double* w, const double* pack, const double* b, const double* x,
+    double* y, std::int32_t batch, std::int32_t in, std::int32_t out) {
+  // Four samples share every weight load; the last batch % 4 samples run
+  // the same body one at a time.
+  std::int32_t s = 0;
+  for (; s + 4 <= batch; s += 4) {
+    gemm_f64_samples<4>(w, pack, b, x + static_cast<std::size_t>(s) * in,
+                        y + static_cast<std::size_t>(s) * out, in, out);
+  }
+  for (; s < batch; ++s) {
+    gemm_f64_samples<1>(w, pack, b, x + static_cast<std::size_t>(s) * in,
+                        y + static_cast<std::size_t>(s) * out, in, out);
   }
 }
 
 __attribute__((target("avx2,fma"))) void gemm_bias_f32_avx2(
-    const float* w, const float* b, const float* x, float* y,
-    std::int32_t batch, std::int32_t in, std::int32_t out, const float* pack) {
+    const float* w, const float* pack, const float* b, const float* x,
+    float* y, std::int32_t batch, std::int32_t in, std::int32_t out) {
   // 8-row tiles: pack[o*in + i*8 + r] holds (row o+r, input i). Each lane
   // is one fused-multiply-add chain in ascending-input order; the scalar
   // remainder rows run the identical std::fma sequence.
@@ -437,10 +477,9 @@ __attribute__((target("avx2"))) void linear_backward_f64_avx2(
 }
 
 __attribute__((target("avx2"))) void adam_update_f64_avx2(
-    double* const* params, const double* const* grads, double* m, double* v,
-    std::size_t n, const AdamStep& step) {
-  // Four parameters per pass: gradients and parameters are gathered through
-  // the pointer arrays, the moments are contiguous. Each lane runs
+    double* params, const double* grads, double* m, double* v, std::size_t n,
+    const AdamStep& step) {
+  // Four parameters per pass over one contiguous block. Each lane runs
   // adam_lane's operation sequence (no FMA contraction; division and square
   // root are correctly rounded in both), and the remainder calls adam_lane.
   const __m256d scale = _mm256_set1_pd(step.scale);
@@ -454,9 +493,7 @@ __attribute__((target("avx2"))) void adam_update_f64_avx2(
   const __m256d eps = _mm256_set1_pd(step.eps);
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
-    const __m256d g = _mm256_mul_pd(
-        _mm256_setr_pd(*grads[i], *grads[i + 1], *grads[i + 2], *grads[i + 3]),
-        scale);
+    const __m256d g = _mm256_mul_pd(_mm256_loadu_pd(grads + i), scale);
     const __m256d mi = _mm256_add_pd(_mm256_mul_pd(b1, _mm256_loadu_pd(m + i)),
                                      _mm256_mul_pd(c1, g));
     const __m256d vi =
@@ -469,15 +506,10 @@ __attribute__((target("avx2"))) void adam_update_f64_avx2(
     const __m256d delta =
         _mm256_div_pd(_mm256_mul_pd(lr, mhat),
                       _mm256_add_pd(_mm256_sqrt_pd(vhat), eps));
-    alignas(32) double p[4] = {*params[i], *params[i + 1], *params[i + 2],
-                               *params[i + 3]};
-    _mm256_store_pd(p, _mm256_sub_pd(_mm256_load_pd(p), delta));
-    *params[i] = p[0];
-    *params[i + 1] = p[1];
-    *params[i + 2] = p[2];
-    *params[i + 3] = p[3];
+    _mm256_storeu_pd(params + i,
+                     _mm256_sub_pd(_mm256_loadu_pd(params + i), delta));
   }
-  for (; i < n; ++i) adam_lane(*params[i], *grads[i], m[i], v[i], step);
+  for (; i < n; ++i) adam_lane(params[i], grads[i], m[i], v[i], step);
 }
 
 #else  // !PET_KERN_X86
@@ -486,12 +518,12 @@ bool cpu_has_avx2() { return false; }
 
 // Unreachable off x86 — dispatch never selects the AVX2 backend when
 // cpu_has_avx2() is false.
-void gemm_bias_f64_avx2(const double*, const double*, const double*, double*,
-                        std::int32_t, std::int32_t, std::int32_t,
-                        const double*) {}
-void gemm_bias_f32_avx2(const float*, const float*, const float*, float*,
-                        std::int32_t, std::int32_t, std::int32_t,
-                        const float*) {}
+void gemm_bias_f64_avx2(const double*, const double*, const double*,
+                        const double*, double*, std::int32_t, std::int32_t,
+                        std::int32_t) {}
+void gemm_bias_f32_avx2(const float*, const float*, const float*,
+                        const float*, float*, std::int32_t, std::int32_t,
+                        std::int32_t) {}
 void gemm_s8i32_avx2(const std::int8_t*, const std::int8_t*, std::int32_t*,
                      std::int32_t, std::int32_t, std::int32_t) {}
 void quantize_rows_s8_avx2(const float*, std::int8_t*, float*, std::int32_t,
@@ -500,8 +532,8 @@ void tanh_inplace_f32_avx2(float*, std::int64_t) {}
 void linear_backward_f64_avx2(const double*, const double*, const double*,
                               double*, double*, double*, std::int32_t,
                               std::int32_t, std::int32_t) {}
-void adam_update_f64_avx2(double* const*, const double* const*, double*,
-                          double*, std::size_t, const AdamStep&) {}
+void adam_update_f64_avx2(double*, const double*, double*, double*,
+                          std::size_t, const AdamStep&) {}
 
 #endif  // PET_KERN_X86
 

@@ -13,12 +13,12 @@ namespace pet::rl::kern::detail {
 
 // Defined in kernels_avx2.cpp. On non-x86-64 builds these are stubs that
 // must never be reached (dispatch reports avx2 unsupported).
-void gemm_bias_f64_avx2(const double* w, const double* b, const double* x,
-                        double* y, std::int32_t batch, std::int32_t in,
-                        std::int32_t out, const double* pack);
-void gemm_bias_f32_avx2(const float* w, const float* b, const float* x,
-                        float* y, std::int32_t batch, std::int32_t in,
-                        std::int32_t out, const float* pack);
+void gemm_bias_f64_avx2(const double* w, const double* pack, const double* b,
+                        const double* x, double* y, std::int32_t batch,
+                        std::int32_t in, std::int32_t out);
+void gemm_bias_f32_avx2(const float* w, const float* pack, const float* b,
+                        const float* x, float* y, std::int32_t batch,
+                        std::int32_t in, std::int32_t out);
 void gemm_s8i32_avx2(const std::int8_t* w, const std::int8_t* x,
                      std::int32_t* acc, std::int32_t batch, std::int32_t in,
                      std::int32_t out);
@@ -29,9 +29,8 @@ void linear_backward_f64_avx2(const double* w, const double* x,
                               const double* dy, double* gw, double* gb,
                               double* dx, std::int32_t batch, std::int32_t in,
                               std::int32_t out);
-void adam_update_f64_avx2(double* const* params, const double* const* grads,
-                          double* m, double* v, std::size_t n,
-                          const AdamStep& step);
+void adam_update_f64_avx2(double* params, const double* grads, double* m,
+                          double* v, std::size_t n, const AdamStep& step);
 [[nodiscard]] bool cpu_has_avx2();
 
 /// One Adam parameter update in the operation order adam_update_f64

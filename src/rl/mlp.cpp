@@ -1,7 +1,10 @@
 #include "rl/mlp.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
+#include <utility>
 
 #include "rl/kernels.hpp"
 
@@ -22,17 +25,21 @@ Linear::Linear(std::int32_t in, std::int32_t out, sim::Rng& rng)
   // Glorot-uniform initialization.
   const double bound = std::sqrt(6.0 / static_cast<double>(in + out));
   for (auto& v : w_) v = rng.uniform(-bound, bound);
+  repack();
 }
+
+void Linear::repack() { kern::pack_weights_f64(w_.data(), in_, out_, pack_); }
 
 void Linear::forward_batch(std::span<const double> x, std::span<double> y,
                            std::int32_t batch) const {
   assert(static_cast<std::int32_t>(x.size()) == batch * in_);
   assert(static_cast<std::int32_t>(y.size()) == batch * out_);
-  // Runtime-dispatched GEMM (scalar reference or AVX2); both backends keep
-  // each (sample, output) accumulation in ascending-input order with
-  // separate multiply/add roundings, so no row depends on the others.
-  kern::gemm_bias_f64(w_.data(), b_.data(), x.data(), y.data(), batch, in_,
-                      out_);
+  // Runtime-dispatched GEMM (scalar reference or AVX2 over the packed
+  // tiles); both backends keep each (sample, output) accumulation in
+  // ascending-input order with separate multiply/add roundings, so no row
+  // depends on the others.
+  kern::gemm_bias_f64(w_.data(), pack_.data(), b_.data(), x.data(), y.data(),
+                      batch, in_, out_);
 }
 
 void Linear::backward_batch(std::span<const double> x,
@@ -57,15 +64,24 @@ void Linear::zero_grad() {
   std::fill(gb_.begin(), gb_.end(), 0.0);
 }
 
-void Linear::collect(ParamRefs& refs) {
-  for (std::size_t i = 0; i < w_.size(); ++i) {
-    refs.params.push_back(&w_[i]);
-    refs.grads.push_back(&gw_[i]);
-  }
-  for (std::size_t i = 0; i < b_.size(); ++i) {
-    refs.params.push_back(&b_[i]);
-    refs.grads.push_back(&gb_[i]);
-  }
+void Linear::collect(ParamRefs& refs) { refs.layers.push_back(this); }
+
+void Linear::set_params(std::span<const double> values) {
+  assert(values.size() == num_params());
+  const auto split = values.begin() + static_cast<std::ptrdiff_t>(w_.size());
+  std::copy(values.begin(), split, w_.begin());
+  std::copy(split, values.end(), b_.begin());
+  repack();
+}
+
+void Linear::adam_step(const kern::AdamStep& step, std::span<double> m,
+                       std::span<double> v) {
+  assert(m.size() == num_params() && v.size() == num_params());
+  const std::size_t nw = w_.size();
+  kern::adam_update_f64(w_.data(), gw_.data(), m.data(), v.data(), nw, step);
+  kern::adam_update_f64(b_.data(), gb_.data(), m.data() + nw, v.data() + nw,
+                        b_.size(), step);
+  repack();
 }
 
 // ---------------------------------------------------------------------------
@@ -73,14 +89,31 @@ void Linear::collect(ParamRefs& refs) {
 // ---------------------------------------------------------------------------
 
 namespace {
-[[nodiscard]] double activate(Activation act, double pre) {
-  return act == Activation::kTanh ? std::tanh(pre) : (pre > 0.0 ? pre : 0.0);
+/// post[i] = act(pre[i]); `pre` and `post` may be the same plane. The
+/// activation is chosen once per plane, so each loop is branch-free.
+void activate(Activation act, std::span<const double> pre,
+              std::span<double> post) {
+  if (act == Activation::kTanh) {
+    for (std::size_t i = 0; i < pre.size(); ++i) post[i] = std::tanh(pre[i]);
+  } else {
+    for (std::size_t i = 0; i < pre.size(); ++i) {
+      post[i] = pre[i] > 0.0 ? pre[i] : 0.0;
+    }
+  }
 }
-/// Derivative through the activation, expressed with whichever of pre/post
-/// is cheapest.
-[[nodiscard]] double activate_grad(Activation act, double pre, double post) {
-  return act == Activation::kTanh ? 1.0 - post * post
-                                  : (pre > 0.0 ? 1.0 : 0.0);
+/// grad[i] *= act'(.) through the activation, expressed with whichever of
+/// pre/post is cheapest.
+void activate_grad(Activation act, std::span<const double> pre,
+                   std::span<const double> post, std::span<double> grad) {
+  if (act == Activation::kTanh) {
+    for (std::size_t i = 0; i < grad.size(); ++i) {
+      grad[i] *= 1.0 - post[i] * post[i];
+    }
+  } else {
+    for (std::size_t i = 0; i < grad.size(); ++i) {
+      grad[i] *= pre[i] > 0.0 ? 1.0 : 0.0;
+    }
+  }
 }
 }  // namespace
 
@@ -97,56 +130,58 @@ std::vector<double> Mlp::forward_batch(std::span<const double> x,
                                        std::int32_t batch,
                                        BatchCache* cache) const {
   assert(static_cast<std::int32_t>(x.size()) == batch * input_size());
+  const std::size_t depth = layers_.size();
   if (cache != nullptr) {
     // resize, not assign: a reused cache keeps its planes' capacity.
     cache->batch = batch;
-    cache->pre.resize(layers_.size());
-    cache->post.resize(layers_.size());
+    cache->pre.resize(depth);
+    cache->post.resize(depth);
   }
-  std::vector<double> cur;
+  // Training writes each layer straight into the cache's planes; inference
+  // keeps neither plane, so two local ones take turns as the layers' outputs
+  // and activations run in place.
+  std::array<std::vector<double>, 2> local;
   std::span<const double> input = x;
-  for (std::size_t l = 0; l < layers_.size(); ++l) {
-    std::vector<double> y(static_cast<std::size_t>(batch) *
-                          static_cast<std::size_t>(layers_[l].out_size()));
-    layers_[l].forward_batch(input, y, batch);
-    // Training captures the pre-activation plane for backward_batch, then
-    // the post-activation plane (backprop reads both); inference keeps
-    // neither. Either way activate() runs in place on the same outputs.
-    if (cache != nullptr) cache->pre[l] = y;
-    if (l + 1 < layers_.size()) {
-      for (auto& v : y) v = activate(act_, v);
+  for (std::size_t l = 0; l < depth; ++l) {
+    std::vector<double>& pre = cache != nullptr ? cache->pre[l] : local[l % 2];
+    std::vector<double>& post = cache != nullptr ? cache->post[l] : pre;
+    pre.resize(static_cast<std::size_t>(batch) *
+               static_cast<std::size_t>(layers_[l].out_size()));
+    post.resize(pre.size());
+    layers_[l].forward_batch(input, pre, batch);
+    if (l + 1 < depth) {
+      activate(act_, pre, post);
+    } else if (&post != &pre) {
+      // Linear output layer: both cached planes hold the output.
+      std::copy(pre.begin(), pre.end(), post.begin());
     }
-    if (cache != nullptr) cache->post[l] = y;
-    cur = std::move(y);
-    input = cur;
+    input = post;
   }
-  return cur;
+  if (cache != nullptr) return cache->post.back();
+  return std::move(local[(depth - 1) % 2]);
 }
 
-std::vector<double> Mlp::backward_batch(std::span<const double> x,
-                                        const BatchCache& cache,
-                                        std::span<const double> dy,
-                                        std::int32_t batch) {
+void Mlp::backward_batch(std::span<const double> x, const BatchCache& cache,
+                         std::span<const double> dy, std::int32_t batch,
+                         std::span<double> dx) {
   assert(cache.pre.size() == layers_.size());
   assert(cache.batch == batch);
   assert(static_cast<std::int32_t>(dy.size()) == batch * output_size());
+  // `grad` holds dL/d(post) of the layer below the one being processed;
+  // `next` receives the next input gradient (the two swap every layer).
   std::vector<double> grad;
+  std::vector<double> next;
   std::span<const double> upstream = dy;
-  for (std::size_t li = layers_.size(); li-- > 0;) {
-    if (li + 1 < layers_.size()) {
-      // Through the activation; `grad` is the dx this loop produced.
-      for (std::size_t i = 0; i < grad.size(); ++i) {
-        grad[i] *= activate_grad(act_, cache.pre[li][i], cache.post[li][i]);
-      }
-    }
-    const std::span<const double> input =
-        li == 0 ? x : std::span<const double>(cache.post[li - 1]);
-    std::vector<double> dx(input.size());
-    layers_[li].backward_batch(input, upstream, dx, batch);
-    grad = std::move(dx);
+  for (std::size_t li = layers_.size(); li-- > 1;) {
+    const std::vector<double>& pre = cache.pre[li - 1];
+    const std::vector<double>& post = cache.post[li - 1];
+    next.resize(post.size());
+    layers_[li].backward_batch(post, upstream, next, batch);
+    activate_grad(act_, pre, post, next);  // through the layer below
+    std::swap(grad, next);
     upstream = grad;
   }
-  return grad;
+  layers_.front().backward_batch(x, upstream, dx, batch);
 }
 
 void Mlp::zero_grad() {
@@ -183,6 +218,7 @@ bool Linear::load_state(sim::ByteSource& in) {
   }
   w_ = std::move(w);
   b_ = std::move(b);
+  repack();
   return true;
 }
 
@@ -207,16 +243,41 @@ bool Mlp::load_state(sim::ByteSource& in) {
 
 // ---------------------------------------------------------------------------
 
+std::size_t ParamRefs::size() const {
+  std::size_t total = 0;
+  for (const Linear* layer : layers) total += layer->num_params();
+  return total;
+}
+
 std::vector<double> snapshot_params(const ParamRefs& refs) {
   std::vector<double> out;
-  out.reserve(refs.params.size());
-  for (const double* p : refs.params) out.push_back(*p);
+  out.reserve(refs.size());
+  for (const Linear* layer : refs.layers) {
+    out.insert(out.end(), layer->weights().begin(), layer->weights().end());
+    out.insert(out.end(), layer->biases().begin(), layer->biases().end());
+  }
   return out;
 }
 
 void restore_params(const ParamRefs& refs, std::span<const double> values) {
-  assert(values.size() == refs.params.size());
-  for (std::size_t i = 0; i < values.size(); ++i) *refs.params[i] = values[i];
+  assert(values.size() == refs.size());
+  std::size_t off = 0;
+  for (Linear* layer : refs.layers) {
+    layer->set_params(values.subspan(off, layer->num_params()));
+    off += layer->num_params();
+  }
+}
+
+std::vector<double> snapshot_grads(const ParamRefs& refs) {
+  std::vector<double> out;
+  out.reserve(refs.size());
+  for (const Linear* layer : refs.layers) {
+    out.insert(out.end(), layer->weight_grads().begin(),
+               layer->weight_grads().end());
+    out.insert(out.end(), layer->bias_grads().begin(),
+               layer->bias_grads().end());
+  }
+  return out;
 }
 
 }  // namespace pet::rl

@@ -8,33 +8,49 @@
 #include <span>
 #include <vector>
 
+#include "rl/kernels.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/rng.hpp"
 
 namespace pet::rl {
 
-/// Parameter/gradient element pointers collected from modules; the flat
-/// view optimizers operate on. Pointers stay valid for the module lifetime
-/// (parameter vectors never resize).
-struct ParamRefs {
-  std::vector<double*> params;
-  std::vector<double*> grads;
+class Linear;
 
-  [[nodiscard]] std::size_t size() const { return params.size(); }
+/// The layers collected from one or more modules, in the flat parameter
+/// order optimizers and snapshots use: layer by layer, each layer's weights
+/// (row-major) then its biases. It holds whole layers, never a pointer to a
+/// single parameter, so every write goes through a Linear member that
+/// rebuilds the layer's packed weights. Layers stay valid for the module
+/// lifetime (an Mlp never reallocates its layers).
+struct ParamRefs {
+  std::vector<Linear*> layers;
+
+  /// Total parameter count over all layers.
+  [[nodiscard]] std::size_t size() const;
 };
 
-/// Fully connected layer y = W x + b with gradient accumulation.
+/// Fully connected layer y = W x + b with gradient accumulation. The layer
+/// keeps a second copy of W in the GEMM's tile layout (kern::pack_weights_f64)
+/// and rebuilds it at the end of every member that writes parameters
+/// (construction, set_params, adam_step, load_state), so forward_batch is
+/// const, read-only and never repacks.
 class Linear {
  public:
   Linear(std::int32_t in, std::int32_t out, sim::Rng& rng);
 
   [[nodiscard]] std::int32_t in_size() const { return in_; }
   [[nodiscard]] std::int32_t out_size() const { return out_; }
+  [[nodiscard]] std::size_t num_params() const {
+    return w_.size() + b_.size();
+  }
 
   /// Read-only parameter views (row-major out x in), for inference-only
   /// snapshots (rl::InferenceModel) and test oracles.
   [[nodiscard]] std::span<const double> weights() const { return w_; }
   [[nodiscard]] std::span<const double> biases() const { return b_; }
+  /// Read-only views of the accumulated gradients, same shapes.
+  [[nodiscard]] std::span<const double> weight_grads() const { return gw_; }
+  [[nodiscard]] std::span<const double> bias_grads() const { return gb_; }
 
   /// Forward over row-major matrices: `x` is (batch x in), `y` is
   /// (batch x out). A register-blocked GEMM that keeps each (sample, output)
@@ -54,6 +70,16 @@ class Linear {
   void zero_grad();
   void collect(ParamRefs& refs);
 
+  /// Overwrite every parameter from `values` (num_params() long: weights
+  /// row-major, then biases).
+  void set_params(std::span<const double> values);
+
+  /// One Adam update of every parameter from the accumulated gradients:
+  /// the weights block, then the biases block. `m` and `v` hold this
+  /// layer's num_params() moments in the same flat order.
+  void adam_step(const kern::AdamStep& step, std::span<double> m,
+                 std::span<double> v);
+
   /// Checkpoint the layer shape + parameters (gradients are transient and
   /// zeroed before every update, so they are not saved).
   void save_state(sim::ByteSink& out) const;
@@ -62,12 +88,15 @@ class Linear {
   [[nodiscard]] bool load_state(sim::ByteSource& in);
 
  private:
+  void repack();
+
   std::int32_t in_;
   std::int32_t out_;
   std::vector<double> w_;   // out x in, row-major
   std::vector<double> b_;   // out
   std::vector<double> gw_;  // same shape as w_
   std::vector<double> gb_;
+  std::vector<double> pack_;  // w_ in tile layout, rebuilt on each write
 };
 
 enum class Activation { kTanh, kRelu };
@@ -91,7 +120,10 @@ class Mlp {
   [[nodiscard]] const Linear& layer(std::size_t l) const { return layers_[l]; }
 
   /// Per-layer activations captured by forward_batch, consumed by
-  /// backward_batch. Layer l holds row-major (batch x sizes_[l+1]) planes.
+  /// backward_batch. Layer l holds row-major (batch x sizes_[l+1]) planes:
+  /// `pre` before the activation, `post` after it (the output layer has no
+  /// activation, so its two planes are equal). forward_batch writes the
+  /// planes in place, so a reused cache keeps their storage.
   struct BatchCache {
     std::int32_t batch = 0;
     std::vector<std::vector<double>> pre;
@@ -107,13 +139,14 @@ class Mlp {
       BatchCache* cache = nullptr) const;
 
   /// Backprop of `dy` (batch x output_size()); accumulates parameter
-  /// gradients for the whole batch and returns dL/dx (batch x input_size()).
-  /// `x` and `cache` must come from the matching forward_batch. Bitwise
-  /// identical to one-row calls over the same samples in order.
-  std::vector<double> backward_batch(std::span<const double> x,
-                                     const BatchCache& cache,
-                                     std::span<const double> dy,
-                                     std::int32_t batch);
+  /// gradients for the whole batch. When `dx` is non-empty it receives
+  /// dL/dx (batch x input_size()); left empty, the first layer's input
+  /// gradient is never computed (training only needs the parameter
+  /// gradients). `x` and `cache` must come from the matching forward_batch.
+  /// Bitwise identical to one-row calls over the same samples in order.
+  void backward_batch(std::span<const double> x, const BatchCache& cache,
+                      std::span<const double> dy, std::int32_t batch,
+                      std::span<double> dx = {});
 
   void zero_grad();
   void collect(ParamRefs& refs);
@@ -132,9 +165,12 @@ class Mlp {
   std::vector<Linear> layers_;
 };
 
-/// Snapshot / restore all parameters reachable through `refs` (model
-/// serialization and target-network sync).
+/// Snapshot / restore all parameters of `refs` in flat order (model
+/// serialization and target-network sync): one block copy per layer
+/// weights and biases. restore_params rebuilds each layer's packed weights.
 [[nodiscard]] std::vector<double> snapshot_params(const ParamRefs& refs);
 void restore_params(const ParamRefs& refs, std::span<const double> values);
+/// The accumulated gradients of `refs`, in the same flat order.
+[[nodiscard]] std::vector<double> snapshot_grads(const ParamRefs& refs);
 
 }  // namespace pet::rl

@@ -32,10 +32,7 @@ PpoAgent::PpoAgent(const PpoConfig& cfg)
   for (auto& head : actor_heads_) head.collect(actor_refs_);
   critic_.collect(critic_refs_);
   refs_ = actor_refs_;
-  refs_.params.insert(refs_.params.end(), critic_refs_.params.begin(),
-                      critic_refs_.params.end());
-  refs_.grads.insert(refs_.grads.end(), critic_refs_.grads.begin(),
-                     critic_refs_.grads.end());
+  critic_.collect(refs_);
   actor_opt_ = std::make_unique<Adam>(
       actor_refs_,
       AdamConfig{.lr = cfg.actor_lr, .max_grad_norm = cfg.max_grad_norm});
@@ -195,6 +192,7 @@ PpoAgent::UpdateStats PpoAgent::update_merged(
   std::vector<double> states;
   std::vector<std::vector<double>> logits;
   std::vector<Mlp::BatchCache> caches;
+  Mlp::BatchCache vcache;
   std::vector<std::vector<double>> probs(num_heads);
   std::vector<std::vector<double>> dlogits(num_heads);
   std::vector<double> new_logp;
@@ -226,7 +224,6 @@ PpoAgent::UpdateStats PpoAgent::update_merged(
                   states.begin() + static_cast<std::ptrdiff_t>(k * input));
       }
       head_logits_batch(states, bsz, logits, &caches);
-      Mlp::BatchCache vcache;
       const std::vector<double> v = critic_.forward_batch(states, bsz, &vcache);
 
       // Per-sample distributions and joint log-probs. Heads accumulate into
@@ -355,6 +352,14 @@ void PpoAgent::save_state(sim::ByteSink& out) const {
 }
 
 bool PpoAgent::load_state(sim::ByteSource& in) {
+  std::optional<PendingState> state = parse_state(in);
+  if (!state.has_value()) return false;
+  commit_state(std::move(*state));
+  return true;
+}
+
+std::optional<PpoAgent::PendingState> PpoAgent::parse_state(
+    sim::ByteSource& in) const {
   const std::int32_t input_size = in.i32();
   const std::vector<std::int32_t> head_sizes = in.i32_vec();
   const std::vector<std::int32_t> hidden = in.i32_vec();
@@ -362,23 +367,39 @@ bool PpoAgent::load_state(sim::ByteSource& in) {
   if (!in.ok() || input_size != cfg_.input_size ||
       head_sizes != cfg_.head_sizes || hidden != cfg_.hidden ||
       num != refs_.size()) {
-    return false;
+    return std::nullopt;
   }
-  const std::vector<double> params = in.f64_vec();
-  if (!in.ok() || params.size() != refs_.size()) return false;
-  if (!actor_opt_->load_state(in)) return false;
-  if (!critic_opt_->load_state(in)) return false;
-  const double exploration = in.f64();
-  const double clip_eps = in.f64();
-  const double entropy_coef = in.f64();
-  if (!in.ok()) return false;
-  if (!load_rng(in, shuffle_rng_)) return false;
-  restore_params(refs_, params);
+  PendingState state;
+  state.params = in.f64_vec();
+  if (!in.ok() || state.params.size() != refs_.size()) return std::nullopt;
+  // Staged copies of this agent's optimizers (same layers, same config):
+  // Adam::load_state replaces their learning rate, step count and moments,
+  // and nothing steps them before commit_state installs them.
+  state.owner = this;
+  state.actor_opt = std::make_unique<Adam>(*actor_opt_);
+  state.critic_opt = std::make_unique<Adam>(*critic_opt_);
+  if (!state.actor_opt->load_state(in) || !state.critic_opt->load_state(in)) {
+    return std::nullopt;
+  }
+  state.exploration_rate = in.f64();
+  state.clip_eps = in.f64();
+  state.entropy_coef = in.f64();
+  if (!in.ok() || !load_rng(in, state.shuffle_rng)) return std::nullopt;
+  return state;
+}
+
+void PpoAgent::commit_state(PendingState state) {
+  // The staged optimizers update the parsing agent's layers.
+  assert(state.owner == this);
+  assert(state.params.size() == refs_.size());
+  restore_params(refs_, state.params);
   ++weights_version_;
-  exploration_rate_ = exploration;
-  cfg_.clip_eps = clip_eps;
-  cfg_.entropy_coef = entropy_coef;
-  return true;
+  actor_opt_ = std::move(state.actor_opt);
+  critic_opt_ = std::move(state.critic_opt);
+  exploration_rate_ = state.exploration_rate;
+  cfg_.clip_eps = state.clip_eps;
+  cfg_.entropy_coef = state.entropy_coef;
+  shuffle_rng_ = state.shuffle_rng;
 }
 
 }  // namespace pet::rl

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "rl/adam.hpp"
@@ -159,8 +160,31 @@ class PpoAgent {
   /// exact update sequence an uninterrupted run would have produced.
   void save_state(sim::ByteSink& out) const;
   /// Restores a save_state payload; false (agent untouched) on an
-  /// architecture mismatch or corrupted payload.
+  /// architecture mismatch or corrupted payload. parse_state then
+  /// commit_state.
   [[nodiscard]] bool load_state(sim::ByteSource& in);
+
+  /// A save_state payload read in full and checked against this agent's
+  /// architecture, but not yet applied. Its optimizers are bound to the
+  /// agent that parsed it (`owner`), the only one that may commit it.
+  struct PendingState {
+    const PpoAgent* owner = nullptr;
+    std::vector<double> params;
+    std::unique_ptr<Adam> actor_opt;
+    std::unique_ptr<Adam> critic_opt;
+    double exploration_rate = 0.0;
+    double clip_eps = 0.0;
+    double entropy_coef = 0.0;
+    sim::Rng shuffle_rng;
+  };
+  /// Parse a save_state payload without touching the agent; nullopt on an
+  /// architecture mismatch or corrupted payload. A caller restoring several
+  /// agents parses every payload before committing any, so one bad payload
+  /// leaves all of them untouched.
+  [[nodiscard]] std::optional<PendingState> parse_state(
+      sim::ByteSource& in) const;
+  /// Apply a payload this agent's parse_state accepted; cannot fail.
+  void commit_state(PendingState state);
 
  private:
   /// Per-head logits for a (batch x input_size) state matrix; logits[h] is

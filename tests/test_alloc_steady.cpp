@@ -32,14 +32,17 @@ std::uint64_t g_deletes = 0;
 }  // namespace
 
 // Minimal counting replacement set. Alignment overloads delegate to the
-// plain forms (nothing in the tree over-aligns past max_align_t).
-void* operator new(std::size_t n) {
+// plain forms (nothing in the tree over-aligns past max_align_t). The two
+// base hooks stay out of line: inlined into a caller, GCC 12 pairs their
+// malloc/free with the caller's new/delete and reports a false
+// -Wmismatched-new-delete.
+__attribute__((noinline)) void* operator new(std::size_t n) {
   ++g_news;
   if (void* p = std::malloc(n > 0 ? n : 1)) return p;
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept {
+__attribute__((noinline)) void operator delete(void* p) noexcept {
   ++g_deletes;
   std::free(p);
 }

@@ -297,16 +297,81 @@ TEST(ComponentCheckpoint, PpoAgentRejectsArchitectureMismatch) {
   EXPECT_EQ(other.weights(), before);
 }
 
+TEST(ComponentCheckpoint, PpoAgentTruncatedPayloadLeavesAgentUntouched) {
+  // The payload is the architecture header, then the parameters, the actor
+  // Adam, the critic Adam, the knobs and the shuffle RNG. A cut anywhere —
+  // so at and inside every one of those sections — fails the load, and the
+  // agent's own save_state bytes do not move: nothing commits before the
+  // whole payload has been read.
+  rl::PpoConfig cfg;
+  cfg.input_size = 3;
+  cfg.head_sizes = {2, 2};
+  cfg.hidden = {4};
+  cfg.minibatch_size = 4;
+  cfg.seed = 5;
+  rl::PpoAgent source(cfg);
+  rl::RolloutBuffer buf;
+  sim::Rng r(9);
+  sim::Rng* row_rng = &r;
+  const double explore = 0.0;
+  for (int i = 0; i < 8; ++i) {
+    rl::Transition t;
+    for (int k = 0; k < cfg.input_size; ++k) t.state.push_back(r.uniform());
+    const auto res =
+        source.act_batch(t.state, 1, {&row_rng, 1}, {&explore, 1}).front();
+    t.actions = res.actions;
+    t.log_prob = res.log_prob;
+    t.value = res.value;
+    t.reward = r.uniform(-1.0, 1.0);
+    buf.push(t);
+  }
+  static_cast<void>(source.update(buf, 0.0));
+  source.set_exploration_rate(0.3);
+  source.set_clip_eps(0.1);
+  source.set_entropy_coef(0.01);
+  sim::ByteSink sink;
+  source.save_state(sink);
+  const std::vector<std::uint8_t>& payload = sink.bytes();
+
+  rl::PpoAgent target(cfg);  // untrained: other weights, moments and knobs
+  sim::ByteSink before;
+  target.save_state(before);
+  ASSERT_NE(before.bytes(), payload);
+  for (std::size_t len = 0; len < payload.size(); ++len) {
+    sim::ByteSource src(payload.data(), len);
+    ASSERT_FALSE(target.load_state(src)) << "cut at byte " << len;
+    sim::ByteSink after;
+    target.save_state(after);
+    ASSERT_EQ(after.bytes(), before.bytes()) << "cut at byte " << len;
+  }
+  sim::ByteSource whole(payload.data(), payload.size());
+  ASSERT_TRUE(target.load_state(whole));
+  sim::ByteSink after;
+  target.save_state(after);
+  EXPECT_EQ(after.bytes(), payload);
+}
+
 TEST(ComponentCheckpoint, AdamRoundTripContinuesIdentically) {
-  std::vector<double> pa{0.1, -0.2}, ga{0.0, 0.0};
-  std::vector<double> pb = pa, gb = ga;
-  rl::ParamRefs refs_a{{&pa[0], &pa[1]}, {&ga[0], &ga[1]}};
-  rl::ParamRefs refs_b{{&pb[0], &pb[1]}, {&gb[0], &gb[1]}};
+  // Two identically initialized 2-in, 1-out layers; gradients come from a
+  // backward pass over fixed inputs.
+  sim::Rng rng_a(3);
+  sim::Rng rng_b(3);
+  rl::Linear la(2, 1, rng_a);
+  rl::Linear lb(2, 1, rng_b);
+  rl::ParamRefs refs_a;
+  rl::ParamRefs refs_b;
+  la.collect(refs_a);
+  lb.collect(refs_b);
+  const std::vector<double> x{0.5, -1.5};
+  const auto backward = [&](rl::Linear& layer, double dy) {
+    layer.zero_grad();
+    layer.backward_batch(x, std::vector<double>{dy}, {}, 1);
+  };
   rl::AdamConfig cfg;
   rl::Adam a(refs_a, cfg);
   rl::Adam b(refs_b, cfg);
 
-  ga = {0.3, -0.7};
+  backward(la, 0.3);
   a.step();
 
   sim::ByteSink sink;
@@ -315,11 +380,13 @@ TEST(ComponentCheckpoint, AdamRoundTripContinuesIdentically) {
   ASSERT_TRUE(b.load_state(src));
   EXPECT_EQ(b.steps(), a.steps());
 
-  pb = pa;  // parameters live outside the optimizer
-  ga = gb = {-0.11, 0.05};
+  // parameters live outside the optimizer
+  rl::restore_params(refs_b, rl::snapshot_params(refs_a));
+  backward(la, -0.11);
+  backward(lb, -0.11);
   a.step();
   b.step();
-  EXPECT_EQ(pa, pb);
+  EXPECT_EQ(rl::snapshot_params(refs_a), rl::snapshot_params(refs_b));
 }
 
 }  // namespace

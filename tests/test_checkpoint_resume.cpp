@@ -192,6 +192,46 @@ TEST(CheckpointResume, LoadRejectsOversizedEpisodeHistory) {
   std::remove(path.c_str());
 }
 
+TEST(CheckpointResume, LoadRejectsTruncatedAgentAndRestoresNoAgent) {
+  // A CRC-valid checkpoint whose scenario, meta and leading agent sections
+  // are good but whose last agent section is cut short. The load fails and
+  // restores no agent at all: the runner still equals a fresh one, so a
+  // sweep that reports "ignoring checkpoint" really trains from scratch.
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "pet_resume_cut_agent.ckpt")
+          .string();
+  ReplicaRunner source = tiny_runner(tiny_scenario(7));
+  static_cast<void>(source.run_episode());
+  sim::Checkpoint ckpt;
+  source.save_state(ckpt);
+  ASSERT_GE(source.num_agents(), 2u);
+  const std::string last =
+      "replica-runner/agent." + std::to_string(source.num_agents() - 1);
+  std::vector<std::uint8_t> cut = *ckpt.section(last);
+  cut.resize(cut.size() - 8);
+  ckpt.set_section(last, std::move(cut));
+  ASSERT_TRUE(ckpt.write_file(path));
+
+  const ReplicaRunner fresh = tiny_runner(tiny_scenario(7));
+  ASSERT_NE(source.all_weights(), fresh.all_weights());
+  ReplicaRunner target = tiny_runner(tiny_scenario(7));
+  std::string error;
+  EXPECT_FALSE(target.load_checkpoint(path, &error));
+  EXPECT_FALSE(error.empty());
+  EXPECT_EQ(target.next_episode(), 0);
+  EXPECT_EQ(target.all_weights(), fresh.all_weights());
+  sim::Checkpoint target_state;
+  sim::Checkpoint fresh_state;
+  target.save_state(target_state);
+  fresh.save_state(fresh_state);
+  for (std::size_t i = 0; i < fresh.num_agents(); ++i) {
+    const std::string name = "replica-runner/agent." + std::to_string(i);
+    EXPECT_EQ(*target_state.section(name), *fresh_state.section(name))
+        << "agent " << i;
+  }
+  std::remove(path.c_str());
+}
+
 TEST(CheckpointResume, RunChunkedMatchesRunBitwise) {
   auto a = std::make_unique<Experiment>(tiny_scenario(11));
   auto b = std::make_unique<Experiment>(tiny_scenario(11));

@@ -30,7 +30,7 @@ TEST(Linear, CollectSizesMatch) {
   ParamRefs refs;
   lin.collect(refs);
   EXPECT_EQ(refs.size(), 4u * 5u + 5u);
-  EXPECT_EQ(refs.params.size(), refs.grads.size());
+  EXPECT_EQ(snapshot_params(refs).size(), snapshot_grads(refs).size());
 }
 
 TEST(Mlp, OutputDimensions) {
@@ -91,20 +91,27 @@ TEST_P(GradCheckTest, BackwardMatchesFiniteDifferences) {
   std::vector<double> dy(y.size());
   for (std::size_t i = 0; i < y.size(); ++i) dy[i] = 2.0 * y[i];
   mlp.zero_grad();
-  const auto dx = mlp.backward_batch(x, cache, dy, 1);
+  std::vector<double> dx(x.size());
+  mlp.backward_batch(x, cache, dy, 1, dx);
+  const std::vector<double> grads = snapshot_grads(refs);
 
-  // Parameter gradients (check a stride to keep runtime sane).
+  // Parameter gradients (check a stride to keep runtime sane). Each probe
+  // edits a snapshot and restores it, so the layers repack every time.
   const double eps = 1e-6;
+  std::vector<double> params = snapshot_params(refs);
   const std::size_t stride = std::max<std::size_t>(1, refs.size() / 64);
   for (std::size_t i = 0; i < refs.size(); i += stride) {
-    const double orig = *refs.params[i];
-    *refs.params[i] = orig + eps;
+    const double orig = params[i];
+    params[i] = orig + eps;
+    restore_params(refs, params);
     const double lp = loss();
-    *refs.params[i] = orig - eps;
+    params[i] = orig - eps;
+    restore_params(refs, params);
     const double lm = loss();
-    *refs.params[i] = orig;
+    params[i] = orig;
+    restore_params(refs, params);
     const double numeric = (lp - lm) / (2 * eps);
-    EXPECT_NEAR(*refs.grads[i], numeric, 1e-4 * std::max(1.0, std::abs(numeric)))
+    EXPECT_NEAR(grads[i], numeric, 1e-4 * std::max(1.0, std::abs(numeric)))
         << "param " << i;
   }
 
@@ -143,10 +150,11 @@ TEST(Mlp, GradientsAccumulateAcrossBackwardCalls) {
   (void)mlp.forward_batch(x, 1, &cache);
   mlp.zero_grad();
   mlp.backward_batch(x, cache, dy, 1);
-  const auto once = snapshot_params(ParamRefs{refs.grads, refs.grads});
+  const auto once = snapshot_grads(refs);
   mlp.backward_batch(x, cache, dy, 1);
+  const auto twice = snapshot_grads(refs);
   for (std::size_t i = 0; i < refs.size(); ++i) {
-    EXPECT_NEAR(*refs.grads[i], 2.0 * once[i], 1e-12);
+    EXPECT_NEAR(twice[i], 2.0 * once[i], 1e-12);
   }
 }
 
@@ -160,7 +168,7 @@ TEST(Mlp, ZeroGradClears) {
   (void)mlp.forward_batch(x, 1, &cache);
   mlp.backward_batch(x, cache, std::vector<double>{1.0}, 1);
   mlp.zero_grad();
-  for (const double* g : refs.grads) EXPECT_EQ(*g, 0.0);
+  for (const double g : snapshot_grads(refs)) EXPECT_EQ(g, 0.0);
 }
 
 }  // namespace

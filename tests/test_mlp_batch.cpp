@@ -8,13 +8,18 @@
 //    the public weight views: one `acc = b; acc += w * x` chain per output
 //    with inputs ascending, and a backward that adds each sample's
 //    contribution in order, skipping zero upstream gradients.
+// The shape sweep at the end holds the fp64 GEMM to both contracts on the
+// scalar and AVX2 backends across every boundary of its blocking.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <span>
 #include <vector>
 
+#include "rl/kernels.hpp"
 #include "rl/mlp.hpp"
 #include "sim/rng.hpp"
 
@@ -121,7 +126,7 @@ TEST(MlpBatch, ForwardBatchBitwiseMatchesLoopedForward) {
   const std::int32_t out = 5;
   for (const Activation act : {Activation::kTanh, Activation::kRelu}) {
     Mlp mlp({in, 16, 16, out}, act, rng);
-    for (const std::int32_t batch : {1, 2, 3, 4, 5, 9}) {
+    for (const std::int32_t batch : {1, 2, 3, 4, 5, 7, 8, 9, 33}) {
       const std::vector<double> x =
           random_matrix(static_cast<std::size_t>(batch),
                         static_cast<std::size_t>(in), rng);
@@ -203,8 +208,8 @@ TEST(MlpBatch, BackwardBatchBitwiseMatchesLoopedBackward) {
   for (std::int32_t b = 0; b < batch; ++b) {
     Mlp::BatchCache cache;
     (void)looped.forward_batch(row_of(x, b, in), 1, &cache);
-    const std::vector<double> dx =
-        looped.backward_batch(row_of(x, b, in), cache, row_of(dy, b, out), 1);
+    std::vector<double> dx(static_cast<std::size_t>(in));
+    looped.backward_batch(row_of(x, b, in), cache, row_of(dy, b, out), 1, dx);
     dx_looped.insert(dx_looped.end(), dx.begin(), dx.end());
 
     RefTrace trace;
@@ -217,8 +222,8 @@ TEST(MlpBatch, BackwardBatchBitwiseMatchesLoopedBackward) {
   batched.zero_grad();
   Mlp::BatchCache bcache;
   (void)batched.forward_batch(x, batch, &bcache);
-  const std::vector<double> dx_batched =
-      batched.backward_batch(x, bcache, dy, batch);
+  std::vector<double> dx_batched(x.size());
+  batched.backward_batch(x, bcache, dy, batch, dx_batched);
 
   ASSERT_EQ(dx_batched.size(), dx_looped.size());
   ASSERT_EQ(dx_batched.size(), dx_ref.size());
@@ -235,11 +240,13 @@ TEST(MlpBatch, BackwardBatchBitwiseMatchesLoopedBackward) {
   for (const std::vector<double>& g : ref_grads) {
     ref_flat.insert(ref_flat.end(), g.begin(), g.end());
   }
-  ASSERT_EQ(ra.size(), rb.size());
-  ASSERT_EQ(ref_flat.size(), rb.size());
-  for (std::size_t i = 0; i < ra.size(); ++i) {
-    EXPECT_EQ(*ra.grads[i], *rb.grads[i]) << "grad element " << i;
-    EXPECT_EQ(ref_flat[i], *rb.grads[i]) << "grad element " << i;
+  const std::vector<double> ga = snapshot_grads(ra);
+  const std::vector<double> gb = snapshot_grads(rb);
+  ASSERT_EQ(ga.size(), gb.size());
+  ASSERT_EQ(ref_flat.size(), gb.size());
+  for (std::size_t i = 0; i < ga.size(); ++i) {
+    EXPECT_EQ(ga[i], gb[i]) << "grad element " << i;
+    EXPECT_EQ(ref_flat[i], gb[i]) << "grad element " << i;
   }
 }
 
@@ -271,7 +278,7 @@ TEST(MlpBatch, NoCacheForwardMatchesCachedAndLeavesTrainingUntouched) {
   // Reference gradients: one clean cached-forward + backward.
   clean.zero_grad();
   (void)clean.forward_batch(x, batch, &cache);
-  (void)clean.backward_batch(x, cache, dy, batch);
+  clean.backward_batch(x, cache, dy, batch);
 
   // Same training step with inference traffic interleaved everywhere the
   // serving path could run it.
@@ -280,16 +287,20 @@ TEST(MlpBatch, NoCacheForwardMatchesCachedAndLeavesTrainingUntouched) {
   Mlp::BatchCache mixed_cache;
   (void)mixed.forward_batch(x, batch, &mixed_cache);
   (void)mixed.forward_batch(row_of(probe, 0, 5), 1);
-  (void)mixed.backward_batch(x, mixed_cache, dy, batch);
+  mixed.backward_batch(x, mixed_cache, dy, batch);
 
   ParamRefs ra;
   ParamRefs rb;
   clean.collect(ra);
   mixed.collect(rb);
   ASSERT_EQ(ra.size(), rb.size());
+  const std::vector<double> pa = snapshot_params(ra);
+  const std::vector<double> pb = snapshot_params(rb);
+  const std::vector<double> ga = snapshot_grads(ra);
+  const std::vector<double> gb = snapshot_grads(rb);
   for (std::size_t i = 0; i < ra.size(); ++i) {
-    EXPECT_EQ(*ra.params[i], *rb.params[i]) << "param element " << i;
-    EXPECT_EQ(*ra.grads[i], *rb.grads[i]) << "grad element " << i;
+    EXPECT_EQ(pa[i], pb[i]) << "param element " << i;
+    EXPECT_EQ(ga[i], gb[i]) << "grad element " << i;
   }
 }
 
@@ -312,6 +323,94 @@ TEST(MlpBatch, LinearBatchKernelsMatchSingleSample) {
     for (std::int32_t j = 0; j < out; ++j) {
       EXPECT_EQ(y_batch[static_cast<std::size_t>(b * out + j)],
                 y[static_cast<std::size_t>(j)]);
+    }
+  }
+}
+
+/// Pin the kernel backend for a scope.
+struct BackendGuard {
+  explicit BackendGuard(kern::Backend b) { kern::set_backend(b); }
+  ~BackendGuard() { kern::reset_backend(); }
+  BackendGuard(const BackendGuard&) = delete;
+  BackendGuard& operator=(const BackendGuard&) = delete;
+};
+
+/// A (rows x cols) plane where about one value in four is a boundary value:
+/// a signed zero, a subnormal, the smallest normal or an infinity (only
+/// when `with_inf`).
+std::vector<double> boundary_matrix(std::size_t rows, std::size_t cols,
+                                    bool with_inf, sim::Rng& rng) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<double> special{0.0,     -0.0,    5e-324, -5e-324,
+                                    1e-310,  -1e-310, 2.2250738585072014e-308,
+                                    kInf,    -kInf};
+  const std::size_t choices = with_inf ? special.size() : special.size() - 2;
+  std::vector<double> m(rows * cols);
+  for (double& v : m) {
+    v = rng.uniform() < 0.25 ? special[rng.uniform_int(choices)]
+                             : rng.uniform(-1.0, 1.0);
+  }
+  return m;
+}
+
+[[nodiscard]] bool same_bytes(std::span<const double> a,
+                              std::span<const double> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// The AVX2 fp64 GEMM runs four samples at a time over pairs of 4-row
+/// tiles, then a lone tile, then the out % 4 remainder rows. Batches of 1,
+/// 3, 4, 5, 7, 8, 9 and 33 cross every sample-block boundary; the output
+/// widths cross every tile boundary; the inputs include signed zeros,
+/// subnormals and infinities. For every shape, the scalar and AVX2 planes
+/// are memcmp-equal, each equals one-row calls on every row, and each is
+/// the naive ascending chain.
+TEST(MlpBatch, GemmShapeSweepBitwiseAcrossBackendsAndBatching) {
+  sim::Rng rng(51);
+  for (const std::int32_t in : {1, 18, 24, 64}) {
+    for (const std::int32_t out : {1, 3, 4, 5, 8, 10, 12, 20, 64}) {
+      Linear layer(in, out, rng);
+      ParamRefs refs;
+      layer.collect(refs);
+      restore_params(refs, boundary_matrix(layer.num_params(), 1,
+                                           /*with_inf=*/false, rng));
+      for (const std::int32_t batch : {1, 3, 4, 5, 7, 8, 9, 33}) {
+        const auto rows = static_cast<std::size_t>(batch);
+        const auto in_n = static_cast<std::size_t>(in);
+        const auto out_n = static_cast<std::size_t>(out);
+        const std::vector<double> x =
+            boundary_matrix(rows, in_n, /*with_inf=*/true, rng);
+        std::vector<double> ref(rows * out_n);
+        for (std::size_t s = 0; s < rows; ++s) {
+          for (std::size_t o = 0; o < out_n; ++o) {
+            double acc = layer.biases()[o];
+            for (std::size_t i = 0; i < in_n; ++i) {
+              acc += layer.weights()[o * in_n + i] * x[s * in_n + i];
+            }
+            ref[s * out_n + o] = acc;
+          }
+        }
+        std::vector<double> planes[2];
+        const kern::Backend backends[2] = {kern::Backend::kScalar,
+                                           kern::Backend::kAvx2};
+        for (int k = 0; k < 2; ++k) {
+          BackendGuard guard(backends[k]);
+          planes[k].resize(rows * out_n);
+          layer.forward_batch(x, planes[k], batch);
+          for (std::int32_t s = 0; s < batch; ++s) {
+            std::vector<double> one(out_n);
+            layer.forward_batch(row_of(x, s, in), one, 1);
+            EXPECT_TRUE(same_bytes(one, row_of(planes[k], s, out)))
+                << "backend=" << k << " in=" << in << " out=" << out
+                << " batch=" << batch << " sample=" << s;
+          }
+        }
+        EXPECT_TRUE(same_bytes(planes[0], planes[1]))
+            << "in=" << in << " out=" << out << " batch=" << batch;
+        EXPECT_TRUE(same_bytes(planes[0], ref))
+            << "in=" << in << " out=" << out << " batch=" << batch;
+      }
     }
   }
 }

@@ -78,6 +78,28 @@ using NetCase = std::tuple<std::int64_t, std::vector<std::int64_t>,
                   vector_of(boundary_obs(), 50, 50));
 }
 
+/// Cases for the bitwise fp64 properties, shaped to cross every boundary of
+/// the blocked fp64 GEMM: batches on both sides of each four-sample block
+/// (and 33), layer widths on both sides of each 4-row tile and tile pair
+/// (the 10-wide heads leave two remainder rows), the ACC/PET input widths,
+/// and observations that include infinities on top of the boundary values.
+[[nodiscard]] Gen<NetCase> kernel_net_cases() {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const Gen<std::int64_t> width = one_of<std::int64_t>(
+      {element_of<std::int64_t>({1, 3, 4, 5, 8, 10, 12, 20, 64}),
+       integers(1, 12)});
+  const Gen<std::int64_t> input = one_of<std::int64_t>(
+      {element_of<std::int64_t>({1, 18, 24, 64}), integers(1, 10)});
+  const Gen<std::int64_t> batch = one_of<std::int64_t>(
+      {element_of<std::int64_t>({1, 3, 4, 5, 7, 8, 9, 33}), integers(1, 5)});
+  const Gen<double> obs = frequency<double>(
+      {{8, boundary_obs()},
+       {1, element_of<double>({kInf, -kInf, 5e-324, -5e-324})}});
+  return tuple_of(input, vector_of(width, 0, 2), width, booleans(),
+                  vector_of(boundary_weight(), 460, 460), batch,
+                  vector_of(obs, 50, 50));
+}
+
 /// Build the fp64 reference network for a generated case: architecture from
 /// the shape fields, parameters overwritten from the weight pool.
 [[nodiscard]] rl::Mlp build_net(const NetCase& c) {
@@ -231,7 +253,7 @@ void check_against_bound(const NetCase& c, rl::InferPrecision precision) {
 /// network (same kernels, same std::tanh), which is what makes fp64 serving
 /// golden-safe.
 PROPERTY_CASES(InferenceOracle, Fp64SnapshotBitwiseMatchesMlp, 2000,
-               net_cases()) {
+               kernel_net_cases()) {
   const rl::Mlp net = build_net(arg);
   rl::InferenceModel model;
   PROP_ASSERT(model.quantize(net, rl::InferPrecision::kFp64));
@@ -257,26 +279,36 @@ PROPERTY_CASES(InferenceOracle, Int8ForwardWithinDerivedBound, 2500,
 }
 
 /// Scalar and AVX2 kernels are bitwise interchangeable at every precision —
-/// the contract that makes artifacts machine-independent.
-PROPERTY_CASES(InferenceOracle, BackendsBitwiseIdentical, 1200, net_cases()) {
+/// the contract that makes artifacts machine-independent. Non-finite
+/// observations are outside the fp32/int8 domain (see rl/kernels.hpp), so
+/// those two precisions see the same states with each infinity replaced by
+/// the largest finite boundary value of its sign; fp64 sees them as drawn.
+PROPERTY_CASES(InferenceOracle, BackendsBitwiseIdentical, 1200,
+               kernel_net_cases()) {
   const rl::Mlp net = build_net(arg);
   const std::vector<double> states = build_states(arg);
+  std::vector<double> finite_states = states;
+  for (double& v : finite_states) {
+    if (std::isinf(v)) v = std::copysign(1.0e6, v);
+  }
   const auto batch = static_cast<std::int32_t>(std::get<5>(arg));
   const auto out = static_cast<std::size_t>(net.output_size());
   for (const rl::InferPrecision precision :
        {rl::InferPrecision::kFp64, rl::InferPrecision::kFp32,
         rl::InferPrecision::kInt8}) {
+    const std::vector<double>& x =
+        precision == rl::InferPrecision::kFp64 ? states : finite_states;
     rl::InferenceModel model;
     PROP_ASSERT(model.quantize(net, precision));
     std::vector<double> scalar_y(static_cast<std::size_t>(batch) * out);
     std::vector<double> avx2_y(scalar_y.size());
     {
       BackendGuard guard(rl::kern::Backend::kScalar);
-      model.forward_batch(states, batch, scalar_y);
+      model.forward_batch(x, batch, scalar_y);
     }
     {
       BackendGuard guard(rl::kern::Backend::kAvx2);
-      model.forward_batch(states, batch, avx2_y);
+      model.forward_batch(x, batch, avx2_y);
     }
     PROP_ASSERT(std::memcmp(scalar_y.data(), avx2_y.data(),
                             scalar_y.size() * sizeof(double)) == 0);
@@ -284,34 +316,41 @@ PROPERTY_CASES(InferenceOracle, BackendsBitwiseIdentical, 1200, net_cases()) {
 }
 
 /// Layer widths for the training-kernel property: the listed ones hit the
-/// 4-lane body alone (4, 64), the tail alone (1, 3) and both (6, 18), and
-/// 65 and 100 outputs span more than one 64-entry nonzero list; the uniform
-/// draw covers everything else up to 40.
+/// 4-lane body alone (4, 8, 12, 20, 24, 64), the tail alone (1, 3) and both
+/// (5, 6, 10, 18), and 65 and 100 outputs span more than one 64-entry
+/// nonzero list; the uniform draw covers everything else up to 40.
 [[nodiscard]] Gen<std::int64_t> lane_widths() {
   return one_of<std::int64_t>(
-      {element_of<std::int64_t>({1, 3, 4, 6, 18, 64, 65, 100}),
+      {element_of<std::int64_t>(
+           {1, 3, 4, 5, 6, 8, 10, 12, 18, 20, 24, 64, 65, 100}),
        integers(1, 40)});
 }
 
 /// (net, upstream-gradient pool, clip the gradient norm?). Half of the
 /// upstream gradients are exactly zero, which exercises the g == 0 skip;
-/// batches above 64 span more than one nonzero list; parameters stay in a
-/// trained range plus signed zeros and subnormals.
+/// batches 1-9 and 33 cross the forward GEMM's four-sample blocks, and
+/// above 64 span more than one nonzero list; parameters stay in a trained
+/// range plus signed zeros and subnormals; observations add subnormals and
+/// infinities.
 using TrainCase = std::tuple<NetCase, std::vector<double>, bool>;
 
 [[nodiscard]] Gen<TrainCase> train_cases() {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   const Gen<double> weight = frequency<double>(
       {{10, reals(-2.0, 2.0)},
        {2, element_of<double>({0.0, -0.0, 5e-324, -1.0e-300, 1.0e-40})}});
   const Gen<double> obs = frequency<double>(
-      {{8, reals(-1.0, 1.0)}, {1, element_of<double>({0.0, -0.0, 1.0e-300})}});
+      {{8, reals(-1.0, 1.0)},
+       {1, element_of<double>(
+               {0.0, -0.0, 1.0e-300, 5e-324, -5e-324, kInf, -kInf})}});
   const Gen<double> dy =
       frequency<double>({{1, constant(0.0)}, {1, reals(-1.0, 1.0)}});
   return tuple_of(
       tuple_of(lane_widths(), vector_of(lane_widths(), 0, 2), lane_widths(),
                booleans(), vector_of(weight, 97, 97),
-               one_of<std::int64_t>({integers(1, 9),
-                                     element_of<std::int64_t>({64, 65, 130})}),
+               one_of<std::int64_t>(
+                   {integers(1, 9),
+                    element_of<std::int64_t>({33, 64, 65, 130})}),
                vector_of(obs, 23, 23)),
       vector_of(dy, 41, 41), booleans());
 }
@@ -346,9 +385,11 @@ struct TrainTrace {
     net.zero_grad();
     rl::Mlp::BatchCache cache;
     (void)net.forward_batch(states, batch, &cache);
-    const std::vector<double> dx = net.backward_batch(states, cache, dy, batch);
+    std::vector<double> dx(states.size());
+    net.backward_batch(states, cache, dy, batch, dx);
     trace.dx.insert(trace.dx.end(), dx.begin(), dx.end());
-    for (const double* g : refs.grads) trace.grads.push_back(*g);
+    const std::vector<double> grads = rl::snapshot_grads(refs);
+    trace.grads.insert(trace.grads.end(), grads.begin(), grads.end());
     opt.step();
   }
   trace.params = rl::snapshot_params(refs);
@@ -429,9 +470,11 @@ PROPERTY_CASES(InferenceOracle, QuantizeRejectsNonFinite, 400,
 
   rl::ParamRefs refs;
   net.collect(refs);
-  *refs.params[refs.size() / 2] =
-      kind == 0 ? std::numeric_limits<double>::quiet_NaN()
-                : std::numeric_limits<double>::infinity();
+  std::vector<double> params = rl::snapshot_params(refs);
+  params[params.size() / 2] = kind == 0
+                                  ? std::numeric_limits<double>::quiet_NaN()
+                                  : std::numeric_limits<double>::infinity();
+  rl::restore_params(refs, params);
   PROP_ASSERT(!model.quantize(net, rl::InferPrecision::kInt8));
   PROP_ASSERT(model.ready());
   std::vector<double> after(before.size());
