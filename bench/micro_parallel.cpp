@@ -1,15 +1,8 @@
-// micro_parallel: throughput of the parallel-replica trainer and the
-// batched policy-inference hot path.
+// micro_parallel: throughput of the batched policy-inference hot path.
 //
-// Panel 1 — batched inference: one PPO policy evaluated for B agents per
-// step, B single-row act_batch() calls vs one B-row act_batch() call. Both
-// must produce bitwise-identical decisions; the win is locality (one weight
-// sweep serves B observations).
-//
-// Panel 2 — replica throughput: the same fig6-style training scenario run
-// as N independent replicas on 1 worker thread vs N worker threads.
-// Replicas share nothing, so the speedup ceiling is min(N, cores); the
-// merged rollout digest must be identical for every thread count.
+// One PPO policy evaluated for B agents per step, B single-row act_batch()
+// calls vs one B-row act_batch() call. Both must produce bitwise-identical
+// decisions; the win is locality (one weight sweep serves B observations).
 //
 //   ./micro_parallel [--quick] [--seed=N]
 //
@@ -17,11 +10,9 @@
 
 #include <chrono>
 #include <cstdio>
-#include <thread>
 #include <vector>
 
 #include "common.hpp"
-#include "exp/replica_runner.hpp"
 #include "rl/ppo.hpp"
 
 namespace {
@@ -108,71 +99,14 @@ void bench_batched_inference(const bench::BenchOptions& opt,
                  seq_sink == bat_sink ? 1.0 : 0.0);
 }
 
-void bench_replica_throughput(const bench::BenchOptions& opt,
-                              exp::RunArtifact& art) {
-  const std::int32_t replicas = 4;
-  // A fig6-style training scenario: PET on Web Search, scaled fabric.
-  exp::ScenarioConfig scenario;
-  scenario.scheme = exp::Scheme::kPet;
-  scenario.load = 0.5;
-  scenario.topo.leaf_spine().num_spines = opt.quick ? 1 : 2;
-  scenario.topo.leaf_spine().num_leaves = 2;
-  scenario.topo.leaf_spine().hosts_per_leaf = opt.quick ? 2 : 4;
-  scenario.flow_size_cap_bytes = 4e6;
-  scenario.pretrain = sim::milliseconds(opt.quick ? 2 : 10);
-  scenario.measure = sim::milliseconds(1);
-  scenario.seed = opt.seed;
-  scenario.tune_dcqcn_for_rate();
-
-  std::printf("\n--- parallel replica training (%d replicas, %u cores) ---\n",
-              replicas, std::thread::hardware_concurrency());
-  double one_thread_rps = 0.0;
-  std::uint64_t digest1 = 0;
-  std::uint64_t digest4 = 0;
-  for (const std::int32_t threads : {1, 4}) {
-    exp::ReplicaRunner runner(scenario,
-                              {.replicas = replicas, .threads = threads});
-    const exp::ReplicaRunner::RunStats stats = runner.run();
-    if (threads == 1) {
-      one_thread_rps = stats.replicas_per_sec;
-      digest1 = stats.rollout_digest;
-    } else {
-      digest4 = stats.rollout_digest;
-    }
-    double mean_reward = 0.0;
-    std::size_t transitions = 0;
-    for (const auto& e : stats.episodes) {
-      mean_reward = e.mean_reward;
-      transitions += e.transitions;
-    }
-    std::printf(
-        "  %d thread%s: %6.2f replicas/sec  (%.2fx, %zu transitions, "
-        "final mean reward %.3f)\n",
-        threads, threads == 1 ? " " : "s",
-        stats.replicas_per_sec,
-        one_thread_rps > 0.0 ? stats.replicas_per_sec / one_thread_rps : 1.0,
-        transitions, mean_reward);
-  }
-  std::printf("  merged rollout digest 1-thread vs 4-thread: %s\n",
-              digest1 == digest4 ? "identical (bitwise)" : "MISMATCH (BUG)");
-  art.add_metric("replicas.one_thread_per_sec", one_thread_rps);
-  art.add_metric("replicas.digest_match", digest1 == digest4 ? 1.0 : 0.0);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const bench::BenchOptions opt = bench::parse_options(argc, argv);
-  bench::print_header(opt,
-                      "Micro - parallel replica training & batched inference",
+  bench::print_header(opt, "Micro - batched policy inference",
                       "implementation scalability (no paper figure)");
   exp::RunArtifact art = bench::make_artifact(opt, "micro_parallel");
-  art.set_threads(4);
   bench_batched_inference(opt, art);
-  bench_replica_throughput(opt, art);
-  std::printf(
-      "\nReplicas are fully independent simulations; on a multi-core host "
-      "the replica speedup approaches min(replicas, cores).\n");
   bench::write_artifact(opt, art);
   return 0;
 }

@@ -11,8 +11,7 @@
 // The scenario flags it shares with pet_sweep are exp::ScenarioFlags.
 //
 // Crash safety: SIGINT/SIGTERM interrupt the run cooperatively — the run
-// artifact is still flushed before exit (code 130). Replica training runs
-// through pet_sweep --train-episodes.
+// artifact is still flushed before exit (code 130).
 
 #include <csignal>
 #include <cstdio>

@@ -1,18 +1,16 @@
-// pet_sweep: fault-tolerant grid sweeps over scheme × load × seed, and the
-// command-line trainer (a one-point PET sweep with --train-episodes=N).
+// pet_sweep: fault-tolerant evaluation grids over scheme × load × seed.
 //
 //   ./pet_sweep --scheme=pet,secn1 --load=0.4,0.8 --seed=1,2
-//               --out=sweep_out --threads=2 --train-episodes=3
-//               --checkpoint-every=1 [--resume]
+//               --out=sweep_out --threads=2 [--resume]
 //
-// Every point writes a durable artifact (the completion marker) and
-// training points checkpoint every N episodes (and on SIGINT/SIGTERM) to
-// <out>/point_<id>.ckpt, so a crashed or killed sweep re-run with --resume
-// skips finished points and continues partial ones bitwise-identically. A
-// per-point watchdog retries hung points with capped backoff and
+// Every point writes a durable artifact (the completion marker), so a
+// crashed or killed sweep (SIGINT/SIGTERM stop it between 1 ms chunks)
+// re-run with --resume skips finished points and runs the rest from the
+// start. A per-point watchdog retries hung points with capped backoff and
 // quarantines repeat offenders while the rest of the grid completes. Exit
-// code: 0 all points done, 1 any quarantined, 2 bad option or a grid it
-// cannot run (nothing run), 130 stopped by signal.
+// code: 0 all points done, 1 any quarantined or the merged artifact not
+// written, 2 bad option or a grid it cannot run (nothing run), 130 stopped
+// by signal.
 //
 // Fault-injection flags for the crash-safety tests:
 //   --crash-after-writes=N  _Exit(137) after N durable writes
@@ -56,9 +54,6 @@ struct CliOptions {
                               .hosts_per_leaf = 4,
                               .pretrain_ms = 10,
                               .measure_ms = 10};
-  std::int32_t train_episodes = 0;
-  std::int32_t replicas = 2;
-  std::int32_t checkpoint_every = 1;
   double watchdog_seconds = 0.0;
   double grace_seconds = 2.0;
   std::int32_t max_retries = 2;
@@ -78,11 +73,10 @@ struct CliOptions {
       "  --seed=LIST        comma list of seeds\n"
       "  --out=DIR          output directory (default sweep_out)\n"
       "  --name=NAME        sweep name (default sweep)\n"
-      "  --threads=N        worker threads, split over the points (0 = auto)\n"
-      "  --resume           skip/continue points finished by a prior run\n"
+      "  --threads=N        points run concurrently (0 = auto)\n"
+      "  --resume           skip points finished by a prior run\n"
       "  --topo=LIST        comma list of leaf-spine|fat-tree|inter-dc\n"
       "%s"
-      "  --train-episodes=N --replicas=N --checkpoint-every=N\n"
       "  --watchdog-seconds=F --grace-seconds=F --max-retries=N\n"
       "  --backoff-base=F --backoff-cap=F\n"
       "  --crash-after-writes=N --hang-point=IDX --hang-seconds=F\n",
@@ -147,12 +141,6 @@ CliOptions parse(int argc, char** argv) {
       opt.name = text;
     } else if (flag == "--threads") {
       count(opt.threads);
-    } else if (flag == "--train-episodes") {
-      count(opt.train_episodes);
-    } else if (flag == "--replicas") {
-      count(opt.replicas);
-    } else if (flag == "--checkpoint-every") {
-      count(opt.checkpoint_every);
     } else if (flag == "--watchdog-seconds") {
       seconds(opt.watchdog_seconds);
     } else if (flag == "--grace-seconds") {
@@ -227,9 +215,6 @@ int main(int argc, char** argv) {
   cfg.out_dir = opt.out_dir;
   cfg.threads = opt.threads;
   cfg.resume = opt.resume;
-  cfg.train_episodes = opt.train_episodes;
-  cfg.replicas = opt.replicas;
-  cfg.checkpoint_every = opt.checkpoint_every;
   cfg.watchdog_seconds = opt.watchdog_seconds;
   cfg.grace_seconds = opt.grace_seconds;
   cfg.max_retries = opt.max_retries;
@@ -254,7 +239,7 @@ int main(int argc, char** argv) {
   std::signal(SIGINT, handle_stop_signal);
   std::signal(SIGTERM, handle_stop_signal);
 
-  const std::size_t total = grid.expand(cfg.train_episodes).size();
+  const std::size_t total = grid.expand().size();
   std::printf("pet_sweep: %zu points -> %s (threads=%d%s)\n", total,
               opt.out_dir.c_str(), cfg.threads,
               cfg.resume ? ", resume" : "");
@@ -268,14 +253,19 @@ int main(int argc, char** argv) {
   }
   bool stopped = false;
   for (const exp::SweepRunner::PointStatus& st : result.points) {
-    std::printf("  %-32s %-12s attempts=%d%s\n", st.id.c_str(),
-                st.status.c_str(), st.attempts,
-                st.resumed_from_episode > 0 ? " (resumed)" : "");
+    std::printf("  %-32s %-12s attempts=%d\n", st.id.c_str(),
+                st.status.c_str(), st.attempts);
     if (st.status == "stopped") stopped = true;
   }
   std::printf("pet_sweep: %d/%zu completed, %d quarantined -> %s\n",
               result.completed, result.points.size(), result.quarantined,
-              result.artifact_path.c_str());
+              result.artifact_path.empty() ? "(no merged artifact)"
+                                           : result.artifact_path.c_str());
+  if (result.artifact_path.empty()) {
+    std::fprintf(stderr, "pet_sweep: cannot write the merged artifact %s\n",
+                 runner.merged_artifact_path().c_str());
+    return 1;
+  }
   if (stopped) return 130;
   return result.all_completed() ? 0 : 1;
 }

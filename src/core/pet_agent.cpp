@@ -217,11 +217,8 @@ bool PetAgent::tick_observe() {
 
   finalize_pending(snap);
 
-  // 2. Learn once enough on-policy experience accumulated. With local
-  //    updates deferred, the buffer keeps growing until a replica runner
-  //    harvests it for a merged cross-replica update.
-  if (local_updates_ &&
-      rollout_.size() >= static_cast<std::size_t>(cfg_.rollout_length)) {
+  // 2. Learn once enough on-policy experience accumulated.
+  if (rollout_.size() >= static_cast<std::size_t>(cfg_.rollout_length)) {
     const double bootstrap = policy_->value_batch(state_, 1)[0];
     last_update_ = policy_->update(rollout_, bootstrap);
     rollout_.clear();
@@ -349,14 +346,6 @@ void PetAgent::tick_finish_act(rl::PpoAgent::ActResult act) {
       ++probation_clean_ >= cfg_.guardrails.probation_ticks) {
     transition(AgentHealth::kHealthy, "probation served");
   }
-}
-
-PetAgent::Harvest PetAgent::harvest_rollout() {
-  Harvest h;
-  h.rollout = std::move(rollout_);
-  rollout_.clear();
-  h.bootstrap = pending_.has_value() ? pending_->value : 0.0;
-  return h;
 }
 
 }  // namespace pet::core

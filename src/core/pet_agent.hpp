@@ -106,25 +106,6 @@ class PetAgent {
   static void decide(std::span<PetAgent* const> group, rl::InferMode infer,
                      DecisionScratch& scratch);
 
-  // --- replica-parallel rollout collection ----------------------------------
-  /// When disabled, the agent keeps collecting transitions but never runs
-  /// its own PPO update — a replica runner harvests the rollout and merges
-  /// it with sibling replicas into one central update instead.
-  void set_local_updates(bool enabled) { local_updates_ = enabled; }
-
-  /// A harvested on-policy trajectory plus the critic bootstrap for the
-  /// state following its last transition (the still-pending transition's
-  /// value, or 0 when the episode produced none).
-  struct Harvest {
-    rl::RolloutBuffer rollout;
-    double bootstrap = 0.0;
-  };
-
-  /// Move the collected rollout out of the agent (the buffer is left
-  /// empty). The pending transition stays in place so a continuing episode
-  /// remains consistent.
-  [[nodiscard]] Harvest harvest_rollout();
-
   /// Pin the exploration rate (overriding the Eq. (13) schedule). The
   /// deployed online phase keeps a low, stable exploration rate
   /// (Section 4.4); pass a negative value to restore the schedule.
@@ -230,7 +211,6 @@ class PetAgent {
   std::int64_t updates_ = 0;
   double frozen_exploration_ = -1.0;
   bool deployment_mode_ = false;
-  bool local_updates_ = true;
   sim::RunningStats reward_stats_;
   rl::PpoAgent::UpdateStats last_update_{};
 

@@ -64,6 +64,102 @@ void RunArtifact::add_metrics(const std::string& label, const Metrics& m) {
   add_metric(p + "pfc_pauses", static_cast<double>(m.pfc_pauses));
 }
 
+namespace {
+
+/// Counters summed over one switch or a tier of them, and the envelope of
+/// their ECN thresholds. The switch rows and the tier rows both write it.
+struct SwitchRollup {
+  std::int64_t tx_bytes = 0;
+  std::int64_t marked_bytes = 0;
+  std::int64_t dropped = 0;
+  std::int64_t no_route = 0;
+  std::int64_t buffer_full = 0;
+  std::int64_t pauses = 0;
+  std::int64_t installs = 0;
+  std::int64_t kmin_min = 0;
+  std::int64_t kmin_max = 0;
+  std::int64_t kmax_min = 0;
+  std::int64_t kmax_max = 0;
+  bool empty = true;
+
+  void add(const net::SwitchDevice& sw, const net::EcnConfigSummary& ecn) {
+    for (std::int32_t p = 0; p < sw.num_ports(); ++p) {
+      tx_bytes += sw.port(p).tx_bytes();
+      marked_bytes += sw.port(p).tx_marked_bytes();
+      dropped += sw.port(p).dropped_packets();
+    }
+    no_route += sw.dropped_no_route();
+    buffer_full += sw.dropped_buffer_full();
+    pauses += sw.pfc_pauses_sent();
+    installs += sw.ecn_installs();
+    if (empty) {
+      kmin_min = ecn.kmin_min_bytes;
+      kmin_max = ecn.kmin_max_bytes;
+      kmax_min = ecn.kmax_min_bytes;
+      kmax_max = ecn.kmax_max_bytes;
+      empty = false;
+    } else {
+      kmin_min = std::min(kmin_min, ecn.kmin_min_bytes);
+      kmin_max = std::max(kmin_max, ecn.kmin_max_bytes);
+      kmax_min = std::min(kmax_min, ecn.kmax_min_bytes);
+      kmax_max = std::max(kmax_max, ecn.kmax_max_bytes);
+    }
+  }
+
+  /// The seven counter keys, in artifact order.
+  void set_counters(JsonValue& row) const {
+    row.set("tx_bytes", tx_bytes);
+    row.set("tx_marked_bytes", marked_bytes);
+    row.set("port_dropped_packets", dropped);
+    row.set("dropped_no_route", no_route);
+    row.set("dropped_buffer_full", buffer_full);
+    row.set("pfc_pauses_sent", pauses);
+    row.set("ecn_installs", installs);
+  }
+
+  /// The "ecn_config" object's four threshold keys.
+  [[nodiscard]] JsonValue ecn_json() const {
+    JsonValue ecn = JsonValue::object();
+    ecn.set("kmin_min_bytes", kmin_min);
+    ecn.set("kmin_max_bytes", kmin_max);
+    ecn.set("kmax_min_bytes", kmax_min);
+    ecn.set("kmax_max_bytes", kmax_max);
+    return ecn;
+  }
+};
+
+void set_leaf_spine_fields(JsonValue& out, const net::LeafSpineConfig& ls) {
+  out.set("spines", ls.num_spines);
+  out.set("leaves", ls.num_leaves);
+  out.set("hosts_per_leaf", ls.hosts_per_leaf);
+  out.set("host_gbps", ls.host_link_rate.gbps());
+  out.set("spine_gbps", ls.spine_link_rate.gbps());
+}
+
+void set_fat_tree_fields(JsonValue& out, const net::FatTreeSpec& ft) {
+  out.set("k", ft.k);
+  out.set("hosts_per_edge", ft.hosts_per_edge_effective());
+  out.set("host_gbps", ft.host_link_rate.gbps());
+  out.set("edge_agg_gbps", ft.edge_agg_rate.gbps());
+  out.set("agg_core_gbps", ft.agg_core_rate.gbps());
+  out.set("edge_oversubscription", ft.edge_oversubscription());
+  out.set("agg_oversubscription", ft.agg_oversubscription());
+}
+
+JsonValue dc_spec_json(const net::DcSpec& dc) {
+  JsonValue out = JsonValue::object();
+  if (const auto* ls = std::get_if<net::LeafSpineConfig>(&dc)) {
+    out.set("kind", "leaf-spine");
+    set_leaf_spine_fields(out, *ls);
+  } else {
+    out.set("kind", "fat-tree");
+    set_fat_tree_fields(out, std::get<net::FatTreeSpec>(dc));
+  }
+  return out;
+}
+
+}  // namespace
+
 void RunArtifact::add_switch_summaries(
     const std::vector<net::SwitchDevice*>& switches) {
   switches_ = JsonValue::array();
@@ -71,28 +167,12 @@ void RunArtifact::add_switch_summaries(
     JsonValue row = JsonValue::object();
     row.set("id", sw->id());
     row.set("name", sw->name());
-    std::int64_t tx_bytes = 0;
-    std::int64_t marked_bytes = 0;
-    std::int64_t dropped = 0;
-    for (std::int32_t p = 0; p < sw->num_ports(); ++p) {
-      tx_bytes += sw->port(p).tx_bytes();
-      marked_bytes += sw->port(p).tx_marked_bytes();
-      dropped += sw->port(p).dropped_packets();
-    }
-    row.set("tx_bytes", tx_bytes);
-    row.set("tx_marked_bytes", marked_bytes);
-    row.set("port_dropped_packets", dropped);
-    row.set("dropped_no_route", sw->dropped_no_route());
-    row.set("dropped_buffer_full", sw->dropped_buffer_full());
-    row.set("pfc_pauses_sent", sw->pfc_pauses_sent());
-    row.set("ecn_installs", sw->ecn_installs());
-    row.set("reboots", sw->reboots());
     const net::EcnConfigSummary ecn = sw->ecn_config_summary();
-    JsonValue cfg = JsonValue::object();
-    cfg.set("kmin_min_bytes", ecn.kmin_min_bytes);
-    cfg.set("kmin_max_bytes", ecn.kmin_max_bytes);
-    cfg.set("kmax_min_bytes", ecn.kmax_min_bytes);
-    cfg.set("kmax_max_bytes", ecn.kmax_max_bytes);
+    SwitchRollup rollup;
+    rollup.add(*sw, ecn);
+    rollup.set_counters(row);
+    row.set("reboots", sw->reboots());
+    JsonValue cfg = rollup.ecn_json();
     cfg.set("pmax_min", ecn.pmax_min);
     cfg.set("pmax_max", ecn.pmax_max);
     cfg.set("uniform", JsonValue(ecn.uniform));
@@ -101,33 +181,6 @@ void RunArtifact::add_switch_summaries(
     switches_.push_back(std::move(row));
   }
 }
-
-namespace {
-
-JsonValue dc_spec_json(const net::DcSpec& dc) {
-  JsonValue out = JsonValue::object();
-  if (const auto* ls = std::get_if<net::LeafSpineConfig>(&dc)) {
-    out.set("kind", "leaf-spine");
-    out.set("spines", ls->num_spines);
-    out.set("leaves", ls->num_leaves);
-    out.set("hosts_per_leaf", ls->hosts_per_leaf);
-    out.set("host_gbps", ls->host_link_rate.gbps());
-    out.set("spine_gbps", ls->spine_link_rate.gbps());
-  } else {
-    const auto& ft = std::get<net::FatTreeSpec>(dc);
-    out.set("kind", "fat-tree");
-    out.set("k", ft.k);
-    out.set("hosts_per_edge", ft.hosts_per_edge_effective());
-    out.set("host_gbps", ft.host_link_rate.gbps());
-    out.set("edge_agg_gbps", ft.edge_agg_rate.gbps());
-    out.set("agg_core_gbps", ft.agg_core_rate.gbps());
-    out.set("edge_oversubscription", ft.edge_oversubscription());
-    out.set("agg_oversubscription", ft.agg_oversubscription());
-  }
-  return out;
-}
-
-}  // namespace
 
 JsonValue scenario_json(const ScenarioConfig& cfg) {
   JsonValue out = JsonValue::object();
@@ -139,8 +192,7 @@ JsonValue scenario_json(const ScenarioConfig& cfg) {
   out.set("pretrain_ms", cfg.pretrain.ms());
   out.set("measure_ms", cfg.measure.ms());
   // Every dynamic scheme ticks at its config's default interval. The key
-  // stays, so sweep artifacts and checkpoints that recorded it still match
-  // on --resume.
+  // stays, so sweep artifacts that recorded it still match on --resume.
   out.set("tuning_interval_us", core::PetAgentConfig{}.tuning_interval.us());
   out.set("incast_enabled", JsonValue(cfg.incast_enabled));
   out.set("flow_size_cap_bytes", cfg.flow_size_cap_bytes);
@@ -154,26 +206,12 @@ JsonValue topology_spec_json(const net::TopologySpec& spec) {
   topo.set("hosts", spec.num_hosts());
   topo.set("switches", spec.num_switches());
   switch (spec.kind()) {
-    case net::TopologySpec::Kind::kLeafSpine: {
-      const net::LeafSpineConfig& ls = spec.leaf_spine();
-      topo.set("spines", ls.num_spines);
-      topo.set("leaves", ls.num_leaves);
-      topo.set("hosts_per_leaf", ls.hosts_per_leaf);
-      topo.set("host_gbps", ls.host_link_rate.gbps());
-      topo.set("spine_gbps", ls.spine_link_rate.gbps());
+    case net::TopologySpec::Kind::kLeafSpine:
+      set_leaf_spine_fields(topo, spec.leaf_spine());
       break;
-    }
-    case net::TopologySpec::Kind::kFatTree: {
-      const net::FatTreeSpec& ft = spec.fat_tree();
-      topo.set("k", ft.k);
-      topo.set("hosts_per_edge", ft.hosts_per_edge_effective());
-      topo.set("host_gbps", ft.host_link_rate.gbps());
-      topo.set("edge_agg_gbps", ft.edge_agg_rate.gbps());
-      topo.set("agg_core_gbps", ft.agg_core_rate.gbps());
-      topo.set("edge_oversubscription", ft.edge_oversubscription());
-      topo.set("agg_oversubscription", ft.agg_oversubscription());
+    case net::TopologySpec::Kind::kFatTree:
+      set_fat_tree_fields(topo, spec.fat_tree());
       break;
-    }
     case net::TopologySpec::Kind::kInterDc: {
       const net::InterDcSpec& idc = spec.inter_dc();
       topo.set("dc_a", dc_spec_json(idc.dc_a));
@@ -193,57 +231,14 @@ JsonValue tier_summaries_json(const net::Fabric& fabric, net::Network& net) {
     JsonValue row = JsonValue::object();
     row.set("label", tier.label);
     row.set("switches", static_cast<std::int64_t>(tier.devices.size()));
-    std::int64_t tx_bytes = 0;
-    std::int64_t marked_bytes = 0;
-    std::int64_t dropped = 0;
-    std::int64_t no_route = 0;
-    std::int64_t buffer_full = 0;
-    std::int64_t pauses = 0;
-    std::int64_t installs = 0;
-    std::int64_t kmin_min = 0;
-    std::int64_t kmin_max = 0;
-    std::int64_t kmax_min = 0;
-    std::int64_t kmax_max = 0;
-    bool first = true;
+    SwitchRollup rollup;
     for (const net::DeviceId id : tier.devices) {
       const auto* sw = dynamic_cast<const net::SwitchDevice*>(&net.device(id));
       if (sw == nullptr) continue;
-      for (std::int32_t p = 0; p < sw->num_ports(); ++p) {
-        tx_bytes += sw->port(p).tx_bytes();
-        marked_bytes += sw->port(p).tx_marked_bytes();
-        dropped += sw->port(p).dropped_packets();
-      }
-      no_route += sw->dropped_no_route();
-      buffer_full += sw->dropped_buffer_full();
-      pauses += sw->pfc_pauses_sent();
-      installs += sw->ecn_installs();
-      const net::EcnConfigSummary ecn = sw->ecn_config_summary();
-      if (first) {
-        kmin_min = ecn.kmin_min_bytes;
-        kmin_max = ecn.kmin_max_bytes;
-        kmax_min = ecn.kmax_min_bytes;
-        kmax_max = ecn.kmax_max_bytes;
-        first = false;
-      } else {
-        kmin_min = std::min(kmin_min, ecn.kmin_min_bytes);
-        kmin_max = std::max(kmin_max, ecn.kmin_max_bytes);
-        kmax_min = std::min(kmax_min, ecn.kmax_min_bytes);
-        kmax_max = std::max(kmax_max, ecn.kmax_max_bytes);
-      }
+      rollup.add(*sw, sw->ecn_config_summary());
     }
-    row.set("tx_bytes", tx_bytes);
-    row.set("tx_marked_bytes", marked_bytes);
-    row.set("port_dropped_packets", dropped);
-    row.set("dropped_no_route", no_route);
-    row.set("dropped_buffer_full", buffer_full);
-    row.set("pfc_pauses_sent", pauses);
-    row.set("ecn_installs", installs);
-    JsonValue ecn = JsonValue::object();
-    ecn.set("kmin_min_bytes", kmin_min);
-    ecn.set("kmin_max_bytes", kmin_max);
-    ecn.set("kmax_min_bytes", kmax_min);
-    ecn.set("kmax_max_bytes", kmax_max);
-    row.set("ecn_config", std::move(ecn));
+    rollup.set_counters(row);
+    row.set("ecn_config", rollup.ecn_json());
     tiers.push_back(std::move(row));
   }
   return tiers;

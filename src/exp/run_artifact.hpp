@@ -39,7 +39,8 @@ class RunArtifact {
   /// Bench execution mode ("quick" / "scaled" / "paper-scale" / "test").
   void set_mode(std::string mode);
   void set_seed(std::uint64_t seed);
-  /// Worker threads used (parallel replica runs; 1 for sequential benches).
+  /// Worker threads the run used (default 1: sequential benches and sweep
+  /// points; a merged sweep artifact records its --threads).
   void set_threads(std::int32_t threads);
   /// Capture the scenario a run was built from (scheme, workload, load,
   /// topology, phases). Multi-scenario benches record their primary one.
@@ -106,9 +107,9 @@ class RunArtifact {
 };
 
 /// The scenario block of the manifest (scheme, workload, load, seed,
-/// topology, phases, incast, flow-size cap, inference mode). Sweeps and
-/// ReplicaRunner checkpoints compare it to tell whether recorded work
-/// belongs to a scenario.
+/// topology, phases, incast, flow-size cap, inference mode). A resumed
+/// sweep compares it to tell whether a point artifact belongs to the
+/// point's scenario.
 [[nodiscard]] JsonValue scenario_json(const ScenarioConfig& cfg);
 
 /// The full topology spec as JSON — the manifest "topology" block (always

@@ -15,7 +15,6 @@
 #include <utility>
 
 #include "exp/metrics.hpp"
-#include "exp/replica_runner.hpp"
 #include "exp/run_artifact.hpp"
 #include "sim/rng.hpp"
 #include "sim/time.hpp"
@@ -55,13 +54,6 @@ std::string format_point_id(Scheme scheme, double load, std::uint64_t seed) {
   return buf;
 }
 
-std::string hex_u64(std::uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "0x%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
-
 /// Per-attempt rendezvous between the supervising pool worker and the
 /// attempt thread. Heap-shared so an abandoned (hung) attempt can finish
 /// writing its outcome after the supervisor has moved on.
@@ -74,7 +66,7 @@ struct AttemptShared {
 
 }  // namespace
 
-std::vector<SweepPoint> SweepGrid::expand(std::int32_t train_episodes) const {
+std::vector<SweepPoint> SweepGrid::expand() const {
   // An empty topology axis is a single unnamed point on the base topology,
   // which keeps the historical "<scheme>_load<g>_seed<n>" ids.
   const std::vector<NamedTopologySpec> ax_topo =
@@ -103,8 +95,6 @@ std::vector<SweepPoint> SweepGrid::expand(std::int32_t train_episodes) const {
           p.cfg.scheme = scheme;
           p.cfg.load = load;
           p.cfg.seed = seed;
-          p.training = train_episodes > 0 && (scheme == Scheme::kPet ||
-                                              scheme == Scheme::kPetAblation);
           points.push_back(std::move(p));
         }
       }
@@ -118,10 +108,6 @@ SweepRunner::SweepRunner(SweepGrid grid, SweepRunnerConfig cfg)
 
 std::string SweepRunner::point_artifact_path(const SweepPoint& p) const {
   return cfg_.out_dir + "/point_" + p.id + ".json";
-}
-
-std::string SweepRunner::point_checkpoint_path(const SweepPoint& p) const {
-  return cfg_.out_dir + "/point_" + p.id + ".ckpt";
 }
 
 std::string SweepRunner::merged_artifact_path() const {
@@ -144,7 +130,6 @@ bool SweepRunner::write_point_artifact(const SweepPoint& point,
   RunArtifact art("point_" + point.id);
   art.set_mode("sweep");
   art.set_seed(point.cfg.seed);
-  art.set_threads(point.training ? replica_threads_ : 1);
   art.set_scenario(point.cfg);
   for (const auto& [key, value] : metrics.members()) {
     art.add_metric(key, value);
@@ -154,84 +139,7 @@ bool SweepRunner::write_point_artifact(const SweepPoint& point,
   return true;
 }
 
-SweepRunner::AttemptOutcome SweepRunner::run_training_attempt(
-    const SweepPoint& point, const std::atomic<bool>& cancel,
-    bool allow_resume) {
-  AttemptOutcome out;
-  ReplicaRunner runner(point.cfg, {.replicas = cfg_.replicas,
-                                   .threads = replica_threads_,
-                                   .episodes = cfg_.train_episodes});
-
-  const std::string ckpt = point_checkpoint_path(point);
-  // Resumed sweeps and retried attempts continue from the latest
-  // checkpoint; a fresh (resume=false) first attempt ignores stale
-  // checkpoints on disk.
-  if (allow_resume) {
-    std::string error;
-    if (runner.load_checkpoint(ckpt, &error)) {
-      out.resumed = true;
-      out.resumed_from_episode = runner.next_episode();
-    } else if (std::filesystem::exists(ckpt)) {
-      std::fprintf(stderr, "sweep: ignoring checkpoint %s (%s)\n",
-                   ckpt.c_str(), error.c_str());
-    }
-  }
-
-  std::int32_t saved_episode = runner.next_episode();
-  const auto checkpoint = [&] {
-    if (runner.save_checkpoint(ckpt)) {
-      note_durable_write();
-      saved_episode = runner.next_episode();
-    } else {
-      std::fprintf(stderr, "sweep: failed to checkpoint %s\n", ckpt.c_str());
-    }
-  };
-  while (runner.next_episode() < cfg_.train_episodes) {
-    if (cancel.load(std::memory_order_relaxed) ||
-        stop_.load(std::memory_order_relaxed)) {
-      // A stop request (SIGINT) keeps the episodes run since the last
-      // checkpoint; a watchdog-cancelled attempt writes nothing more.
-      if (!cancel.load(std::memory_order_relaxed) &&
-          cfg_.checkpoint_every > 0 && runner.next_episode() > saved_episode) {
-        checkpoint();
-      }
-      out.error = "cancelled";
-      return out;
-    }
-    const ReplicaRunner::EpisodeStats st = runner.run_episode();
-    std::fprintf(stderr, "sweep: %s episode %d: reward %.3f over %zu "
-                 "transitions\n", point.id.c_str(), st.episode,
-                 st.mean_reward, st.transitions);
-    const std::int32_t episodes_done = runner.next_episode();
-    if (cfg_.checkpoint_every > 0 &&
-        (episodes_done % cfg_.checkpoint_every == 0 ||
-         episodes_done == cfg_.train_episodes)) {
-      checkpoint();
-    }
-  }
-
-  if (cancel.load(std::memory_order_relaxed)) {
-    out.error = "cancelled";
-    return out;
-  }
-  std::size_t transitions = 0;
-  for (const ReplicaRunner::EpisodeStats& st : runner.history()) {
-    transitions += st.transitions;
-  }
-  JsonValue metrics = JsonValue::object();
-  metrics.set("episodes",
-              static_cast<double>(runner.history().size()));
-  metrics.set("total_transitions", static_cast<double>(transitions));
-  metrics.set("final_mean_reward", runner.history().empty()
-                                       ? 0.0
-                                       : runner.history().back().mean_reward);
-  metrics.set("rollout_digest", hex_u64(runner.last_digest()));
-  out.ok = write_point_artifact(point, metrics);
-  if (!out.ok) out.error = "artifact write failed";
-  return out;
-}
-
-SweepRunner::AttemptOutcome SweepRunner::run_eval_attempt(
+SweepRunner::AttemptOutcome SweepRunner::run_attempt(
     const SweepPoint& point, const std::atomic<bool>& cancel) {
   AttemptOutcome out;
   Experiment ex(point.cfg);
@@ -259,13 +167,6 @@ SweepRunner::AttemptOutcome SweepRunner::run_eval_attempt(
   out.ok = metrics != nullptr && write_point_artifact(point, *metrics);
   if (!out.ok) out.error = "artifact write failed";
   return out;
-}
-
-SweepRunner::AttemptOutcome SweepRunner::run_attempt(
-    const SweepPoint& point, const std::atomic<bool>& cancel,
-    bool allow_resume) {
-  return point.training ? run_training_attempt(point, cancel, allow_resume)
-                        : run_eval_attempt(point, cancel);
 }
 
 SweepRunner::PointStatus SweepRunner::run_point(const SweepPoint& point) {
@@ -309,8 +210,7 @@ SweepRunner::PointStatus SweepRunner::run_point(const SweepPoint& point) {
         if (shared->cancel.load(std::memory_order_relaxed)) {
           out.error = "cancelled";
         } else {
-          out = run_attempt(point, shared->cancel,
-                            cfg_.resume || attempt > 0);
+          out = run_attempt(point, shared->cancel);
         }
       } catch (const std::exception& e) {
         out.ok = false;
@@ -361,18 +261,9 @@ SweepRunner::PointStatus SweepRunner::run_point(const SweepPoint& point) {
                    point.id.c_str(), attempt, cfg_.watchdog_seconds);
     }
 
-    if (out.resumed && status.resumed_from_episode == 0) {
-      status.resumed_from_episode = out.resumed_from_episode;
-    }
     if (out.ok) {
       status.completed = true;
-      if (status.attempts > 1) {
-        status.status = "retried";
-      } else if (out.resumed) {
-        status.status = "resumed";
-      } else {
-        status.status = "ok";
-      }
+      status.status = status.attempts > 1 ? "retried" : "ok";
       return status;
     }
     if (stop_.load(std::memory_order_relaxed)) {
@@ -418,7 +309,6 @@ void SweepRunner::write_merged_artifact(Result& result) const {
     row.set("id", st.id);
     row.set("status", st.status);
     row.set("attempts", st.attempts);
-    row.set("resumed_from_episode", st.resumed_from_episode);
     points.push_back(std::move(row));
   }
   sweep.set("points", std::move(points));
@@ -445,20 +335,18 @@ void SweepRunner::write_merged_artifact(Result& result) const {
     }
     merged.add_metric(points_[i].id, *metrics);
   }
-  result.artifact_path = merged_artifact_path();
-  static_cast<void>(merged.write(result.artifact_path));
+  const std::string path = merged_artifact_path();
+  if (merged.write(path)) result.artifact_path = path;
 }
 
 SweepRunner::Result SweepRunner::run() {
-  points_ = grid_.expand(cfg_.train_episodes);
+  points_ = grid_.expand();
   // Reject settings the sweep cannot run before any thread starts or file
   // is written: one invalid load must not abort the process halfway
-  // through a grid, and two points with one id would race on one artifact.
+  // through a grid, two points with one id would race on one artifact, and
+  // an unusable output directory would fail every attempt.
   if (cfg_.max_retries < 0) {
     throw std::invalid_argument("sweep: max_retries must be >= 0");
-  }
-  if (cfg_.train_episodes > 0 && cfg_.replicas < 1) {
-    throw std::invalid_argument("sweep: replicas must be >= 1 to train");
   }
   std::set<std::string> ids;
   for (const SweepPoint& p : points_) {
@@ -474,16 +362,21 @@ SweepRunner::Result SweepRunner::run() {
   }
   std::error_code ec;
   std::filesystem::create_directories(cfg_.out_dir, ec);
+  if (ec) {
+    throw std::invalid_argument("sweep: cannot create output directory " +
+                                cfg_.out_dir + ": " + ec.message());
+  }
+  if (!std::filesystem::is_directory(cfg_.out_dir, ec)) {
+    throw std::invalid_argument("sweep: output directory " + cfg_.out_dir +
+                                " is not a directory");
+  }
 
   std::int32_t threads = cfg_.threads;
   if (threads <= 0) {
     threads = static_cast<std::int32_t>(std::thread::hardware_concurrency());
   }
-  const auto num_points = static_cast<std::int32_t>(points_.size());
-  // A lone training point runs its replicas on the whole pool; a full grid
-  // keeps one thread per point so the sweep never oversubscribes.
-  replica_threads_ = std::max(1, threads / num_points);
-  threads = std::max(1, std::min(threads, num_points));
+  threads = std::max(
+      1, std::min(threads, static_cast<std::int32_t>(points_.size())));
 
   std::vector<PointStatus> statuses(points_.size());
   std::atomic<std::size_t> ticket{0};

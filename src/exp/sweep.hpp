@@ -1,6 +1,6 @@
 #pragma once
 // exp::SweepRunner — fault-tolerant orchestration of a declarative
-// experiment grid on top of ReplicaRunner / Experiment.
+// evaluation grid of Experiment runs.
 //
 // A sweep expands a SweepGrid (scheme × load × seed axes over a base
 // scenario) into independent points, schedules them over a worker pool and
@@ -8,14 +8,9 @@
 //
 //   * every point writes a durable per-point run-artifact
 //     (<out_dir>/point_<id>.json, atomic tmp+fsync+rename) — a valid
-//     artifact recorded for the point's scenario IS the completion marker,
-//     so a re-run with resume=true skips finished points;
-//   * training points (PET schemes with train_episodes > 0) checkpoint the
-//     ReplicaRunner every checkpoint_every episodes, and on a stop request,
-//     to <out_dir>/point_<id>.ckpt; a resumed or retried attempt reloads
-//     the latest checkpoint of the same scenario and continues
-//     bitwise-identically (episodes are pure functions of
-//     weights-at-boundary and the seed tree);
+//     artifact recorded for the point's scenario IS the completion marker
+//     and the sweep's only resume state, so a re-run with resume=true skips
+//     finished points and re-runs the rest from the start;
 //   * each attempt runs under a watchdog deadline: a point that exceeds it
 //     is cooperatively cancelled, given a grace period, then abandoned and
 //     retried with capped exponential backoff and deterministic seeded
@@ -23,7 +18,7 @@
 //     rest of the grid completes;
 //   * the merged sweep artifact (pet.run-artifact/1) nests every point's
 //     metrics under its id and records per-point execution status
-//     (ok/resumed/retried/quarantined) in the manifest — the manifest is
+//     (ok/retried/quarantined/stopped) in the manifest — the manifest is
 //     stripped by golden canonicalization, so an interrupted-and-resumed
 //     sweep byte-matches an uninterrupted one.
 
@@ -48,13 +43,9 @@ namespace pet::exp {
 struct SweepPoint {
   std::int32_t index = 0;
   /// Stable id ("<scheme>_load<g>_seed<n>", prefixed "<topology>_" when the
-  /// grid sweeps topologies) naming the point's artifact and checkpoint
-  /// files.
+  /// grid sweeps topologies) naming the point's artifact file.
   std::string id;
   ScenarioConfig cfg;
-  /// Training points run ReplicaRunner episodes; eval points run the
-  /// scenario timeline once.
-  bool training = false;
 };
 
 /// One topology axis value: the name keys the point id (keep it short and
@@ -76,30 +67,17 @@ struct SweepGrid {
   std::vector<double> loads;
   std::vector<std::uint64_t> seeds;
 
-  [[nodiscard]] std::vector<SweepPoint> expand(
-      std::int32_t train_episodes) const;
+  [[nodiscard]] std::vector<SweepPoint> expand() const;
 };
 
 struct SweepRunnerConfig {
-  /// Directory for per-point artifacts, checkpoints and the merged sweep
-  /// artifact (created if missing).
+  /// Directory for per-point artifacts and the merged sweep artifact
+  /// (created if missing).
   std::string out_dir = ".";
   /// Concurrent points (0 = hardware concurrency, capped at grid size).
-  /// Each training point runs its replicas on max(1, threads / points)
-  /// threads, so a one-point sweep trains on the whole pool.
   std::int32_t threads = 0;
-  /// Skip points whose artifact validates and records the point's
-  /// scenario; resume partial training points from their latest checkpoint
-  /// of the same scenario.
+  /// Skip points whose artifact validates and records the point's scenario.
   bool resume = false;
-
-  /// ReplicaRunner episodes for training points (0 = every point is a
-  /// plain eval run).
-  std::int32_t train_episodes = 0;
-  /// Replicas per training episode.
-  std::int32_t replicas = 2;
-  /// Checkpoint cadence in episodes (0 disables checkpointing).
-  std::int32_t checkpoint_every = 1;
 
   /// Wall-clock deadline per attempt; 0 disables the watchdog.
   double watchdog_seconds = 0.0;
@@ -114,8 +92,8 @@ struct SweepRunnerConfig {
   double backoff_cap_seconds = 30.0;
 
   /// Fault injection for crash-safety tests: terminate the process
-  /// (std::_Exit) after this many durable writes (checkpoints + point
-  /// artifacts); 0 disables.
+  /// (std::_Exit) after this many durable point-artifact writes; 0
+  /// disables.
   std::int32_t crash_after_writes = 0;
   /// Fault injection for watchdog tests: called at the start of every
   /// attempt on the worker thread (point, attempt index). May block (to
@@ -127,14 +105,11 @@ class SweepRunner {
  public:
   struct PointStatus {
     std::string id;
-    /// "ok" | "resumed" | "retried" | "quarantined" | "stopped".
+    /// "ok" | "retried" | "quarantined" | "stopped".
     std::string status = "ok";
     /// Attempts executed by THIS run (0 = artifact reused from a previous
     /// run).
     std::int32_t attempts = 0;
-    /// Episode the first executing attempt continued from (training points
-    /// restored from a checkpoint; 0 = started fresh).
-    std::int32_t resumed_from_episode = 0;
     bool completed = false;
   };
 
@@ -142,7 +117,8 @@ class SweepRunner {
     std::vector<PointStatus> points;
     std::int32_t completed = 0;
     std::int32_t quarantined = 0;
-    /// Path of the merged sweep artifact.
+    /// Path of the merged sweep artifact; empty when it could not be
+    /// written.
     std::string artifact_path;
     [[nodiscard]] bool all_completed() const { return quarantined == 0; }
   };
@@ -152,8 +128,9 @@ class SweepRunner {
   /// Run (or resume) the whole grid and write the merged artifact. Throws
   /// std::invalid_argument if an expanded point fails
   /// ScenarioConfig::validate() or shares another point's id (both name
-  /// the point), if max_retries < 0, or if a training sweep has
-  /// replicas < 1; nothing has run or been written then.
+  /// the point), if max_retries < 0, or if out_dir cannot be created or is
+  /// not a directory (named in the message); nothing has run or been
+  /// written then.
   [[nodiscard]] Result run();
 
   /// Cooperative external cancellation (e.g. from a signal handler): the
@@ -163,42 +140,30 @@ class SweepRunner {
 
   /// File naming scheme shared with tests and the CLI.
   [[nodiscard]] std::string point_artifact_path(const SweepPoint& p) const;
-  [[nodiscard]] std::string point_checkpoint_path(const SweepPoint& p) const;
   [[nodiscard]] std::string merged_artifact_path() const;
 
  private:
   struct AttemptOutcome {
     bool ok = false;
-    bool resumed = false;
-    std::int32_t resumed_from_episode = 0;
     std::string error;
   };
 
   /// Execute one attempt of `point` on the calling thread, polling
-  /// `cancel`. Writes the point artifact on success. `allow_resume` lets
-  /// training attempts continue from an on-disk checkpoint (true when the
-  /// sweep resumes or the attempt is a retry).
+  /// `cancel`. Writes the point artifact on success.
   [[nodiscard]] AttemptOutcome run_attempt(const SweepPoint& point,
-                                           const std::atomic<bool>& cancel,
-                                           bool allow_resume);
-  [[nodiscard]] AttemptOutcome run_training_attempt(
-      const SweepPoint& point, const std::atomic<bool>& cancel,
-      bool allow_resume);
-  [[nodiscard]] AttemptOutcome run_eval_attempt(
-      const SweepPoint& point, const std::atomic<bool>& cancel);
+                                           const std::atomic<bool>& cancel);
   /// Full per-point supervision: resume check, attempt/watchdog/retry loop.
   [[nodiscard]] PointStatus run_point(const SweepPoint& point);
   /// Count a durable write and honor crash_after_writes fault injection.
   void note_durable_write();
   [[nodiscard]] bool write_point_artifact(const SweepPoint& point,
                                           const JsonValue& metrics);
+  /// Sets result.artifact_path only when the write succeeds.
   void write_merged_artifact(Result& result) const;
 
   SweepGrid grid_ PET_READ_SHARED;
   SweepRunnerConfig cfg_ PET_READ_SHARED;
   std::vector<SweepPoint> points_ PET_READ_SHARED;  // filled before the pool
-  /// ReplicaRunner threads per training point: max(1, pool / points).
-  std::int32_t replica_threads_ PET_READ_SHARED = 1;
   std::atomic<bool> stop_{false};
   std::atomic<std::int32_t> durable_writes_{0};
   /// Watchdog-abandoned attempt threads; joined at the end of run() once

@@ -1,7 +1,6 @@
 #include "rl/adam.hpp"
 
 #include <cmath>
-#include <utility>
 
 #include "rl/kernels.hpp"
 
@@ -37,29 +36,6 @@ void Adam::step() {
                      std::span<double>(v_).subspan(off, n));
     off += n;
   }
-}
-
-void Adam::save_state(sim::ByteSink& out) const {
-  out.f64(cfg_.lr);
-  out.i64(t_);
-  out.f64_vec(m_);
-  out.f64_vec(v_);
-}
-
-bool Adam::load_state(sim::ByteSource& in) {
-  const double lr = in.f64();
-  const std::int64_t t = in.i64();
-  std::vector<double> m = in.f64_vec();
-  std::vector<double> v = in.f64_vec();
-  if (!in.ok() || t < 0 || m.size() != refs_.size() ||
-      v.size() != refs_.size()) {
-    return false;
-  }
-  cfg_.lr = lr;
-  t_ = t;
-  m_ = std::move(m);
-  v_ = std::move(v);
-  return true;
 }
 
 }  // namespace pet::rl

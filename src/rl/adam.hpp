@@ -4,10 +4,11 @@
 // the update kernel over every layer's weight and bias blocks in turn.
 
 #include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "rl/mlp.hpp"
-#include "sim/checkpoint.hpp"
 
 namespace pet::rl {
 
@@ -31,18 +32,13 @@ class Adam {
   void set_lr(double lr) { cfg_.lr = lr; }
   [[nodiscard]] double lr() const { return cfg_.lr; }
   [[nodiscard]] std::int64_t steps() const { return t_; }
+  /// First and second moment estimates, in ParamRefs order.
+  [[nodiscard]] std::span<const double> first_moments() const { return m_; }
+  [[nodiscard]] std::span<const double> second_moments() const { return v_; }
 
   /// Apply one update from the currently accumulated gradients.
   /// Does NOT zero the gradients; callers own that.
   void step();
-
-  /// Checkpoint the optimizer trajectory: step count, first/second moment
-  /// estimates, and the (mutable) learning rate. The rest of the config is
-  /// construction-time and not saved.
-  void save_state(sim::ByteSink& out) const;
-  /// Restores the trajectory; false (optimizer untouched) when the moment
-  /// vectors do not match this optimizer's parameter count.
-  [[nodiscard]] bool load_state(sim::ByteSource& in);
 
  private:
   ParamRefs refs_;

@@ -200,47 +200,6 @@ std::size_t Mlp::num_params() const {
   return total;
 }
 
-void Linear::save_state(sim::ByteSink& out) const {
-  out.i32(in_);
-  out.i32(out_);
-  out.f64_vec(w_);
-  out.f64_vec(b_);
-}
-
-bool Linear::load_state(sim::ByteSource& in) {
-  const std::int32_t in_size = in.i32();
-  const std::int32_t out_size = in.i32();
-  std::vector<double> w = in.f64_vec();
-  std::vector<double> b = in.f64_vec();
-  if (!in.ok() || in_size != in_ || out_size != out_ || w.size() != w_.size() ||
-      b.size() != b_.size()) {
-    return false;
-  }
-  w_ = std::move(w);
-  b_ = std::move(b);
-  repack();
-  return true;
-}
-
-void Mlp::save_state(sim::ByteSink& out) const {
-  out.i32_vec(sizes_);
-  out.u8(act_ == Activation::kTanh ? 0 : 1);
-  for (const Linear& layer : layers_) layer.save_state(out);
-}
-
-bool Mlp::load_state(sim::ByteSource& in) {
-  const std::vector<std::int32_t> sizes = in.i32_vec();
-  const std::uint8_t act = in.u8();
-  if (!in.ok() || sizes != sizes_ ||
-      act != (act_ == Activation::kTanh ? 0 : 1)) {
-    return false;
-  }
-  for (Linear& layer : layers_) {
-    if (!layer.load_state(in)) return false;
-  }
-  return true;
-}
-
 // ---------------------------------------------------------------------------
 
 std::size_t ParamRefs::size() const {

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "rl/kernels.hpp"
-#include "sim/checkpoint.hpp"
 #include "sim/rng.hpp"
 
 namespace pet::rl {
@@ -32,8 +31,8 @@ struct ParamRefs {
 /// Fully connected layer y = W x + b with gradient accumulation. The layer
 /// keeps a second copy of W in the GEMM's tile layout (kern::pack_weights_f64)
 /// and rebuilds it at the end of every member that writes parameters
-/// (construction, set_params, adam_step, load_state), so forward_batch is
-/// const, read-only and never repacks.
+/// (construction, set_params, adam_step), so forward_batch is const,
+/// read-only and never repacks.
 class Linear {
  public:
   Linear(std::int32_t in, std::int32_t out, sim::Rng& rng);
@@ -79,13 +78,6 @@ class Linear {
   /// layer's num_params() moments in the same flat order.
   void adam_step(const kern::AdamStep& step, std::span<double> m,
                  std::span<double> v);
-
-  /// Checkpoint the layer shape + parameters (gradients are transient and
-  /// zeroed before every update, so they are not saved).
-  void save_state(sim::ByteSink& out) const;
-  /// Restores parameters; false (layer untouched) on a shape mismatch or
-  /// truncated payload.
-  [[nodiscard]] bool load_state(sim::ByteSource& in);
 
  private:
   void repack();
@@ -152,12 +144,6 @@ class Mlp {
   void collect(ParamRefs& refs);
 
   [[nodiscard]] std::size_t num_params() const;
-
-  /// Checkpoint architecture fingerprint + all layer parameters.
-  void save_state(sim::ByteSink& out) const;
-  /// Restores all layers; false on an architecture mismatch (sizes or
-  /// activation differ) or truncated payload.
-  [[nodiscard]] bool load_state(sim::ByteSource& in);
 
  private:
   std::vector<std::int32_t> sizes_;

@@ -139,40 +139,21 @@ std::vector<PpoAgent::Evaluation> PpoAgent::evaluate_batch(
 
 PpoAgent::UpdateStats PpoAgent::update(const RolloutBuffer& buffer,
                                        double bootstrap_value) {
-  const RolloutSlice slice{&buffer, bootstrap_value};
-  return update_merged({&slice, 1});
-}
-
-PpoAgent::UpdateStats PpoAgent::update_merged(
-    std::span<const RolloutSlice> slices) {
   UpdateStats stats;
-
-  // Per-slice GAE (trajectories from different replicas must not bleed
-  // into each other), concatenated in slice order so the merged batch is
-  // deterministic for a given slice ordering.
-  std::vector<const Transition*> items;
-  std::vector<double> advantages;
-  std::vector<double> returns;
-  for (const RolloutSlice& slice : slices) {
-    if (slice.buffer == nullptr || slice.buffer->empty()) continue;
-    const auto& its = slice.buffer->items();
-    const std::size_t len = its.size();
-    std::vector<double> rewards(len);
-    std::vector<double> values(len);
-    for (std::size_t i = 0; i < len; ++i) {
-      rewards[i] = its[i].reward;
-      values[i] = its[i].value;
-    }
-    const GaeResult gae = compute_gae(rewards, values, slice.bootstrap_value,
-                                      cfg_.gamma, cfg_.gae_lambda);
-    for (std::size_t i = 0; i < len; ++i) {
-      items.push_back(&its[i]);
-      advantages.push_back(gae.advantages[i]);
-      returns.push_back(gae.returns[i]);
-    }
-  }
+  const std::vector<Transition>& items = buffer.items();
   const std::size_t n = items.size();
   if (n == 0) return stats;
+
+  std::vector<double> rewards(n);
+  std::vector<double> values(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    rewards[i] = items[i].reward;
+    values[i] = items[i].value;
+  }
+  GaeResult gae = compute_gae(rewards, values, bootstrap_value, cfg_.gamma,
+                              cfg_.gae_lambda);
+  std::vector<double>& advantages = gae.advantages;
+  const std::vector<double>& returns = gae.returns;
   normalize(advantages);
 
   std::vector<std::size_t> order(n);
@@ -219,7 +200,7 @@ PpoAgent::UpdateStats PpoAgent::update_merged(
       // batch kernels), instead of once per sample.
       states.resize(bs * input);
       for (std::size_t k = 0; k < bs; ++k) {
-        const Transition& tr = *items[order[start + k]];
+        const Transition& tr = items[order[start + k]];
         std::copy(tr.state.begin(), tr.state.end(),
                   states.begin() + static_cast<std::ptrdiff_t>(k * input));
       }
@@ -234,7 +215,7 @@ PpoAgent::UpdateStats PpoAgent::update_merged(
         const auto nh = static_cast<std::size_t>(actor_heads_[h].output_size());
         probs[h].resize(bs * nh);
         for (std::size_t k = 0; k < bs; ++k) {
-          const Transition& tr = *items[order[start + k]];
+          const Transition& tr = items[order[start + k]];
           const std::span<const double> lrow(&logits[h][k * nh], nh);
           const std::span<double> prow(&probs[h][k * nh], nh);
           softmax(lrow, prow);
@@ -247,7 +228,7 @@ PpoAgent::UpdateStats PpoAgent::update_merged(
       dlogp.resize(bs);
       dv.resize(bs);
       for (std::size_t k = 0; k < bs; ++k) {
-        const Transition& tr = *items[order[start + k]];
+        const Transition& tr = items[order[start + k]];
         const double adv = advantages[order[start + k]];
         const double ret = returns[order[start + k]];
 
@@ -276,7 +257,7 @@ PpoAgent::UpdateStats PpoAgent::update_merged(
         const auto nh = static_cast<std::size_t>(actor_heads_[h].output_size());
         dlogits[h].assign(bs * nh, 0.0);
         for (std::size_t k = 0; k < bs; ++k) {
-          const Transition& tr = *items[order[start + k]];
+          const Transition& tr = items[order[start + k]];
           const std::span<const double> prow(&probs[h][k * nh], nh);
           const std::span<double> drow(&dlogits[h][k * nh], nh);
           log_prob_grad(prow, tr.actions[h], dlogp[k], drow);
@@ -333,73 +314,6 @@ bool PpoAgent::set_weights(std::span<const double> values) {
   restore_params(refs_, values);
   ++weights_version_;
   return true;
-}
-
-void PpoAgent::save_state(sim::ByteSink& out) const {
-  // Architecture fingerprint first, so a load against a differently shaped
-  // agent fails before any state is touched.
-  out.i32(cfg_.input_size);
-  out.i32_vec(cfg_.head_sizes);
-  out.i32_vec(cfg_.hidden);
-  out.u64(refs_.size());
-  out.f64_vec(weights());
-  actor_opt_->save_state(out);
-  critic_opt_->save_state(out);
-  out.f64(exploration_rate_);
-  out.f64(cfg_.clip_eps);
-  out.f64(cfg_.entropy_coef);
-  sim::save_rng(out, shuffle_rng_);
-}
-
-bool PpoAgent::load_state(sim::ByteSource& in) {
-  std::optional<PendingState> state = parse_state(in);
-  if (!state.has_value()) return false;
-  commit_state(std::move(*state));
-  return true;
-}
-
-std::optional<PpoAgent::PendingState> PpoAgent::parse_state(
-    sim::ByteSource& in) const {
-  const std::int32_t input_size = in.i32();
-  const std::vector<std::int32_t> head_sizes = in.i32_vec();
-  const std::vector<std::int32_t> hidden = in.i32_vec();
-  const std::uint64_t num = in.u64();
-  if (!in.ok() || input_size != cfg_.input_size ||
-      head_sizes != cfg_.head_sizes || hidden != cfg_.hidden ||
-      num != refs_.size()) {
-    return std::nullopt;
-  }
-  PendingState state;
-  state.params = in.f64_vec();
-  if (!in.ok() || state.params.size() != refs_.size()) return std::nullopt;
-  // Staged copies of this agent's optimizers (same layers, same config):
-  // Adam::load_state replaces their learning rate, step count and moments,
-  // and nothing steps them before commit_state installs them.
-  state.owner = this;
-  state.actor_opt = std::make_unique<Adam>(*actor_opt_);
-  state.critic_opt = std::make_unique<Adam>(*critic_opt_);
-  if (!state.actor_opt->load_state(in) || !state.critic_opt->load_state(in)) {
-    return std::nullopt;
-  }
-  state.exploration_rate = in.f64();
-  state.clip_eps = in.f64();
-  state.entropy_coef = in.f64();
-  if (!in.ok() || !load_rng(in, state.shuffle_rng)) return std::nullopt;
-  return state;
-}
-
-void PpoAgent::commit_state(PendingState state) {
-  // The staged optimizers update the parsing agent's layers.
-  assert(state.owner == this);
-  assert(state.params.size() == refs_.size());
-  restore_params(refs_, state.params);
-  ++weights_version_;
-  actor_opt_ = std::move(state.actor_opt);
-  critic_opt_ = std::move(state.critic_opt);
-  exploration_rate_ = state.exploration_rate;
-  cfg_.clip_eps = state.clip_eps;
-  cfg_.entropy_coef = state.entropy_coef;
-  shuffle_rng_ = state.shuffle_rng;
 }
 
 }  // namespace pet::rl

@@ -7,13 +7,12 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
+#include <span>
 #include <vector>
 
 #include "rl/adam.hpp"
 #include "rl/mlp.hpp"
 #include "rl/rollout.hpp"
-#include "sim/checkpoint.hpp"
 #include "sim/rng.hpp"
 
 namespace pet::rl {
@@ -88,30 +87,14 @@ class PpoAgent {
     std::int32_t minibatches = 0;
   };
 
-  /// One PPO update from a contiguous trajectory; leaves the buffer intact
-  /// (callers clear it).
+  /// One PPO update from a contiguous trajectory: GAE bootstrapped from
+  /// `bootstrap_value`, advantages normalized, then the shuffled-minibatch
+  /// epochs. Leaves the buffer intact (callers clear it).
   UpdateStats update(const RolloutBuffer& buffer, double bootstrap_value);
-
-  /// One independently collected trajectory segment contributing to a
-  /// merged update: GAE never crosses slice boundaries, each slice
-  /// bootstraps from its own final state.
-  struct RolloutSlice {
-    const RolloutBuffer* buffer = nullptr;
-    double bootstrap_value = 0.0;
-  };
-
-  /// Merged update over trajectories from independent replicas of the same
-  /// policy (parallel rollout collection): per-slice GAE, advantages
-  /// normalized jointly, then the usual shuffled-minibatch epochs over the
-  /// union. Slices must be passed in a deterministic order (replica id) —
-  /// the result is then a pure function of (weights, slices, seed),
-  /// independent of how many threads collected them. update() is the
-  /// single-slice special case.
-  UpdateStats update_merged(std::span<const RolloutSlice> slices);
 
   // --- online-training knobs (hybrid training, Section 4.4) -----------------
   /// The exploration rate the policy's agents last acted with. act_batch
-  /// takes its rates per row; this copy is reported and checkpointed.
+  /// takes its rates per row; this copy is reported.
   void set_exploration_rate(double rate) { exploration_rate_ = rate; }
   [[nodiscard]] double exploration_rate() const { return exploration_rate_; }
   void set_clip_eps(double eps) { cfg_.clip_eps = eps; }
@@ -147,44 +130,11 @@ class PpoAgent {
     return actor_heads_[h];
   }
   /// Monotonic counter bumped whenever the parameters change (optimizer
-  /// steps, set_weights, load_state). A policy server compares it against
+  /// steps, set_weights). A policy server compares it against
   /// the version it quantized so steady-state ticks skip re-quantization.
   [[nodiscard]] std::uint64_t weights_version() const {
     return weights_version_;
   }
-
-  // --- checkpointing (pet.ckpt/1 section payloads) --------------------------
-  /// Full learning state: architecture fingerprint, parameters, both Adam
-  /// trajectories, the mutable training knobs, and the minibatch-shuffle
-  /// RNG position — everything needed so a restored agent continues the
-  /// exact update sequence an uninterrupted run would have produced.
-  void save_state(sim::ByteSink& out) const;
-  /// Restores a save_state payload; false (agent untouched) on an
-  /// architecture mismatch or corrupted payload. parse_state then
-  /// commit_state.
-  [[nodiscard]] bool load_state(sim::ByteSource& in);
-
-  /// A save_state payload read in full and checked against this agent's
-  /// architecture, but not yet applied. Its optimizers are bound to the
-  /// agent that parsed it (`owner`), the only one that may commit it.
-  struct PendingState {
-    const PpoAgent* owner = nullptr;
-    std::vector<double> params;
-    std::unique_ptr<Adam> actor_opt;
-    std::unique_ptr<Adam> critic_opt;
-    double exploration_rate = 0.0;
-    double clip_eps = 0.0;
-    double entropy_coef = 0.0;
-    sim::Rng shuffle_rng;
-  };
-  /// Parse a save_state payload without touching the agent; nullopt on an
-  /// architecture mismatch or corrupted payload. A caller restoring several
-  /// agents parses every payload before committing any, so one bad payload
-  /// leaves all of them untouched.
-  [[nodiscard]] std::optional<PendingState> parse_state(
-      sim::ByteSource& in) const;
-  /// Apply a payload this agent's parse_state accepted; cannot fail.
-  void commit_state(PendingState state);
 
  private:
   /// Per-head logits for a (batch x input_size) state matrix; logits[h] is

@@ -2,9 +2,9 @@
 // Crash-safe file writes.
 //
 // Every artifact the repo treats as a completion marker (run artifacts,
-// goldens, checkpoints, weight caches, CSV telemetry) must become visible
-// atomically: a crash mid-write must leave either the old file or no file,
-// never a truncated one that poisons golden gates or resume detection.
+// goldens, sweep point artifacts, weight caches, CSV telemetry) must become
+// visible atomically: a crash mid-write must leave either the old file or no
+// file, never a truncated one that poisons golden gates or resume detection.
 // `atomic_write_file` writes `<path>.tmp`, flushes it to disk (fsync), and
 // renames it over the target — rename(2) is atomic on POSIX filesystems.
 

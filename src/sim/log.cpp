@@ -5,16 +5,11 @@
 #include <cstring>
 #include <vector>
 
-#include "sim/thread_annotations.hpp"
-
 namespace pet::sim {
 
 namespace {
-// The logger's only mutable state: the level is an atomic read by every
-// thread, and the replica id is per-thread by construction.
+// The logger's only mutable state: an atomic read by every thread.
 std::atomic<LogLevel> g_level{LogLevel::kOff};
-thread_local std::int32_t t_replica_id PET_THREAD_CONFINED(owning_thread) =
-    -1;
 
 const char* level_tag(LogLevel level) {
   switch (level) {
@@ -33,24 +28,14 @@ void set_log_level(LogLevel level) {
   g_level.store(level, std::memory_order_relaxed);
 }
 
-void set_log_replica_id(std::int32_t replica) { t_replica_id = replica; }
-std::int32_t log_replica_id() { return t_replica_id; }
-
 namespace detail {
 
 void vlog(LogLevel level, Time now, const char* fmt, ...) {
   // Assemble the whole line first so concurrent writers emit whole lines;
   // a single fwrite to (unbuffered) stderr is atomic in practice.
   char prefix[96];
-  int n;
-  if (t_replica_id >= 0) {
-    n = std::snprintf(prefix, sizeof prefix, "[%s r%d %12s] ",
-                      level_tag(level), t_replica_id,
-                      now.to_string().c_str());
-  } else {
-    n = std::snprintf(prefix, sizeof prefix, "[%s %12s] ", level_tag(level),
-                      now.to_string().c_str());
-  }
+  const int n = std::snprintf(prefix, sizeof prefix, "[%s %12s] ",
+                              level_tag(level), now.to_string().c_str());
   if (n < 0) return;
 
   va_list args;

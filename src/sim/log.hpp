@@ -4,9 +4,8 @@
 //
 // Thread-safe: the level is a process-wide atomic, and each log line is
 // assembled in full before a single write(2)-sized fwrite to stderr, so
-// lines from concurrent ReplicaRunner workers never interleave mid-line.
-// Worker threads may tag their lines with a replica id
-// (set_log_replica_id) rendered as "r<N>" next to the level.
+// lines from concurrent workers (e.g. sweep points) never interleave
+// mid-line.
 
 #include <cstdio>
 #include <string>
@@ -20,12 +19,6 @@ enum class LogLevel { kOff = 0, kError, kWarn, kInfo, kDebug, kTrace };
 /// Process-wide log level (atomic; safe to read from any thread).
 LogLevel log_level();
 void set_log_level(LogLevel level);
-
-/// Tag this thread's log lines with a replica id (negative clears the
-/// tag). Thread-local: a ReplicaRunner worker sets it around each replica
-/// simulation so interleaved worker output stays attributable.
-void set_log_replica_id(std::int32_t replica);
-[[nodiscard]] std::int32_t log_replica_id();
 
 namespace detail {
 void vlog(LogLevel level, Time now, const char* fmt, ...)

@@ -12,7 +12,7 @@
 //     times are not and stay out of trace exports).
 //
 // Not thread-safe: one Profiler belongs to one simulation stack (each
-// replica of a parallel run owns its own), exactly like the Scheduler it
+// point of a parallel sweep owns its own), exactly like the Scheduler it
 // observes. Detached (nullptr) profilers cost a branch per use.
 
 #include <chrono>

@@ -69,13 +69,10 @@ class Rng {
   /// Bernoulli trial with probability p.
   [[nodiscard]] bool bernoulli(double p) { return uniform() < p; }
 
-  /// Current stream position, for checkpointing. Restoring via `set_state`
-  /// resumes the exact draw sequence.
+  /// Current stream position: two generators with equal states draw
+  /// equal sequences from here on.
   [[nodiscard]] std::array<std::uint64_t, 4> state() const {
     return {s_[0], s_[1], s_[2], s_[3]};
-  }
-  void set_state(const std::array<std::uint64_t, 4>& s) {
-    for (std::size_t i = 0; i < 4; ++i) s_[i] = s[i];
   }
 
  private:
@@ -90,18 +87,19 @@ class Rng {
 /// (arrivals, flow sizes, ECMP, agents, ...) an independent stream.
 [[nodiscard]] std::uint64_t derive_seed(std::uint64_t parent, std::string_view stream_name);
 
-/// Numeric-index variant for homogeneous families (replica 0..N-1, agent
-/// 0..A-1) where a name would just be a formatted integer.
+/// Numeric-index variant for homogeneous families (sweep point 0..N-1,
+/// agent 0..A-1) where a name would just be a formatted integer.
 [[nodiscard]] std::uint64_t derive_seed(std::uint64_t parent, std::uint64_t index);
 
 /// A node in the deterministic seed tree rooted at the scenario seed.
 ///
 /// Components receive a Stream instead of a raw seed and split it further
-/// (`child("bg")`, `child(replica_id)`), so every consumer owns an
+/// (`child("bg")`, `child(point_index)`), so every consumer owns an
 /// independent reproducible sequence and adding a consumer never perturbs
-/// its siblings. Replica parallelism leans on this: replica r of a run
-/// seeds everything from `Stream(seed).child("replica").child(r)`, making
-/// results a pure function of (seed, r) — never of thread count.
+/// its siblings. The sweep's retry backoff leans on this: attempt a of
+/// point p draws its jitter from
+/// `Stream(seed).child("sweep-retry").child(p).child(a)`, a pure function
+/// of (seed, p, a) — never of thread count.
 class Stream {
  public:
   constexpr explicit Stream(std::uint64_t seed) : seed_(seed) {}

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Bad input is a usage error, never a crash: pet_sim_cli and pet_sweep must
 # answer a flag value they cannot run with "<tool>: <message>" and exit 2,
-# and pet_sweep must treat a corrupt checkpoint under --resume as "no usable
-# checkpoint" and train from scratch (exit 0) instead of aborting.
+# and answer a flag they do not know (the removed training flags among
+# them) with "unknown option: <flag>" and exit 2, running nothing.
 #
 # Usage: cli_bad_input.sh <pet_sim_cli> <pet_sweep> <workdir>
 set -u
@@ -55,33 +55,62 @@ expect_usage_error trailing_text_measure pet_sim_cli "${SIM[@]}" \
 expect_usage_error non_numeric_seed_list pet_sweep "$PET_SWEEP" \
     --scheme=pet --load=0.5 --seed=1,abc --threads=1 "${SHAPE[@]}" \
     --out="$WORK/non_numeric_seed_list"
-expect_usage_error zero_replicas pet_sweep "${SWEEP[@]}" \
-    --out="$WORK/zero_replicas" --train-episodes=1 --replicas=0
 expect_usage_error negative_retries pet_sweep "${SWEEP[@]}" \
     --out="$WORK/negative_retries" --max-retries=-1
 expect_usage_error duplicate_points pet_sweep "${SWEEP[@]}" \
     --out="$WORK/duplicate_points" --load=0.5,0.50
+# An output directory that cannot be made is a usage error, not a point
+# failure to retry and quarantine.
+touch "$WORK/regular_file"
+expect_usage_error out_dir_below_file pet_sweep "${SWEEP[@]}" \
+    --out="$WORK/regular_file/sub"
 
-# A pet.ckpt/1 file whose one section header declares 2^46 payload bytes:
-# magic, section count 1, name "meta", u64 length, u32 CRC, no payload. It
-# sits where the sweep keeps the point's checkpoint.
-mkdir -p "$WORK/corrupt"
-CKPT="$WORK/corrupt/point_PET_load0.5_seed1.ckpt"
-printf 'PETCKPT1\001\000\000\000\004\000\000\000meta' > "$CKPT"
-printf '\000\000\000\000\000\100\000\000\000\000\000\000' >> "$CKPT"
-"${SWEEP[@]}" --out="$WORK/corrupt" --train-episodes=1 --replicas=1 \
-    --resume > "$WORK/resume.out" 2> "$WORK/resume.err"
+# A merged artifact that cannot be written fails the run (exit 1) with a
+# message, after every point completed.
+mkdir -p "$WORK/merged_blocked/sweep_sweep.json"
+"${SWEEP[@]}" --out="$WORK/merged_blocked" > "$WORK/merged_blocked.out" \
+    2> "$WORK/merged_blocked.err"
 rc=$?
-if [ "$rc" -ne 0 ]; then
-  echo "FAIL corrupt_checkpoint: exit $rc, want 0"
-  cat "$WORK/resume.err"
+if [ "$rc" -ne 1 ]; then
+  echo "FAIL merged_blocked: exit $rc, want 1"
+  cat "$WORK/merged_blocked.err"
   fail=1
-elif ! grep -q "sweep: ignoring checkpoint" "$WORK/resume.err"; then
-  echo "FAIL corrupt_checkpoint: no 'sweep: ignoring checkpoint' line on stderr"
-  cat "$WORK/resume.err"
+elif ! grep -q "^pet_sweep: cannot write the merged artifact" \
+    "$WORK/merged_blocked.err"; then
+  echo "FAIL merged_blocked: no 'pet_sweep: cannot write the merged artifact' line"
+  cat "$WORK/merged_blocked.err"
   fail=1
 else
-  echo "ok   corrupt_checkpoint: $(grep "sweep: ignoring checkpoint" "$WORK/resume.err")"
+  echo "ok   merged_blocked: $(grep "^pet_sweep: " "$WORK/merged_blocked.err")"
 fi
+
+# expect_unknown_option NAME FLAG COMMAND...: COMMAND FLAG exits 2 with an
+# "unknown option: FLAG" line on stderr and writes nothing to its --out.
+expect_unknown_option() {
+  local name=$1
+  local flag=$2
+  shift 2
+  "$@" "$flag" --out="$WORK/$name" > "$WORK/$name.out" 2> "$WORK/$name.err"
+  local rc=$?
+  if [ "$rc" -ne 2 ]; then
+    echo "FAIL $name: exit $rc, want 2"
+    cat "$WORK/$name.err"
+    fail=1
+  elif ! grep -qxF "unknown option: $flag" "$WORK/$name.err"; then
+    echo "FAIL $name: no 'unknown option: $flag' line on stderr"
+    cat "$WORK/$name.err"
+    fail=1
+  elif [ -e "$WORK/$name" ]; then
+    echo "FAIL $name: the sweep wrote $WORK/$name"
+    fail=1
+  else
+    echo "ok   $name: unknown option: $flag"
+  fi
+}
+
+# pet_sweep runs evaluation grids only: its former training flags are gone.
+expect_unknown_option train_episodes --train-episodes=1 "${SWEEP[@]}"
+expect_unknown_option replicas --replicas=2 "${SWEEP[@]}"
+expect_unknown_option checkpoint_every --checkpoint-every=1 "${SWEEP[@]}"
 
 exit "$fail"

@@ -1,10 +1,9 @@
 #!/usr/bin/env bash
-# SIGINT flush acceptance: interrupt a one-point pet_sweep training run,
-# demand exit 130 with a VALID merged artifact that marks the point stopped
-# and a checkpoint on disk, then resume the same run to completion and
-# demand its canonical merged artifact byte-matches an uninterrupted run.
-# The signal lands once after the first checkpoint, and once between
-# checkpoints, where only the stop itself can have written the checkpoint.
+# SIGINT flush acceptance: interrupt an evaluation sweep once its first
+# point artifact is on disk, demand exit 130 with a VALID merged artifact
+# that marks the unfinished points stopped, then resume the same sweep to
+# completion and demand its canonical merged artifact byte-matches an
+# uninterrupted run.
 #
 # Usage: sigint_flush.sh <pet_sweep> <golden_diff> <workdir>
 set -u
@@ -15,93 +14,68 @@ WORK=$3
 rm -rf "$WORK"
 mkdir -p "$WORK"
 
-ARGS=(--scheme=pet --load=0.5 --seed=9
+# Four PET points on one worker, each long enough (60 ms simulated) that
+# the signal lands while later points are still queued or running.
+ARGS=(--scheme=pet --load=0.5 --seed=9,10,11,12
       --spines=1 --leaves=2 --hosts-per-leaf=2 --pretrain-ms=2
-      --train-episodes=60 --replicas=2 --threads=1 --name=sigint)
+      --measure-ms=60 --threads=1 --name=sigint)
 
-echo "--- reference (uninterrupted) training run"
+echo "--- reference (uninterrupted) sweep"
 "$PET_SWEEP" "${ARGS[@]}" --out="$WORK/ref" > /dev/null 2>&1 || {
   echo "FAIL: reference run did not complete"
   exit 1
 }
 "$GOLDEN_DIFF" canon "$WORK/ref/sweep_sigint.json" > "$WORK/ref.canon" || exit 1
 
-# interrupt_and_resume NAME READY FLAGS...: train into $WORK/NAME, send
-# SIGINT once the shell command READY succeeds, check what the stop left on
-# disk, then resume to the end and compare with the reference.
-interrupt_and_resume() {
-  local name=$1
-  local ready=$2
-  shift 2
-  local out="$WORK/$name"
-  mkdir -p "$out"
-  "$PET_SWEEP" "${ARGS[@]}" "$@" --out="$out" > /dev/null 2> "$out.err" &
-  local pid=$!
-  local found=0
-  for _ in $(seq 1 300); do
-    if eval "$ready"; then
-      found=1
-      break
-    fi
-    if ! kill -0 "$pid" 2> /dev/null; then
-      break
-    fi
-    sleep 0.1
-  done
-  if [ "$found" -ne 1 ]; then
-    kill -9 "$pid" 2> /dev/null
-    wait "$pid" 2> /dev/null
-    echo "FAIL $name: the run ended before the signal could land"
-    exit 1
+OUT="$WORK/interrupted"
+mkdir -p "$OUT"
+"$PET_SWEEP" "${ARGS[@]}" --out="$OUT" > /dev/null 2> "$OUT.err" &
+pid=$!
+found=0
+for _ in $(seq 1 600); do
+  if ls "$OUT"/point_*.json > /dev/null 2>&1; then
+    found=1
+    break
   fi
-  kill -INT "$pid"
-  wait "$pid"
-  local status=$?
-  if [ "$status" -ne 130 ]; then
-    echo "FAIL $name: expected exit 130 after SIGINT, got $status"
-    exit 1
+  if ! kill -0 "$pid" 2> /dev/null; then
+    break
   fi
+  sleep 0.05
+done
+if [ "$found" -ne 1 ]; then
+  kill -9 "$pid" 2> /dev/null
+  wait "$pid" 2> /dev/null
+  echo "FAIL: the sweep ended before the signal could land"
+  exit 1
+fi
+kill -INT "$pid"
+wait "$pid"
+status=$?
+if [ "$status" -ne 130 ]; then
+  echo "FAIL: expected exit 130 after SIGINT, got $status"
+  exit 1
+fi
 
-  local merged="$out/sweep_sigint.json"
-  if ! "$GOLDEN_DIFF" validate "$merged"; then
-    echo "FAIL $name: the interrupted run flushed an invalid merged artifact"
-    exit 1
-  fi
-  if ! grep -q '"status": "stopped"' "$merged"; then
-    echo "FAIL $name: the merged artifact does not mark the point stopped"
-    exit 1
-  fi
-  if ! ls "$out"/point_*.ckpt > /dev/null 2>&1; then
-    echo "FAIL $name: no checkpoint on disk after SIGINT"
-    exit 1
-  fi
+MERGED="$OUT/sweep_sigint.json"
+if ! "$GOLDEN_DIFF" validate "$MERGED"; then
+  echo "FAIL: the interrupted sweep flushed an invalid merged artifact"
+  exit 1
+fi
+if ! grep -q '"status": "stopped"' "$MERGED"; then
+  echo "FAIL: the merged artifact marks no point stopped"
+  exit 1
+fi
 
-  echo "--- $name: resuming interrupted training"
-  if ! "$PET_SWEEP" "${ARGS[@]}" "$@" --out="$out" --resume > /dev/null \
-      2>> "$out.err"; then
-    echo "FAIL $name: resume from the flushed checkpoint did not complete"
-    exit 1
-  fi
-  if ! grep -q '"status": "resumed"' "$merged"; then
-    echo "FAIL $name: the resumed merged artifact does not mark the point resumed"
-    exit 1
-  fi
-  "$GOLDEN_DIFF" canon "$merged" > "$out.canon" || exit 1
-  if ! cmp "$WORK/ref.canon" "$out.canon"; then
-    echo "FAIL $name: resumed merged artifact diverges from the uninterrupted run"
-    exit 1
-  fi
-  echo "ok   $name"
-}
-
-interrupt_and_resume after_checkpoint \
-    "ls '$WORK'/after_checkpoint/point_*.ckpt > /dev/null 2>&1" \
-    --checkpoint-every=1
-# No periodic checkpoint before episode 1000: the one on disk after the
-# signal is the stop's own flush.
-interrupt_and_resume between_checkpoints \
-    "grep -q 'episode 1:' '$WORK/between_checkpoints.err'" \
-    --checkpoint-every=1000
-
-echo "PASS: SIGINT flushed a valid artifact + checkpoint, and resume matched"
+echo "--- resuming the interrupted sweep"
+if ! "$PET_SWEEP" "${ARGS[@]}" --out="$OUT" --resume > /dev/null \
+    2>> "$OUT.err"; then
+  echo "FAIL: the resumed sweep did not complete"
+  exit 1
+fi
+"$GOLDEN_DIFF" canon "$MERGED" > "$OUT.canon" || exit 1
+if ! cmp "$WORK/ref.canon" "$OUT.canon"; then
+  echo "FAIL: resumed merged artifact diverges from the uninterrupted run"
+  exit 1
+fi
+echo "PASS: SIGINT flushed a valid artifact, and resume matched"
 exit 0

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Crash-safety acceptance: kill a multi-point sweep mid-run (after at least
-# one checkpoint) with the deterministic --crash-after-writes fault, rerun
-# with --resume, and demand the canonicalized merged artifact byte-matches
-# an uninterrupted same-seed sweep.
+# Crash-safety acceptance: kill an evaluation sweep mid-grid (after two of
+# its four point artifacts are durable) with the deterministic
+# --crash-after-writes fault, rerun with --resume, and demand that the
+# finished points are reused and the canonicalized merged artifact
+# byte-matches an uninterrupted same-seed sweep.
 #
 # Usage: sweep_crash_resume.sh <pet_sweep> <golden_diff> <workdir>
 set -u
@@ -13,21 +14,20 @@ WORK=$3
 rm -rf "$WORK"
 mkdir -p "$WORK"
 
-# Two points on one worker: the PET training point first (2 episodes, a
-# checkpoint after each), then a static secn1 eval point.
-GRID=(--scheme=pet,secn1 --load=0.5 --seed=5
+# Four evaluation points on one worker, run in grid order: two static
+# SECN1 points, then two PET points.
+GRID=(--scheme=secn1,pet --load=0.5 --seed=5,6
       --spines=1 --leaves=2 --hosts-per-leaf=2
       --pretrain-ms=2 --measure-ms=1
-      --train-episodes=2 --replicas=2 --checkpoint-every=1
       --threads=1 --name=crashgrid)
 
 echo "--- reference (uninterrupted) sweep"
-"$PET_SWEEP" "${GRID[@]}" --out="$WORK/ref" || {
+"$PET_SWEEP" "${GRID[@]}" --out="$WORK/ref" > /dev/null || {
   echo "FAIL: reference sweep did not complete"
   exit 1
 }
 
-echo "--- crashing sweep after 2 durable writes (one checkpoint survives)"
+echo "--- crashing sweep after 2 durable writes (two point artifacts)"
 "$PET_SWEEP" "${GRID[@]}" --out="$WORK/res" --crash-after-writes=2
 status=$?
 if [ "$status" -ne 137 ]; then
@@ -38,16 +38,24 @@ if [ -e "$WORK/res/sweep_crashgrid.json" ]; then
   echo "FAIL: merged artifact must not exist after the crash"
   exit 1
 fi
-if ! ls "$WORK"/res/point_*.ckpt > /dev/null 2>&1; then
-  echo "FAIL: expected a surviving checkpoint from before the crash"
+artifacts=$(ls "$WORK"/res/point_*.json 2> /dev/null | wc -l)
+if [ "$artifacts" -ne 2 ]; then
+  echo "FAIL: expected the 2 point artifacts written before the crash, found $artifacts"
   exit 1
 fi
 
 echo "--- resuming the crashed sweep"
-"$PET_SWEEP" "${GRID[@]}" --out="$WORK/res" --resume || {
+"$PET_SWEEP" "${GRID[@]}" --out="$WORK/res" --resume > "$WORK/resume.out" || {
   echo "FAIL: resumed sweep did not complete"
+  cat "$WORK/resume.out"
   exit 1
 }
+reused=$(grep -c 'attempts=0' "$WORK/resume.out")
+if [ "$reused" -ne 2 ]; then
+  echo "FAIL: expected the resume to reuse 2 finished points, it reused $reused"
+  cat "$WORK/resume.out"
+  exit 1
+fi
 
 "$GOLDEN_DIFF" canon "$WORK/ref/sweep_crashgrid.json" > "$WORK/ref.canon" || exit 1
 "$GOLDEN_DIFF" canon "$WORK/res/sweep_crashgrid.json" > "$WORK/res.canon" || exit 1

@@ -232,6 +232,38 @@ TEST(Experiment, ProfilingDoesNotPerturbArtifact) {
   EXPECT_NE(off.find("\"metrics\""), std::string::npos);
 }
 
+TEST(Experiment, RunChunkedMatchesRunBitwise) {
+  ScenarioConfig cfg = tiny_scenario(Scheme::kPet);
+  cfg.seed = 11;
+  const Metrics ma = Experiment(cfg).run();
+  bool completed = false;
+  const Metrics mb = Experiment(cfg).run_chunked(
+      sim::microseconds(250), [] { return true; }, &completed);
+  EXPECT_TRUE(completed);
+  EXPECT_EQ(ma.overall.count, mb.overall.count);
+  EXPECT_EQ(ma.overall.avg_us, mb.overall.avg_us);
+  EXPECT_EQ(ma.overall.p99_us, mb.overall.p99_us);
+  EXPECT_EQ(ma.mice.avg_slowdown, mb.mice.avg_slowdown);
+  EXPECT_EQ(ma.latency_avg_us, mb.latency_avg_us);
+  EXPECT_EQ(ma.queue_avg_kb, mb.queue_avg_kb);
+  EXPECT_EQ(ma.flows_measured, mb.flows_measured);
+  EXPECT_EQ(ma.switch_drops, mb.switch_drops);
+  EXPECT_EQ(ma.pfc_pauses, mb.pfc_pauses);
+}
+
+TEST(Experiment, RunChunkedStopsEarlyWhenAsked) {
+  ScenarioConfig cfg = tiny_scenario(Scheme::kPet);
+  cfg.seed = 12;
+  Experiment ex(cfg);
+  bool completed = true;
+  int polls = 0;
+  static_cast<void>(ex.run_chunked(
+      sim::microseconds(100), [&polls] { return ++polls <= 3; }, &completed));
+  EXPECT_FALSE(completed);
+  // Stopped at a chunk boundary well before the configured timeline.
+  EXPECT_LT(ex.scheduler().now(), ex.config().pretrain + ex.config().measure);
+}
+
 TEST(Experiment, SeedChangesOutcome) {
   ScenarioConfig cfg = tiny_scenario(Scheme::kSecn1);
   const Metrics a = Experiment(cfg).run();

@@ -13,15 +13,11 @@
 namespace pet::sim {
 namespace {
 
-/// Restores the global level (and this thread's replica tag) on exit so
-/// the suite leaves no logging state behind.
+/// Restores the global level on exit so the suite leaves no logging state
+/// behind.
 struct LogStateGuard {
   LogLevel level = log_level();
-  std::int32_t replica = log_replica_id();
-  ~LogStateGuard() {
-    set_log_level(level);
-    set_log_replica_id(replica);
-  }
+  ~LogStateGuard() { set_log_level(level); }
 };
 
 TEST(Log, LevelRoundTrips) {
@@ -30,40 +26,6 @@ TEST(Log, LevelRoundTrips) {
   EXPECT_EQ(log_level(), LogLevel::kDebug);
   set_log_level(LogLevel::kOff);
   EXPECT_EQ(log_level(), LogLevel::kOff);
-}
-
-TEST(Log, ReplicaIdIsThreadLocal) {
-  LogStateGuard guard;
-  set_log_replica_id(7);
-  EXPECT_EQ(log_replica_id(), 7);
-  std::int32_t seen_in_thread = -2;
-  std::thread t([&] {
-    seen_in_thread = log_replica_id();  // fresh thread: untagged
-    set_log_replica_id(3);              // must not leak to the main thread
-  });
-  t.join();
-  EXPECT_EQ(seen_in_thread, -1);
-  EXPECT_EQ(log_replica_id(), 7);
-  set_log_replica_id(-1);
-  EXPECT_EQ(log_replica_id(), -1);
-}
-
-TEST(Log, LineCarriesReplicaTag) {
-  LogStateGuard guard;
-  set_log_level(LogLevel::kInfo);
-  set_log_replica_id(5);
-  Scheduler sched;
-  ::testing::internal::CaptureStderr();
-  PET_LOG_INFO(sched, "tagged %d", 42);
-  const std::string out = ::testing::internal::GetCapturedStderr();
-  EXPECT_NE(out.find("r5"), std::string::npos) << out;
-  EXPECT_NE(out.find("tagged 42"), std::string::npos) << out;
-
-  set_log_replica_id(-1);
-  ::testing::internal::CaptureStderr();
-  PET_LOG_INFO(sched, "untagged");
-  const std::string plain = ::testing::internal::GetCapturedStderr();
-  EXPECT_EQ(plain.find(" r"), std::string::npos) << plain;
 }
 
 TEST(Log, BelowLevelEmitsNothing) {
@@ -77,10 +39,11 @@ TEST(Log, BelowLevelEmitsNothing) {
 
 TEST(Log, ConcurrentWritersEmitWholeLines) {
   // Regression for the torn-line bug: level tag, timestamp and payload
-  // used to be separate stdio calls, so lines from ReplicaRunner worker
+  // used to be separate stdio calls, so lines from concurrent worker
   // threads could interleave mid-line. Now each line is assembled in full
   // and written once; under concurrency every captured line must still
-  // parse as "[INFO rN ...] worker N line M" with matching ids.
+  // parse as "[INFO ...] worker N line M", and each worker's lines arrive
+  // whole and in order.
   LogStateGuard guard;
   set_log_level(LogLevel::kInfo);
   constexpr int kThreads = 4;
@@ -92,11 +55,9 @@ TEST(Log, ConcurrentWritersEmitWholeLines) {
     for (int w = 0; w < kThreads; ++w) {
       pool.emplace_back([w] {
         Scheduler sched;
-        set_log_replica_id(w);
         for (int i = 0; i < kLines; ++i) {
           PET_LOG_INFO(sched, "worker %d line %d", w, i);
         }
-        set_log_replica_id(-1);
       });
     }
     for (std::thread& t : pool) t.join();
@@ -110,15 +71,17 @@ TEST(Log, ConcurrentWritersEmitWholeLines) {
   while (std::getline(stream, line)) {
     if (line.empty()) continue;
     ASSERT_EQ(line.rfind("[INFO ", 0), 0u) << "torn line: " << line;
-    int tag = -1, body_worker = -1, body_line = -1;
+    int body_worker = -1, body_line = -1;
     char ignored[32];
-    ASSERT_EQ(std::sscanf(line.c_str(), "[INFO r%d %31[^]]] worker %d line %d",
-                          &tag, ignored, &body_worker, &body_line),
-              4)
+    ASSERT_EQ(std::sscanf(line.c_str(), "[INFO %31[^]]] worker %d line %d",
+                          ignored, &body_worker, &body_line),
+              3)
         << "torn line: " << line;
-    EXPECT_EQ(tag, body_worker) << line;
     ASSERT_GE(body_worker, 0);
     ASSERT_LT(body_worker, kThreads);
+    // A worker's lines keep their order: line M is its M-th line seen.
+    EXPECT_EQ(body_line, per_worker[static_cast<std::size_t>(body_worker)])
+        << line;
     ++per_worker[static_cast<std::size_t>(body_worker)];
     ++parsed;
   }

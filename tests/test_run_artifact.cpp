@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 
 #include "exp/trace_export.hpp"
+#include "sim/fs_atomic.hpp"
 
 namespace pet::exp {
 namespace {
@@ -35,6 +37,26 @@ RunArtifact populated_artifact() {
   art.set_threads(1);
   art.add_metric("overall.avg_fct_us", 123.5);
   return art;
+}
+
+TEST(AtomicWrite, WritesContentAndCleansUp) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "pet_test_atomic.txt")
+          .string();
+  std::remove(path.c_str());
+  ASSERT_TRUE(sim::atomic_write_file(path, "first"));
+  ASSERT_TRUE(sim::atomic_write_file(path, "second"));
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  ASSERT_NE(f, nullptr);
+  char buf[16] = {};
+  const std::size_t n = std::fread(buf, 1, sizeof buf, f);
+  std::fclose(f);
+  EXPECT_EQ(std::string(buf, n), "second");
+  std::remove(path.c_str());
+
+  // Unwritable target directory: failure, not a crash.
+  EXPECT_FALSE(sim::atomic_write_file("/nonexistent-dir/x/y.txt", "nope"));
 }
 
 TEST(RunArtifact, DefaultPathFollowsName) {

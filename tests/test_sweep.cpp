@@ -1,6 +1,7 @@
 // SweepRunner orchestration, exercised in-process: grid expansion,
-// completed-point detection via valid artifacts, checkpoint-based resume of
-// training points, the watchdog/retry loop (driven by attempt_hook fault
+// completed-point detection via valid artifacts (and re-runs of points
+// whose artifact is corrupt or records another scenario), the up-front
+// rejections, the watchdog/retry loop (driven by attempt_hook fault
 // injection instead of real hangs where possible) and quarantine. The
 // process-kill variants of these scenarios live in tests/crash/.
 
@@ -16,7 +17,6 @@
 #include <thread>
 #include <vector>
 
-#include "exp/replica_runner.hpp"
 #include "exp/run_artifact.hpp"
 #include "exp/sweep.hpp"
 
@@ -61,6 +61,28 @@ std::optional<JsonValue> read_json(const std::string& path) {
   return JsonValue::parse(text);
 }
 
+/// `doc` without its root member `drop`.
+JsonValue without(const JsonValue& doc, const std::string& drop) {
+  JsonValue out = JsonValue::object();
+  for (const auto& [key, value] : doc.members()) {
+    if (key != drop) out.set(key, value);
+  }
+  return out;
+}
+
+/// The artifact without its manifest (execution history), dumped: what
+/// golden canonicalization compares.
+std::string canonical(const JsonValue& doc) {
+  return without(doc, "manifest").dump();
+}
+
+void write_text(const std::string& path, const std::string& text) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr) << path;
+  std::fputs(text.c_str(), f);
+  std::fclose(f);
+}
+
 /// run() must throw std::invalid_argument before any attempt starts or any
 /// file is written.
 void expect_rejected_before_run(const SweepGrid& grid, SweepRunnerConfig cfg) {
@@ -82,13 +104,10 @@ TEST(SweepGrid, ExpandsCartesianProductWithStableIds) {
   grid.loads = {0.4, 0.8};
   grid.seeds = {1, 2, 3};
 
-  const std::vector<SweepPoint> points = grid.expand(/*train_episodes=*/2);
+  const std::vector<SweepPoint> points = grid.expand();
   ASSERT_EQ(points.size(), 12u);
   for (std::size_t i = 0; i < points.size(); ++i) {
     EXPECT_EQ(points[i].index, static_cast<std::int32_t>(i));
-    // Only PET schemes train; static baselines are eval points even when
-    // the sweep requests training episodes.
-    EXPECT_EQ(points[i].training, points[i].cfg.scheme == Scheme::kPet);
     for (std::size_t j = 0; j < i; ++j) {
       EXPECT_NE(points[i].id, points[j].id) << i << " vs " << j;
     }
@@ -103,7 +122,7 @@ TEST(SweepGrid, ExpandsCartesianProductWithStableIds) {
   // Empty axes inherit the base value: a single point.
   SweepGrid single;
   single.base = tiny_base();
-  EXPECT_EQ(single.expand(0).size(), 1u);
+  EXPECT_EQ(single.expand().size(), 1u);
 }
 
 TEST(SweepRunner, CompletesEvalGridAndWritesMergedArtifact) {
@@ -130,7 +149,7 @@ TEST(SweepRunner, CompletesEvalGridAndWritesMergedArtifact) {
   }
 
   // Per-point artifacts validate as pet.run-artifact/1 files.
-  const std::vector<SweepPoint> points = grid.expand(0);
+  const std::vector<SweepPoint> points = grid.expand();
   for (const SweepPoint& p : points) {
     const auto doc = read_json(runner.point_artifact_path(p));
     ASSERT_TRUE(doc.has_value()) << p.id;
@@ -157,6 +176,26 @@ TEST(SweepRunner, CompletesEvalGridAndWritesMergedArtifact) {
   EXPECT_EQ(sweep->find("points")->size(), 2u);
 }
 
+TEST(SweepRunner, UnwritableMergedArtifactLeavesPathEmpty) {
+  ScratchDir dir("pet_test_sweep_merged_blocked");
+  SweepGrid grid;
+  grid.name = "blocked";
+  grid.base = tiny_base();
+  grid.base.scheme = Scheme::kSecn1;
+
+  SweepRunnerConfig cfg;
+  cfg.out_dir = dir.path();
+  cfg.threads = 1;
+  SweepRunner runner(grid, cfg);
+  // A directory where the merged artifact belongs: the rename onto it fails.
+  std::filesystem::create_directories(runner.merged_artifact_path());
+  const SweepRunner::Result result = runner.run();
+  EXPECT_TRUE(result.all_completed());
+  EXPECT_EQ(result.completed, 1);
+  EXPECT_TRUE(result.artifact_path.empty()) << result.artifact_path;
+  EXPECT_TRUE(std::filesystem::is_directory(runner.merged_artifact_path()));
+}
+
 TEST(SweepRunner, InvalidPointFailsBeforeAnyRunOrWrite) {
   ScratchDir dir("pet_test_sweep_invalid");
   SweepGrid grid;
@@ -169,21 +208,6 @@ TEST(SweepRunner, InvalidPointFailsBeforeAnyRunOrWrite) {
   cfg.out_dir = dir.path();
   cfg.threads = 1;
   expect_rejected_before_run(grid, cfg);  // not even the valid 0.5 point
-}
-
-TEST(SweepRunner, ZeroReplicasFailBeforeAnyRunOrWrite) {
-  ScratchDir dir("pet_test_sweep_zero_replicas");
-  SweepGrid grid;
-  grid.base = tiny_base();
-  grid.base.scheme = Scheme::kPet;
-
-  SweepRunnerConfig cfg;
-  cfg.out_dir = dir.path();
-  cfg.threads = 1;
-  cfg.train_episodes = 1;
-  cfg.replicas = 0;
-  cfg.max_retries = 0;
-  expect_rejected_before_run(grid, cfg);
 }
 
 TEST(SweepRunner, NegativeMaxRetriesFailBeforeAnyRunOrWrite) {
@@ -214,6 +238,39 @@ TEST(SweepRunner, DuplicatePointIdsFailBeforeAnyRunOrWrite) {
   grid.loads = {0.5};
   grid.seeds = {1, 1};
   expect_rejected_before_run(grid, cfg);
+}
+
+TEST(SweepRunner, UnusableOutDirFailsBeforeAnyRun) {
+  ScratchDir dir("pet_test_sweep_bad_out_dir");
+  std::filesystem::create_directories(dir.path());
+  const std::string file = dir.path() + "/regular_file";
+  write_text(file, "");
+  SweepGrid grid;
+  grid.base = tiny_base();
+  grid.base.scheme = Scheme::kSecn1;
+  grid.seeds = {1, 2};
+
+  // A directory below a regular file cannot be created; a regular file is
+  // not a directory. Either way no point runs, and the message names it.
+  for (const std::string& out_dir : {file + "/sub", file}) {
+    SCOPED_TRACE(out_dir);
+    SweepRunnerConfig cfg;
+    cfg.out_dir = out_dir;
+    cfg.threads = 1;
+    int hook_calls = 0;
+    cfg.attempt_hook = [&hook_calls](const SweepPoint&, std::int32_t) {
+      ++hook_calls;
+    };
+    SweepRunner runner(grid, cfg);
+    try {
+      static_cast<void>(runner.run());
+      ADD_FAILURE() << "run() accepted an unusable output directory";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(out_dir), std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(hook_calls, 0);
+  }
 }
 
 TEST(SweepRunner, ResumeSkipsPointsWithValidArtifacts) {
@@ -282,7 +339,7 @@ TEST(SweepRunner, ResumeRerunsPointWhoseScenarioChanged) {
   fresh_cfg.threads = 1;
   SweepRunner fresh(grid, fresh_cfg);
   ASSERT_TRUE(fresh.run().all_completed());
-  const SweepPoint point = grid.expand(0)[0];
+  const SweepPoint point = grid.expand()[0];
   const auto got = read_json(resumed.point_artifact_path(point));
   const auto want = read_json(fresh.point_artifact_path(point));
   ASSERT_TRUE(got.has_value());
@@ -292,105 +349,57 @@ TEST(SweepRunner, ResumeRerunsPointWhoseScenarioChanged) {
             scenario_json(point.cfg).dump());
 }
 
-TEST(SweepRunner, TrainingPointResumesFromCheckpointBitwise) {
-  ScratchDir dir("pet_test_sweep_train");
+TEST(SweepRunner, ResumeRerunsPointsWithCorruptArtifacts) {
+  ScratchDir dir("pet_test_sweep_corrupt");
   SweepGrid grid;
-  grid.name = "train";
+  grid.name = "corrupt";
   grid.base = tiny_base();
-  grid.base.scheme = Scheme::kPet;
-  grid.base.pretrain = sim::milliseconds(2);  // episode length
+  grid.base.scheme = Scheme::kSecn1;
+  grid.seeds = {1, 2, 3, 4, 5};
 
   SweepRunnerConfig cfg;
   cfg.out_dir = dir.path();
   cfg.threads = 1;
-  cfg.train_episodes = 2;
-  cfg.replicas = 2;
-  cfg.checkpoint_every = 1;
-
-  SweepRunner reference(grid, cfg);
-  const SweepRunner::Result ref = reference.run();
-  ASSERT_TRUE(ref.all_completed());
-  const SweepPoint point = grid.expand(cfg.train_episodes)[0];
-  const auto ref_doc = read_json(reference.point_artifact_path(point));
-  ASSERT_TRUE(ref_doc.has_value());
-  const std::string ref_digest =
-      ref_doc->find("metrics")->find("rollout_digest")->as_string();
-
-  // Simulate a crash after the episode-1 checkpoint: drop the artifact and
-  // the final checkpoint, re-running must continue from episode 1 and land
-  // on the SAME digest as the uninterrupted run.
-  //
-  // The final checkpoint on disk is the episode-2 one; a resume from it
-  // would skip training entirely. Re-create the episode-1 state instead by
-  // re-running a fresh sweep capped at 1 episode in a sibling directory,
-  // then resuming THAT directory with the full episode budget.
-  ScratchDir part_dir("pet_test_sweep_train_part");
-  SweepRunnerConfig part = cfg;
-  part.out_dir = part_dir.path();
-  part.train_episodes = 1;
+  std::string uninterrupted;
   {
-    SweepRunner half(grid, part);
-    ASSERT_TRUE(half.run().all_completed());
-    // The half-sweep's artifact says "done at 1 episode" — that is the
-    // partial-point case, so remove it and keep only the checkpoint.
-    ASSERT_TRUE(std::filesystem::remove(half.point_artifact_path(point)));
-  }
-  part.train_episodes = cfg.train_episodes;
-  part.resume = true;
-  SweepRunner resumed(grid, part);
-  const SweepRunner::Result res = resumed.run();
-  ASSERT_TRUE(res.all_completed());
-  ASSERT_EQ(res.points.size(), 1u);
-  EXPECT_EQ(res.points[0].status, "resumed");
-  EXPECT_EQ(res.points[0].attempts, 1);
-  EXPECT_EQ(res.points[0].resumed_from_episode, 1);
-
-  const auto res_doc = read_json(resumed.point_artifact_path(point));
-  ASSERT_TRUE(res_doc.has_value());
-  EXPECT_EQ(res_doc->find("metrics")->find("rollout_digest")->as_string(),
-            ref_digest);
-  EXPECT_EQ(res_doc->find("metrics")->find("episodes")->as_number(), 2.0);
-}
-
-TEST(SweepRunner, TrainingPointMatchesDirectReplicaRunner) {
-  SweepGrid grid;
-  grid.name = "direct";
-  grid.base = tiny_base();
-  grid.base.scheme = Scheme::kPet;
-  grid.base.pretrain = sim::milliseconds(2);  // episode length
-  const std::int32_t replicas = 4;
-  const std::int32_t episodes = 2;
-
-  ReplicaRunner direct(grid.expand(episodes)[0].cfg,
-                       {.replicas = replicas, .threads = 1,
-                        .episodes = episodes});
-  static_cast<void>(direct.run());
-  char digest[32];
-  std::snprintf(digest, sizeof digest, "0x%016llx",
-                static_cast<unsigned long long>(direct.last_digest()));
-
-  // A one-point sweep gives the point's replicas the whole pool, so these
-  // two sweeps train on 1 and 4 replica threads.
-  for (const std::int32_t threads : {1, 4}) {
-    ScratchDir dir("pet_test_sweep_direct");
-    SweepRunnerConfig cfg;
-    cfg.out_dir = dir.path();
-    cfg.threads = threads;
-    cfg.train_episodes = episodes;
-    cfg.replicas = replicas;
-    SweepRunner runner(grid, cfg);
-    ASSERT_TRUE(runner.run().all_completed());
-    const auto doc =
-        read_json(runner.point_artifact_path(grid.expand(episodes)[0]));
+    SweepRunner first(grid, cfg);
+    const SweepRunner::Result result = first.run();
+    ASSERT_TRUE(result.all_completed());
+    const auto merged = read_json(result.artifact_path);
+    ASSERT_TRUE(merged.has_value());
+    uninterrupted = canonical(*merged);
+    const std::vector<SweepPoint> points = grid.expand();
+    // Point 1's artifact loses its second half; point 2's is not JSON;
+    // point 3's parses and records the point's scenario but has no
+    // metrics, which only the artifact validator catches.
+    const std::string truncated = first.point_artifact_path(points[1]);
+    std::filesystem::resize_file(truncated,
+                                 std::filesystem::file_size(truncated) / 2);
+    write_text(first.point_artifact_path(points[2]), "not a run artifact");
+    const std::string metricless = first.point_artifact_path(points[3]);
+    const auto doc = read_json(metricless);
     ASSERT_TRUE(doc.has_value());
-    EXPECT_EQ(doc->find("manifest")->find("threads")->as_number(), threads);
-    const JsonValue* metrics = doc->find("metrics");
-    EXPECT_EQ(metrics->find("rollout_digest")->as_string(), digest)
-        << threads << " threads";
-    EXPECT_EQ(metrics->find("final_mean_reward")->as_number(),
-              direct.history().back().mean_reward)
-        << threads << " threads";
+    write_text(metricless, without(*doc, "metrics").dump());
   }
+
+  cfg.resume = true;
+  std::vector<std::int32_t> rerun;
+  cfg.attempt_hook = [&rerun](const SweepPoint& p, std::int32_t) {
+    rerun.push_back(p.index);
+  };
+  SweepRunner resumed(grid, cfg);
+  const SweepRunner::Result result = resumed.run();
+  ASSERT_TRUE(result.all_completed());
+  EXPECT_EQ(rerun, (std::vector<std::int32_t>{1, 2, 3}));
+  ASSERT_EQ(result.points.size(), 5u);
+  EXPECT_EQ(result.points[0].attempts, 0);  // reused
+  EXPECT_EQ(result.points[1].attempts, 1);
+  EXPECT_EQ(result.points[2].attempts, 1);
+  EXPECT_EQ(result.points[3].attempts, 1);
+  EXPECT_EQ(result.points[4].attempts, 0);  // reused
+  const auto merged = read_json(result.artifact_path);
+  ASSERT_TRUE(merged.has_value());
+  EXPECT_EQ(canonical(*merged), uninterrupted);
 }
 
 TEST(SweepRunner, WatchdogAbandonsHangThenRetrySucceeds) {

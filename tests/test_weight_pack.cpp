@@ -3,8 +3,8 @@
 // forgot the repack would leave forward passes computing with stale weights
 // on AVX2 only — a silent backend divergence. These tests take every write
 // path (Adam steps through both agents, restore_params, set_weights, the
-// DDQN target sync, load_state at each level, re-quantization) and demand
-// that the next forward, on both backends, is memcmp-equal to
+// DDQN target sync, re-quantization) and demand that the next forward, on
+// both backends, is memcmp-equal to
 //  - a freshly built network given the same parameters, and
 //  - the naive per-sample chain over the public weight views (which reads
 //    no pack at all).
@@ -23,7 +23,6 @@
 #include "rl/kernels.hpp"
 #include "rl/mlp.hpp"
 #include "rl/ppo.hpp"
-#include "sim/checkpoint.hpp"
 #include "sim/rng.hpp"
 
 namespace pet::rl {
@@ -142,49 +141,6 @@ TEST(WeightPack, RestoreParamsRepacks) {
   (void)net.forward_batch(probe_states(18), kRows);  // use the first pack
   restore_params(refs, other_params(net, 7777));
   expect_current(net, "restore_params");
-}
-
-TEST(WeightPack, LinearLoadStateRepacks) {
-  sim::Rng rng_a(2);
-  sim::Rng rng_b(3);
-  const Linear source(24, 12, rng_a);
-  Linear layer(24, 12, rng_b);
-  sim::ByteSink sink;
-  source.save_state(sink);
-  sim::ByteSource src(sink.bytes().data(), sink.bytes().size());
-  ASSERT_TRUE(layer.load_state(src));
-  // A one-layer Mlp view of the same check: wrap the loaded layer's
-  // parameters in a network and compare both forwards.
-  sim::Rng rng_c(4);
-  Mlp wrapped({24, 12}, Activation::kTanh, rng_c);
-  ParamRefs refs;
-  wrapped.collect(refs);
-  std::vector<double> params(layer.weights().begin(), layer.weights().end());
-  params.insert(params.end(), layer.biases().begin(), layer.biases().end());
-  restore_params(refs, params);
-  const std::vector<double> x = probe_states(24);
-  for (const kern::Backend backend : kBackends) {
-    BackendGuard guard(backend);
-    std::vector<double> y(static_cast<std::size_t>(kRows) * 12);
-    layer.forward_batch(x, y, kRows);
-    EXPECT_TRUE(same_bytes(y, wrapped.forward_batch(x, kRows)))
-        << "backend " << static_cast<int>(backend);
-    EXPECT_TRUE(same_bytes(y, naive_forward(wrapped, x)))
-        << "backend " << static_cast<int>(backend);
-  }
-}
-
-TEST(WeightPack, MlpLoadStateRepacks) {
-  sim::Rng rng_a(5);
-  sim::Rng rng_b(6);
-  const Mlp source({24, 64, 64, 20}, Activation::kTanh, rng_a);
-  Mlp net({24, 64, 64, 20}, Activation::kTanh, rng_b);
-  sim::ByteSink sink;
-  source.save_state(sink);
-  sim::ByteSource src(sink.bytes().data(), sink.bytes().size());
-  ASSERT_TRUE(net.load_state(src));
-  ASSERT_EQ(flat_params(net), flat_params(source));
-  expect_current(net, "Mlp::load_state");
 }
 
 // --- DdqnAgent ---------------------------------------------------------------
@@ -321,19 +277,6 @@ TEST(WeightPack, PpoSetWeightsRepacks) {
   const PpoAgent other(pet_config(44));
   ASSERT_TRUE(agent.set_weights(other.weights()));
   expect_ppo_current(agent, "PpoAgent::set_weights");
-}
-
-TEST(WeightPack, PpoLoadStateRepacks) {
-  PpoAgent source(pet_config(45));
-  const RolloutBuffer buf = rollout(source);
-  (void)source.update(buf, 0.0);
-  sim::ByteSink sink;
-  source.save_state(sink);
-  PpoAgent agent(pet_config(45));
-  sim::ByteSource src(sink.bytes().data(), sink.bytes().size());
-  ASSERT_TRUE(agent.load_state(src));
-  ASSERT_EQ(agent.weights(), source.weights());
-  expect_ppo_current(agent, "PpoAgent::load_state");
 }
 
 // --- InferenceModel ----------------------------------------------------------
