@@ -60,7 +60,8 @@ int main(int argc, char** argv) {
                               sim_sec / 1e6),
                  "0 Mbps"});
   table.add_row({"NCM tracked flows (bounded)",
-                 exp::fmt("%zu", acc->agent(0).ncm().tracked_flows()),
+                 exp::fmt("%zu (by design: ACC's state reads no flows)",
+                          acc->agent(0).ncm().tracked_flows()),
                  exp::fmt("%zu", pet_ctl->agent(0).ncm().tracked_flows())});
   table.print();
 

@@ -11,7 +11,7 @@ AccAgent::AccAgent(sim::Scheduler& sched, net::SwitchDevice& sw,
     : sched_(sched),
       sw_(sw),
       cfg_(cfg),
-      ncm_(sched, sw, cfg.ncm),
+      ncm_(sched, sw, cfg.ncm, cfg.state.ncm_tracking()),
       state_builder_(cfg.state, cfg.action_space),
       rng_(sim::derive_seed(seed, "acc-agent") +
            static_cast<std::uint64_t>(sw.id())) {
@@ -24,12 +24,13 @@ AccAgent::AccAgent(sim::Scheduler& sched, net::SwitchDevice& sw,
   learner_ = std::make_unique<rl::DdqnAgent>(ddqn, std::move(global_replay),
                                              sw.id());
   current_config_ = sw_.port(0).ecn_config(0);
+  actions_.resize(ddqn.head_sizes.size());
 }
 
-void AccAgent::tick() {
+void AccAgent::observe() {
   const core::NcmSnapshot snap = ncm_.sample();
   state_builder_.push_slot(snap, current_config_);
-  std::vector<double> state = state_builder_.state();
+  state_ = state_builder_.state();
 
   // Reward the previous action and store the transition in the (global)
   // replay; DDQN is off-policy so it can learn from everyone's experience.
@@ -39,17 +40,22 @@ void AccAgent::tick() {
     learner_->observe(rl::DqnTransition{.state = std::move(pending_->state),
                                         .actions = std::move(pending_->actions),
                                         .reward = reward,
-                                        .next_state = state});
+                                        .next_state = state_});
     pending_.reset();
   }
+  learner_->sample_batch();
+}
 
-  learner_->train_step();
+void AccAgent::learn() {
+  learner_->train_on_batch();
+  learner_->act(state_, rng_, actions_);
+}
 
+void AccAgent::apply() {
   ++steps_;
-  std::vector<std::int32_t> actions = learner_->act(state, rng_);
-  current_config_ = cfg_.action_space.to_config(actions);
+  current_config_ = cfg_.action_space.to_config(actions_);
   sw_.install_ecn(current_config_);
-  pending_ = Pending{.state = std::move(state), .actions = std::move(actions)};
+  pending_ = Pending{.state = std::move(state_), .actions = actions_};
 }
 
 // ---------------------------------------------------------------------------
@@ -70,7 +76,10 @@ AccController::AccController(sim::Scheduler& sched,
 }
 
 void AccController::tick() {
-  for (auto& a : agents_) a->tick();
+  for (auto& a : agents_) a->observe();
+  if (pool_ == nullptr) pool_ = &sim::ForkJoinPool::shared();
+  pool_->run(agents_.size(), [this](std::size_t i) { agents_[i]->learn(); });
+  for (auto& a : agents_) a->apply();
 }
 
 double AccController::mean_reward() const {

@@ -20,6 +20,7 @@
 #include "net/switch.hpp"
 #include "rl/ddqn.hpp"
 #include "rl/replay.hpp"
+#include "sim/fork_join.hpp"
 #include "sim/rng.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/stats.hpp"
@@ -36,13 +37,26 @@ struct AccAgentConfig {
   sim::Time tuning_interval = sim::microseconds(100);
 };
 
+/// One switch's agent. A tick is three phases, so a controller can run the
+/// middle one of every agent side by side: observe() and apply() touch the
+/// switch and the shared replay and run on the event thread in agent
+/// order; learn() touches only this agent.
 class AccAgent {
  public:
   AccAgent(sim::Scheduler& sched, net::SwitchDevice& sw,
            const AccAgentConfig& cfg, std::uint64_t seed,
            std::shared_ptr<rl::ReplayBuffer> global_replay);
 
-  void tick();
+  /// Phase 1: close the NCM slot, build the state, push the previous
+  /// transition into the replay and copy this tick's minibatch out of it
+  /// (before the next agent's push can overwrite a sampled slot).
+  void observe();
+  /// Phase 2: the DDQN step on the copied minibatch, then the
+  /// epsilon-greedy action. Touches only this agent's networks, optimizer,
+  /// scratch and RNG, so agents may run it concurrently.
+  void learn();
+  /// Phase 3: install the chosen ECN config and remember the transition.
+  void apply();
 
   [[nodiscard]] rl::DdqnAgent& learner() { return *learner_; }
   [[nodiscard]] core::Ncm& ncm() { return ncm_; }
@@ -53,6 +67,7 @@ class AccAgent {
   [[nodiscard]] const net::RedEcnConfig& current_config() const {
     return current_config_;
   }
+  [[nodiscard]] const sim::Rng& rng() const { return rng_; }
 
  private:
   sim::Scheduler& sched_;
@@ -68,6 +83,9 @@ class AccAgent {
     std::vector<std::int32_t> actions;
   };
   std::optional<Pending> pending_;
+  // This tick's state and chosen action, from observe() to apply().
+  std::vector<double> state_;
+  std::vector<std::int32_t> actions_;
   net::RedEcnConfig current_config_;
   std::int64_t steps_ = 0;
   sim::RunningStats reward_stats_;
@@ -80,12 +98,18 @@ struct AccControllerConfig {
 
 /// Deploys ACC on every switch with the shared (global) replay the paper
 /// criticizes; exposes the replay's memory/bandwidth cost so the overhead
-/// experiment can quantify it.
+/// experiment can quantify it. Each tick runs the agents' learn() phases
+/// side by side on a sim::ForkJoinPool; every result is bitwise the same
+/// at any worker count.
 class AccController final : public core::EcnTuner {
  public:
   AccController(sim::Scheduler& sched,
                 std::span<net::SwitchDevice* const> switches,
                 const AccControllerConfig& cfg, std::uint64_t seed);
+
+  /// Run the learn() phases on `pool` instead of the process-wide pool
+  /// (which otherwise starts on the first tick).
+  void run_on(sim::ForkJoinPool& pool) { pool_ = &pool; }
 
   [[nodiscard]] std::size_t num_agents() const { return agents_.size(); }
   [[nodiscard]] AccAgent& agent(std::size_t i) { return *agents_[i]; }
@@ -113,6 +137,7 @@ class AccController final : public core::EcnTuner {
   AccControllerConfig cfg_;
   std::shared_ptr<rl::ReplayBuffer> replay_;
   std::vector<std::unique_ptr<AccAgent>> agents_;
+  sim::ForkJoinPool* pool_ = nullptr;
 };
 
 }  // namespace pet::acc

@@ -28,6 +28,14 @@ std::uint64_t agent_seed(std::uint64_t seed, std::string_view stream,
   return queue < 0 ? s
                    : sim::derive_seed(s, static_cast<std::uint64_t>(queue));
 }
+
+/// What the state reads, plus the packet count the stale-telemetry
+/// guardrail checks.
+NcmTracking ncm_tracking(const PetAgentConfig& cfg) {
+  NcmTracking tracking = cfg.state.ncm_tracking();
+  tracking.packets = cfg.guardrails.enabled;
+  return tracking;
+}
 }  // namespace
 
 PetAgentConfig PetAgentConfig::paper_defaults() {
@@ -48,7 +56,7 @@ PetAgent::PetAgent(sim::Scheduler& sched, net::SwitchDevice& sw,
     : sched_(sched),
       sw_(sw),
       cfg_(cfg),
-      ncm_(sched, sw, cfg.ncm),
+      ncm_(sched, sw, cfg.ncm, ncm_tracking(cfg)),
       state_builder_(cfg.state, cfg.action_space),
       rng_(agent_seed(seed, "pet-agent", sw, cfg.ncm.queue_index)),
       targets_(cfg.ncm.queue_index < 0

@@ -22,6 +22,15 @@ struct StateConfig {
   double incast_norm = 32.0;          // fan-in normalization cap
   bool include_incast = true;         // ablation knobs (Fig. 9)
   bool include_flow_ratio = true;
+
+  /// What the NCM must track for this state: sender sets only for
+  /// D_incast, the flow table only for R_flow. Packet counts are no state
+  /// factor (PET's stale-telemetry guardrail reads them).
+  [[nodiscard]] NcmTracking ncm_tracking() const {
+    return {.packets = false,
+            .senders = include_incast,
+            .flows = include_flow_ratio};
+  }
 };
 
 class StateBuilder {

@@ -40,6 +40,10 @@ class DdqnAgent {
   /// Epsilon-greedy action (one index per head).
   [[nodiscard]] std::vector<std::int32_t> act(std::span<const double> state,
                                               sim::Rng& rng);
+  /// The same draw into `actions` (one slot per head); allocates nothing
+  /// once warm.
+  void act(std::span<const double> state, sim::Rng& rng,
+           std::span<std::int32_t> actions);
   [[nodiscard]] std::vector<std::int32_t> act_greedy(
       std::span<const double> state) const;
 
@@ -47,11 +51,23 @@ class DdqnAgent {
   void observe(DqnTransition t);
 
   /// One gradient step from a replay minibatch (no-op until the buffer has
-  /// at least one batch).
+  /// at least one batch): sample_batch() then train_on_batch().
   void train_step();
+  /// Draw a minibatch from the replay and copy its rows, rewards and
+  /// actions into this agent's batch scratch (no-op until the buffer has
+  /// at least one batch). Once copied, later pushes may overwrite the
+  /// sampled slots. The first call also sizes the scratch of the step and
+  /// of act, on the calling thread.
+  void sample_batch();
+  /// The gradient step on the batch sample_batch() copied (no-op when it
+  /// copied none). It touches only this agent's networks, optimizer and
+  /// scratch, never the replay, and allocates nothing once warm.
+  void train_on_batch();
 
   [[nodiscard]] double epsilon() const;
   [[nodiscard]] std::int64_t train_steps() const { return train_steps_; }
+  [[nodiscard]] const Adam& optimizer() const { return *opt_; }
+  [[nodiscard]] const sim::Rng& sample_rng() const { return sample_rng_; }
   [[nodiscard]] ReplayBuffer& replay() { return *replay_; }
   [[nodiscard]] std::int32_t agent_id() const { return agent_id_; }
 
@@ -75,8 +91,8 @@ class DdqnAgent {
 
  private:
   void sync_target();
-  void q_values(const std::vector<Mlp>& nets, std::span<const double> state,
-                std::vector<std::vector<double>>& q) const;
+  /// Size every scratch buffer the step and act use, so neither allocates.
+  void reserve_scratch();
 
   DdqnConfig cfg_;
   sim::Rng init_rng_;
@@ -90,6 +106,21 @@ class DdqnAgent {
   std::int64_t observe_steps_ = 0;
   std::int64_t train_steps_ = 0;
   sim::Rng sample_rng_;
+
+  // The copied minibatch: row-major (batch x input) states and next
+  // states, one reward per row and (batch x heads) actions.
+  bool batch_ready_ = false;
+  std::vector<double> states_;
+  std::vector<double> next_states_;
+  std::vector<double> rewards_;
+  std::vector<std::int32_t> actions_;
+  // One reused cache serves every pass in turn: the next-state passes (the
+  // step keeps only each row's argmax and TD target), the training pass
+  // and act's pass.
+  Mlp::BatchCache cache_;
+  std::vector<std::int32_t> best_next_;
+  std::vector<double> td_targets_;
+  std::vector<double> dq_;
 };
 
 }  // namespace pet::rl

@@ -74,6 +74,13 @@ void Linear::set_params(std::span<const double> values) {
   repack();
 }
 
+void Linear::copy_params(const Linear& other) {
+  assert(other.in_ == in_ && other.out_ == out_);
+  std::copy(other.w_.begin(), other.w_.end(), w_.begin());
+  std::copy(other.b_.begin(), other.b_.end(), b_.begin());
+  repack();
+}
+
 void Linear::adam_step(const kern::AdamStep& step, std::span<double> m,
                        std::span<double> v) {
   assert(m.size() == num_params() && v.size() == num_params());
@@ -129,6 +136,22 @@ Mlp::Mlp(std::vector<std::int32_t> sizes, Activation act, sim::Rng& rng)
 std::vector<double> Mlp::forward_batch(std::span<const double> x,
                                        std::int32_t batch,
                                        BatchCache* cache) const {
+  std::array<std::vector<double>, 2> local;
+  const std::span<const double> out = forward_layers(x, batch, cache, local);
+  if (cache != nullptr) return {out.begin(), out.end()};
+  return std::move(local[(layers_.size() - 1) % 2]);
+}
+
+std::span<const double> Mlp::forward_batch(std::span<const double> x,
+                                           std::int32_t batch,
+                                           BatchCache& cache) const {
+  std::array<std::vector<double>, 2> unused;
+  return forward_layers(x, batch, &cache, unused);
+}
+
+std::span<const double> Mlp::forward_layers(
+    std::span<const double> x, std::int32_t batch, BatchCache* cache,
+    std::array<std::vector<double>, 2>& local) const {
   assert(static_cast<std::int32_t>(x.size()) == batch * input_size());
   const std::size_t depth = layers_.size();
   if (cache != nullptr) {
@@ -140,7 +163,6 @@ std::vector<double> Mlp::forward_batch(std::span<const double> x,
   // Training writes each layer straight into the cache's planes; inference
   // keeps neither plane, so two local ones take turns as the layers' outputs
   // and activations run in place.
-  std::array<std::vector<double>, 2> local;
   std::span<const double> input = x;
   for (std::size_t l = 0; l < depth; ++l) {
     std::vector<double>& pre = cache != nullptr ? cache->pre[l] : local[l % 2];
@@ -157,11 +179,26 @@ std::vector<double> Mlp::forward_batch(std::span<const double> x,
     }
     input = post;
   }
-  if (cache != nullptr) return cache->post.back();
-  return std::move(local[(depth - 1) % 2]);
+  return input;
 }
 
-void Mlp::backward_batch(std::span<const double> x, const BatchCache& cache,
+void Mlp::reserve(BatchCache& cache, std::int32_t batch) const {
+  const std::size_t depth = layers_.size();
+  cache.pre.resize(depth);
+  cache.post.resize(depth);
+  std::size_t hidden = 0;  // widest hidden plane: the gradient planes' size
+  for (std::size_t l = 0; l < depth; ++l) {
+    const std::size_t n = static_cast<std::size_t>(batch) *
+                          static_cast<std::size_t>(layers_[l].out_size());
+    cache.pre[l].reserve(n);
+    cache.post[l].reserve(n);
+    if (l + 1 < depth) hidden = std::max(hidden, n);
+  }
+  cache.grad.reserve(hidden);
+  cache.next_grad.reserve(hidden);
+}
+
+void Mlp::backward_batch(std::span<const double> x, BatchCache& cache,
                          std::span<const double> dy, std::int32_t batch,
                          std::span<double> dx) {
   assert(cache.pre.size() == layers_.size());
@@ -169,8 +206,8 @@ void Mlp::backward_batch(std::span<const double> x, const BatchCache& cache,
   assert(static_cast<std::int32_t>(dy.size()) == batch * output_size());
   // `grad` holds dL/d(post) of the layer below the one being processed;
   // `next` receives the next input gradient (the two swap every layer).
-  std::vector<double> grad;
-  std::vector<double> next;
+  std::vector<double>& grad = cache.grad;
+  std::vector<double>& next = cache.next_grad;
   std::span<const double> upstream = dy;
   for (std::size_t li = layers_.size(); li-- > 1;) {
     const std::vector<double>& pre = cache.pre[li - 1];
@@ -224,6 +261,13 @@ void restore_params(const ParamRefs& refs, std::span<const double> values) {
   for (Linear* layer : refs.layers) {
     layer->set_params(values.subspan(off, layer->num_params()));
     off += layer->num_params();
+  }
+}
+
+void copy_params(const ParamRefs& from, const ParamRefs& to) {
+  assert(from.layers.size() == to.layers.size());
+  for (std::size_t l = 0; l < from.layers.size(); ++l) {
+    to.layers[l]->copy_params(*from.layers[l]);
   }
 }
 

@@ -4,6 +4,7 @@
 // a hand-rolled MLP with numerically verified gradients replaces the
 // paper's PyTorch dependency.
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -72,6 +73,8 @@ class Linear {
   /// Overwrite every parameter from `values` (num_params() long: weights
   /// row-major, then biases).
   void set_params(std::span<const double> values);
+  /// set_params from another layer of the same shape.
+  void copy_params(const Linear& other);
 
   /// One Adam update of every parameter from the accumulated gradients:
   /// the weights block, then the biases block. `m` and `v` hold this
@@ -115,11 +118,15 @@ class Mlp {
   /// backward_batch. Layer l holds row-major (batch x sizes_[l+1]) planes:
   /// `pre` before the activation, `post` after it (the output layer has no
   /// activation, so its two planes are equal). forward_batch writes the
-  /// planes in place, so a reused cache keeps their storage.
+  /// planes in place and backward_batch its two gradient planes, so a
+  /// reused cache keeps all their storage and a warm pass allocates
+  /// nothing.
   struct BatchCache {
     std::int32_t batch = 0;
     std::vector<std::vector<double>> pre;
     std::vector<std::vector<double>> post;
+    std::vector<double> grad;
+    std::vector<double> next_grad;
   };
 
   /// Forward pass: `x` is row-major (batch x input_size()); returns
@@ -129,6 +136,16 @@ class Mlp {
   [[nodiscard]] std::vector<double> forward_batch(
       std::span<const double> x, std::int32_t batch,
       BatchCache* cache = nullptr) const;
+  /// The same pass into `cache`; returns a view of its output plane.
+  std::span<const double> forward_batch(std::span<const double> x,
+                                        std::int32_t batch,
+                                        BatchCache& cache) const;
+
+  /// Size every plane of `cache` for passes of up to `batch` rows, so
+  /// forward and backward passes through it allocate nothing. A cache
+  /// sized by the net with the widest output also serves nets that differ
+  /// from it only in output width.
+  void reserve(BatchCache& cache, std::int32_t batch) const;
 
   /// Backprop of `dy` (batch x output_size()); accumulates parameter
   /// gradients for the whole batch. When `dx` is non-empty it receives
@@ -136,7 +153,7 @@ class Mlp {
   /// gradient is never computed (training only needs the parameter
   /// gradients). `x` and `cache` must come from the matching forward_batch.
   /// Bitwise identical to one-row calls over the same samples in order.
-  void backward_batch(std::span<const double> x, const BatchCache& cache,
+  void backward_batch(std::span<const double> x, BatchCache& cache,
                       std::span<const double> dy, std::int32_t batch,
                       std::span<double> dx = {});
 
@@ -146,6 +163,12 @@ class Mlp {
   [[nodiscard]] std::size_t num_params() const;
 
  private:
+  /// The one layer loop: into `cache`'s planes when given, else into the
+  /// two `local` planes in turn. Returns the output plane.
+  std::span<const double> forward_layers(
+      std::span<const double> x, std::int32_t batch, BatchCache* cache,
+      std::array<std::vector<double>, 2>& local) const;
+
   std::vector<std::int32_t> sizes_;
   Activation act_;
   std::vector<Linear> layers_;
@@ -156,6 +179,9 @@ class Mlp {
 /// weights and biases. restore_params rebuilds each layer's packed weights.
 [[nodiscard]] std::vector<double> snapshot_params(const ParamRefs& refs);
 void restore_params(const ParamRefs& refs, std::span<const double> values);
+/// restore_params(to, snapshot_params(from)) layer by layer, without the
+/// intermediate vector. `from` and `to` must have the same shapes.
+void copy_params(const ParamRefs& from, const ParamRefs& to);
 /// The accumulated gradients of `refs`, in the same flat order.
 [[nodiscard]] std::vector<double> snapshot_grads(const ParamRefs& refs);
 

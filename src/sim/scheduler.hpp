@@ -1,9 +1,12 @@
 #pragma once
 // Discrete-event scheduler: the heart of the simulator.
 //
-// Single-threaded by design (determinism is a hard requirement for the RL
-// experiments); ties in event time are broken by insertion order so two runs
-// with the same seed replay the exact same event sequence.
+// The event loop is single-threaded (determinism is a hard requirement for
+// the RL experiments); ties in event time are broken by insertion order so
+// two runs with the same seed replay the exact same event sequence. One
+// event may fork-join work that touches only agent-local state on a
+// sim::ForkJoinPool (sim/fork_join.hpp); it joins before the event returns,
+// so no other event ever sees a worker running.
 //
 // Hot-path layout (see DESIGN.md "DES hot path & bench gate"):
 //   * events live in a chunked slot pool with per-slot generation counters;

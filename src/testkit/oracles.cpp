@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "sim/sorted_keys.hpp"
+
 namespace pet::testkit {
 
 // --- RED/ECN -----------------------------------------------------------------
@@ -219,6 +221,92 @@ std::vector<std::uint64_t> SchedulerModel::run_until(sim::Time until) {
   }
   if (until != sim::Time::max() && now_ < until) now_ = until;
   return order;
+}
+
+// --- NCM ---------------------------------------------------------------------
+
+void NcmRef::on_forward(const net::Packet& pkt, std::int32_t queue_idx) {
+  if (cfg_.queue_index >= 0 && queue_idx != cfg_.queue_index) return;
+  ++slot_packets_;
+  dst_srcs_[pkt.dst].insert(pkt.src);
+  slot_flows_.insert(pkt.flow_id);
+  FlowInfo& info = flows_[pkt.flow_id];
+  info.bytes += pkt.payload_bytes;
+  info.last_seen_slot = slot_index_;
+  if (flows_.size() > cfg_.max_tracked_flows ||
+      dst_srcs_.size() > cfg_.max_tracked_dsts) {
+    threshold_cleanup();
+  }
+}
+
+void NcmRef::close_slot(core::NcmSnapshot& snap) {
+  std::size_t max_fan_in = 0;
+  // pet-lint: allow(nondet-iteration): order-insensitive max reduction
+  for (const auto& [dst, srcs] : dst_srcs_) {
+    max_fan_in = std::max(max_fan_in, srcs.size());
+  }
+  snap.incast_degree = static_cast<double>(max_fan_in);
+
+  std::int64_t mice = 0;
+  std::int64_t elephants = 0;
+  // pet-lint: allow(nondet-iteration): order-insensitive counting reduction
+  for (const net::FlowId id : slot_flows_) {
+    const auto it = flows_.find(id);
+    if (it == flows_.end()) continue;  // evicted by threshold cleanup
+    if (it->second.bytes > cfg_.elephant_threshold_bytes) {
+      ++elephants;
+    } else {
+      ++mice;
+    }
+  }
+  snap.flows_seen = mice + elephants;
+  snap.mice_ratio = snap.flows_seen > 0
+                        ? static_cast<double>(mice) /
+                              static_cast<double>(snap.flows_seen)
+                        : 1.0;
+  snap.packets_seen = slot_packets_;
+
+  dst_srcs_.clear();
+  slot_flows_.clear();
+  slot_packets_ = 0;
+  const std::int64_t expiry = slot_index_ - cfg_.flow_expiry_slots;
+  // pet-lint: allow(nondet-iteration): full predicate erase — every expired
+  // entry goes, so the final table is order-independent
+  for (auto it = flows_.begin(); it != flows_.end();) {
+    if (it->second.last_seen_slot < expiry) {
+      it = flows_.erase(it);
+    } else {
+      ++it;
+    }
+  }
+  ++slot_index_;
+}
+
+void NcmRef::threshold_cleanup() {
+  if (flows_.size() > cfg_.max_tracked_flows) {
+    const std::int64_t cutoff = slot_index_ - 1;
+    for (const net::FlowId id : sim::sorted_keys(flows_)) {
+      if (flows_.size() <= cfg_.max_tracked_flows / 2) break;
+      const auto it = flows_.find(id);
+      if (it != flows_.end() && it->second.last_seen_slot < cutoff) {
+        flows_.erase(it);
+      }
+    }
+  }
+  if (dst_srcs_.size() > cfg_.max_tracked_dsts) {
+    std::size_t max_size = 0;
+    // pet-lint: allow(nondet-iteration): order-insensitive max reduction
+    for (const auto& [dst, srcs] : dst_srcs_) {
+      max_size = std::max(max_size, srcs.size());
+    }
+    for (const net::HostId dst : sim::sorted_keys(dst_srcs_)) {
+      if (dst_srcs_.size() <= cfg_.max_tracked_dsts / 2) break;
+      const auto it = dst_srcs_.find(dst);
+      if (it != dst_srcs_.end() && it->second.size() < max_size) {
+        dst_srcs_.erase(it);
+      }
+    }
+  }
 }
 
 }  // namespace pet::testkit

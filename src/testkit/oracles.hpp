@@ -16,8 +16,12 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
+#include "core/ncm.hpp"
+#include "net/packet.hpp"
 #include "net/red_ecn.hpp"
 #include "sim/time.hpp"
 #include "transport/dcqcn.hpp"
@@ -176,6 +180,40 @@ class SchedulerModel {
   std::vector<Entry> events_;  // kept sorted by (at, seq)
   sim::Time now_ = sim::Time::zero();
   std::uint64_t next_seq_ = 1;
+};
+
+// --- NCM ---------------------------------------------------------------------
+
+/// Hash-table model of core::Ncm's per-packet bookkeeping: a sender set per
+/// destination, the slot's flow set and a cross-slot flow table, with the
+/// threshold cleanup (sorted key visits, stopping at half the bound) and the
+/// scheduled cleanup at each slot's close. It always tracks every part.
+class NcmRef {
+ public:
+  explicit NcmRef(const core::NcmConfig& cfg) : cfg_(cfg) {}
+
+  /// One data packet the switch forwarded into classifier queue `queue_idx`.
+  void on_forward(const net::Packet& pkt, std::int32_t queue_idx);
+  /// Close the slot: write its incast_degree, mice_ratio, flows_seen and
+  /// packets_seen into `snap`, then run the scheduled cleanup.
+  void close_slot(core::NcmSnapshot& snap);
+
+  [[nodiscard]] std::size_t tracked_flows() const { return flows_.size(); }
+  [[nodiscard]] std::size_t tracked_dsts() const { return dst_srcs_.size(); }
+
+ private:
+  struct FlowInfo {
+    std::int64_t bytes = 0;
+    std::int64_t last_seen_slot = 0;
+  };
+  void threshold_cleanup();
+
+  core::NcmConfig cfg_;
+  std::int64_t slot_index_ = 0;
+  std::int64_t slot_packets_ = 0;
+  std::unordered_map<net::HostId, std::unordered_set<net::HostId>> dst_srcs_;
+  std::unordered_set<net::FlowId> slot_flows_;
+  std::unordered_map<net::FlowId, FlowInfo> flows_;
 };
 
 }  // namespace pet::testkit

@@ -4,8 +4,9 @@
 // versions, warms each hot structure past its growth phase, then asserts
 // that the steady state — scheduler schedule/run cycles with transmit-sized
 // captures, constant-delay lane cycles, FIFO ring push/pop, cancel churn,
-// and a leaf-spine DCQCN long-flow window — performs literally zero heap
-// allocations.
+// a leaf-spine DCQCN long-flow window, and ACC's learner phase (the DDQN
+// step on a copied minibatch plus the epsilon-greedy act) — performs
+// literally zero heap allocations.
 //
 // Kept out of the `fast` label on purpose: the sanitizer presets interpose
 // their own allocator and must not race a user-defined operator new.
@@ -19,6 +20,7 @@
 
 #include "net/fabric.hpp"
 #include "net/queue.hpp"
+#include "rl/ddqn.hpp"
 #include "rl/inference.hpp"
 #include "rl/mlp.hpp"
 #include "rl/ppo.hpp"
@@ -268,6 +270,52 @@ TEST(AllocSteady, PolicyServerWarmServingTicksAllocateNothing) {
                             << rl::infer_precision_name(precision);
     EXPECT_EQ(w.deletes(), 0u);
   }
+}
+
+TEST(AllocSteady, DdqnLearnerPhaseAllocatesNothingFromTheFirstStep) {
+  // ACC runs this phase on fork-join workers: the DDQN step on the copied
+  // minibatch and the epsilon-greedy act. Drawing the minibatch
+  // (sample_batch) runs on the event thread, is not counted, and sizes the
+  // phase's scratch on its first call, so even the first step allocates
+  // nothing, and neither does a target-network sync.
+  rl::DdqnConfig cfg;
+  cfg.input_size = 18;
+  cfg.head_sizes = {10, 10, 20};
+  cfg.batch_size = 32;
+  cfg.target_sync_interval = 50;
+  cfg.seed = 3;
+  auto replay = std::make_shared<rl::ReplayBuffer>(256);
+  rl::DdqnAgent agent(cfg, replay, 0);
+  sim::Rng rng(9);
+  for (int i = 0; i < 64; ++i) {
+    rl::DqnTransition t;
+    t.state.assign(18, 0.0);
+    t.next_state.assign(18, 0.0);
+    for (std::size_t k = 0; k < 18; ++k) {
+      t.state[k] = rng.uniform();
+      t.next_state[k] = rng.uniform();
+    }
+    t.actions = {static_cast<std::int32_t>(rng.uniform_int(10)),
+                 static_cast<std::int32_t>(rng.uniform_int(10)),
+                 static_cast<std::int32_t>(rng.uniform_int(20))};
+    t.reward = rng.uniform();
+    agent.observe(std::move(t));
+  }
+  const std::vector<double> state(18, 0.25);
+  std::vector<std::int32_t> actions(3);
+  std::uint64_t news = 0;
+  std::uint64_t deletes = 0;
+  for (int step = 0; step < 120; ++step) {
+    agent.sample_batch();
+    AllocWindow w;
+    agent.train_on_batch();
+    agent.act(state, rng, actions);
+    news += w.news();
+    deletes += w.deletes();
+  }
+  EXPECT_EQ(agent.train_steps(), 120);
+  EXPECT_EQ(news, 0u) << "DDQN step or act allocated";
+  EXPECT_EQ(deletes, 0u);
 }
 
 }  // namespace

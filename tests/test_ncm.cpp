@@ -7,6 +7,8 @@
 #include <tuple>
 #include <vector>
 
+#include "acc/acc_agent.hpp"
+#include "core/pet_agent.hpp"
 #include "net/network.hpp"
 #include "sim/rng.hpp"
 
@@ -170,6 +172,60 @@ TEST_F(NcmFixture, PacketsSeenCountsSlotTraffic) {
   for (int i = 0; i < 7; ++i) sw->receive(data_packet(1, 0, 5), 1);
   EXPECT_EQ(ncm->sample().packets_seen, 7);
   EXPECT_EQ(ncm->sample().packets_seen, 0);
+}
+
+// --- tracking only what the agent reads -----------------------------------
+
+/// Four senders, ten flows each, into host 0.
+void load_window(net::SwitchDevice& sw) {
+  for (net::HostId s : {1, 2, 3, 4}) {
+    for (net::FlowId f = 0; f < 10; ++f) {
+      sw.receive(data_packet(s, 0, 100 * static_cast<net::FlowId>(s) + f), s);
+    }
+  }
+}
+
+TEST_F(NcmFixture, AccAgentNcmTracksNothing) {
+  build();
+  ncm.reset();
+  acc::AccAgent agent(sched, *sw, acc::AccAgentConfig{}, 1,
+                      std::make_shared<rl::ReplayBuffer>(64));
+  load_window(*sw);
+  EXPECT_EQ(agent.ncm().tracked_flows(), 0u);
+  EXPECT_EQ(agent.ncm().tracked_dsts(), 0u);
+  const NcmSnapshot snap = agent.ncm().sample();
+  EXPECT_EQ(snap.packets_seen, 0);
+  EXPECT_EQ(snap.incast_degree, 0.0);
+  EXPECT_EQ(snap.flows_seen, 0);
+}
+
+TEST_F(NcmFixture, PetNoIrNcmCountsPacketsOnly) {
+  build();
+  ncm.reset();
+  PetAgentConfig cfg;
+  cfg.state.include_incast = false;
+  cfg.state.include_flow_ratio = false;
+  PetAgent agent(sched, *sw, cfg, 1);
+  load_window(*sw);
+  EXPECT_EQ(agent.ncm().tracked_flows(), 0u);
+  EXPECT_EQ(agent.ncm().tracked_dsts(), 0u);
+  const NcmSnapshot snap = agent.ncm().sample();
+  EXPECT_EQ(snap.packets_seen, 40);  // the stale-telemetry guardrail's input
+  EXPECT_EQ(snap.incast_degree, 0.0);
+  EXPECT_EQ(snap.flows_seen, 0);
+}
+
+TEST_F(NcmFixture, FullPetNcmTracksEveryFactor) {
+  build();
+  ncm.reset();
+  PetAgent agent(sched, *sw, PetAgentConfig{}, 1);
+  load_window(*sw);
+  EXPECT_EQ(agent.ncm().tracked_flows(), 40u);
+  EXPECT_EQ(agent.ncm().tracked_dsts(), 1u);
+  const NcmSnapshot snap = agent.ncm().sample();
+  EXPECT_EQ(snap.packets_seen, 40);
+  EXPECT_EQ(snap.incast_degree, 4.0);
+  EXPECT_EQ(snap.flows_seen, 40);
 }
 
 TEST(NcmOrderIndependence, EvictionSurvivorsIndependentOfArrivalOrder) {

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Behaviour check for refactors: every scenario benchmark workload must
 # reproduce its committed outputs digest (a hash of every outcome the run
-# fingerprints) on two seeds.
+# fingerprints) on two seeds, plus ACC's held-out benchmark seed 4242.
 #
 #   tools/check_scenario_digests.sh
 #
@@ -26,6 +26,7 @@ expected=(
   "websearch_pet 303 2dc51aafd3929af4"
   "datamining_acc 7 f2d7c5f8564b688f"
   "datamining_acc 303 0ce41c68565177fe"
+  "datamining_acc 4242 cc56b6c92adb2604"
 )
 
 status=0
