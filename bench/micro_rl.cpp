@@ -1,17 +1,8 @@
 // Microbenchmarks: RL stack primitives (google-benchmark). These bound the
 // per-tick compute a switch-resident agent would need.
-//
-// The policy-server benches serve one batched tick of greedy decisions for
-// 80 agents at each inference precision. Headline counters
-// (decisions_per_sec, p99_decision_ns) are exported into
-// BENCH_micro_rl.json and gated against bench/baselines/ by
-// `ctest -L benchgate`; the fp64-scalar variant is the reference the
-// fp32/int8 speedups are measured against.
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <vector>
 
@@ -19,8 +10,6 @@
 
 #include "rl/ddqn.hpp"
 #include "rl/gae.hpp"
-#include "rl/inference.hpp"
-#include "rl/kernels.hpp"
 #include "rl/mlp.hpp"
 #include "rl/ppo.hpp"
 
@@ -170,79 +159,6 @@ void BM_Gae(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 256);
 }
 BENCHMARK(BM_Gae);
-
-/// One policy-server tick for a fleet of 80 switches: batched greedy
-/// decisions across all three actor heads at the given precision/backend.
-void serve_greedy_bench(benchmark::State& state,
-                        rl::InferPrecision precision,
-                        rl::kern::Backend backend) {
-  constexpr std::int32_t kAgents = 80;
-  constexpr std::int32_t kInput = 24;
-  rl::kern::set_backend(backend);
-  rl::PpoAgent agent(pet_shape());
-  rl::PolicyServer server;
-  if (!server.install(agent, precision)) {
-    rl::kern::reset_backend();
-    state.SkipWithError("policy-server install failed");
-    return;
-  }
-  std::vector<double> states(static_cast<std::size_t>(kAgents) * kInput);
-  for (std::size_t i = 0; i < states.size(); ++i) {
-    states[i] = std::sin(0.13 * static_cast<double>(i + 1));
-  }
-  std::vector<std::int32_t> actions(static_cast<std::size_t>(kAgents) *
-                                    server.num_heads());
-  server.reserve(kAgents);
-  server.serve_greedy(states, kAgents, actions);  // warm the scratch
-
-  std::vector<double> tick_ns;
-  tick_ns.reserve(1 << 14);
-  for (auto _ : state) {
-    const auto t0 = std::chrono::steady_clock::now();
-    server.serve_greedy(states, kAgents, actions);
-    const auto t1 = std::chrono::steady_clock::now();
-    benchmark::DoNotOptimize(actions.data());
-    tick_ns.push_back(
-        std::chrono::duration<double, std::nano>(t1 - t0).count() /
-        static_cast<double>(kAgents));
-  }
-  rl::kern::reset_backend();
-  const auto decisions = state.iterations() * kAgents;
-  state.SetItemsProcessed(decisions);
-  state.counters["decisions_per_sec"] = benchmark::Counter(
-      static_cast<double>(decisions), benchmark::Counter::kIsRate);
-  if (!tick_ns.empty()) {
-    std::sort(tick_ns.begin(), tick_ns.end());
-    state.counters["p99_decision_ns"] =
-        tick_ns[std::min(tick_ns.size() - 1, tick_ns.size() * 99 / 100)];
-  }
-}
-
-[[nodiscard]] rl::kern::Backend best_backend() {
-  return rl::kern::avx2_supported() ? rl::kern::Backend::kAvx2
-                                    : rl::kern::Backend::kScalar;
-}
-
-void BM_ServeGreedyFp64Scalar(benchmark::State& state) {
-  serve_greedy_bench(state, rl::InferPrecision::kFp64,
-                     rl::kern::Backend::kScalar);
-}
-BENCHMARK(BM_ServeGreedyFp64Scalar);
-
-void BM_ServeGreedyFp64Simd(benchmark::State& state) {
-  serve_greedy_bench(state, rl::InferPrecision::kFp64, best_backend());
-}
-BENCHMARK(BM_ServeGreedyFp64Simd);
-
-void BM_ServeGreedyFp32Simd(benchmark::State& state) {
-  serve_greedy_bench(state, rl::InferPrecision::kFp32, best_backend());
-}
-BENCHMARK(BM_ServeGreedyFp32Simd);
-
-void BM_ServeGreedyInt8Simd(benchmark::State& state) {
-  serve_greedy_bench(state, rl::InferPrecision::kInt8, best_backend());
-}
-BENCHMARK(BM_ServeGreedyInt8Simd);
 
 }  // namespace
 

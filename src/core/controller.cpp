@@ -58,11 +58,11 @@ void PetController::tick() {
   }
   if (deciding_.empty()) return;
   if (cfg_.shared_policy) {
-    PetAgent::decide(deciding_, cfg_.infer, scratch_);
+    PetAgent::decide(deciding_, scratch_);
     return;
   }
   for (PetAgent*& a : deciding_) {
-    PetAgent::decide({&a, 1}, rl::InferMode::kDirect, scratch_);
+    PetAgent::decide({&a, 1}, scratch_);
   }
 }
 

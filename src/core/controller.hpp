@@ -15,7 +15,6 @@
 #include "core/tuner.hpp"
 #include "net/network.hpp"
 #include "net/switch.hpp"
-#include "rl/inference.hpp"
 #include "sim/scheduler.hpp"
 
 namespace pet::core {
@@ -29,13 +28,6 @@ struct PetControllerConfig {
   /// streams and exploration rates are threaded through the batch, so each
   /// agent draws the actions it would draw alone.
   bool shared_policy = false;
-  /// Deployment-mode decision serving. kDirect takes greedy decisions from
-  /// the fp64 training network; any other mode serves them for all deployed
-  /// agents through one batched rl::PolicyServer at the chosen precision
-  /// (requires shared_policy — the server snapshots one policy). kFp64
-  /// serving is bitwise identical to kDirect; kFp32/kInt8 trade bounded
-  /// action divergence for throughput (see DESIGN.md "Fast Inference Path").
-  rl::InferMode infer = rl::InferMode::kDirect;
   /// Data queues tuned per switch. At 1, one agent tunes every queue of its
   /// switch. Above 1, each (switch, queue) gets its own agent that monitors
   /// and actuates only that queue; it must not exceed the switches' data
@@ -77,12 +69,6 @@ class PetController final : public EcnTuner {
   [[nodiscard]] std::size_t num_in_state(AgentHealth state) const;
   [[nodiscard]] std::int64_t total_rollbacks() const;
 
-  /// The batched decision server (non-kDirect infer modes). Exposed for
-  /// tests/telemetry; installed lazily on the first served tick.
-  [[nodiscard]] const rl::PolicyServer& policy_server() const {
-    return scratch_.server;
-  }
-
  protected:
   /// Observe every agent first (slot close, reward, any due PPO update, in
   /// agent order), then decide once per policy: a shared policy's agents
@@ -94,9 +80,8 @@ class PetController final : public EcnTuner {
   PetControllerConfig cfg_;
   std::vector<std::unique_ptr<PetAgent>> agents_;
 
-  // Per-tick scratch, reused every tick (allocation-free once warm at a
-  // stable group size): the agents that decide this tick, in agent order,
-  // and the decision step's buffers and policy server.
+  // Per-tick scratch, reused every tick: the agents that decide this tick,
+  // in agent order, and the decision step's buffers.
   std::vector<PetAgent*> deciding_;
   PetAgent::DecisionScratch scratch_;
 };

@@ -175,14 +175,6 @@ double PetAgent::exploration_for_step(std::int64_t t) const {
   return std::max(cfg_.explore_min, e);
 }
 
-void local_exploration_step(std::span<std::int32_t> actions,
-                            const std::vector<std::int32_t>& head_sizes,
-                            sim::Rng& rng) {
-  const std::size_t h = rng.uniform_int(head_sizes.size());
-  const std::int32_t step = rng.bernoulli(0.5) ? 1 : -1;
-  actions[h] = std::clamp(actions[h] + step, 0, head_sizes[h] - 1);
-}
-
 void PetAgent::finalize_pending(const NcmSnapshot& snap) {
   if (!pending_.has_value()) return;
   pending_->reward = compute_reward(cfg_.reward, snap);
@@ -195,7 +187,7 @@ void PetAgent::tick() {
   if (!tick_observe()) return;
   DecisionScratch scratch;
   PetAgent* self = this;
-  decide({&self, 1}, rl::InferMode::kDirect, scratch);
+  decide({&self, 1}, scratch);
 }
 
 bool PetAgent::tick_observe() {
@@ -242,7 +234,7 @@ bool PetAgent::tick_observe() {
   return true;
 }
 
-void PetAgent::decide(std::span<PetAgent* const> group, rl::InferMode infer,
+void PetAgent::decide(std::span<PetAgent* const> group,
                       DecisionScratch& scratch) {
   // 3. Select and apply the next ECN configuration, for the whole group at
   //    once: begin-act on every member in order, then one batched pass.
@@ -254,71 +246,26 @@ void PetAgent::decide(std::span<PetAgent* const> group, rl::InferMode infer,
   const std::size_t dim = group.front()->state_.size();
   scratch.states.resize(n * dim);
   scratch.explore.resize(n);
+  scratch.rngs.resize(n);
   for (std::size_t j = 0; j < n; ++j) {
     PetAgent& a = *group[j];
     assert(a.policy_.get() == &policy && a.deployment_mode_ == deployed);
     scratch.explore[j] = a.tick_begin_act();
+    scratch.rngs[j] = &a.rng_;
     std::copy(a.state_.begin(), a.state_.end(),
               scratch.states.begin() + static_cast<std::ptrdiff_t>(j * dim));
   }
-
-  if (!deployed) {
-    // Training samples: each row draws from its own agent's stream at its
-    // own exploration rate.
-    scratch.rngs.resize(n);
-    for (std::size_t j = 0; j < n; ++j) scratch.rngs[j] = &group[j]->rng_;
-    std::vector<rl::PpoAgent::ActResult> acts =
-        policy.act_batch(scratch.states, batch, scratch.rngs, scratch.explore);
-    for (std::size_t j = 0; j < n; ++j) {
-      group[j]->tick_finish_act(std::move(acts[j]));
-    }
-    return;
-  }
-
-  // Deployed: exploit the mode. A policy that cannot be (re)quantized is
-  // decided at fp64 and left to the guardrails.
-  const std::size_t heads = policy.num_heads();
-  scratch.actions.resize(n * heads);
-  rl::PolicyServer& server = scratch.server;
-  const bool served =
-      infer != rl::InferMode::kDirect &&
-      (server.ready()
-           ? server.refresh(policy)
-           : server.install(policy, rl::infer_mode_precision(infer)));
-  if (served) {
-    server.reserve(batch);
-    server.serve_greedy(scratch.states, batch, scratch.actions);
-  } else {
-    policy.act_greedy_batch(scratch.states, batch, scratch.actions);
-  }
-  // The residual probe draws from each member's own stream, so served and
-  // kDirect decisions consume identical RNG sequences.
+  // Each row draws from its own agent's stream at its own exploration rate:
+  // training samples the policy; once deployed, greedy actions take the
+  // residual local probe.
+  std::vector<rl::PpoAgent::ActResult> acts =
+      deployed ? policy.act_greedy_batch(scratch.states, batch, scratch.rngs,
+                                         scratch.explore)
+               : policy.act_batch(scratch.states, batch, scratch.rngs,
+                                  scratch.explore);
   for (std::size_t j = 0; j < n; ++j) {
-    group[j]->apply_serve_exploration(
-        std::span<std::int32_t>(&scratch.actions[j * heads], heads),
-        scratch.explore[j]);
+    group[j]->tick_finish_act(std::move(acts[j]));
   }
-  // One batched evaluate under the training policy keeps the stored
-  // transitions PPO-consistent (log-prob/value stay fp64 regardless of the
-  // serving precision).
-  const std::vector<rl::PpoAgent::Evaluation> evs =
-      policy.evaluate_batch(scratch.states, scratch.actions, batch);
-  for (std::size_t j = 0; j < n; ++j) {
-    rl::PpoAgent::ActResult act;
-    act.actions.assign(&scratch.actions[j * heads],
-                       &scratch.actions[j * heads] + heads);
-    act.log_prob = evs[j].log_prob;
-    act.value = evs[j].value;
-    group[j]->tick_finish_act(std::move(act));
-  }
-}
-
-void PetAgent::apply_serve_exploration(std::span<std::int32_t> actions,
-                                       double explore) {
-  // Deployed switches probe conservatively: one head, one level up or
-  // down — never a jump to an arbitrary threshold mid-production.
-  if (explore <= 0.0 || !rng_.bernoulli(explore)) return;
-  local_exploration_step(actions, cfg_.action_space.head_sizes(), rng_);
 }
 
 double PetAgent::tick_begin_act() {

@@ -21,7 +21,6 @@
 #include "core/state.hpp"
 #include "net/red_ecn.hpp"
 #include "net/switch.hpp"
-#include "rl/inference.hpp"
 #include "rl/ppo.hpp"
 #include "rl/rollout.hpp"
 #include "sim/rng.hpp"
@@ -56,13 +55,6 @@ struct PetAgentConfig {
   [[nodiscard]] static PetAgentConfig paper_defaults();
 };
 
-/// Deployment-mode exploration, in place: perturb one randomly chosen head
-/// by one level up or down, clamped to the head's range — a conservative
-/// local probe instead of an arbitrary jump.
-void local_exploration_step(std::span<std::int32_t> actions,
-                            const std::vector<std::int32_t>& head_sizes,
-                            sim::Rng& rng);
-
 class PetAgent {
  public:
   /// If `shared_policy` is non-null the agent trains/acts through it
@@ -83,27 +75,23 @@ class PetAgent {
   /// (quarantine paths); otherwise the agent must take part in decide().
   [[nodiscard]] bool tick_observe();
 
-  /// Buffers one decision step keeps between ticks, plus the policy server
-  /// that serves deployed decisions when the serving mode is not kDirect.
+  /// Buffers one decision step keeps between ticks.
   struct DecisionScratch {
-    rl::PolicyServer server;
     std::vector<double> states;
     std::vector<double> explore;
     std::vector<sim::Rng*> rngs;
-    std::vector<std::int32_t> actions;
   };
 
   /// The one PET decision step, for a group of agents that act through one
   /// policy (every agent of a shared policy, or one independent agent), in
   /// agent order and each fresh from tick_observe(). Each member advances
   /// its exploration schedule, then one batched pass decides the group:
-  /// act_batch while training; once deployed, greedy actions (served at
-  /// `infer`'s precision, or act_greedy_batch at kDirect or when the policy
-  /// cannot be quantized), each member's residual probe, then
-  /// evaluate_batch. Each member then installs its decision, so a guardrail
+  /// act_batch while training, act_greedy_batch (greedy actions, each
+  /// member's residual probe, log-prob and value from the same pass) once
+  /// deployed. Each member then installs its decision, so a guardrail
   /// rollback by one member never changes the weights the others decided
   /// with. Members share one deployment mode.
-  static void decide(std::span<PetAgent* const> group, rl::InferMode infer,
+  static void decide(std::span<PetAgent* const> group,
                      DecisionScratch& scratch);
 
   /// Pin the exploration rate (overriding the Eq. (13) schedule). The
@@ -173,9 +161,6 @@ class PetAgent {
   /// Advance the step counter and the policy's exploration/entropy
   /// schedule; returns this step's exploration rate.
   [[nodiscard]] double tick_begin_act();
-  /// Deployment-mode residual exploration on a greedy decision, in place:
-  /// one bernoulli gate, then (rarely) one local_exploration_step.
-  void apply_serve_exploration(std::span<std::int32_t> actions, double explore);
   /// Install a decision for the observed state: quarantine on non-finite
   /// policy output, otherwise actuate and keep the pending transition.
   void tick_finish_act(rl::PpoAgent::ActResult act);

@@ -31,12 +31,6 @@ constexpr std::pair<std::string_view, Scheme> kSchemes[] = {
     {"acc", Scheme::kAcc},     {"pet", Scheme::kPet},
     {"pet-ablation", Scheme::kPetAblation}};
 
-constexpr std::pair<std::string_view, rl::InferMode> kInferModes[] = {
-    {"direct", rl::InferMode::kDirect},
-    {"fp64", rl::InferMode::kFp64},
-    {"fp32", rl::InferMode::kFp32},
-    {"int8", rl::InferMode::kInt8}};
-
 constexpr std::pair<std::string_view, workload::WorkloadKind> kWorkloads[] = {
     {"websearch", workload::WorkloadKind::kWebSearch},
     {"datamining", workload::WorkloadKind::kDataMining}};
@@ -73,8 +67,6 @@ bool ScenarioFlags::parse(std::string_view arg) {
   };
   if (flag == "--workload") {
     workload = lookup(flag, text, kWorkloads);
-  } else if (flag == "--infer") {
-    infer = lookup(flag, text, kInferModes);
   } else if (flag == "--spines") {
     count(spines);
   } else if (flag == "--leaves") {
@@ -126,7 +118,6 @@ void ScenarioFlags::apply(ScenarioConfig& cfg) const {
   cfg.pretrain = sim::milliseconds(pretrain_ms);
   cfg.measure = sim::milliseconds(measure_ms);
   cfg.incast_enabled = incast;
-  cfg.pet_infer = infer;
 }
 
 }  // namespace pet::exp

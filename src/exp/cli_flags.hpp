@@ -1,8 +1,8 @@
 #pragma once
 // Command-line flag values. parse_flag_number reads any tool's numeric flag
 // strictly; ScenarioFlags holds the scenario flags pet_sim_cli and
-// pet_sweep share (workload and --infer names, the fabric shape, the phase
-// lengths and --no-incast). A value that does not parse throws
+// pet_sweep share (the workload name, the fabric shape, the phase lengths
+// and --no-incast). A value that does not parse throws
 // std::invalid_argument reading "bad value for --<flag>: <text>"; each tool
 // prints it after its own name and exits 2.
 
@@ -18,7 +18,6 @@
 #include "exp/experiment.hpp"
 #include "exp/scheme.hpp"
 #include "net/topology_spec.hpp"
-#include "rl/inference.hpp"
 #include "workload/distributions.hpp"
 
 namespace pet::exp {
@@ -52,7 +51,6 @@ template <typename T>
 /// pet_sim_cli's; pet_sweep sets its own before parse().
 struct ScenarioFlags {
   workload::WorkloadKind workload = workload::WorkloadKind::kWebSearch;
-  rl::InferMode infer = rl::InferMode::kDirect;
   // Fabric shape: leaf-spine reads spines/leaves/hosts_per_leaf, fat-tree
   // k/hosts_per_edge, and inter-dc joins two identical leaf-spine DCs over
   // border_links WAN links of wan_delay_us.
@@ -73,11 +71,7 @@ struct ScenarioFlags {
       "  --spines=N --leaves=N --hosts-per-leaf=N   (leaf-spine / inter-dc)\n"
       "  --k=N --hosts-per-edge=N                   (fat-tree; 0 = k/2)\n"
       "  --border-links=N --wan-delay-us=N          (inter-dc)\n"
-      "  --pretrain-ms=N --measure-ms=N [--no-incast]\n"
-      "  --infer=direct|fp64|fp32|int8  PET deployment-decision serving:\n"
-      "                     direct = per-agent fp64 (default); others route\n"
-      "                     decisions through the batched policy server\n"
-      "                     (fp64 serving is bitwise identical to direct)\n";
+      "  --pretrain-ms=N --measure-ms=N [--no-incast]\n";
 
   /// Reads `arg` and returns true when it is one of these flags; returns
   /// false for any other argument.
@@ -86,7 +80,7 @@ struct ScenarioFlags {
   /// The fabric of `topo` (a parse_topo_flag name) in this shape.
   [[nodiscard]] net::TopologySpec topology(std::string_view topo) const;
 
-  /// Writes the workload, phases, incast switch and serving mode into `cfg`.
+  /// Writes the workload, phases and incast switch into `cfg`.
   void apply(ScenarioConfig& cfg) const;
 };
 

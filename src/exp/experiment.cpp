@@ -136,12 +136,7 @@ void Experiment::install_scheme() {
       pc.agent.explore_start = cfg_.expects_pretrained ? 0.02 : 0.1;
       pc.agent.state.qlen_norm_bytes =
           static_cast<double>(cfg_.topo.switch_config().pfc_xoff_bytes);
-      // The policy server snapshots one shared policy, so any serving mode
-      // implies parameter sharing (the paper's deployed single pre-trained
-      // model).
-      pc.infer = cfg_.pet_infer;
-      pc.shared_policy = cfg_.pet_shared_policy ||
-                         cfg_.pet_infer != rl::InferMode::kDirect;
+      pc.shared_policy = cfg_.pet_shared_policy;
       if (cfg_.scheme == Scheme::kPetAblation) {
         pc.agent.state.include_incast = false;
         pc.agent.state.include_flow_ratio = false;

@@ -22,7 +22,6 @@
 #include "net/fault_plan.hpp"
 #include "net/network.hpp"
 #include "net/topology_spec.hpp"
-#include "rl/inference.hpp"
 #include "sim/profiler.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/time.hpp"
@@ -79,12 +78,6 @@ struct ScenarioConfig {
   /// schemes then start online training gently (low epsilon, paper
   /// learning rates) instead of from-scratch schedules.
   bool expects_pretrained = false;
-
-  /// Deployment-decision serving mode (rl::PolicyServer). Non-kDirect modes
-  /// imply pet_shared_policy — the server snapshots one shared policy.
-  /// kFp64 is bitwise identical to kDirect; kFp32/kInt8 trade bounded
-  /// divergence for throughput.
-  rl::InferMode pet_infer = rl::InferMode::kDirect;
 
   /// Attach the experiment's Profiler to its Scheduler so event kinds are
   /// counted and wall-timed (benches turn this on; the event sequence is

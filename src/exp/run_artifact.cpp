@@ -7,7 +7,6 @@
 #include "core/pet_agent.hpp"
 #include "exp/scheme.hpp"
 #include "net/topology.hpp"
-#include "rl/inference.hpp"
 #include "sim/fs_atomic.hpp"
 #include "workload/distributions.hpp"
 
@@ -196,7 +195,6 @@ JsonValue scenario_json(const ScenarioConfig& cfg) {
   out.set("tuning_interval_us", core::PetAgentConfig{}.tuning_interval.us());
   out.set("incast_enabled", JsonValue(cfg.incast_enabled));
   out.set("flow_size_cap_bytes", cfg.flow_size_cap_bytes);
-  out.set("infer", rl::infer_mode_name(cfg.pet_infer));
   return out;
 }
 

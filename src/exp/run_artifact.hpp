@@ -107,7 +107,7 @@ class RunArtifact {
 };
 
 /// The scenario block of the manifest (scheme, workload, load, seed,
-/// topology, phases, incast, flow-size cap, inference mode). A resumed
+/// topology, phases, incast, flow-size cap). A resumed
 /// sweep compares it to tell whether a point artifact belongs to the
 /// point's scenario.
 [[nodiscard]] JsonValue scenario_json(const ScenarioConfig& cfg);

@@ -96,29 +96,27 @@ void Linear::adam_step(const kern::AdamStep& step, std::span<double> m,
 // ---------------------------------------------------------------------------
 
 namespace {
-/// post[i] = act(pre[i]); `pre` and `post` may be the same plane. The
-/// activation is chosen once per plane, so each loop is branch-free.
-void activate(Activation act, std::span<const double> pre,
-              std::span<double> post) {
+/// v[i] = act(v[i]) in place. The activation is chosen once per plane, so
+/// each loop is branch-free.
+void activate(Activation act, std::span<double> v) {
   if (act == Activation::kTanh) {
-    for (std::size_t i = 0; i < pre.size(); ++i) post[i] = std::tanh(pre[i]);
+    for (double& x : v) x = std::tanh(x);
   } else {
-    for (std::size_t i = 0; i < pre.size(); ++i) {
-      post[i] = pre[i] > 0.0 ? pre[i] : 0.0;
-    }
+    for (double& x : v) x = x > 0.0 ? x : 0.0;
   }
 }
-/// grad[i] *= act'(.) through the activation, expressed with whichever of
-/// pre/post is cheapest.
-void activate_grad(Activation act, std::span<const double> pre,
-                   std::span<const double> post, std::span<double> grad) {
+/// grad[i] *= act'(.) through the activation, read from its output `post`:
+/// tanh' = 1 - post^2, and ReLU's post > 0 holds exactly when its input was
+/// > 0 (a non-positive or NaN input leaves +0.0).
+void activate_grad(Activation act, std::span<const double> post,
+                   std::span<double> grad) {
   if (act == Activation::kTanh) {
     for (std::size_t i = 0; i < grad.size(); ++i) {
       grad[i] *= 1.0 - post[i] * post[i];
     }
   } else {
     for (std::size_t i = 0; i < grad.size(); ++i) {
-      grad[i] *= pre[i] > 0.0 ? 1.0 : 0.0;
+      grad[i] *= post[i] > 0.0 ? 1.0 : 0.0;
     }
   }
 }
@@ -157,40 +155,30 @@ std::span<const double> Mlp::forward_layers(
   if (cache != nullptr) {
     // resize, not assign: a reused cache keeps its planes' capacity.
     cache->batch = batch;
-    cache->pre.resize(depth);
     cache->post.resize(depth);
   }
   // Training writes each layer straight into the cache's planes; inference
-  // keeps neither plane, so two local ones take turns as the layers' outputs
-  // and activations run in place.
+  // keeps none, so two local planes take turns as the layers' outputs.
+  // Either way each hidden activation runs in place.
   std::span<const double> input = x;
   for (std::size_t l = 0; l < depth; ++l) {
-    std::vector<double>& pre = cache != nullptr ? cache->pre[l] : local[l % 2];
-    std::vector<double>& post = cache != nullptr ? cache->post[l] : pre;
-    pre.resize(static_cast<std::size_t>(batch) *
+    std::vector<double>& out = cache != nullptr ? cache->post[l] : local[l % 2];
+    out.resize(static_cast<std::size_t>(batch) *
                static_cast<std::size_t>(layers_[l].out_size()));
-    post.resize(pre.size());
-    layers_[l].forward_batch(input, pre, batch);
-    if (l + 1 < depth) {
-      activate(act_, pre, post);
-    } else if (&post != &pre) {
-      // Linear output layer: both cached planes hold the output.
-      std::copy(pre.begin(), pre.end(), post.begin());
-    }
-    input = post;
+    layers_[l].forward_batch(input, out, batch);
+    if (l + 1 < depth) activate(act_, out);
+    input = out;
   }
   return input;
 }
 
 void Mlp::reserve(BatchCache& cache, std::int32_t batch) const {
   const std::size_t depth = layers_.size();
-  cache.pre.resize(depth);
   cache.post.resize(depth);
   std::size_t hidden = 0;  // widest hidden plane: the gradient planes' size
   for (std::size_t l = 0; l < depth; ++l) {
     const std::size_t n = static_cast<std::size_t>(batch) *
                           static_cast<std::size_t>(layers_[l].out_size());
-    cache.pre[l].reserve(n);
     cache.post[l].reserve(n);
     if (l + 1 < depth) hidden = std::max(hidden, n);
   }
@@ -201,7 +189,7 @@ void Mlp::reserve(BatchCache& cache, std::int32_t batch) const {
 void Mlp::backward_batch(std::span<const double> x, BatchCache& cache,
                          std::span<const double> dy, std::int32_t batch,
                          std::span<double> dx) {
-  assert(cache.pre.size() == layers_.size());
+  assert(cache.post.size() == layers_.size());
   assert(cache.batch == batch);
   assert(static_cast<std::int32_t>(dy.size()) == batch * output_size());
   // `grad` holds dL/d(post) of the layer below the one being processed;
@@ -210,11 +198,10 @@ void Mlp::backward_batch(std::span<const double> x, BatchCache& cache,
   std::vector<double>& next = cache.next_grad;
   std::span<const double> upstream = dy;
   for (std::size_t li = layers_.size(); li-- > 1;) {
-    const std::vector<double>& pre = cache.pre[li - 1];
     const std::vector<double>& post = cache.post[li - 1];
     next.resize(post.size());
     layers_[li].backward_batch(post, upstream, next, batch);
-    activate_grad(act_, pre, post, next);  // through the layer below
+    activate_grad(act_, post, next);  // through the layer below
     std::swap(grad, next);
     upstream = grad;
   }

@@ -44,8 +44,8 @@ class Linear {
     return w_.size() + b_.size();
   }
 
-  /// Read-only parameter views (row-major out x in), for inference-only
-  /// snapshots (rl::InferenceModel) and test oracles.
+  /// Read-only parameter views (row-major out x in), for snapshots and
+  /// test oracles.
   [[nodiscard]] std::span<const double> weights() const { return w_; }
   [[nodiscard]] std::span<const double> biases() const { return b_; }
   /// Read-only views of the accumulated gradients, same shapes.
@@ -106,7 +106,7 @@ class Mlp {
   [[nodiscard]] std::int32_t input_size() const { return sizes_.front(); }
   [[nodiscard]] std::int32_t output_size() const { return sizes_.back(); }
 
-  /// Architecture introspection for inference-only weight snapshots.
+  /// Architecture introspection (test oracles).
   [[nodiscard]] const std::vector<std::int32_t>& sizes() const {
     return sizes_;
   }
@@ -115,15 +115,15 @@ class Mlp {
   [[nodiscard]] const Linear& layer(std::size_t l) const { return layers_[l]; }
 
   /// Per-layer activations captured by forward_batch, consumed by
-  /// backward_batch. Layer l holds row-major (batch x sizes_[l+1]) planes:
-  /// `pre` before the activation, `post` after it (the output layer has no
-  /// activation, so its two planes are equal). forward_batch writes the
-  /// planes in place and backward_batch its two gradient planes, so a
-  /// reused cache keeps all their storage and a warm pass allocates
-  /// nothing.
+  /// backward_batch. post[l] is layer l's row-major (batch x sizes_[l+1])
+  /// output after its activation (the output layer has none). Backward
+  /// reads every activation derivative from `post` alone (tanh' = 1 - y^2;
+  /// ReLU passes where y > 0, which holds exactly where its input was > 0),
+  /// so no pre-activation plane is kept. forward_batch writes the planes in
+  /// place and backward_batch its two gradient planes, so a reused cache
+  /// keeps all their storage and a warm pass allocates nothing.
   struct BatchCache {
     std::int32_t batch = 0;
-    std::vector<std::vector<double>> pre;
     std::vector<std::vector<double>> post;
     std::vector<double> grad;
     std::vector<double> next_grad;

@@ -11,6 +11,14 @@
 
 namespace pet::rl {
 
+void local_exploration_step(std::span<std::int32_t> actions,
+                            const std::vector<std::int32_t>& head_sizes,
+                            sim::Rng& rng) {
+  const std::size_t h = rng.uniform_int(head_sizes.size());
+  const std::int32_t step = rng.bernoulli(0.5) ? 1 : -1;
+  actions[h] = std::clamp(actions[h] + step, 0, head_sizes[h] - 1);
+}
+
 PpoAgent::PpoAgent(const PpoConfig& cfg)
     : cfg_(cfg),
       init_rng_(sim::derive_seed(cfg.seed, "ppo-init")),
@@ -89,21 +97,39 @@ std::vector<PpoAgent::ActResult> PpoAgent::act_batch(
   return out;
 }
 
-void PpoAgent::act_greedy_batch(std::span<const double> states,
-                                std::int32_t batch,
-                                std::span<std::int32_t> actions) const {
-  const std::size_t num_heads = actor_heads_.size();
-  assert(actions.size() == static_cast<std::size_t>(batch) * num_heads);
+std::vector<PpoAgent::ActResult> PpoAgent::act_greedy_batch(
+    std::span<const double> states, std::int32_t batch,
+    std::span<sim::Rng* const> rngs,
+    std::span<const double> exploration) const {
+  assert(static_cast<std::int32_t>(rngs.size()) == batch);
+  assert(static_cast<std::int32_t>(exploration.size()) == batch);
   std::vector<std::vector<double>> logits;
   head_logits_batch(states, batch, logits);
-  for (std::size_t h = 0; h < num_heads; ++h) {
-    const auto nh = static_cast<std::size_t>(actor_heads_[h].output_size());
-    for (std::int32_t s = 0; s < batch; ++s) {
-      const auto row = static_cast<std::size_t>(s);
-      actions[row * num_heads + h] =
-          argmax(std::span<const double>(&logits[h][row * nh], nh));
+  const std::vector<double> values = value_batch(states, batch);
+
+  std::vector<ActResult> out(static_cast<std::size_t>(batch));
+  for (std::int32_t s = 0; s < batch; ++s) {
+    const auto head_row = [&](std::size_t h) {
+      const auto nh = static_cast<std::size_t>(actor_heads_[h].output_size());
+      return std::span<const double>(
+          &logits[h][static_cast<std::size_t>(s) * nh], nh);
+    };
+    ActResult& r = out[static_cast<std::size_t>(s)];
+    r.actions.resize(logits.size());
+    for (std::size_t h = 0; h < logits.size(); ++h) {
+      r.actions[h] = argmax(head_row(h));
     }
+    // Deployed switches probe conservatively: one head, one level up or
+    // down — never a jump to an arbitrary threshold mid-production.
+    if (exploration[s] > 0.0 && rngs[s]->bernoulli(exploration[s])) {
+      local_exploration_step(r.actions, cfg_.head_sizes, *rngs[s]);
+    }
+    for (std::size_t h = 0; h < logits.size(); ++h) {
+      r.log_prob += log_prob(head_row(h), r.actions[h]);
+    }
+    r.value = values[static_cast<std::size_t>(s)];
   }
+  return out;
 }
 
 std::vector<double> PpoAgent::value_batch(std::span<const double> states,
@@ -111,30 +137,6 @@ std::vector<double> PpoAgent::value_batch(std::span<const double> states,
   // Critic output size is 1, so the (batch x 1) result is already the flat
   // vector of values.
   return critic_.forward_batch(states, batch);
-}
-
-std::vector<PpoAgent::Evaluation> PpoAgent::evaluate_batch(
-    std::span<const double> states, std::span<const std::int32_t> actions,
-    std::int32_t batch) const {
-  const std::size_t num_heads = actor_heads_.size();
-  assert(actions.size() == static_cast<std::size_t>(batch) * num_heads);
-  std::vector<std::vector<double>> logits;
-  head_logits_batch(states, batch, logits);
-  const std::vector<double> values = value_batch(states, batch);
-
-  std::vector<Evaluation> out(static_cast<std::size_t>(batch));
-  for (std::int32_t s = 0; s < batch; ++s) {
-    Evaluation& ev = out[static_cast<std::size_t>(s)];
-    for (std::size_t h = 0; h < num_heads; ++h) {
-      const auto nh = static_cast<std::size_t>(actor_heads_[h].output_size());
-      const std::span<const double> row(
-          &logits[h][static_cast<std::size_t>(s) * nh], nh);
-      ev.log_prob +=
-          log_prob(row, actions[static_cast<std::size_t>(s) * num_heads + h]);
-    }
-    ev.value = values[static_cast<std::size_t>(s)];
-  }
-  return out;
 }
 
 PpoAgent::UpdateStats PpoAgent::update(const RolloutBuffer& buffer,
@@ -280,7 +282,6 @@ PpoAgent::UpdateStats PpoAgent::update(const RolloutBuffer& buffer,
     stats.entropy = total_entropy * inv;
     stats.approx_kl = total_kl * inv;
   }
-  if (stats.minibatches > 0) ++weights_version_;
   return stats;
 }
 
@@ -312,7 +313,6 @@ bool PpoAgent::set_weights(std::span<const double> values) {
     return false;
   }
   restore_params(refs_, values);
-  ++weights_version_;
   return true;
 }
 

@@ -33,6 +33,13 @@ struct PpoConfig {
   std::uint64_t seed = 0;
 };
 
+/// Deployment-mode exploration, in place: perturb one randomly chosen head
+/// by one level up or down, clamped to the head's range — a conservative
+/// local probe instead of an arbitrary jump.
+void local_exploration_step(std::span<std::int32_t> actions,
+                            const std::vector<std::int32_t>& head_sizes,
+                            sim::Rng& rng);
+
 class PpoAgent {
  public:
   explicit PpoAgent(const PpoConfig& cfg);
@@ -55,29 +62,23 @@ class PpoAgent {
       std::span<const double> states, std::int32_t batch,
       std::span<sim::Rng* const> rngs, std::span<const double> exploration);
 
-  /// Deterministic (argmax per head) actions for row-major
-  /// (batch x input_size) states; `actions` is row-major
-  /// (batch x num_heads()). The fp64 reference PolicyServer::serve_greedy
-  /// serves.
-  void act_greedy_batch(std::span<const double> states, std::int32_t batch,
-                        std::span<std::int32_t> actions) const;
+  /// Deployment-mode decisions for row-major (batch x input_size) states,
+  /// in one pass over the actor heads: the greedy (argmax per head)
+  /// actions; then, with probability `exploration[s]`, row s takes one
+  /// local_exploration_step, drawing only from `rngs[s]`, rows in order;
+  /// then the joint log-prob of the final actions from the same logits and
+  /// one critic pass. The log-prob keeps the transitions PPO-consistent
+  /// while online training continues. A batch of N returns and draws
+  /// bitwise what N one-row calls in row order would.
+  [[nodiscard]] std::vector<ActResult> act_greedy_batch(
+      std::span<const double> states, std::int32_t batch,
+      std::span<sim::Rng* const> rngs,
+      std::span<const double> exploration) const;
 
   /// Critic value estimates for row-major (batch x input_size) states (a
   /// bootstrap for unfinished episodes is a batch of one).
   [[nodiscard]] std::vector<double> value_batch(std::span<const double> states,
                                                 std::int32_t batch) const;
-
-  /// Joint log-prob (under the current policy) and value for externally
-  /// chosen actions — lets a deployment-mode agent act greedily while still
-  /// feeding consistent transitions to PPO. `states` is
-  /// (batch x input_size), `actions` is (batch x num_heads), both row-major.
-  struct Evaluation {
-    double log_prob = 0.0;
-    double value = 0.0;
-  };
-  [[nodiscard]] std::vector<Evaluation> evaluate_batch(
-      std::span<const double> states, std::span<const std::int32_t> actions,
-      std::int32_t batch) const;
 
   struct UpdateStats {
     double policy_loss = 0.0;
@@ -94,7 +95,7 @@ class PpoAgent {
 
   // --- online-training knobs (hybrid training, Section 4.4) -----------------
   /// The exploration rate the policy's agents last acted with. act_batch
-  /// takes its rates per row; this copy is reported.
+  /// and act_greedy_batch take their rates per row; this copy is reported.
   void set_exploration_rate(double rate) { exploration_rate_ = rate; }
   [[nodiscard]] double exploration_rate() const { return exploration_rate_; }
   void set_clip_eps(double eps) { cfg_.clip_eps = eps; }
@@ -124,16 +125,10 @@ class PpoAgent {
   [[nodiscard]] const PpoConfig& config() const { return cfg_; }
   [[nodiscard]] std::size_t num_params() const { return refs_.size(); }
 
-  // --- inference-only snapshots (rl::InferenceModel / rl::PolicyServer) -----
+  // --- architecture (test oracles) ------------------------------------------
   [[nodiscard]] std::size_t num_heads() const { return actor_heads_.size(); }
   [[nodiscard]] const Mlp& actor_head(std::size_t h) const {
     return actor_heads_[h];
-  }
-  /// Monotonic counter bumped whenever the parameters change (optimizer
-  /// steps, set_weights). A policy server compares it against
-  /// the version it quantized so steady-state ticks skip re-quantization.
-  [[nodiscard]] std::uint64_t weights_version() const {
-    return weights_version_;
   }
 
  private:
@@ -153,7 +148,6 @@ class PpoAgent {
   std::unique_ptr<Adam> actor_opt_;
   std::unique_ptr<Adam> critic_opt_;
   double exploration_rate_ = 0.0;
-  std::uint64_t weights_version_ = 1;
   sim::Rng shuffle_rng_;
 };
 

@@ -8,8 +8,8 @@ class Model {
  public:
   bool set_weights(const std::vector<double>& w);
   [[nodiscard]] bool load(const std::string& path);
-  bool load_state(const std::string& blob);
-  [[nodiscard]] bool load_checkpoint(const std::string& path);
+  bool install_weights(const std::vector<double>& w);
+  [[nodiscard]] bool install_learned_weights(const std::vector<double>& w);
 };
 
 }  // namespace pet::rl

@@ -21,9 +21,6 @@
 #include "net/fabric.hpp"
 #include "net/queue.hpp"
 #include "rl/ddqn.hpp"
-#include "rl/inference.hpp"
-#include "rl/mlp.hpp"
-#include "rl/ppo.hpp"
 #include "sim/rng.hpp"
 #include "sim/scheduler.hpp"
 #include "transport/dcqcn.hpp"
@@ -202,74 +199,6 @@ TEST(AllocSteady, LeafSpineDcqcnSteadyWindowAllocatesNothing) {
   ASSERT_GT(sched.executed(), before + 1'000u);
   EXPECT_EQ(news, 0u) << "DCQCN datapath steady state allocated";
   EXPECT_EQ(deletes, 0u);
-}
-
-TEST(AllocSteady, InferenceForwardWarmAllocatesNothingAtEveryPrecision) {
-  // The inference snapshot contract: forward_batch is allocation-free once
-  // warm at a fixed batch size, for all three precisions.
-  sim::Rng rng(5);
-  const rl::Mlp net({24, 16, 20}, rl::Activation::kTanh, rng);
-  constexpr std::int32_t kBatch = 16;
-  std::vector<double> x(static_cast<std::size_t>(kBatch) * 24);
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    x[i] = 0.01 * static_cast<double>(i % 97) - 0.4;
-  }
-  std::vector<double> y(static_cast<std::size_t>(kBatch) * 20);
-  for (const rl::InferPrecision precision :
-       {rl::InferPrecision::kFp64, rl::InferPrecision::kFp32,
-        rl::InferPrecision::kInt8}) {
-    rl::InferenceModel model;
-    ASSERT_TRUE(model.quantize(net, precision));
-    model.reserve(kBatch);
-    model.forward_batch(x, kBatch, y);  // warm scratch
-    AllocWindow w;
-    for (int i = 0; i < 512; ++i) model.forward_batch(x, kBatch, y);
-    EXPECT_EQ(w.news(), 0u) << "forward_batch allocated at precision "
-                            << rl::infer_precision_name(precision);
-    EXPECT_EQ(w.deletes(), 0u);
-  }
-}
-
-TEST(AllocSteady, PolicyServerWarmServingTicksAllocateNothing) {
-  // A warm serving tick — refresh (both the version-match no-op and a full
-  // re-quantization after a weight change) plus a batched serve_greedy —
-  // must be allocation-free at every precision: snapshot storage is reused
-  // whenever the architecture is unchanged.
-  rl::PpoConfig cfg;
-  cfg.input_size = 24;
-  cfg.head_sizes = {10, 10, 20};
-  cfg.hidden = {16};
-  cfg.seed = 5;
-  rl::PpoAgent agent(cfg);
-  const std::vector<double> weights = agent.weights();
-  constexpr std::int32_t kBatch = 16;
-  std::vector<double> states(static_cast<std::size_t>(kBatch) * 24);
-  for (std::size_t i = 0; i < states.size(); ++i) {
-    states[i] = 0.01 * static_cast<double>(i % 89) - 0.4;
-  }
-  for (const rl::InferPrecision precision :
-       {rl::InferPrecision::kFp64, rl::InferPrecision::kFp32,
-        rl::InferPrecision::kInt8}) {
-    rl::PolicyServer server;
-    ASSERT_TRUE(server.install(agent, precision));
-    std::vector<std::int32_t> actions(static_cast<std::size_t>(kBatch) *
-                                      server.num_heads());
-    server.reserve(kBatch);
-    server.serve_greedy(states, kBatch, actions);  // warm scratch
-    ASSERT_TRUE(agent.set_weights(weights));       // warm the requantize path
-    ASSERT_TRUE(server.refresh(agent));
-    AllocWindow w;
-    for (int i = 0; i < 128; ++i) {
-      if (!server.refresh(agent)) FAIL() << "no-op refresh failed";
-      server.serve_greedy(states, kBatch, actions);
-    }
-    if (!agent.set_weights(weights)) FAIL() << "set_weights failed";
-    if (!server.refresh(agent)) FAIL() << "re-quantizing refresh failed";
-    server.serve_greedy(states, kBatch, actions);
-    EXPECT_EQ(w.news(), 0u) << "serving tick allocated at precision "
-                            << rl::infer_precision_name(precision);
-    EXPECT_EQ(w.deletes(), 0u);
-  }
 }
 
 TEST(AllocSteady, DdqnLearnerPhaseAllocatesNothingFromTheFirstStep) {

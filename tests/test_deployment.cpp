@@ -71,7 +71,7 @@ TEST_F(DeploymentFixture, ExplorationStepsStayLocal) {
         static_cast<std::int32_t>(rng.uniform_int(10)),
         static_cast<std::int32_t>(rng.uniform_int(20))};
     std::vector<std::int32_t> stepped = base;
-    local_exploration_step(stepped, heads, rng);
+    rl::local_exploration_step(stepped, heads, rng);
     int changed = 0;
     for (std::size_t h = 0; h < heads.size(); ++h) {
       EXPECT_GE(stepped[h], 0);
@@ -89,11 +89,11 @@ TEST_F(DeploymentFixture, ExplorationStepClampsAtBoundaries) {
   sim::Rng rng(11);
   for (int trial = 0; trial < 100; ++trial) {
     std::vector<std::int32_t> low{0};
-    local_exploration_step(low, heads, rng);
+    rl::local_exploration_step(low, heads, rng);
     EXPECT_GE(low[0], 0);
     EXPECT_LE(low[0], 1);
     std::vector<std::int32_t> high{1};
-    local_exploration_step(high, heads, rng);
+    rl::local_exploration_step(high, heads, rng);
     EXPECT_GE(high[0], 0);
     EXPECT_LE(high[0], 1);
   }
@@ -128,38 +128,39 @@ TEST_F(DeploymentFixture, FreezeExplorationOverridesSchedule) {
 TEST_F(DeploymentFixture, EvaluateMatchesPolicySemantics) {
   build();
   PetAgent agent(sched, *sw, agent_config(), 5);
-  auto& policy = agent.policy();
+  const auto& policy = agent.policy();
   const auto in = static_cast<std::size_t>(policy.config().input_size);
-  const std::size_t heads = policy.num_heads();
   const std::vector<double> state(in, 0.3);
-  std::vector<std::int32_t> greedy(heads);
-  policy.act_greedy_batch(state, 1, greedy);
 
-  // One batch: the greedy action, then each single-head tweak of it.
-  const auto batch = static_cast<std::int32_t>(1 + heads);
+  // One batch of the same state: row 0 takes the greedy action, every
+  // other row always probes (a one-head, one-level step from it).
+  const auto batch = static_cast<std::int32_t>(1 + policy.num_heads());
   std::vector<double> states;
-  std::vector<std::int32_t> actions;
+  std::vector<double> explore;
+  std::vector<sim::Rng> rngs;
   for (std::int32_t r = 0; r < batch; ++r) {
     states.insert(states.end(), state.begin(), state.end());
-    std::vector<std::int32_t> a = greedy;
-    if (r > 0) {
-      const auto h = static_cast<std::size_t>(r - 1);
-      a[h] = (a[h] + 1) % policy.config().head_sizes[h];
-    }
-    actions.insert(actions.end(), a.begin(), a.end());
+    explore.push_back(r == 0 ? 0.0 : 1.0);
+    rngs.emplace_back(static_cast<std::uint64_t>(50 + r));
   }
-  const auto evs = policy.evaluate_batch(states, actions, batch);
-  EXPECT_DOUBLE_EQ(evs[0].value, policy.value_batch(state, 1)[0]);
-  EXPECT_LE(evs[0].log_prob, 0.0);
+  std::vector<sim::Rng*> ptrs;
+  for (sim::Rng& r : rngs) ptrs.push_back(&r);
+  const auto acts = policy.act_greedy_batch(states, batch, ptrs, explore);
+  EXPECT_DOUBLE_EQ(acts[0].value, policy.value_batch(state, 1)[0]);
+  EXPECT_LE(acts[0].log_prob, 0.0);
   for (std::int32_t r = 0; r < batch; ++r) {
     const auto row = static_cast<std::size_t>(r);
     // The argmax action is at least as probable as any single-head tweak.
-    EXPECT_GE(evs[0].log_prob, evs[row].log_prob);
-    // Each row is the single-row evaluation of that action.
-    const auto one = policy.evaluate_batch(
-        state, std::span<const std::int32_t>(&actions[row * heads], heads), 1);
-    EXPECT_EQ(evs[row].log_prob, one[0].log_prob);
-    EXPECT_EQ(evs[row].value, one[0].value);
+    EXPECT_GE(acts[0].log_prob, acts[row].log_prob);
+    EXPECT_EQ(acts[row].value, acts[0].value);
+    // Each row is the single-row decision from the same stream.
+    sim::Rng again(static_cast<std::uint64_t>(50 + r));
+    sim::Rng* p = &again;
+    const auto one = policy.act_greedy_batch(state, 1, {&p, 1},
+                                             {&explore[row], 1});
+    EXPECT_EQ(acts[row].actions, one[0].actions);
+    EXPECT_EQ(acts[row].log_prob, one[0].log_prob);
+    EXPECT_EQ(acts[row].value, one[0].value);
   }
 }
 

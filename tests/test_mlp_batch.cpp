@@ -164,21 +164,22 @@ TEST(MlpBatch, ForwardBatchCacheMatchesSingleSampleCache) {
     (void)mlp.forward_batch(row_of(x, b, 4), 1, &cache);
     RefTrace trace;
     (void)reference_forward(mlp, row_of(x, b, 4), &trace);
-    ASSERT_EQ(bcache.pre.size(), cache.pre.size());
-    for (std::size_t l = 0; l < cache.pre.size(); ++l) {
-      const std::size_t width = cache.pre[l].size();
+    ASSERT_EQ(bcache.post.size(), cache.post.size());
+    ASSERT_EQ(cache.post.size(), trace.post.size());
+    for (std::size_t l = 0; l < cache.post.size(); ++l) {
+      const std::size_t width = cache.post[l].size();
       for (std::size_t j = 0; j < width; ++j) {
         const std::size_t at = static_cast<std::size_t>(b) * width + j;
-        EXPECT_EQ(bcache.pre[l][at], cache.pre[l][j]);
         EXPECT_EQ(bcache.post[l][at], cache.post[l][j]);
-        EXPECT_EQ(bcache.pre[l][at], trace.pre[l][j]);
         EXPECT_EQ(bcache.post[l][at], trace.post[l][j]);
       }
     }
   }
 }
 
-TEST(MlpBatch, BackwardBatchBitwiseMatchesLoopedBackward) {
+/// The reference reads ReLU's derivative from the pre-activation, the
+/// network from its cached output alone.
+void expect_backward_matches_looped(Activation act) {
   const std::int32_t in = 6;
   const std::int32_t out = 4;
   const std::int32_t batch = 5;
@@ -187,8 +188,8 @@ TEST(MlpBatch, BackwardBatchBitwiseMatchesLoopedBackward) {
   // by the whole batch.
   sim::Rng rng_a(21);
   sim::Rng rng_b(21);
-  Mlp looped({in, 12, out}, Activation::kTanh, rng_a);
-  Mlp batched({in, 12, out}, Activation::kTanh, rng_b);
+  Mlp looped({in, 12, out}, act, rng_a);
+  Mlp batched({in, 12, out}, act, rng_b);
 
   sim::Rng data_rng(22);
   const std::vector<double> x =
@@ -250,6 +251,13 @@ TEST(MlpBatch, BackwardBatchBitwiseMatchesLoopedBackward) {
   }
 }
 
+TEST(MlpBatch, BackwardBatchBitwiseMatchesLoopedBackward) {
+  for (const Activation act : {Activation::kTanh, Activation::kRelu}) {
+    SCOPED_TRACE(act == Activation::kTanh ? "tanh" : "relu");
+    expect_backward_matches_looped(act);
+  }
+}
+
 TEST(MlpBatch, NoCacheForwardMatchesCachedAndLeavesTrainingUntouched) {
   // Without a cache, forward_batch takes the inference fast path:
   // activations applied in place, no per-layer capture. That path must be
@@ -280,8 +288,8 @@ TEST(MlpBatch, NoCacheForwardMatchesCachedAndLeavesTrainingUntouched) {
   (void)clean.forward_batch(x, batch, &cache);
   clean.backward_batch(x, cache, dy, batch);
 
-  // Same training step with inference traffic interleaved everywhere the
-  // serving path could run it.
+  // Same training step with inference traffic interleaved before, inside
+  // and after it.
   mixed.zero_grad();
   (void)mixed.forward_batch(probe, 3);
   Mlp::BatchCache mixed_cache;

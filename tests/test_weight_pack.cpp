@@ -3,8 +3,8 @@
 // forgot the repack would leave forward passes computing with stale weights
 // on AVX2 only — a silent backend divergence. These tests take every write
 // path (Adam steps through both agents, restore_params, set_weights, the
-// DDQN target sync, re-quantization) and demand that the next forward, on
-// both backends, is memcmp-equal to
+// DDQN target sync) and demand that the next forward, on both backends, is
+// memcmp-equal to
 //  - a freshly built network given the same parameters, and
 //  - the naive per-sample chain over the public weight views (which reads
 //    no pack at all).
@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "rl/ddqn.hpp"
-#include "rl/inference.hpp"
 #include "rl/kernels.hpp"
 #include "rl/mlp.hpp"
 #include "rl/ppo.hpp"
@@ -277,47 +276,6 @@ TEST(WeightPack, PpoSetWeightsRepacks) {
   const PpoAgent other(pet_config(44));
   ASSERT_TRUE(agent.set_weights(other.weights()));
   expect_ppo_current(agent, "PpoAgent::set_weights");
-}
-
-// --- InferenceModel ----------------------------------------------------------
-
-TEST(WeightPack, QuantizeAfterWeightChangeRepacks) {
-  sim::Rng rng(61);
-  Mlp net({24, 64, 64, 20}, Activation::kTanh, rng);
-  ParamRefs refs;
-  net.collect(refs);
-  const std::vector<double> x = probe_states(24);
-  std::uint64_t seed = 7000;
-  for (const InferPrecision precision :
-       {InferPrecision::kFp64, InferPrecision::kFp32}) {
-    SCOPED_TRACE(infer_precision_name(precision));
-    InferenceModel model;
-    ASSERT_TRUE(model.quantize(net, precision));
-    std::vector<double> y(static_cast<std::size_t>(kRows) * 20);
-    model.forward_batch(x, kRows, y);  // use the first snapshot's pack
-    restore_params(refs, other_params(net, ++seed));
-    ASSERT_TRUE(model.quantize(net, precision));  // reuses the storage
-    sim::Rng other_init(62);
-    Mlp twin(net.sizes(), net.activation(), other_init);
-    ParamRefs twin_refs;
-    twin.collect(twin_refs);
-    restore_params(twin_refs, snapshot_params(refs));
-    InferenceModel fresh;
-    ASSERT_TRUE(fresh.quantize(twin, precision));
-    for (const kern::Backend backend : kBackends) {
-      BackendGuard guard(backend);
-      std::vector<double> got(y.size());
-      std::vector<double> want(y.size());
-      model.forward_batch(x, kRows, got);
-      fresh.forward_batch(x, kRows, want);
-      EXPECT_TRUE(same_bytes(got, want))
-          << "backend " << static_cast<int>(backend);
-      if (precision == InferPrecision::kFp64) {
-        EXPECT_TRUE(same_bytes(got, net.forward_batch(x, kRows)))
-            << "backend " << static_cast<int>(backend);
-      }
-    }
-  }
 }
 
 }  // namespace

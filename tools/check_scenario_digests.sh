@@ -12,6 +12,11 @@
 # minutes, so this is not part of ctest. Exits 1 on any mismatch, failed
 # run or failed correctness check; prints one line per pair.
 #
+# Every pair then runs a second time under `taskset -c 0`. With one usable
+# CPU the process-wide fork-join pool has no workers, so ACC's learner
+# steps run inline on the event thread; the digest must not change. When
+# taskset is missing the script says so and skips that pass.
+#
 # A change that alters simulated behaviour on purpose updates the table in
 # the same commit and says why.
 set -uo pipefail
@@ -30,23 +35,35 @@ expected=(
 )
 
 status=0
-for entry in "${expected[@]}"; do
-  read -r workload seed want <<<"${entry}"
-  if ! out="$(cd "${root}" && python3 scenario_bench/run.py \
-      --workload "${workload}" --seed "${seed}" --seconds 1 --trace 0)"; then
-    echo "FAIL ${workload} seed ${seed}: run failed"
-    status=1
-    continue
-  fi
-  got="$(sed -n 's/.*outputs digest \([0-9a-f]*\),.*/\1/p' <<<"${out}")"
-  if ! tail -n 1 <<<"${out}" | grep -q '"correct": true'; then
-    echo "FAIL ${workload} seed ${seed}: correctness checks failed"
-    status=1
-  elif [[ "${got}" != "${want}" ]]; then
-    echo "FAIL ${workload} seed ${seed}: digest ${got:-missing}, want ${want}"
-    status=1
-  else
-    echo "ok   ${workload} seed ${seed}: ${got}"
-  fi
-done
+# check LABEL [PREFIX...]: run every pair under the command PREFIX.
+check() {
+  local label="$1"
+  shift
+  for entry in "${expected[@]}"; do
+    read -r workload seed want <<<"${entry}"
+    if ! out="$(cd "${root}" && "$@" python3 scenario_bench/run.py \
+        --workload "${workload}" --seed "${seed}" --seconds 1 --trace 0)"; then
+      echo "FAIL ${workload} seed ${seed}${label}: run failed"
+      status=1
+      continue
+    fi
+    got="$(sed -n 's/.*outputs digest \([0-9a-f]*\),.*/\1/p' <<<"${out}")"
+    if ! tail -n 1 <<<"${out}" | grep -q '"correct": true'; then
+      echo "FAIL ${workload} seed ${seed}${label}: correctness checks failed"
+      status=1
+    elif [[ "${got}" != "${want}" ]]; then
+      echo "FAIL ${workload} seed ${seed}${label}: digest ${got:-missing}, want ${want}"
+      status=1
+    else
+      echo "ok   ${workload} seed ${seed}${label}: ${got}"
+    fi
+  done
+}
+
+check ""
+if command -v taskset >/dev/null 2>&1; then
+  check " (taskset -c 0)" taskset -c 0
+else
+  echo "skip taskset -c 0 pass: taskset not found"
+fi
 exit "${status}"

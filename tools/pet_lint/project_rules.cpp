@@ -255,7 +255,9 @@ struct GuardedField {
 /// Scan one file for accesses to guarded fields outside a lock scope on the
 /// named mutex. Token-level scope tracking: a lock_guard/scoped_lock/
 /// unique_lock declaration holds its mutexes until its enclosing brace
-/// closes; PET_REQUIRES(mu) on a function holds `mu` for the body;
+/// closes, except between `<var>.unlock()` and `<var>.lock()` on the lock
+/// variable (the state follows token order, not control flow);
+/// PET_REQUIRES(mu) on a function holds `mu` for the body;
 /// constructor/destructor bodies are exempt (no concurrent access before
 /// the object is shared).
 void scan_lock_usage(const ProjectFile& file,
@@ -282,6 +284,8 @@ void scan_lock_usage(const ProjectFile& file,
   struct Held {
     std::string mutex;
     int depth;
+    std::string var;  // the lock variable; empty for PET_REQUIRES
+    bool active = true;
   };
   std::vector<Held> held;
   std::vector<std::string> pending;  // PET_REQUIRES mutexes, armed at '{'
@@ -293,7 +297,7 @@ void scan_lock_usage(const ProjectFile& file,
     if (is_p(i, "{")) {
       ++depth;
       for (std::string& mu : pending) {
-        held.push_back(Held{std::move(mu), depth});
+        held.push_back(Held{std::move(mu), depth, {}});
       }
       pending.clear();
       if (exempt_base >= 0 && depth == exempt_base + 1) exempt_entered = true;
@@ -327,16 +331,17 @@ void scan_lock_usage(const ProjectFile& file,
         }
       }
       if (is_ident(j) && is_p(j + 1, "(")) {
+        const std::string& var = t[j]->text;
         int paren = 0;
         std::string arg_last;
         for (std::size_t k = j + 1; k < t.size(); ++k) {
           if (is_p(k, "(") && paren++ == 0) continue;
           if (is_p(k, ")") && --paren == 0) {
-            if (!arg_last.empty()) held.push_back(Held{arg_last, depth});
+            if (!arg_last.empty()) held.push_back(Held{arg_last, depth, var});
             break;
           }
           if (paren == 1 && is_p(k, ",")) {
-            if (!arg_last.empty()) held.push_back(Held{arg_last, depth});
+            if (!arg_last.empty()) held.push_back(Held{arg_last, depth, var});
             arg_last.clear();
             continue;
           }
@@ -344,6 +349,20 @@ void scan_lock_usage(const ProjectFile& file,
         }
       }
       continue;
+    }
+
+    // <var>.unlock() releases and <var>.lock() retakes the mutexes of the
+    // innermost lock variable of that name.
+    if (is_p(i + 1, ".") && (is_id(i + 2, "unlock") || is_id(i + 2, "lock")) &&
+        is_p(i + 3, "(")) {
+      const bool relock = t[i + 2]->text == "lock";
+      int scope = -1;
+      for (auto h = held.rbegin(); h != held.rend(); ++h) {
+        if (h->var != name || (scope >= 0 && h->depth != scope)) continue;
+        scope = h->depth;
+        h->active = relock;
+      }
+      if (scope >= 0) continue;
     }
 
     if (name == "PET_REQUIRES" && is_p(i + 1, "(")) {
@@ -390,7 +409,7 @@ void scan_lock_usage(const ProjectFile& file,
     if (gf.decl_path == file.path && gf.decl_line == t[i]->line) continue;
     if (exempt_base >= 0) continue;
     bool ok = false;
-    for (const Held& h : held) ok = ok || h.mutex == gf.mutex;
+    for (const Held& h : held) ok = ok || (h.active && h.mutex == gf.mutex);
     if (!ok) {
       sink.report("lock-discipline", t[i]->line, t[i]->col,
                   "field '" + name + "' is PET_GUARDED_BY(" + gf.mutex +

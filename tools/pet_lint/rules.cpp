@@ -465,10 +465,7 @@ void rule_hot_path_alloc(const Ctx& c) {
 // --- rule: nodiscard-chain --------------------------------------------------
 
 [[nodiscard]] bool is_chain_api(const std::string& name) {
-  return name == "set_weights" || name == "load" || name == "save_state" ||
-         name == "load_state" || name == "save_checkpoint" ||
-         name == "load_checkpoint" || name == "quantize" ||
-         name == "install" || name == "refresh" ||
+  return name == "set_weights" || name == "load" ||
          starts_with(name, "install_");
 }
 
@@ -511,14 +508,10 @@ void rule_nodiscard_chain(const Ctx& c) {
     }
 
     // Call-site check (bool-returning chain APIs only; install_ecn returns
-    // a count that callers may legitimately drop, and save_state returns
-    // void). Requires a `.`/`->` receiver so declarations
-    // (`Type load(...);`) never match.
+    // a count that callers may legitimately drop). Requires a `.`/`->`
+    // receiver so declarations (`Type load(...);`) never match.
     if (t.text != "set_weights" && t.text != "install_weights" &&
-        t.text != "install_learned_weights" && t.text != "load" &&
-        t.text != "load_state" && t.text != "save_checkpoint" &&
-        t.text != "load_checkpoint" && t.text != "quantize" &&
-        t.text != "install" && t.text != "refresh") {
+        t.text != "install_learned_weights" && t.text != "load") {
       continue;
     }
     if (i == 0 || (!tv.is_punct(i - 1, ".") && !tv.is_punct(i - 1, "->"))) {
@@ -556,33 +549,6 @@ void rule_nodiscard_chain(const Ctx& c) {
                "result of " + t.text +
                    "() is discarded — check it (failed loads/installs must "
                    "be handled, not ignored)");
-    }
-  }
-}
-
-// --- rule: quantize-narrowing -----------------------------------------------
-
-void rule_quantize_narrowing(const Ctx& c) {
-  // fp64 -> int8 narrowing is only correct through the audited per-row
-  // scale / clamp / lrint sequence in InferenceModel::quantize; that TU is
-  // the single allowed narrowing site in src/rl. Any other int8 cast is a
-  // rogue quantizer whose rounding/saturation behaviour nobody verified
-  // against the fp64 oracle (tests/test_oracle_inference.cpp).
-  if (c.path == "src/rl/inference.cpp") return;
-  const TokenView& tv = c.tv;
-  for (std::size_t i = 0; i < tv.size(); ++i) {
-    if (!tv.is_ident(i, "static_cast") || !tv.is_punct(i + 1, "<")) continue;
-    int depth = 0;
-    for (std::size_t j = i + 1; j < tv.size(); ++j) {
-      if (tv.is_punct(j, "<")) ++depth;
-      if (tv.is_punct(j, ">") && --depth == 0) break;
-      if (tv.is_ident(j, "int8_t")) {
-        c.report("quantize-narrowing", tv.at(i),
-                 "static_cast to int8_t outside the audited quantizer — "
-                 "fp64->int8 narrowing must go through "
-                 "rl::InferenceModel::quantize (per-row scale, clamp, lrint)");
-        break;
-      }
     }
   }
 }
@@ -654,9 +620,6 @@ Policy policy_for(std::string_view relpath) {
     if (starts_with(relpath, "src/sim/") || starts_with(relpath, "src/net/")) {
       p.hot_path_alloc = true;
     }
-    // int8 quantization is audited in exactly one TU (the rule itself
-    // exempts src/rl/inference.cpp).
-    if (starts_with(relpath, "src/rl/")) p.quantize_narrowing = true;
     // Cross-TU rules cover the architecture under src/ only; tests, tools
     // and bench code sit outside the layer map by design.
     p.layer_order = true;
@@ -680,8 +643,7 @@ Policy policy_for(std::string_view relpath) {
 const std::vector<std::string>& all_rule_ids() {
   static const std::vector<std::string> kIds = {
       "banned-api", "nondet-iteration", "unaudited-ecn", "nodiscard-chain",
-      "header-hygiene", "hot-path-alloc",
-      "quantize-narrowing", "layer-order", "include-hygiene-v2",
+      "header-hygiene", "hot-path-alloc", "layer-order", "include-hygiene-v2",
       "lock-discipline"};
   return kIds;
 }
@@ -709,7 +671,6 @@ FileReport analyze_source(const std::string& relpath, std::string_view content,
   }
   if (policy.unaudited_ecn) rule_unaudited_ecn(c);
   if (policy.hot_path_alloc) rule_hot_path_alloc(c);
-  if (policy.quantize_narrowing) rule_quantize_narrowing(c);
   if (policy.nodiscard_chain) rule_nodiscard_chain(c);
   if (policy.header_hygiene) rule_header_hygiene(c, has_sibling_header);
 

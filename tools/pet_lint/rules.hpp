@@ -12,21 +12,15 @@
 //                     artifacts, digests, or trace export)
 //   unaudited-ecn     RED/ECN config writes outside the audited
 //                     install_ecn() chain
-//   nodiscard-chain   bool-returning load/set_weights/install_*, checkpoint
-//                     (save_state/load_state/save_checkpoint/
-//                     load_checkpoint), and inference-snapshot
-//                     (quantize/install/refresh) APIs must be [[nodiscard]]
-//                     and every call site must consume the result
+//   nodiscard-chain   bool-returning load/set_weights/install_* APIs must
+//                     be [[nodiscard]] and every call site must consume
+//                     the result
 //   header-hygiene    #pragma once first in headers; a TU's own header
 //                     must be its first include
 //   hot-path-alloc    std::function / std::deque in the DES hot-path
 //                     subsystems (src/sim, src/net) — per-event heap
 //                     allocation is banned there; use sim::SmallCallback
 //                     and flat ring buffers (net::FifoQueue pattern)
-//   quantize-narrowing  static_cast to int8_t in src/rl outside the single
-//                     audited quantizer (rl::InferenceModel::quantize in
-//                     src/rl/inference.cpp) — ad-hoc fp64->int8 narrowing
-//                     skips the verified scale/clamp/lrint sequence
 //
 // Suppressions: `// pet-lint: allow(<id>[, <id>...]): <justification>` on
 // the offending line or the line directly above it, or
@@ -76,7 +70,6 @@ struct Policy {
   bool nodiscard_chain = false;
   bool header_hygiene = false;
   bool hot_path_alloc = false;
-  bool quantize_narrowing = false;  // src/rl only; rule exempts inference.cpp
   // Cross-TU rules (pass 2; see project_rules.hpp). The bits mark which
   // files participate; the pass as a whole only runs when the scanned root
   // declares an architecture in tools/pet_lint/layers.txt.
