@@ -132,18 +132,13 @@ inline exp::RunArtifact make_artifact(const BenchOptions& opt,
   return art;
 }
 
-/// Record one finished experiment into the artifact: its scenario becomes
-/// the manifest scenario and its switch summaries / event counts /
-/// profiler tables the payload (each call overwrites those sections — the
-/// last recorded run is the one the artifact details). Honors --trace=PATH
-/// by also exporting the run's chrome://tracing timeline.
+/// Record one finished experiment into the artifact
+/// (RunArtifact::record_run: the last recorded run is the one the artifact
+/// details). Honors --trace=PATH by also exporting the run's
+/// chrome://tracing timeline.
 inline void record_run(const BenchOptions& opt, exp::RunArtifact& art,
                        exp::Experiment& experiment) {
-  art.set_scenario(experiment.config());
-  art.add_switch_summaries(experiment.network().switches());
-  art.add_tier_summaries(experiment.topology(), experiment.network());
-  art.add_event_counts(experiment.event_log());
-  art.set_profiler(experiment.profiler());
+  art.record_run(experiment);
   if (!opt.trace_path.empty()) {
     if (exp::write_chrome_trace(opt.trace_path, &experiment.event_log(),
                                 &experiment.profiler())) {

@@ -5,22 +5,42 @@
 // reward/FCT correlation visible.
 //
 //   ./ecn_sweep [load] [measure_ms]
+//
+// An argument that does not parse, or a scenario it makes that
+// ScenarioConfig::validate() rejects, exits 2 with one message line.
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "core/ncm.hpp"
 #include "core/reward.hpp"
+#include "exp/cli_flags.hpp"
 #include "exp/experiment.hpp"
 #include "exp/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace pet;
-  const double load = argc > 1 ? std::atof(argv[1]) : 0.6;
-  const std::int64_t measure_ms = argc > 2 ? std::atoll(argv[2]) : 30;
+  exp::ScenarioConfig cfg;
+  cfg.scheme = exp::Scheme::kSecn1;  // static; thresholds overridden below
+  cfg.flow_size_cap_bytes = 8e6;
+  cfg.pretrain = sim::milliseconds(5);
+  std::int32_t measure_ms = 30;
+  try {
+    if (argc > 1) cfg.load = exp::parse_flag_number<double>("load", argv[1]);
+    if (argc > 2) {
+      measure_ms = exp::parse_flag_number<std::int32_t>("measure_ms", argv[2]);
+    }
+    cfg.measure = sim::milliseconds(measure_ms);
+    cfg.validate();
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "ecn_sweep: %s\n", e.what());
+    return 2;
+  }
+  cfg.tune_dcqcn_for_rate();
 
   struct Point {
     std::int64_t kmin_kb;
@@ -34,18 +54,11 @@ int main(int argc, char** argv) {
   };
 
   std::printf("ECN sweep: Web Search, load %.0f%%, %lld ms measured\n\n",
-              load * 100, static_cast<long long>(measure_ms));
+              cfg.load * 100, static_cast<long long>(measure_ms));
   exp::Table table({"Kmin", "Kmax", "Pmax", "overall avg", "mice avg",
                     "mice p99", "eleph avg", "queue avg", "latency avg",
                     "ncm util", "ncm reward"});
 
-  exp::ScenarioConfig cfg;
-  cfg.scheme = exp::Scheme::kSecn1;  // static; thresholds overridden below
-  cfg.load = load;
-  cfg.flow_size_cap_bytes = 8e6;
-  cfg.pretrain = sim::milliseconds(5);
-  cfg.measure = sim::milliseconds(measure_ms);
-  cfg.tune_dcqcn_for_rate();
   for (const Point& p : grid) {
     exp::Experiment experiment(cfg);
     const net::RedEcnConfig ecn{.kmin_bytes = p.kmin_kb * 1024,

@@ -4,17 +4,43 @@
 // queue build-up and request completion times.
 //
 //   ./incast_scenario [fan_in] [request_kb]
+//
+// An argument that does not parse, or a scenario it makes that
+// ScenarioConfig::validate() rejects, exits 2 with one message line.
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
+#include <stdexcept>
 
+#include "exp/cli_flags.hpp"
 #include "exp/pretrain.hpp"
 #include "exp/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace pet;
-  const std::int32_t fan_in = argc > 1 ? std::atoi(argv[1]) : 12;
-  const std::int64_t request_kb = argc > 2 ? std::atoll(argv[2]) : 64;
+  std::int32_t fan_in = 12;
+  std::int64_t request_kb = 64;
+  exp::ScenarioConfig base;
+  base.load = 0.2;  // light background; incast dominates
+  base.incast_period = sim::microseconds(800);
+  base.flow_size_cap_bytes = 2e6;
+  base.pretrain = sim::milliseconds(30);
+  base.measure = sim::milliseconds(30);
+  try {
+    if (argc > 1) {
+      fan_in = exp::parse_flag_number<std::int32_t>("fan_in", argv[1]);
+    }
+    if (argc > 2) {
+      request_kb = exp::parse_flag_number<std::int32_t>("request_kb", argv[2]);
+    }
+    base.incast_fan_in = fan_in;
+    base.incast_request_bytes = request_kb * 1024;
+    base.validate();
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "incast_scenario: %s\n", e.what());
+    return 2;
+  }
+  base.tune_dcqcn_for_rate();
 
   std::printf("Incast scenario: fan-in %d, %lld KB per response\n\n", fan_in,
               static_cast<long long>(request_kb));
@@ -24,19 +50,11 @@ int main(int argc, char** argv) {
 
   for (const exp::Scheme scheme :
        {exp::Scheme::kSecn2, exp::Scheme::kSecn1, exp::Scheme::kPet}) {
-    exp::ScenarioConfig base;
-    base.scheme = scheme;
-    base.load = 0.2;  // light background; incast dominates
-    base.incast_fan_in = fan_in;
-    base.incast_request_bytes = request_kb * 1024;
-    base.incast_period = sim::microseconds(800);
-    base.flow_size_cap_bytes = 2e6;
-    base.pretrain = sim::milliseconds(30);
-    base.measure = sim::milliseconds(30);
-    base.tune_dcqcn_for_rate();
+    exp::ScenarioConfig scenario = base;
+    scenario.scheme = scheme;
     // Hybrid training: deploy the offline-pretrained model, adapt online.
-    auto experiment_ptr = exp::build_pretrained(base, exp::PretrainOptions{},
-                                                sim::milliseconds(10));
+    auto experiment_ptr = exp::build_pretrained(
+        scenario, exp::PretrainOptions{}, sim::milliseconds(10));
     exp::Experiment& experiment = *experiment_ptr;
     const exp::ScenarioConfig& cfg = experiment.config();
     const exp::Metrics m = experiment.run();

@@ -5,32 +5,42 @@
 // mice latency.
 //
 //   ./multiqueue_separation [load]
+//
+// An argument that does not parse, or a load ScenarioConfig::validate()
+// rejects, exits 2 with one message line.
 
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
+#include <stdexcept>
 
 #include "core/controller.hpp"
 #include "core/pet_agent.hpp"
+#include "exp/cli_flags.hpp"
 #include "exp/experiment.hpp"
 #include "exp/table.hpp"
 #include "net/classifier.hpp"
 
 int main(int argc, char** argv) {
   using namespace pet;
-  const double load = argc > 1 ? std::atof(argv[1]) : 0.6;
+  exp::ScenarioConfig base;
+  base.scheme = exp::Scheme::kSecn1;  // static placeholder; agents below
+  base.flow_size_cap_bytes = 8e6;
+  base.pretrain = sim::milliseconds(40);
+  base.measure = sim::milliseconds(40);
+  try {
+    if (argc > 1) base.load = exp::parse_flag_number<double>("load", argv[1]);
+    base.validate();
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "multiqueue_separation: %s\n", e.what());
+    return 2;
+  }
 
   exp::Table table({"deployment", "mice avg FCT", "mice p99 FCT",
                     "elephant avg FCT", "queue avg"});
 
   for (const bool multiqueue : {false, true}) {
-    exp::ScenarioConfig cfg;
-    cfg.scheme = exp::Scheme::kSecn1;  // static placeholder; agents below
-    cfg.load = load;
+    exp::ScenarioConfig cfg = base;
     cfg.topo.leaf_spine().switch_cfg.num_data_queues = multiqueue ? 2 : 1;
-    cfg.flow_size_cap_bytes = 8e6;
-    cfg.pretrain = sim::milliseconds(40);
-    cfg.measure = sim::milliseconds(40);
     cfg.tune_dcqcn_for_rate();
     exp::Experiment experiment(cfg);
 

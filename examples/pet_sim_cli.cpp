@@ -190,13 +190,9 @@ int main(int argc, char** argv) {
     exp::RunArtifact art("pet_sim_cli");
     art.set_mode("cli");
     art.set_seed(opt.seed);
-    art.set_scenario(experiment.config());
+    art.record_run(experiment);
     art.set_manifest_extra("interrupted", exp::JsonValue(interrupted));
     art.add_metrics("", m);
-    art.add_switch_summaries(experiment.network().switches());
-    art.add_tier_summaries(experiment.topology(), experiment.network());
-    art.add_event_counts(experiment.event_log());
-    art.set_profiler(experiment.profiler());
     if (!art.write(opt.artifact_path)) return 1;
     std::printf("artifact: %s\n", opt.artifact_path.c_str());
   }

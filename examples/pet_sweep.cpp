@@ -1,4 +1,4 @@
-// pet_sweep: fault-tolerant evaluation grids over scheme × load × seed.
+// pet_sweep: crash-safe evaluation grids over scheme × load × seed.
 //
 //   ./pet_sweep --scheme=pet,secn1 --load=0.4,0.8 --seed=1,2
 //               --out=sweep_out --threads=2 [--resume]
@@ -6,23 +6,20 @@
 // Every point writes a durable artifact (the completion marker), so a
 // crashed or killed sweep (SIGINT/SIGTERM stop it between 1 ms chunks)
 // re-run with --resume skips finished points and runs the rest from the
-// start. A per-point watchdog retries hung points with capped backoff and
-// quarantines repeat offenders while the rest of the grid completes. Exit
-// code: 0 all points done, 1 any quarantined or the merged artifact not
+// start. Each point runs once: a point that fails is recorded as failed
+// while the rest of the grid completes, and --resume runs it again. Exit
+// code: 0 all points done, 1 any failed or the merged artifact not
 // written, 2 bad option or a grid it cannot run (nothing run), 130 stopped
 // by signal.
 //
-// Fault-injection flags for the crash-safety tests:
+// Fault injection for the crash-safety tests:
 //   --crash-after-writes=N  _Exit(137) after N durable writes
-//   --hang-point=IDX --hang-seconds=S  block point IDX's first attempt
 
-#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "exp/cli_flags.hpp"
@@ -54,14 +51,7 @@ struct CliOptions {
                               .hosts_per_leaf = 4,
                               .pretrain_ms = 10,
                               .measure_ms = 10};
-  double watchdog_seconds = 0.0;
-  double grace_seconds = 2.0;
-  std::int32_t max_retries = 2;
-  double backoff_base = 0.5;
-  double backoff_cap = 30.0;
   std::int32_t crash_after_writes = 0;
-  std::int32_t hang_point = -1;
-  double hang_seconds = 5.0;
 };
 
 [[noreturn]] void usage(const char* argv0, int code) {
@@ -77,9 +67,7 @@ struct CliOptions {
       "  --resume           skip points finished by a prior run\n"
       "  --topo=LIST        comma list of leaf-spine|fat-tree|inter-dc\n"
       "%s"
-      "  --watchdog-seconds=F --grace-seconds=F --max-retries=N\n"
-      "  --backoff-base=F --backoff-cap=F\n"
-      "  --crash-after-writes=N --hang-point=IDX --hang-seconds=F\n",
+      "  --crash-after-writes=N  exit 137 after N artifact writes (tests)\n",
       argv0, exp::ScenarioFlags::kHelp);
   std::exit(code);
 }
@@ -112,9 +100,6 @@ CliOptions parse(int argc, char** argv) {
     const auto count = [&](std::int32_t& field) {
       field = exp::parse_flag_number<std::int32_t>(flag, text);
     };
-    const auto seconds = [&](double& field) {
-      field = exp::parse_flag_number<double>(flag, text);
-    };
     if (arg == "--resume") {
       opt.resume = true;
     } else if (arg == "--help" || arg == "-h") {
@@ -141,22 +126,8 @@ CliOptions parse(int argc, char** argv) {
       opt.name = text;
     } else if (flag == "--threads") {
       count(opt.threads);
-    } else if (flag == "--watchdog-seconds") {
-      seconds(opt.watchdog_seconds);
-    } else if (flag == "--grace-seconds") {
-      seconds(opt.grace_seconds);
-    } else if (flag == "--max-retries") {
-      count(opt.max_retries);
-    } else if (flag == "--backoff-base") {
-      seconds(opt.backoff_base);
-    } else if (flag == "--backoff-cap") {
-      seconds(opt.backoff_cap);
     } else if (flag == "--crash-after-writes") {
       count(opt.crash_after_writes);
-    } else if (flag == "--hang-point") {
-      count(opt.hang_point);
-    } else if (flag == "--hang-seconds") {
-      seconds(opt.hang_seconds);
     } else {
       std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
       usage(argv[0], 2);
@@ -208,31 +179,13 @@ int main(int argc, char** argv) {
   }
   opt.scenario.apply(grid.base);
   grid.base.flow_size_cap_bytes = 8e6;
-  if (!opt.seeds.empty()) grid.base.seed = opt.seeds.front();
   grid.base.tune_dcqcn_for_rate();
 
   exp::SweepRunnerConfig cfg;
   cfg.out_dir = opt.out_dir;
   cfg.threads = opt.threads;
   cfg.resume = opt.resume;
-  cfg.watchdog_seconds = opt.watchdog_seconds;
-  cfg.grace_seconds = opt.grace_seconds;
-  cfg.max_retries = opt.max_retries;
-  cfg.backoff_base_seconds = opt.backoff_base;
-  cfg.backoff_cap_seconds = opt.backoff_cap;
   cfg.crash_after_writes = opt.crash_after_writes;
-  if (opt.hang_point >= 0) {
-    const std::int32_t hang_point = opt.hang_point;
-    const double hang_seconds = opt.hang_seconds;
-    cfg.attempt_hook = [hang_point, hang_seconds](const exp::SweepPoint& p,
-                                                  std::int32_t attempt) {
-      if (p.index == hang_point && attempt == 0) {
-        std::fprintf(stderr, "sweep: injected hang on %s\n", p.id.c_str());
-        std::this_thread::sleep_for(
-            std::chrono::duration<double>(hang_seconds));
-      }
-    };
-  }
 
   exp::SweepRunner runner(grid, cfg);
   g_runner = &runner;
@@ -257,8 +210,8 @@ int main(int argc, char** argv) {
                 st.status.c_str(), st.attempts);
     if (st.status == "stopped") stopped = true;
   }
-  std::printf("pet_sweep: %d/%zu completed, %d quarantined -> %s\n",
-              result.completed, result.points.size(), result.quarantined,
+  std::printf("pet_sweep: %d/%zu completed, %d failed -> %s\n",
+              result.completed, result.points.size(), result.failed,
               result.artifact_path.empty() ? "(no merged artifact)"
                                            : result.artifact_path.c_str());
   if (result.artifact_path.empty()) {

@@ -35,8 +35,6 @@ enum class AgentHealth { kHealthy, kDegraded, kQuarantined, kProbation };
 }
 
 struct GuardrailConfig {
-  bool enabled = true;
-
   // Hard-fault thresholds on PPO update statistics (NaN/Inf always trips).
   double max_abs_policy_loss = 1e3;
   double max_value_loss = 1e6;

@@ -33,7 +33,7 @@ std::uint64_t agent_seed(std::uint64_t seed, std::string_view stream,
 /// guardrail checks.
 NcmTracking ncm_tracking(const PetAgentConfig& cfg) {
   NcmTracking tracking = cfg.state.ncm_tracking();
-  tracking.packets = cfg.guardrails.enabled;
+  tracking.packets = true;
   return tracking;
 }
 }  // namespace
@@ -77,7 +77,7 @@ PetAgent::PetAgent(sim::Scheduler& sched, net::SwitchDevice& sw,
   current_config_ = sw_.port(0).ecn_config(std::max(0, cfg_.ncm.queue_index));
   // A rollback target must exist from the first tick; the initial weights
   // are the first last-known-good snapshot.
-  if (cfg_.guardrails.enabled) last_good_ = policy_->weights();
+  last_good_ = policy_->weights();
 }
 
 void PetAgent::restore(std::span<const double> weights) {
@@ -194,8 +194,7 @@ bool PetAgent::tick_observe() {
   // 1. Close the monitoring slot; its statistics are the outcome of the
   //    previous action.
   const NcmSnapshot snap = ncm_.sample();
-  const bool guarded = cfg_.guardrails.enabled;
-  if (guarded) check_telemetry(snap);
+  check_telemetry(snap);
 
   // A quarantined agent holds the static fallback and does not act or
   // train; it re-enters service on probation once the timer expires.
@@ -209,7 +208,7 @@ bool PetAgent::tick_observe() {
 
   state_builder_.push_slot(snap, current_config_);
   state_ = state_builder_.state();
-  if (guarded && !all_finite(state_)) {
+  if (!all_finite(state_)) {
     // Corrupted telemetry must never reach the policy network.
     quarantine("non-finite state vector");
     return false;
@@ -223,13 +222,11 @@ bool PetAgent::tick_observe() {
     last_update_ = policy_->update(rollout_, bootstrap);
     rollout_.clear();
     ++updates_;
-    if (guarded) {
-      if (auto fault = update_fault(last_update_)) {
-        quarantine(*fault);
-        return false;
-      }
-      maybe_checkpoint();
+    if (auto fault = update_fault(last_update_)) {
+      quarantine(*fault);
+      return false;
     }
+    maybe_checkpoint();
   }
   return true;
 }
@@ -283,8 +280,7 @@ double PetAgent::tick_begin_act() {
 }
 
 void PetAgent::tick_finish_act(rl::PpoAgent::ActResult act) {
-  if (cfg_.guardrails.enabled &&
-      (!std::isfinite(act.log_prob) || !std::isfinite(act.value))) {
+  if (!std::isfinite(act.log_prob) || !std::isfinite(act.value)) {
     // NaN/Inf in the policy outputs: never actuate from a broken network.
     quarantine("non-finite policy output");
     return;

@@ -278,6 +278,14 @@ void RunArtifact::set_profiler(const sim::Profiler& profiler) {
   profiler_.set("spans", std::move(spans));
 }
 
+void RunArtifact::record_run(Experiment& experiment) {
+  set_scenario(experiment.config());
+  add_switch_summaries(experiment.network().switches());
+  add_tier_summaries(experiment.topology(), experiment.network());
+  add_event_counts(experiment.event_log());
+  set_profiler(experiment.profiler());
+}
+
 JsonValue RunArtifact::to_json() const {
   JsonValue root = JsonValue::object();
   root.set("schema", std::string(kSchemaVersion));

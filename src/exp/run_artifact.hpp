@@ -72,6 +72,11 @@ class RunArtifact {
   void add_event_counts(const EventLog& log);
   /// Attach the profiler's section table and phase spans.
   void set_profiler(const sim::Profiler& profiler);
+  /// Record one finished experiment: its scenario becomes the manifest
+  /// scenario, and its switch and tier summaries, event counts and
+  /// profiler tables the payload. Each call overwrites those sections, so
+  /// the last recorded run is the one the artifact details.
+  void record_run(Experiment& experiment);
 
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] std::string default_path() const {

@@ -1,22 +1,19 @@
 #include "exp/sweep.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <cmath>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <filesystem>
-#include <memory>
-#include <mutex>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <thread>
 #include <utility>
 
+#include "exp/json.hpp"
 #include "exp/metrics.hpp"
 #include "exp/run_artifact.hpp"
-#include "sim/rng.hpp"
 #include "sim/time.hpp"
 
 namespace pet::exp {
@@ -53,16 +50,6 @@ std::string format_point_id(Scheme scheme, double load, std::uint64_t seed) {
                 load, static_cast<unsigned long long>(seed));
   return buf;
 }
-
-/// Per-attempt rendezvous between the supervising pool worker and the
-/// attempt thread. Heap-shared so an abandoned (hung) attempt can finish
-/// writing its outcome after the supervisor has moved on.
-struct AttemptShared {
-  std::mutex m;
-  std::condition_variable cv;
-  bool done PET_GUARDED_BY(m) = false;
-  std::atomic<bool> cancel{false};
-};
 
 }  // namespace
 
@@ -125,50 +112,6 @@ void SweepRunner::note_durable_write() {
   }
 }
 
-bool SweepRunner::write_point_artifact(const SweepPoint& point,
-                                       const JsonValue& metrics) {
-  RunArtifact art("point_" + point.id);
-  art.set_mode("sweep");
-  art.set_seed(point.cfg.seed);
-  art.set_scenario(point.cfg);
-  for (const auto& [key, value] : metrics.members()) {
-    art.add_metric(key, value);
-  }
-  if (!art.write(point_artifact_path(point))) return false;
-  note_durable_write();
-  return true;
-}
-
-SweepRunner::AttemptOutcome SweepRunner::run_attempt(
-    const SweepPoint& point, const std::atomic<bool>& cancel) {
-  AttemptOutcome out;
-  Experiment ex(point.cfg);
-  bool completed = false;
-  const Metrics m = ex.run_chunked(
-      sim::milliseconds(1),
-      [this, &cancel] {
-        return !cancel.load(std::memory_order_relaxed) &&
-               !stop_.load(std::memory_order_relaxed);
-      },
-      &completed);
-  if (!completed) {
-    out.error = "cancelled";
-    return out;
-  }
-  // Mirror the add_metrics() layout through a scratch artifact so per-point
-  // metric keys match standalone bench artifacts exactly. The per-tier
-  // roll-up rides in the metrics block so the merged sweep artifact
-  // carries it for every point.
-  RunArtifact scratch("scratch");
-  scratch.add_metrics("", m);
-  scratch.add_metric("tiers", tier_summaries_json(ex.topology(), ex.network()));
-  const JsonValue doc = scratch.to_json();
-  const JsonValue* metrics = doc.find("metrics");
-  out.ok = metrics != nullptr && write_point_artifact(point, *metrics);
-  if (!out.ok) out.error = "artifact write failed";
-  return out;
-}
-
 SweepRunner::PointStatus SweepRunner::run_point(const SweepPoint& point) {
   PointStatus status;
   status.id = point.id;
@@ -187,120 +130,58 @@ SweepRunner::PointStatus SweepRunner::run_point(const SweepPoint& point) {
                      "scenario)\n",
                      point.id.c_str());
       } else {
-        status.status = "ok";
         status.completed = true;
         return status;
       }
     }
   }
 
-  for (std::int32_t attempt = 0; attempt <= cfg_.max_retries; ++attempt) {
-    if (stop_.load(std::memory_order_relaxed)) {
-      status.status = "stopped";
-      return status;
-    }
-    ++status.attempts;
-
-    auto shared = std::make_shared<AttemptShared>();
-    auto outcome = std::make_shared<AttemptOutcome>();
-    std::thread worker([this, shared, outcome, &point, attempt] {
-      AttemptOutcome out;
-      try {
-        if (cfg_.attempt_hook) cfg_.attempt_hook(point, attempt);
-        if (shared->cancel.load(std::memory_order_relaxed)) {
-          out.error = "cancelled";
-        } else {
-          out = run_attempt(point, shared->cancel);
-        }
-      } catch (const std::exception& e) {
-        out.ok = false;
-        out.error = e.what();
-      }
-      std::lock_guard<std::mutex> lk(shared->m);
-      *outcome = std::move(out);
-      shared->done = true;
-      shared->cv.notify_all();
-    });
-
-    bool finished = false;
-    {
-      std::unique_lock<std::mutex> lk(shared->m);
-      if (cfg_.watchdog_seconds > 0.0) {
-        finished = shared->cv.wait_for(
-            lk, std::chrono::duration<double>(cfg_.watchdog_seconds),
-            [&shared] { return shared->done; });
-        if (!finished) {
-          // Deadline exceeded: cancel cooperatively, then grant a grace
-          // window before abandoning the attempt.
-          shared->cancel.store(true, std::memory_order_relaxed);
-          finished = shared->cv.wait_for(
-              lk, std::chrono::duration<double>(cfg_.grace_seconds),
-              [&shared] { return shared->done; });
-        }
-      } else {
-        shared->cv.wait(lk, [&shared] { return shared->done; });
-        finished = true;
-      }
-    }
-
-    AttemptOutcome out;
-    if (finished) {
-      worker.join();
-      out = *outcome;
-    } else {
-      // Abandoned: the thread still holds `shared`/`outcome` and will
-      // observe the cancel flag at its next poll; run() joins it before
-      // returning so it never outlives the runner.
-      {
-        std::lock_guard<std::mutex> lk(abandoned_mutex_);
-        abandoned_.push_back(std::move(worker));
-      }
-      out.ok = false;
-      out.error = "watchdog deadline exceeded";
-      std::fprintf(stderr, "sweep: %s attempt %d exceeded %.1fs watchdog\n",
-                   point.id.c_str(), attempt, cfg_.watchdog_seconds);
-    }
-
-    if (out.ok) {
-      status.completed = true;
-      status.status = status.attempts > 1 ? "retried" : "ok";
-      return status;
-    }
-    if (stop_.load(std::memory_order_relaxed)) {
-      status.status = "stopped";
-      return status;
-    }
-    if (attempt < cfg_.max_retries) {
-      // Capped exponential backoff with deterministic seeded jitter: the
-      // retry schedule replays identically for a given (grid seed, point,
-      // attempt) so fault-tolerance tests stay reproducible.
-      sim::Rng jitter(sim::Stream(grid_.base.seed)
-                          .child("sweep-retry")
-                          .child(static_cast<std::uint64_t>(point.index))
-                          .child(static_cast<std::uint64_t>(attempt))
-                          .seed());
-      const double base = std::min(
-          cfg_.backoff_cap_seconds,
-          cfg_.backoff_base_seconds * std::pow(2.0, static_cast<double>(attempt)));
-      const double delay = base * (0.5 + 0.5 * jitter.uniform());
-      std::fprintf(stderr, "sweep: retrying %s in %.2fs (%s)\n",
-                   point.id.c_str(), delay, out.error.c_str());
-      std::this_thread::sleep_for(std::chrono::duration<double>(delay));
-    }
+  if (stop_.load(std::memory_order_relaxed)) {
+    status.status = "stopped";
+    return status;
   }
-
-  status.status = "quarantined";
-  std::fprintf(stderr, "sweep: quarantined %s after %d attempts\n",
-               point.id.c_str(), status.attempts);
+  status.attempts = 1;
+  std::string error = "artifact write failed";
+  try {
+    Experiment ex(point.cfg);
+    bool finished = false;
+    const Metrics m = ex.run_chunked(
+        sim::milliseconds(1),
+        [this] { return !stop_.load(std::memory_order_relaxed); }, &finished);
+    if (!finished) {
+      status.status = "stopped";
+      return status;
+    }
+    // The metrics block of a standalone bench artifact, plus the per-tier
+    // roll-up so the merged sweep artifact carries it for every point.
+    RunArtifact art("point_" + point.id);
+    art.set_mode("sweep");
+    art.set_seed(point.cfg.seed);
+    art.set_scenario(point.cfg);
+    art.add_metrics("", m);
+    art.add_metric("tiers", tier_summaries_json(ex.topology(), ex.network()));
+    if (art.write(point_artifact_path(point))) {
+      note_durable_write();
+      status.completed = true;
+      return status;
+    }
+  } catch (const std::exception& e) {
+    error = e.what();
+  }
+  status.status = "failed";
+  std::fprintf(stderr, "sweep: %s failed (%s)\n", point.id.c_str(),
+               error.c_str());
   return status;
 }
 
-void SweepRunner::write_merged_artifact(Result& result) const {
+void SweepRunner::write_merged_artifact(Result& result,
+                                        std::int32_t threads) const {
+  // The manifest names a scenario some point ran: the first one.
   RunArtifact merged(grid_.name);
   merged.set_mode("sweep");
-  merged.set_seed(grid_.base.seed);
-  merged.set_threads(cfg_.threads);
-  merged.set_scenario(grid_.base);
+  merged.set_seed(points_.front().cfg.seed);
+  merged.set_threads(threads);
+  merged.set_scenario(points_.front().cfg);
 
   JsonValue sweep = JsonValue::object();
   JsonValue points = JsonValue::array();
@@ -344,10 +225,7 @@ SweepRunner::Result SweepRunner::run() {
   // Reject settings the sweep cannot run before any thread starts or file
   // is written: one invalid load must not abort the process halfway
   // through a grid, two points with one id would race on one artifact, and
-  // an unusable output directory would fail every attempt.
-  if (cfg_.max_retries < 0) {
-    throw std::invalid_argument("sweep: max_retries must be >= 0");
-  }
+  // an unusable output directory would fail every point.
   std::set<std::string> ids;
   for (const SweepPoint& p : points_) {
     try {
@@ -393,23 +271,14 @@ SweepRunner::Result SweepRunner::run() {
     });
   }
   for (std::thread& th : pool) th.join();
-  // Abandoned attempts hold references into this runner; wait for them to
-  // observe cancellation and wind down before publishing results.
-  {
-    std::lock_guard<std::mutex> lk(abandoned_mutex_);
-    for (std::thread& th : abandoned_) {
-      if (th.joinable()) th.join();
-    }
-    abandoned_.clear();
-  }
 
   Result result;
   result.points = std::move(statuses);
   for (const PointStatus& st : result.points) {
     if (st.completed) ++result.completed;
-    if (st.status == "quarantined") ++result.quarantined;
+    if (st.status == "failed") ++result.failed;
   }
-  write_merged_artifact(result);
+  write_merged_artifact(result, threads);
   return result;
 }
 

@@ -1,6 +1,6 @@
 #pragma once
-// exp::SweepRunner — fault-tolerant orchestration of a declarative
-// evaluation grid of Experiment runs.
+// exp::SweepRunner — crash-safe orchestration of a declarative evaluation
+// grid of Experiment runs.
 //
 // A sweep expands a SweepGrid (scheme × load × seed axes over a base
 // scenario) into independent points, schedules them over a worker pool and
@@ -11,27 +11,23 @@
 //     artifact recorded for the point's scenario IS the completion marker
 //     and the sweep's only resume state, so a re-run with resume=true skips
 //     finished points and re-runs the rest from the start;
-//   * each attempt runs under a watchdog deadline: a point that exceeds it
-//     is cooperatively cancelled, given a grace period, then abandoned and
-//     retried with capped exponential backoff and deterministic seeded
-//     jitter; a point that exhausts its retries is quarantined while the
-//     rest of the grid completes;
+//   * each point runs once, on its pool worker's thread. A point is a pure
+//     function of its scenario, so running it again in-process would only
+//     replay its failure: a point that throws or cannot write its artifact
+//     is recorded as failed while the rest of the grid completes, and a
+//     resumed sweep runs it again;
 //   * the merged sweep artifact (pet.run-artifact/1) nests every point's
 //     metrics under its id and records per-point execution status
-//     (ok/retried/quarantined/stopped) in the manifest — the manifest is
-//     stripped by golden canonicalization, so an interrupted-and-resumed
-//     sweep byte-matches an uninterrupted one.
+//     (ok/failed/stopped) in the manifest — the manifest is stripped by
+//     golden canonicalization, so an interrupted-and-resumed sweep
+//     byte-matches an uninterrupted one.
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "exp/experiment.hpp"
-#include "exp/json.hpp"
 #include "exp/scheme.hpp"
 #include "net/topology_spec.hpp"
 #include "sim/thread_annotations.hpp"
@@ -79,36 +75,20 @@ struct SweepRunnerConfig {
   /// Skip points whose artifact validates and records the point's scenario.
   bool resume = false;
 
-  /// Wall-clock deadline per attempt; 0 disables the watchdog.
-  double watchdog_seconds = 0.0;
-  /// Extra wall-clock granted after cooperative cancellation before the
-  /// attempt is abandoned.
-  double grace_seconds = 2.0;
-  /// Retries after the first failed attempt before quarantine.
-  std::int32_t max_retries = 2;
-  /// Exponential backoff between retries: min(cap, base * 2^attempt)
-  /// scaled by deterministic jitter in [0.5, 1.0).
-  double backoff_base_seconds = 0.5;
-  double backoff_cap_seconds = 30.0;
-
   /// Fault injection for crash-safety tests: terminate the process
   /// (std::_Exit) after this many durable point-artifact writes; 0
   /// disables.
   std::int32_t crash_after_writes = 0;
-  /// Fault injection for watchdog tests: called at the start of every
-  /// attempt on the worker thread (point, attempt index). May block (to
-  /// simulate a hang) or throw (to simulate a crash-level failure).
-  std::function<void(const SweepPoint&, std::int32_t)> attempt_hook;
 };
 
 class SweepRunner {
  public:
   struct PointStatus {
     std::string id;
-    /// "ok" | "retried" | "quarantined" | "stopped".
+    /// "ok" | "failed" | "stopped".
     std::string status = "ok";
-    /// Attempts executed by THIS run (0 = artifact reused from a previous
-    /// run).
+    /// Runs started by THIS sweep: 1, or 0 when the artifact was reused
+    /// from a previous sweep or the sweep stopped before the point began.
     std::int32_t attempts = 0;
     bool completed = false;
   };
@@ -116,11 +96,13 @@ class SweepRunner {
   struct Result {
     std::vector<PointStatus> points;
     std::int32_t completed = 0;
-    std::int32_t quarantined = 0;
+    std::int32_t failed = 0;
     /// Path of the merged sweep artifact; empty when it could not be
     /// written.
     std::string artifact_path;
-    [[nodiscard]] bool all_completed() const { return quarantined == 0; }
+    [[nodiscard]] bool all_completed() const {
+      return completed == static_cast<std::int32_t>(points.size());
+    }
   };
 
   SweepRunner(SweepGrid grid, SweepRunnerConfig cfg);
@@ -128,14 +110,13 @@ class SweepRunner {
   /// Run (or resume) the whole grid and write the merged artifact. Throws
   /// std::invalid_argument if an expanded point fails
   /// ScenarioConfig::validate() or shares another point's id (both name
-  /// the point), if max_retries < 0, or if out_dir cannot be created or is
-  /// not a directory (named in the message); nothing has run or been
-  /// written then.
+  /// the point), or if out_dir cannot be created or is not a directory
+  /// (named in the message); nothing has run or been written then.
   [[nodiscard]] Result run();
 
-  /// Cooperative external cancellation (e.g. from a signal handler): the
-  /// sweep stops scheduling new points and cancels running attempts; every
-  /// durable artifact written so far remains valid for resume.
+  /// Cooperative external cancellation (e.g. from a signal handler): running
+  /// points stop at their next 1 ms chunk and no further point starts;
+  /// every durable artifact written so far remains valid for resume.
   void request_stop() { stop_.store(true, std::memory_order_relaxed); }
 
   /// File naming scheme shared with tests and the CLI.
@@ -143,33 +124,19 @@ class SweepRunner {
   [[nodiscard]] std::string merged_artifact_path() const;
 
  private:
-  struct AttemptOutcome {
-    bool ok = false;
-    std::string error;
-  };
-
-  /// Execute one attempt of `point` on the calling thread, polling
-  /// `cancel`. Writes the point artifact on success.
-  [[nodiscard]] AttemptOutcome run_attempt(const SweepPoint& point,
-                                           const std::atomic<bool>& cancel);
-  /// Full per-point supervision: resume check, attempt/watchdog/retry loop.
+  /// Resume check, then one run of `point` on the calling thread.
   [[nodiscard]] PointStatus run_point(const SweepPoint& point);
   /// Count a durable write and honor crash_after_writes fault injection.
   void note_durable_write();
-  [[nodiscard]] bool write_point_artifact(const SweepPoint& point,
-                                          const JsonValue& metrics);
-  /// Sets result.artifact_path only when the write succeeds.
-  void write_merged_artifact(Result& result) const;
+  /// Sets result.artifact_path only when the write succeeds. `threads` is
+  /// the worker count the sweep ran on.
+  void write_merged_artifact(Result& result, std::int32_t threads) const;
 
   SweepGrid grid_ PET_READ_SHARED;
   SweepRunnerConfig cfg_ PET_READ_SHARED;
   std::vector<SweepPoint> points_ PET_READ_SHARED;  // filled before the pool
   std::atomic<bool> stop_{false};
   std::atomic<std::int32_t> durable_writes_{0};
-  /// Watchdog-abandoned attempt threads; joined at the end of run() once
-  /// they observe cancellation, so they never outlive the runner.
-  std::mutex abandoned_mutex_;
-  std::vector<std::thread> abandoned_ PET_GUARDED_BY(abandoned_mutex_);
 };
 
 }  // namespace pet::exp

@@ -19,10 +19,10 @@ std::size_t usable_cpus() {
 }  // namespace
 
 ForkJoinPool& ForkJoinPool::shared() {
-  // Never destroyed: a sweep point the watchdog abandoned may still be
-  // submitting while the process exits.
-  static ForkJoinPool* const pool = new ForkJoinPool(usable_cpus() - 1);
-  return *pool;
+  // Destroyed at exit, after every submitter has returned: sweep points run
+  // on threads their sweep joins before it returns.
+  static ForkJoinPool pool(usable_cpus() - 1);
+  return pool;
 }
 
 ForkJoinPool::ForkJoinPool(std::size_t workers) {

@@ -87,19 +87,18 @@ class Rng {
 /// (arrivals, flow sizes, ECMP, agents, ...) an independent stream.
 [[nodiscard]] std::uint64_t derive_seed(std::uint64_t parent, std::string_view stream_name);
 
-/// Numeric-index variant for homogeneous families (sweep point 0..N-1,
-/// agent 0..A-1) where a name would just be a formatted integer.
+/// Numeric-index variant for homogeneous families (property case 0..N-1,
+/// agent queue 0..Q-1) where a name would just be a formatted integer.
 [[nodiscard]] std::uint64_t derive_seed(std::uint64_t parent, std::uint64_t index);
 
 /// A node in the deterministic seed tree rooted at the scenario seed.
 ///
 /// Components receive a Stream instead of a raw seed and split it further
-/// (`child("bg")`, `child(point_index)`), so every consumer owns an
+/// (`child("bg")`, `child(case_index)`), so every consumer owns an
 /// independent reproducible sequence and adding a consumer never perturbs
-/// its siblings. The sweep's retry backoff leans on this: attempt a of
-/// point p draws its jitter from
-/// `Stream(seed).child("sweep-retry").child(p).child(a)`, a pure function
-/// of (seed, p, a) — never of thread count.
+/// its siblings. The testkit property runner leans on this: case i of a
+/// property draws from `Stream(seed).child("case").child(i)`, a pure
+/// function of (seed, i), so a failing case replays from its seed alone.
 class Stream {
  public:
   constexpr explicit Stream(std::uint64_t seed) : seed_(seed) {}

@@ -1,15 +1,20 @@
 #!/usr/bin/env bash
-# Bad input is a usage error, never a crash: pet_sim_cli and pet_sweep must
-# answer a flag value they cannot run with "<tool>: <message>" and exit 2,
-# and answer a flag they do not know (the removed training flags among
-# them) with "unknown option: <flag>" and exit 2, running nothing.
+# Bad input is a usage error, never a crash: pet_sim_cli, pet_sweep and the
+# examples with positional arguments must answer a value they cannot run
+# with "<tool>: <message>" and exit 2, and pet_sweep must answer a flag it
+# does not know (the removed training and retry flags among them) with
+# "unknown option: <flag>" and exit 2, running nothing.
 #
-# Usage: cli_bad_input.sh <pet_sim_cli> <pet_sweep> <workdir>
+# Usage: cli_bad_input.sh <pet_sim_cli> <pet_sweep> <ecn_sweep>
+#                         <incast_scenario> <multiqueue_separation> <workdir>
 set -u
 
 CLI=$1
 PET_SWEEP=$2
-WORK=$3
+ECN_SWEEP=$3
+INCAST=$4
+MULTIQUEUE=$5
+WORK=$6
 rm -rf "$WORK"
 mkdir -p "$WORK"
 
@@ -55,15 +60,22 @@ expect_usage_error trailing_text_measure pet_sim_cli "${SIM[@]}" \
 expect_usage_error non_numeric_seed_list pet_sweep "$PET_SWEEP" \
     --scheme=pet --load=0.5 --seed=1,abc --threads=1 "${SHAPE[@]}" \
     --out="$WORK/non_numeric_seed_list"
-expect_usage_error negative_retries pet_sweep "${SWEEP[@]}" \
-    --out="$WORK/negative_retries" --max-retries=-1
 expect_usage_error duplicate_points pet_sweep "${SWEEP[@]}" \
     --out="$WORK/duplicate_points" --load=0.5,0.50
-# An output directory that cannot be made is a usage error, not a point
-# failure to retry and quarantine.
+# An output directory that cannot be made is a usage error that runs no
+# point, not a failure of every point.
 touch "$WORK/regular_file"
 expect_usage_error out_dir_below_file pet_sweep "${SWEEP[@]}" \
     --out="$WORK/regular_file/sub"
+# The examples read their positional arguments just as strictly, and leave
+# the scenario's own checks to ScenarioConfig::validate().
+expect_usage_error ecn_sweep_non_numeric_load ecn_sweep "$ECN_SWEEP" abc 1
+expect_usage_error ecn_sweep_trailing_text_load ecn_sweep "$ECN_SWEEP" 0.6xyz
+expect_usage_error ecn_sweep_negative_measure ecn_sweep "$ECN_SWEEP" 0.6 -3
+expect_usage_error incast_non_numeric_fan_in incast_scenario "$INCAST" abc
+expect_usage_error incast_zero_fan_in incast_scenario "$INCAST" 0
+expect_usage_error multiqueue_load_above_one multiqueue_separation \
+    "$MULTIQUEUE" 1.5
 
 # A merged artifact that cannot be written fails the run (exit 1) with a
 # message, after every point completed.
@@ -112,5 +124,14 @@ expect_unknown_option() {
 expect_unknown_option train_episodes --train-episodes=1 "${SWEEP[@]}"
 expect_unknown_option replicas --replicas=2 "${SWEEP[@]}"
 expect_unknown_option checkpoint_every --checkpoint-every=1 "${SWEEP[@]}"
+# Each point runs once: its former watchdog, retry and hang flags are gone.
+expect_unknown_option watchdog_seconds --watchdog-seconds=1 "${SWEEP[@]}"
+expect_unknown_option grace_seconds --grace-seconds=1 "${SWEEP[@]}"
+expect_unknown_option negative_retries --max-retries=-1 "${SWEEP[@]}"
+expect_unknown_option max_retries --max-retries=2 "${SWEEP[@]}"
+expect_unknown_option backoff_base --backoff-base=0.1 "${SWEEP[@]}"
+expect_unknown_option backoff_cap --backoff-cap=1 "${SWEEP[@]}"
+expect_unknown_option hang_point --hang-point=0 "${SWEEP[@]}"
+expect_unknown_option hang_seconds --hang-seconds=1 "${SWEEP[@]}"
 
 exit "$fail"

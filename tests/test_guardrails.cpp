@@ -221,20 +221,6 @@ TEST_F(GuardrailFixture, HealthListenerObservesEveryTransition) {
   EXPECT_EQ(seen.size(), agent.health_transitions().size());
 }
 
-TEST_F(GuardrailFixture, DisabledGuardrailsNeverIntervene) {
-  build();
-  PetAgentConfig cfg = agent_config();
-  cfg.guardrails.enabled = false;
-  PetAgent agent(sched, *sw, cfg, 9);
-  const std::size_t n = agent.policy().weights().size();
-  ASSERT_TRUE(agent.policy().set_weights(
-      std::vector<double>(n, std::numeric_limits<double>::quiet_NaN())));
-  tick(agent, 5);
-  EXPECT_EQ(agent.health(), AgentHealth::kHealthy);
-  EXPECT_TRUE(agent.health_transitions().empty());
-  EXPECT_EQ(agent.rollbacks(), 0);
-}
-
 TEST_F(GuardrailFixture, SnapshotRestoreRoundTrips) {
   build();
   PetAgent agent(sched, *sw, agent_config(), 10);

@@ -77,12 +77,8 @@ TEST(RunArtifact, FullExperimentArtifactValidatesAndCarriesPayload) {
   RunArtifact art("unit_full");
   art.set_mode("test");
   art.set_seed(11);
-  art.set_scenario(experiment.config());
+  art.record_run(experiment);
   art.add_metrics("", m);
-  art.add_switch_summaries(experiment.network().switches());
-  art.add_tier_summaries(experiment.topology(), experiment.network());
-  art.add_event_counts(experiment.event_log());
-  art.set_profiler(experiment.profiler());
 
   const std::string text = art.to_json_text();
   std::string error;

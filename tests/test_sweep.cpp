@@ -1,20 +1,18 @@
 // SweepRunner orchestration, exercised in-process: grid expansion,
 // completed-point detection via valid artifacts (and re-runs of points
 // whose artifact is corrupt or records another scenario), the up-front
-// rejections, the watchdog/retry loop (driven by attempt_hook fault
-// injection instead of real hangs where possible) and quarantine. The
-// process-kill variants of these scenarios live in tests/crash/.
+// rejections, a failed point that runs once while the rest of the grid
+// completes, and a stop before the first point. The process-kill and
+// SIGINT variants of these scenarios live in tests/crash/.
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "exp/run_artifact.hpp"
@@ -83,16 +81,12 @@ void write_text(const std::string& path, const std::string& text) {
   std::fclose(f);
 }
 
-/// run() must throw std::invalid_argument before any attempt starts or any
+/// run() must throw std::invalid_argument before any point runs or any
 /// file is written.
-void expect_rejected_before_run(const SweepGrid& grid, SweepRunnerConfig cfg) {
-  int hook_calls = 0;
-  cfg.attempt_hook = [&hook_calls](const SweepPoint&, std::int32_t) {
-    ++hook_calls;
-  };
+void expect_rejected_before_run(const SweepGrid& grid,
+                                const SweepRunnerConfig& cfg) {
   SweepRunner runner(grid, cfg);
   EXPECT_THROW((void)runner.run(), std::invalid_argument);
-  EXPECT_EQ(hook_calls, 0);
   EXPECT_TRUE(!std::filesystem::exists(cfg.out_dir) ||
               std::filesystem::is_empty(cfg.out_dir));
 }
@@ -129,13 +123,14 @@ TEST(SweepRunner, CompletesEvalGridAndWritesMergedArtifact) {
   ScratchDir dir("pet_test_sweep_eval");
   SweepGrid grid;
   grid.name = "eval";
-  grid.base = tiny_base();
-  grid.base.scheme = Scheme::kSecn1;
+  grid.base = tiny_base();  // PET at load 0.5, seed 21: no point runs it
+  grid.schemes = {Scheme::kSecn1};
+  grid.loads = {0.3};
   grid.seeds = {1, 2};
 
   SweepRunnerConfig cfg;
   cfg.out_dir = dir.path();
-  cfg.threads = 2;
+  cfg.threads = 8;  // capped at the grid's two points
   SweepRunner runner(grid, cfg);
   const SweepRunner::Result result = runner.run();
 
@@ -174,6 +169,16 @@ TEST(SweepRunner, CompletesEvalGridAndWritesMergedArtifact) {
   ASSERT_NE(sweep, nullptr);
   ASSERT_NE(sweep->find("points"), nullptr);
   EXPECT_EQ(sweep->find("points")->size(), 2u);
+  // The manifest names the scenario and seed of the first point, and the
+  // worker count the sweep ran on, not the base scenario or the setting.
+  ASSERT_NE(manifest->find("scenario"), nullptr);
+  EXPECT_EQ(manifest->find("scenario")->dump(),
+            scenario_json(points[0].cfg).dump());
+  EXPECT_EQ(manifest->find("scenario")->find("scheme")->as_string(),
+            scheme_name(Scheme::kSecn1));
+  EXPECT_EQ(manifest->find("scenario")->find("load")->as_number(), 0.3);
+  EXPECT_EQ(manifest->find("seed")->as_number(), 1.0);
+  EXPECT_EQ(manifest->find("threads")->as_number(), 2.0);
 }
 
 TEST(SweepRunner, UnwritableMergedArtifactLeavesPathEmpty) {
@@ -210,19 +215,6 @@ TEST(SweepRunner, InvalidPointFailsBeforeAnyRunOrWrite) {
   expect_rejected_before_run(grid, cfg);  // not even the valid 0.5 point
 }
 
-TEST(SweepRunner, NegativeMaxRetriesFailBeforeAnyRunOrWrite) {
-  ScratchDir dir("pet_test_sweep_negative_retries");
-  SweepGrid grid;
-  grid.base = tiny_base();
-  grid.base.scheme = Scheme::kSecn1;
-
-  SweepRunnerConfig cfg;
-  cfg.out_dir = dir.path();
-  cfg.threads = 1;
-  cfg.max_retries = -1;
-  expect_rejected_before_run(grid, cfg);
-}
-
 TEST(SweepRunner, DuplicatePointIdsFailBeforeAnyRunOrWrite) {
   ScratchDir dir("pet_test_sweep_duplicate_ids");
   SweepGrid grid;
@@ -257,10 +249,6 @@ TEST(SweepRunner, UnusableOutDirFailsBeforeAnyRun) {
     SweepRunnerConfig cfg;
     cfg.out_dir = out_dir;
     cfg.threads = 1;
-    int hook_calls = 0;
-    cfg.attempt_hook = [&hook_calls](const SweepPoint&, std::int32_t) {
-      ++hook_calls;
-    };
     SweepRunner runner(grid, cfg);
     try {
       static_cast<void>(runner.run());
@@ -269,7 +257,6 @@ TEST(SweepRunner, UnusableOutDirFailsBeforeAnyRun) {
       EXPECT_NE(std::string(e.what()).find(out_dir), std::string::npos)
           << e.what();
     }
-    EXPECT_EQ(hook_calls, 0);
   }
 }
 
@@ -290,17 +277,12 @@ TEST(SweepRunner, ResumeSkipsPointsWithValidArtifacts) {
   }
 
   cfg.resume = true;
-  int hook_calls = 0;
-  cfg.attempt_hook = [&hook_calls](const SweepPoint&, std::int32_t) {
-    ++hook_calls;
-  };
   SweepRunner second(grid, cfg);
   const SweepRunner::Result result = second.run();
   EXPECT_TRUE(result.all_completed());
-  EXPECT_EQ(hook_calls, 0);  // nothing re-executed
   for (const SweepRunner::PointStatus& st : result.points) {
     EXPECT_EQ(st.status, "ok");
-    EXPECT_EQ(st.attempts, 0);  // artifact reused
+    EXPECT_EQ(st.attempts, 0);  // artifact reused, nothing re-executed
     EXPECT_TRUE(st.completed);
   }
 }
@@ -324,14 +306,10 @@ TEST(SweepRunner, ResumeRerunsPointWhoseScenarioChanged) {
   // The finished 1 ms point is not a finished 3 ms point.
   grid.base.measure = sim::milliseconds(3);
   cfg.resume = true;
-  int hook_calls = 0;
-  cfg.attempt_hook = [&hook_calls](const SweepPoint&, std::int32_t) {
-    ++hook_calls;
-  };
   SweepRunner resumed(grid, cfg);
   const SweepRunner::Result result = resumed.run();
   ASSERT_TRUE(result.all_completed());
-  EXPECT_EQ(hook_calls, 1);
+  ASSERT_EQ(result.points.size(), 1u);
   EXPECT_EQ(result.points[0].attempts, 1);
 
   SweepRunnerConfig fresh_cfg;
@@ -383,14 +361,9 @@ TEST(SweepRunner, ResumeRerunsPointsWithCorruptArtifacts) {
   }
 
   cfg.resume = true;
-  std::vector<std::int32_t> rerun;
-  cfg.attempt_hook = [&rerun](const SweepPoint& p, std::int32_t) {
-    rerun.push_back(p.index);
-  };
   SweepRunner resumed(grid, cfg);
   const SweepRunner::Result result = resumed.run();
   ASSERT_TRUE(result.all_completed());
-  EXPECT_EQ(rerun, (std::vector<std::int32_t>{1, 2, 3}));
   ASSERT_EQ(result.points.size(), 5u);
   EXPECT_EQ(result.points[0].attempts, 0);  // reused
   EXPECT_EQ(result.points[1].attempts, 1);
@@ -402,41 +375,10 @@ TEST(SweepRunner, ResumeRerunsPointsWithCorruptArtifacts) {
   EXPECT_EQ(canonical(*merged), uninterrupted);
 }
 
-TEST(SweepRunner, WatchdogAbandonsHangThenRetrySucceeds) {
-  ScratchDir dir("pet_test_sweep_watchdog");
+TEST(SweepRunner, FailedPointRunsOnceWhileRestCompletes) {
+  ScratchDir dir("pet_test_sweep_failed_point");
   SweepGrid grid;
-  grid.name = "watchdog";
-  grid.base = tiny_base();
-  grid.base.scheme = Scheme::kSecn1;
-
-  SweepRunnerConfig cfg;
-  cfg.out_dir = dir.path();
-  cfg.threads = 1;
-  cfg.watchdog_seconds = 0.2;
-  cfg.grace_seconds = 0.1;
-  cfg.max_retries = 2;
-  cfg.backoff_base_seconds = 0.01;
-  cfg.attempt_hook = [](const SweepPoint&, std::int32_t attempt) {
-    if (attempt == 0) {
-      // Hang far past watchdog + grace; the abandoned thread unblocks here
-      // and then observes the cancel flag.
-      std::this_thread::sleep_for(std::chrono::milliseconds(600));
-    }
-  };
-
-  SweepRunner runner(grid, cfg);
-  const SweepRunner::Result result = runner.run();
-  EXPECT_TRUE(result.all_completed());
-  ASSERT_EQ(result.points.size(), 1u);
-  EXPECT_EQ(result.points[0].status, "retried");
-  EXPECT_EQ(result.points[0].attempts, 2);
-  EXPECT_TRUE(result.points[0].completed);
-}
-
-TEST(SweepRunner, QuarantinesExhaustedPointWhileRestCompletes) {
-  ScratchDir dir("pet_test_sweep_quarantine");
-  SweepGrid grid;
-  grid.name = "quarantine";
+  grid.name = "failed";
   grid.base = tiny_base();
   grid.base.scheme = Scheme::kSecn1;
   grid.seeds = {1, 2};
@@ -444,33 +386,36 @@ TEST(SweepRunner, QuarantinesExhaustedPointWhileRestCompletes) {
   SweepRunnerConfig cfg;
   cfg.out_dir = dir.path();
   cfg.threads = 1;
-  cfg.max_retries = 1;
-  cfg.backoff_base_seconds = 0.01;
-  cfg.attempt_hook = [](const SweepPoint& p, std::int32_t) {
-    if (p.index == 0) throw std::runtime_error("injected point failure");
-  };
-
   SweepRunner runner(grid, cfg);
+  // A directory where point 0's artifact belongs: its atomic rename fails.
+  const std::vector<SweepPoint> points = grid.expand();
+  std::filesystem::create_directories(runner.point_artifact_path(points[0]));
   const SweepRunner::Result result = runner.run();
+
   EXPECT_FALSE(result.all_completed());
-  EXPECT_EQ(result.quarantined, 1);
+  EXPECT_EQ(result.failed, 1);
   EXPECT_EQ(result.completed, 1);
   ASSERT_EQ(result.points.size(), 2u);
-  EXPECT_EQ(result.points[0].status, "quarantined");
-  EXPECT_EQ(result.points[0].attempts, 2);  // initial + 1 retry
+  EXPECT_EQ(result.points[0].status, "failed");
+  EXPECT_EQ(result.points[0].attempts, 1);  // run once, never again
   EXPECT_FALSE(result.points[0].completed);
   EXPECT_EQ(result.points[1].status, "ok");
+  EXPECT_EQ(result.points[1].attempts, 1);
   EXPECT_TRUE(result.points[1].completed);
 
-  // The merged artifact still lands, with the quarantine on record.
+  // The merged artifact still lands, with the failure on record.
   const auto merged = read_json(result.artifact_path);
   ASSERT_TRUE(merged.has_value());
   EXPECT_EQ(merged->find("metrics")->find("points_completed")->as_number(),
             1.0);
+  EXPECT_EQ(merged->find("metrics")->find(points[0].id), nullptr);
+  EXPECT_NE(merged->find("metrics")->find(points[1].id), nullptr);
   const JsonValue* rows = merged->find("manifest")->find("sweep")
                               ->find("points");
   ASSERT_NE(rows, nullptr);
-  EXPECT_EQ(rows->at(0).find("status")->as_string(), "quarantined");
+  EXPECT_EQ(rows->at(0).find("status")->as_string(), "failed");
+  EXPECT_EQ(rows->at(0).find("attempts")->as_number(), 1.0);
+  EXPECT_EQ(rows->at(1).find("status")->as_string(), "ok");
 }
 
 TEST(SweepRunner, RequestStopEndsSweepWithResumableState) {
@@ -479,30 +424,41 @@ TEST(SweepRunner, RequestStopEndsSweepWithResumableState) {
   grid.name = "stop";
   grid.base = tiny_base();
   grid.base.scheme = Scheme::kSecn1;
-  grid.seeds = {1, 2, 3};
+  grid.seeds = {1};
 
   SweepRunnerConfig cfg;
   cfg.out_dir = dir.path();
   cfg.threads = 1;
-  SweepRunner* self = nullptr;
-  cfg.attempt_hook = [&self](const SweepPoint& p, std::int32_t) {
-    if (p.index == 1) self->request_stop();  // "SIGINT" mid-sweep
-  };
+  {
+    SweepRunner first(grid, cfg);  // point 0 of the grid below
+    ASSERT_TRUE(first.run().all_completed());
+  }
+
+  // A stop before the sweep starts ("SIGINT" at launch) still reuses the
+  // finished point, starts no other and writes a valid merged artifact.
+  grid.seeds = {1, 2, 3};
+  cfg.resume = true;
   SweepRunner runner(grid, cfg);
-  self = &runner;
+  runner.request_stop();
   const SweepRunner::Result result = runner.run();
 
   ASSERT_EQ(result.points.size(), 3u);
+  EXPECT_FALSE(result.all_completed());
   EXPECT_TRUE(result.points[0].completed);
-  EXPECT_FALSE(result.points[1].completed);
-  EXPECT_EQ(result.points[1].status, "stopped");
-  EXPECT_EQ(result.points[2].status, "stopped");
+  EXPECT_EQ(result.points[0].status, "ok");
+  for (const std::size_t i : {1u, 2u}) {
+    EXPECT_FALSE(result.points[i].completed) << i;
+    EXPECT_EQ(result.points[i].status, "stopped") << i;
+    EXPECT_EQ(result.points[i].attempts, 0) << i;
+  }
   EXPECT_EQ(result.completed, 1);
+  EXPECT_EQ(result.failed, 0);
+  const auto merged = read_json(result.artifact_path);
+  ASSERT_TRUE(merged.has_value());
+  EXPECT_EQ(merged->find("metrics")->find("points_completed")->as_number(),
+            1.0);
 
-  // Point 0's artifact survived the stop; a resumed sweep reuses it and
-  // finishes the rest.
-  cfg.attempt_hook = nullptr;
-  cfg.resume = true;
+  // A resumed sweep reuses point 0 and finishes the rest.
   SweepRunner again(grid, cfg);
   const SweepRunner::Result rest = again.run();
   EXPECT_TRUE(rest.all_completed());
