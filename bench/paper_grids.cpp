@@ -6,7 +6,6 @@
 //   Fig. 8   per-packet latency, Web Search
 //   Fig. 9   PET state ablation (incast degree + mice/elephant ratio)
 //   Table I  queue length at 60% load
-//   Ladder   static vs rule-based dynamic vs learning ECN tuning (extension)
 //
 // Each distinct (workload, scheme, load) point runs once through
 // bench::run_scenario, in first-use order over the table, and is recorded
@@ -120,18 +119,6 @@ const std::vector<Figure> kFigures{
      "PET 5.3KB avg / 10.2KB variance vs ACC 6.1KB / 14.1KB: both short, "
      "PET steadier.\n       The paper reports only PET and ACC; the static "
      "baselines are included for context."},
-    {"Extension - static vs dynamic vs learning ECN tuning",
-     "PET paper Section 2, scheme taxonomy",
-     {WorkloadKind::kWebSearch},
-     {Scheme::kSecn1, Scheme::kSecn2, Scheme::kAmt, Scheme::kQaecn,
-      Scheme::kAcc, Scheme::kPet},
-     {0.4, 0.6},
-     {0.6},
-     {kOverallAvg, kMiceAvg, kMiceP99, kElephantAvg, kQueueAvg, kLatencyAvg},
-     "static SECN1/SECN2, rule-based dynamic AMT/QAECN, learning ACC/PET.\n"
-     "       Dynamic rules adapt but only along their pre-programmed axis; "
-     "learning schemes shape the whole (Kmin,Kmax,Pmax) policy from "
-     "observed state."},
 };
 
 std::string point_label(WorkloadKind kind, Scheme scheme, double load) {
@@ -182,7 +169,7 @@ void render(const Figure& fig, const std::vector<double>& loads,
 
 int main(int argc, char** argv) {
   const bench::BenchOptions opt = bench::parse_options(argc, argv);
-  bench::print_header(opt, "Paper grids - Fig. 4, 5, 8, 9, Table I, ladder",
+  bench::print_header(opt, "Paper grids - Fig. 4, 5, 8, 9, Table I",
                       "PET paper Section 5 (scheme x workload x load grids)");
   exp::RunArtifact art = bench::make_artifact(opt, "paper_grids");
 

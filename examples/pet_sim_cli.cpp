@@ -52,7 +52,7 @@ struct CliOptions {
 [[noreturn]] void usage(const char* argv0, int code) {
   std::printf(
       "usage: %s [options]\n"
-      "  --scheme=secn1|secn2|amt|qaecn|acc|pet|pet-ablation\n"
+      "  --scheme=secn1|secn2|acc|pet|pet-ablation\n"
       "  --load=F           fraction of host bandwidth (default 0.6)\n"
       "  --topo=leaf-spine|fat-tree|inter-dc  fabric family\n"
       "%s"

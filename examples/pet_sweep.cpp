@@ -43,10 +43,7 @@ struct CliOptions {
   std::string name = "sweep";
   std::int32_t threads = 0;
   bool resume = false;
-  /// Topology axis: comma list of leaf-spine|fat-tree|inter-dc. One entry
-  /// replaces the base topology (historical un-prefixed point ids); several
-  /// become a grid axis with "<topo>_"-prefixed ids.
-  std::vector<std::string> topos;
+  std::string topo = "leaf-spine";
   exp::ScenarioFlags scenario{.leaves = 2,
                               .hosts_per_leaf = 4,
                               .pretrain_ms = 10,
@@ -57,15 +54,14 @@ struct CliOptions {
 [[noreturn]] void usage(const char* argv0, int code) {
   std::printf(
       "usage: %s [options]\n"
-      "  --scheme=LIST      comma list of secn1|secn2|amt|qaecn|acc|pet|"
-      "pet-ablation\n"
+      "  --scheme=LIST      comma list of secn1|secn2|acc|pet|pet-ablation\n"
       "  --load=LIST        comma list of load fractions\n"
       "  --seed=LIST        comma list of seeds\n"
       "  --out=DIR          output directory (default sweep_out)\n"
       "  --name=NAME        sweep name (default sweep)\n"
-      "  --threads=N        points run concurrently (0 = auto)\n"
+      "  --threads=N        points run concurrently (0 = one per usable CPU)\n"
       "  --resume           skip points finished by a prior run\n"
-      "  --topo=LIST        comma list of leaf-spine|fat-tree|inter-dc\n"
+      "  --topo=leaf-spine|fat-tree|inter-dc  fabric family\n"
       "%s"
       "  --crash-after-writes=N  exit 137 after N artifact writes (tests)\n",
       argv0, exp::ScenarioFlags::kHelp);
@@ -117,9 +113,7 @@ CliOptions parse(int argc, char** argv) {
         opt.seeds.push_back(exp::parse_flag_number<std::uint64_t>(flag, s));
       }
     } else if (flag == "--topo") {
-      for (const std::string& s : split_list(text)) {
-        opt.topos.push_back(exp::parse_topo_flag(s));
-      }
+      opt.topo = exp::parse_topo_flag(text);
     } else if (flag == "--out") {
       opt.out_dir = text;
     } else if (flag == "--name") {
@@ -134,17 +128,6 @@ CliOptions parse(int argc, char** argv) {
     }
   }
   return opt;
-}
-
-/// One named topology axis value from the shared shape flags. The name keys
-/// the point ids ("ft8_", "interdc_", ...).
-exp::NamedTopologySpec named_topology(const CliOptions& opt,
-                                      const std::string& kind) {
-  const std::string name =
-      kind == "fat-tree"
-          ? "ft" + std::to_string(opt.scenario.fat_tree_k)
-          : (kind == "inter-dc" ? "interdc" : "leafspine");
-  return {name, opt.scenario.topology(kind)};
 }
 
 }  // namespace
@@ -163,20 +146,7 @@ int main(int argc, char** argv) {
   grid.schemes = opt.schemes;
   grid.loads = opt.loads;
   grid.seeds = opt.seeds;
-  grid.base.topo = opt.scenario.topology("leaf-spine");
-  if (opt.topos.size() == 1) {
-    // One topology: swap it into the base scenario so the point ids keep
-    // the historical un-prefixed form and DCQCN tunes for its host rate.
-    grid.base.topo = opt.scenario.topology(opt.topos.front());
-  } else if (opt.topos.size() > 1) {
-    // A real axis. DCQCN is tuned once for the first topology's host rate;
-    // mixing families with different host speeds in one sweep is explicit
-    // operator choice.
-    for (const std::string& kind : opt.topos) {
-      grid.topologies.push_back(named_topology(opt, kind));
-    }
-    grid.base.topo = grid.topologies.front().spec;
-  }
+  grid.base.topo = opt.scenario.topology(opt.topo);
   opt.scenario.apply(grid.base);
   grid.base.flow_size_cap_bytes = 8e6;
   grid.base.tune_dcqcn_for_rate();

@@ -109,24 +109,10 @@ void PetController::set_health_listener(PetAgent::HealthListener listener) {
   for (auto& a : agents_) a->set_health_listener(listener);
 }
 
-std::size_t PetController::num_in_state(AgentHealth state) const {
-  std::size_t n = 0;
-  for (const auto& a : agents_) {
-    if (a->health() == state) ++n;
-  }
-  return n;
-}
-
 std::int64_t PetController::total_rollbacks() const {
   std::int64_t n = 0;
   for (const auto& a : agents_) n += a->rollbacks();
   return n;
-}
-
-std::int64_t PetController::total_steps() const {
-  std::int64_t total = 0;
-  for (const auto& a : agents_) total += a->steps();
-  return total;
 }
 
 }  // namespace pet::core

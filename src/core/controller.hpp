@@ -61,12 +61,10 @@ class PetController final : public EcnTuner {
 
   /// Mean per-step reward across agents (training progress signal).
   [[nodiscard]] double mean_reward() const;
-  [[nodiscard]] std::int64_t total_steps() const;
 
   // --- fleet health ---------------------------------------------------------
   /// Install one health listener on every agent (telemetry fan-in).
   void set_health_listener(PetAgent::HealthListener listener);
-  [[nodiscard]] std::size_t num_in_state(AgentHealth state) const;
   [[nodiscard]] std::int64_t total_rollbacks() const;
 
  protected:

@@ -1,11 +1,9 @@
 #pragma once
-// EcnTuner: the one interface every dynamic ECN scheme sits behind (PET,
-// ACC, and the rule-based AMT/QAECN comparators). The base owns the
-// periodic tick: start() arms it, and every firing runs the scheme's tick()
-// and then re-arms one interval later under the scheme's profiler tag.
-//
-// The learning hooks default to no-ops, so a rule-based tuner implements
-// only tick() and an experiment drives every scheme through the same calls.
+// EcnTuner: the one interface both learning ECN schemes sit behind (PET and
+// ACC). The base owns the periodic tick: start() arms it, and every firing
+// runs the scheme's tick() and then re-arms one interval later under the
+// scheme's profiler tag. An experiment drives either scheme's learning
+// through the same calls.
 
 #include <span>
 #include <vector>
@@ -34,20 +32,17 @@ class EcnTuner {
 
   /// Scale every agent's learning rates relative to the configured ones
   /// (offline pre-training boosts them).
-  virtual void set_lr_scale(double /*scale*/) {}
+  virtual void set_lr_scale(double scale) = 0;
   /// Offline pre-training is over: restore the configured learning rates
   /// and switch to the deployed online behaviour.
-  virtual void enter_deployment() {}
+  virtual void enter_deployment() = 0;
   /// Install one pre-trained weight vector into every agent. Returns false
   /// when it does not fit the model; agents then keep their current
   /// weights.
   [[nodiscard]] virtual bool install_weights(
-      std::span<const double> /*weights*/) {
-    return true;
-  }
-  /// The first agent's current model (what offline pre-training exports);
-  /// empty for rule-based tuners.
-  [[nodiscard]] virtual std::vector<double> weights() const { return {}; }
+      std::span<const double> weights) = 0;
+  /// The first agent's current model (what offline pre-training exports).
+  [[nodiscard]] virtual std::vector<double> weights() const = 0;
 
  protected:
   /// One tuning step across every managed switch.

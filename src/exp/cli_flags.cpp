@@ -27,7 +27,6 @@ T lookup(std::string_view flag, std::string_view text,
 
 constexpr std::pair<std::string_view, Scheme> kSchemes[] = {
     {"secn1", Scheme::kSecn1}, {"secn2", Scheme::kSecn2},
-    {"amt", Scheme::kAmt},     {"qaecn", Scheme::kQaecn},
     {"acc", Scheme::kAcc},     {"pet", Scheme::kPet},
     {"pet-ablation", Scheme::kPetAblation}};
 

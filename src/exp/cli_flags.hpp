@@ -41,7 +41,7 @@ template <typename T>
   return value;
 }
 
-/// A --scheme name: secn1|secn2|amt|qaecn|acc|pet|pet-ablation.
+/// A --scheme name: secn1|secn2|acc|pet|pet-ablation.
 [[nodiscard]] Scheme parse_scheme_flag(std::string_view text);
 
 /// A --topo name: leaf-spine|fat-tree|inter-dc.

@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "acc/dynamic_tuners.hpp"
 #include "core/guardrails.hpp"
 #include "core/pet_agent.hpp"
 #include "sim/rng.hpp"
@@ -116,7 +115,7 @@ workload::EmpiricalCdf Experiment::sized_cdf(
 }
 
 void Experiment::install_scheme() {
-  // Every scheme starts from the SECN1 static config; the dynamic schemes
+  // Every scheme starts from the SECN1 static config; the learning schemes
   // then re-tune it each interval.
   net_.install_ecn(cfg_.scheme == Scheme::kSecn2 ? secn2_config()
                                                  : secn1_config());
@@ -152,14 +151,6 @@ void Experiment::install_scheme() {
       tuner_ = std::move(pet);
       break;
     }
-    case Scheme::kAmt:
-      tuner_ = std::make_unique<baselines::AmtTuner>(sched_, net_.switches(),
-                                                     baselines::AmtConfig{});
-      break;
-    case Scheme::kQaecn:
-      tuner_ = std::make_unique<baselines::QaecnTuner>(
-          sched_, net_.switches(), baselines::QaecnConfig{});
-      break;
     case Scheme::kAcc: {
       acc::AccControllerConfig ac;
       ac.agent.reward = cfg_.reward_config();

@@ -9,8 +9,6 @@ const char* scheme_name(Scheme scheme) {
     case Scheme::kAcc: return "ACC";
     case Scheme::kPet: return "PET";
     case Scheme::kPetAblation: return "PET-noIR";
-    case Scheme::kAmt: return "AMT";
-    case Scheme::kQaecn: return "QAECN";
   }
   return "?";
 }

@@ -12,10 +12,6 @@ enum class Scheme {
   kAcc,          // DDQN + global replay, basic state set
   kPet,          // IPPO + six-factor state (this paper)
   kPetAblation,  // PET without D_incast / R_flow (Fig. 9)
-  // Rule-based dynamic tuners from the related work (Section 2.2);
-  // extensions beyond the paper's evaluated baselines.
-  kAmt,    // link-utilization-driven threshold (AMT-style)
-  kQaecn,  // queue-length integral control (QAECN-style)
 };
 
 [[nodiscard]] const char* scheme_name(Scheme scheme);

@@ -14,6 +14,7 @@
 #include "exp/json.hpp"
 #include "exp/metrics.hpp"
 #include "exp/run_artifact.hpp"
+#include "sim/fork_join.hpp"
 #include "sim/time.hpp"
 
 namespace pet::exp {
@@ -54,12 +55,6 @@ std::string format_point_id(Scheme scheme, double load, std::uint64_t seed) {
 }  // namespace
 
 std::vector<SweepPoint> SweepGrid::expand() const {
-  // An empty topology axis is a single unnamed point on the base topology,
-  // which keeps the historical "<scheme>_load<g>_seed<n>" ids.
-  const std::vector<NamedTopologySpec> ax_topo =
-      topologies.empty()
-          ? std::vector<NamedTopologySpec>{NamedTopologySpec{"", base.topo}}
-          : topologies;
   const std::vector<Scheme> ax_scheme =
       schemes.empty() ? std::vector<Scheme>{base.scheme} : schemes;
   const std::vector<double> ax_load =
@@ -67,23 +62,18 @@ std::vector<SweepPoint> SweepGrid::expand() const {
   const std::vector<std::uint64_t> ax_seed =
       seeds.empty() ? std::vector<std::uint64_t>{base.seed} : seeds;
   std::vector<SweepPoint> points;
-  points.reserve(ax_topo.size() * ax_scheme.size() * ax_load.size() *
-                 ax_seed.size());
-  for (const NamedTopologySpec& topo : ax_topo) {
-    for (const Scheme scheme : ax_scheme) {
-      for (const double load : ax_load) {
-        for (const std::uint64_t seed : ax_seed) {
-          SweepPoint p;
-          p.index = static_cast<std::int32_t>(points.size());
-          p.id = format_point_id(scheme, load, seed);
-          if (!topo.name.empty()) p.id = topo.name + "_" + p.id;
-          p.cfg = base;
-          p.cfg.topo = topo.spec;
-          p.cfg.scheme = scheme;
-          p.cfg.load = load;
-          p.cfg.seed = seed;
-          points.push_back(std::move(p));
-        }
+  points.reserve(ax_scheme.size() * ax_load.size() * ax_seed.size());
+  for (const Scheme scheme : ax_scheme) {
+    for (const double load : ax_load) {
+      for (const std::uint64_t seed : ax_seed) {
+        SweepPoint p;
+        p.index = static_cast<std::int32_t>(points.size());
+        p.id = format_point_id(scheme, load, seed);
+        p.cfg = base;
+        p.cfg.scheme = scheme;
+        p.cfg.load = load;
+        p.cfg.seed = seed;
+        points.push_back(std::move(p));
       }
     }
   }
@@ -250,9 +240,7 @@ SweepRunner::Result SweepRunner::run() {
   }
 
   std::int32_t threads = cfg_.threads;
-  if (threads <= 0) {
-    threads = static_cast<std::int32_t>(std::thread::hardware_concurrency());
-  }
+  if (threads <= 0) threads = static_cast<std::int32_t>(sim::usable_cpus());
   threads = std::max(
       1, std::min(threads, static_cast<std::int32_t>(points_.size())));
 

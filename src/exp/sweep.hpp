@@ -29,7 +29,6 @@
 
 #include "exp/experiment.hpp"
 #include "exp/scheme.hpp"
-#include "net/topology_spec.hpp"
 #include "sim/thread_annotations.hpp"
 
 namespace pet::exp {
@@ -38,27 +37,18 @@ namespace pet::exp {
 /// within the sweep.
 struct SweepPoint {
   std::int32_t index = 0;
-  /// Stable id ("<scheme>_load<g>_seed<n>", prefixed "<topology>_" when the
-  /// grid sweeps topologies) naming the point's artifact file.
+  /// Stable id ("<scheme>_load<g>_seed<n>") naming the point's artifact
+  /// file.
   std::string id;
   ScenarioConfig cfg;
 };
 
-/// One topology axis value: the name keys the point id (keep it short and
-/// filename-safe, e.g. "ft8" or "interdc").
-struct NamedTopologySpec {
-  std::string name;
-  net::TopologySpec spec;
-};
-
-/// Declarative grid: the cartesian product of the axes over `base`.
-/// Axes left empty inherit the base scenario's value (a single point on
-/// that axis; an empty topology axis also keeps the historical un-prefixed
-/// point ids).
+/// Declarative grid: the cartesian product of the axes over `base`, whose
+/// fabric every point shares. Axes left empty inherit the base scenario's
+/// value (a single point on that axis).
 struct SweepGrid {
   std::string name = "sweep";
   ScenarioConfig base{};
-  std::vector<NamedTopologySpec> topologies;
   std::vector<Scheme> schemes;
   std::vector<double> loads;
   std::vector<std::uint64_t> seeds;
@@ -70,7 +60,8 @@ struct SweepRunnerConfig {
   /// Directory for per-point artifacts and the merged sweep artifact
   /// (created if missing).
   std::string out_dir = ".";
-  /// Concurrent points (0 = hardware concurrency, capped at grid size).
+  /// Concurrent points (0 = the CPUs this process may run on, capped at
+  /// grid size).
   std::int32_t threads = 0;
   /// Skip points whose artifact validates and records the point's scenario.
   bool resume = false;

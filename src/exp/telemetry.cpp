@@ -10,22 +10,6 @@
 
 namespace pet::exp {
 
-namespace {
-/// Shared CSV-writing path: on failure, surface the file name and errno at
-/// WARN so a silently unwritable output directory is diagnosable.
-bool write_text_file(sim::Scheduler& sched, const std::string& path,
-                     const std::string& text) {
-  errno = 0;
-  // Atomic tmp+rename: a crash mid-export never leaves a truncated CSV.
-  if (!sim::atomic_write_file(path, text)) {
-    PET_LOG_WARN(sched, "failed to write %s: %s", path.c_str(),
-                 errno != 0 ? std::strerror(errno) : "stream error");
-    return false;
-  }
-  return true;
-}
-}  // namespace
-
 void EventLog::record(std::string kind, std::string detail) {
   events_.push_back(TelemetryEvent{sched_.now().ms(), std::move(kind),
                                    std::move(detail)});
@@ -37,28 +21,6 @@ std::size_t EventLog::count(const std::string& kind) const {
     if (e.kind == kind) ++n;
   }
   return n;
-}
-
-std::string EventLog::to_csv() const {
-  std::string out = "t_ms,kind,detail\n";
-  char stamp[64];
-  for (const auto& e : events_) {
-    std::snprintf(stamp, sizeof stamp, "%.3f,", e.t_ms);
-    out += stamp;
-    out += e.kind;
-    out += ',';
-    // Keep the CSV single-line-per-event; details are free text.
-    std::string detail = e.detail;
-    std::replace(detail.begin(), detail.end(), ',', ';');
-    std::replace(detail.begin(), detail.end(), '\n', ' ');
-    out += detail;
-    out += '\n';
-  }
-  return out;
-}
-
-bool EventLog::write_csv(const std::string& path) const {
-  return write_text_file(sched_, path, to_csv());
 }
 
 TelemetryRecorder::TelemetryRecorder(sim::Scheduler& sched,
@@ -156,7 +118,16 @@ std::string TelemetryRecorder::to_csv() const {
 }
 
 bool TelemetryRecorder::write_csv(const std::string& path) const {
-  return write_text_file(sched_, path, to_csv());
+  errno = 0;
+  // Atomic tmp+rename: a crash mid-export never leaves a truncated CSV. On
+  // failure, surface the file name and errno at WARN so a silently
+  // unwritable output directory is diagnosable.
+  if (!sim::atomic_write_file(path, to_csv())) {
+    PET_LOG_WARN(sched_, "failed to write %s: %s", path.c_str(),
+                 errno != 0 ? std::strerror(errno) : "stream error");
+    return false;
+  }
+  return true;
 }
 
 }  // namespace pet::exp

@@ -35,11 +35,6 @@ class EventLog {
   /// Events whose kind matches exactly.
   [[nodiscard]] std::size_t count(const std::string& kind) const;
 
-  [[nodiscard]] std::string to_csv() const;
-  /// Write the CSV to a file; failures are logged at WARN with errno and
-  /// reported via the return value.
-  bool write_csv(const std::string& path) const;
-
  private:
   sim::Scheduler& sched_;
   std::vector<TelemetryEvent> events_;
@@ -77,7 +72,8 @@ class TelemetryRecorder {
   /// Render all samples as CSV (header + one row per sample).
   [[nodiscard]] std::string to_csv() const;
 
-  /// Write the CSV to a file; returns false on I/O failure.
+  /// Write the CSV to a file; failures are logged at WARN with errno and
+  /// reported via the return value.
   bool write_csv(const std::string& path) const;
 
  private:

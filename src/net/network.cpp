@@ -176,10 +176,7 @@ void Network::recompute_routes() {
 std::size_t Network::install_ecn(const RedEcnConfig& cfg,
                                  const PortSelector& sel) {
   std::size_t touched = 0;
-  for (auto* sw : switches_) {
-    if (!sel.matches_switch(sw->id())) continue;
-    touched += sw->install_ecn(cfg, sel);
-  }
+  for (auto* sw : switches_) touched += sw->install_ecn(cfg, sel);
   return touched;
 }
 

@@ -68,8 +68,8 @@ class Network {
   [[nodiscard]] std::int64_t total_switch_drops() const;
 
   /// Fabric-wide ECN installation through the single audited entry point:
-  /// applies `cfg` to every (switch, port, queue) the selector matches and
-  /// returns the number of queues touched. Schemes, the static-ECN
+  /// applies `cfg` to every (port, queue) the selector matches on every
+  /// switch and returns the number of queues touched. Schemes, the static-ECN
   /// fallback, and sweep tooling all go through here instead of poking
   /// switches/ports directly.
   std::size_t install_ecn(const RedEcnConfig& cfg,

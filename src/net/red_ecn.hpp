@@ -42,16 +42,16 @@ struct RedEcnConfig {
   friend bool operator==(const RedEcnConfig&, const RedEcnConfig&) = default;
 };
 
-/// Selects which (switch, port, queue) triples an ECN installation targets.
-/// The default selects everything; factories narrow one dimension at a
-/// time. This is the single vocabulary for all three historical install
-/// paths: switch-wide (schemes, PET actions, static fallback), per-port,
-/// and per-queue (multiqueue adaptation).
+/// Selects which (port, queue) pairs of a switch an ECN installation
+/// targets. The default selects everything; factories narrow one dimension
+/// at a time. This is the single vocabulary for all three install paths:
+/// switch-wide (schemes, PET actions, static fallback), per-port, and
+/// per-queue (multiqueue adaptation).
 class PortSelector {
  public:
   static constexpr std::int32_t kAny = -1;
 
-  /// Every queue of every port of every switch.
+  /// Every queue of every port.
   [[nodiscard]] static PortSelector all() { return PortSelector{}; }
   /// Every queue of one port.
   [[nodiscard]] static PortSelector port(std::int32_t p) {
@@ -73,16 +73,6 @@ class PortSelector {
     return s;
   }
 
-  /// Narrow any selector to one switch (network-level installs).
-  [[nodiscard]] PortSelector on_switch(std::int32_t device_id) const {
-    PortSelector s = *this;
-    s.switch_ = device_id;
-    return s;
-  }
-
-  [[nodiscard]] bool matches_switch(std::int32_t device_id) const {
-    return switch_ == kAny || switch_ == device_id;
-  }
   [[nodiscard]] bool matches_port(std::int32_t p) const {
     return port_ == kAny || port_ == p;
   }
@@ -91,7 +81,6 @@ class PortSelector {
   }
 
  private:
-  std::int32_t switch_ = kAny;
   std::int32_t port_ = kAny;
   std::int32_t queue_ = kAny;
 };

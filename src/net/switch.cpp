@@ -191,12 +191,4 @@ std::size_t SwitchDevice::install_ecn(const RedEcnConfig& cfg,
   return touched;
 }
 
-void SwitchDevice::set_ecn_config_all_ports(const RedEcnConfig& cfg) {
-  install_ecn(cfg, PortSelector::all());
-}
-
-void SwitchDevice::set_ecn_config(std::int32_t p, const RedEcnConfig& cfg) {
-  install_ecn(cfg, PortSelector::port(p));
-}
-
 }  // namespace pet::net

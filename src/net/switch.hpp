@@ -95,10 +95,6 @@ class SwitchDevice : public Device {
   /// number of queues touched.
   std::size_t install_ecn(const RedEcnConfig& cfg,
                           const PortSelector& sel = PortSelector::all());
-  /// Convenience wrapper: every data queue of every port.
-  void set_ecn_config_all_ports(const RedEcnConfig& cfg);
-  /// Convenience wrapper: all data queues of one port.
-  void set_ecn_config(std::int32_t port, const RedEcnConfig& cfg);
   /// Number of install_ecn() calls over this switch's lifetime (audit
   /// trail: actuations per agent tick are visible to tests/telemetry).
   [[nodiscard]] std::int64_t ecn_installs() const { return ecn_installs_; }

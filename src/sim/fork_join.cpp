@@ -6,8 +6,6 @@
 
 namespace pet::sim {
 
-namespace {
-/// CPUs this process may run on (its affinity mask), at least 1.
 std::size_t usable_cpus() {
   cpu_set_t set;
   CPU_ZERO(&set);
@@ -16,7 +14,6 @@ std::size_t usable_cpus() {
   }
   return std::max(1U, std::thread::hardware_concurrency());
 }
-}  // namespace
 
 ForkJoinPool& ForkJoinPool::shared() {
   // Destroyed at exit, after every submitter has returned: sweep points run

@@ -26,6 +26,9 @@
 
 namespace pet::sim {
 
+/// CPUs this process may run on (its affinity mask), at least 1.
+[[nodiscard]] std::size_t usable_cpus();
+
 class ForkJoinPool {
  public:
   /// The process-wide pool, started on the first call with one worker per

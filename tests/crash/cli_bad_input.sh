@@ -62,6 +62,16 @@ expect_usage_error non_numeric_seed_list pet_sweep "$PET_SWEEP" \
     --out="$WORK/non_numeric_seed_list"
 expect_usage_error duplicate_points pet_sweep "${SWEEP[@]}" \
     --out="$WORK/duplicate_points" --load=0.5,0.50
+# Only the paper's schemes run: SECN1, SECN2, ACC and PET (and PET's
+# ablation). A sweep runs on one fabric family.
+for scheme in amt qaecn; do
+  expect_usage_error "sim_cli_${scheme}_scheme" pet_sim_cli "${SIM[@]}" \
+      --scheme="$scheme"
+  expect_usage_error "sweep_${scheme}_scheme" pet_sweep "${SWEEP[@]}" \
+      --out="$WORK/sweep_${scheme}_scheme" --scheme="$scheme"
+done
+expect_usage_error sweep_topo_list pet_sweep "${SWEEP[@]}" \
+    --out="$WORK/sweep_topo_list" --topo=leaf-spine,fat-tree
 # An output directory that cannot be made is a usage error that runs no
 # point, not a failure of every point.
 touch "$WORK/regular_file"

@@ -144,6 +144,15 @@ class SequentialAcc final : public core::EcnTuner {
   [[nodiscard]] AccAgent& agent(std::size_t i) { return *agents_[i]; }
   [[nodiscard]] rl::ReplayBuffer& replay() { return *replay_; }
 
+  // The learning hooks: the reference run never calls them.
+  void set_lr_scale(double /*scale*/) override {}
+  void enter_deployment() override {}
+  [[nodiscard]] bool install_weights(
+      std::span<const double> /*weights*/) override {
+    return false;
+  }
+  [[nodiscard]] std::vector<double> weights() const override { return {}; }
+
  protected:
   void tick() override {
     for (auto& a : agents_) {

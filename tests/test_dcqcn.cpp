@@ -139,7 +139,7 @@ TEST_F(DcqcnFixture, RateNeverBelowFloorOrAboveLine) {
 TEST_F(DcqcnFixture, ReceiverSendsCnpOnMarkedPackets) {
   // Force marking from the first queued byte.
   build();
-  sw->set_ecn_config_all_ports({.kmin_bytes = 0, .kmax_bytes = 0, .pmax = 1.0});
+  sw->install_ecn({.kmin_bytes = 0, .kmax_bytes = 0, .pmax = 1.0});
   // Two senders to one receiver congest the egress -> queue -> marks.
   FlowSpec a;
   a.src = 0;
@@ -159,7 +159,7 @@ TEST_F(DcqcnFixture, CnpIntervalRateLimitsFeedback) {
   DcqcnConfig cfg;
   cfg.cnp_interval = sim::microseconds(50);
   build(cfg);
-  sw->set_ecn_config_all_ports({.kmin_bytes = 0, .kmax_bytes = 0, .pmax = 1.0});
+  sw->install_ecn({.kmin_bytes = 0, .kmax_bytes = 0, .pmax = 1.0});
   FlowSpec a;
   a.src = 0;
   a.dst = 2;
@@ -179,7 +179,7 @@ TEST_F(DcqcnFixture, CnpIntervalRateLimitsFeedback) {
 
 TEST_F(DcqcnFixture, CongestedFlowsSplitBandwidthFairly) {
   build();
-  sw->set_ecn_config_all_ports({.kmin_bytes = 5'000, .kmax_bytes = 50'000, .pmax = 0.2});
+  sw->install_ecn({.kmin_bytes = 5'000, .kmax_bytes = 50'000, .pmax = 0.2});
   FlowSpec a;
   a.src = 0;
   a.dst = 2;

@@ -38,7 +38,7 @@ TEST_P(DcqcnSweepTest, CongestedFabricStaysSaneAndCompletes) {
     hosts.push_back(h.host_id());
   }
   net.recompute_routes();
-  sw.set_ecn_config_all_ports(
+  sw.install_ecn(
       {.kmin_bytes = 20 * 1024, .kmax_bytes = 80 * 1024, .pmax = param.pmax});
 
   DcqcnConfig cfg;
@@ -108,7 +108,7 @@ TEST(DcqcnProperty, MarkingAggressivenessOrdersQueues) {
       hosts.push_back(h.host_id());
     }
     net.recompute_routes();
-    sw.set_ecn_config_all_ports(
+    sw.install_ecn(
         {.kmin_bytes = 10 * 1024, .kmax_bytes = 100 * 1024, .pmax = pmax});
     FctRecorder recorder;
     RdmaTransport transport(net, {}, &recorder);

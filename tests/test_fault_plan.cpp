@@ -268,8 +268,7 @@ TEST(FaultPlanReboot, SwitchRebootFlushesQueuesAndResetsEcn) {
 
   // A learned (non-default) ECN config is installed, and the egress toward
   // host 1 is paused so queued packets are observable at reboot time.
-  sw.set_ecn_config_all_ports({.kmin_bytes = 7777, .kmax_bytes = 8888,
-                               .pmax = 0.33});
+  sw.install_ecn({.kmin_bytes = 7777, .kmax_bytes = 8888, .pmax = 0.33});
   const auto& routes = sw.routes(1);
   ASSERT_EQ(routes.size(), 1u);
   sw.port(routes[0]).set_paused(true);

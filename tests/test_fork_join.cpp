@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <memory>
@@ -97,7 +96,7 @@ TEST(ForkJoinPool, ConcurrentSubmittersBothFinish) {
 TEST(ForkJoinPool, SharedPoolIsOneProcessWideInstance) {
   ForkJoinPool& pool = ForkJoinPool::shared();
   EXPECT_EQ(&pool, &ForkJoinPool::shared());
-  EXPECT_LT(pool.workers(), std::max(1U, std::thread::hardware_concurrency()));
+  EXPECT_EQ(pool.workers(), usable_cpus() - 1);
   expect_each_index_once(pool, 64);
 }
 

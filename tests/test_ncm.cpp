@@ -150,7 +150,7 @@ TEST_F(NcmFixture, UtilizationReflectsBusiestPort) {
 
 TEST_F(NcmFixture, MarkedRatioTracksCeTraffic) {
   build();
-  sw->set_ecn_config_all_ports({.kmin_bytes = 0, .kmax_bytes = 0, .pmax = 1.0});
+  sw->install_ecn({.kmin_bytes = 0, .kmax_bytes = 0, .pmax = 1.0});
   for (int i = 0; i < 200; ++i) sw->receive(data_packet(1, 0, 9), 1);
   sched.run_until(sim::microseconds(100));
   const NcmSnapshot snap = ncm->sample();

@@ -104,7 +104,7 @@ PROPERTY_CASES(DcqcnOracle, RpStateMachineMatchesScalarModel, 2000,
   net.recompute_routes();
   // pmax = 0: the fabric never CE-marks, so the only CNPs are the synthetic
   // ones this test injects.
-  sw.set_ecn_config_all_ports(
+  sw.install_ecn(
       {.kmin_bytes = 1 << 20, .kmax_bytes = 2 << 20, .pmax = 0.0});
 
   transport::FctRecorder recorder;

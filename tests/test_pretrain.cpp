@@ -34,7 +34,7 @@ PretrainOptions tiny_options() {
 
 TEST(OfflinePretrain, StaticSchemesYieldNoWeights) {
   EXPECT_TRUE(offline_pretrain(tiny_base(Scheme::kSecn1), tiny_options()).empty());
-  EXPECT_TRUE(offline_pretrain(tiny_base(Scheme::kQaecn), tiny_options()).empty());
+  EXPECT_TRUE(offline_pretrain(tiny_base(Scheme::kSecn2), tiny_options()).empty());
 }
 
 TEST(OfflinePretrain, PetProducesInstallableWeights) {

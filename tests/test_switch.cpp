@@ -160,7 +160,7 @@ TEST_F(SwitchFixture, ClassifierSelectsQueue) {
 TEST_F(SwitchFixture, SetEcnConfigAllPortsApplies) {
   build();
   const RedEcnConfig cfg{.kmin_bytes = 123, .kmax_bytes = 456, .pmax = 0.5};
-  sw->set_ecn_config_all_ports(cfg);
+  sw->install_ecn(cfg);
   for (std::int32_t p = 0; p < sw->num_ports(); ++p) {
     EXPECT_EQ(sw->port(p).ecn_config(0), cfg);
   }
@@ -243,10 +243,10 @@ TEST_F(SwitchFixture, EcnConfigSummaryTracksPerPortSpread) {
   build();
   const RedEcnConfig base{.kmin_bytes = 10'000, .kmax_bytes = 50'000,
                           .pmax = 0.2};
-  sw->set_ecn_config_all_ports(base);
+  sw->install_ecn(base);
   const RedEcnConfig odd{.kmin_bytes = 2'000, .kmax_bytes = 80'000,
                          .pmax = 0.6};
-  sw->set_ecn_config(0, odd);
+  sw->install_ecn(odd, PortSelector::port(0));
   const EcnConfigSummary summary = sw->ecn_config_summary();
   EXPECT_FALSE(summary.uniform);
   EXPECT_EQ(summary.kmin_min_bytes, 2'000);

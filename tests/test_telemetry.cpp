@@ -178,34 +178,6 @@ TEST(EventLog, RecordsTimestampedEventsAndCounts) {
   EXPECT_EQ(log.events()[1].detail, "switch 3 quarantined");
 }
 
-TEST(EventLog, CsvSanitizesDelimiters) {
-  sim::Scheduler sched;
-  EventLog log(sched);
-  log.record("fault", "detail, with comma\nand newline");
-  const std::string csv = log.to_csv();
-  std::stringstream ss(csv);
-  std::string header, row;
-  std::getline(ss, header);
-  EXPECT_EQ(header, "t_ms,kind,detail");
-  std::getline(ss, row);
-  EXPECT_EQ(std::count(row.begin(), row.end(), ','), 2);
-  std::string extra;
-  EXPECT_FALSE(std::getline(ss, extra) && !extra.empty());
-}
-
-TEST(EventLog, WriteCsvRoundTripsAndReportsFailure) {
-  sim::Scheduler sched;
-  EventLog log(sched);
-  log.record("fault", "reboot spine-0");
-  const auto path =
-      std::filesystem::temp_directory_path() / "pet-eventlog-test.csv";
-  ASSERT_TRUE(log.write_csv(path.string()));
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::filesystem::remove(path);
-  EXPECT_FALSE(log.write_csv("/nonexistent-dir/events.csv"));
-}
-
 TEST(Telemetry, StopHaltsSampling) {
   Experiment experiment(tiny_scenario());
   TelemetryRecorder telemetry(experiment.scheduler(),
