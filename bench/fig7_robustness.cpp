@@ -77,7 +77,8 @@ int main(int argc, char** argv) {
     plan.link_degrade(topo.tor_devices().front(), topo.top_devices().front(),
                       0.25, recov1_end, flap2_up);
     plan.switch_reboot(topo.top_devices().back(),
-                       sim::Time((recov1_end.ps() + flap2_up.ps()) / 2));
+                       sim::Time((recov1_end.ps() + flap2_up.ps()) / 2),
+                       exp::secn1_config());
 
     {
       PET_PROFILE_SCOPE(&experiment.profiler(), "warmup");

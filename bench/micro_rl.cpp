@@ -74,11 +74,9 @@ BENCHMARK(BM_MlpForwardBackward);
 void BM_PpoAct(benchmark::State& state) {
   rl::PpoAgent agent(pet_shape());
   sim::Rng rng(3);
-  sim::Rng* rngs[] = {&rng};
-  const double explore[] = {0.0};
   const std::vector<double> s(24, 0.4);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(agent.act_batch(s, 1, rngs, explore));
+    benchmark::DoNotOptimize(agent.act(s, rng, 0.0));
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -87,12 +85,10 @@ BENCHMARK(BM_PpoAct);
 void BM_PpoUpdate(benchmark::State& state) {
   rl::PpoAgent agent(pet_shape());
   sim::Rng rng(4);
-  sim::Rng* rngs[] = {&rng};
-  const double explore[] = {0.0};
   rl::RolloutBuffer buf;
   const std::vector<double> s(24, 0.4);
   for (int i = 0; i < 32; ++i) {
-    auto res = agent.act_batch(s, 1, rngs, explore).front();
+    auto res = agent.act(s, rng, 0.0);
     buf.push(rl::Transition{s, res.actions, res.log_prob, res.value,
                             rng.uniform()});
   }

@@ -82,18 +82,6 @@ void AccController::tick() {
   for (auto& a : agents_) a->apply();
 }
 
-double AccController::mean_reward() const {
-  double total = 0.0;
-  std::size_t n = 0;
-  for (const auto& a : agents_) {
-    if (a->reward_stats().count() > 0) {
-      total += a->reward_stats().mean();
-      ++n;
-    }
-  }
-  return n > 0 ? total / static_cast<double>(n) : 0.0;
-}
-
 std::size_t AccController::replay_exchange_bytes() const {
   std::size_t total = 0;
   for (const auto& a : agents_) {

@@ -115,8 +115,6 @@ class AccController final : public core::EcnTuner {
   [[nodiscard]] AccAgent& agent(std::size_t i) { return *agents_[i]; }
   [[nodiscard]] rl::ReplayBuffer& global_replay() { return *replay_; }
 
-  [[nodiscard]] double mean_reward() const;
-
   /// Bytes each switch would need to exchange to maintain the global
   /// replay: experience it fetched that other switches produced.
   [[nodiscard]] std::size_t replay_exchange_bytes() const;

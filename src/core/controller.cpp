@@ -56,14 +56,7 @@ void PetController::tick() {
   for (auto& a : agents_) {
     if (a->tick_observe()) deciding_.push_back(a.get());
   }
-  if (deciding_.empty()) return;
-  if (cfg_.shared_policy) {
-    PetAgent::decide(deciding_, scratch_);
-    return;
-  }
-  for (PetAgent*& a : deciding_) {
-    PetAgent::decide({&a, 1}, scratch_);
-  }
+  for (PetAgent* a : deciding_) a->decide();
 }
 
 bool PetController::install_weights(std::span<const double> weights) {

@@ -23,10 +23,9 @@ struct PetControllerConfig {
   PetAgentConfig agent{};
   /// Offline pre-training mode: all agents act/train through one shared
   /// policy (parameter sharing), mirroring the paper's single pre-trained
-  /// initial model that is later installed on every switch. The agents then
-  /// decide as one group, in one batched pass per tick; per-agent RNG
-  /// streams and exploration rates are threaded through the batch, so each
-  /// agent draws the actions it would draw alone.
+  /// initial model that is later installed on every switch. Each agent
+  /// still decides alone, from its own state, RNG stream and exploration
+  /// rate.
   bool shared_policy = false;
   /// Data queues tuned per switch. At 1, one agent tunes every queue of its
   /// switch. Above 1, each (switch, queue) gets its own agent that monitors
@@ -69,9 +68,8 @@ class PetController final : public EcnTuner {
 
  protected:
   /// Observe every agent first (slot close, reward, any due PPO update, in
-  /// agent order), then decide once per policy: a shared policy's agents
-  /// form one group, each independent agent a group of one, groups in agent
-  /// order (PetAgent::decide).
+  /// agent order), then decide() each observed agent in agent order, so a
+  /// shared policy's updates all land before any of its decisions.
   void tick() override;
 
  private:
@@ -79,9 +77,8 @@ class PetController final : public EcnTuner {
   std::vector<std::unique_ptr<PetAgent>> agents_;
 
   // Per-tick scratch, reused every tick: the agents that decide this tick,
-  // in agent order, and the decision step's buffers.
+  // in agent order.
   std::vector<PetAgent*> deciding_;
-  PetAgent::DecisionScratch scratch_;
 };
 
 }  // namespace pet::core

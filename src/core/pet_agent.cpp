@@ -184,10 +184,7 @@ void PetAgent::finalize_pending(const NcmSnapshot& snap) {
 }
 
 void PetAgent::tick() {
-  if (!tick_observe()) return;
-  DecisionScratch scratch;
-  PetAgent* self = this;
-  decide({&self, 1}, scratch);
+  if (tick_observe()) decide();
 }
 
 bool PetAgent::tick_observe() {
@@ -231,41 +228,8 @@ bool PetAgent::tick_observe() {
   return true;
 }
 
-void PetAgent::decide(std::span<PetAgent* const> group,
-                      DecisionScratch& scratch) {
-  // 3. Select and apply the next ECN configuration, for the whole group at
-  //    once: begin-act on every member in order, then one batched pass.
-  assert(!group.empty());
-  rl::PpoAgent& policy = *group.front()->policy_;
-  const bool deployed = group.front()->deployment_mode_;
-  const std::size_t n = group.size();
-  const auto batch = static_cast<std::int32_t>(n);
-  const std::size_t dim = group.front()->state_.size();
-  scratch.states.resize(n * dim);
-  scratch.explore.resize(n);
-  scratch.rngs.resize(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    PetAgent& a = *group[j];
-    assert(a.policy_.get() == &policy && a.deployment_mode_ == deployed);
-    scratch.explore[j] = a.tick_begin_act();
-    scratch.rngs[j] = &a.rng_;
-    std::copy(a.state_.begin(), a.state_.end(),
-              scratch.states.begin() + static_cast<std::ptrdiff_t>(j * dim));
-  }
-  // Each row draws from its own agent's stream at its own exploration rate:
-  // training samples the policy; once deployed, greedy actions take the
-  // residual local probe.
-  std::vector<rl::PpoAgent::ActResult> acts =
-      deployed ? policy.act_greedy_batch(scratch.states, batch, scratch.rngs,
-                                         scratch.explore)
-               : policy.act_batch(scratch.states, batch, scratch.rngs,
-                                  scratch.explore);
-  for (std::size_t j = 0; j < n; ++j) {
-    group[j]->tick_finish_act(std::move(acts[j]));
-  }
-}
-
-double PetAgent::tick_begin_act() {
+void PetAgent::decide() {
+  // 3. Select and apply the next ECN configuration.
   ++steps_;
   const double explore = health_ == AgentHealth::kProbation
                              ? cfg_.guardrails.probation_exploration
@@ -276,10 +240,11 @@ double PetAgent::tick_begin_act() {
                           : 0.0;
   policy_->set_entropy_coef(
       std::max(cfg_.entropy_min, cfg_.entropy_start * std::min(1.0, frac)));
-  return explore;
-}
-
-void PetAgent::tick_finish_act(rl::PpoAgent::ActResult act) {
+  // Training samples the policy; once deployed, the greedy action takes
+  // the residual local probe.
+  rl::PpoAgent::ActResult act =
+      deployment_mode_ ? policy_->act_greedy(state_, rng_, explore)
+                       : policy_->act(state_, rng_, explore);
   if (!std::isfinite(act.log_prob) || !std::isfinite(act.value)) {
     // NaN/Inf in the policy outputs: never actuate from a broken network.
     quarantine("non-finite policy output");

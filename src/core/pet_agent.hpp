@@ -64,35 +64,22 @@ class PetAgent {
            const PetAgentConfig& cfg, std::uint64_t seed,
            std::shared_ptr<rl::PpoAgent> shared_policy = nullptr);
 
-  /// One tuning step for an agent deciding alone: tick_observe(), then
-  /// decide() on a group of one. Controllers observe every agent before
-  /// deciding any.
+  /// One tuning step: tick_observe(), then decide(). A controller observes
+  /// every agent before deciding any.
   void tick();
 
   /// Observation phase of a tuning step: close the monitoring slot, run
   /// guardrails, build the state, reward the previous action and (if due)
   /// run the PPO update. Returns false when the tick already completed
-  /// (quarantine paths); otherwise the agent must take part in decide().
+  /// (quarantine paths); otherwise the agent must decide().
   [[nodiscard]] bool tick_observe();
 
-  /// Buffers one decision step keeps between ticks.
-  struct DecisionScratch {
-    std::vector<double> states;
-    std::vector<double> explore;
-    std::vector<sim::Rng*> rngs;
-  };
-
-  /// The one PET decision step, for a group of agents that act through one
-  /// policy (every agent of a shared policy, or one independent agent), in
-  /// agent order and each fresh from tick_observe(). Each member advances
-  /// its exploration schedule, then one batched pass decides the group:
-  /// act_batch while training, act_greedy_batch (greedy actions, each
-  /// member's residual probe, log-prob and value from the same pass) once
-  /// deployed. Each member then installs its decision, so a guardrail
-  /// rollback by one member never changes the weights the others decided
-  /// with. Members share one deployment mode.
-  static void decide(std::span<PetAgent* const> group,
-                     DecisionScratch& scratch);
+  /// Decision phase of a tuning step, fresh from tick_observe(): advance
+  /// the exploration schedule, pick the next ECN configuration from the
+  /// observed state (sampling the policy while training; once deployed,
+  /// the greedy action with the residual local probe) and install it.
+  /// Non-finite policy output quarantines the agent instead.
+  void decide();
 
   /// Pin the exploration rate (overriding the Eq. (13) schedule). The
   /// deployed online phase keeps a low, stable exploration rate
@@ -103,7 +90,6 @@ class PetAgent {
   /// residual exploration rate injecting rare random actions) while online
   /// incremental training continues in the background.
   void set_deployment_mode(bool deployed) { deployment_mode_ = deployed; }
-  [[nodiscard]] bool deployment_mode() const { return deployment_mode_; }
 
   [[nodiscard]] rl::PpoAgent& policy() { return *policy_; }
   [[nodiscard]] const rl::PpoAgent& policy() const { return *policy_; }
@@ -158,13 +144,6 @@ class PetAgent {
   void force_quarantine(const std::string& reason) { quarantine(reason); }
 
  private:
-  /// Advance the step counter and the policy's exploration/entropy
-  /// schedule; returns this step's exploration rate.
-  [[nodiscard]] double tick_begin_act();
-  /// Install a decision for the observed state: quarantine on non-finite
-  /// policy output, otherwise actuate and keep the pending transition.
-  void tick_finish_act(rl::PpoAgent::ActResult act);
-
   void finalize_pending(const NcmSnapshot& snap);
   [[nodiscard]] double exploration_for_step(std::int64_t t) const;
 

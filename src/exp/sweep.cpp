@@ -8,7 +8,6 @@
 #include <optional>
 #include <set>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "exp/json.hpp"
@@ -244,21 +243,13 @@ SweepRunner::Result SweepRunner::run() {
   threads = std::max(
       1, std::min(threads, static_cast<std::int32_t>(points_.size())));
 
+  // The calling thread runs points too. An exception escaping a point
+  // terminates the process (the body is noexcept).
   std::vector<PointStatus> statuses(points_.size());
-  std::atomic<std::size_t> ticket{0};
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(threads));
-  for (std::int32_t t = 0; t < threads; ++t) {
-    pool.emplace_back([this, &ticket, &statuses] {
-      for (;;) {
-        const std::size_t i =
-            ticket.fetch_add(1, std::memory_order_relaxed);
-        if (i >= points_.size()) return;
-        statuses[i] = run_point(points_[i]);
-      }
-    });
-  }
-  for (std::thread& th : pool) th.join();
+  sim::ForkJoinPool pool(static_cast<std::size_t>(threads - 1));
+  pool.run(points_.size(), [this, &statuses](std::size_t i) noexcept {
+    statuses[i] = run_point(points_[i]);
+  });
 
   Result result;
   result.points = std::move(statuses);

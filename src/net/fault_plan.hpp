@@ -90,8 +90,7 @@ class FaultPlan {
                   sim::Time from, sim::Time to);
 
   /// Reboot switch `sw` at `at`: flush queues, reset ECN to `ecn_after`.
-  void switch_reboot(DeviceId sw, sim::Time at,
-                     RedEcnConfig ecn_after = RedEcnConfig{});
+  void switch_reboot(DeviceId sw, sim::Time at, RedEcnConfig ecn_after);
 
   /// Every fault fired so far, in firing order.
   [[nodiscard]] const std::vector<FaultEvent>& fired() const { return fired_; }

@@ -11,7 +11,6 @@ namespace pet::net {
 enum class PacketType : std::uint8_t {
   kData = 0,   // flow payload
   kCnp,        // DCQCN congestion notification (receiver -> sender)
-  kAck,        // optional per-flow completion ack (receiver -> sender)
   kPfcPause,   // link-local PFC pause (consumed by the directly attached peer)
   kPfcResume,  // link-local PFC resume
 };

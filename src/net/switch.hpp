@@ -106,10 +106,10 @@ class SwitchDevice : public Device {
   // --- fault injection ------------------------------------------------------
   /// Crash-and-restart: every queued packet is lost, shared-buffer and PFC
   /// ingress accounting are rebuilt, paused neighbors are resumed, and the
-  /// ECN marking state reverts to `ecn_after` (default: the DCQCN-style
-  /// static config the switch would boot with). Links stay up — a reboot
-  /// here models the dataplane reset, not a cabling change.
-  void reboot(const RedEcnConfig& ecn_after = RedEcnConfig{});
+  /// ECN marking state reverts to `ecn_after` (the static config the switch
+  /// boots with). Links stay up — a reboot here models the dataplane reset,
+  /// not a cabling change.
+  void reboot(const RedEcnConfig& ecn_after);
   [[nodiscard]] std::int64_t reboots() const { return reboots_; }
   [[nodiscard]] std::int64_t dropped_on_reboot() const {
     return dropped_on_reboot_;

@@ -110,7 +110,6 @@ class TopologySpec {
   [[nodiscard]] bool is_leaf_spine() const {
     return kind() == Kind::kLeafSpine;
   }
-  [[nodiscard]] bool is_fat_tree() const { return kind() == Kind::kFatTree; }
   [[nodiscard]] bool is_inter_dc() const { return kind() == Kind::kInterDc; }
 
   /// Kind-specific access; throws std::bad_variant_access on a mismatch.

@@ -61,75 +61,49 @@ void PpoAgent::head_logits_batch(std::span<const double> states,
   }
 }
 
-std::vector<PpoAgent::ActResult> PpoAgent::act_batch(
-    std::span<const double> states, std::int32_t batch,
-    std::span<sim::Rng* const> rngs, std::span<const double> exploration) {
-  assert(static_cast<std::int32_t>(rngs.size()) == batch);
-  assert(static_cast<std::int32_t>(exploration.size()) == batch);
+PpoAgent::ActResult PpoAgent::act(std::span<const double> state,
+                                   sim::Rng& rng, double exploration) const {
   std::vector<std::vector<double>> logits;
-  head_logits_batch(states, batch, logits);
-  const std::vector<double> values = value_batch(states, batch);
-
-  std::vector<ActResult> out(static_cast<std::size_t>(batch));
+  head_logits_batch(state, 1, logits);
+  ActResult r;
+  r.actions.resize(logits.size());
   std::vector<double> probs;
-  for (std::int32_t s = 0; s < batch; ++s) {
-    ActResult& r = out[static_cast<std::size_t>(s)];
-    r.actions.resize(logits.size());
-    // Per sample, heads are visited in order, drawing only from that
-    // sample's own RNG — a row decides as it would alone.
-    for (std::size_t h = 0; h < logits.size(); ++h) {
-      const auto nh = static_cast<std::size_t>(actor_heads_[h].output_size());
-      const std::span<const double> row(
-          &logits[h][static_cast<std::size_t>(s) * nh], nh);
-      probs.resize(nh);
-      softmax(row, probs);
-      std::int32_t a;
-      if (exploration[s] > 0.0 && rngs[s]->bernoulli(exploration[s])) {
-        a = static_cast<std::int32_t>(rngs[s]->uniform_int(probs.size()));
-      } else {
-        a = sample(probs, *rngs[s]);
-      }
-      r.actions[h] = a;
-      r.log_prob += log_prob(row, a);
+  for (std::size_t h = 0; h < logits.size(); ++h) {
+    probs.resize(logits[h].size());
+    softmax(logits[h], probs);
+    std::int32_t a;
+    if (exploration > 0.0 && rng.bernoulli(exploration)) {
+      a = static_cast<std::int32_t>(rng.uniform_int(probs.size()));
+    } else {
+      a = sample(probs, rng);
     }
-    r.value = values[static_cast<std::size_t>(s)];
+    r.actions[h] = a;
+    r.log_prob += log_prob(logits[h], a);
   }
-  return out;
+  r.value = value_batch(state, 1)[0];
+  return r;
 }
 
-std::vector<PpoAgent::ActResult> PpoAgent::act_greedy_batch(
-    std::span<const double> states, std::int32_t batch,
-    std::span<sim::Rng* const> rngs,
-    std::span<const double> exploration) const {
-  assert(static_cast<std::int32_t>(rngs.size()) == batch);
-  assert(static_cast<std::int32_t>(exploration.size()) == batch);
+PpoAgent::ActResult PpoAgent::act_greedy(std::span<const double> state,
+                                         sim::Rng& rng,
+                                         double exploration) const {
   std::vector<std::vector<double>> logits;
-  head_logits_batch(states, batch, logits);
-  const std::vector<double> values = value_batch(states, batch);
-
-  std::vector<ActResult> out(static_cast<std::size_t>(batch));
-  for (std::int32_t s = 0; s < batch; ++s) {
-    const auto head_row = [&](std::size_t h) {
-      const auto nh = static_cast<std::size_t>(actor_heads_[h].output_size());
-      return std::span<const double>(
-          &logits[h][static_cast<std::size_t>(s) * nh], nh);
-    };
-    ActResult& r = out[static_cast<std::size_t>(s)];
-    r.actions.resize(logits.size());
-    for (std::size_t h = 0; h < logits.size(); ++h) {
-      r.actions[h] = argmax(head_row(h));
-    }
-    // Deployed switches probe conservatively: one head, one level up or
-    // down — never a jump to an arbitrary threshold mid-production.
-    if (exploration[s] > 0.0 && rngs[s]->bernoulli(exploration[s])) {
-      local_exploration_step(r.actions, cfg_.head_sizes, *rngs[s]);
-    }
-    for (std::size_t h = 0; h < logits.size(); ++h) {
-      r.log_prob += log_prob(head_row(h), r.actions[h]);
-    }
-    r.value = values[static_cast<std::size_t>(s)];
+  head_logits_batch(state, 1, logits);
+  ActResult r;
+  r.actions.resize(logits.size());
+  for (std::size_t h = 0; h < logits.size(); ++h) {
+    r.actions[h] = argmax(logits[h]);
   }
-  return out;
+  // Deployed switches probe conservatively: one head, one level up or
+  // down — never a jump to an arbitrary threshold mid-production.
+  if (exploration > 0.0 && rng.bernoulli(exploration)) {
+    local_exploration_step(r.actions, cfg_.head_sizes, rng);
+  }
+  for (std::size_t h = 0; h < logits.size(); ++h) {
+    r.log_prob += log_prob(logits[h], r.actions[h]);
+  }
+  r.value = value_batch(state, 1)[0];
+  return r;
 }
 
 std::vector<double> PpoAgent::value_batch(std::span<const double> states,

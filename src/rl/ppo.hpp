@@ -50,30 +50,22 @@ class PpoAgent {
     double value = 0.0;
   };
 
-  /// Sample actions for row-major (batch x input_size) states — one policy
-  /// evaluated for many agents/observations in a single pass. With
-  /// probability `exploration[s]` a head of row s picks a uniformly random
-  /// action instead of sampling the policy (the paper's decaying
-  /// exploration, Eq. (13)); log_prob is always evaluated under the current
-  /// policy so the PPO ratio stays well-defined. Row s draws only from
-  /// `rngs[s]`, heads in order, so a batch of N returns and draws bitwise
-  /// what N one-row calls in row order would.
-  [[nodiscard]] std::vector<ActResult> act_batch(
-      std::span<const double> states, std::int32_t batch,
-      std::span<sim::Rng* const> rngs, std::span<const double> exploration);
+  /// Sample actions for one state. With probability `exploration` a head
+  /// picks a uniformly random action instead of sampling the policy (the
+  /// paper's decaying exploration, Eq. (13)); log_prob is always evaluated
+  /// under the current policy so the PPO ratio stays well-defined. Draws
+  /// only from `rng`, heads in order.
+  [[nodiscard]] ActResult act(std::span<const double> state, sim::Rng& rng,
+                              double exploration) const;
 
-  /// Deployment-mode decisions for row-major (batch x input_size) states,
-  /// in one pass over the actor heads: the greedy (argmax per head)
-  /// actions; then, with probability `exploration[s]`, row s takes one
-  /// local_exploration_step, drawing only from `rngs[s]`, rows in order;
-  /// then the joint log-prob of the final actions from the same logits and
-  /// one critic pass. The log-prob keeps the transitions PPO-consistent
-  /// while online training continues. A batch of N returns and draws
-  /// bitwise what N one-row calls in row order would.
-  [[nodiscard]] std::vector<ActResult> act_greedy_batch(
-      std::span<const double> states, std::int32_t batch,
-      std::span<sim::Rng* const> rngs,
-      std::span<const double> exploration) const;
+  /// Deployment-mode decision for one state, in one pass over the actor
+  /// heads: the greedy (argmax per head) actions; then, with probability
+  /// `exploration`, one local_exploration_step drawn from `rng`; then the
+  /// joint log-prob of the final actions from the same logits and one
+  /// critic pass. The log-prob keeps the transitions PPO-consistent while
+  /// online training continues.
+  [[nodiscard]] ActResult act_greedy(std::span<const double> state,
+                                     sim::Rng& rng, double exploration) const;
 
   /// Critic value estimates for row-major (batch x input_size) states (a
   /// bootstrap for unfinished episodes is a batch of one).
@@ -94,8 +86,8 @@ class PpoAgent {
   UpdateStats update(const RolloutBuffer& buffer, double bootstrap_value);
 
   // --- online-training knobs (hybrid training, Section 4.4) -----------------
-  /// The exploration rate the policy's agents last acted with. act_batch
-  /// and act_greedy_batch take their rates per row; this copy is reported.
+  /// The exploration rate the policy's agents last acted with. act and
+  /// act_greedy take their rate as an argument; this copy is reported.
   void set_exploration_rate(double rate) { exploration_rate_ = rate; }
   [[nodiscard]] double exploration_rate() const { return exploration_rate_; }
   void set_clip_eps(double eps) { cfg_.clip_eps = eps; }

@@ -59,7 +59,6 @@ class DcqcnSender final : public net::FlowSource {
   void stop();
 
   [[nodiscard]] const FlowSpec& spec() const { return spec_; }
-  [[nodiscard]] bool emission_complete() const { return remaining_ == 0; }
   [[nodiscard]] double current_rate_bps() const { return rate_bps_; }
   [[nodiscard]] double target_rate_bps() const { return target_bps_; }
   [[nodiscard]] double alpha() const { return alpha_; }

@@ -17,7 +17,6 @@ class EmpiricalCdf {
   void add_point(double value, double cum_prob);
 
   [[nodiscard]] bool valid() const;
-  [[nodiscard]] std::size_t num_points() const { return points_.size(); }
 
   /// Inverse-transform sample (linear interpolation between points).
   [[nodiscard]] double sample(sim::Rng& rng) const;

@@ -334,7 +334,7 @@ TEST_F(FaultPlanFixture, EventSinkSeesEveryFiredFault) {
   });
   plan.link_flap(sw0->id(), sw1->id(), sim::milliseconds(1),
                  sim::milliseconds(2));
-  plan.switch_reboot(sw1->id(), sim::milliseconds(3));
+  plan.switch_reboot(sw1->id(), sim::milliseconds(3), RedEcnConfig{});
   sched.run_all();
   ASSERT_EQ(seen.size(), 3u);
   EXPECT_EQ(seen, (std::vector<FaultKind>{FaultKind::kLinkDown,

@@ -22,30 +22,16 @@ PpoConfig small_config() {
   return cfg;
 }
 
-// Single-row calls of the batched API: one observation is a batch of one.
-PpoAgent::ActResult act_one(PpoAgent& agent, std::span<const double> state,
-                            sim::Rng& rng, double explore) {
-  sim::Rng* r = &rng;
-  return agent.act_batch(state, 1, {&r, 1}, {&explore, 1}).front();
-}
-
-PpoAgent::ActResult act_one(PpoAgent& agent, std::span<const double> state,
-                            sim::Rng& rng) {
-  return act_one(agent, state, rng, agent.exploration_rate());
-}
-
-PpoAgent::ActResult greedy_one(const PpoAgent& agent,
-                               std::span<const double> state, sim::Rng& rng,
-                               double explore) {
-  sim::Rng* r = &rng;
-  return agent.act_greedy_batch(state, 1, {&r, 1}, {&explore, 1}).front();
+PpoAgent::ActResult act_one(const PpoAgent& agent,
+                            std::span<const double> state, sim::Rng& rng) {
+  return agent.act(state, rng, agent.exploration_rate());
 }
 
 /// The greedy actions alone: at exploration 0 the probe never draws.
 std::vector<std::int32_t> greedy_one(const PpoAgent& agent,
                                      std::span<const double> state) {
   sim::Rng unused(0);
-  return greedy_one(agent, state, unused, 0.0).actions;
+  return agent.act_greedy(state, unused, 0.0).actions;
 }
 
 double value_one(const PpoAgent& agent, std::span<const double> state) {
@@ -198,128 +184,65 @@ TEST(PpoAgent, ClipEpsSetterWorks) {
   EXPECT_EQ(agent.clip_eps(), 0.05);
 }
 
-/// Batch rows are independent: for batch sizes 1-9, per-row exploration
-/// rates of 0, 0.3 and 1 and a private RNG per row, every batched call
-/// (sampled and greedy) returns bitwise what N single-row calls in row
-/// order return, and leaves each row's RNG where those calls leave it.
+/// Critic batch rows are independent: for batch sizes 1-9, every row of
+/// value_batch is bitwise the single-row value of that state.
 TEST(PpoAgent, BatchRowsMatchSingleRowCallsBitwise) {
   PpoAgent agent(small_config());
   const std::size_t in = 3;
-  const double rates[] = {0.0, 0.3, 1.0};
   sim::Rng data(17);
   for (std::int32_t batch = 1; batch <= 9; ++batch) {
     const auto n = static_cast<std::size_t>(batch);
     std::vector<double> states(n * in);
     for (double& v : states) v = data.uniform(-1.0, 1.0);
-    std::vector<double> explore(n);
-    std::vector<sim::Rng> batch_rngs;
-    std::vector<sim::Rng> row_rngs;
-    std::vector<sim::Rng> greedy_batch_rngs;
-    std::vector<sim::Rng> greedy_row_rngs;
-    for (std::size_t r = 0; r < n; ++r) {
-      explore[r] = rates[(r + n) % 3];
-      batch_rngs.emplace_back(100 * n + r);
-      row_rngs.emplace_back(100 * n + r);
-      greedy_batch_rngs.emplace_back(1000 * n + r);
-      greedy_row_rngs.emplace_back(1000 * n + r);
-    }
-    std::vector<sim::Rng*> rng_ptrs;
-    for (sim::Rng& r : batch_rngs) rng_ptrs.push_back(&r);
-    std::vector<sim::Rng*> greedy_ptrs;
-    for (sim::Rng& r : greedy_batch_rngs) greedy_ptrs.push_back(&r);
-
-    const std::vector<PpoAgent::ActResult> acts =
-        agent.act_batch(states, batch, rng_ptrs, explore);
-    const std::vector<PpoAgent::ActResult> greedy =
-        agent.act_greedy_batch(states, batch, greedy_ptrs, explore);
     const std::vector<double> values = agent.value_batch(states, batch);
-
     for (std::size_t r = 0; r < n; ++r) {
       SCOPED_TRACE("batch " + std::to_string(batch) + " row " +
                    std::to_string(r));
       const std::span<const double> row(&states[r * in], in);
-      const PpoAgent::ActResult one =
-          act_one(agent, row, row_rngs[r], explore[r]);
-      EXPECT_EQ(acts[r].actions, one.actions);
-      EXPECT_EQ(acts[r].log_prob, one.log_prob);
-      EXPECT_EQ(acts[r].value, one.value);
-      EXPECT_EQ(batch_rngs[r].state(), row_rngs[r].state());
-
-      const PpoAgent::ActResult g =
-          greedy_one(agent, row, greedy_row_rngs[r], explore[r]);
-      EXPECT_EQ(greedy[r].actions, g.actions);
-      EXPECT_EQ(greedy[r].log_prob, g.log_prob);
-      EXPECT_EQ(greedy[r].value, g.value);
-      EXPECT_EQ(greedy_batch_rngs[r].state(), greedy_row_rngs[r].state());
       EXPECT_EQ(values[r], value_one(agent, row));
     }
   }
 }
 
 /// The deployed decision pass against a reference built here from each
-/// actor head's own forward_batch: argmax per head, then the row's residual
-/// probe from its own RNG, then the summed per-head log-prob of the final
-/// actions from those logits, and the critic's value. PET's shape, for one
-/// agent and for a six-agent group sharing the policy, at exploration rates
-/// that never, sometimes and always probe.
+/// actor head's own forward_batch: argmax per head, then the residual
+/// probe from the agent's RNG, then the summed per-head log-prob of the
+/// final actions from those logits, and the critic's value. PET's shape,
+/// at exploration rates that sometimes and always probe.
 TEST(PpoAgent, GreedyBatchMatchesPerHeadForwardReference) {
   PpoConfig cfg;
   cfg.input_size = 24;
   cfg.head_sizes = {10, 10, 20};
   cfg.seed = 23;
   PpoAgent agent(cfg);
-  const auto in = static_cast<std::size_t>(cfg.input_size);
-  const double rates[] = {0.02, 1.0, 0.0, 0.5, 1.0, 0.3};
   sim::Rng data(29);
-  for (const std::int32_t batch : {1, 6}) {
-    const auto n = static_cast<std::size_t>(batch);
-    for (int round = 0; round < 20; ++round) {
-      std::vector<double> states(n * in);
-      for (double& v : states) v = data.uniform(-1.0, 1.0);
-      std::vector<double> explore(rates, rates + n);
-      if (batch == 1) explore[0] = round % 2 == 0 ? 1.0 : 0.02;
-      std::vector<sim::Rng> rngs;
-      std::vector<sim::Rng> ref_rngs;
-      for (std::size_t r = 0; r < n; ++r) {
-        rngs.emplace_back(7000 + 31 * n + r + 100 * round);
-        ref_rngs.emplace_back(7000 + 31 * n + r + 100 * round);
-      }
-      std::vector<sim::Rng*> ptrs;
-      for (sim::Rng& r : rngs) ptrs.push_back(&r);
+  for (int round = 0; round < 20; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    std::vector<double> state(static_cast<std::size_t>(cfg.input_size));
+    for (double& v : state) v = data.uniform(-1.0, 1.0);
+    const double explore = round % 2 == 0 ? 1.0 : 0.02;
+    sim::Rng rng(7031 + 100 * round);
+    sim::Rng ref_rng(7031 + 100 * round);
 
-      const std::vector<PpoAgent::ActResult> got =
-          agent.act_greedy_batch(states, batch, ptrs, explore);
+    const PpoAgent::ActResult got = agent.act_greedy(state, rng, explore);
 
-      std::vector<std::vector<double>> logits;
-      for (std::size_t h = 0; h < agent.num_heads(); ++h) {
-        logits.push_back(agent.actor_head(h).forward_batch(states, batch));
-      }
-      const std::vector<double> values = agent.value_batch(states, batch);
-      ASSERT_EQ(got.size(), n);
-      for (std::size_t r = 0; r < n; ++r) {
-        SCOPED_TRACE("batch " + std::to_string(batch) + " round " +
-                     std::to_string(round) + " row " + std::to_string(r));
-        const auto head_row = [&](std::size_t h) {
-          const auto nh = static_cast<std::size_t>(cfg.head_sizes[h]);
-          return std::span<const double>(&logits[h][r * nh], nh);
-        };
-        std::vector<std::int32_t> want(agent.num_heads());
-        for (std::size_t h = 0; h < want.size(); ++h) {
-          want[h] = argmax(head_row(h));
-        }
-        if (explore[r] > 0.0 && ref_rngs[r].bernoulli(explore[r])) {
-          local_exploration_step(want, cfg.head_sizes, ref_rngs[r]);
-        }
-        double want_logp = 0.0;
-        for (std::size_t h = 0; h < want.size(); ++h) {
-          want_logp += log_prob(head_row(h), want[h]);
-        }
-        EXPECT_EQ(got[r].actions, want);
-        EXPECT_EQ(got[r].log_prob, want_logp);
-        EXPECT_EQ(got[r].value, values[r]);
-        EXPECT_EQ(rngs[r].state(), ref_rngs[r].state());
-      }
+    std::vector<std::vector<double>> logits;
+    std::vector<std::int32_t> want;
+    for (std::size_t h = 0; h < agent.num_heads(); ++h) {
+      logits.push_back(agent.actor_head(h).forward_batch(state, 1));
+      want.push_back(argmax(logits.back()));
     }
+    if (ref_rng.bernoulli(explore)) {
+      local_exploration_step(want, cfg.head_sizes, ref_rng);
+    }
+    double want_logp = 0.0;
+    for (std::size_t h = 0; h < want.size(); ++h) {
+      want_logp += log_prob(logits[h], want[h]);
+    }
+    EXPECT_EQ(got.actions, want);
+    EXPECT_EQ(got.log_prob, want_logp);
+    EXPECT_EQ(got.value, value_one(agent, state));
+    EXPECT_EQ(rng.state(), ref_rng.state());
   }
 }
 

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <limits>
+#include <span>
 #include <unistd.h>
 
 namespace pet::exp {
@@ -65,6 +67,39 @@ TEST(OfflinePretrain, DeterministicForSameInputs) {
   const auto a = offline_pretrain(tiny_base(Scheme::kPet), tiny_options());
   const auto b = offline_pretrain(tiny_base(Scheme::kPet), tiny_options());
   EXPECT_EQ(a, b);
+}
+
+/// FNV-1a (64-bit) over the bytes of a weight vector.
+std::uint64_t weight_digest(std::span<const double> weights) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const std::byte b : std::as_bytes(weights)) {
+    h = (h ^ static_cast<std::uint64_t>(b)) * 1099511628211ULL;
+  }
+  return h;
+}
+
+/// The sandbox's trained weights, pinned bit for bit on a 3-switch
+/// leaf-spine (1 spine, 2 leaves x 2 hosts) for 20 ms. Its three PET agents
+/// share one policy and fill their rollouts in lockstep, so their PPO
+/// updates land on the same ticks: the digest moves if a tick interleaves
+/// the shared policy's updates with its decisions instead of landing every
+/// update before the first decision. No golden reaches the sandbox (they
+/// run without the weight cache, and the benchmark loads committed
+/// weights), so this is its only pin.
+TEST(OfflinePretrain, SandboxWeightsMatchPinnedDigest) {
+  const auto base = [](Scheme scheme) {
+    ScenarioConfig cfg = tiny_base(scheme);
+    cfg.topo.leaf_spine().hosts_per_leaf = 2;
+    cfg.tune_dcqcn_for_rate();
+    return cfg;
+  };
+  PretrainOptions opt;
+  opt.duration = sim::milliseconds(20);
+  opt.cycle = sim::milliseconds(5);
+  EXPECT_EQ(weight_digest(offline_pretrain(base(Scheme::kPet), opt)),
+            0xfcba08650723dfbaULL);
+  EXPECT_EQ(weight_digest(offline_pretrain(base(Scheme::kAcc), opt)),
+            0x95e4ee4824cd299cULL);
 }
 
 TEST(PretrainCacheKey, DistinguishesSchemesWorkloadsAndRewards) {

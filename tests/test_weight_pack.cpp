@@ -245,17 +245,15 @@ void expect_ppo_current(const PpoAgent& agent, const char* what) {
 RolloutBuffer rollout(PpoAgent& agent) {
   RolloutBuffer buf;
   sim::Rng rng(31);
-  sim::Rng* row_rng = &rng;
-  const double explore = 0.0;
   for (int i = 0; i < 16; ++i) {
     Transition t;
     for (std::int32_t k = 0; k < agent.config().input_size; ++k) {
       t.state.push_back(rng.uniform(-1.0, 1.0));
     }
-    const auto res = agent.act_batch(t.state, 1, {&row_rng, 1}, {&explore, 1});
-    t.actions = res.front().actions;
-    t.log_prob = res.front().log_prob;
-    t.value = res.front().value;
+    const auto res = agent.act(t.state, rng, 0.0);
+    t.actions = res.actions;
+    t.log_prob = res.log_prob;
+    t.value = res.value;
     t.reward = rng.uniform(-1.0, 1.0);
     buf.push(t);
   }
