@@ -1,10 +1,10 @@
 // Microbenchmarks: discrete-event engine and AQM primitives
 // (google-benchmark).
 //
-// The scheduler benches capture a transmit-sized payload (64 bytes — what
-// EgressPort::finish_transmit and the propagation event actually carry) so
-// the numbers reflect the simulator's real per-event cost, not an empty
-// lambda's. Headline counters (events_per_sec, p99_event_ns) are exported
+// The scheduler benches capture a 64-byte payload, a packet-sized capture,
+// so the numbers reflect a heavy per-event callback, not an empty lambda's;
+// BM_SchedulerHopMixRecordFree runs the per-hop events record-free, as the
+// ports do. Headline counters (events_per_sec, p99_event_ns) are exported
 // into BENCH_micro_sim.json and gated against bench/baselines/ by
 // `ctest -L benchgate`.
 
@@ -29,9 +29,8 @@ namespace {
 
 using namespace pet;
 
-/// Capture payload mirroring the datapath's heaviest event (device pointer +
-/// QueueEntry): big enough to overflow std::function's small buffer, inside
-/// SmallCallback's inline budget.
+/// Packet-sized capture payload: big enough to overflow std::function's
+/// small buffer, inside SmallCallback's inline budget.
 struct TxPayload {
   std::uint64_t words[8] = {1, 2, 3, 4, 5, 6, 7, 8};
 };
@@ -135,6 +134,14 @@ BENCHMARK(BM_SchedulerCancel);
 /// complete, and DCQCN alpha/increase timers on 55 us and 300 us lanes,
 /// with a CNP re-arming one sender's pair every 64th transmit. Every event
 /// re-schedules its own family, so the mix holds steady.
+///
+/// With `kRecordFree`, arrivals and transmit completions are record-free
+/// lane items naming only this object (Scheduler::post_on), the way ports
+/// post them: completions alternate between a 51 ns control-frame lane and
+/// an 838 ns full-frame lane (64 and 1048 bytes at 10 Gb/s), the ends of
+/// the heap variant's gap range. The mode is a template parameter, so the
+/// heap variant compiles to the mix without a run-time branch.
+template <bool kRecordFree>
 class HopMix {
  public:
   static constexpr int kProp = 76;
@@ -147,6 +154,10 @@ class HopMix {
         prop_(sched.lane(sim::microseconds(1))),
         alpha_(sched.lane(sim::microseconds(55))),
         increase_(sched.lane(sim::microseconds(300))) {
+    if constexpr (kRecordFree) {
+      tx_lanes_ = {sched.lane(sim::Time(51'200)),
+                   sched.lane(sim::nanoseconds(838))};
+    }
     sim::Rng rng(16);
     const auto gap_ns = [&rng](std::int64_t lo, std::int64_t hi) {
       return sim::nanoseconds(
@@ -167,7 +178,11 @@ class HopMix {
     spread(kSenders, sim::microseconds(55), [this](int i) { arm_alpha(i); });
     spread(kSenders, sim::microseconds(300),
            [this](int i) { arm_increase(i); });
-    for (int i = 0; i < kTx; ++i) arm_tx();
+    if constexpr (kRecordFree) {
+      spread(kTx, sim::nanoseconds(838), [this](int) { arm_tx(); });
+    } else {
+      for (int i = 0; i < kTx; ++i) arm_tx();
+    }
     for (int i = 0; i < kRearmed; ++i) arm_rearmed(i);
   }
 
@@ -175,20 +190,41 @@ class HopMix {
 
  private:
   void arm_prop() {
-    sched_.schedule_on(prop_, [this, p = payload_] {
-      sink_ += p.words[0];
-      arm_prop();
-    });
+    if constexpr (kRecordFree) {
+      sched_.template post_on<&HopMix::on_prop>(prop_, this);
+    } else {
+      sched_.schedule_on(prop_, [this, p = payload_] {
+        sink_ += p.words[0];
+        arm_prop();
+      });
+    }
+  }
+
+  void on_prop() {
+    sink_ += payload_.words[0];
+    arm_prop();
   }
 
   void arm_tx() {
-    sched_.schedule_in(tx_gaps_[next_tx_++ % tx_gaps_.size()],
-                       [this, p = payload_] {
-                         sink_ += p.words[1];
-                         if (++tx_done_ % 4 == 0) rearm_next();
-                         if (tx_done_ % 64 == 0) cnp_next();
-                         arm_tx();
-                       });
+    if constexpr (kRecordFree) {
+      sched_.template post_on<&HopMix::on_tx>(tx_lanes_[next_tx_++ % 2],
+                                              this);
+    } else {
+      sched_.schedule_in(tx_gaps_[next_tx_++ % tx_gaps_.size()],
+                         [this, p = payload_] {
+                           sink_ += p.words[1];
+                           if (++tx_done_ % 4 == 0) rearm_next();
+                           if (tx_done_ % 64 == 0) cnp_next();
+                           arm_tx();
+                         });
+    }
+  }
+
+  void on_tx() {
+    sink_ += payload_.words[1];
+    if (++tx_done_ % 4 == 0) rearm_next();
+    if (tx_done_ % 64 == 0) cnp_next();
+    arm_tx();
   }
 
   void arm_rearmed(int i) {
@@ -232,13 +268,15 @@ class HopMix {
   std::size_t next_rearm_ = 0;
   std::uint64_t tx_done_ = 0;
   std::uint64_t sink_ = 0;
+  std::vector<sim::LaneId> tx_lanes_;  // record-free: control, full frame
 };
 
-void BM_SchedulerHopMix(benchmark::State& state) {
+template <bool kRecordFree>
+void run_hop_mix(benchmark::State& state) {
   // About 1000 events run per 6 us slice of this mix.
   constexpr std::int64_t kSliceNs = 6'000;
   sim::Scheduler sched;
-  HopMix mix(sched);
+  HopMix<kRecordFree> mix(sched);
   sched.run_until(sim::microseconds(600));  // seeds on their lanes; warm
   std::vector<double> slice_ns;
   slice_ns.reserve(4096);
@@ -263,7 +301,15 @@ void BM_SchedulerHopMix(benchmark::State& state) {
         slice_ns[std::min(slice_ns.size() - 1, slice_ns.size() * 99 / 100)];
   }
 }
+
+void BM_SchedulerHopMix(benchmark::State& state) { run_hop_mix<false>(state); }
 BENCHMARK(BM_SchedulerHopMix);
+
+/// The same mix with the per-hop events record-free, as the ports run them.
+void BM_SchedulerHopMixRecordFree(benchmark::State& state) {
+  run_hop_mix<true>(state);
+}
+BENCHMARK(BM_SchedulerHopMixRecordFree);
 
 void BM_RedMarking(benchmark::State& state) {
   net::RedEcnMarker marker(1);
@@ -287,9 +333,11 @@ void BM_FifoQueuePushPop(benchmark::State& state) {
   for (int i = 0; i < 37; ++i) {
     queue.push(net::QueueEntry{pkt, 0}, sim::Time::zero());
   }
+  net::QueueEntry head;
   for (auto _ : state) {
     queue.push(net::QueueEntry{pkt, 0}, sim::Time::zero());
-    benchmark::DoNotOptimize(queue.pop(sim::Time::zero()));
+    benchmark::DoNotOptimize(queue.pop(head, sim::Time::zero()));
+    benchmark::DoNotOptimize(head);
   }
   state.SetItemsProcessed(state.iterations());
   state.counters["packets_per_sec"] = benchmark::Counter(

@@ -73,14 +73,17 @@ void HostDevice::kick() {
 
   const sim::Time now = sched_.now();
   const std::size_t n = sources_.size();
+  assert(n == 0 || rr_next_ < n);
+  const auto after = [n](std::size_t idx) {
+    return idx + 1 == n ? 0 : idx + 1;
+  };
   sim::Time earliest = sim::Time::max();
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t idx = (rr_next_ + i) % n;
+  for (std::size_t i = 0, idx = rr_next_; i < n; ++i, idx = after(idx)) {
     FlowSource* src = sources_[idx];
     if (!src->has_data()) continue;
     const sim::Time ready = src->next_emit_time();
     if (ready <= now) {
-      rr_next_ = (idx + 1) % n;
+      rr_next_ = after(idx);
       Packet pkt = src->emit(now);
       pkt.sent_at = now;
       ++emitted_packets_;
@@ -90,8 +93,15 @@ void HostDevice::kick() {
     earliest = std::min(earliest, ready);
   }
   if (earliest != sim::Time::max()) {
-    pending_kick_ =
-        sched_.schedule_at(earliest, [this] { kick(); }, "net.host-kick");
+    // A fired kick clears its own handle, so kick() cancels only a kick
+    // that is still pending.
+    pending_kick_ = sched_.schedule_at(
+        earliest,
+        [this] {
+          pending_kick_ = sim::EventId{};
+          kick();
+        },
+        "net.host-kick");
   }
 }
 

@@ -16,6 +16,9 @@ EgressPort::EgressPort(sim::Scheduler& sched, PortOwner& owner,
       index_(index),
       cfg_(cfg),
       prop_lane_(sched.lane(cfg.propagation_delay)),
+      control_lane_(
+          sched.lane(cfg.rate.serialization_time(kControlPacketBytes))),
+      full_lane_(control_lane_),
       fault_rng_(sim::derive_seed(cfg.seed, "port-fault")) {
   assert(cfg.num_data_queues >= 1);
   data_queues_.resize(static_cast<std::size_t>(cfg.num_data_queues));
@@ -35,13 +38,13 @@ void EgressPort::enqueue(QueueEntry entry, std::int32_t queue_idx) {
     entry.pkt.ce_marked = true;
   }
   entry.queue_idx = queue_idx;
-  queue.push(std::move(entry), sched_.now());
+  queue.push(entry, sched_.now());
   try_transmit();
 }
 
 void EgressPort::enqueue_control(QueueEntry entry) {
   entry.queue_idx = -1;
-  control_queue_.push(std::move(entry), sched_.now());
+  control_queue_.push(entry, sched_.now());
   try_transmit();
 }
 
@@ -63,9 +66,10 @@ void EgressPort::set_rate_factor(double factor) {
 
 std::vector<QueueEntry> EgressPort::drain_queues() {
   std::vector<QueueEntry> flushed;
-  while (auto e = control_queue_.pop(sched_.now())) flushed.push_back(std::move(*e));
+  QueueEntry e;
+  while (control_queue_.pop(e, sched_.now())) flushed.push_back(e);
   for (auto& q : data_queues_) {
-    while (auto e = q.pop(sched_.now())) flushed.push_back(std::move(*e));
+    while (q.pop(e, sched_.now())) flushed.push_back(e);
   }
   return flushed;
 }
@@ -111,19 +115,16 @@ void EgressPort::reset_occupancy(std::int32_t queue_idx) {
 }
 
 bool EgressPort::pick_next(QueueEntry& out) {
+  const sim::Time now = sched_.now();
   // Control traffic is strict-priority and PFC-exempt.
-  if (auto e = control_queue_.pop(sched_.now())) {
-    out = std::move(*e);
-    return true;
-  }
+  if (control_queue_.pop(out, now)) return true;
   if (paused_) return false;
   // Round-robin over data queues.
-  const auto n = num_data_queues();
-  for (std::int32_t i = 0; i < n; ++i) {
-    const std::int32_t q = (rr_next_ + i) % n;
-    if (auto e = data_queues_[q].pop(sched_.now())) {
-      rr_next_ = (q + 1) % n;
-      out = std::move(*e);
+  const std::int32_t n = num_data_queues();
+  std::int32_t q = rr_next_;
+  for (std::int32_t i = 0; i < n; ++i, q = next_data_queue(q)) {
+    if (data_queues_[q].pop(out, now)) {
+      rr_next_ = next_data_queue(q);
       return true;
     }
   }
@@ -131,25 +132,40 @@ bool EgressPort::pick_next(QueueEntry& out) {
 }
 
 void EgressPort::try_transmit() {
-  if (busy_ || !link_up_) return;
-  QueueEntry entry;
-  if (!pick_next(entry)) return;
+  if (busy_ || !link_up_ || !pick_next(in_service_)) return;
   busy_ = true;
-  sim::Time ser = cfg_.rate.serialization_time(entry.pkt.size_bytes);
+  const std::int32_t bytes = in_service_.pkt.size_bytes;
+  sim::Time ser;
   if (rate_factor_ < 1.0) {
     // Degraded link: serialization stretches by the inverse of the factor.
     ser = sim::Time(static_cast<std::int64_t>(
-        static_cast<double>(ser.ps()) / rate_factor_));
+        static_cast<double>(cfg_.rate.serialization_time(bytes).ps()) /
+        rate_factor_));
+  } else if (bytes == kControlPacketBytes) {
+    sched_.post_on<&EgressPort::finish_transmit>(control_lane_, this, "net.tx");
+    return;
+  } else if (bytes == full_bytes_ ||
+             (bytes > full_bytes_ && !in_service_.pkt.last_of_flow)) {
+    if (bytes != full_bytes_) {
+      // Only a flow's non-last frame, a full MTU, moves the lane, so a port
+      // takes one full-size lane however its tail frames are sized.
+      full_bytes_ = bytes;
+      full_lane_ = sched_.lane(cfg_.rate.serialization_time(bytes));
+    }
+    sched_.post_on<&EgressPort::finish_transmit>(full_lane_, this, "net.tx");
+    return;
+  } else {
+    ser = cfg_.rate.serialization_time(bytes);  // a flow's tail frame
   }
-  const sim::Time done = sched_.now() + ser;
   sched_.schedule_at(
-      done,
-      [this, e = std::move(entry)]() mutable { finish_transmit(std::move(e)); },
-      "net.tx");
+      sched_.now() + ser, [this] { finish_transmit(); }, "net.tx");
 }
 
-void EgressPort::finish_transmit(QueueEntry entry) {
+void EgressPort::finish_transmit() {
   busy_ = false;
+  // The owner may start this port's next frame from on_packet_departed (a
+  // host NIC pulls its next packet), so keep the departed one.
+  const QueueEntry entry = in_service_;
   tx_bytes_ += entry.pkt.size_bytes;
   ++tx_packets_;
   if (entry.queue_idx >= 0) tx_bytes_q_[entry.queue_idx] += entry.pkt.size_bytes;
@@ -178,16 +194,20 @@ void EgressPort::finish_transmit(QueueEntry entry) {
     deliver = false;
   }
   if (deliver) {
-    sched_.schedule_on(
-        prop_lane_,
-        [peer = peer_, pkt = entry.pkt, pp = peer_port_] {
-          peer->receive(pkt, pp);
-        },
-        "net.prop");
+    // Every arrival of this port rides prop_lane_, which is FIFO, so they
+    // pop in departure order: the wire's front is always the one due.
+    wire_.push_back(entry.pkt);
+    sched_.post_on<&EgressPort::arrive>(prop_lane_, this, "net.prop");
   } else {
     ++dropped_packets_;
   }
   try_transmit();
+}
+
+void EgressPort::arrive() {
+  const Packet pkt = wire_.front();
+  wire_.pop_front();
+  peer_->receive(pkt, peer_port_);
 }
 
 }  // namespace pet::net

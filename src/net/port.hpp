@@ -1,6 +1,12 @@
 #pragma once
 // Egress port: per-port transmitter with one control queue (strict priority,
 // PFC-exempt) and N data queues (round-robin, RED/ECN-marked, PFC-pausable).
+//
+// A port owns its in-flight packets: the frame it is serializing and a FIFO
+// of the packets propagating on its link. Both per-hop events — transmit
+// complete, then arrival at the peer — are record-free scheduler items that
+// name only the port (sim::Scheduler::post_on); a transmit completion falls
+// back to a heap event only where its delay is not a lane constant.
 
 #include <cstdint>
 #include <memory>
@@ -12,6 +18,7 @@
 #include "net/packet.hpp"
 #include "net/queue.hpp"
 #include "net/red_ecn.hpp"
+#include "sim/ring.hpp"
 #include "sim/rng.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/stats.hpp"
@@ -136,6 +143,12 @@ class EgressPort {
   [[nodiscard]] std::int64_t tx_marked_bytes() const { return tx_marked_bytes_; }
   [[nodiscard]] std::int64_t tx_marked_packets() const { return tx_marked_packets_; }
   [[nodiscard]] std::int64_t dropped_packets() const { return dropped_packets_; }
+  /// Packets serialized and delivered to the link but not yet arrived at
+  /// the peer: tx_packets() == dropped_packets() + packets_on_wire() + the
+  /// peer's arrivals on this link, at every instant.
+  [[nodiscard]] std::int64_t packets_on_wire() const {
+    return static_cast<std::int64_t>(wire_.size());
+  }
 
   // Per-queue egress counters (multi-queue adaptation, paper Section 4.5.2).
   [[nodiscard]] std::int64_t tx_bytes_queue(std::int32_t q) const {
@@ -152,18 +165,37 @@ class EgressPort {
   void reset_occupancy(std::int32_t queue_idx = 0);
 
  private:
+  /// Start serializing the next frame into in_service_, if idle: a
+  /// record-free lane item when its delay is a lane constant, else a heap
+  /// event.
   void try_transmit();
-  void finish_transmit(QueueEntry entry);
+  void finish_transmit();
+  /// The front packet of the wire reaches the peer.
+  void arrive();
   [[nodiscard]] bool pick_next(QueueEntry& out);
+  /// The data queue after `q` in round-robin order.
+  [[nodiscard]] std::int32_t next_data_queue(std::int32_t q) const {
+    return q + 1 == num_data_queues() ? 0 : q + 1;
+  }
 
   sim::Scheduler& sched_;
   PortOwner& owner_;
   std::int32_t index_;
   PortConfig cfg_;
   sim::LaneId prop_lane_;  // every arrival lands one propagation delay out
+  // Transmit completions of frames whose serialization delay is a constant
+  // of this port: a 64-byte (control-sized) frame, and a frame of full_bytes_
+  // — the largest non-last frame of a flow the port has sent, a full MTU
+  // (starts at the control frame size). A flow's last frame rides the full
+  // lane only when it is exactly that size.
+  sim::LaneId control_lane_;
+  sim::LaneId full_lane_;
+  std::int32_t full_bytes_ = kControlPacketBytes;
   Device* peer_ = nullptr;
   std::int32_t peer_port_ = -1;
 
+  QueueEntry in_service_;     // the frame being serialized (while busy_)
+  sim::Ring<Packet> wire_;    // serialized, propagating; arrival order
   FifoQueue control_queue_;
   std::vector<FifoQueue> data_queues_;
   std::vector<RedEcnMarker> markers_;

@@ -2,17 +2,15 @@
 // FIFO byte-accounted packet queue with optional time-weighted occupancy
 // statistics (used by Table I and the reward's average queue length).
 //
-// Entries live in a flat power-of-two ring buffer rather than a std::deque:
-// the deque paid a node allocation every few entries on the per-packet hot
-// path, while the ring reaches its high-water capacity once and then serves
-// push/pop allocation-free (pinned by tests/test_alloc_steady.cpp).
+// Entries live in a sim::Ring rather than a std::deque: the deque paid a
+// node allocation every few entries on the per-packet hot path, while the
+// ring reaches its high-water capacity once and then serves push/pop
+// allocation-free (pinned by tests/test_alloc_steady.cpp).
 
 #include <cstdint>
-#include <optional>
-#include <utility>
-#include <vector>
 
 #include "net/packet.hpp"
+#include "sim/ring.hpp"
 #include "sim/stats.hpp"
 #include "sim/time.hpp"
 
@@ -29,32 +27,30 @@ struct QueueEntry {
 
 class FifoQueue {
  public:
-  void push(QueueEntry entry, sim::Time now) {
+  void push(const QueueEntry& entry, sim::Time now) {
     note_change(now);
     bytes_ += entry.pkt.size_bytes;
-    ++packets_;
-    if (count_ == ring_.size()) grow();
-    ring_[(head_ + count_) & (ring_.size() - 1)] = std::move(entry);
-    ++count_;
+    ring_.push_back(entry);
   }
 
-  [[nodiscard]] std::optional<QueueEntry> pop(sim::Time now) {
-    if (count_ == 0) return std::nullopt;
+  /// Pop the head into `out`; false (and `out` untouched) when empty.
+  [[nodiscard]] bool pop(QueueEntry& out, sim::Time now) {
+    if (ring_.empty()) return false;
     note_change(now);
-    QueueEntry e = std::move(ring_[head_]);
-    head_ = (head_ + 1) & (ring_.size() - 1);
-    --count_;
-    bytes_ -= e.pkt.size_bytes;
-    --packets_;
-    return e;
+    out = ring_.front();
+    ring_.pop_front();
+    bytes_ -= out.pkt.size_bytes;
+    return true;
   }
 
-  [[nodiscard]] bool empty() const { return count_ == 0; }
+  [[nodiscard]] bool empty() const { return ring_.empty(); }
   [[nodiscard]] std::int64_t bytes() const { return bytes_; }
-  [[nodiscard]] std::int64_t packets() const { return packets_; }
+  [[nodiscard]] std::int64_t packets() const {
+    return static_cast<std::int64_t>(ring_.size());
+  }
 
   /// Ring capacity (high-water mark observability for the bench gate).
-  [[nodiscard]] std::size_t capacity() const { return ring_.size(); }
+  [[nodiscard]] std::size_t capacity() const { return ring_.capacity(); }
 
   /// Enable/disable occupancy tracking (adds O(1) work per push/pop).
   void track_occupancy(bool enabled, sim::Time now) {
@@ -81,21 +77,8 @@ class FifoQueue {
     last_change_ = now;
   }
 
-  void grow() {
-    // Double (min 8) and unroll the ring so the oldest entry lands at 0.
-    std::vector<QueueEntry> bigger(ring_.empty() ? 8 : ring_.size() * 2);
-    for (std::size_t i = 0; i < count_; ++i) {
-      bigger[i] = std::move(ring_[(head_ + i) & (ring_.size() - 1)]);
-    }
-    ring_ = std::move(bigger);
-    head_ = 0;
-  }
-
-  std::vector<QueueEntry> ring_;  // size always a power of two (or empty)
-  std::size_t head_ = 0;
-  std::size_t count_ = 0;
+  sim::Ring<QueueEntry> ring_;
   std::int64_t bytes_ = 0;
-  std::int64_t packets_ = 0;
   bool tracking_ = false;
   sim::Time last_change_;
   sim::TimeWeightedStats occupancy_;

@@ -47,7 +47,8 @@ struct EcnConfigSummary {
 
 class SwitchDevice : public Device {
  public:
-  /// Classifies a data packet into one of the port's data queues.
+  /// Classifies a data packet into one of the port's data queues; with none
+  /// installed every packet goes to queue 0.
   // pet-lint: allow(hot-path-alloc): classifiers are installed once at
   // setup; the per-packet call itself does not allocate
   using Classifier = std::function<std::int32_t(const Packet&)>;

@@ -2,13 +2,18 @@
 // SmallCallback — the event core's type-erased `void()` callable.
 //
 // std::function heap-allocates once a capture outgrows its (typically 16-
-// or 24-byte) small-buffer, and every host/switch transmit event captures a
-// QueueEntry (~64 bytes with padding), so the old Scheduler paid one heap
-// round trip per scheduled event. SmallCallback sizes its inline buffer for
-// the captures the simulator actually schedules (device pointer + packet +
-// bookkeeping) and only falls back to the heap beyond that, so the DES
+// or 24-byte) small-buffer, so a scheduler built on it paid one heap round
+// trip per event whose capture carried a packet. SmallCallback keeps an
+// inline buffer and only falls back to the heap beyond it, so the DES
 // steady state performs zero allocations. Move-only, like the events it
 // carries.
+//
+// The per-hop datapath builds none for its arrivals and constant-delay
+// transmit completions: ports own their in-flight packets and post
+// record-free lane items (Scheduler::post_on). A transmit completion that
+// falls back to the heap (a flow's tail frame, a degraded port) captures
+// only the port. The other callbacks are timers, host kicks, traffic
+// arrivals, agent ticks and fault events, all small captures.
 
 #include <cstddef>
 #include <new>
@@ -19,11 +24,10 @@ namespace pet::sim {
 
 class SmallCallback {
  public:
-  /// Inline capture budget. Large enough for every hot-path event in the
-  /// tree (EgressPort::finish_transmit captures this + QueueEntry = 72
-  /// bytes; propagation captures peer + Packet + port = 64 bytes) with
-  /// headroom; callables beyond it still work via a heap box, they are just
-  /// not allocation-free (tests/test_callback.cpp pins both regimes).
+  /// Inline capture budget. No datapath capture sizes it; it keeps a
+  /// packet-sized capture (a QueueEntry plus a pointer, 72 bytes) inline.
+  /// Callables beyond it still work via a heap box, they are just not
+  /// allocation-free (tests/test_callback.cpp pins both regimes).
   static constexpr std::size_t kInlineBytes = 88;
 
   constexpr SmallCallback() = default;

@@ -21,16 +21,6 @@ void Scheduler::release_slot(std::uint32_t slot) {
   free_head_ = slot;
 }
 
-void Scheduler::Lane::grow() {
-  // Unwrap into a ring twice the size, so the head lands at index 0.
-  std::vector<HeapItem> bigger(ring.empty() ? 16 : 2 * ring.size());
-  for (std::size_t i = 0; i < count; ++i) {
-    bigger[i] = ring[(head + i) & (ring.size() - 1)];
-  }
-  ring = std::move(bigger);
-  head = 0;
-}
-
 LaneId Scheduler::lane(Time delay) {
   assert(delay >= Time::zero() && "a lane cannot run into the past");
   for (std::size_t i = 0; i < lanes_.size(); ++i) {
@@ -87,18 +77,13 @@ void Scheduler::compact_tombstones() {
     }
   }
   // Lanes filter in place, front to back, so survivors stay in FIFO order.
+  // Record-free items cannot be cancelled and always stay.
   lane_entries_ = 0;
   for (Lane& lane : lanes_) {
-    const std::size_t mask = lane.ring.size() - 1;
-    std::size_t lane_kept = 0;
-    for (std::size_t i = 0; i < lane.count; ++i) {
-      const HeapItem item = lane.ring[(lane.head + i) & mask];
-      if (!sweep_if_cancelled(item.slot)) {
-        lane.ring[(lane.head + lane_kept++) & mask] = item;
-      }
-    }
-    lane.count = lane_kept;
-    lane_entries_ += lane_kept;
+    lane.ring.retain([this](const LaneItem& item) {
+      return item.fn != nullptr || !sweep_if_cancelled(item.slot);
+    });
+    lane_entries_ += lane.ring.size();
   }
   tombstones_ = 0;
 }
@@ -133,62 +118,77 @@ void Scheduler::set_profiler(Profiler* profiler) {
   }
 }
 
+template <typename Body>
+void Scheduler::dispatch(Time at, const char* kind, Body&& body) {
+  --live_;
+  now_ = at;
+  ++executed_;
+  if (profiler_ != nullptr && kind != nullptr) {
+    // pet-lint: allow(banned-api): wall-clock timing of the event body
+    const auto t0 = std::chrono::steady_clock::now();
+    body();
+    // pet-lint: allow(banned-api): wall-clock timing of the event body
+    const auto t1 = std::chrono::steady_clock::now();
+    profiler_->record_event(
+        kind, std::chrono::duration<double, std::milli>(t1 - t0).count());
+  } else {
+    body();
+    // Untagged events are counted but not wall-timed: two steady_clock
+    // samples per event would distort the numbers the profiler exists to
+    // report (and the micro benches gate on).
+    if (profiler_ != nullptr) profiler_->count_untagged_event();
+  }
+}
+
 std::size_t Scheduler::run_until(Time until) {
   std::size_t ran = 0;
   for (;;) {
     // The next event is the least (at, seq) key among the heap root and the
     // lane heads; each lane is sorted already, so only its head competes.
-    const HeapItem* next = heap_.empty() ? nullptr : &heap_[0];
+    const Key* next = heap_.empty() ? nullptr : &heap_[0];
     Lane* from = nullptr;
     for (Lane& lane : lanes_) {
-      if (lane.count != 0 && (next == nullptr || lane.front().before(*next))) {
-        next = &lane.front();
+      if (!lane.ring.empty() &&
+          (next == nullptr || lane.ring.front().before(*next))) {
+        next = &lane.ring.front();
         from = &lane;
       }
     }
     if (next == nullptr || next->at > until) break;
-    const HeapItem item = *next;
+    const Time at = next->at;
+    std::uint32_t slot = 0;
     if (from == nullptr) {
+      slot = heap_[0].slot;
       heap_pop_root();
     } else {
-      from->pop_front();
+      const LaneItem item = from->ring.front();
+      from->ring.pop_front();
       --lane_entries_;
+      if (item.fn != nullptr) {
+        // Record-free: nothing to sweep, invalidate or free.
+        ++ran;
+        dispatch(at, item.kind, [&item] { item.fn(item.obj); });
+        continue;
+      }
+      slot = item.slot;
     }
-    if (sweep_if_cancelled(item.slot)) {
+    if (sweep_if_cancelled(slot)) {
       --tombstones_;
       continue;
     }
-    Record& rec = record(item.slot);
-    const char* kind = rec.kind;
+    Record& rec = record(slot);
     // Invalidate outstanding EventIds before invoking: the callback runs in
     // place out of its pool slot (chunks never move), so a self-cancel from
     // inside the body must already see a stale handle.
     ++rec.gen;
-    --live_;
-    now_ = item.at;
-    ++executed_;
     ++ran;
-    if (profiler_ != nullptr && kind != nullptr) {
-      // pet-lint: allow(banned-api): wall-clock timing of the event body
-      const auto t0 = std::chrono::steady_clock::now();
-      rec.cb.consume();
-      // pet-lint: allow(banned-api): wall-clock timing of the event body
-      const auto t1 = std::chrono::steady_clock::now();
-      profiler_->record_event(
-          kind, std::chrono::duration<double, std::milli>(t1 - t0).count());
-    } else {
-      rec.cb.consume();
-      // Untagged events are counted but not wall-timed: two steady_clock
-      // samples per event would distort the numbers the profiler exists to
-      // report (and the micro benches gate on).
-      if (profiler_ != nullptr) profiler_->count_untagged_event();
-    }
+    dispatch(at, rec.kind, [&rec] { rec.cb.consume(); });
     // The body may have scheduled (into other slots — this one is not on the
     // free list yet) or cancelled (compacting the heap); both leave rec's
     // address intact. Free the slot without a second generation bump.
     rec.kind = nullptr;
     rec.next_free = free_head_;
-    free_head_ = item.slot;
+    free_head_ = slot;
   }
   if (until != Time::max() && now_ < until) now_ = until;
   return ran;

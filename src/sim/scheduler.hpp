@@ -15,13 +15,19 @@
 //     never move, so callbacks run in place straight out of their slot;
 //   * pending events are keyed by (time, sequence) and queued in one of two
 //     places. Most go to a flat 4-ary min-heap. Events a caller always
-//     schedules a fixed delay ahead (link propagation, DCQCN timers) go to
-//     that delay's FIFO lane instead: now() never decreases and sequence
-//     numbers only grow, so appending keeps a lane sorted by (time, seq)
-//     for free. A pop takes the least key among the heap root and the few
-//     lane heads. The key order is total, so pop order — and therefore
-//     every golden artifact — is bitwise independent of heap arity, layout
-//     and which events ride lanes;
+//     schedules a fixed delay ahead go to that delay's FIFO lane instead:
+//     now() never decreases and sequence numbers only grow, so appending
+//     keeps a lane sorted by (time, seq) for free. A pop takes the least key
+//     among the heap root and the few lane heads. The key order is total,
+//     so pop order — and therefore every golden artifact — is bitwise
+//     independent of heap arity, layout and which events ride lanes;
+//   * a lane entry is either the key of a pool record (schedule_on:
+//     cancellable, any callable) or a record-free item (post_on: a member
+//     function, its object and its tag, carried in the lane ring itself, not
+//     cancellable). The per-hop datapath posts its link arrivals and its
+//     constant-delay transmit completions (control and full-size frames)
+//     as record-free items, so such a hop touches no pool record and
+//     builds no callback;
 //   * callbacks are sim::SmallCallback: capture storage is inline in the
 //     pool record, so a warmed-up schedule/run steady state performs zero
 //     heap allocations (pinned by tests/test_alloc_steady.cpp);
@@ -37,6 +43,7 @@
 #include <vector>
 
 #include "sim/callback.hpp"
+#include "sim/ring.hpp"
 #include "sim/time.hpp"
 
 namespace pet::sim {
@@ -90,7 +97,7 @@ class Scheduler {
   EventId schedule_at(Time at, Fn&& fn, const char* kind = nullptr) {
     assert(at >= now_ && "cannot schedule into the past");
     const std::uint32_t slot = store(std::forward<Fn>(fn), kind);
-    heap_push(HeapItem{at, next_seq_++, slot});
+    heap_push(HeapItem{{at, next_seq_++}, slot});
     return hand_out(slot);
   }
 
@@ -104,7 +111,7 @@ class Scheduler {
   /// The FIFO lane for events scheduled exactly `delay` (>= 0) ahead; equal
   /// delays share one lane. Meant for callers whose delay is a constant of
   /// their configuration (link propagation, protocol timer periods): take
-  /// the handle once, at construction.
+  /// the handle once, at construction, or when a new constant first shows.
   LaneId lane(Time delay);
 
   /// Schedule `fn` to run the lane's delay from now. Same ordering, tags and
@@ -112,12 +119,30 @@ class Scheduler {
   template <typename Fn, typename = std::enable_if_t<std::is_invocable_r_v<
                              void, std::decay_t<Fn>&>>>
   EventId schedule_on(LaneId lane, Fn&& fn, const char* kind = nullptr) {
-    assert(lane.index_ < lanes_.size() && "unknown lane");
-    Lane& ln = lanes_[lane.index_];
-    const std::uint32_t slot = store(std::forward<Fn>(fn), kind);
-    ln.push(HeapItem{now_ + ln.delay, next_seq_++, slot});
-    ++lane_entries_;
-    return hand_out(slot);
+    LaneItem item;
+    item.slot = store(std::forward<Fn>(fn), kind);
+    lane_push(lane, item);
+    return hand_out(item.slot);
+  }
+
+  /// Run `(obj->*Method)()` the lane's delay from now, as a record-free
+  /// lane item: (time, seq, function, object, tag) ride in the lane ring
+  /// and no pool record is taken. Ordered, counted (pending, heap_size,
+  /// executed) and profiled exactly like schedule_on on the same lane, but
+  /// it cannot be cancelled, so `obj` must outlive the item. Whatever the
+  /// call needs beyond `obj` lives in `obj` (a port keeps the frame it is
+  /// serializing and the packets on its wire).
+  template <auto Method, typename T>
+  void post_on(LaneId lane, T* obj, const char* kind = nullptr) {
+    static_assert(std::is_invocable_r_v<void, decltype(Method), T&>,
+                  "post_on takes a void() member function of T");
+    assert(obj != nullptr && "post_on needs an object");
+    LaneItem item;
+    item.fn = &call_member<Method, T>;
+    item.obj = obj;
+    item.kind = kind;
+    lane_push(lane, item);
+    ++live_;
   }
 
   /// Cancel a pending event. Cancelling an already-run or already-cancelled
@@ -134,7 +159,8 @@ class Scheduler {
   /// Run all remaining events (use only in tests/bounded scenarios).
   std::size_t run_all() { return run_until(Time::max()); }
 
-  /// Number of live (non-cancelled) pending events.
+  /// Number of live (non-cancelled) pending events, record-free ones
+  /// included.
   [[nodiscard]] std::size_t pending() const { return live_; }
 
   /// Total events executed since construction.
@@ -147,6 +173,8 @@ class Scheduler {
   }
   /// Pool slots ever created (high-water mark of concurrent events).
   [[nodiscard]] std::size_t pool_size() const { return pool_count_; }
+  /// Lanes handed out so far: one per distinct delay asked of lane().
+  [[nodiscard]] std::size_t lane_count() const { return lanes_.size(); }
   /// Cancelled entries still awaiting compaction or expiry.
   [[nodiscard]] std::size_t tombstones() const { return tombstones_; }
 
@@ -161,7 +189,7 @@ class Scheduler {
  private:
   /// Pool record: callback + tag live here (stable address — chunks never
   /// move — reused via the free list); the heap and the lanes carry only
-  /// the 24-byte ordering key.
+  /// the ordering key and the slot.
   struct Record {
     Callback cb;
     const char* kind = nullptr;
@@ -170,36 +198,42 @@ class Scheduler {
     std::uint32_t next_free = kNilSlot;
   };
 
-  struct HeapItem {
+  /// The (time, seq) total order every queued entry is popped in.
+  struct Key {
     Time at;
     std::uint64_t seq;
-    std::uint32_t slot;
-    [[nodiscard]] bool before(const HeapItem& other) const {
+    [[nodiscard]] bool before(const Key& other) const {
       if (at != other.at) return at < other.at;
       return seq < other.seq;
     }
   };
 
-  /// Constant-delay FIFO: a power-of-two ring of keys, sorted by (at, seq)
-  /// because every push is now() + delay with a fresh sequence number.
+  struct HeapItem : Key {
+    std::uint32_t slot;
+  };
+
+  /// A lane entry: record-free when `fn` is set (post_on: run fn(obj) under
+  /// `kind`), else the key of pool record `slot` (schedule_on).
+  struct LaneItem : Key {
+    void (*fn)(void*) = nullptr;
+    union {
+      void* obj;
+      std::uint32_t slot;
+    };
+    const char* kind = nullptr;
+  };
+
+  /// Constant-delay FIFO, sorted by (at, seq) because every push is now() +
+  /// delay with a fresh sequence number.
   struct Lane {
     Time delay;
-    std::vector<HeapItem> ring;
-    std::size_t head = 0;
-    std::size_t count = 0;
-
-    [[nodiscard]] const HeapItem& front() const { return ring[head]; }
-    void pop_front() {
-      head = (head + 1) & (ring.size() - 1);
-      --count;
-    }
-    void push(const HeapItem& item) {
-      if (count == ring.size()) grow();
-      ring[(head + count) & (ring.size() - 1)] = item;
-      ++count;
-    }
-    void grow();
+    Ring<LaneItem> ring;
   };
+
+  template <auto Method, typename T>
+  static void call_member(void* obj) {
+    (static_cast<T*>(obj)->*Method)();
+  }
 
   static constexpr std::uint32_t kNilSlot = 0xffffffffu;
   /// 4-ary heap indexing: children of i are 4i+1..4i+4.
@@ -216,6 +250,17 @@ class Scheduler {
 
   [[nodiscard]] Record& record(std::uint32_t slot) {
     return pool_[slot >> kChunkShift][slot & kChunkMask];
+  }
+
+  /// Stamp `item` with the lane's due time and a fresh sequence number and
+  /// append it: the lane's largest key, so the lane stays sorted.
+  void lane_push(LaneId lane, LaneItem item) {
+    assert(lane.index_ < lanes_.size() && "unknown lane");
+    Lane& ln = lanes_[lane.index_];
+    item.at = now_ + ln.delay;
+    item.seq = next_seq_++;
+    ln.ring.push_back(item);
+    ++lane_entries_;
   }
 
   /// Park `fn` and its tag in a fresh pool slot; the caller queues the key.
@@ -272,6 +317,11 @@ class Scheduler {
   /// Free a popped or swept tombstone's slot; false if `slot` is live.
   bool sweep_if_cancelled(std::uint32_t slot);
   void compact_tombstones();
+  /// Count one due event, advance now() to `at` and run its body under
+  /// `kind`: the one profiler timing path for record-backed and record-free
+  /// events alike.
+  template <typename Body>
+  void dispatch(Time at, const char* kind, Body&& body);
 
   std::vector<HeapItem> heap_;  // flat 4-ary min-heap by (at, seq)
   std::vector<Lane> lanes_;     // one per distinct constant delay

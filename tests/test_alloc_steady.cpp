@@ -157,12 +157,13 @@ TEST(AllocSteady, FifoQueueSteadyStateAllocatesNothing) {
   for (int i = 0; i < 40; ++i) {
     queue.push(net::QueueEntry{pkt, 0}, sim::Time::zero());
   }
+  net::QueueEntry head;
   AllocWindow w;
   // Push/pop around the ring at standing occupancy: wraps many times but
   // never grows.
   for (int i = 0; i < 100'000; ++i) {
     queue.push(net::QueueEntry{pkt, 0}, sim::Time::zero());
-    (void)queue.pop(sim::Time::zero());
+    (void)queue.pop(head, sim::Time::zero());
   }
   const std::uint64_t news = w.news();
   const std::uint64_t deletes = w.deletes();

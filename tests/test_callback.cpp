@@ -27,9 +27,9 @@ TEST(SmallCallback, SmallCaptureStaysInline) {
 }
 
 TEST(SmallCallback, TransmitSizedCaptureStaysInline) {
-  // The datapath's heaviest event captures ~72 bytes (device pointer +
-  // QueueEntry); the inline budget must cover it or the allocation-free
-  // contract is void.
+  // A packet-sized capture (~72 bytes: a pointer plus a QueueEntry) stays
+  // inline; callers that capture a packet rely on it for the
+  // allocation-free contract.
   struct Payload {
     std::uint64_t words[8] = {0};
   };

@@ -18,6 +18,7 @@ class TestDevice : public Device {
   void on_packet_departed(std::int32_t /*port*/,
                           const QueueEntry& entry) override {
     departed.push_back(entry);
+    departed_at.push_back(sched_.now());
   }
 
   struct Arrival {
@@ -26,6 +27,7 @@ class TestDevice : public Device {
   };
   std::vector<Arrival> received;
   std::vector<QueueEntry> departed;
+  std::vector<sim::Time> departed_at;
 };
 
 Packet data_packet(std::int32_t bytes, FlowId flow = 1) {
@@ -298,6 +300,169 @@ TEST_F(PortFixture, QueueBytesReflectBacklog) {
   port.enqueue(QueueEntry{data_packet(200), -1}, 0);
   EXPECT_EQ(port.queue_bytes(0), 500);
   EXPECT_EQ(port.total_queue_bytes(), 500);
+}
+
+/// How one frame completes on a fresh 10 Gb/s port that has already sent
+/// a 1000-byte frame: its serialization start, its departure, and whether
+/// its completion took a pool record (a heap event) or none (a record-free
+/// lane item — the port's arrivals are record-free too).
+struct Completion {
+  sim::Time start;
+  sim::Time departed;
+  bool on_heap;
+};
+
+Completion complete_one(const Packet& pkt, double rate_factor = 1.0) {
+  sim::Scheduler sched;
+  TestDevice sender{sched, 0};
+  TestDevice peer{sched, 1};
+  PortConfig cfg;
+  cfg.rate = sim::gbps(10);
+  auto& port = sender.port(sender.add_port(cfg));
+  port.connect(&peer, peer.add_port(cfg));
+  port.enqueue(QueueEntry{data_packet(1000), -1}, 0);
+  sched.run_all();
+  EXPECT_EQ(sched.pool_size(), 0u) << "the full-size warm-up frame";
+  port.set_rate_factor(rate_factor);
+  const sim::Time start = sched.now();
+  if (pkt.is_control()) {
+    port.enqueue_control(QueueEntry{pkt, -1});
+  } else {
+    port.enqueue(QueueEntry{pkt, -1}, 0);
+  }
+  sched.run_all();
+  EXPECT_EQ(peer.received.size(), 2u);
+  return {start, sender.departed_at.back(), sched.pool_size() != 0};
+}
+
+TEST(PortCompletion, ControlAndFullFramesCompleteOnLanes) {
+  Packet cnp = data_packet(kControlPacketBytes);
+  cnp.type = PacketType::kCnp;
+  const Completion control = complete_one(cnp);
+  EXPECT_FALSE(control.on_heap);
+  // 64 B at 10 Gb/s: 51.2 ns.
+  EXPECT_EQ(control.departed - control.start, sim::Time(51'200));
+
+  const Completion full = complete_one(data_packet(1000));
+  EXPECT_FALSE(full.on_heap);
+  EXPECT_EQ(full.departed - full.start, sim::nanoseconds(800));
+
+  // A frame larger than any before moves the port's full-size lane up.
+  const Completion larger = complete_one(data_packet(1500));
+  EXPECT_FALSE(larger.on_heap);
+  EXPECT_EQ(larger.departed - larger.start, sim::nanoseconds(1200));
+}
+
+TEST(PortCompletion, TailFramesAndDegradedPortsCompleteOnTheHeap) {
+  Packet last = data_packet(300);
+  last.last_of_flow = true;
+  const Completion tail = complete_one(last);
+  EXPECT_TRUE(tail.on_heap);
+  EXPECT_EQ(tail.departed - tail.start, sim::nanoseconds(240));
+
+  const Completion degraded = complete_one(data_packet(1000), 0.5);
+  EXPECT_TRUE(degraded.on_heap);
+  EXPECT_EQ(degraded.departed - degraded.start, sim::nanoseconds(1600));
+
+  Packet cnp = data_packet(kControlPacketBytes);
+  cnp.type = PacketType::kCnp;
+  const Completion degraded_control = complete_one(cnp, 0.5);
+  EXPECT_TRUE(degraded_control.on_heap);
+  EXPECT_EQ(degraded_control.departed - degraded_control.start,
+            sim::Time(102'400));
+}
+
+TEST_F(PortFixture, OnlyAFlowsNonLastFrameMovesTheFullSizeLane) {
+  // Single-frame flows of every size (a data-mining mix) before and after
+  // the first full frame: none takes a lane, so a port holds one full-size
+  // lane however its tail frames are sized. Every frame departs exactly at
+  // start + serialization.
+  PortConfig cfg;
+  cfg.rate = sim::gbps(10);
+  auto& port = make_port(cfg);
+  const auto send = [&](std::int32_t bytes, bool last_of_flow) {
+    Packet pkt = data_packet(bytes);
+    pkt.last_of_flow = last_of_flow;
+    const sim::Time start = sched.now();
+    port.enqueue(QueueEntry{pkt, -1}, 0);
+    sched.run_all();
+    ASSERT_FALSE(sender.departed_at.empty());
+    EXPECT_EQ(sender.departed_at.back() - start,
+              cfg.rate.serialization_time(bytes))
+        << bytes << " bytes";
+  };
+  const std::size_t lanes = sched.lane_count();
+  for (std::int32_t bytes = 148; bytes < 1048; bytes += 61) send(bytes, true);
+  EXPECT_EQ(sched.lane_count(), lanes);
+  EXPECT_NE(sched.pool_size(), 0u) << "tail frames complete on the heap";
+  send(1048, false);  // a flow's full MTU frame
+  EXPECT_EQ(sched.lane_count(), lanes + 1);
+  send(1048, true);  // a last frame of exactly that size rides the lane
+  for (std::int32_t bytes = 151; bytes < 1048; bytes += 67) send(bytes, true);
+  send(1500, true);  // a larger last frame does not move the lane
+  EXPECT_EQ(sched.lane_count(), lanes + 1);
+  send(1500, false);
+  EXPECT_EQ(sched.lane_count(), lanes + 2);
+  EXPECT_EQ(peer.received.size(), sender.departed_at.size());
+}
+
+TEST_F(PortFixture, PacketsOnWireCountsThePropagatingOnes) {
+  PortConfig cfg;
+  cfg.rate = sim::gbps(10);
+  cfg.propagation_delay = sim::microseconds(10);
+  auto& port = make_port(cfg);
+  for (int i = 0; i < 3; ++i) {
+    port.enqueue(QueueEntry{data_packet(1000), -1}, 0);
+  }
+  EXPECT_EQ(port.packets_on_wire(), 0);
+  sched.run_until(sim::nanoseconds(2400));  // all three serialized
+  EXPECT_EQ(port.tx_packets(), 3);
+  EXPECT_EQ(port.packets_on_wire(), 3);
+  sched.run_until(sim::nanoseconds(10'800));  // the first arrives
+  EXPECT_EQ(port.packets_on_wire(), 2);
+  EXPECT_EQ(peer.received.size(), 1u);
+  sched.run_all();
+  EXPECT_EQ(port.packets_on_wire(), 0);
+  EXPECT_EQ(peer.received.size(), 3u);
+}
+
+TEST_F(PortFixture, ArrivalsKeepDepartureOrderThroughFlapAndLoss) {
+  // Full-size frames (lane completions) mixed with tails (heap completions)
+  // on a link whose propagation spans several frames. The link flaps and a
+  // loss window opens mid-run; at every stop each serialized packet is
+  // dropped, on the wire or arrived, and arrivals keep departure order.
+  PortConfig cfg;
+  cfg.rate = sim::gbps(10);
+  cfg.propagation_delay = sim::microseconds(3);
+  auto& port = make_port(cfg);
+  for (std::uint32_t i = 0; i < 60; ++i) {
+    Packet pkt = data_packet(i % 4 == 3 ? 300 : 1000);
+    pkt.seq = i;
+    port.enqueue(QueueEntry{pkt, -1}, 0);
+  }
+  const auto ledger_balances = [&] {
+    return port.tx_packets() ==
+           port.dropped_packets() + port.packets_on_wire() +
+               static_cast<std::int64_t>(peer.received.size());
+  };
+  for (std::int64_t step = 1; step <= 600; ++step) {
+    sched.run_until(sim::nanoseconds(step * 97));
+    if (step == 60) port.set_link_up(false);
+    if (step == 75) port.set_link_up(true);
+    if (step == 150) port.set_fault_drop_prob(0.5);
+    if (step == 250) port.set_fault_drop_prob(0.0);
+    ASSERT_TRUE(ledger_balances()) << "stop " << step;
+  }
+  sched.run_all();
+  ASSERT_TRUE(ledger_balances());
+  EXPECT_EQ(port.tx_packets(), 60);
+  EXPECT_EQ(port.packets_on_wire(), 0);
+  EXPECT_GT(port.fault_dropped_packets(), 0);
+  EXPECT_GT(port.dropped_packets(), port.fault_dropped_packets());  // flap
+  ASSERT_GT(peer.received.size(), 30u);
+  for (std::size_t i = 1; i < peer.received.size(); ++i) {
+    EXPECT_LT(peer.received[i - 1].pkt.seq, peer.received[i].pkt.seq);
+  }
 }
 
 }  // namespace
