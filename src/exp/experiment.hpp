@@ -121,6 +121,10 @@ class Experiment {
     sched_.schedule_at(t, std::move(fn));
   }
   void mark_measurement_start();
+  /// FCT buckets cover the flows that started in [from, to) and finished.
+  /// Whatever `from` and `to` are, queue and latency statistics cover the
+  /// whole measured window (since mark_measurement_start()), and drops,
+  /// pauses and unfinished flows the whole run (ROADMAP item 11).
   [[nodiscard]] Metrics collect(sim::Time from, sim::Time to) const;
 
   // --- component access ------------------------------------------------------

@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <memory>
 
-#include "net/device.hpp"
 #include "net/port.hpp"
 #include "net/switch.hpp"
 #include "sim/log.hpp"
@@ -16,12 +15,6 @@ const char* fault_kind_name(FaultKind kind) {
     case FaultKind::kLinkUp: return "link-up";
     case FaultKind::kLinkDegrade: return "link-degrade";
     case FaultKind::kLinkRestoreRate: return "link-restore-rate";
-    case FaultKind::kPacketLossStart: return "packet-loss-start";
-    case FaultKind::kPacketLossEnd: return "packet-loss-end";
-    case FaultKind::kPacketCorruptStart: return "packet-corrupt-start";
-    case FaultKind::kPacketCorruptEnd: return "packet-corrupt-end";
-    case FaultKind::kBurstLossStart: return "burst-loss-start";
-    case FaultKind::kBurstLossEnd: return "burst-loss-end";
     case FaultKind::kSwitchReboot: return "switch-reboot";
   }
   return "?";
@@ -111,68 +104,6 @@ void FaultPlan::link_degrade(DeviceId a, DeviceId b, double factor,
       fire(FaultKind::kLinkRestoreRate,
            "link " + std::to_string(a) + "-" + std::to_string(b));
     }
-  });
-}
-
-void FaultPlan::packet_loss(DeviceId dev, double drop_prob, sim::Time from,
-                            sim::Time to) {
-  schedule(from, [this, dev, drop_prob] {
-    Device& d = net_.device(dev);
-    for (std::int32_t p = 0; p < d.num_ports(); ++p) {
-      d.port(p).set_fault_drop_prob(drop_prob);
-    }
-    char buf[96];
-    std::snprintf(buf, sizeof buf, "%s p=%.3f", d.name().c_str(), drop_prob);
-    fire(FaultKind::kPacketLossStart, buf);
-  });
-  schedule(to, [this, dev] {
-    Device& d = net_.device(dev);
-    for (std::int32_t p = 0; p < d.num_ports(); ++p) {
-      d.port(p).set_fault_drop_prob(0.0);
-    }
-    fire(FaultKind::kPacketLossEnd, d.name());
-  });
-}
-
-void FaultPlan::burst_loss(DeviceId dev, const GilbertElliottConfig& cfg,
-                           sim::Time from, sim::Time to) {
-  schedule(from, [this, dev, cfg] {
-    Device& d = net_.device(dev);
-    for (std::int32_t p = 0; p < d.num_ports(); ++p) {
-      d.port(p).set_burst_loss(cfg);
-    }
-    char buf[128];
-    std::snprintf(buf, sizeof buf, "%s gb=%.3f bg=%.3f lg=%.3f lb=%.3f",
-                  d.name().c_str(), cfg.p_good_to_bad, cfg.p_bad_to_good,
-                  cfg.loss_good, cfg.loss_bad);
-    fire(FaultKind::kBurstLossStart, buf);
-  });
-  schedule(to, [this, dev] {
-    Device& d = net_.device(dev);
-    for (std::int32_t p = 0; p < d.num_ports(); ++p) {
-      d.port(p).clear_burst_loss();
-    }
-    fire(FaultKind::kBurstLossEnd, d.name());
-  });
-}
-
-void FaultPlan::packet_corruption(DeviceId dev, double prob, sim::Time from,
-                                  sim::Time to) {
-  schedule(from, [this, dev, prob] {
-    Device& d = net_.device(dev);
-    for (std::int32_t p = 0; p < d.num_ports(); ++p) {
-      d.port(p).set_fault_corrupt_prob(prob);
-    }
-    char buf[96];
-    std::snprintf(buf, sizeof buf, "%s p=%.3f", d.name().c_str(), prob);
-    fire(FaultKind::kPacketCorruptStart, buf);
-  });
-  schedule(to, [this, dev] {
-    Device& d = net_.device(dev);
-    for (std::int32_t p = 0; p < d.num_ports(); ++p) {
-      d.port(p).set_fault_corrupt_prob(0.0);
-    }
-    fire(FaultKind::kPacketCorruptEnd, d.name());
   });
 }
 

@@ -1,10 +1,10 @@
 #pragma once
 // FaultPlan: scheduled fault injection on the simulator clock. Generalizes
 // the one-shot Network::fail_random_switch_links into a declarative plan of
-// link flaps (down/up at given times), degraded-rate links, probabilistic
-// per-port packet drop/corruption windows, and switch reboots that reset
-// queue/ECN state. Every fired fault is recorded (and optionally forwarded
-// to an event sink) so experiments can report metrics per fault phase.
+// link flaps (down/up at given times), degraded-rate links and switch
+// reboots that reset queue/ECN state: the faults fig7_robustness schedules.
+// Every fired fault is recorded (and optionally forwarded to an event sink)
+// so experiments can report metrics per fault phase.
 
 #include <cstdint>
 #include <functional>
@@ -12,7 +12,6 @@
 #include <utility>
 #include <vector>
 
-#include "net/gilbert_elliott.hpp"
 #include "net/network.hpp"
 #include "net/red_ecn.hpp"
 #include "sim/rng.hpp"
@@ -25,12 +24,6 @@ enum class FaultKind {
   kLinkUp,
   kLinkDegrade,
   kLinkRestoreRate,
-  kPacketLossStart,
-  kPacketLossEnd,
-  kPacketCorruptStart,
-  kPacketCorruptEnd,
-  kBurstLossStart,
-  kBurstLossEnd,
   kSwitchReboot,
 };
 
@@ -71,23 +64,6 @@ class FaultPlan {
   /// during [from, to).
   void link_degrade(DeviceId a, DeviceId b, double factor, sim::Time from,
                     sim::Time to);
-
-  /// Drop each packet leaving any port of device `dev` with probability
-  /// `drop_prob` during [from, to).
-  void packet_loss(DeviceId dev, double drop_prob, sim::Time from,
-                   sim::Time to);
-
-  /// Corrupt (receiver discards) each packet leaving any port of device
-  /// `dev` with probability `prob` during [from, to).
-  void packet_corruption(DeviceId dev, double prob, sim::Time from,
-                         sim::Time to);
-
-  /// Correlated (bursty) loss on every port of device `dev` during
-  /// [from, to): packets traverse a Gilbert–Elliott two-state chain, so
-  /// losses cluster into bursts instead of the independent drops of
-  /// packet_loss(). Each window starts its chains in the Good state.
-  void burst_loss(DeviceId dev, const GilbertElliottConfig& cfg,
-                  sim::Time from, sim::Time to);
 
   /// Reboot switch `sw` at `at`: flush queues, reset ECN to `ecn_after`.
   void switch_reboot(DeviceId sw, sim::Time at, RedEcnConfig ecn_after);

@@ -18,8 +18,7 @@ EgressPort::EgressPort(sim::Scheduler& sched, PortOwner& owner,
       prop_lane_(sched.lane(cfg.propagation_delay)),
       control_lane_(
           sched.lane(cfg.rate.serialization_time(kControlPacketBytes))),
-      full_lane_(control_lane_),
-      fault_rng_(sim::derive_seed(cfg.seed, "port-fault")) {
+      full_lane_(control_lane_) {
   assert(cfg.num_data_queues >= 1);
   data_queues_.resize(static_cast<std::size_t>(cfg.num_data_queues));
   tx_bytes_q_.assign(static_cast<std::size_t>(cfg.num_data_queues), 0);
@@ -177,23 +176,7 @@ void EgressPort::finish_transmit() {
     }
   }
   owner_.on_packet_departed(index_, entry);
-  bool deliver = link_up_ && peer_ != nullptr;
-  if (deliver && fault_drop_prob_ > 0.0 &&
-      fault_rng_.bernoulli(fault_drop_prob_)) {
-    ++fault_dropped_packets_;
-    deliver = false;
-  } else if (deliver && fault_corrupt_prob_ > 0.0 &&
-             fault_rng_.bernoulli(fault_corrupt_prob_)) {
-    // Corrupted on the wire: the receiver's CRC check discards it.
-    ++fault_corrupted_packets_;
-    deliver = false;
-  } else if (deliver && burst_loss_.has_value() &&
-             burst_loss_->step(fault_rng_)) {
-    // Correlated burst loss (Gilbert–Elliott window).
-    ++burst_dropped_packets_;
-    deliver = false;
-  }
-  if (deliver) {
+  if (link_up_ && peer_ != nullptr) {
     // Every arrival of this port rides prop_lane_, which is FIFO, so they
     // pop in departure order: the wire's front is always the one due.
     wire_.push_back(entry.pkt);

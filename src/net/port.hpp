@@ -7,19 +7,20 @@
 // complete, then arrival at the peer — are record-free scheduler items that
 // name only the port (sim::Scheduler::post_on); a transmit completion falls
 // back to a heap event only where its delay is not a lane constant.
+//
+// A port has two faults: a downed link drops each frame that finishes
+// serialization while it is down, and a rate factor below 1 stretches
+// serialization. Delivery depends on link state and the peer alone.
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "net/gilbert_elliott.hpp"
 #include "net/packet.hpp"
 #include "net/queue.hpp"
 #include "net/red_ecn.hpp"
 #include "sim/ring.hpp"
-#include "sim/rng.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/stats.hpp"
 #include "sim/time.hpp"
@@ -92,34 +93,12 @@ class EgressPort {
   void set_rate_factor(double factor);
   [[nodiscard]] double rate_factor() const { return rate_factor_; }
 
-  /// Probabilistic per-packet faults applied at the end of serialization:
-  /// dropped packets vanish on the wire, corrupted ones are discarded by the
-  /// receiver's CRC check — both are losses, counted separately.
-  void set_fault_drop_prob(double p) { fault_drop_prob_ = p; }
-  [[nodiscard]] double fault_drop_prob() const { return fault_drop_prob_; }
-  void set_fault_corrupt_prob(double p) { fault_corrupt_prob_ = p; }
-  [[nodiscard]] double fault_corrupt_prob() const { return fault_corrupt_prob_; }
-  [[nodiscard]] std::int64_t fault_dropped_packets() const {
-    return fault_dropped_packets_;
-  }
-  [[nodiscard]] std::int64_t fault_corrupted_packets() const {
-    return fault_corrupted_packets_;
-  }
-
-  /// Correlated (bursty) loss via a Gilbert–Elliott chain, evaluated per
-  /// packet at the end of serialization. Each window starts a fresh chain
-  /// in the Good state; losses are counted separately from the Bernoulli
-  /// fault drops.
-  void set_burst_loss(const GilbertElliottConfig& cfg) {
-    burst_loss_.emplace(cfg);
-  }
-  void clear_burst_loss() { burst_loss_.reset(); }
-  [[nodiscard]] bool burst_loss_active() const {
-    return burst_loss_.has_value();
-  }
-  [[nodiscard]] std::int64_t burst_dropped_packets() const {
-    return burst_dropped_packets_;
-  }
+  /// Always zero: the port has no loss or corruption faults, and
+  /// dropped_packets() counts every undelivered frame. Kept only because
+  /// the frozen scenario benchmark reads them (ROADMAP item 12 deletes them).
+  [[nodiscard]] std::int64_t fault_dropped_packets() const { return 0; }
+  [[nodiscard]] std::int64_t fault_corrupted_packets() const { return 0; }
+  [[nodiscard]] std::int64_t burst_dropped_packets() const { return 0; }
 
   /// Flush every queued packet (control + data) without transmitting, e.g.
   /// on a switch reboot. Returns the flushed entries so the owner can
@@ -205,13 +184,6 @@ class EgressPort {
   bool paused_ = false;
   bool link_up_ = true;
   double rate_factor_ = 1.0;
-  double fault_drop_prob_ = 0.0;
-  double fault_corrupt_prob_ = 0.0;
-  sim::Rng fault_rng_;
-  std::int64_t fault_dropped_packets_ = 0;
-  std::int64_t fault_corrupted_packets_ = 0;
-  std::optional<GilbertElliott> burst_loss_;
-  std::int64_t burst_dropped_packets_ = 0;
 
   std::int64_t tx_bytes_ = 0;
   std::int64_t tx_packets_ = 0;

@@ -122,33 +122,6 @@ void PfcRef::update(std::int32_t port) {
   }
 }
 
-// --- Gilbert–Elliott ---------------------------------------------------------
-
-GilbertElliottRef::GilbertElliottRef(double p_good_to_bad,
-                                     double p_bad_to_good, double loss_good,
-                                     double loss_bad)
-    : p_gb_(p_good_to_bad),
-      p_bg_(p_bad_to_good),
-      loss_g_(loss_good),
-      loss_b_(loss_bad) {}
-
-bool GilbertElliottRef::lose_packet(double u_transition, double u_loss) {
-  // Transition matrix row for the current state, evaluated eagerly.
-  switch (state_) {
-    case State::kGood:
-      state_ = u_transition < p_gb_ ? State::kBad : State::kGood;
-      break;
-    case State::kBad:
-      state_ = u_transition < p_bg_ ? State::kGood : State::kBad;
-      break;
-  }
-  // Loss rate of the state the packet is actually transmitted in.
-  const double loss_rate = state_ == State::kBad ? loss_b_ : loss_g_;
-  return u_loss < loss_rate;
-}
-
-bool GilbertElliottRef::bad() const { return state_ == State::kBad; }
-
 // --- GAE ---------------------------------------------------------------------
 
 GaeRefResult gae_ref(std::span<const double> rewards,

@@ -110,34 +110,6 @@ class PfcRef {
   std::vector<bool> paused_;
 };
 
-// --- Gilbert–Elliott ---------------------------------------------------------
-
-/// Scalar reference of the two-state bursty-loss channel, written from the
-/// chain's definition (Gilbert '60): an explicit state enum and the 2x2
-/// transition matrix evaluated per packet. The caller supplies the two
-/// uniforms each packet consumes — the transition draw, then the loss draw
-/// judged against the post-transition state's loss rate — so the reference
-/// can be driven with exactly the draws the production chain consumed.
-class GilbertElliottRef {
- public:
-  GilbertElliottRef(double p_good_to_bad, double p_bad_to_good,
-                    double loss_good, double loss_bad);
-
-  /// Advance one packet with explicit uniforms; true when the packet is
-  /// lost.
-  bool lose_packet(double u_transition, double u_loss);
-
-  [[nodiscard]] bool bad() const;
-
- private:
-  enum class State { kGood, kBad };
-  double p_gb_;
-  double p_bg_;
-  double loss_g_;
-  double loss_b_;
-  State state_ = State::kGood;
-};
-
 // --- GAE ---------------------------------------------------------------------
 
 /// Advantages via the direct definition A_t = sum_k (gamma*lambda)^k

@@ -165,94 +165,6 @@ TEST_F(FaultPlanFixture, DegradedLinkSerializesSlower) {
   EXPECT_EQ(app1.received.size(), 2u);  // slower, but still delivered
 }
 
-TEST_F(FaultPlanFixture, PacketLossWindowDropsEveryPacket) {
-  build();
-  FaultPlan plan(net, 1);
-  plan.packet_loss(sw0->id(), 1.0, sim::milliseconds(1), sim::milliseconds(2));
-  // Inside the window: certain loss on sw0's egress.
-  sched.schedule_at(sim::milliseconds(1) + sim::microseconds(500),
-                    [&] { sw0->receive(data_packet(0, 1, 1), 0); });
-  // After the window: delivered normally.
-  sched.schedule_at(sim::milliseconds(2) + sim::microseconds(500),
-                    [&] { sw0->receive(data_packet(0, 1, 2), 0); });
-  sched.run_all();
-  ASSERT_EQ(app1.received.size(), 1u);
-  EXPECT_EQ(app1.received[0].flow_id, 2u);
-  EXPECT_EQ(net.link_port(sw0->id(), sw1->id())->fault_dropped_packets(), 1);
-  EXPECT_DOUBLE_EQ(net.link_port(sw0->id(), sw1->id())->fault_drop_prob(), 0.0);
-  ASSERT_EQ(plan.fired().size(), 2u);
-  EXPECT_EQ(plan.fired()[0].kind, FaultKind::kPacketLossStart);
-  EXPECT_EQ(plan.fired()[1].kind, FaultKind::kPacketLossEnd);
-}
-
-TEST_F(FaultPlanFixture, BurstLossWindowDropsViaChainAndClears) {
-  build();
-  FaultPlan plan(net, 1);
-  // Degenerate chain locked in Bad with certain loss: every packet inside
-  // the window is dropped by the burst channel, none by the Bernoulli
-  // fault path (the counters are separate).
-  const GilbertElliottConfig burst{.p_good_to_bad = 1.0,
-                                   .p_bad_to_good = 0.0,
-                                   .loss_good = 0.0,
-                                   .loss_bad = 1.0};
-  plan.burst_loss(sw0->id(), burst, sim::milliseconds(1),
-                  sim::milliseconds(2));
-  sched.schedule_at(sim::milliseconds(1) + sim::microseconds(300),
-                    [&] { sw0->receive(data_packet(0, 1, 1), 0); });
-  sched.schedule_at(sim::milliseconds(1) + sim::microseconds(600),
-                    [&] { sw0->receive(data_packet(0, 1, 2), 0); });
-  // After the window the channel is detached and packets flow again.
-  sched.schedule_at(sim::milliseconds(2) + sim::microseconds(500),
-                    [&] { sw0->receive(data_packet(0, 1, 3), 0); });
-  sched.run_all();
-
-  EgressPort* port = net.link_port(sw0->id(), sw1->id());
-  ASSERT_EQ(app1.received.size(), 1u);
-  EXPECT_EQ(app1.received[0].flow_id, 3u);
-  EXPECT_EQ(port->burst_dropped_packets(), 2);
-  EXPECT_EQ(port->fault_dropped_packets(), 0);
-  EXPECT_FALSE(port->burst_loss_active());
-  ASSERT_EQ(plan.fired().size(), 2u);
-  EXPECT_EQ(plan.fired()[0].kind, FaultKind::kBurstLossStart);
-  EXPECT_EQ(plan.fired()[1].kind, FaultKind::kBurstLossEnd);
-}
-
-TEST_F(FaultPlanFixture, BurstLossGoodStateIsLossless) {
-  build();
-  FaultPlan plan(net, 1);
-  // A chain that can never leave Good with zero good-state loss: the window
-  // is active but transparent.
-  const GilbertElliottConfig burst{.p_good_to_bad = 0.0,
-                                   .p_bad_to_good = 1.0,
-                                   .loss_good = 0.0,
-                                   .loss_bad = 1.0};
-  plan.burst_loss(sw0->id(), burst, sim::milliseconds(1),
-                  sim::milliseconds(2));
-  for (int i = 0; i < 5; ++i) {
-    sched.schedule_at(sim::milliseconds(1) + sim::microseconds(100 * (i + 1)),
-                      [&, i] {
-                        sw0->receive(
-                            data_packet(0, 1, static_cast<FlowId>(i + 1)), 0);
-                      });
-  }
-  sched.run_all();
-  EXPECT_EQ(app1.received.size(), 5u);
-  EXPECT_EQ(net.link_port(sw0->id(), sw1->id())->burst_dropped_packets(), 0);
-}
-
-TEST_F(FaultPlanFixture, PacketCorruptionWindowCountsSeparately) {
-  build();
-  FaultPlan plan(net, 1);
-  plan.packet_corruption(sw0->id(), 1.0, sim::milliseconds(1),
-                         sim::milliseconds(2));
-  sched.schedule_at(sim::milliseconds(1) + sim::microseconds(500),
-                    [&] { sw0->receive(data_packet(0, 1, 1), 0); });
-  sched.run_all();
-  EXPECT_TRUE(app1.received.empty());
-  EXPECT_EQ(net.link_port(sw0->id(), sw1->id())->fault_corrupted_packets(), 1);
-  EXPECT_EQ(net.link_port(sw0->id(), sw1->id())->fault_dropped_packets(), 0);
-}
-
 TEST(FaultPlanReboot, SwitchRebootFlushesQueuesAndResetsEcn) {
   sim::Scheduler sched;
   Network net(sched, 9);

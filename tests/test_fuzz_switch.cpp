@@ -151,12 +151,13 @@ PROPERTY_CASES(SwitchFuzz, InstallRebootFaultInterleavingsKeepInvariants,
         sw.port(static_cast<std::int32_t>(a) % nports)
             .set_rate_factor(static_cast<double>(b % 1000 + 1) / 1000.0);
         break;
-      default:  // probabilistic loss/corruption faults
-        sw.port(static_cast<std::int32_t>(a) % nports)
-            .set_fault_drop_prob(static_cast<double>(b % 100) / 200.0);
-        sw.port(static_cast<std::int32_t>(a) % nports)
-            .set_fault_corrupt_prob(static_cast<double>(c % 100) / 200.0);
+      default: {  // link flap: down now, back up c x 100 ps later
+        net::EgressPort& port = sw.port(static_cast<std::int32_t>(a) % nports);
+        port.set_link_up(false);
+        sched.schedule_at(sched.now() + sim::Time(c * 100),
+                          [&port] { port.set_link_up(true); });
         break;
+      }
     }
     PROP_ASSERT(sw.buffer_used_bytes() >= 0);
     PROP_ASSERT(sw.buffer_used_bytes() <= cfg.buffer_bytes);
@@ -171,8 +172,6 @@ PROPERTY_CASES(SwitchFuzz, InstallRebootFaultInterleavingsKeepInvariants,
     sw.port(p).set_link_up(true);
     sw.port(p).set_paused(false);
     sw.port(p).set_rate_factor(1.0);
-    sw.port(p).set_fault_drop_prob(0.0);
-    sw.port(p).set_fault_corrupt_prob(0.0);
   }
   sched.run_all();
   PROP_ASSERT_EQ(sw.buffer_used_bytes(), std::int64_t{0});
