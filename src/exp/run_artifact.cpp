@@ -170,7 +170,6 @@ void RunArtifact::add_switch_summaries(
     SwitchRollup rollup;
     rollup.add(*sw, ecn);
     rollup.set_counters(row);
-    row.set("reboots", sw->reboots());
     JsonValue cfg = rollup.ecn_json();
     cfg.set("pmax_min", ecn.pmax_min);
     cfg.set("pmax_max", ecn.pmax_max);

@@ -1,6 +1,5 @@
 #include "net/port.hpp"
 
-#include <algorithm>
 #include <cassert>
 
 #include "net/device.hpp"
@@ -57,20 +56,6 @@ void EgressPort::set_link_up(bool up) {
   if (link_up_ == up) return;
   link_up_ = up;
   if (link_up_) try_transmit();
-}
-
-void EgressPort::set_rate_factor(double factor) {
-  rate_factor_ = std::clamp(factor, 0.001, 1.0);
-}
-
-std::vector<QueueEntry> EgressPort::drain_queues() {
-  std::vector<QueueEntry> flushed;
-  QueueEntry e;
-  while (control_queue_.pop(e, sched_.now())) flushed.push_back(e);
-  for (auto& q : data_queues_) {
-    while (q.pop(e, sched_.now())) flushed.push_back(e);
-  }
-  return flushed;
 }
 
 void EgressPort::set_ecn_config(std::int32_t queue_idx, const RedEcnConfig& cfg) {
@@ -134,15 +119,8 @@ void EgressPort::try_transmit() {
   if (busy_ || !link_up_ || !pick_next(in_service_)) return;
   busy_ = true;
   const std::int32_t bytes = in_service_.pkt.size_bytes;
-  sim::Time ser;
-  if (rate_factor_ < 1.0) {
-    // Degraded link: serialization stretches by the inverse of the factor.
-    ser = sim::Time(static_cast<std::int64_t>(
-        static_cast<double>(cfg_.rate.serialization_time(bytes).ps()) /
-        rate_factor_));
-  } else if (bytes == kControlPacketBytes) {
+  if (bytes == kControlPacketBytes) {
     sched_.post_on<&EgressPort::finish_transmit>(control_lane_, this, "net.tx");
-    return;
   } else if (bytes == full_bytes_ ||
              (bytes > full_bytes_ && !in_service_.pkt.last_of_flow)) {
     if (bytes != full_bytes_) {
@@ -152,12 +130,10 @@ void EgressPort::try_transmit() {
       full_lane_ = sched_.lane(cfg_.rate.serialization_time(bytes));
     }
     sched_.post_on<&EgressPort::finish_transmit>(full_lane_, this, "net.tx");
-    return;
-  } else {
-    ser = cfg_.rate.serialization_time(bytes);  // a flow's tail frame
+  } else {  // a flow's tail frame
+    sched_.schedule_at(sched_.now() + cfg_.rate.serialization_time(bytes),
+                       [this] { finish_transmit(); }, "net.tx");
   }
-  sched_.schedule_at(
-      sched_.now() + ser, [this] { finish_transmit(); }, "net.tx");
 }
 
 void EgressPort::finish_transmit() {

@@ -6,11 +6,12 @@
 // of the packets propagating on its link. Both per-hop events — transmit
 // complete, then arrival at the peer — are record-free scheduler items that
 // name only the port (sim::Scheduler::post_on); a transmit completion falls
-// back to a heap event only where its delay is not a lane constant.
+// back to a heap event only for a flow's tail frame, whose delay is not a
+// lane constant.
 //
-// A port has two faults: a downed link drops each frame that finishes
-// serialization while it is down, and a rate factor below 1 stretches
-// serialization. Delivery depends on link state and the peer alone.
+// A port has one fault: a downed link drops each frame that finishes
+// serialization while it is down. Delivery depends on link state and the
+// peer alone.
 
 #include <cstdint>
 #include <memory>
@@ -87,24 +88,12 @@ class EgressPort {
   void set_link_up(bool up);
   [[nodiscard]] bool link_up() const { return link_up_; }
 
-  // --- fault injection (driven by net::FaultPlan) --------------------------
-  /// Degrade the effective transmit rate to `factor` of nominal (1.0 =
-  /// healthy). Serialization slows accordingly; clamped to [0.001, 1].
-  void set_rate_factor(double factor);
-  [[nodiscard]] double rate_factor() const { return rate_factor_; }
-
   /// Always zero: the port has no loss or corruption faults, and
   /// dropped_packets() counts every undelivered frame. Kept only because
   /// the frozen scenario benchmark reads them (ROADMAP item 12 deletes them).
   [[nodiscard]] std::int64_t fault_dropped_packets() const { return 0; }
   [[nodiscard]] std::int64_t fault_corrupted_packets() const { return 0; }
   [[nodiscard]] std::int64_t burst_dropped_packets() const { return 0; }
-
-  /// Flush every queued packet (control + data) without transmitting, e.g.
-  /// on a switch reboot. Returns the flushed entries so the owner can
-  /// release buffer/PFC accounting. A packet mid-serialization still
-  /// completes (it has already left the queues).
-  [[nodiscard]] std::vector<QueueEntry> drain_queues();
 
   /// Runtime-adjustable ECN marking configuration (the agents' actuator).
   /// Invalid configurations are clamped to the nearest valid one and logged
@@ -145,8 +134,8 @@ class EgressPort {
 
  private:
   /// Start serializing the next frame into in_service_, if idle: a
-  /// record-free lane item when its delay is a lane constant, else a heap
-  /// event.
+  /// record-free lane item when its delay is a lane constant, else (a
+  /// flow's tail frame) a heap event.
   void try_transmit();
   void finish_transmit();
   /// The front packet of the wire reaches the peer.
@@ -183,7 +172,6 @@ class EgressPort {
   bool busy_ = false;
   bool paused_ = false;
   bool link_up_ = true;
-  double rate_factor_ = 1.0;
 
   std::int64_t tx_bytes_ = 0;
   std::int64_t tx_packets_ = 0;

@@ -119,34 +119,6 @@ void SwitchDevice::send_pfc(std::int32_t out_port, bool pause) {
   port(out_port).enqueue_control(QueueEntry{pfc, -1});
 }
 
-void SwitchDevice::reboot(const RedEcnConfig& ecn_after) {
-  ++reboots_;
-  for (std::int32_t p = 0; p < num_ports(); ++p) {
-    const std::vector<QueueEntry> flushed = port(p).drain_queues();
-    for (const QueueEntry& e : flushed) {
-      if (e.pkt.is_control()) continue;
-      ++dropped_on_reboot_;
-      buffer_used_ -= e.pkt.size_bytes;
-      const std::int32_t ip = e.ingress_port;
-      if (ip >= 0 && static_cast<std::size_t>(ip) < ingress_bytes_.size()) {
-        ingress_bytes_[ip] -= e.pkt.size_bytes;
-      }
-    }
-  }
-  // Fresh control plane: any PFC pause we had asserted is forgotten by the
-  // rebooted dataplane, so explicitly resume the neighbors we had paused.
-  for (std::size_t ip = 0; ip < pause_sent_.size(); ++ip) {
-    if (pause_sent_[ip]) {
-      pause_sent_[ip] = false;
-      send_pfc(static_cast<std::int32_t>(ip), /*pause=*/false);
-    }
-  }
-  // The restored marking state goes through the audited install path like
-  // every other actuation: invalid boot configs are clamped-and-warned and
-  // the install shows up in ecn_installs() for tests and telemetry.
-  install_ecn(ecn_after, PortSelector::all());
-}
-
 EcnConfigSummary SwitchDevice::ecn_config_summary() const {
   EcnConfigSummary s;
   bool first = true;

@@ -104,18 +104,6 @@ class SwitchDevice : public Device {
   /// or per-queue ECN state.
   [[nodiscard]] EcnConfigSummary ecn_config_summary() const;
 
-  // --- fault injection ------------------------------------------------------
-  /// Crash-and-restart: every queued packet is lost, shared-buffer and PFC
-  /// ingress accounting are rebuilt, paused neighbors are resumed, and the
-  /// ECN marking state reverts to `ecn_after` (the static config the switch
-  /// boots with). Links stay up — a reboot here models the dataplane reset,
-  /// not a cabling change.
-  void reboot(const RedEcnConfig& ecn_after);
-  [[nodiscard]] std::int64_t reboots() const { return reboots_; }
-  [[nodiscard]] std::int64_t dropped_on_reboot() const {
-    return dropped_on_reboot_;
-  }
-
   // --- observability --------------------------------------------------------
   [[nodiscard]] std::int64_t buffer_used_bytes() const { return buffer_used_; }
   [[nodiscard]] std::int64_t dropped_no_route() const { return dropped_no_route_; }
@@ -145,8 +133,6 @@ class SwitchDevice : public Device {
   std::int64_t dropped_buffer_full_ = 0;
   std::int64_t ecn_installs_ = 0;
   std::int64_t pfc_pauses_sent_ = 0;
-  std::int64_t reboots_ = 0;
-  std::int64_t dropped_on_reboot_ = 0;
 
   static const std::vector<std::int32_t> kNoRoutes;
 };

@@ -11,9 +11,9 @@
 // The per-hop datapath builds none for its arrivals and constant-delay
 // transmit completions: ports own their in-flight packets and post
 // record-free lane items (Scheduler::post_on). A transmit completion that
-// falls back to the heap (a flow's tail frame, a degraded port) captures
-// only the port. The other callbacks are timers, host kicks, traffic
-// arrivals, agent ticks and fault events, all small captures.
+// falls back to the heap (a flow's tail frame) captures only the port. The
+// other callbacks are timers, host kicks, traffic arrivals, agent ticks and
+// fault events, all small captures.
 
 #include <cstddef>
 #include <new>

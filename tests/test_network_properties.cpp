@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -57,9 +58,17 @@ INSTANTIATE_TEST_SUITE_P(Shapes, TopologySweepTest,
                                             ::testing::Values(2, 4),
                                             ::testing::Values(2, 8)),
                          [](const auto& param_info) {
-                           return "s" + std::to_string(std::get<0>(param_info.param)) +
-                                  "l" + std::to_string(std::get<1>(param_info.param)) +
-                                  "h" + std::to_string(std::get<2>(param_info.param));
+                           // Appends, not "s" + std::to_string(...): GCC 12
+                           // flags operator+(const char*, string&&) with a
+                           // false-positive -Wrestrict.
+                           const auto& p = param_info.param;
+                           std::string name = "s";
+                           name.append(std::to_string(std::get<0>(p)))
+                               .append("l")
+                               .append(std::to_string(std::get<1>(p)))
+                               .append("h")
+                               .append(std::to_string(std::get<2>(p)));
+                           return name;
                          });
 
 TEST(TopologyFailureProperty, ConnectivitySurvivesAllSingleLinkFailures) {

@@ -72,44 +72,6 @@ TEST_F(PortFixture, InvalidEcnConfigClampedOnInstall) {
   EXPECT_EQ(port.ecn_config(0), ok);
 }
 
-TEST_F(PortFixture, RateFactorStretchesSerialization) {
-  PortConfig cfg;
-  cfg.rate = sim::gbps(10);
-  cfg.propagation_delay = sim::Time::zero();
-  auto& port = make_port(cfg);
-  port.set_rate_factor(0.5);
-  port.enqueue(QueueEntry{data_packet(1000), -1}, 0);
-  // 800ns nominal serialization doubles at half rate.
-  sched.run_until(sim::nanoseconds(1599));
-  EXPECT_TRUE(peer.received.empty());
-  sched.run_until(sim::nanoseconds(1600));
-  EXPECT_EQ(peer.received.size(), 1u);
-  // Factor is clamped to a sane floor and ceiling.
-  port.set_rate_factor(500.0);
-  EXPECT_DOUBLE_EQ(port.rate_factor(), 1.0);
-  port.set_rate_factor(0.0);
-  EXPECT_DOUBLE_EQ(port.rate_factor(), 0.001);
-}
-
-TEST_F(PortFixture, DrainQueuesReturnsAllQueuedEntries) {
-  auto& port = make_port();
-  // One packet in flight keeps the port busy so later arrivals (data and
-  // control alike) stay queued.
-  port.enqueue(QueueEntry{data_packet(1000, 1), -1}, 0);
-  port.enqueue(QueueEntry{data_packet(1000, 2), -1}, 0);
-  port.enqueue(QueueEntry{data_packet(1000, 3), -1}, 0);
-  Packet cnp = data_packet(64, 4);
-  cnp.type = PacketType::kCnp;
-  port.enqueue_control(QueueEntry{cnp, -1});
-  const auto drained = port.drain_queues();
-  EXPECT_EQ(drained.size(), 3u);  // everything except the in-flight packet
-  EXPECT_EQ(port.total_queue_bytes(), 0);
-  sched.run_all();
-  // The packet that was mid-serialization still completes.
-  ASSERT_EQ(peer.received.size(), 1u);
-  EXPECT_EQ(peer.received[0].pkt.flow_id, 1u);
-}
-
 TEST_F(PortFixture, DeliversAfterSerializationPlusPropagation) {
   PortConfig cfg;
   cfg.rate = sim::gbps(10);
@@ -289,7 +251,7 @@ struct Completion {
   bool on_heap;
 };
 
-Completion complete_one(const Packet& pkt, double rate_factor = 1.0) {
+Completion complete_one(const Packet& pkt) {
   sim::Scheduler sched;
   TestDevice sender{sched, 0};
   TestDevice peer{sched, 1};
@@ -300,7 +262,6 @@ Completion complete_one(const Packet& pkt, double rate_factor = 1.0) {
   port.enqueue(QueueEntry{data_packet(1000), -1}, 0);
   sched.run_all();
   EXPECT_EQ(sched.pool_size(), 0u) << "the full-size warm-up frame";
-  port.set_rate_factor(rate_factor);
   const sim::Time start = sched.now();
   if (pkt.is_control()) {
     port.enqueue_control(QueueEntry{pkt, -1});
@@ -330,23 +291,12 @@ TEST(PortCompletion, ControlAndFullFramesCompleteOnLanes) {
   EXPECT_EQ(larger.departed - larger.start, sim::nanoseconds(1200));
 }
 
-TEST(PortCompletion, TailFramesAndDegradedPortsCompleteOnTheHeap) {
+TEST(PortCompletion, TailFramesCompleteOnTheHeap) {
   Packet last = data_packet(300);
   last.last_of_flow = true;
   const Completion tail = complete_one(last);
   EXPECT_TRUE(tail.on_heap);
   EXPECT_EQ(tail.departed - tail.start, sim::nanoseconds(240));
-
-  const Completion degraded = complete_one(data_packet(1000), 0.5);
-  EXPECT_TRUE(degraded.on_heap);
-  EXPECT_EQ(degraded.departed - degraded.start, sim::nanoseconds(1600));
-
-  Packet cnp = data_packet(kControlPacketBytes);
-  cnp.type = PacketType::kCnp;
-  const Completion degraded_control = complete_one(cnp, 0.5);
-  EXPECT_TRUE(degraded_control.on_heap);
-  EXPECT_EQ(degraded_control.departed - degraded_control.start,
-            sim::Time(102'400));
 }
 
 TEST_F(PortFixture, OnlyAFlowsNonLastFrameMovesTheFullSizeLane) {

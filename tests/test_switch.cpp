@@ -4,6 +4,7 @@
 
 #include <limits>
 #include <set>
+#include <vector>
 
 #include "net/network.hpp"
 
@@ -158,85 +159,48 @@ TEST_F(SwitchFixture, ClassifierSelectsQueue) {
 }
 
 TEST_F(SwitchFixture, SetEcnConfigAllPortsApplies) {
-  build();
-  const RedEcnConfig cfg{.kmin_bytes = 123, .kmax_bytes = 456, .pmax = 0.5};
-  sw->install_ecn(cfg);
-  for (std::int32_t p = 0; p < sw->num_ports(); ++p) {
-    EXPECT_EQ(sw->port(p).ecn_config(0), cfg);
-  }
-}
-
-TEST_F(SwitchFixture, RebootRoutesEcnThroughAuditedInstall) {
-  // Regression: the restored config must go through install_ecn — the
-  // audited entry point that clamps invalid configs and bumps the install
-  // counter — not through a side door that would accept garbage silently.
-  build();
-  const std::int64_t installs_before = sw->ecn_installs();
-  const RedEcnConfig invalid{
-      .kmin_bytes = -500, .kmax_bytes = -1000, .pmax = 7.0};
-  sw->reboot(invalid);
-  EXPECT_EQ(sw->reboots(), 1);
-  EXPECT_EQ(sw->ecn_installs(), installs_before + 1);
-  const RedEcnConfig expected = invalid.clamped();
-  for (std::int32_t p = 0; p < sw->num_ports(); ++p) {
-    for (std::int32_t q = 0; q < sw->port(p).num_data_queues(); ++q) {
-      EXPECT_EQ(sw->port(p).ecn_config(q), expected);
+  SwitchConfig cfg;
+  cfg.num_data_queues = 2;
+  build(cfg);
+  // A valid config installs verbatim; an invalid one lands as its clamp on
+  // every (port, queue) — the audited entry point never installs garbage.
+  const std::vector<RedEcnConfig> inputs{
+      {.kmin_bytes = 123, .kmax_bytes = 456, .pmax = 0.5},
+      // The degenerate "mark everything" config is already valid.
+      {.kmin_bytes = 0, .kmax_bytes = 0, .pmax = 1.0},
+      // Kmin > Kmax: Kmax rises to Kmin (a step, not an inverted ramp).
+      {.kmin_bytes = 90'000, .kmax_bytes = 10'000, .pmax = 0.5},
+      // Pmax above 1 saturates; negative or NaN Pmax turns marking off.
+      {.kmin_bytes = 1000, .kmax_bytes = 2000, .pmax = 42.0},
+      {.kmin_bytes = 1000, .kmax_bytes = 2000, .pmax = -0.25},
+      {.kmin_bytes = 1000,
+       .kmax_bytes = 2000,
+       .pmax = std::numeric_limits<double>::quiet_NaN()},
+      // Negative thresholds collapse to the zero-sized queue shape.
+      {.kmin_bytes = -10, .kmax_bytes = -5, .pmax = 1.0},
+      {.kmin_bytes = -500, .kmax_bytes = -1000, .pmax = 7.0},
+  };
+  for (const RedEcnConfig& in : inputs) {
+    SCOPED_TRACE(::testing::Message() << "kmin=" << in.kmin_bytes
+                                      << " kmax=" << in.kmax_bytes
+                                      << " pmax=" << in.pmax);
+    const std::int64_t installs_before = sw->ecn_installs();
+    EXPECT_EQ(sw->install_ecn(in),
+              static_cast<std::size_t>(2 * sw->num_ports()));
+    EXPECT_EQ(sw->ecn_installs(), installs_before + 1);
+    const RedEcnConfig expected = in.clamped();
+    ASSERT_TRUE(expected.valid());
+    for (std::int32_t p = 0; p < sw->num_ports(); ++p) {
+      for (std::int32_t q = 0; q < sw->port(p).num_data_queues(); ++q) {
+        EXPECT_EQ(sw->port(p).ecn_config(q), expected);
+      }
     }
+    const EcnConfigSummary summary = sw->ecn_config_summary();
+    EXPECT_TRUE(summary.uniform);
+    EXPECT_EQ(summary.kmin_min_bytes, expected.kmin_bytes);
+    EXPECT_EQ(summary.kmax_max_bytes, expected.kmax_bytes);
+    EXPECT_DOUBLE_EQ(summary.pmax_max, expected.pmax);
   }
-  const EcnConfigSummary summary = sw->ecn_config_summary();
-  EXPECT_TRUE(summary.uniform);
-  EXPECT_EQ(summary.kmin_min_bytes, expected.kmin_bytes);
-  EXPECT_EQ(summary.kmax_max_bytes, expected.kmax_bytes);
-  EXPECT_DOUBLE_EQ(summary.pmax_max, expected.pmax);
-}
-
-TEST_F(SwitchFixture, RebootClampsKminAboveKmax) {
-  // Kmin > Kmax (both positive): clamping raises Kmax to Kmin, producing a
-  // valid step-function config rather than an inverted marking ramp.
-  build();
-  sw->reboot({.kmin_bytes = 90'000, .kmax_bytes = 10'000, .pmax = 0.5});
-  const RedEcnConfig expected{
-      .kmin_bytes = 90'000, .kmax_bytes = 90'000, .pmax = 0.5};
-  for (std::int32_t p = 0; p < sw->num_ports(); ++p) {
-    for (std::int32_t q = 0; q < sw->port(p).num_data_queues(); ++q) {
-      EXPECT_EQ(sw->port(p).ecn_config(q), expected);
-      EXPECT_TRUE(sw->port(p).ecn_config(q).valid());
-    }
-  }
-}
-
-TEST_F(SwitchFixture, RebootClampsPmaxOutsideUnitInterval) {
-  build();
-  // Pmax above 1 saturates to certain marking.
-  sw->reboot({.kmin_bytes = 1000, .kmax_bytes = 2000, .pmax = 42.0});
-  EXPECT_DOUBLE_EQ(sw->port(0).ecn_config(0).pmax, 1.0);
-  // Negative Pmax clamps to marking-off.
-  sw->reboot({.kmin_bytes = 1000, .kmax_bytes = 2000, .pmax = -0.25});
-  EXPECT_DOUBLE_EQ(sw->port(0).ecn_config(0).pmax, 0.0);
-  // NaN Pmax also reads as marking-off, never propagates.
-  sw->reboot({.kmin_bytes = 1000,
-              .kmax_bytes = 2000,
-              .pmax = std::numeric_limits<double>::quiet_NaN()});
-  EXPECT_DOUBLE_EQ(sw->port(0).ecn_config(0).pmax, 0.0);
-  EXPECT_TRUE(sw->port(0).ecn_config(0).valid());
-  EXPECT_EQ(sw->reboots(), 3);
-}
-
-TEST_F(SwitchFixture, RebootWithZeroSizedQueueThresholdsIsValid) {
-  // Kmin = Kmax = 0 is the degenerate "mark everything" config. It must
-  // install as-is (it is already valid) and mark every enqueued packet.
-  build();
-  sw->reboot({.kmin_bytes = 0, .kmax_bytes = 0, .pmax = 1.0});
-  const RedEcnConfig installed = sw->port(0).ecn_config(0);
-  EXPECT_TRUE(installed.valid());
-  EXPECT_EQ(installed.kmin_bytes, 0);
-  EXPECT_EQ(installed.kmax_bytes, 0);
-  // Any nonzero queue occupancy is >= Kmax, so probability is 1.
-  EXPECT_DOUBLE_EQ(red_mark_probability(installed, 1), 1.0);
-  // Negative thresholds clamp up to the same zero-sized queue shape.
-  sw->reboot({.kmin_bytes = -10, .kmax_bytes = -5, .pmax = 1.0});
-  EXPECT_EQ(sw->port(0).ecn_config(0).kmin_bytes, 0);
-  EXPECT_EQ(sw->port(0).ecn_config(0).kmax_bytes, 0);
 }
 
 TEST_F(SwitchFixture, EcnConfigSummaryTracksPerPortSpread) {
