@@ -23,7 +23,7 @@ AccAgent::AccAgent(sim::Scheduler& sched, net::SwitchDevice& sw,
   ddqn.seed = sim::derive_seed(seed, "acc-ddqn");
   learner_ = std::make_unique<rl::DdqnAgent>(ddqn, std::move(global_replay),
                                              sw.id());
-  current_config_ = sw_.port(0).ecn_config(0);
+  current_config_ = sw_.port(0).ecn_config();
   actions_.resize(ddqn.head_sizes.size());
 }
 

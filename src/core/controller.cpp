@@ -1,8 +1,5 @@
 #include "core/controller.hpp"
 
-#include <stdexcept>
-#include <string>
-
 #include "core/state.hpp"
 #include "rl/ppo.hpp"
 #include "sim/rng.hpp"
@@ -13,9 +10,6 @@ PetController::PetController(sim::Scheduler& sched,
                              std::span<net::SwitchDevice* const> switches,
                              const PetControllerConfig& cfg, std::uint64_t seed)
     : EcnTuner(sched, cfg.agent.tuning_interval, "rl.pet-tick"), cfg_(cfg) {
-  if (cfg.num_queues < 1) {
-    throw std::invalid_argument("PetController: num_queues must be >= 1");
-  }
   std::shared_ptr<rl::PpoAgent> shared;
   if (cfg.shared_policy && !switches.empty()) {
     // Build the shared policy with the same shapes an independent agent
@@ -27,26 +21,10 @@ PetController::PetController(sim::Scheduler& sched,
     ppo.seed = sim::derive_seed(seed, "pet-shared-policy");
     shared = std::make_shared<rl::PpoAgent>(ppo);
   }
-  agents_.reserve(switches.size() *
-                  static_cast<std::size_t>(cfg.num_queues));
-  PetAgentConfig queue_cfg = cfg.agent;
+  agents_.reserve(switches.size());
   for (net::SwitchDevice* sw : switches) {
-    if (cfg.num_queues == 1) {
-      agents_.push_back(
-          std::make_unique<PetAgent>(sched, *sw, cfg.agent, seed, shared));
-      continue;
-    }
-    if (cfg.num_queues > sw->config().num_data_queues) {
-      throw std::invalid_argument(
-          "PetController: num_queues " + std::to_string(cfg.num_queues) +
-          " exceeds the " + std::to_string(sw->config().num_data_queues) +
-          " data queues of " + sw->name());
-    }
-    for (std::int32_t q = 0; q < cfg.num_queues; ++q) {
-      queue_cfg.ncm.queue_index = q;
-      agents_.push_back(
-          std::make_unique<PetAgent>(sched, *sw, queue_cfg, seed, shared));
-    }
+    agents_.push_back(
+        std::make_unique<PetAgent>(sched, *sw, cfg.agent, seed, shared));
   }
   deciding_.reserve(agents_.size());
 }

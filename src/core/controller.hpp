@@ -1,9 +1,7 @@
 #pragma once
 // PetController: deploys one PetAgent per switch and drives the tuning
 // loop. Decentralized training with decentralized execution: agents never
-// exchange state, experience, or gradients (Section 4.1.2). With
-// num_queues > 1 it deploys one agent per (switch, queue) instead, the
-// multi-queue adaptation of Section 4.5.2.
+// exchange state, experience, or gradients (Section 4.1.2).
 
 #include <cstdint>
 #include <memory>
@@ -27,22 +25,15 @@ struct PetControllerConfig {
   /// still decides alone, from its own state, RNG stream and exploration
   /// rate.
   bool shared_policy = false;
-  /// Data queues tuned per switch. At 1, one agent tunes every queue of its
-  /// switch. Above 1, each (switch, queue) gets its own agent that monitors
-  /// and actuates only that queue; it must not exceed the switches' data
-  /// queues.
-  std::int32_t num_queues = 1;
 };
 
 class PetController final : public EcnTuner {
  public:
-  /// Throws std::invalid_argument when num_queues is below 1 or exceeds a
-  /// switch's data queues.
   PetController(sim::Scheduler& sched,
                 std::span<net::SwitchDevice* const> switches,
                 const PetControllerConfig& cfg, std::uint64_t seed);
 
-  /// Agents in switch order; queue order within a switch.
+  /// Agents in switch order.
   [[nodiscard]] std::size_t num_agents() const { return agents_.size(); }
   [[nodiscard]] PetAgent& agent(std::size_t i) { return *agents_[i]; }
 

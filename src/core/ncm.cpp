@@ -15,20 +15,18 @@ Ncm::Ncm(sim::Scheduler& sched, net::SwitchDevice& sw, const NcmConfig& cfg,
       last_sample_(sched.now()) {
   if (tracking_.any()) {
     observer_handle_ = sw_.add_forward_observer(
-        [this](const net::Packet& pkt, std::int32_t /*out_port*/,
-               std::int32_t queue_idx) { on_forward(pkt, queue_idx); });
+        [this](const net::Packet& pkt, std::int32_t /*out_port*/) {
+          on_forward(pkt);
+        });
   }
   if (tracking_.flows) rebuild_flow_index(16);
   const std::int32_t n = sw_.num_ports();
   last_tx_bytes_.assign(static_cast<std::size_t>(n), 0);
   last_tx_marked_.assign(static_cast<std::size_t>(n), 0);
-  const std::int32_t q = std::max(0, cfg_.queue_index);
   for (std::int32_t p = 0; p < n; ++p) {
-    last_tx_bytes_[p] = scoped_tx_bytes(p);
-    last_tx_marked_[p] = scoped_tx_marked(p);
-    if (q < sw_.port(p).num_data_queues()) {
-      sw_.port(p).track_occupancy(true, q);
-    }
+    last_tx_bytes_[p] = sw_.port(p).tx_bytes();
+    last_tx_marked_[p] = sw_.port(p).tx_marked_bytes();
+    sw_.port(p).track_occupancy(true);
   }
 }
 
@@ -36,20 +34,7 @@ Ncm::~Ncm() {
   if (observer_handle_ != 0) sw_.remove_forward_observer(observer_handle_);
 }
 
-std::int64_t Ncm::scoped_tx_bytes(std::int32_t port) const {
-  return cfg_.queue_index < 0
-             ? sw_.port(port).tx_bytes()
-             : sw_.port(port).tx_bytes_queue(cfg_.queue_index);
-}
-
-std::int64_t Ncm::scoped_tx_marked(std::int32_t port) const {
-  return cfg_.queue_index < 0
-             ? sw_.port(port).tx_marked_bytes()
-             : sw_.port(port).tx_marked_bytes_queue(cfg_.queue_index);
-}
-
-void Ncm::on_forward(const net::Packet& pkt, std::int32_t queue_idx) {
-  if (cfg_.queue_index >= 0 && queue_idx != cfg_.queue_index) return;
+void Ncm::on_forward(const net::Packet& pkt) {
   if (tracking_.packets) ++slot_packets_;
   if (tracking_.senders) {
     add_sender(pkt.dst, pkt.src);
@@ -144,26 +129,21 @@ NcmSnapshot Ncm::sample() {
   double max_avg_qlen = 0.0;
   double max_util = 0.0;
   double max_marked = 0.0;
-  const std::int32_t scoped_q = std::max(0, cfg_.queue_index);
   for (std::int32_t p = 0; p < sw_.num_ports(); ++p) {
     auto& port = sw_.port(p);
-    if (scoped_q >= port.num_data_queues()) continue;
-    max_qlen = std::max(
-        max_qlen, static_cast<double>(cfg_.queue_index < 0
-                                          ? port.total_queue_bytes()
-                                          : port.queue_bytes(cfg_.queue_index)));
-    const auto& occ = port.occupancy(scoped_q);
-    max_avg_qlen = std::max(max_avg_qlen, occ.mean());
-    port.reset_occupancy(scoped_q);
+    max_qlen =
+        std::max(max_qlen, static_cast<double>(port.total_queue_bytes()));
+    max_avg_qlen = std::max(max_avg_qlen, port.occupancy().mean());
+    port.reset_occupancy();
 
     const double cap_bytes =
         static_cast<double>(port.rate().bps()) / 8.0 * window_sec;
     const double tx =
-        static_cast<double>(scoped_tx_bytes(p) - last_tx_bytes_[p]);
+        static_cast<double>(port.tx_bytes() - last_tx_bytes_[p]);
     const double marked =
-        static_cast<double>(scoped_tx_marked(p) - last_tx_marked_[p]);
-    last_tx_bytes_[p] = scoped_tx_bytes(p);
-    last_tx_marked_[p] = scoped_tx_marked(p);
+        static_cast<double>(port.tx_marked_bytes() - last_tx_marked_[p]);
+    last_tx_bytes_[p] = port.tx_bytes();
+    last_tx_marked_[p] = port.tx_marked_bytes();
     if (cap_bytes > 0.0) {
       max_util = std::max(max_util, tx / cap_bytes);
       max_marked = std::max(max_marked, marked / cap_bytes);

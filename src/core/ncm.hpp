@@ -23,10 +23,6 @@ struct NcmConfig {
   std::size_t max_tracked_dsts = 2048;
   /// Cumulative bytes above which a flow is an elephant.
   std::int64_t elephant_threshold_bytes = 1'000'000;
-  /// Scope monitoring to one data queue per port (-1: whole port). Used by
-  /// the multi-queue adaptation (paper Section 4.5.2), where each queue has
-  /// its own agent, NCM view and ECN configuration.
-  std::int32_t queue_index = -1;
 };
 
 /// One monitoring slot's worth of switch statistics, aggregated over the
@@ -77,7 +73,7 @@ class Ncm {
   [[nodiscard]] std::size_t tracked_dsts() const { return slot_dsts_.size(); }
 
  private:
-  void on_forward(const net::Packet& pkt, std::int32_t queue_idx);
+  void on_forward(const net::Packet& pkt);
   void add_sender(net::HostId dst, net::HostId src);
   void add_flow_bytes(net::FlowId id, std::int64_t bytes);
   /// Threshold cleanup, one half per table: memory pressure inside a slot
@@ -91,8 +87,6 @@ class Ncm {
   /// Rebuild the flow index over flows_ (after erasures or to grow it).
   void rebuild_flow_index(std::size_t capacity);
   [[nodiscard]] std::size_t flow_slot(net::FlowId id) const;
-  [[nodiscard]] std::int64_t scoped_tx_bytes(std::int32_t port) const;
-  [[nodiscard]] std::int64_t scoped_tx_marked(std::int32_t port) const;
 
   struct FlowInfo {
     net::FlowId id = 0;

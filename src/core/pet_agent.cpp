@@ -18,15 +18,10 @@ bool all_finite(std::span<const double> values) {
   return true;
 }
 
-/// Per-agent seed: the named stream offset by the switch id, with the queue
-/// mixed in for queue-scoped agents so (switch, queue) agents never share a
-/// stream.
+/// Per-agent seed: the named stream offset by the switch id.
 std::uint64_t agent_seed(std::uint64_t seed, std::string_view stream,
-                         const net::SwitchDevice& sw, std::int32_t queue) {
-  const std::uint64_t s =
-      sim::derive_seed(seed, stream) + static_cast<std::uint64_t>(sw.id());
-  return queue < 0 ? s
-                   : sim::derive_seed(s, static_cast<std::uint64_t>(queue));
+                         const net::SwitchDevice& sw) {
+  return sim::derive_seed(seed, stream) + static_cast<std::uint64_t>(sw.id());
 }
 
 /// What the state reads, plus the packet count the stale-telemetry
@@ -58,10 +53,7 @@ PetAgent::PetAgent(sim::Scheduler& sched, net::SwitchDevice& sw,
       cfg_(cfg),
       ncm_(sched, sw, cfg.ncm, ncm_tracking(cfg)),
       state_builder_(cfg.state, cfg.action_space),
-      rng_(agent_seed(seed, "pet-agent", sw, cfg.ncm.queue_index)),
-      targets_(cfg.ncm.queue_index < 0
-                   ? net::PortSelector::all()
-                   : net::PortSelector::queue(cfg.ncm.queue_index)) {
+      rng_(agent_seed(seed, "pet-agent", sw)) {
   if (shared_policy != nullptr) {
     policy_ = std::move(shared_policy);
     assert(policy_->config().input_size == state_builder_.state_size());
@@ -69,12 +61,12 @@ PetAgent::PetAgent(sim::Scheduler& sched, net::SwitchDevice& sw,
     rl::PpoConfig ppo = cfg_.ppo;
     ppo.input_size = state_builder_.state_size();
     ppo.head_sizes = cfg_.action_space.head_sizes();
-    ppo.seed = agent_seed(seed, "pet-policy", sw, cfg_.ncm.queue_index);
+    ppo.seed = agent_seed(seed, "pet-policy", sw);
     policy_ = std::make_shared<rl::PpoAgent>(ppo);
   }
   // The switch starts from whatever static config it carries; remember it
   // as "current" so the first state's ECN^(c) component is truthful.
-  current_config_ = sw_.port(0).ecn_config(std::max(0, cfg_.ncm.queue_index));
+  current_config_ = sw_.port(0).ecn_config();
   // A rollback target must exist from the first tick; the initial weights
   // are the first last-known-good snapshot.
   last_good_ = policy_->weights();
@@ -116,7 +108,7 @@ void PetAgent::quarantine(const std::string& reason) {
   // The switch must keep forwarding sanely without its tuner: fall back to
   // the static DCQCN-style thresholds until the agent is back in service.
   current_config_ = cfg_.guardrails.fallback_ecn.clamped();
-  sw_.install_ecn(current_config_, targets_);
+  sw_.install_ecn(current_config_);
 }
 
 void PetAgent::check_telemetry(const NcmSnapshot& snap) {
@@ -256,7 +248,7 @@ void PetAgent::decide() {
                             .log_prob = act.log_prob,
                             .value = act.value,
                             .reward = 0.0};
-  sw_.install_ecn(current_config_, targets_);
+  sw_.install_ecn(current_config_);
 
   if (health_ == AgentHealth::kProbation &&
       ++probation_clean_ >= cfg_.guardrails.probation_ticks) {

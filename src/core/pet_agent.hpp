@@ -2,9 +2,7 @@
 // PetAgent: one IPPO learner per switch (the DTDE paradigm). Every tuning
 // interval (delta-t, Section 4.2.2) it closes the monitoring slot, rewards
 // the previous action, builds the stacked six-factor state, samples the
-// next ECN configuration and applies it to the switch's queues. An agent
-// whose NcmConfig::queue_index is set monitors and tunes that one queue of
-// every port instead (multi-queue adaptation, Section 4.5.2).
+// next ECN configuration and installs it on every port of its switch.
 
 #include <cstdint>
 #include <functional>
@@ -95,10 +93,6 @@ class PetAgent {
   [[nodiscard]] const rl::PpoAgent& policy() const { return *policy_; }
   [[nodiscard]] Ncm& ncm() { return ncm_; }
   [[nodiscard]] net::SwitchDevice& switch_device() { return sw_; }
-  /// The data queue this agent tunes; -1 when it tunes every queue.
-  [[nodiscard]] std::int32_t queue_index() const {
-    return cfg_.ncm.queue_index;
-  }
 
   [[nodiscard]] std::int64_t steps() const { return steps_; }
   [[nodiscard]] const sim::RunningStats& reward_stats() const {
@@ -162,9 +156,6 @@ class PetAgent {
   StateBuilder state_builder_;
   std::shared_ptr<rl::PpoAgent> policy_;
   sim::Rng rng_;
-  /// Where actions and the guardrail fallback land: one queue of every port
-  /// for a queue-scoped agent, otherwise every queue.
-  net::PortSelector targets_;
 
   /// The state the last tick_observe() built, consumed by decide().
   std::vector<double> state_;

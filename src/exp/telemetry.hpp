@@ -47,10 +47,9 @@ struct TelemetrySample {
   double total_queue_kb = 0.0;     // buffer in use
   double tx_mbps = 0.0;            // aggregate egress rate over the interval
   double marked_share = 0.0;       // CE-marked share of egress bytes
-  /// Installed ECN state rolled up across every (port, queue): per-switch
-  /// min/max of each threshold plus a uniformity flag, so per-port and
-  /// multiqueue installs are reported honestly instead of as the
-  /// port-0/queue-0 config.
+  /// Installed ECN state rolled up across every port: per-switch min/max
+  /// of each threshold plus a uniformity flag, so a config that differs by
+  /// port is reported honestly instead of as the port-0 config.
   net::EcnConfigSummary ecn;
   std::int64_t pfc_pauses = 0;     // cumulative
 };

@@ -17,9 +17,9 @@ HostDevice::HostDevice(sim::Scheduler& sched, DeviceId id, HostId host_id,
   // pet-lint: allow(unaudited-ecn): NIC marking is disabled once at
   // construction; hosts are not an agent actuation surface and expose no
   // install_ecn entry point
-  port(0).set_ecn_config(0, RedEcnConfig{.kmin_bytes = 0,
-                                         .kmax_bytes = 1LL << 60,
-                                         .pmax = 0.0});
+  port(0).set_ecn_config(RedEcnConfig{.kmin_bytes = 0,
+                                      .kmax_bytes = 1LL << 60,
+                                      .pmax = 0.0});
 }
 
 void HostDevice::register_source(FlowSource* src) {
@@ -69,7 +69,7 @@ void HostDevice::kick() {
   // Emit exactly one packet at a time, only when the transmitter is free:
   // the departure callback pulls the next ready flow, so round-robin
   // rotates per packet and no NIC queue builds up.
-  if (port(0).busy() || port(0).queue_bytes(0) > 0 || port(0).paused()) return;
+  if (port(0).busy() || port(0).queue_bytes() > 0 || port(0).paused()) return;
 
   const sim::Time now = sched_.now();
   const std::size_t n = sources_.size();
@@ -87,7 +87,7 @@ void HostDevice::kick() {
       Packet pkt = src->emit(now);
       pkt.sent_at = now;
       ++emitted_packets_;
-      port(0).enqueue(QueueEntry{pkt, -1}, 0);
+      port(0).enqueue(QueueEntry{pkt, -1});
       return;
     }
     earliest = std::min(earliest, ready);

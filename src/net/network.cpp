@@ -37,35 +37,21 @@ void Network::connect(DeviceId a, DeviceId b, sim::Rate rate, sim::Time delay) {
   PortConfig cfg;
   cfg.rate = rate;
   cfg.propagation_delay = delay;
-  // Hosts already own port 0 (their NIC); a host side reuses it.
-  std::int32_t pa;
-  if (auto* host = dynamic_cast<HostDevice*>(&da)) {
-    (void)host;
-    pa = 0;
-    assert(da.port(0).peer() == nullptr && "host NIC already connected");
-  } else {
-    auto* sw = dynamic_cast<SwitchDevice*>(&da);
-    assert(sw != nullptr);
-    cfg.num_data_queues = sw->config().num_data_queues;
+  // Hosts already own port 0 (their NIC); a host side reuses it, a switch
+  // side gets a new port.
+  const auto attach = [&](Device& dev, DeviceId id) {
+    if (dynamic_cast<HostDevice*>(&dev) != nullptr) {
+      assert(dev.port(0).peer() == nullptr && "host NIC already connected");
+      return std::int32_t{0};
+    }
+    assert(dynamic_cast<SwitchDevice*>(&dev) != nullptr);
     cfg.seed = sim::derive_seed(seed_, "port") +
-               (static_cast<std::uint64_t>(a) << 20) +
-               static_cast<std::uint64_t>(da.num_ports());
-    pa = da.add_port(cfg);
-  }
-  std::int32_t pb;
-  if (auto* host = dynamic_cast<HostDevice*>(&db)) {
-    (void)host;
-    pb = 0;
-    assert(db.port(0).peer() == nullptr && "host NIC already connected");
-  } else {
-    auto* sw = dynamic_cast<SwitchDevice*>(&db);
-    assert(sw != nullptr);
-    cfg.num_data_queues = sw->config().num_data_queues;
-    cfg.seed = sim::derive_seed(seed_, "port") +
-               (static_cast<std::uint64_t>(b) << 20) +
-               static_cast<std::uint64_t>(db.num_ports());
-    pb = db.add_port(cfg);
-  }
+               (static_cast<std::uint64_t>(id) << 20) +
+               static_cast<std::uint64_t>(dev.num_ports());
+    return dev.add_port(cfg);
+  };
+  const std::int32_t pa = attach(da, a);
+  const std::int32_t pb = attach(db, b);
   da.port(pa).connect(&db, pb);
   db.port(pb).connect(&da, pa);
 }
@@ -173,10 +159,9 @@ void Network::recompute_routes() {
   }
 }
 
-std::size_t Network::install_ecn(const RedEcnConfig& cfg,
-                                 const PortSelector& sel) {
+std::size_t Network::install_ecn(const RedEcnConfig& cfg) {
   std::size_t touched = 0;
-  for (auto* sw : switches_) touched += sw->install_ecn(cfg, sel);
+  for (auto* sw : switches_) touched += sw->install_ecn(cfg);
   return touched;
 }
 

@@ -1,6 +1,7 @@
 #pragma once
 // Network: owns all devices, wires links, computes ECMP shortest-path
-// routing, and injects/restores link failures.
+// routing, installs ECN configs on every switch, and injects/restores link
+// failures.
 
 #include <cstdint>
 #include <memory>
@@ -68,12 +69,10 @@ class Network {
   [[nodiscard]] std::int64_t total_switch_drops() const;
 
   /// Fabric-wide ECN installation through the single audited entry point:
-  /// applies `cfg` to every (port, queue) the selector matches on every
-  /// switch and returns the number of queues touched. Schemes, the static-ECN
-  /// fallback, and sweep tooling all go through here instead of poking
-  /// switches/ports directly.
-  std::size_t install_ecn(const RedEcnConfig& cfg,
-                          const PortSelector& sel = PortSelector::all());
+  /// applies `cfg` to every port of every switch and returns the number of
+  /// ports touched. Schemes, the static-ECN fallback, and sweep tooling all
+  /// go through here instead of poking switches/ports directly.
+  std::size_t install_ecn(const RedEcnConfig& cfg);
 
  private:
   struct PortRef {

@@ -1,7 +1,5 @@
 #include "net/port.hpp"
 
-#include <cassert>
-
 #include "net/device.hpp"
 #include "sim/log.hpp"
 #include "sim/rng.hpp"
@@ -17,31 +15,19 @@ EgressPort::EgressPort(sim::Scheduler& sched, PortOwner& owner,
       prop_lane_(sched.lane(cfg.propagation_delay)),
       control_lane_(
           sched.lane(cfg.rate.serialization_time(kControlPacketBytes))),
-      full_lane_(control_lane_) {
-  assert(cfg.num_data_queues >= 1);
-  data_queues_.resize(static_cast<std::size_t>(cfg.num_data_queues));
-  tx_bytes_q_.assign(static_cast<std::size_t>(cfg.num_data_queues), 0);
-  tx_marked_bytes_q_.assign(static_cast<std::size_t>(cfg.num_data_queues), 0);
-  markers_.reserve(static_cast<std::size_t>(cfg.num_data_queues));
-  for (std::int32_t q = 0; q < cfg.num_data_queues; ++q) {
-    markers_.emplace_back(sim::derive_seed(cfg.seed, "red") + static_cast<std::uint64_t>(q));
-  }
-}
+      full_lane_(control_lane_),
+      marker_(sim::derive_seed(cfg.seed, "red")) {}
 
-void EgressPort::enqueue(QueueEntry entry, std::int32_t queue_idx) {
-  assert(queue_idx >= 0 && queue_idx < num_data_queues());
-  auto& queue = data_queues_[queue_idx];
+void EgressPort::enqueue(QueueEntry entry) {
   if (entry.pkt.ecn_capable && !entry.pkt.ce_marked &&
-      markers_[queue_idx].should_mark(queue.bytes())) {
+      marker_.should_mark(data_queue_.bytes())) {
     entry.pkt.ce_marked = true;
   }
-  entry.queue_idx = queue_idx;
-  queue.push(entry, sched_.now());
+  data_queue_.push(entry, sched_.now());
   try_transmit();
 }
 
 void EgressPort::enqueue_control(QueueEntry entry) {
-  entry.queue_idx = -1;
   control_queue_.push(entry, sched_.now());
   try_transmit();
 }
@@ -58,61 +44,33 @@ void EgressPort::set_link_up(bool up) {
   if (link_up_) try_transmit();
 }
 
-void EgressPort::set_ecn_config(std::int32_t queue_idx, const RedEcnConfig& cfg) {
+void EgressPort::set_ecn_config(const RedEcnConfig& cfg) {
   if (!cfg.valid()) {
     // An agent action (or a buggy tuner) produced inconsistent thresholds:
     // install the nearest valid configuration instead of the garbage one.
     const RedEcnConfig fixed = cfg.clamped();
     PET_LOG_WARN(sched_,
-                 "port %d queue %d: invalid ECN config kmin=%lld kmax=%lld "
+                 "port %d: invalid ECN config kmin=%lld kmax=%lld "
                  "pmax=%g clamped to kmin=%lld kmax=%lld pmax=%g",
-                 index_, queue_idx, static_cast<long long>(cfg.kmin_bytes),
+                 index_, static_cast<long long>(cfg.kmin_bytes),
                  static_cast<long long>(cfg.kmax_bytes), cfg.pmax,
                  static_cast<long long>(fixed.kmin_bytes),
                  static_cast<long long>(fixed.kmax_bytes), fixed.pmax);
-    markers_[queue_idx].set_config(fixed);
+    marker_.set_config(fixed);
     return;
   }
-  markers_[queue_idx].set_config(cfg);
-}
-
-const RedEcnConfig& EgressPort::ecn_config(std::int32_t queue_idx) const {
-  return markers_[queue_idx].config();
+  marker_.set_config(cfg);
 }
 
 std::int64_t EgressPort::total_queue_bytes() const {
-  std::int64_t total = control_queue_.bytes();
-  for (const auto& q : data_queues_) total += q.bytes();
-  return total;
-}
-
-void EgressPort::track_occupancy(bool enabled, std::int32_t queue_idx) {
-  data_queues_[queue_idx].track_occupancy(enabled, sched_.now());
-}
-
-const sim::TimeWeightedStats& EgressPort::occupancy(std::int32_t queue_idx) {
-  return data_queues_[queue_idx].occupancy(sched_.now());
-}
-
-void EgressPort::reset_occupancy(std::int32_t queue_idx) {
-  data_queues_[queue_idx].reset_occupancy(sched_.now());
+  return control_queue_.bytes() + data_queue_.bytes();
 }
 
 bool EgressPort::pick_next(QueueEntry& out) {
   const sim::Time now = sched_.now();
   // Control traffic is strict-priority and PFC-exempt.
   if (control_queue_.pop(out, now)) return true;
-  if (paused_) return false;
-  // Round-robin over data queues.
-  const std::int32_t n = num_data_queues();
-  std::int32_t q = rr_next_;
-  for (std::int32_t i = 0; i < n; ++i, q = next_data_queue(q)) {
-    if (data_queues_[q].pop(out, now)) {
-      rr_next_ = next_data_queue(q);
-      return true;
-    }
-  }
-  return false;
+  return !paused_ && data_queue_.pop(out, now);
 }
 
 void EgressPort::try_transmit() {
@@ -143,13 +101,9 @@ void EgressPort::finish_transmit() {
   const QueueEntry entry = in_service_;
   tx_bytes_ += entry.pkt.size_bytes;
   ++tx_packets_;
-  if (entry.queue_idx >= 0) tx_bytes_q_[entry.queue_idx] += entry.pkt.size_bytes;
   if (entry.pkt.ce_marked) {
     tx_marked_bytes_ += entry.pkt.size_bytes;
     ++tx_marked_packets_;
-    if (entry.queue_idx >= 0) {
-      tx_marked_bytes_q_[entry.queue_idx] += entry.pkt.size_bytes;
-    }
   }
   owner_.on_packet_departed(index_, entry);
   if (link_up_ && peer_ != nullptr) {

@@ -1,6 +1,6 @@
 #pragma once
 // Egress port: per-port transmitter with one control queue (strict priority,
-// PFC-exempt) and N data queues (round-robin, RED/ECN-marked, PFC-pausable).
+// PFC-exempt) and one data queue (RED/ECN-marked, PFC-pausable).
 //
 // A port owns its in-flight packets: the frame it is serializing and a FIFO
 // of the packets propagating on its link. Both per-hop events — transmit
@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "net/packet.hpp"
 #include "net/queue.hpp"
@@ -42,8 +41,7 @@ class PortOwner {
 struct PortConfig {
   sim::Rate rate = sim::gbps(10);
   sim::Time propagation_delay = sim::nanoseconds(1000);
-  std::int32_t num_data_queues = 1;
-  std::uint64_t seed = 1;  // for the RED markers
+  std::uint64_t seed = 1;  // for the RED marker
 };
 
 class EgressPort {
@@ -65,18 +63,15 @@ class EgressPort {
   [[nodiscard]] sim::Time propagation_delay() const {
     return cfg_.propagation_delay;
   }
-  [[nodiscard]] std::int32_t num_data_queues() const {
-    return static_cast<std::int32_t>(data_queues_.size());
-  }
 
-  /// Enqueue a data packet into queue `queue_idx`; the packet is CE-marked
-  /// here if the queue's RED/ECN rule fires on the instantaneous length.
-  void enqueue(QueueEntry entry, std::int32_t queue_idx);
+  /// Enqueue a data packet; it is CE-marked here if the RED/ECN rule fires
+  /// on the data queue's instantaneous length.
+  void enqueue(QueueEntry entry);
 
   /// Enqueue a control packet (CNP/PFC); strict priority, never paused.
   void enqueue_control(QueueEntry entry);
 
-  /// PFC pause state (data queues only).
+  /// PFC pause state (data queue only).
   void set_paused(bool paused);
   [[nodiscard]] bool paused() const { return paused_; }
 
@@ -98,13 +93,13 @@ class EgressPort {
   /// Runtime-adjustable ECN marking configuration (the agents' actuator).
   /// Invalid configurations are clamped to the nearest valid one and logged
   /// at WARN rather than installed verbatim.
-  void set_ecn_config(std::int32_t queue_idx, const RedEcnConfig& cfg);
-  [[nodiscard]] const RedEcnConfig& ecn_config(std::int32_t queue_idx) const;
+  void set_ecn_config(const RedEcnConfig& cfg);
+  [[nodiscard]] const RedEcnConfig& ecn_config() const {
+    return marker_.config();
+  }
 
   // --- observability -------------------------------------------------------
-  [[nodiscard]] std::int64_t queue_bytes(std::int32_t queue_idx) const {
-    return data_queues_[queue_idx].bytes();
-  }
+  [[nodiscard]] std::int64_t queue_bytes() const { return data_queue_.bytes(); }
   [[nodiscard]] std::int64_t total_queue_bytes() const;
   [[nodiscard]] std::int64_t tx_bytes() const { return tx_bytes_; }
   [[nodiscard]] std::int64_t tx_packets() const { return tx_packets_; }
@@ -118,19 +113,14 @@ class EgressPort {
     return static_cast<std::int64_t>(wire_.size());
   }
 
-  // Per-queue egress counters (multi-queue adaptation, paper Section 4.5.2).
-  [[nodiscard]] std::int64_t tx_bytes_queue(std::int32_t q) const {
-    return tx_bytes_q_[q];
+  /// Occupancy tracking of the data queue.
+  void track_occupancy(bool enabled) {
+    data_queue_.track_occupancy(enabled, sched_.now());
   }
-  [[nodiscard]] std::int64_t tx_marked_bytes_queue(std::int32_t q) const {
-    return tx_marked_bytes_q_[q];
+  [[nodiscard]] const sim::TimeWeightedStats& occupancy() {
+    return data_queue_.occupancy(sched_.now());
   }
-
-  /// Occupancy tracking of one data queue (queue 0 in the single-queue
-  /// experiments).
-  void track_occupancy(bool enabled, std::int32_t queue_idx = 0);
-  [[nodiscard]] const sim::TimeWeightedStats& occupancy(std::int32_t queue_idx = 0);
-  void reset_occupancy(std::int32_t queue_idx = 0);
+  void reset_occupancy() { data_queue_.reset_occupancy(sched_.now()); }
 
  private:
   /// Start serializing the next frame into in_service_, if idle: a
@@ -141,10 +131,6 @@ class EgressPort {
   /// The front packet of the wire reaches the peer.
   void arrive();
   [[nodiscard]] bool pick_next(QueueEntry& out);
-  /// The data queue after `q` in round-robin order.
-  [[nodiscard]] std::int32_t next_data_queue(std::int32_t q) const {
-    return q + 1 == num_data_queues() ? 0 : q + 1;
-  }
 
   sim::Scheduler& sched_;
   PortOwner& owner_;
@@ -165,9 +151,8 @@ class EgressPort {
   QueueEntry in_service_;     // the frame being serialized (while busy_)
   sim::Ring<Packet> wire_;    // serialized, propagating; arrival order
   FifoQueue control_queue_;
-  std::vector<FifoQueue> data_queues_;
-  std::vector<RedEcnMarker> markers_;
-  std::int32_t rr_next_ = 0;
+  FifoQueue data_queue_;
+  RedEcnMarker marker_;
 
   bool busy_ = false;
   bool paused_ = false;
@@ -178,8 +163,6 @@ class EgressPort {
   std::int64_t tx_marked_bytes_ = 0;
   std::int64_t tx_marked_packets_ = 0;
   std::int64_t dropped_packets_ = 0;
-  std::vector<std::int64_t> tx_bytes_q_;
-  std::vector<std::int64_t> tx_marked_bytes_q_;
 };
 
 }  // namespace pet::net

@@ -17,12 +17,10 @@
 namespace pet::net {
 
 /// A packet queued at a switch remembers the ingress port it arrived on so
-/// PFC ingress accounting can be released when it leaves, and the data
-/// queue it was placed in so per-queue egress counters stay exact.
+/// PFC ingress accounting can be released when it leaves.
 struct QueueEntry {
   Packet pkt;
   std::int32_t ingress_port = -1;  // -1: locally generated
-  std::int32_t queue_idx = -1;     // -1: control queue
 };
 
 class FifoQueue {

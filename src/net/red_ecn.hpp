@@ -4,7 +4,8 @@
 // Marking follows the AQM rule used by DCQCN switches: on enqueue, compare
 // the *instantaneous* egress queue length against (Kmin, Kmax) and mark the
 // packet CE with probability 0 below Kmin, Pmax*(q-Kmin)/(Kmax-Kmin) in
-// between, and 1 above Kmax.
+// between, and 1 above Kmax. Each egress port marks its one data queue;
+// a switch's ports all take their config from SwitchDevice::install_ecn.
 
 #include <algorithm>
 #include <cstdint>
@@ -40,49 +41,6 @@ struct RedEcnConfig {
   }
 
   friend bool operator==(const RedEcnConfig&, const RedEcnConfig&) = default;
-};
-
-/// Selects which (port, queue) pairs of a switch an ECN installation
-/// targets. The default selects everything; factories narrow one dimension
-/// at a time. This is the single vocabulary for all three install paths:
-/// switch-wide (schemes, PET actions, static fallback), per-port, and
-/// per-queue (multiqueue adaptation).
-class PortSelector {
- public:
-  static constexpr std::int32_t kAny = -1;
-
-  /// Every queue of every port.
-  [[nodiscard]] static PortSelector all() { return PortSelector{}; }
-  /// Every queue of one port.
-  [[nodiscard]] static PortSelector port(std::int32_t p) {
-    PortSelector s;
-    s.port_ = p;
-    return s;
-  }
-  /// One queue index across every port (multiqueue: one config per queue).
-  [[nodiscard]] static PortSelector queue(std::int32_t q) {
-    PortSelector s;
-    s.queue_ = q;
-    return s;
-  }
-  /// A single (port, queue) pair.
-  [[nodiscard]] static PortSelector port_queue(std::int32_t p, std::int32_t q) {
-    PortSelector s;
-    s.port_ = p;
-    s.queue_ = q;
-    return s;
-  }
-
-  [[nodiscard]] bool matches_port(std::int32_t p) const {
-    return port_ == kAny || port_ == p;
-  }
-  [[nodiscard]] bool matches_queue(std::int32_t q) const {
-    return queue_ == kAny || queue_ == q;
-  }
-
- private:
-  std::int32_t port_ = kAny;
-  std::int32_t queue_ = kAny;
 };
 
 /// Marking probability for instantaneous queue length `qlen_bytes`.

@@ -78,9 +78,8 @@ void SwitchDevice::receive(Packet pkt, std::int32_t in_port) {
     }
     ingress_bytes_[in_port] += pkt.size_bytes;
   }
-  const std::int32_t queue_idx = classifier_ ? classifier_(pkt) : 0;
-  for (const auto& [id, observer] : observers_) observer(pkt, out, queue_idx);
-  port(out).enqueue(QueueEntry{pkt, in_port}, queue_idx);
+  for (const auto& [id, observer] : observers_) observer(pkt, out);
+  port(out).enqueue(QueueEntry{pkt, in_port});
   if (in_port >= 0) update_pfc(in_port);
 }
 
@@ -121,47 +120,29 @@ void SwitchDevice::send_pfc(std::int32_t out_port, bool pause) {
 
 EcnConfigSummary SwitchDevice::ecn_config_summary() const {
   EcnConfigSummary s;
-  bool first = true;
-  const RedEcnConfig* reference = nullptr;
-  for (std::int32_t p = 0; p < num_ports(); ++p) {
-    const auto& prt = port(p);
-    for (std::int32_t q = 0; q < prt.num_data_queues(); ++q) {
-      const RedEcnConfig& cfg = prt.ecn_config(q);
-      ++s.queues;
-      if (first) {
-        s.kmin_min_bytes = s.kmin_max_bytes = cfg.kmin_bytes;
-        s.kmax_min_bytes = s.kmax_max_bytes = cfg.kmax_bytes;
-        s.pmax_min = s.pmax_max = cfg.pmax;
-        reference = &cfg;
-        first = false;
-        continue;
-      }
-      s.kmin_min_bytes = std::min(s.kmin_min_bytes, cfg.kmin_bytes);
-      s.kmin_max_bytes = std::max(s.kmin_max_bytes, cfg.kmin_bytes);
-      s.kmax_min_bytes = std::min(s.kmax_min_bytes, cfg.kmax_bytes);
-      s.kmax_max_bytes = std::max(s.kmax_max_bytes, cfg.kmax_bytes);
-      s.pmax_min = std::min(s.pmax_min, cfg.pmax);
-      s.pmax_max = std::max(s.pmax_max, cfg.pmax);
-      if (!(cfg == *reference)) s.uniform = false;
-    }
+  s.queues = num_ports();
+  if (s.queues == 0) return s;
+  const RedEcnConfig& reference = port(0).ecn_config();
+  s.kmin_min_bytes = s.kmin_max_bytes = reference.kmin_bytes;
+  s.kmax_min_bytes = s.kmax_max_bytes = reference.kmax_bytes;
+  s.pmax_min = s.pmax_max = reference.pmax;
+  for (std::int32_t p = 1; p < num_ports(); ++p) {
+    const RedEcnConfig& cfg = port(p).ecn_config();
+    s.kmin_min_bytes = std::min(s.kmin_min_bytes, cfg.kmin_bytes);
+    s.kmin_max_bytes = std::max(s.kmin_max_bytes, cfg.kmin_bytes);
+    s.kmax_min_bytes = std::min(s.kmax_min_bytes, cfg.kmax_bytes);
+    s.kmax_max_bytes = std::max(s.kmax_max_bytes, cfg.kmax_bytes);
+    s.pmax_min = std::min(s.pmax_min, cfg.pmax);
+    s.pmax_max = std::max(s.pmax_max, cfg.pmax);
+    if (!(cfg == reference)) s.uniform = false;
   }
   return s;
 }
 
-std::size_t SwitchDevice::install_ecn(const RedEcnConfig& cfg,
-                                      const PortSelector& sel) {
+std::size_t SwitchDevice::install_ecn(const RedEcnConfig& cfg) {
   ++ecn_installs_;
-  std::size_t touched = 0;
-  for (std::int32_t p = 0; p < num_ports(); ++p) {
-    if (!sel.matches_port(p)) continue;
-    auto& prt = port(p);
-    for (std::int32_t q = 0; q < prt.num_data_queues(); ++q) {
-      if (!sel.matches_queue(q)) continue;
-      prt.set_ecn_config(q, cfg);
-      ++touched;
-    }
-  }
-  return touched;
+  for (std::int32_t p = 0; p < num_ports(); ++p) port(p).set_ecn_config(cfg);
+  return static_cast<std::size_t>(num_ports());
 }
 
 }  // namespace pet::net

@@ -198,8 +198,7 @@ std::vector<std::uint64_t> SchedulerModel::run_until(sim::Time until) {
 
 // --- NCM ---------------------------------------------------------------------
 
-void NcmRef::on_forward(const net::Packet& pkt, std::int32_t queue_idx) {
-  if (cfg_.queue_index >= 0 && queue_idx != cfg_.queue_index) return;
+void NcmRef::on_forward(const net::Packet& pkt) {
   ++slot_packets_;
   dst_srcs_[pkt.dst].insert(pkt.src);
   slot_flows_.insert(pkt.flow_id);

@@ -164,8 +164,8 @@ class NcmRef {
  public:
   explicit NcmRef(const core::NcmConfig& cfg) : cfg_(cfg) {}
 
-  /// One data packet the switch forwarded into classifier queue `queue_idx`.
-  void on_forward(const net::Packet& pkt, std::int32_t queue_idx);
+  /// One data packet the switch forwarded.
+  void on_forward(const net::Packet& pkt);
   /// Close the slot: write its incast_degree, mice_ratio, flows_seen and
   /// packets_seen into `snap`, then run the scheduled cleanup.
   void close_slot(core::NcmSnapshot& snap);

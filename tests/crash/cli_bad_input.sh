@@ -6,15 +6,14 @@
 # "unknown option: <flag>" and exit 2, running nothing.
 #
 # Usage: cli_bad_input.sh <pet_sim_cli> <pet_sweep> <ecn_sweep>
-#                         <incast_scenario> <multiqueue_separation> <workdir>
+#                         <incast_scenario> <workdir>
 set -u
 
 CLI=$1
 PET_SWEEP=$2
 ECN_SWEEP=$3
 INCAST=$4
-MULTIQUEUE=$5
-WORK=$6
+WORK=$5
 rm -rf "$WORK"
 mkdir -p "$WORK"
 
@@ -82,10 +81,9 @@ expect_usage_error out_dir_below_file pet_sweep "${SWEEP[@]}" \
 expect_usage_error ecn_sweep_non_numeric_load ecn_sweep "$ECN_SWEEP" abc 1
 expect_usage_error ecn_sweep_trailing_text_load ecn_sweep "$ECN_SWEEP" 0.6xyz
 expect_usage_error ecn_sweep_negative_measure ecn_sweep "$ECN_SWEEP" 0.6 -3
+expect_usage_error ecn_sweep_load_above_one ecn_sweep "$ECN_SWEEP" 1.5
 expect_usage_error incast_non_numeric_fan_in incast_scenario "$INCAST" abc
 expect_usage_error incast_zero_fan_in incast_scenario "$INCAST" 0
-expect_usage_error multiqueue_load_above_one multiqueue_separation \
-    "$MULTIQUEUE" 1.5
 
 # A merged artifact that cannot be written fails the run (exit 1) with a
 # message, after every point completed.

@@ -73,7 +73,7 @@ TEST_F(AccFixture, TickAppliesValidEcnConfig) {
   EXPECT_TRUE(cfg.valid());
   EXPECT_LE(cfg.kmin_bytes, cfg.kmax_bytes);
   for (std::int32_t p = 0; p < switches[0]->num_ports(); ++p) {
-    EXPECT_EQ(switches[0]->port(p).ecn_config(0), cfg);
+    EXPECT_EQ(switches[0]->port(p).ecn_config(), cfg);
   }
 }
 
@@ -271,7 +271,7 @@ struct SixSwitchRun {
       const std::int32_t ports = switches[static_cast<std::size_t>(s)]->num_ports();
       for (std::int32_t p = 0; p < ports; ++p) {
         add_value(fp, id + "port_ecn",
-                  switches[static_cast<std::size_t>(s)]->port(p).ecn_config(0));
+                  switches[static_cast<std::size_t>(s)]->port(p).ecn_config());
       }
     }
     add_value(fp, "replay.size", replay.size());

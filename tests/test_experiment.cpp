@@ -141,7 +141,7 @@ TEST(Experiment, StaticSchemeKeepsConfiguredThresholds) {
   Experiment experiment(tiny_scenario(Scheme::kSecn2));
   experiment.run_until(sim::milliseconds(3));
   for (auto* sw : experiment.network().switches()) {
-    EXPECT_EQ(sw->port(0).ecn_config(0), secn2_config());
+    EXPECT_EQ(sw->port(0).ecn_config(), secn2_config());
   }
   EXPECT_EQ(experiment.pet(), nullptr);
   EXPECT_EQ(experiment.acc(), nullptr);

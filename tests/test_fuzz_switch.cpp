@@ -40,9 +40,7 @@ using Action = std::tuple<std::int64_t, std::int64_t, std::int64_t,
 
 void expect_all_configs_valid(const net::SwitchDevice& sw) {
   for (std::int32_t p = 0; p < sw.num_ports(); ++p) {
-    for (std::int32_t q = 0; q < sw.port(p).num_data_queues(); ++q) {
-      PROP_ASSERT(sw.port(p).ecn_config(q).valid());
-    }
+    PROP_ASSERT(sw.port(p).ecn_config().valid());
   }
 }
 
@@ -57,7 +55,6 @@ PROPERTY_CASES(SwitchFuzz, InstallFaultInterleavingsKeepInvariants, 2000,
   cfg.buffer_bytes = 64 * 1024;
   cfg.pfc_xoff_bytes = 24 * 1024;
   cfg.pfc_xon_bytes = 12 * 1024;
-  cfg.num_data_queues = 2;
 
   auto& sw = net.add_switch(cfg);
   SinkApp app;
@@ -72,6 +69,17 @@ PROPERTY_CASES(SwitchFuzz, InstallFaultInterleavingsKeepInvariants, 2000,
   }
   net.recompute_routes();
   const std::int32_t nports = sw.num_ports();
+
+  // A switch-wide install of a possibly-garbage config counts once and
+  // leaves every port carrying the one clamped config.
+  const auto install = [&sw](const net::RedEcnConfig& raw) {
+    const std::int64_t before = sw.ecn_installs();
+    sw.install_ecn(raw);
+    PROP_ASSERT_EQ(sw.ecn_installs(), before + 1);
+    expect_all_configs_valid(sw);
+    PROP_ASSERT(sw.ecn_config_summary().uniform);
+    PROP_ASSERT(sw.port(0).ecn_config() == raw.clamped());
+  };
 
   std::int64_t installs_before = sw.ecn_installs();
   std::uint32_t seq = 0;
@@ -94,48 +102,16 @@ PROPERTY_CASES(SwitchFuzz, InstallFaultInterleavingsKeepInvariants, 2000,
         sw.receive(pkt, static_cast<std::int32_t>(src));
         break;
       }
-      case 3: {  // install_ecn with possibly-garbage config and selector
-        const net::RedEcnConfig raw{
-            .kmin_bytes = a - (1 << 19),
-            .kmax_bytes = b - (1 << 19),
-            .pmax = static_cast<double>(c) / (1 << 18) - 2.0};
-        net::PortSelector sel = net::PortSelector::all();
-        switch (c % 4) {
-          case 1:
-            sel = net::PortSelector::port(static_cast<std::int32_t>(a) %
-                                          nports);
-            break;
-          case 2:
-            sel = net::PortSelector::queue(static_cast<std::int32_t>(b) % 2);
-            break;
-          case 3:
-            sel = net::PortSelector::port_queue(
-                static_cast<std::int32_t>(a) % nports,
-                static_cast<std::int32_t>(b) % 2);
-            break;
-          default:
-            break;
-        }
-        const std::int64_t before = sw.ecn_installs();
-        sw.install_ecn(raw, sel);
-        PROP_ASSERT_EQ(sw.ecn_installs(), before + 1);
-        expect_all_configs_valid(sw);
+      case 3:  // switch-wide install of a possibly-garbage config
+        install({.kmin_bytes = a - (1 << 19),
+                 .kmax_bytes = b - (1 << 19),
+                 .pmax = static_cast<double>(c) / (1 << 18) - 2.0});
         break;
-      }
-      case 4: {  // switch-wide install of a possibly-garbage config
-        const net::RedEcnConfig raw{
-            .kmin_bytes = (1 << 19) - a,
-            .kmax_bytes = b - (1 << 19),
-            .pmax = static_cast<double>(c) / (1 << 17) - 4.0};
-        const std::int64_t before = sw.ecn_installs();
-        sw.install_ecn(raw);
-        PROP_ASSERT_EQ(sw.ecn_installs(), before + 1);
-        expect_all_configs_valid(sw);
-        // Every (port, queue) now carries the one clamped config.
-        PROP_ASSERT(sw.ecn_config_summary().uniform);
-        PROP_ASSERT(sw.port(0).ecn_config(0) == raw.clamped());
+      case 4:  // the same, with Kmin mirrored and a wider Pmax range
+        install({.kmin_bytes = (1 << 19) - a,
+                 .kmax_bytes = b - (1 << 19),
+                 .pmax = static_cast<double>(c) / (1 << 17) - 4.0});
         break;
-      }
       case 5:  // run the fabric forward
         sched.run_until(sched.now() + sim::Time(a * 100));
         break;

@@ -92,7 +92,7 @@ TEST_F(GuardrailFixture, NanPoisonedAgentQuarantinesWithinOneTick) {
   // Switch fell back to the static DCQCN-style thresholds...
   const net::RedEcnConfig fallback = cfg.guardrails.fallback_ecn;
   for (std::int32_t p = 0; p < sw->num_ports(); ++p) {
-    EXPECT_EQ(sw->port(p).ecn_config(0), fallback);
+    EXPECT_EQ(sw->port(p).ecn_config(), fallback);
   }
   // ...and the rollback left only finite weights behind.
   EXPECT_TRUE(weights_finite(agent.policy().weights()));

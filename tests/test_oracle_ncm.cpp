@@ -94,9 +94,7 @@ PROPERTY_CASES(NcmOracle, FlatTablesMatchHashTableModel, 2000, ncm_cases()) {
                        {.packets = false, .senders = false, .flows = false});
   NcmRef ref(cfg);
   b.sw->add_forward_observer(
-      [&ref](const net::Packet& pkt, std::int32_t, std::int32_t queue_idx) {
-        ref.on_forward(pkt, queue_idx);
-      });
+      [&ref](const net::Packet& pkt, std::int32_t) { ref.on_forward(pkt); });
 
   const auto expect_sizes = [&] {
     PROP_ASSERT_EQ(ncm.tracked_flows(),

@@ -42,7 +42,7 @@ TEST_F(PetFixture, TickAppliesConfigToAllPorts) {
   agent.tick();
   const net::RedEcnConfig cfg = agent.current_config();
   for (std::int32_t p = 0; p < sw->num_ports(); ++p) {
-    EXPECT_EQ(sw->port(p).ecn_config(0), cfg);
+    EXPECT_EQ(sw->port(p).ecn_config(), cfg);
   }
   EXPECT_TRUE(cfg.valid());
 }
@@ -158,16 +158,28 @@ TEST_F(PetFixture, IndependentPoliciesByDefault) {
 
 TEST_F(PetFixture, ControllerTicksAllAgentsPeriodically) {
   build();
+  auto& sw2 = net.add_switch({});
+  net::PortConfig nic;
+  auto& h = net.add_host(nic);
+  net.connect(h.id(), sw2.id(), sim::gbps(10), sim::nanoseconds(100));
+  net.recompute_routes();
+
   PetControllerConfig cc;
   cc.agent = agent_config();
-  std::vector<net::SwitchDevice*> switches{sw};
+  std::vector<net::SwitchDevice*> switches{sw, &sw2};
   PetController ctl(sched, switches, cc, 79);
+  ASSERT_EQ(ctl.num_agents(), 2u);
+  EXPECT_EQ(&ctl.agent(1).switch_device(), &sw2);
   ctl.start();
   sched.run_until(sim::milliseconds(1));
-  EXPECT_EQ(ctl.agent(0).steps(), 10);  // 1ms / 100us
+  for (std::size_t i = 0; i < ctl.num_agents(); ++i) {
+    EXPECT_EQ(ctl.agent(i).steps(), 10);  // 1ms / 100us
+  }
   ctl.stop();
   sched.run_until(sim::milliseconds(2));
-  EXPECT_EQ(ctl.agent(0).steps(), 10);
+  for (std::size_t i = 0; i < ctl.num_agents(); ++i) {
+    EXPECT_EQ(ctl.agent(i).steps(), 10);
+  }
 }
 
 TEST_F(PetFixture, InstallWeightsPropagatesToAllAgents) {

@@ -60,16 +60,16 @@ TEST_F(PortFixture, InvalidEcnConfigClampedOnInstall) {
   auto& port = make_port();
   // Inverted thresholds + out-of-range probability: the port installs the
   // nearest valid config instead of the garbage one.
-  port.set_ecn_config(0, {.kmin_bytes = 2000, .kmax_bytes = 100, .pmax = 3.0});
-  const RedEcnConfig& installed = port.ecn_config(0);
+  port.set_ecn_config({.kmin_bytes = 2000, .kmax_bytes = 100, .pmax = 3.0});
+  const RedEcnConfig& installed = port.ecn_config();
   EXPECT_TRUE(installed.valid());
   EXPECT_EQ(installed.kmin_bytes, 2000);
   EXPECT_EQ(installed.kmax_bytes, 2000);
   EXPECT_DOUBLE_EQ(installed.pmax, 1.0);
   // Valid configs install verbatim.
   const RedEcnConfig ok{.kmin_bytes = 10, .kmax_bytes = 20, .pmax = 0.5};
-  port.set_ecn_config(0, ok);
-  EXPECT_EQ(port.ecn_config(0), ok);
+  port.set_ecn_config(ok);
+  EXPECT_EQ(port.ecn_config(), ok);
 }
 
 TEST_F(PortFixture, DeliversAfterSerializationPlusPropagation) {
@@ -77,7 +77,7 @@ TEST_F(PortFixture, DeliversAfterSerializationPlusPropagation) {
   cfg.rate = sim::gbps(10);
   cfg.propagation_delay = sim::nanoseconds(1000);
   auto& port = make_port(cfg);
-  port.enqueue(QueueEntry{data_packet(1000), -1}, 0);
+  port.enqueue(QueueEntry{data_packet(1000), -1});
   // 1000B at 10G = 800ns serialization + 1000ns propagation = 1800ns.
   sched.run_until(sim::nanoseconds(1799));
   EXPECT_TRUE(peer.received.empty());
@@ -90,8 +90,8 @@ TEST_F(PortFixture, SerializesBackToBack) {
   cfg.rate = sim::gbps(10);
   cfg.propagation_delay = sim::Time::zero();
   auto& port = make_port(cfg);
-  port.enqueue(QueueEntry{data_packet(1000), -1}, 0);
-  port.enqueue(QueueEntry{data_packet(1000), -1}, 0);
+  port.enqueue(QueueEntry{data_packet(1000), -1});
+  port.enqueue(QueueEntry{data_packet(1000), -1});
   sched.run_until(sim::nanoseconds(800));
   EXPECT_EQ(peer.received.size(), 1u);
   sched.run_until(sim::nanoseconds(1600));
@@ -100,8 +100,8 @@ TEST_F(PortFixture, SerializesBackToBack) {
 
 TEST_F(PortFixture, ControlQueueHasStrictPriority) {
   auto& port = make_port();
-  port.enqueue(QueueEntry{data_packet(1000), -1}, 0);  // starts transmitting
-  port.enqueue(QueueEntry{data_packet(1000, 2), -1}, 0);
+  port.enqueue(QueueEntry{data_packet(1000), -1});  // starts transmitting
+  port.enqueue(QueueEntry{data_packet(1000, 2), -1});
   Packet cnp;
   cnp.type = PacketType::kCnp;
   cnp.size_bytes = 64;
@@ -115,7 +115,7 @@ TEST_F(PortFixture, ControlQueueHasStrictPriority) {
 TEST_F(PortFixture, PauseStopsDataButNotControl) {
   auto& port = make_port();
   port.set_paused(true);
-  port.enqueue(QueueEntry{data_packet(1000), -1}, 0);
+  port.enqueue(QueueEntry{data_packet(1000), -1});
   Packet cnp;
   cnp.type = PacketType::kCnp;
   cnp.size_bytes = 64;
@@ -133,7 +133,7 @@ TEST_F(PortFixture, PauseDoesNotAbortInFlightPacket) {
   cfg.rate = sim::gbps(10);
   cfg.propagation_delay = sim::Time::zero();
   auto& port = make_port(cfg);
-  port.enqueue(QueueEntry{data_packet(1000), -1}, 0);
+  port.enqueue(QueueEntry{data_packet(1000), -1});
   sched.run_until(sim::nanoseconds(100));
   port.set_paused(true);  // mid-serialization
   sched.run_until(sim::milliseconds(1));
@@ -142,7 +142,7 @@ TEST_F(PortFixture, PauseDoesNotAbortInFlightPacket) {
 
 TEST_F(PortFixture, LinkDownDropsAtSerializationEnd) {
   auto& port = make_port();
-  port.enqueue(QueueEntry{data_packet(1000), -1}, 0);
+  port.enqueue(QueueEntry{data_packet(1000), -1});
   port.set_link_up(false);
   sched.run_all();
   EXPECT_TRUE(peer.received.empty());
@@ -155,7 +155,7 @@ TEST_F(PortFixture, LinkDownDropsAtSerializationEnd) {
 TEST_F(PortFixture, LinkDownBlocksNewTransmissions) {
   auto& port = make_port();
   port.set_link_up(false);
-  port.enqueue(QueueEntry{data_packet(1000), -1}, 0);
+  port.enqueue(QueueEntry{data_packet(1000), -1});
   sched.run_until(sim::milliseconds(1));
   EXPECT_EQ(port.tx_packets(), 0);
   port.set_link_up(true);
@@ -165,11 +165,11 @@ TEST_F(PortFixture, LinkDownBlocksNewTransmissions) {
 
 TEST_F(PortFixture, EcnMarksAboveKmax) {
   auto& port = make_port();
-  port.set_ecn_config(0, {.kmin_bytes = 0, .kmax_bytes = 0, .pmax = 1.0});
+  port.set_ecn_config({.kmin_bytes = 0, .kmax_bytes = 0, .pmax = 1.0});
   // The first two packets see an empty queue (each is popped straight into
   // the transmitter); every later packet sees backlog and is marked.
   for (int i = 0; i < 5; ++i) {
-    port.enqueue(QueueEntry{data_packet(1000), -1}, 0);
+    port.enqueue(QueueEntry{data_packet(1000), -1});
   }
   sched.run_all();
   ASSERT_EQ(peer.received.size(), 5u);
@@ -180,11 +180,11 @@ TEST_F(PortFixture, EcnMarksAboveKmax) {
 
 TEST_F(PortFixture, NonEctPacketsNeverMarked) {
   auto& port = make_port();
-  port.set_ecn_config(0, {.kmin_bytes = 0, .kmax_bytes = 0, .pmax = 1.0});
+  port.set_ecn_config({.kmin_bytes = 0, .kmax_bytes = 0, .pmax = 1.0});
   for (int i = 0; i < 5; ++i) {
     Packet pkt = data_packet(1000);
     pkt.ecn_capable = false;
-    port.enqueue(QueueEntry{pkt, -1}, 0);
+    port.enqueue(QueueEntry{pkt, -1});
   }
   sched.run_all();
   for (const auto& a : peer.received) EXPECT_FALSE(a.pkt.ce_marked);
@@ -192,9 +192,9 @@ TEST_F(PortFixture, NonEctPacketsNeverMarked) {
 
 TEST_F(PortFixture, TxCountersTrackMarkedBytes) {
   auto& port = make_port();
-  port.set_ecn_config(0, {.kmin_bytes = 0, .kmax_bytes = 0, .pmax = 1.0});
+  port.set_ecn_config({.kmin_bytes = 0, .kmax_bytes = 0, .pmax = 1.0});
   for (int i = 0; i < 3; ++i) {
-    port.enqueue(QueueEntry{data_packet(1000), -1}, 0);
+    port.enqueue(QueueEntry{data_packet(1000), -1});
   }
   sched.run_all();
   EXPECT_EQ(port.tx_packets(), 3);
@@ -205,28 +205,9 @@ TEST_F(PortFixture, TxCountersTrackMarkedBytes) {
   EXPECT_EQ(port.tx_marked_bytes(), 1000);
 }
 
-TEST_F(PortFixture, MultiQueueRoundRobin) {
-  PortConfig cfg;
-  cfg.num_data_queues = 2;
-  cfg.propagation_delay = sim::Time::zero();
-  auto& port = make_port(cfg);
-  // Stall the transmitter while queuing to ensure both queues are loaded.
-  port.set_paused(true);
-  for (int i = 0; i < 3; ++i) port.enqueue(QueueEntry{data_packet(100, 10 + i)}, 0);
-  for (int i = 0; i < 3; ++i) port.enqueue(QueueEntry{data_packet(100, 20 + i)}, 1);
-  port.set_paused(false);
-  sched.run_all();
-  ASSERT_EQ(peer.received.size(), 6u);
-  // Alternating queues: 10,20,11,21,12,22.
-  EXPECT_EQ(peer.received[0].pkt.flow_id, 10u);
-  EXPECT_EQ(peer.received[1].pkt.flow_id, 20u);
-  EXPECT_EQ(peer.received[2].pkt.flow_id, 11u);
-  EXPECT_EQ(peer.received[3].pkt.flow_id, 21u);
-}
-
 TEST_F(PortFixture, OwnerNotifiedOnDeparture) {
   auto& port = make_port();
-  port.enqueue(QueueEntry{data_packet(500), 7}, 0);
+  port.enqueue(QueueEntry{data_packet(500), 7});
   sched.run_all();
   ASSERT_EQ(sender.departed.size(), 1u);
   EXPECT_EQ(sender.departed[0].ingress_port, 7);
@@ -235,9 +216,9 @@ TEST_F(PortFixture, OwnerNotifiedOnDeparture) {
 TEST_F(PortFixture, QueueBytesReflectBacklog) {
   auto& port = make_port();
   port.set_paused(true);
-  port.enqueue(QueueEntry{data_packet(300), -1}, 0);
-  port.enqueue(QueueEntry{data_packet(200), -1}, 0);
-  EXPECT_EQ(port.queue_bytes(0), 500);
+  port.enqueue(QueueEntry{data_packet(300), -1});
+  port.enqueue(QueueEntry{data_packet(200), -1});
+  EXPECT_EQ(port.queue_bytes(), 500);
   EXPECT_EQ(port.total_queue_bytes(), 500);
 }
 
@@ -259,14 +240,14 @@ Completion complete_one(const Packet& pkt) {
   cfg.rate = sim::gbps(10);
   auto& port = sender.port(sender.add_port(cfg));
   port.connect(&peer, peer.add_port(cfg));
-  port.enqueue(QueueEntry{data_packet(1000), -1}, 0);
+  port.enqueue(QueueEntry{data_packet(1000), -1});
   sched.run_all();
   EXPECT_EQ(sched.pool_size(), 0u) << "the full-size warm-up frame";
   const sim::Time start = sched.now();
   if (pkt.is_control()) {
     port.enqueue_control(QueueEntry{pkt, -1});
   } else {
-    port.enqueue(QueueEntry{pkt, -1}, 0);
+    port.enqueue(QueueEntry{pkt, -1});
   }
   sched.run_all();
   EXPECT_EQ(peer.received.size(), 2u);
@@ -311,7 +292,7 @@ TEST_F(PortFixture, OnlyAFlowsNonLastFrameMovesTheFullSizeLane) {
     Packet pkt = data_packet(bytes);
     pkt.last_of_flow = last_of_flow;
     const sim::Time start = sched.now();
-    port.enqueue(QueueEntry{pkt, -1}, 0);
+    port.enqueue(QueueEntry{pkt, -1});
     sched.run_all();
     ASSERT_FALSE(sender.departed_at.empty());
     EXPECT_EQ(sender.departed_at.back() - start,
@@ -339,7 +320,7 @@ TEST_F(PortFixture, PacketsOnWireCountsThePropagatingOnes) {
   cfg.propagation_delay = sim::microseconds(10);
   auto& port = make_port(cfg);
   for (int i = 0; i < 3; ++i) {
-    port.enqueue(QueueEntry{data_packet(1000), -1}, 0);
+    port.enqueue(QueueEntry{data_packet(1000), -1});
   }
   EXPECT_EQ(port.packets_on_wire(), 0);
   sched.run_until(sim::nanoseconds(2400));  // all three serialized
@@ -365,7 +346,7 @@ TEST_F(PortFixture, ArrivalsKeepDepartureOrderThroughFlaps) {
   for (std::uint32_t i = 0; i < 60; ++i) {
     Packet pkt = data_packet(i % 4 == 3 ? 300 : 1000);
     pkt.seq = i;
-    port.enqueue(QueueEntry{pkt, -1}, 0);
+    port.enqueue(QueueEntry{pkt, -1});
   }
   const auto ledger_balances = [&] {
     return port.tx_packets() ==

@@ -133,37 +133,18 @@ TEST_F(SwitchFixture, PfcDisabledSendsNoPauses) {
 TEST_F(SwitchFixture, ForwardObserverSeesDataPackets) {
   build();
   std::vector<FlowId> observed;
-  sw->add_forward_observer([&](const Packet& pkt, std::int32_t,
-                               std::int32_t) { observed.push_back(pkt.flow_id); });
+  sw->add_forward_observer([&](const Packet& pkt, std::int32_t) {
+    observed.push_back(pkt.flow_id);
+  });
   sw->receive(data_packet(0, 1, 7), 0);
   sw->receive(data_packet(0, 1, 8), 0);
   EXPECT_EQ(observed, (std::vector<FlowId>{7, 8}));
 }
 
-TEST_F(SwitchFixture, ClassifierSelectsQueue) {
-  SwitchConfig cfg;
-  cfg.num_data_queues = 2;
-  build(cfg);
-  sw->set_classifier(
-      [](const Packet& pkt) { return static_cast<std::int32_t>(pkt.flow_id % 2); });
-  // Pause the egress toward host 1 so queue contents are observable.
-  const auto& routes = sw->routes(1);
-  ASSERT_EQ(routes.size(), 1u);
-  auto& out = sw->port(routes[0]);
-  out.set_paused(true);
-  sw->receive(data_packet(0, 1, 2), 0);  // queue 0
-  sw->receive(data_packet(0, 1, 3), 0);  // queue 1
-  sw->receive(data_packet(0, 1, 4), 0);  // queue 0
-  EXPECT_EQ(out.queue_bytes(0), 2000);
-  EXPECT_EQ(out.queue_bytes(1), 1000);
-}
-
 TEST_F(SwitchFixture, SetEcnConfigAllPortsApplies) {
-  SwitchConfig cfg;
-  cfg.num_data_queues = 2;
-  build(cfg);
+  build();
   // A valid config installs verbatim; an invalid one lands as its clamp on
-  // every (port, queue) — the audited entry point never installs garbage.
+  // every port — the audited entry point never installs garbage.
   const std::vector<RedEcnConfig> inputs{
       {.kmin_bytes = 123, .kmax_bytes = 456, .pmax = 0.5},
       // The degenerate "mark everything" config is already valid.
@@ -185,15 +166,12 @@ TEST_F(SwitchFixture, SetEcnConfigAllPortsApplies) {
                                       << " kmax=" << in.kmax_bytes
                                       << " pmax=" << in.pmax);
     const std::int64_t installs_before = sw->ecn_installs();
-    EXPECT_EQ(sw->install_ecn(in),
-              static_cast<std::size_t>(2 * sw->num_ports()));
+    EXPECT_EQ(sw->install_ecn(in), static_cast<std::size_t>(sw->num_ports()));
     EXPECT_EQ(sw->ecn_installs(), installs_before + 1);
     const RedEcnConfig expected = in.clamped();
     ASSERT_TRUE(expected.valid());
     for (std::int32_t p = 0; p < sw->num_ports(); ++p) {
-      for (std::int32_t q = 0; q < sw->port(p).num_data_queues(); ++q) {
-        EXPECT_EQ(sw->port(p).ecn_config(q), expected);
-      }
+      EXPECT_EQ(sw->port(p).ecn_config(), expected);
     }
     const EcnConfigSummary summary = sw->ecn_config_summary();
     EXPECT_TRUE(summary.uniform);
@@ -210,7 +188,7 @@ TEST_F(SwitchFixture, EcnConfigSummaryTracksPerPortSpread) {
   sw->install_ecn(base);
   const RedEcnConfig odd{.kmin_bytes = 2'000, .kmax_bytes = 80'000,
                          .pmax = 0.6};
-  sw->install_ecn(odd, PortSelector::port(0));
+  sw->port(0).set_ecn_config(odd);
   const EcnConfigSummary summary = sw->ecn_config_summary();
   EXPECT_FALSE(summary.uniform);
   EXPECT_EQ(summary.kmin_min_bytes, 2'000);
@@ -251,7 +229,7 @@ TEST(SwitchEcmp, FlowStableAndSpreads) {
     std::int32_t chosen = -1;
     sw.clear_forward_observers();
     sw.add_forward_observer(
-        [&](const Packet&, std::int32_t port, std::int32_t) { chosen = port; });
+        [&](const Packet&, std::int32_t port) { chosen = port; });
     sw.receive(pkt, -1);
     const std::int32_t first = chosen;
     sw.receive(pkt, -1);

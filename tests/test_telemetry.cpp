@@ -73,18 +73,17 @@ TEST(Telemetry, CarriesEcnConfig) {
   }
 }
 
-TEST(Telemetry, ReportsPerQueueSpreadNotPortZero) {
-  // Regression: sample_all used to read port 0 / queue 0 only, so a
-  // per-queue install on any other queue was invisible in telemetry.
-  ScenarioConfig cfg = tiny_scenario();
-  cfg.topo.leaf_spine().switch_cfg.num_data_queues = 2;
-  Experiment experiment(cfg);
+TEST(Telemetry, ReportsPerPortSpreadNotPortZero) {
+  // Regression: sample_all used to read port 0 only, so a config written
+  // to any other port was invisible in telemetry.
+  Experiment experiment(tiny_scenario());
   net::SwitchDevice* sw = experiment.network().switches().front();
+  ASSERT_GT(sw->num_ports(), 1);
   net::RedEcnConfig odd;
   odd.kmin_bytes = 1'000;
   odd.kmax_bytes = 5'000;
   odd.pmax = 0.9;
-  ASSERT_GT(sw->install_ecn(odd, net::PortSelector::queue(1)), 0u);
+  sw->port(1).set_ecn_config(odd);
 
   TelemetryRecorder telemetry(experiment.scheduler(),
                               experiment.network().switches());

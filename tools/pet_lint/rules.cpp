@@ -445,7 +445,7 @@ void rule_hot_path_alloc(const Ctx& c) {
   // test_alloc_steady enforces zero steady-state heap traffic. std::function
   // boxes any capture past its tiny SSO, and std::deque allocates per block;
   // both reintroduce per-event allocation silently. Cold control-plane uses
-  // (setup-time classifiers, fault plans, BFS scratch) carry explicit
+  // (setup-time observers, fault plans, BFS scratch) carry explicit
   // allow() suppressions with the justification.
   const TokenView& tv = c.tv;
   for (std::size_t i = 0; i + 2 < tv.size(); ++i) {
